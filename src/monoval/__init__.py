@@ -54,6 +54,7 @@ from .valtree import (
     branch_decomposition,
     cf_correspondence_check,
     children,
+    correspondence_report,
     lex_valuation_from_tail,
     positive_child,
     positive_path,
@@ -86,6 +87,7 @@ from .resolution import (
     is_smooth_component,
     off_origin_crossing_report,
     resolve,
+    theorem_report,
     verify_reconstruction,
 )
 from .expr import ExpressionError, lower, parse_expression, parse_rational_function

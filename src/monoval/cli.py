@@ -62,7 +62,10 @@ def parse_stream_spec(spec: str) -> CFStream:
 
 
 def _cmd_cf(args) -> tuple[str, int]:
-    r = Fraction(args.rational)
+    try:
+        r = Fraction(args.rational)
+    except ZeroDivisionError:
+        raise ValueError(f"cannot read {args.rational!r}: the denominator is zero") from None
     cf = cf_expand(r)
     if args.format == "json":
         return emit_json(cf), 0
@@ -212,8 +215,12 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(output)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(output)
+        except OSError as exc:
+            print(f"error: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
+            return 1
     else:
         sys.stdout.write(output)
     return code

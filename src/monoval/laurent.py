@@ -1,11 +1,14 @@
 """Sparse Laurent polynomials in two variables with exact coefficients.
 
 Monomials are exponent pairs ``x^ex * y^ey`` (exponents may be negative),
-polynomials are finite monomial-to-coefficient maps with ``Fraction``
+polynomials are finite monomial-to-coefficient maps with exact rational
 coefficients, and a chart basis is a pair of monomials whose exponent
 matrix is unimodular, giving a bijective change of lattice coordinates.
-All values are immutable; term iteration is ordered so emitted artifacts
-are bit-stable.
+A coefficient is held as a Python ``int`` until a non-integer rational
+appears, which is held as a ``Fraction``; a ``Fraction`` that reduces to
+an integer is stored as that ``int``, so equal polynomials have equal
+term maps.  All values are immutable; term iteration is ordered so
+emitted artifacts are bit-stable.
 """
 
 from __future__ import annotations
@@ -19,12 +22,39 @@ class ZeroPolynomialError(ValueError):
     """An operation that needs a nonzero polynomial received zero."""
 
 
-@dataclass(frozen=True)
 class Monomial:
-    """x^ex * y^ey as a point of the exponent lattice."""
+    """x^ex * y^ey as a point of the exponent lattice.
 
-    ex: int
-    ey: int
+    Immutable, with its hash computed once: monomials are the keys of every
+    term map.  Equal only to another ``Monomial``, never to a plain tuple.
+    """
+
+    __slots__ = ("ex", "ey", "_hash")
+
+    def __init__(self, ex: int, ey: int):
+        _set_ex(self, ex)
+        _set_ey(self, ey)
+        _set_hash(self, hash((ex, ey)))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable Monomial")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of an immutable Monomial")
+
+    def __reduce__(self):
+        return (Monomial, (self.ex, self.ey))
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is self.__class__:
+            return self.ex == other.ex and self.ey == other.ey
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __repr__(self) -> str:
+        return f"Monomial(ex={self.ex!r}, ey={self.ey!r})"
 
     def __mul__(self, other: "Monomial") -> "Monomial":
         return Monomial(self.ex + other.ex, self.ey + other.ey)
@@ -61,30 +91,47 @@ class Monomial:
         return f"{num_s}/{den_s}"
 
 
+# Slot setters, so construction skips the __setattr__ guard.
+_set_ex = Monomial.ex.__set__
+_set_ey = Monomial.ey.__set__
+_set_hash = Monomial._hash.__set__
+
 UNIT = Monomial(0, 0)
 X = Monomial(1, 0)
 Y = Monomial(0, 1)
 
 TermMap = Union[Mapping, Iterable[Tuple]]
+Coefficient = Union[int, Fraction]
+
+
+def _exact(c) -> Coefficient:
+    """``c`` as an exact rational: an ``int`` when integral, else a ``Fraction``."""
+    if c.__class__ is int:
+        return c
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
 
 
 class LaurentPolynomial:
     """Finite map from monomials to nonzero rational coefficients.
 
     The empty map is the zero polynomial; zero coefficients are never
-    stored.  Instances are immutable by convention and all arithmetic
-    returns fresh values.
+    stored.  Coefficients are ``int`` or non-integral ``Fraction`` (see the
+    module docstring).  Instances are immutable by convention and all
+    arithmetic returns fresh values.
     """
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms: TermMap = ()):
-        data: dict[Monomial, Fraction] = {}
-        items = terms.items() if isinstance(terms, Mapping) else terms
+        data: dict[Monomial, Coefficient] = {}
+        items = terms.items() if isinstance(terms, (dict, Mapping)) else terms
         for mono, coeff in items:
             if not isinstance(mono, Monomial):
                 mono = Monomial(*mono)
-            c = data.get(mono, Fraction(0)) + Fraction(coeff)
+            c = data.get(mono, 0) + _exact(coeff)
+            if c.__class__ is not int:
+                c = _exact(c)
             if c:
                 data[mono] = c
             elif mono in data:
@@ -97,25 +144,26 @@ class LaurentPolynomial:
 
     @classmethod
     def constant(cls, c) -> "LaurentPolynomial":
-        return cls({UNIT: Fraction(c)})
+        return cls.monomial(UNIT, c)
 
     @classmethod
     def monomial(cls, mono: Monomial, coeff=1) -> "LaurentPolynomial":
-        return cls({mono: Fraction(coeff)})
+        coeff = _exact(coeff)
+        return _from_terms({mono: coeff} if coeff else {}, cls)
 
     @property
     def is_zero(self) -> bool:
         return not self._terms
 
-    def terms(self) -> list[tuple[Monomial, Fraction]]:
+    def terms(self) -> list[tuple[Monomial, Coefficient]]:
         """Terms sorted lexicographically on (ex, ey)."""
         return sorted(self._terms.items(), key=lambda kv: (kv[0].ex, kv[0].ey))
 
     def monomials(self) -> list[Monomial]:
         return [m for m, _ in self.terms()]
 
-    def coefficient(self, mono: Monomial) -> Fraction:
-        return self._terms.get(mono, Fraction(0))
+    def coefficient(self, mono: Monomial) -> Coefficient:
+        return self._terms.get(mono, 0)
 
     def min_exponents(self) -> tuple[int, int]:
         """Componentwise minimum of the exponents over all terms."""
@@ -128,7 +176,10 @@ class LaurentPolynomial:
 
     def shift(self, mono: Monomial) -> "LaurentPolynomial":
         """Multiply by a single monomial."""
-        return LaurentPolynomial({m * mono: c for m, c in self._terms.items()})
+        dx, dy = mono.ex, mono.ey
+        return _from_terms(
+            {Monomial(m.ex + dx, m.ey + dy): c for m, c in self._terms.items()}
+        )
 
     def __len__(self) -> int:
         return len(self._terms)
@@ -139,41 +190,44 @@ class LaurentPolynomial:
         return self._terms == other._terms
 
     def __neg__(self) -> "LaurentPolynomial":
-        return LaurentPolynomial({m: -c for m, c in self._terms.items()})
+        return _from_terms({m: -c for m, c in self._terms.items()})
 
     def __add__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
         data = dict(self._terms)
         for m, c in other._terms.items():
-            s = data.get(m, Fraction(0)) + c
+            s = data.get(m, 0) + c
+            if s.__class__ is not int:
+                s = _exact(s)
             if s:
                 data[m] = s
             elif m in data:
                 del data[m]
-        out = LaurentPolynomial()
-        out._terms = data
-        return out
+        return _from_terms(data)
 
     def __sub__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
         return self + (-other)
 
     def __mul__(self, other) -> "LaurentPolynomial":
         if isinstance(other, LaurentPolynomial):
-            data: dict[Monomial, Fraction] = {}
+            data: dict[Monomial, Coefficient] = {}
+            right = [(m.ex, m.ey, c) for m, c in other._terms.items()]
             for m1, c1 in self._terms.items():
-                for m2, c2 in other._terms.items():
-                    m = m1 * m2
-                    s = data.get(m, Fraction(0)) + c1 * c2
+                ex, ey = m1.ex, m1.ey
+                for ex2, ey2, c2 in right:
+                    m = Monomial(ex + ex2, ey + ey2)
+                    s = data.get(m, 0) + c1 * c2
+                    if s.__class__ is not int:
+                        s = _exact(s)
                     if s:
                         data[m] = s
                     elif m in data:
                         del data[m]
-            out = LaurentPolynomial()
-            out._terms = data
-            return out
+            return _from_terms(data)
         if isinstance(other, (int, Fraction)):
-            if other == 0:
-                return LaurentPolynomial()
-            return LaurentPolynomial({m: c * other for m, c in self._terms.items()})
+            other = _exact(other)
+            if not other:
+                return _from_terms({})
+            return _from_terms({m: _exact(c * other) for m, c in self._terms.items()})
         return NotImplemented
 
     __rmul__ = __mul__
@@ -210,6 +264,13 @@ class LaurentPolynomial:
 
     def __repr__(self) -> str:
         return f"LaurentPolynomial({dict(self.terms())!r})"
+
+
+def _from_terms(data: dict, cls=LaurentPolynomial) -> LaurentPolynomial:
+    """Wrap a term map whose coefficients are already nonzero and exact."""
+    out = object.__new__(cls)
+    out._terms = data
+    return out
 
 
 @dataclass(frozen=True)
@@ -252,20 +313,22 @@ def rewrite_in_chart(p: LaurentPolynomial, basis: ChartBasis) -> LaurentPolynomi
     ring isomorphism on Laurent polynomials and substituting the basis
     monomials back recovers ``p`` exactly.
     """
-    out: dict[Monomial, Fraction] = {}
+    out: dict[Monomial, Coefficient] = {}
     for mono, c in p._terms.items():
         alpha, beta = lattice_solve(mono, basis)
         out[Monomial(alpha, beta)] = c
-    return LaurentPolynomial(out)
+    return _from_terms(out)
 
 
 def expand_from_chart(p: LaurentPolynomial, basis: ChartBasis) -> LaurentPolynomial:
-    """Inverse of :func:`rewrite_in_chart`: substitute the basis monomials back."""
-    out: dict[Monomial, Fraction] = {}
+    """Inverse of :func:`rewrite_in_chart`: substitute the basis monomials back.
+
+    The exponent map is a bijection, so distinct terms never collide.
+    """
+    out: dict[Monomial, Coefficient] = {}
     for mono, c in p._terms.items():
-        target = basis.f ** mono.ex * basis.g ** mono.ey
-        out[target] = out.get(target, Fraction(0)) + c
-    return LaurentPolynomial(out)
+        out[basis.f ** mono.ex * basis.g ** mono.ey] = c
+    return _from_terms(out)
 
 
 def factor_monomial_content(p: LaurentPolynomial) -> tuple[Monomial, LaurentPolynomial]:

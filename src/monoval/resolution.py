@@ -30,6 +30,8 @@ from .laurent import (
     UNIT,
     X,
     Y,
+    factor_monomial_content,
+    rewrite_in_chart,
 )
 from .valtree import PositivePath, TreeVertex, positive_path
 from .valuation import MonomialValuation
@@ -282,24 +284,32 @@ def bad_vertex_path(trace: ResolutionTrace) -> PositivePath:
     )
 
 
-def check_theorem(a: int, b: int) -> TheoremReport:
-    """Compare the resolution's bad-chart path with the positive path.
+def theorem_report(trace: ResolutionTrace, val_path: PositivePath) -> TheoremReport:
+    """Compare a trace's bad-chart path with a valuation's positive path.
 
-    Both are computed independently: one by driving blow-ups and
-    classifying charts, the other by walking the tree with the valuation
-    nu(x) = a, nu(y) = b.  Vertices are compared as unordered generator
-    pairs.
+    ``val_path`` should be the positive path of nu(x) = a, nu(y) = b for
+    the trace's (a, b); it must be complete to count as equal.  Vertices
+    are compared as unordered generator pairs.
     """
-    trace = resolve(a, b)
     res_path = bad_vertex_path(trace)
-    nu = MonomialValuation.rational(a, b)
-    val_path = positive_path(nu, max_steps=a + b)
     equal = (
         val_path.complete
         and len(res_path) == len(val_path)
         and all(u == v for u, v in zip(res_path, val_path))
     )
-    return TheoremReport(int(a), int(b), res_path, val_path, equal)
+    return TheoremReport(trace.a, trace.b, res_path, val_path, equal)
+
+
+def check_theorem(a: int, b: int) -> TheoremReport:
+    """Compare the resolution's bad-chart path with the positive path.
+
+    Both are computed independently: one by driving blow-ups and
+    classifying charts, the other by walking the tree with the valuation
+    nu(x) = a, nu(y) = b.
+    """
+    trace = resolve(a, b)
+    nu = MonomialValuation.rational(a, b)
+    return theorem_report(trace, positive_path(nu, max_steps=a + b))
 
 
 def expand_chart(c: ChartState) -> LaurentPolynomial:
@@ -331,8 +341,6 @@ def chart_agrees_with_lattice(c: ChartState, a: int, b: int) -> bool:
     chart basis and factoring out the monomial content must reproduce the
     chart's exceptional exponents and proper transform.
     """
-    from .laurent import factor_monomial_content, rewrite_in_chart
-
     in_chart = rewrite_in_chart(cusp_polynomial(a, b), c.basis)
     content, primitive = factor_monomial_content(in_chart)
     if content != Monomial(c.exc_f, c.exc_g):

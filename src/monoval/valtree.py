@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
 from math import gcd
 from typing import Iterator, Optional
 
@@ -213,20 +212,14 @@ def branch_decomposition(path: PositivePath) -> tuple[Branch, ...]:
     return tuple(branches)
 
 
-def cf_correspondence_check(a: int, b: int) -> CorrespondenceReport:
-    """Compare branch lengths from a direct walk with the digits of a/b.
+def correspondence_report(a: int, b: int, path: PositivePath) -> CorrespondenceReport:
+    """Compare the branch lengths of ``path`` with the digits of a/b.
 
-    The expected lengths are the canonical digits with the last one
-    decremented (equivalently, the longer expansion ending in 1, dropped);
-    a trailing zero-length branch is dropped.
+    ``path`` should be the positive path of nu(x) = a, nu(y) = b, for
+    coprime a > b >= 1.  The expected lengths are the canonical digits
+    with the last one decremented (equivalently, the longer expansion
+    ending in 1, dropped); a trailing zero-length branch is dropped.
     """
-    a, b = int(a), int(b)
-    if not (a > b >= 1):
-        raise ValueError("need a > b >= 1")
-    if gcd(a, b) != 1:
-        raise ValueError(f"({a}, {b}) are not coprime")
-    nu = MonomialValuation.rational(a, b)
-    path = positive_path(nu, max_steps=a + b)
     lengths = tuple(br.length for br in branch_decomposition(path))
     cf = cf_expand(Fraction(a, b))
     expected = list(cf.digits)
@@ -235,6 +228,17 @@ def cf_correspondence_check(a: int, b: int) -> CorrespondenceReport:
         expected.pop()
     expected_t = tuple(expected)
     return CorrespondenceReport(a, b, lengths, cf.digits, expected_t, lengths == expected_t)
+
+
+def cf_correspondence_check(a: int, b: int) -> CorrespondenceReport:
+    """Compare branch lengths from a direct walk with the digits of a/b."""
+    a, b = int(a), int(b)
+    if not (a > b >= 1):
+        raise ValueError("need a > b >= 1")
+    if gcd(a, b) != 1:
+        raise ValueError(f"({a}, {b}) are not coprime")
+    nu = MonomialValuation.rational(a, b)
+    return correspondence_report(a, b, positive_path(nu, max_steps=a + b))
 
 
 def lex_valuation_from_tail(f: Monomial, g: Monomial) -> MonomialValuation:

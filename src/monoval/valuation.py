@@ -54,7 +54,9 @@ class RationalRatioGroup:
 
     Either orientation is accepted; the ``(a, b)`` view normalizes to
     ``a >= b`` and ``swapped`` records whether x and y traded roles.
-    Comparison is the exact sign of a Fraction, never approximate.
+    Comparison is exact, never approximate: multiplying both values by
+    den(nu(x)) * den(nu(y)) > 0 gives the integer weights ``px``, ``py``,
+    so ``m*nu(x) + n*nu(y)`` has the sign of ``m*px + n*py``.
     """
 
     def __init__(self, vx, vy):
@@ -63,6 +65,8 @@ class RationalRatioGroup:
             raise ValueError("nu(x) and nu(y) must both be positive")
         self.vx = vx
         self.vy = vy
+        self.px = vx.numerator * vy.denominator
+        self.py = vy.numerator * vx.denominator
 
     @property
     def swapped(self) -> bool:
@@ -80,10 +84,10 @@ class RationalRatioGroup:
         return v.m * self.vx + v.n * self.vy
 
     def compare(self, v1: Value, v2: Value) -> int:
-        return _int_sign(self.realize(v1) - self.realize(v2))
+        return _int_sign((v1.m - v2.m) * self.px + (v1.n - v2.n) * self.py)
 
     def sign(self, v: Value) -> int:
-        return _int_sign(self.realize(v))
+        return _int_sign(v.m * self.px + v.n * self.py)
 
     def describe(self) -> str:
         return f"nu(x) = {self.vx}, nu(y) = {self.vy}"

@@ -11,13 +11,12 @@ exceptions; the first counterexample is kept verbatim.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import gcd
 from typing import Iterator, Optional
 
-from .exactnum import cf_expand
-from .resolution import check_theorem, resolve, verify_reconstruction
-from .valtree import cf_correspondence_check
+from .resolution import resolve, theorem_report, verify_reconstruction
+from .valtree import correspondence_report, positive_path
+from .valuation import MonomialValuation
 
 CHECK_NAMES = (
     "path-equality",
@@ -74,7 +73,8 @@ def run_verify(max_a: int) -> VerifyReport:
 
     max_a below 3 gives an empty sweep, which trivially passes.  Pairs are
     processed in sorted order; the checks are independent per pair, so the
-    outcome does not depend on ordering.
+    outcome does not depend on ordering.  Each pair is resolved once and
+    its positive path walked once; all four checks read those two results.
     """
     max_a = int(max_a)
     if max_a < 1:
@@ -89,17 +89,19 @@ def run_verify(max_a: int) -> VerifyReport:
     for a, b in coprime_pairs(max_a):
         report.pairs += 1
 
-        thm = check_theorem(a, b)
+        trace = resolve(a, b)
+        path = positive_path(MonomialValuation.rational(a, b), max_steps=a + b)
+
+        thm = theorem_report(trace, path)
         record(a, b, "path-equality", thm.equal, "bad-chart path differs from positive path")
 
-        corr = cf_correspondence_check(a, b)
+        corr = correspondence_report(a, b, path)
         record(
             a, b, "cf-correspondence", corr.match,
             f"branch lengths {corr.branch_lengths} vs digits {corr.cf_digits}",
         )
 
-        trace = resolve(a, b)
-        digit_sum = cf_expand(Fraction(a, b)).digit_sum()
+        digit_sum = sum(corr.cf_digits)
         record(
             a, b, "blow-up-count", trace.blow_up_count == digit_sum,
             f"{trace.blow_up_count} blow-ups vs digit sum {digit_sum}",

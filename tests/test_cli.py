@@ -155,3 +155,17 @@ def test_out_writes_file(capsys, tmp_path):
     code, out, _ = run(capsys, "path", "3", "2", "--format", "json", "--out", str(target))
     assert code == 0 and out == ""
     assert json.loads(target.read_text())["status"] == "complete"
+
+
+def test_cf_zero_denominator(capsys):
+    code, out, err = run(capsys, "cf", "1/0")
+    assert code == 1 and out == ""
+    assert err == "error: cannot read '1/0': the denominator is zero\n"
+
+
+def test_out_unwritable_path(capsys, tmp_path):
+    for target in (tmp_path / "missing" / "f.json", tmp_path):
+        code, out, err = run(capsys, "cf", "24/7", "--out", str(target))
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: cannot write {target}: ")
+        assert err.count("\n") == 1 and "Traceback" not in err

@@ -210,3 +210,75 @@ def test_rational_function_arithmetic():
         x / RationalFunction.constant(0)
     with pytest.raises(ZeroDivisionError):
         RationalFunction(LaurentPolynomial.monomial(X), LaurentPolynomial.zero())
+
+
+# -- lean representation -----------------------------------------------------
+
+exponents = st.integers(-(10**30), 10**30)
+
+
+@given(exponents, exponents)
+@settings(max_examples=200)
+def test_monomial_value_semantics(ex, ey):
+    m1, m2 = Monomial(ex, ey), Monomial(ex, ey)
+    assert m1 == m2 and hash(m1) == hash(m2)
+    assert repr(m1) == f"Monomial(ex={ex!r}, ey={ey!r})"
+    assert m1 != (ex, ey) and (ex, ey) != m1
+    assert m1 != Monomial(ex + 1, ey) and m1 != Monomial(ex, ey - 1)
+    assert {m1: 1}[m2] == 1
+
+
+def test_monomial_is_immutable():
+    import copy
+    import pickle
+
+    m = Monomial(2, -3)
+    with pytest.raises(AttributeError):
+        m.ex = 5
+    with pytest.raises(AttributeError):
+        del m.ey
+    assert (m.ex, m.ey) == (2, -3)
+    assert pickle.loads(pickle.dumps(m)) == m
+    assert copy.copy(m) == m and copy.deepcopy(m) == m
+    assert Monomial(1, 0) != (1, 0)
+
+
+small_terms = st.dictionaries(
+    st.tuples(st.integers(-4, 4), st.integers(-4, 4)),
+    st.integers(-(10**20), 10**20),
+    max_size=6,
+)
+
+
+@given(small_terms, small_terms)
+@settings(max_examples=200)
+def test_int_and_fraction_coefficients_agree(d1, d2):
+    p_int, q_int = poly(d1), poly(d2)
+    p_frac = poly({k: Fraction(v) for k, v in d1.items()})
+    q_frac = poly({k: Fraction(v * 6, 6) for k, v in d2.items()})
+    for left, right in [
+        (p_int, p_frac),
+        (q_int, q_frac),
+        (p_int * q_int, p_frac * q_frac),
+        (p_int + q_int, p_frac + q_frac),
+        (p_int - q_int, p_frac - q_frac),
+        (p_int.shift(Monomial(2, -1)), p_frac.shift(Monomial(2, -1))),
+        (3 * p_int, Fraction(3) * p_frac),
+    ]:
+        assert left == right
+        assert str(left) == str(right)
+        assert repr(left) == repr(right)
+
+
+def test_integral_fractions_are_stored_as_int():
+    half = poly({(1, 0): Fraction(1, 2)})
+    whole = half + half
+    assert whole == poly({(1, 0): 1})
+    assert type(whole.coefficient(X)) is int
+    assert type((2 * half).coefficient(X)) is int
+    assert type((half * poly({(0, 0): 2})).coefficient(X)) is int
+    assert type(poly({(0, 1): Fraction(4, 2)}).coefficient(Y)) is int
+    assert type(LaurentPolynomial.constant(Fraction(6, 3)).coefficient(UNIT)) is int
+    assert type(half.coefficient(X)) is Fraction
+    assert repr(whole) == "LaurentPolynomial({Monomial(ex=1, ey=0): 1})"
+    assert LaurentPolynomial.constant(0).is_zero and LaurentPolynomial.monomial(X, 0).is_zero

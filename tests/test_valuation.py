@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from monoval.exactnum import IndecisiveComparisonError, sqrt2_stream
 from monoval.laurent import (
@@ -158,3 +159,34 @@ def test_valuation_rejects_unknown_types():
     nu = MonomialValuation.rational(3, 2)
     with pytest.raises(TypeError):
         nu("x + y")
+
+
+# Non-integer positive rationals, with numerators and denominators of any size.
+non_integer_rationals = st.builds(
+    Fraction, st.integers(1, 10**25), st.integers(2, 10**25)
+).filter(lambda r: r.denominator != 1)
+big_values = st.builds(Value, st.integers(-(10**40), 10**40), st.integers(-(10**40), 10**40))
+
+
+def _fraction_sign(x: Fraction) -> int:
+    return (x > 0) - (x < 0)
+
+
+@given(non_integer_rationals, non_integer_rationals, big_values, big_values)
+@settings(max_examples=300)
+def test_rational_compare_matches_fraction_difference(vx, vy, v1, v2):
+    g = RationalRatioGroup(vx, vy)
+    assert g.compare(v1, v2) == _fraction_sign(g.realize(v1) - g.realize(v2))
+    assert g.sign(v1) == _fraction_sign(g.realize(v1))
+    assert g.compare(v1, v1) == 0 and g.sign(ZERO) == 0
+    assert g.realize(v1) == v1.m * vx + v1.n * vy
+
+
+@given(non_integer_rationals, non_integer_rationals, st.integers(-(10**6), 10**6))
+@settings(max_examples=200)
+def test_rational_compare_decides_exact_ties(vx, vy, k):
+    # (m, n) = k * (den-scaled nu(y), -nu(x)) realizes exactly 0
+    g = RationalRatioGroup(vx, vy)
+    v = Value(k * g.py, -k * g.px)
+    assert g.realize(v) == 0 and g.sign(v) == 0
+    assert g.compare(v + Value(1, 0), v) == 1 and g.compare(v, v + Value(0, 1)) == -1
