@@ -2,7 +2,8 @@
 
 Commands: cf, path, ringgens, member, resolve, verify.  Output goes to
 stdout (or --out) as text, JSON, or DOT.  Exit codes: 0 success, 1 usage
-or parse error, 2 verification failure, 3 indecisive stream comparison.
+or parse error, 2 verification failure, 3 indecisive stream comparison
+(reserved: path walks continued-fraction digits and never reaches it).
 """
 
 from __future__ import annotations

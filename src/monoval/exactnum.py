@@ -4,15 +4,19 @@ Rationals are stdlib ``fractions.Fraction`` values, which already keep the
 lowest-terms, positive-denominator normal form the rest of the package
 relies on.  On top of that live finite continued-fraction expansions
 (digit tuples), lazily evaluated digit streams standing in for irrational
-numbers, convergents, and a bracketing oracle that decides the sign of
-``stream - rational`` without ever touching floating point.
+numbers, and the two digit recurrences everything else builds on: Euclid
+quotients (``euclid_digits``) and convergents (``iter_convergents``, the
+only place the h/k recurrence is written).  A bracketing oracle decides
+the sign of ``stream - rational`` from convergents without ever touching
+floating point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Union
+from itertools import count as _count, islice
+from typing import Callable, Iterable, Iterator, Union
 
 Rational = Fraction
 
@@ -119,6 +123,10 @@ class CFStream:
 
         return cls(source, periodic=(pre, per))
 
+    def digits(self) -> Iterator[int]:
+        """The digits d0, d1, ... in order, without end."""
+        return map(self.digit, _count())
+
     def digit(self, i: int) -> int:
         if i < 0:
             raise IndexError("digit index must be nonnegative")
@@ -157,15 +165,21 @@ def cf_expand(r) -> CFExpansion:
     then evaluating is the identity on rationals.
     """
     r = Fraction(r)
-    digits = []
-    n, d = r.numerator, r.denominator
+    return CFExpansion(tuple(euclid_digits(r.numerator, r.denominator)))
+
+
+def euclid_digits(n: int, d: int) -> Iterator[int]:
+    """Quotients of the Euclidean algorithm on (n, d), for d > 0.
+
+    These are the canonical continued-fraction digits of n/d, produced
+    lazily: the last one is at least 2 unless it is the only one.
+    """
     while True:
         q, rem = divmod(n, d)
-        digits.append(q)
+        yield q
         if rem == 0:
-            break
+            return
         n, d = d, rem
-    return CFExpansion(tuple(digits))
 
 
 def cf_value(cf: CFExpansion) -> Fraction:
@@ -202,55 +216,66 @@ def cf_alternate(cf: CFExpansion) -> CFExpansion:
     return CFExpansion(digits[:-1] + (digits[-1] - 1, 1))
 
 
-def cf_convergents(cf: Union[CFExpansion, CFStream], count: int) -> tuple[Fraction, ...]:
-    """First ``count`` convergents, via the standard two-term recurrence.
+def iter_convergents(digits: Iterable[int]) -> Iterator[Fraction]:
+    """Convergents h_i/k_i of ``digits``, one per digit consumed.
 
-    Convergents alternate around the limit: even-indexed ones from below,
-    odd-indexed from above.  For a finite expansion ``count`` may not
-    exceed the digit supply.
+    The standard two-term recurrence h_i = d_i*h_(i-1) + h_(i-2), and the
+    same for k, started from h = (1, 0), k = (0, 1).  Convergents
+    alternate around the limit: even-indexed ones from below, odd-indexed
+    from above.  Digits are drawn one at a time, so a stream is read no
+    further than the convergents taken.
+    """
+    h, h_prev = 1, 0
+    k, k_prev = 0, 1
+    for d in digits:
+        h, h_prev = d * h + h_prev, h
+        k, k_prev = d * k + k_prev, k
+        yield Fraction(h, k)
+
+
+def cf_convergents(cf: Union[CFExpansion, CFStream], count: int) -> tuple[Fraction, ...]:
+    """First ``count`` convergents of an expansion or a stream.
+
+    For a finite expansion ``count`` may not exceed the digit supply.
     """
     if count < 1:
         raise ValueError("count must be positive")
-    if isinstance(cf, CFExpansion) and count > len(cf.digits):
-        raise ValueError(f"asked for {count} convergents but only {len(cf.digits)} digits exist")
-    out = []
-    h_prev, h_prev2 = 1, 0
-    k_prev, k_prev2 = 0, 1
-    for i in range(count):
-        d = cf.digits[i] if isinstance(cf, CFExpansion) else cf.digit(i)
-        h = d * h_prev + h_prev2
-        k = d * k_prev + k_prev2
-        out.append(Fraction(h, k))
-        h_prev, h_prev2 = h, h_prev
-        k_prev, k_prev2 = k, k_prev
-    return tuple(out)
+    if isinstance(cf, CFExpansion):
+        if count > len(cf.digits):
+            raise ValueError(
+                f"asked for {count} convergents but only {len(cf.digits)} digits exist"
+            )
+        digits = cf.digits
+    else:
+        digits = cf.digits()
+    return tuple(islice(iter_convergents(digits), count))
+
+
+def bracket_compare(convergents: Iterable[Fraction], t: Fraction, max_iters: int) -> int:
+    """Sign of ``rho - t`` from the convergents of an irrational ``rho``.
+
+    Refines the convergent bracket around ``rho`` until ``t`` falls
+    outside it.  Each even convergent is strictly below ``rho`` and each
+    odd one strictly above, so hitting a bracket endpoint still decides.
+    Raises IndecisiveComparisonError after ``max_iters`` convergents
+    rather than ever guessing.
+    """
+    for i, c in enumerate(islice(convergents, max_iters)):
+        if i % 2 == 0:
+            if t <= c:
+                return GREATER
+        elif t >= c:
+            return LESS
+    raise IndecisiveComparisonError(t, max_iters)
 
 
 def stream_compare(rho: CFStream, t, max_iters: int = 256) -> int:
     """Sign of ``rho - t`` for an (assumed irrational) stream and a rational.
 
-    Refines the convergent bracket around the stream value until ``t``
-    falls outside it.  For irrational ``rho`` each even convergent is
-    strictly below the value and each odd one strictly above, so hitting
-    a bracket endpoint still decides.  Raises IndecisiveComparisonError
-    after ``max_iters`` convergents rather than ever guessing.
+    Brackets ``rho`` between its convergents (see ``bracket_compare``);
+    raises IndecisiveComparisonError after ``max_iters`` convergents.
     """
     t = Fraction(t)
     if max_iters < 1:
         raise ValueError("max_iters must be positive")
-    h_prev, h_prev2 = 1, 0
-    k_prev, k_prev2 = 0, 1
-    for i in range(max_iters):
-        d = rho.digit(i)
-        h = d * h_prev + h_prev2
-        k = d * k_prev + k_prev2
-        c = Fraction(h, k)
-        if i % 2 == 0:
-            if t <= c:
-                return GREATER
-        else:
-            if t >= c:
-                return LESS
-        h_prev, h_prev2 = h, h_prev
-        k_prev, k_prev2 = k, k_prev
-    raise IndecisiveComparisonError(t, max_iters)
+    return bracket_compare(iter_convergents(rho.digits()), t, max_iters)

@@ -11,6 +11,12 @@ Integer literals lower to exact rational constants; rational values such
 as 3/2 arise through the quotient operator.  Parsing builds a small AST,
 and lowering evaluates it over RationalFunction arithmetic, rejecting
 division by anything that lowers to zero.
+
+Parentheses and unary minus signs may nest at most ``MAX_NESTING`` deep;
+a deeper expression is an ``ExpressionError``.  Both the parser and
+``lower`` recurse only along that nesting (a long chain such as
+``x + x + ... + x`` is walked in a loop), so the limit keeps them far
+from the interpreter's recursion limit.
 """
 
 from __future__ import annotations
@@ -80,6 +86,10 @@ Node = Union[Literal, Variable, Negation, Sum, Product, Quotient, Power, Group]
 
 _PUNCT = set("+-*/^()")
 
+# Each level costs the parser up to four stack frames; the interpreter's
+# default recursion limit of 1000 would be reached near 245 levels.
+MAX_NESTING = 128
+
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     """Tokens as (kind, text, position); kinds: int, name, punct, end."""
@@ -113,6 +123,15 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0  # open parentheses and unary minus signs
+
+    def enter(self, position: int) -> None:
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ExpressionError(
+                f"parentheses and unary minus signs nest deeper than {MAX_NESTING} levels",
+                position,
+            )
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.pos]
@@ -181,11 +200,16 @@ class _Parser:
         if kind == "name":
             return Variable(text)
         if kind == "punct" and text == "(":
+            self.enter(position)
             inner = self.expr()
             self.expect_punct(")")
+            self.depth -= 1
             return Group(inner)
         if kind == "punct" and text == "-":
-            return Negation(self.factor())
+            self.enter(position)
+            operand = self.factor()
+            self.depth -= 1
+            return Negation(operand)
         raise ExpressionError(
             "expected a number, variable, '(' or '-'"
             if kind != "end"
@@ -200,30 +224,42 @@ def parse_expression(text: str) -> Node:
 
 
 def lower(node: Node) -> RationalFunction:
-    """Evaluate an AST to an exact rational function in x and y."""
+    """Evaluate an AST to an exact rational function in x and y.
+
+    Sums, products and quotients parse left-deep, so the left spine of a
+    chain is walked in a loop and only its right operands recurse; the
+    operands are lowered left to right.
+    """
+    spine = []
+    while isinstance(node, (Sum, Product, Quotient)):
+        spine.append(node)
+        node = node.left
     if isinstance(node, Literal):
-        return RationalFunction.constant(node.value)
-    if isinstance(node, Variable):
-        return RationalFunction.from_monomial(X if node.name == "x" else Y)
-    if isinstance(node, Negation):
-        return -lower(node.operand)
-    if isinstance(node, Group):
-        return lower(node.inner)
-    if isinstance(node, Sum):
-        return lower(node.left) + lower(node.right)
-    if isinstance(node, Product):
-        return lower(node.left) * lower(node.right)
-    if isinstance(node, Quotient):
-        denominator = lower(node.right)
-        if denominator.is_zero:
-            raise ExpressionError("division by zero", node.position)
-        return lower(node.left) / denominator
-    if isinstance(node, Power):
+        value = RationalFunction.constant(node.value)
+    elif isinstance(node, Variable):
+        value = RationalFunction.from_monomial(X if node.name == "x" else Y)
+    elif isinstance(node, Negation):
+        value = -lower(node.operand)
+    elif isinstance(node, Group):
+        value = lower(node.inner)
+    elif isinstance(node, Power):
         base = lower(node.base)
         if node.exponent < 0 and base.is_zero:
             raise ExpressionError("negative power of zero", node.position)
-        return base ** node.exponent
-    raise TypeError(f"unknown node {type(node).__name__}")
+        value = base ** node.exponent
+    else:
+        raise TypeError(f"unknown node {type(node).__name__}")
+    for op in reversed(spine):
+        right = lower(op.right)
+        if isinstance(op, Sum):
+            value = value + right
+        elif isinstance(op, Product):
+            value = value * right
+        else:
+            if right.is_zero:
+                raise ExpressionError("division by zero", op.position)
+            value = value / right
+    return value
 
 
 def parse_rational_function(text: str) -> RationalFunction:

@@ -6,18 +6,27 @@ demand.  Given a valuation with positive values on x and y, the vertices
 all of whose generators have strictly positive value form a path.  The
 walk down that path, its decomposition into monotone branches, and the
 match between branch lengths and continued-fraction digits live here.
+
+The walk is the Euclidean algorithm on (nu(x), nu(y)): the branch
+k[s, t/s^m] runs for as many steps as the matching continued-fraction
+digit of nu(x)/nu(y).  So the path is read off the digits that the value
+group supplies (``ratio_digits``), at one monomial division per vertex,
+with no comparison and no convergent bracket; only the up-front checks
+compare values.  ``positive_child`` keeps the one-step comparison, as the
+definition the walk is tested against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
 from math import gcd
 from typing import Iterator, Optional
 
 from .exactnum import CFExpansion, cf_expand
 from .laurent import ChartBasis, Monomial, X, Y
-from .valuation import LexZ2Group, MonomialValuation, Value
+from .valuation import UNBOUNDED, MonomialValuation, Value
 
 
 class TreeVertex:
@@ -126,28 +135,37 @@ def positive_child(nu: MonomialValuation, v: TreeVertex) -> Optional[TreeVertex]
     return TreeVertex(v.f, v.g / v.f)
 
 
-def _walk(nu: MonomialValuation) -> Iterator[TreeVertex]:
-    """Yield the positive path from the root, never re-deriving signs.
+_END = object()  # marks the end of a finite digit expansion
 
-    The generator values evolve by (max, min) -> (min, max - min), so one
-    comparison per step both picks the child and maintains positivity.
+
+def _walk(nu: MonomialValuation) -> Iterator[TreeVertex]:
+    """Yield the positive path from the root, driven by the digits of nu(x)/nu(y).
+
+    With ``big``, ``small`` the generators of larger and smaller value, a
+    digit d is the branch k[small, big/small^m] for m = 1..d, after which
+    small and big/small^d are the new big and small (d = 0 just swaps
+    them).  The last digit of a finite expansion stops one vertex short,
+    where the two values coincide; an unbounded digit never ends.
     """
-    vf, vg = nu(X), nu(Y)
-    if nu.sign(vf) <= 0 or nu.sign(vg) <= 0:
+    if nu.sign(nu(X)) <= 0 or nu.sign(nu(Y)) <= 0:
         raise ValueError("k[x, y] is not positive: nu(x) and nu(y) must be positive")
-    vertex = ROOT
-    yield vertex
+    yield ROOT
+    big, small = X, Y
+    digits = nu.group.ratio_digits()
+    d = next(digits)
     while True:
-        c = nu.compare(vf, vg)
-        if c == 0:
+        following = next(digits, _END)
+        last = following is _END
+        # range, not repeat: a digit may exceed a C integer
+        branch = count() if d is UNBOUNDED else range(d - 1 if last else d)
+        quotient = big
+        for _ in branch:
+            quotient = quotient / small
+            yield TreeVertex(small, quotient)
+        if last:
             return
-        if c > 0:
-            vertex = TreeVertex(vertex.g, vertex.f / vertex.g)
-            vf, vg = vg, vf - vg
-        else:
-            vertex = TreeVertex(vertex.f, vertex.g / vertex.f)
-            vf, vg = vf, vg - vf
-        yield vertex
+        big, small = small, quotient
+        d = following
 
 
 def positive_path(nu: MonomialValuation, max_steps: int = 64) -> PositivePath:

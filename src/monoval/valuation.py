@@ -8,6 +8,13 @@ and ``Z^2`` with lexicographic order.  A polynomial's value is the minimum
 of its term values under the group order; the zero polynomial has no
 finite value and evaluating it raises ``ZeroPolynomialError``, which keeps
 :class:`Value` a pure group element.
+
+Besides comparing values, every group supplies the continued-fraction
+digits of ``nu(x)/nu(y)`` (``ratio_digits``): Euclid quotients of the
+rational group's integer weights, the stream's own digits, or exact
+lexicographic floor division on ``Z^2``, where a digit may be
+``UNBOUNDED``.  The positive path is read off those digits without a
+single comparison (see ``valtree``).
 """
 
 from __future__ import annotations
@@ -15,8 +22,10 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
+from typing import Iterator, Optional
 
-from .exactnum import CFStream, GREATER, LESS, IndecisiveComparisonError
+from .exactnum import CFStream, bracket_compare, euclid_digits, iter_convergents
 from .laurent import (
     LaurentPolynomial,
     Monomial,
@@ -43,6 +52,10 @@ class Value:
 
 
 ZERO = Value(0, 0)
+
+# A continued-fraction digit with no bound: no multiple of the smaller
+# value reaches the larger one.  It is always the last digit.
+UNBOUNDED = None
 
 
 def _int_sign(x) -> int:
@@ -89,6 +102,10 @@ class RationalRatioGroup:
     def sign(self, v: Value) -> int:
         return _int_sign(v.m * self.px + v.n * self.py)
 
+    def ratio_digits(self) -> Iterator[int]:
+        """Digits of nu(x)/nu(y): Euclid quotients of ``px``, ``py``."""
+        return euclid_digits(self.px, self.py)
+
     def describe(self) -> str:
         return f"nu(x) = {self.vx}, nu(y) = {self.vy}"
 
@@ -108,44 +125,30 @@ class StreamRatioGroup:
         self.stream = stream
         self.max_iters = max_iters
         self._convergents: list[Fraction] = []
-        self._h = (1, 0)  # last two convergent numerators
-        self._k = (0, 1)
+        self._pending = iter_convergents(stream.digits())
         self._lock = threading.Lock()
 
     def _convergent(self, i: int) -> Fraction:
         with self._lock:
             while len(self._convergents) <= i:
-                idx = len(self._convergents)
-                d = self.stream.digit(idx)
-                h = d * self._h[0] + self._h[1]
-                k = d * self._k[0] + self._k[1]
-                self._h = (h, self._h[0])
-                self._k = (k, self._k[0])
-                self._convergents.append(Fraction(h, k))
+                self._convergents.append(next(self._pending))
         return self._convergents[i]
-
-    def _compare_stream(self, t: Fraction) -> int:
-        # Same bracket refinement as exactnum.stream_compare, from the cache.
-        for i in range(self.max_iters):
-            c = self._convergent(i)
-            if i % 2 == 0:
-                if t <= c:
-                    return GREATER
-            else:
-                if t >= c:
-                    return LESS
-        raise IndecisiveComparisonError(t, self.max_iters)
 
     def compare(self, v1: Value, v2: Value) -> int:
         dm = v1.m - v2.m
         dn = v1.n - v2.n
         if dm == 0:
             return _int_sign(dn)
-        s = self._compare_stream(Fraction(-dn, dm))
+        convergents = map(self._convergent, count())
+        s = bracket_compare(convergents, Fraction(-dn, dm), self.max_iters)
         return s if dm > 0 else -s
 
     def sign(self, v: Value) -> int:
         return self.compare(v, ZERO)
+
+    def ratio_digits(self) -> Iterator[int]:
+        """Digits of nu(x)/nu(y) = nu(x): the stream's own, without end."""
+        return self.stream.digits()
 
     def describe(self) -> str:
         return f"nu(x) = {self.stream}, nu(y) = 1"
@@ -170,6 +173,34 @@ class LexZ2Group:
 
     def sign(self, v: Value) -> int:
         return self.compare(v, ZERO)
+
+    def ratio_digits(self) -> Iterator[Optional[int]]:
+        """Digits of nu(x)/nu(y) by exact lexicographic floor division.
+
+        A digit is the largest m with ``big - m*small >= 0``, and the
+        remainder becomes the next smaller value; a zero remainder ends
+        the expansion.  When ``small`` lies on the second axis and ``big``
+        does not, every multiple of ``small`` stays below ``big``: the
+        digit is ``UNBOUNDED`` and ends the expansion.
+        """
+        big, small = self.vx, self.vy
+        if big <= (0, 0) or small <= (0, 0):
+            raise ValueError("nu(x) and nu(y) must both be positive")
+        while True:
+            if small[0]:
+                q, r = divmod(big[0], small[0])
+                if r == 0 and big[1] < q * small[1]:
+                    q -= 1
+            elif big[0]:
+                yield UNBOUNDED
+                return
+            else:
+                q = big[1] // small[1]
+            yield q
+            rest = (big[0] - q * small[0], big[1] - q * small[1])
+            if rest == (0, 0):
+                return
+            big, small = small, rest
 
     def describe(self) -> str:
         return f"nu(x) = {self.vx}, nu(y) = {self.vy} in Z^2 (lex)"

@@ -4,7 +4,9 @@ Everything here is deliberately written from first principles, separate
 from the package's own code paths: Euclidean quotients instead of the
 expansion routine, top-down nested fractions instead of the convergent
 recurrence, and interval bisection on t^2 - 2 instead of convergent
-brackets for sqrt(2) sign decisions.
+brackets for sqrt(2) sign decisions.  The positive path is walked here
+by one value comparison per vertex, as the cross-check for the package's
+walk from continued-fraction digits.
 """
 
 from __future__ import annotations
@@ -13,7 +15,8 @@ import random
 from fractions import Fraction
 from math import gcd
 
-from monoval.laurent import LaurentPolynomial, Monomial, RationalFunction
+from monoval.laurent import LaurentPolynomial, Monomial, RationalFunction, X, Y
+from monoval.valtree import ROOT, TreeVertex
 
 
 def euclid_quotients(a: int, b: int) -> list[int]:
@@ -56,6 +59,31 @@ def sqrt2_value_sign(m: int, n: int) -> int:
         return (n > 0) - (n < 0)
     s = sqrt2_cmp(Fraction(-n, m))
     return s if m > 0 else -s
+
+
+def bracket_walk(nu, max_steps: int) -> tuple[list[TreeVertex], bool]:
+    """Positive path by one comparison per vertex: (vertices, complete).
+
+    The generator values evolve by (max, min) -> (min, max - min), so one
+    comparison both picks the positive child and keeps positivity; the
+    walk ends when the two values are equal.  For a stream valuation the
+    comparisons bracket convergents and are bounded by its ``max_iters``.
+    """
+    vf, vg = nu(X), nu(Y)
+    vertex = ROOT
+    vertices = [vertex]
+    while len(vertices) <= max_steps:
+        c = nu.compare(vf, vg)
+        if c == 0:
+            return vertices, True
+        if c > 0:
+            vertex = TreeVertex(vertex.g, vertex.f / vertex.g)
+            vf, vg = vg, vf - vg
+        else:
+            vertex = TreeVertex(vertex.f, vertex.g / vertex.f)
+            vf, vg = vf, vg - vf
+        vertices.append(vertex)
+    return vertices[:max_steps], False
 
 
 def random_coprime_pair(rng: random.Random, max_a: int, min_b: int = 1) -> tuple[int, int]:

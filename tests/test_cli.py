@@ -81,6 +81,19 @@ def test_member(capsys):
     assert data["member"] is True and data["value"] == "0"
 
 
+def test_member_deep_nesting(capsys):
+    deep = "(" * 3000 + "x" + ")" * 3000
+    code, out, err = run(capsys, "member", deep, "--a", "3", "--b", "2")
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ") and "Traceback" not in err
+    assert "nest deeper than" in err
+    nested = "(" * 100 + "x^2/y^3" + ")" * 100
+    code, out, _ = run(capsys, "member", nested, "--a", "3", "--b", "2", "--format", "json")
+    assert code == 0
+    data = json.loads(out)
+    assert data["member"] is True and data["value"] == "0"
+
+
 def test_member_zero_function(capsys):
     code, out, _ = run(capsys, "member", "y - y", "--a", "3", "--b", "2")
     assert code == 0 and "member of" in out and "infinity" in out

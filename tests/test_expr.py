@@ -6,6 +6,7 @@ import pytest
 from monoval.expr import (
     ExpressionError,
     Group,
+    MAX_NESTING,
     Literal,
     Negation,
     Power,
@@ -23,6 +24,8 @@ from monoval.laurent import (
     X,
     Y,
 )
+
+from monoval.valuation import MonomialValuation, Value
 
 from oracles import random_polynomial
 
@@ -104,6 +107,38 @@ def test_lowering_rejects_zero_division():
         parse_rational_function("(y - y)^-1")
     # zero numerator is fine
     assert parse_rational_function("(y - y)/x").is_zero
+
+
+def test_nesting_limit():
+    deep = "(" * MAX_NESTING + "x" + ")" * MAX_NESTING
+    assert parse_rational_function(deep) == RationalFunction.from_monomial(X)
+    assert parse_rational_function("-" * MAX_NESTING + "y") == RationalFunction.from_monomial(Y)
+    for text in (
+        "(" * (MAX_NESTING + 1) + "x" + ")" * (MAX_NESTING + 1),
+        "(" * 3000 + "x" + ")" * 3000,
+        "-" * (MAX_NESTING + 1) + "x",
+        "(-" * (MAX_NESTING // 2 + 1) + "x" + ")" * (MAX_NESTING // 2 + 1),
+    ):
+        with pytest.raises(ExpressionError) as err:
+            parse_expression(text)
+        assert err.value.position == MAX_NESTING
+        assert f"deeper than {MAX_NESTING} levels" in str(err.value)
+
+
+def test_long_chains_lower_without_deep_recursion():
+    n = 3000
+    assert parse_rational_function("+".join(["x"] * n)) == RationalFunction(
+        LaurentPolynomial({X: n})
+    )
+    assert parse_rational_function("*".join(["y"] * n)) == RationalFunction.from_monomial(
+        Monomial(0, n)
+    )
+    nu = MonomialValuation.rational(3, 2)
+    assert nu(parse_rational_function("x" + "/y" * n)) == Value(1, -n)
+    # the first zero divisor from the left is the one reported
+    with pytest.raises(ExpressionError) as err:
+        parse_rational_function("1/0/0")
+    assert err.value.position == 1
 
 
 def test_print_parse_round_trip_random():

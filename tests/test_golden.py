@@ -1,0 +1,33 @@
+"""Byte-for-byte output of the CLI, pinned by sha256.
+
+The digests were recorded from the compare-driven path walk that the
+digit-driven walk replaced; any change to vertex order, generator order
+or formatting shows up here.
+"""
+
+import hashlib
+
+import pytest
+
+from monoval import cli
+
+GOLDEN = [
+    (("path", "200001", "200000", "--format", "text"),
+     "a0b21eddb06d5eea2970702475030f82286a46f83f120c2d672953a67ba24c8d"),
+    (("path", "377", "233", "--format", "json"),
+     "7554533789b408a47170c2c5a158fad5e860f8335dd19a487108670c1c947fac"),
+    (("path", "--stream", "sqrt2", "--max-steps", "500", "--format", "json"),
+     "42f21003bac1b537ab1e8043a1f0d356b25a1feaa37f4ffc96f4f4a6eba833dc"),
+    (("path", "--stream", "0;3,1", "--max-steps", "300", "--format", "dot"),
+     "f899a6dc7557f9a8f5c1c55862a1aad2e79477e9eae98d28dc3d04402586df33"),
+    (("verify", "--max", "60", "--format", "json"),
+     "189cae2e4c025e89746ae71ac45167ae7e4ebb9908df8eadfcbc11292e677040"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", GOLDEN, ids=[" ".join(a) for a, _ in GOLDEN])
+def test_output_is_byte_identical(capsys, argv, digest):
+    code = cli.main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""
+    assert hashlib.sha256(captured.out.encode("ascii")).hexdigest() == digest
