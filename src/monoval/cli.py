@@ -88,11 +88,34 @@ def _cmd_path(args) -> tuple[str, int]:
         max_steps = args.max_steps if args.max_steps is not None else args.a + args.b
         heading = f"positive path for nu(x) = {args.a}, nu(y) = {args.b}:"
     path = positive_path(nu, max_steps=max_steps)
+    _check_printable(path)
     if args.format == "json":
         return emit_json(path), 0
     if args.format == "dot":
         return emit_dot(path), 0
     return format_path_text(path, heading), 0
+
+
+def _check_printable(path) -> None:
+    """Refuse a path with an exponent longer than ``str`` allows, before any output.
+
+    An int has more digits than the cap (0: none) when |e| >= 10**cap.  A
+    child's largest exponent is at least its parent's, so a path whose
+    last vertex fits fits everywhere.
+    """
+    limit = sys.get_int_max_str_digits()
+    bound = 10**limit
+
+    def too_long(v) -> bool:
+        return any(abs(e) >= bound for e in (v.f.ex, v.f.ey, v.g.ex, v.g.ey))
+
+    if not limit or not too_long(path.vertices[-1]):
+        return
+    first = next(i for i, v in enumerate(path.vertices) if too_long(v))
+    raise ValueError(
+        f"vertex {first} of the path has an exponent longer than {limit} digits,"
+        " the interpreter's limit for printing an integer"
+    )
 
 
 def _cmd_ringgens(args) -> tuple[str, int]:

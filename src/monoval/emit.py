@@ -13,6 +13,7 @@ import json
 from fractions import Fraction
 
 from .exactnum import CFExpansion
+from .laurent import ChartBasis
 from .resolution import (
     ChartState,
     Classification,
@@ -22,11 +23,11 @@ from .resolution import (
     ThroughOrigin,
 )
 from .valring import RingPresentation
-from .valtree import CorrespondenceReport, PositivePath, TreeVertex
+from .valtree import CorrespondenceReport, PositivePath
 from .verify import VerifyReport
 
 
-def _vertex_json(v: TreeVertex) -> dict:
+def _vertex_json(v: ChartBasis) -> dict:
     return {"f": str(v.f), "g": str(v.g)}
 
 
@@ -40,7 +41,7 @@ def _chart_json(c: ChartState) -> dict:
             "g_power": c.proper.g_exp,
         }
     return {
-        "basis": {"f": str(c.basis.f), "g": str(c.basis.g)},
+        "basis": _vertex_json(c.basis),
         "exceptional": {"f": c.exc_f, "g": c.exc_g},
         "proper": proper,
         "sign": c.sign,
@@ -154,19 +155,19 @@ def _dot_trace(trace: ResolutionTrace) -> str:
     for i, step in enumerate(trace.steps):
         if i == 0:
             node_lines.append(
-                f'  b0 [label="{step.chart.vertex}\\n({step.classification.value})", style=bold];'
+                f'  b0 [label="{step.chart.basis}\\n({step.classification.value})", style=bold];'
             )
         side = 0
         for child, kind in step.children:
             if kind is not Classification.RESOLVED:
                 name = f"b{i + 1}"
                 node_lines.append(
-                    f'  {name} [label="{child.vertex}\\n({kind.value})", style=bold];'
+                    f'  {name} [label="{child.basis}\\n({kind.value})", style=bold];'
                 )
             else:
                 name = f"s{i}_{side}"
                 side += 1
-                node_lines.append(f'  {name} [label="{child.vertex}\\n({kind.value})"];')
+                node_lines.append(f'  {name} [label="{child.basis}\\n({kind.value})"];')
             edge_lines.append(f"  b{i} -> {name};")
     lines.extend(node_lines)
     lines.extend(edge_lines)
@@ -226,13 +227,13 @@ def format_trace_text(trace: ResolutionTrace, show_steps: bool = False) -> str:
         "bad charts:",
     ]
     for i, step in enumerate(trace.steps):
-        lines.append(f"  {i}: {step.chart.vertex} ({step.classification.value})")
+        lines.append(f"  {i}: {step.chart.basis} ({step.classification.value})")
     if show_steps:
         lines.append("steps:")
         for i, step in enumerate(trace.steps):
-            lines.append(f"  blow-up {i + 1} at the origin of {step.chart.vertex}:")
+            lines.append(f"  blow-up {i + 1} at the origin of {step.chart.basis}:")
             for child, kind in step.children:
-                lines.append(f"    {child.vertex}: {format_chart_text(child)} [{kind.value}]")
+                lines.append(f"    {child.basis}: {format_chart_text(child)} [{kind.value}]")
     return "\n".join(lines) + "\n"
 
 

@@ -77,12 +77,7 @@ class Power:
     position: int  # of the '^' sign
 
 
-@dataclass(frozen=True)
-class Group:
-    inner: "Node"
-
-
-Node = Union[Literal, Variable, Negation, Sum, Product, Quotient, Power, Group]
+Node = Union[Literal, Variable, Negation, Sum, Product, Quotient, Power]
 
 _PUNCT = set("+-*/^()")
 
@@ -204,7 +199,7 @@ class _Parser:
             inner = self.expr()
             self.expect_punct(")")
             self.depth -= 1
-            return Group(inner)
+            return inner
         if kind == "punct" and text == "-":
             self.enter(position)
             operand = self.factor()
@@ -240,8 +235,6 @@ def lower(node: Node) -> RationalFunction:
         value = RationalFunction.from_monomial(X if node.name == "x" else Y)
     elif isinstance(node, Negation):
         value = -lower(node.operand)
-    elif isinstance(node, Group):
-        value = lower(node.inner)
     elif isinstance(node, Power):
         base = lower(node.base)
         if node.exponent < 0 and base.is_zero:

@@ -3,7 +3,8 @@
 Monomials are exponent pairs ``x^ex * y^ey`` (exponents may be negative),
 polynomials are finite monomial-to-coefficient maps with exact rational
 coefficients, and a chart basis is a pair of monomials whose exponent
-matrix is unimodular, giving a bijective change of lattice coordinates.
+matrix is unimodular, giving a bijective change of lattice coordinates;
+the same pair is a vertex k[f, g] of the tree of coordinate rings.
 A coefficient is held as a Python ``int`` until a non-integer rational
 appears, which is held as a ``Fraction``; a ``Fraction`` that reduces to
 an integer is stored as that ``int``, so equal polynomials have equal
@@ -13,7 +14,6 @@ emitted artifacts are bit-stable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Tuple, Union
 
@@ -273,22 +273,41 @@ def _from_terms(data: dict, cls=LaurentPolynomial) -> LaurentPolynomial:
     return out
 
 
-@dataclass(frozen=True)
 class ChartBasis:
-    """Ordered pair of monomials whose exponent matrix has determinant +-1."""
+    """Monomials (f, g) whose exponent matrix has determinant +-1.
 
-    f: Monomial
-    g: Monomial
+    The pair is both a chart basis, with ordered coordinates c1 = f and
+    c2 = g, and the tree vertex k[f, g], a ring: ``f`` and ``g`` keep their
+    order, while equality and hash ignore it.
+    """
 
-    def __post_init__(self) -> None:
-        if abs(self.det) != 1:
-            raise ValueError(
-                f"basis ({self.f}, {self.g}) has determinant {self.det}; need +-1"
-            )
+    __slots__ = ("f", "g", "det")
+
+    def __init__(self, f: Monomial, g: Monomial):
+        det = f.ex * g.ey - g.ex * f.ey
+        if abs(det) != 1:
+            raise ValueError(f"generators ({f}, {g}) are not unimodular (det {det})")
+        self.f = f
+        self.g = g
+        self.det = det
 
     @property
-    def det(self) -> int:
-        return self.f.ex * self.g.ey - self.g.ex * self.f.ey
+    def generators(self) -> tuple[Monomial, Monomial]:
+        return (self.f, self.g)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return {self.f, self.g} == {other.f, other.g}
+
+    def __hash__(self) -> int:
+        return hash(frozenset((self.f, self.g)))
+
+    def __str__(self) -> str:
+        return f"k[{self.f}, {self.g}]"
+
+    def __repr__(self) -> str:
+        return f"ChartBasis({self.f!r}, {self.g!r})"
 
 
 IDENTITY_BASIS = ChartBasis(X, Y)

@@ -13,7 +13,7 @@ Blowing up a chart origin substitutes one coordinate for the product of
 the other two and refactors; the driver repeatedly blows up the unique
 chart that is still singular or has a non-normal crossing, and the bases
 of the blown-up charts form exactly the positive path of the monomial
-valuation with nu(x) = a, nu(y) = b.
+valuation with nu(x) = a, nu(y) = b; a chart basis is a tree vertex.
 """
 
 from __future__ import annotations
@@ -24,16 +24,15 @@ from math import gcd
 from typing import Union
 
 from .laurent import (
+    IDENTITY_BASIS,
     ChartBasis,
     LaurentPolynomial,
     Monomial,
     UNIT,
-    X,
-    Y,
     factor_monomial_content,
     rewrite_in_chart,
 )
-from .valtree import PositivePath, TreeVertex, positive_path
+from .valtree import PositivePath, positive_path
 from .valuation import MonomialValuation
 
 
@@ -82,7 +81,7 @@ class Classification(enum.Enum):
     TRIPLE_POINT = "triple-point"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChartState:
     """One affine chart of the total transform.
 
@@ -103,9 +102,17 @@ class ChartState:
         if self.sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
 
-    @property
-    def vertex(self) -> TreeVertex:
-        return TreeVertex(self.basis.f, self.basis.g)
+    # Ordered, unlike the basis: exc_f, exc_g and sign belong to basis.f, basis.g.
+    def _key(self) -> tuple:
+        return (self.basis.f, self.basis.g, self.exc_f, self.exc_g, self.proper, self.sign)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
 
 @dataclass(frozen=True)
@@ -176,7 +183,7 @@ def initial_chart(a: int, b: int) -> ChartState:
     if gcd(a, b) != 1:
         raise ValueError(f"({a}, {b}) are not coprime")
     return ChartState(
-        basis=ChartBasis(X, Y),
+        basis=IDENTITY_BASIS,
         exc_f=0,
         exc_g=0,
         proper=ThroughOrigin(s=b, t=a),
@@ -188,37 +195,27 @@ def blow_up(c: ChartState) -> tuple[ChartState, ChartState]:
     """Blow up the chart origin; returns the two covering charts.
 
     With coordinates (c1, c2) and curve sign * c1^A c2^B (c1^s - c2^t),
-    substituting c2 = c1*w gives the chart (c1, w); factoring the monomial
-    content out leaves either a binomial through the new origin (when
-    s > t) or a unit-minus-monomial (when s <= t).  The (c2, c1/c2) chart
-    is symmetric and flips the tracked sign.  Charts whose curve misses
-    the origin have nothing to blow up and are rejected.
+    the first chart is (c1, c2/c1).  The second, (c2, c1/c2), is the same
+    construction for the same curve written as
+    -sign * c2^B c1^A (c2^t - c1^s), so it flips the tracked sign.  Charts
+    whose curve misses the origin have nothing to blow up and are rejected.
     """
     if not isinstance(c.proper, ThroughOrigin):
         raise ValueError("chart curve misses the origin; nothing to blow up")
     f, g = c.basis.f, c.basis.g
     A, B = c.exc_f, c.exc_g
     s, t = c.proper.s, c.proper.t
+    return _chart(f, g, A, B, s, t, c.sign), _chart(g, f, B, A, t, s, -c.sign)
 
-    # Chart (c1, c2/c1): curve sign * c1^(A+B) w^B (c1^s - c1^t w^t).
-    w = g / f
-    if s > t:
-        first = ChartState(ChartBasis(f, w), A + B + t, B, ThroughOrigin(s - t, t), c.sign)
-    elif s < t:
-        first = ChartState(ChartBasis(f, w), A + B + s, B, MissesOrigin(t - s, t), c.sign)
-    else:  # s == t == 1 by coprimality
-        first = ChartState(ChartBasis(f, w), A + B + 1, B, MissesOrigin(0, 1), c.sign)
 
-    # Chart (c2, c1/c2): curve sign * c2^(A+B) w'^A (c2^s w'^s - c2^t).
-    wp = f / g
-    if t > s:
-        second = ChartState(ChartBasis(g, wp), A + B + s, A, ThroughOrigin(t - s, s), -c.sign)
-    elif t < s:
-        second = ChartState(ChartBasis(g, wp), A + B + t, A, MissesOrigin(s - t, s), -c.sign)
-    else:
-        second = ChartState(ChartBasis(g, wp), A + B + 1, A, MissesOrigin(0, 1), -c.sign)
+def _chart(c1: Monomial, c2: Monomial, A: int, B: int, s: int, t: int, sign: int) -> ChartState:
+    """The (c1, w = c2/c1) chart of the curve sign * c1^A c2^B (c1^s - c2^t).
 
-    return first, second
+    Substituting c2 = c1*w leaves sign * c1^(A+B+min(s,t)) w^B times
+    c1^(s-t) - w^t when s > t, else 1 - c1^(t-s) w^t (1 - w if s = t = 1).
+    """
+    proper = ThroughOrigin(s - t, t) if s > t else MissesOrigin(t - s, t)
+    return ChartState(ChartBasis(c1, c2 / c1), A + B + min(s, t), B, proper, sign)
 
 
 def classify(c: ChartState) -> Classification:
@@ -279,9 +276,7 @@ def resolve(a: int, b: int) -> ResolutionTrace:
 
 def bad_vertex_path(trace: ResolutionTrace) -> PositivePath:
     """Bases of the blown-up charts, in order, as tree vertices."""
-    return PositivePath(
-        tuple(step.chart.vertex for step in trace.steps), complete=True
-    )
+    return PositivePath(tuple(step.chart.basis for step in trace.steps), complete=True)
 
 
 def theorem_report(trace: ResolutionTrace, val_path: PositivePath) -> TheoremReport:

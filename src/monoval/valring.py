@@ -133,7 +133,7 @@ def membership_union(
     presentation instead.
     """
     for index, vertex in enumerate(islice(_walk(nu), max_steps)):
-        alpha, beta = lattice_solve(mono, vertex.basis())
+        alpha, beta = lattice_solve(mono, vertex)
         if alpha >= 0 and beta >= 0:
             return index
     return None

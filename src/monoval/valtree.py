@@ -2,10 +2,12 @@
 
 The tree is rooted at k[x, y]; a vertex k[f, g] has children k[f, g/f]
 and k[g, f/g].  It is never materialized: children are generated on
-demand.  Given a valuation with positive values on x and y, the vertices
-all of whose generators have strictly positive value form a path.  The
-walk down that path, its decomposition into monotone branches, and the
-match between branch lengths and continued-fraction digits live here.
+demand.  A vertex is a ``laurent.ChartBasis`` (``TreeVertex`` is that
+class), so it is also the basis of a blow-up chart.  Given a valuation
+with positive values on x and y, the vertices all of whose generators
+have strictly positive value form a path.  The walk down that path, its
+decomposition into monotone branches, and the match between branch
+lengths and continued-fraction digits live here.
 
 The walk is the Euclidean algorithm on (nu(x), nu(y)): the branch
 k[s, t/s^m] runs for as many steps as the matching continued-fraction
@@ -25,45 +27,12 @@ from math import gcd
 from typing import Iterator, Optional
 
 from .exactnum import CFExpansion, cf_expand
-from .laurent import ChartBasis, Monomial, X, Y
+from .laurent import IDENTITY_BASIS, ChartBasis, Monomial, X, Y, lattice_solve
 from .valuation import UNBOUNDED, MonomialValuation, Value
 
 
-class TreeVertex:
-    """Ring k[f, g], named by its two generators; identity ignores order."""
-
-    __slots__ = ("f", "g")
-
-    def __init__(self, f: Monomial, g: Monomial):
-        det = f.ex * g.ey - g.ex * f.ey
-        if abs(det) != 1:
-            raise ValueError(f"generators ({f}, {g}) are not unimodular (det {det})")
-        self.f = f
-        self.g = g
-
-    @property
-    def generators(self) -> tuple[Monomial, Monomial]:
-        return (self.f, self.g)
-
-    def basis(self) -> ChartBasis:
-        return ChartBasis(self.f, self.g)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TreeVertex):
-            return NotImplemented
-        return {self.f, self.g} == {other.f, other.g}
-
-    def __hash__(self) -> int:
-        return hash(frozenset((self.f, self.g)))
-
-    def __str__(self) -> str:
-        return f"k[{self.f}, {self.g}]"
-
-    def __repr__(self) -> str:
-        return f"TreeVertex({self.f!r}, {self.g!r})"
-
-
-ROOT = TreeVertex(X, Y)
+TreeVertex = ChartBasis
+ROOT = IDENTITY_BASIS
 
 
 @dataclass(frozen=True)
@@ -264,14 +233,13 @@ def lex_valuation_from_tail(f: Monomial, g: Monomial) -> MonomialValuation:
 
     Solves for nu(x), nu(y) in Z^2 so that nu(f) = (0, 1) and
     nu(g) = (1, 0); then nu(g/f^t) = (1, -t) is lexicographically positive
-    for every t, so the path never leaves the tail.
+    for every t, so the path never leaves the tail.  With x = f^alpha g^beta
+    in the chart (f, g), nu(x) = (beta, alpha), and likewise for y.
     """
-    basis = ChartBasis(f, g)  # validates unimodularity
-    d = basis.det
-    # Rows of the inverse exponent matrix applied to ((0,1), (1,0)).
-    vx = (-f.ey * d, g.ey * d)
-    vy = (f.ex * d, -g.ex * d)
-    nu = MonomialValuation.lex(vx, vy)
+    basis = ChartBasis(f, g)
+    ax, bx = lattice_solve(X, basis)
+    ay, by = lattice_solve(Y, basis)
+    nu = MonomialValuation.lex((bx, ax), (by, ay))
     assert nu.group.realize(Value(f.ex, f.ey)) == (0, 1)
     assert nu.group.realize(Value(g.ex, g.ey)) == (1, 0)
     return nu

@@ -1,9 +1,12 @@
 import json
+import sys
 
 import pytest
 
 from monoval import cli
-from monoval.exactnum import IndecisiveComparisonError
+from monoval.exactnum import IndecisiveComparisonError, sqrt2_stream
+from monoval.valtree import positive_path
+from monoval.valuation import MonomialValuation
 
 
 def run(capsys, *argv):
@@ -182,3 +185,27 @@ def test_out_unwritable_path(capsys, tmp_path):
         assert code == 1 and out == ""
         assert err.startswith(f"error: cannot write {target}: ")
         assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_path_past_the_int_str_limit_fails_before_output(capsys):
+    # The first vertex with an exponent of more than 640 digits, found with
+    # str() while the default limit of 4300 digits still allows it.
+    path = positive_path(MonomialValuation.from_stream(sqrt2_stream()), max_steps=4000)
+    first = next(
+        i
+        for i, v in enumerate(path)
+        if any(len(str(abs(e))) > 640 for e in (v.f.ex, v.f.ey, v.g.ex, v.g.ey))
+    )
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code, out, err = run(
+            capsys, "path", "--stream", "sqrt2", "--max-steps", "4000", "--format", "json"
+        )
+    finally:
+        sys.set_int_max_str_digits(old)
+    assert code == 1 and out == ""
+    assert err == (
+        f"error: vertex {first} of the path has an exponent longer than 640 digits,"
+        " the interpreter's limit for printing an integer\n"
+    )

@@ -5,7 +5,6 @@ import pytest
 
 from monoval.expr import (
     ExpressionError,
-    Group,
     MAX_NESTING,
     Literal,
     Negation,
@@ -74,8 +73,7 @@ def test_ast_shapes():
     neg = node.left
     assert isinstance(neg, Negation)
     assert isinstance(neg.operand, Power)
-    assert isinstance(neg.operand.base, Group)
-    assert isinstance(neg.operand.base.inner, Quotient)
+    assert isinstance(neg.operand.base, Quotient)
     assert node.right == Literal(Fraction(3))
     assert parse_expression("x") == Variable("x")
 

@@ -1,8 +1,10 @@
 """Byte-for-byte output of the CLI, pinned by sha256.
 
-The digests were recorded from the compare-driven path walk that the
-digit-driven walk replaced; any change to vertex order, generator order
-or formatting shows up here.
+The path and verify digests were recorded from the compare-driven path
+walk that the digit-driven walk replaced.  The resolve and ringgens
+digests were recorded before tree vertices and chart bases became one
+class.  Any change to vertex order, generator order, chart data or
+formatting shows up here.
 """
 
 import hashlib
@@ -22,6 +24,14 @@ GOLDEN = [
      "f899a6dc7557f9a8f5c1c55862a1aad2e79477e9eae98d28dc3d04402586df33"),
     (("verify", "--max", "60", "--format", "json"),
      "189cae2e4c025e89746ae71ac45167ae7e4ebb9908df8eadfcbc11292e677040"),
+    (("resolve", "24", "7", "--format", "json"),
+     "089cdc898a2642dde7905f6b5ba0d1e434909d6255aa891fefdef1422ee9f1e9"),
+    (("resolve", "377", "233", "--format", "dot"),
+     "2165b08601c917a8c9d2f309d2b961e9db1d423c13af027ced1068b3a44ff49f"),
+    (("resolve", "24", "7", "--trace"),
+     "007901a247b2a07102e8d79575a0a28236e90dbd5af75f6ff129733440125981"),
+    (("ringgens", "24", "7", "--format", "json"),
+     "d9a451788bf035e237610d03d434ba17b44b6e9578ea1d557924c4fca27a2165"),
 ]
 
 

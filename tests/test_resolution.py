@@ -21,7 +21,7 @@ from monoval.resolution import (
     resolve,
     verify_reconstruction,
 )
-from monoval.valtree import TreeVertex
+from monoval.valtree import ROOT, TreeVertex
 
 RESOLVED = Classification.RESOLVED
 CUSP = Classification.CUSP_SINGULAR
@@ -128,7 +128,7 @@ def test_bad_vertex_path_known():
 def test_final_charts_of_24_7_match_reference():
     trace = resolve(24, 7)
     last = trace.steps[-1]
-    kids = [child.vertex for child, _ in last.children]
+    kids = [child.basis for child, _ in last.children]
     assert TreeVertex(Monomial(-2, 7), Monomial(7, -24)) in kids   # k[y^7/x^2, x^7/y^24]
     assert TreeVertex(Monomial(5, -17), Monomial(-7, 24)) in kids  # k[x^5/y^17, y^24/x^7]
 
@@ -224,3 +224,23 @@ def test_component_smoothness_along_traces():
             for child, kind in step.children:
                 if kind is RESOLVED:
                     assert is_smooth_component(child.proper)
+
+
+def test_chart_equality_keeps_generator_order():
+    # the pair itself is unordered, but exc_f, exc_g and sign belong to
+    # c1 = basis.f and c2 = basis.g, so a swapped basis is another chart
+    f, g = Y, Monomial(1, -1)
+    assert ChartBasis(f, g) == ChartBasis(g, f)
+    c = ChartState(ChartBasis(f, g), 2, 2, ThroughOrigin(1, 1), 1)
+    swapped = ChartState(ChartBasis(g, f), 2, 2, ThroughOrigin(1, 1), 1)
+    assert c != swapped
+    assert c == ChartState(ChartBasis(f, g), 2, 2, ThroughOrigin(1, 1), 1)
+    assert hash(c) == hash(ChartState(ChartBasis(f, g), 2, 2, ThroughOrigin(1, 1), 1))
+    assert initial_chart(3, 2).basis is ROOT
+
+
+def test_bad_charts_are_the_path_vertices():
+    # the bad-chart path holds the charts' own bases, in order
+    trace = resolve(24, 7)
+    path = bad_vertex_path(trace)
+    assert all(v is step.chart.basis for v, step in zip(path, trace.steps))

@@ -1,10 +1,22 @@
+import random
 from fractions import Fraction
 from math import gcd
 
 import pytest
 
+import monoval
 from monoval.exactnum import cf_expand, sqrt2_stream
-from monoval.laurent import Monomial, X, Y, lattice_solve
+from monoval.laurent import (
+    IDENTITY_BASIS,
+    ChartBasis,
+    LaurentPolynomial,
+    Monomial,
+    X,
+    Y,
+    expand_from_chart,
+    lattice_solve,
+    rewrite_in_chart,
+)
 from monoval.valtree import (
     Branch,
     PositivePath,
@@ -194,7 +206,7 @@ def test_ascending_chain():
         path = positive_path(MonomialValuation.rational(a, b), max_steps=a + b)
         for prev, cur in zip(path.vertices, path.vertices[1:]):
             for gen in prev.generators:
-                alpha, beta = lattice_solve(gen, cur.basis())
+                alpha, beta = lattice_solve(gen, cur)
                 assert alpha >= 0 and beta >= 0
 
 
@@ -229,3 +241,40 @@ def test_lex_valuation_from_tail_examples():
 
     with pytest.raises(ValueError):
         lex_valuation_from_tail(X, Monomial(2, 0))
+
+
+def test_tree_vertex_is_the_chart_basis():
+    assert TreeVertex is ChartBasis
+    assert monoval.TreeVertex is monoval.ChartBasis is ChartBasis
+    assert ROOT is IDENTITY_BASIS
+    v = vert(1, -1, -1, 2)
+    assert (v.f, v.g) == (Monomial(1, -1), Monomial(-1, 2))  # order kept
+    assert v.det == 1 and vert(-1, 2, 1, -1).det == -1
+    assert str(v) == "k[x/y, y^2/x]"
+
+
+def test_path_vertex_is_a_chart_basis():
+    # a path vertex goes straight into the chart functions, no conversion
+    path = positive_path(MonomialValuation.rational(24, 7), max_steps=31)
+    curve = LaurentPolynomial({Monomial(7, 0): 1, Monomial(0, 24): -1})
+    for v in path:
+        alpha, beta = lattice_solve(X, v)
+        assert v.f ** alpha * v.g ** beta == X
+        assert expand_from_chart(rewrite_in_chart(curve, v), v) == curve
+
+
+def _largest_exponent(v):
+    return max(abs(e) for e in (v.f.ex, v.f.ey, v.g.ex, v.g.ey))
+
+
+def test_largest_exponent_never_shrinks_down_the_tree():
+    # Below the root the two generators have exponents of opposite signs,
+    # so a child's largest exponent is at least its parent's; the CLI's
+    # check for exponents too long to print looks only at a path's end.
+    rng = random.Random(5)
+    for _ in range(200):
+        v = ROOT
+        for _ in range(rng.randint(1, 60)):
+            child = children(v)[rng.randint(0, 1)]
+            assert _largest_exponent(child) >= _largest_exponent(v)
+            v = child
