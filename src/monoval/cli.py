@@ -9,6 +9,7 @@ or parse error, 2 verification failure, 3 indecisive stream comparison
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from fractions import Fraction
 
@@ -33,11 +34,21 @@ class UsageError(Exception):
     pass
 
 
+_NEGATIVE_RATIONAL = re.compile(r"-\d+/\d+")
+
+
 class _Parser(argparse.ArgumentParser):
     # argparse exits with code 2 on bad usage; this CLI reserves 2 for
     # verification failures, so route usage errors through an exception.
     def error(self, message):
         raise UsageError(message)
+
+    # argparse knows '-7' and '-1.5' as negative numbers but reads '-7/3'
+    # as an unknown option; a negative rational is a positional argument.
+    def _parse_optional(self, arg_string):
+        if _NEGATIVE_RATIONAL.fullmatch(arg_string):
+            return None
+        return super()._parse_optional(arg_string)
 
 
 def parse_stream_spec(spec: str) -> CFStream:

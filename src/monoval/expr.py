@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .laurent import LaurentPolynomial, Monomial, RationalFunction, X, Y
+from .laurent import RationalFunction, X, Y
 
 
 class ExpressionError(ValueError):

@@ -26,7 +26,7 @@ from itertools import count
 from math import gcd
 from typing import Iterator, Optional
 
-from .exactnum import CFExpansion, cf_expand
+from .exactnum import cf_expand
 from .laurent import IDENTITY_BASIS, ChartBasis, Monomial, X, Y, lattice_solve
 from .valuation import UNBOUNDED, MonomialValuation, Value
 

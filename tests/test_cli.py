@@ -27,6 +27,17 @@ def test_cf_json(capsys):
     assert json.loads(out) == {"digits": [3, 2, 3]}
 
 
+def test_cf_negative_rational(capsys):
+    code, out, _ = run(capsys, "cf", "-7/3")
+    assert code == 0
+    assert out == "-7/3 = [-3; 1, 2]\n"
+    code, out, _ = run(capsys, "cf", "-7/3", "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {"digits": [-3, 1, 2]}
+    code, _, err = run(capsys, "cf", "--bogus")
+    assert code == 1 and err.startswith("usage error:")
+
+
 def test_cf_bad_input(capsys):
     code, _, err = run(capsys, "cf", "24/seven")
     assert code == 1 and err

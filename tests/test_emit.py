@@ -2,12 +2,28 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from monoval.emit import emit_dot, emit_json, format_chart_text, to_jsonable
-from monoval.exactnum import cf_expand, sqrt2_stream
-from monoval.resolution import check_theorem, resolve
+from monoval.emit import (
+    emit_dot,
+    emit_json,
+    format_chart_text,
+    format_path_text,
+    format_trace_text,
+    to_jsonable,
+)
+from monoval.exactnum import CFStream, cf_expand, sqrt2_stream
+from monoval.laurent import X, Y, ChartBasis
+from monoval.resolution import Classification, check_theorem, resolve
 from monoval.valring import ring_generators
-from monoval.valtree import cf_correspondence_check, positive_path
+from monoval.valtree import (
+    ROOT,
+    PositivePath,
+    cf_correspondence_check,
+    children,
+    lex_valuation_from_tail,
+    positive_path,
+)
 from monoval.valuation import MonomialValuation
 from monoval.verify import run_verify
 
@@ -118,3 +134,153 @@ def test_format_chart_text_reference_charts():
 def test_fraction_and_container_jsonable():
     assert to_jsonable(Fraction(3, 2)) == "3/2"
     assert to_jsonable({"xs": (1, 2)}) == {"xs": [1, 2]}
+
+
+# ------------------------------------------------- templates vs references
+#
+# Traces and paths are written from templates with a memo of monomial
+# names.  The references below are the plain views they replaced: JSON
+# from ``to_jsonable`` through ``json.dumps``, DOT and text from
+# ``str(vertex)`` and ``format_chart_text``.
+
+
+def dumps(obj) -> str:
+    return json.dumps(to_jsonable(obj), sort_keys=True, indent=2)
+
+
+DOT_HEAD = ["  rankdir=LR;", '  node [shape=box, fontname="monospace"];']
+
+
+def reference_path_dot(path) -> str:
+    lines = ["digraph positive_path {", *DOT_HEAD]
+    lines += [f'  v{i} [label="{v}", style=bold];' for i, v in enumerate(path.vertices)]
+    if not path.complete:
+        lines.append('  trunc [label="(truncated)", shape=plaintext];')
+    lines += [f"  v{i} -> v{i + 1};" for i in range(len(path.vertices) - 1)]
+    if not path.complete and path.vertices:
+        lines.append(f"  v{len(path.vertices) - 1} -> trunc [style=dashed];")
+    return "\n".join(lines + ["}"]) + "\n"
+
+
+def reference_trace_dot(trace) -> str:
+    nodes = [f'  b0 [label="{trace.steps[0].chart.basis}\\n'
+             f'({trace.steps[0].classification.value})", style=bold];']
+    edges = []
+    for i, step in enumerate(trace.steps):
+        side = 0
+        for child, kind in step.children:
+            label = f"{child.basis}\\n({kind.value})"
+            if kind is not Classification.RESOLVED:
+                name, style = f"b{i + 1}", ", style=bold"
+            else:
+                name, style = f"s{i}_{side}", ""
+                side += 1
+            nodes.append(f'  {name} [label="{label}"{style}];')
+            edges.append(f"  b{i} -> {name};")
+    return "\n".join(["digraph resolution_trace {", *DOT_HEAD, *nodes, *edges, "}"]) + "\n"
+
+
+def reference_path_text(path, heading) -> str:
+    lines = [heading] + [f"  {i}: {v}" for i, v in enumerate(path.vertices)]
+    lines.append(f"status: {path.status} ({len(path)} vertices)")
+    return "\n".join(lines) + "\n"
+
+
+def reference_trace_text(trace, show_steps) -> str:
+    lines = [f"resolution of x^{trace.b} = y^{trace.a}: {trace.blow_up_count} blow-ups",
+             "bad charts:"]
+    lines += [f"  {i}: {step.chart.basis} ({step.classification.value})"
+              for i, step in enumerate(trace.steps)]
+    if show_steps:
+        lines.append("steps:")
+        for i, step in enumerate(trace.steps):
+            lines.append(f"  blow-up {i + 1} at the origin of {step.chart.basis}:")
+            lines += [f"    {child.basis}: {format_chart_text(child)} [{kind.value}]"
+                      for child, kind in step.children]
+    return "\n".join(lines) + "\n"
+
+
+def assert_path_matches_references(path):
+    assert emit_json(path) == dumps(path)
+    assert emit_dot(path) == reference_path_dot(path)
+    assert format_path_text(path, "heading:") == reference_path_text(path, "heading:")
+
+
+def assert_pair_matches_references(a, b):
+    trace = resolve(a, b)
+    assert emit_json(trace) == dumps(trace)
+    assert emit_dot(trace) == reference_trace_dot(trace)
+    for show_steps in (False, True):
+        assert format_trace_text(trace, show_steps) == reference_trace_text(trace, show_steps)
+    path = positive_path(MonomialValuation.rational(a, b), max_steps=a + b)
+    assert_path_matches_references(path)
+
+
+def coprime_pairs(max_value: int):
+    """Coprime a > b > 1 up to ``max_value``: the last fitting convergent of drawn digits."""
+
+    def fold(digits):
+        h, h1, k, k1 = 1, 0, 0, 1
+        for d in digits:
+            if d * h + h1 > max_value:
+                break
+            h, h1, k, k1 = d * h + h1, h, d * k + k1, k
+        return h, k
+
+    return (
+        st.lists(st.integers(1, 20), min_size=len(str(max_value)), max_size=80)
+        .map(fold)
+        .filter(lambda pair: pair[1] > 1)
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(coprime_pairs(10**6))
+def test_templates_match_references_up_to_10_6(pair):
+    assert_pair_matches_references(*pair)
+
+
+@settings(max_examples=20, deadline=None)
+@given(coprime_pairs(10**40))
+def test_templates_match_references_up_to_10_40(pair):
+    assert_pair_matches_references(*pair)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 4), st.lists(st.integers(1, 4), max_size=3),
+       st.lists(st.integers(1, 4), min_size=1, max_size=3), st.integers(1, 300))
+def test_templates_match_references_on_truncated_stream_paths(d0, pre, period, max_steps):
+    stream = CFStream.from_periodic([d0, *pre], period)
+    path = positive_path(MonomialValuation.from_stream(stream), max_steps=max_steps)
+    assert not path.complete
+    assert_path_matches_references(path)
+
+
+def test_templates_match_references_on_a_one_vertex_path():
+    path = positive_path(MonomialValuation.from_stream(sqrt2_stream()), max_steps=1)
+    assert path.vertices == (ROOT,) and not path.complete
+    assert_path_matches_references(path)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.booleans(), max_size=12), st.booleans(), st.integers(1, 150))
+def test_templates_match_references_on_lex_tail_paths(turns, swap, max_steps):
+    vertex = ROOT
+    for turn in turns:
+        vertex = children(vertex)[turn]
+    f, g = (vertex.g, vertex.f) if swap else (vertex.f, vertex.g)
+    path = positive_path(lex_valuation_from_tail(f, g), max_steps=max_steps)
+    assert_path_matches_references(path)
+
+
+def test_templates_keep_generator_order():
+    # k[x, y] == k[y, x] as vertices, but they print differently.
+    path = PositivePath((ChartBasis(X, Y), ChartBasis(Y, X)), complete=False)
+    assert_path_matches_references(path)
+    assert 'label="k[y, x]"' in emit_dot(path)
+
+
+def test_templates_match_references_on_an_empty_path():
+    path = PositivePath((), complete=False)
+    assert_path_matches_references(path)
+    assert '"vertices": []' in emit_json(path)
