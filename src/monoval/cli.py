@@ -23,7 +23,7 @@ from .emit import (
 from .exactnum import CFStream, IndecisiveComparisonError, cf_expand, sqrt2_stream
 from .expr import ExpressionError, parse_rational_function
 from .laurent import ZeroPolynomialError
-from .resolution import resolve
+from .resolution import _children, resolve
 from .valring import ring_generators
 from .valtree import positive_path
 from .valuation import MonomialValuation
@@ -99,7 +99,11 @@ def _cmd_path(args) -> tuple[str, int]:
         max_steps = args.max_steps if args.max_steps is not None else args.a + args.b
         heading = f"positive path for nu(x) = {args.a}, nu(y) = {args.b}:"
     path = positive_path(nu, max_steps=max_steps)
-    _check_printable(path)
+    _check_printable(
+        path.vertices,
+        lambda v: (v.f.ex, v.f.ey, v.g.ex, v.g.ey),
+        lambda i: f"vertex {i} of the path has an exponent",
+    )
     if args.format == "json":
         return emit_json(path), 0
     if args.format == "dot":
@@ -107,24 +111,25 @@ def _cmd_path(args) -> tuple[str, int]:
     return format_path_text(path, heading), 0
 
 
-def _check_printable(path) -> None:
-    """Refuse a path with an exponent longer than ``str`` allows, before any output.
+def _check_printable(items, ints, what) -> None:
+    """Refuse output with an integer longer than ``str`` allows, before any output.
 
-    An int has more digits than the cap (0: none) when |e| >= 10**cap.  A
-    child's largest exponent is at least its parent's, so a path whose
-    last vertex fits fits everywhere.
+    ``ints(item)`` gives the integers printed for an item, and ``what(i)``
+    the start of the message naming item i.  An int has more digits than
+    the cap (0: none) when |e| >= 10**cap.  The integers printed only grow
+    down a path or a trace, so output whose last item fits fits everywhere.
     """
     limit = sys.get_int_max_str_digits()
     bound = 10**limit
 
-    def too_long(v) -> bool:
-        return any(abs(e) >= bound for e in (v.f.ex, v.f.ey, v.g.ex, v.g.ey))
+    def too_long(item) -> bool:
+        return any(abs(e) >= bound for e in ints(item))
 
-    if not limit or not too_long(path.vertices[-1]):
+    if not limit or not too_long(items[-1]):
         return
-    first = next(i for i, v in enumerate(path.vertices) if too_long(v))
+    first = next(i for i, item in enumerate(items) if too_long(item))
     raise ValueError(
-        f"vertex {first} of the path has an exponent longer than {limit} digits,"
+        f"{what(first)} longer than {limit} digits,"
         " the interpreter's limit for printing an integer"
     )
 
@@ -170,6 +175,26 @@ def _cmd_member(args) -> tuple[str, int]:
 
 def _cmd_resolve(args) -> tuple[str, int]:
     trace = resolve(args.a, args.b)
+    # Besides a and b, every format prints the blown-up charts' bases.  JSON,
+    # DOT and --trace print their children's bases too, which add g/f and
+    # its inverse; JSON and --trace print the children's multiplicity, the
+    # largest of a blow-up.  The powers s, t never exceed a.
+    steps = args.format == "text" and args.trace
+    children = args.format != "text" or steps
+    multiplicity = args.format == "json" or steps
+
+    def printed(row) -> tuple:
+        first, _ = _children(row)  # (f, g/f, multiplicity, ...)
+        ints = row[:4]
+        if children:
+            ints += first[2:4]
+        if multiplicity:
+            ints += first[4:5]
+        return ints
+
+    _check_printable(
+        trace.rows, printed, lambda i: f"blow-up {i + 1} of the resolution prints an integer"
+    )
     if args.format == "json":
         return emit_json(trace), 0
     if args.format == "dot":

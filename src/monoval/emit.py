@@ -9,19 +9,21 @@ is also what the expression parser reads back.
 ``to_jsonable`` is the plain dict/list view of every emittable object,
 and ``emit_json(obj)`` is ``json.dumps(to_jsonable(obj), sort_keys=True,
 indent=2)`` byte for byte.  Resolution traces and positive paths, the
-outputs that run to tens of megabytes, are written straight from the
-objects through fixed ``str.format`` templates laid out as that call lays
-them out; monomial names go through ``encode_basestring_ascii``, the
-escaper ``json.dumps`` itself uses.  Every other object goes through
-``json.dumps``.
+outputs that run to tens of megabytes, are written through fixed
+``str.format`` templates laid out as that call lays them out; monomial
+names go through ``encode_basestring_ascii``, the escaper ``json.dumps``
+itself uses.  Every other object goes through ``json.dumps``.
 
-Consecutive charts and path vertices share generators, and a chart's
-exponents recur in its children, so each trace or path emitter names
-every monomial once per output, and the trace emitters write every
-exponent once, in a memo local to the call.  The memo is keyed by ``Monomial`` (and ``int``), never
-by ``ChartBasis``: a basis compares equal under swapped generators while
-its ``str`` does not.  Exponents of a wide pair run to hundreds of digits,
-and ``str`` of an int takes time quadratic in its length.
+The trace emitters (JSON, DOT and text) read a trace's integer rows, not
+its ``ResolutionStep`` objects.  Row k + 1 is a child of row k, so each
+blow-up brings only two new monomials, g/f and f/g, and two new numbers,
+the children's multiplicity and |s - t|; ``_blow_ups`` names those and
+carries every other name down the bad-chart path.  Exponents of a wide
+pair run to hundreds of digits, and ``str`` of an int takes time
+quadratic in its length.  Consecutive path vertices share generators, so
+the path emitters name each monomial once per output, in a memo local to
+the call.  The memo is keyed by ``Monomial``, never by ``ChartBasis``: a
+basis compares equal under swapped generators while its ``str`` does not.
 """
 
 from __future__ import annotations
@@ -45,14 +47,11 @@ from .verify import VerifyReport
 
 
 class _Names(dict):
-    """``str`` of each monomial or exponent, computed on first use.
-
-    An ``int`` never equals a ``Monomial``, so both kinds share one memo.
-    """
+    """``str`` of each monomial, computed on first use."""
 
     __slots__ = ()
 
-    def __missing__(self, key: Monomial | int) -> str:
+    def __missing__(self, key: Monomial) -> str:
         name = self[key] = str(key)
         return name
 
@@ -67,8 +66,40 @@ class _JsonNames(dict):
     __slots__ = ()
 
     def __missing__(self, mono: Monomial) -> str:
-        name = self[mono] = encode_basestring_ascii(str(mono))
+        name = self[mono] = _json_name(mono)
         return name
+
+
+def _json_name(mono: Monomial) -> str:
+    return encode_basestring_ascii(str(mono))
+
+
+def _blow_ups(trace: ResolutionTrace, name, number):
+    """Per blow-up of a trace, what its emitters print, each made once.
+
+    Yields ``name`` of the monomials f, g, g/f and f/g; ``number`` of
+    exc_f, exc_g, the children's multiplicity e = exc_f + exc_g + min(s, t),
+    s, t and d = |s - t|; whether the first child's curve (c1^d - (g/f)^t
+    if s > t, else 1 - c1^d (g/f)^t) and the second's (the same with f, g
+    and s, t swapped) pass through their origins; the sign, which the
+    second child negates; and the classifications of the chart and its
+    children.  An emitter that prints no numbers passes ``int``, which
+    leaves them as they are: ``str`` of one may pass the interpreter's
+    limit for printing an integer.
+    """
+    fx, fy, gx, gy, exc_f, exc_g, s, t, _ = trace.rows[0]
+    f, g = name(Monomial(fx, fy)), name(Monomial(gx, gy))
+    a, b, s_, t_ = number(exc_f), number(exc_g), number(s), number(t)
+    resolved = Classification.RESOLVED
+    for row, kind, first, k1, _, k2 in trace.blow_ups():
+        fx, fy, gx, gy, _, _, s, t, sign = row
+        gf, fg = name(Monomial(gx - fx, gy - fy)), name(Monomial(fx - gx, fy - gy))
+        e, d = number(first[4]), number(abs(s - t))
+        yield f, g, gf, fg, a, b, e, s_, t_, d, s > t, t > s, sign, kind, k1, k2
+        if k1 is not resolved:  # row k + 1 is (f, g/f, e, exc_g, s - t, t)
+            g, a, s_ = gf, e, d
+        else:  # row k + 1 is (g, f/g, e, exc_f, t - s, s)
+            f, g, a, b, s_, t_ = g, fg, e, a, d, s_
 
 
 def _vertex_json(v: ChartBasis) -> dict:
@@ -174,7 +205,7 @@ def _json_list(items: list[str]) -> str:
 
 
 def _chart_template(depth: int) -> str:
-    """The eight ``_chart_fields`` of a chart object whose ``{`` opens a line at ``depth``."""
+    """A chart object's eight fields, in key order, its ``{`` opening a line at ``depth``."""
     return """{{
   "basis": {{
     "f": {},
@@ -212,28 +243,18 @@ _MISSES = encode_basestring_ascii("misses-origin")
 _KIND = {k: encode_basestring_ascii(k.value) for k in Classification}
 
 
-def _chart_fields(c: ChartState, names: _JsonNames, nums: _Names) -> tuple:
-    p = c.proper
-    if isinstance(p, ThroughOrigin):
-        f_power, g_power, kind = p.s, p.t, _THROUGH
-    else:
-        f_power, g_power, kind = p.f_exp, p.g_exp, _MISSES
-    return (names[c.basis.f], names[c.basis.g], nums[c.exc_f], nums[c.exc_g],
-            nums[f_power], nums[g_power], kind, c.sign)
-
-
 def _trace_json(trace: ResolutionTrace) -> str:
-    names, nums = _JsonNames(), _Names()
     step_t = _STEP.format
-    steps = []
-    for step in trace.steps:
-        (first, k1), (second, k2) = step.children
-        steps.append(step_t(
-            *_chart_fields(step.chart, names, nums),
-            *_chart_fields(first, names, nums), _KIND[k1],
-            *_chart_fields(second, names, nums), _KIND[k2],
-            _KIND[step.classification],
-        ))
+    steps = [
+        step_t(
+            f, g, a, b, s, t, _THROUGH, sign,
+            f, gf, e, b, d, t, _THROUGH if through1 else _MISSES, sign, _KIND[k1],
+            g, fg, e, a, d, s, _THROUGH if through2 else _MISSES, -sign, _KIND[k2],
+            _KIND[kind],
+        )
+        for f, g, gf, fg, a, b, e, s, t, d, through1, through2, sign, kind, k1, k2
+        in _blow_ups(trace, _json_name, str)
+    ]
     return _TRACE.format(trace.a, trace.b, _json_list(steps), trace.blow_up_count)
 
 
@@ -273,7 +294,6 @@ def _dot_path(path: PositivePath) -> str:
 
 
 def _dot_trace(trace: ResolutionTrace) -> str:
-    names = _Names()
     lines = [
         "digraph resolution_trace {",
         "  rankdir=LR;",
@@ -281,14 +301,14 @@ def _dot_trace(trace: ResolutionTrace) -> str:
     ]
     node_lines: list[str] = []
     edge_lines: list[str] = []
-    for i, step in enumerate(trace.steps):
+    resolved = Classification.RESOLVED
+    for i, (f, g, gf, fg, *_, kind, k1, k2) in enumerate(_blow_ups(trace, str, int)):
         if i == 0:
-            label = f"{names.basis(step.chart.basis)}\\n({step.classification.value})"
-            node_lines.append(f'  b0 [label="{label}", style=bold];')
+            node_lines.append(f'  b0 [label="k[{f}, {g}]\\n({kind.value})", style=bold];')
         side = 0
-        for child, kind in step.children:
-            label = f"{names.basis(child.basis)}\\n({kind.value})"
-            if kind is not Classification.RESOLVED:
+        for basis, k in ((f"k[{f}, {gf}]", k1), (f"k[{g}, {fg}]", k2)):
+            label = f"{basis}\\n({k.value})"
+            if k is not resolved:
                 name = f"b{i + 1}"
                 node_lines.append(f'  {name} [label="{label}", style=bold];')
             else:
@@ -324,52 +344,58 @@ def format_path_text(path: PositivePath, heading: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _pow_str(names: _Names, mono: Monomial, e: int) -> str:
-    if e == 0:
+def _pow_str(name: str, e: str) -> str:
+    """``name`` raised to the power written ``e``."""
+    if e == "0":
         return "1"
-    name = names[mono]
     if "*" in name or "/" in name or "^" in name:
         name = f"({name})"
-    return name if e == 1 else f"{name}^{names[e]}"
+    return name if e == "1" else f"{name}^{e}"
 
 
-def _chart_text(c: ChartState, names: _Names) -> str:
-    f, g = c.basis.f, c.basis.g
-    exc_f, exc_g = _pow_str(names, f, c.exc_f), _pow_str(names, g, c.exc_g)
-    exc_parts = [p for p in (exc_f, exc_g) if p != "1"]
+def _chart_text(f: str, g: str, exc_f: str, exc_g: str, p: str, q: str,
+                through: bool, sign: int) -> str:
+    """The decomposition of the chart on names f, g with the powers written as given.
+
+    The proper transform is f^p - g^q when ``through``, else 1 - f^p g^q.
+    """
+    exc_parts = [x for x in (_pow_str(f, exc_f), _pow_str(g, exc_g)) if x != "1"]
     exc = " * ".join(exc_parts) if exc_parts else "1"
-    if isinstance(c.proper, ThroughOrigin):
-        proper = f"{_pow_str(names, f, c.proper.s)} - {_pow_str(names, g, c.proper.t)}"
+    if through:
+        proper = f"{_pow_str(f, p)} - {_pow_str(g, q)}"
     else:
-        mono = _pow_str(names, f, c.proper.f_exp)
-        mono_g = _pow_str(names, g, c.proper.g_exp)
-        pieces = [p for p in (mono, mono_g) if p != "1"]
+        pieces = [x for x in (_pow_str(f, p), _pow_str(g, q)) if x != "1"]
         proper = f"1 - {' * '.join(pieces)}"
-    sign = "" if c.sign == 1 else "-"
-    return f"V({exc}) + V({sign}({proper}))" if sign else f"V({exc}) + V({proper})"
+    return f"V({exc}) + V({proper})" if sign == 1 else f"V({exc}) + V(-({proper}))"
 
 
 def format_chart_text(c: ChartState) -> str:
     """One-line ``V(exceptional) + V(proper)`` decomposition of a chart."""
-    return _chart_text(c, _Names())
+    p = c.proper
+    through = isinstance(p, ThroughOrigin)
+    powers = (p.s, p.t) if through else (p.f_exp, p.g_exp)
+    return _chart_text(str(c.basis.f), str(c.basis.g), str(c.exc_f), str(c.exc_g),
+                       *map(str, powers), through, c.sign)
 
 
 def format_trace_text(trace: ResolutionTrace, show_steps: bool = False) -> str:
-    names = _Names()
     lines = [
         f"resolution of x^{trace.b} = y^{trace.a}: {trace.blow_up_count} blow-ups",
         "bad charts:",
     ]
-    for i, step in enumerate(trace.steps):
-        lines.append(f"  {i}: {names.basis(step.chart.basis)} ({step.classification.value})")
+    steps = ["steps:"]
+    for i, (f, g, gf, fg, a, b, e, s, t, d, through1, through2, sign, kind, k1, k2) in (
+        enumerate(_blow_ups(trace, str, str if show_steps else int))
+    ):
+        lines.append(f"  {i}: k[{f}, {g}] ({kind.value})")
+        if show_steps:
+            steps.append(f"  blow-up {i + 1} at the origin of k[{f}, {g}]:")
+            steps.append(f"    k[{f}, {gf}]: {_chart_text(f, gf, e, b, d, t, through1, sign)}"
+                         f" [{k1.value}]")
+            steps.append(f"    k[{g}, {fg}]: {_chart_text(g, fg, e, a, d, s, through2, -sign)}"
+                         f" [{k2.value}]")
     if show_steps:
-        lines.append("steps:")
-        for i, step in enumerate(trace.steps):
-            lines.append(f"  blow-up {i + 1} at the origin of {names.basis(step.chart.basis)}:")
-            for child, kind in step.children:
-                lines.append(
-                    f"    {names.basis(child.basis)}: {_chart_text(child, names)} [{kind.value}]"
-                )
+        lines.extend(steps)
     return "\n".join(lines) + "\n"
 
 

@@ -1,13 +1,22 @@
 """Blow-up resolution of the plane cusp x^b = y^a.
 
-A chart state records everything exactly and symbolically: the chart
-coordinates (two Laurent monomials in x, y), the exceptional multiplicities
-on each coordinate, the proper transform of the curve, and a global sign.
-The proper transform is either a binomial c1^s - c2^t through the chart
-origin (with s, t coprime) or a unit-minus-monomial 1 - c1^k c2^l that
-misses it.  Exponents grow fast along a resolution, so nothing is expanded
-except in the reconstruction check, which multiplies a chart back out and
-must recover x^b - y^a on the nose.
+A chart of the total transform is a *row* of nine exact integers,
+``(f.ex, f.ey, g.ex, g.ey, exc_f, exc_g, p, q, sign)``.  Its coordinates
+are the Laurent monomials c1 = f and c2 = g, and the curve in it is
+``sign * c1^exc_f * c2^exc_g * proper``.  The proper transform is the
+binomial c1^p - c2^q through the chart origin when p > 0 (p, q coprime),
+and the unit-minus-monomial 1 - c1^-p c2^q that misses it when p <= 0.
+The blow-up rule (``_children``) and the classification rule (``_kind``)
+are written once, on rows; ``blow_up`` and ``classify`` apply them to a
+``ChartState``, the object view of a row.
+
+``resolve`` keeps one row per blow-up, the chart blown up, so a trace is
+a tuple of int tuples, which CPython's cyclic collector stops tracking.
+``ResolutionTrace.steps`` builds the ``ResolutionStep`` of an index on
+access.  Exponents grow fast along a resolution, so nothing is expanded
+except in the reconstruction check, which multiplies each chart back out
+in one pass from its row (``_expand``) and must recover x^b - y^a on the
+nose.
 
 Blowing up a chart origin substitutes one coordinate for the product of
 the other two and refactors; the driver repeatedly blows up the unique
@@ -19,9 +28,10 @@ valuation with nu(x) = a, nu(y) = b; a chart basis is a tree vertex.
 from __future__ import annotations
 
 import enum
+from collections.abc import Sequence
 from dataclasses import dataclass
 from math import gcd
-from typing import Union
+from typing import Iterator, Union
 
 from .laurent import (
     IDENTITY_BASIS,
@@ -29,6 +39,7 @@ from .laurent import (
     LaurentPolynomial,
     Monomial,
     UNIT,
+    _from_terms,
     factor_monomial_content,
     rewrite_in_chart,
 )
@@ -124,22 +135,59 @@ class ResolutionStep:
     children: tuple[tuple[ChartState, Classification], tuple[ChartState, Classification]]
 
 
+Row = tuple  # (f.ex, f.ey, g.ex, g.ey, exc_f, exc_g, p, q, sign); see the module docstring
+
+
 @dataclass(frozen=True)
 class ResolutionTrace:
+    """The charts blown up along a resolution, one row each, in order.
+
+    Row k + 1 is the unresolved child of row k, and both children of the
+    last row are resolved.
+    """
+
     a: int
     b: int
-    steps: tuple[ResolutionStep, ...]
+    rows: tuple[Row, ...]
+
+    @property
+    def steps(self) -> _Steps:
+        """The ``ResolutionStep`` of every row, each built when it is read."""
+        return _Steps(self.rows)
 
     @property
     def blow_up_count(self) -> int:
-        return len(self.steps)
+        return len(self.rows)
+
+    def blow_ups(self) -> Iterator[tuple]:
+        """Per blow-up: its row and classification, then each child's row and classification."""
+        for row in self.rows:
+            first, second = _children(row)
+            yield row, _kind(row), first, _kind(first), second, _kind(second)
 
     def all_charts(self) -> list[ChartState]:
         """The root chart plus every child produced along the trace."""
-        charts = [self.steps[0].chart]
-        for step in self.steps:
-            charts.extend(child for child, _ in step.children)
-        return charts
+        return [_state(row) for row in _chart_rows(self)]
+
+
+class _Steps(Sequence):
+    """Read-only sequence of a trace's steps, built from its rows on access."""
+
+    __slots__ = ("_rows",)
+
+    def __init__(self, rows: tuple[Row, ...]):
+        self._rows = rows
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(_step, self._rows[i]))
+        return _step(self._rows[i])
+
+    def __iter__(self) -> Iterator[ResolutionStep]:
+        return map(_step, self._rows)
 
 
 @dataclass(frozen=True)
@@ -148,9 +196,13 @@ class TheoremReport:
 
     a: int
     b: int
-    resolution_path: PositivePath
+    trace: ResolutionTrace
     valuation_path: PositivePath
     equal: bool
+
+    @property
+    def resolution_path(self) -> PositivePath:
+        return bad_vertex_path(self.trace)
 
 
 @dataclass(frozen=True)
@@ -191,92 +243,129 @@ def initial_chart(a: int, b: int) -> ChartState:
     )
 
 
+def _row(c: ChartState) -> Row:
+    f, g, proper = c.basis.f, c.basis.g, c.proper
+    if isinstance(proper, ThroughOrigin):
+        p, q = proper.s, proper.t
+    else:
+        p, q = -proper.f_exp, proper.g_exp
+    return (f.ex, f.ey, g.ex, g.ey, c.exc_f, c.exc_g, p, q, c.sign)
+
+
+def _state(row: Row) -> ChartState:
+    fx, fy, gx, gy, exc_f, exc_g, p, q, sign = row
+    proper = ThroughOrigin(p, q) if p > 0 else MissesOrigin(-p, q)
+    return ChartState(ChartBasis(Monomial(fx, fy), Monomial(gx, gy)), exc_f, exc_g, proper, sign)
+
+
+def _children(row: Row) -> tuple[Row, Row]:
+    """The two charts covering the blown-up origin of a through-origin row.
+
+    With coordinates (c1, c2) and curve sign * c1^A c2^B (c1^s - c2^t),
+    the first chart is (c1, w = c2/c1).  Substituting c2 = c1*w leaves
+    sign * c1^(A+B+min(s,t)) w^B times c1^(s-t) - w^t when s > t, else
+    1 - c1^(t-s) w^t (1 - w if s = t = 1): in both cases p = s - t, q = t.
+    The second, (c2, c1/c2), is the same construction for the same curve
+    written as -sign * c2^B c1^A (c2^t - c1^s), so it flips the sign.
+    """
+    fx, fy, gx, gy, A, B, s, t, sign = row
+    e = A + B + (s if s < t else t)
+    return (
+        (fx, fy, gx - fx, gy - fy, e, B, s - t, t, sign),
+        (gx, gy, fx - gx, fy - gy, e, A, t - s, s, -sign),
+    )
+
+
+def _kind(row: Row) -> Classification:
+    """Origin-local classification of the total transform in a row's chart.
+
+    A curve missing the origin leaves only exceptional axes there, which
+    cross normally.  A binomial c1^p - c2^q is a cusp when both exponents
+    are at least 2; with p >= 2, q = 1 it is smooth but tangent to the
+    c2 = 0 axis, a non-normal crossing whenever that axis is a component;
+    and with p = q = 1 it is a line through the origin, a triple point
+    when both axes are components.
+    """
+    _, _, _, _, exc_f, exc_g, p, q, _ = row
+    if p <= 0:
+        return Classification.RESOLVED
+    if p >= 2 and q >= 2:
+        return Classification.CUSP_SINGULAR
+    if p >= 2:  # q == 1, tangent to the c2-axis
+        return Classification.TANGENTIAL_CROSSING if exc_g >= 1 else Classification.RESOLVED
+    if q >= 2:  # p == 1, tangent to the c1-axis
+        return Classification.TANGENTIAL_CROSSING if exc_f >= 1 else Classification.RESOLVED
+    if exc_f >= 1 and exc_g >= 1:
+        return Classification.TRIPLE_POINT
+    return Classification.RESOLVED
+
+
+def _step(row: Row) -> ResolutionStep:
+    first, second = _children(row)
+    return ResolutionStep(
+        _state(row),
+        _kind(row),
+        ((_state(first), _kind(first)), (_state(second), _kind(second))),
+    )
+
+
+def _chart_rows(trace: ResolutionTrace) -> Iterator[Row]:
+    """The root chart's row, then both children of every row, in order."""
+    yield trace.rows[0]
+    for row in trace.rows:
+        yield from _children(row)
+
+
 def blow_up(c: ChartState) -> tuple[ChartState, ChartState]:
     """Blow up the chart origin; returns the two covering charts.
 
-    With coordinates (c1, c2) and curve sign * c1^A c2^B (c1^s - c2^t),
-    the first chart is (c1, c2/c1).  The second, (c2, c1/c2), is the same
-    construction for the same curve written as
-    -sign * c2^B c1^A (c2^t - c1^s), so it flips the tracked sign.  Charts
-    whose curve misses the origin have nothing to blow up and are rejected.
+    The first chart is (c1, c2/c1) and the second (c2, c1/c2), with the
+    sign flipped (see ``_children``).  Charts whose curve misses the
+    origin have nothing to blow up and are rejected.
     """
     if not isinstance(c.proper, ThroughOrigin):
         raise ValueError("chart curve misses the origin; nothing to blow up")
-    f, g = c.basis.f, c.basis.g
-    A, B = c.exc_f, c.exc_g
-    s, t = c.proper.s, c.proper.t
-    return _chart(f, g, A, B, s, t, c.sign), _chart(g, f, B, A, t, s, -c.sign)
-
-
-def _chart(c1: Monomial, c2: Monomial, A: int, B: int, s: int, t: int, sign: int) -> ChartState:
-    """The (c1, w = c2/c1) chart of the curve sign * c1^A c2^B (c1^s - c2^t).
-
-    Substituting c2 = c1*w leaves sign * c1^(A+B+min(s,t)) w^B times
-    c1^(s-t) - w^t when s > t, else 1 - c1^(t-s) w^t (1 - w if s = t = 1).
-    """
-    proper = ThroughOrigin(s - t, t) if s > t else MissesOrigin(t - s, t)
-    return ChartState(ChartBasis(c1, c2 / c1), A + B + min(s, t), B, proper, sign)
+    first, second = _children(_row(c))
+    return _state(first), _state(second)
 
 
 def classify(c: ChartState) -> Classification:
-    """Origin-local classification of the total transform in one chart.
-
-    A curve missing the origin leaves only exceptional axes there, which
-    cross normally.  A binomial c1^s - c2^t is a cusp when both exponents
-    are at least 2; with s >= 2, t = 1 it is smooth but tangent to the
-    c2 = 0 axis, a non-normal crossing whenever that axis is a component;
-    and with s = t = 1 it is a line through the origin, a triple point
-    when both axes are components.
-    """
-    p = c.proper
-    if isinstance(p, MissesOrigin):
-        return Classification.RESOLVED
-    if p.s >= 2 and p.t >= 2:
-        return Classification.CUSP_SINGULAR
-    if p.s >= 2:  # t == 1, tangent to the c2-axis
-        return (
-            Classification.TANGENTIAL_CROSSING if c.exc_g >= 1 else Classification.RESOLVED
-        )
-    if p.t >= 2:  # s == 1, tangent to the c1-axis
-        return (
-            Classification.TANGENTIAL_CROSSING if c.exc_f >= 1 else Classification.RESOLVED
-        )
-    if c.exc_f >= 1 and c.exc_g >= 1:
-        return Classification.TRIPLE_POINT
-    return Classification.RESOLVED
+    """Origin-local classification of the total transform in one chart (see ``_kind``)."""
+    return _kind(_row(c))
 
 
 def resolve(a: int, b: int) -> ResolutionTrace:
     """Blow up the unique bad chart until every chart is resolved.
 
-    Asserts at every step that at most one child is unresolved; the walk
-    of bad charts is therefore a path, and its length is the digit sum of
-    the continued fraction of a/b.
+    Each step reads only the blown-up chart's own row: its children and
+    their classifications.  Asserts at every step that at most one child
+    is unresolved; the walk of bad charts is therefore a path, and its
+    length is the digit sum of the continued fraction of a/b.
     """
-    chart = initial_chart(a, b)
-    steps: list[ResolutionStep] = []
+    row = _row(initial_chart(a, b))
+    rows = []
+    resolved = Classification.RESOLVED
     while True:
-        cls = classify(chart)
-        first, second = blow_up(chart)
-        k1, k2 = classify(first), classify(second)
-        steps.append(ResolutionStep(chart, cls, ((first, k1), (second, k2))))
-        unresolved = [
-            child
-            for child, kind in ((first, k1), (second, k2))
-            if kind is not Classification.RESOLVED
-        ]
-        if len(unresolved) > 1:
-            raise ResolutionInvariantError(
-                f"step {len(steps)} of ({a}, {b}) produced two unresolved charts"
-            )
-        if not unresolved:
-            return ResolutionTrace(int(a), int(b), tuple(steps))
-        chart = unresolved[0]
+        rows.append(row)
+        first, second = _children(row)
+        if _kind(first) is not resolved:
+            if _kind(second) is not resolved:
+                raise ResolutionInvariantError(
+                    f"step {len(rows)} of ({a}, {b}) produced two unresolved charts"
+                )
+            row = first
+        elif _kind(second) is not resolved:
+            row = second
+        else:
+            return ResolutionTrace(int(a), int(b), tuple(rows))
 
 
 def bad_vertex_path(trace: ResolutionTrace) -> PositivePath:
     """Bases of the blown-up charts, in order, as tree vertices."""
-    return PositivePath(tuple(step.chart.basis for step in trace.steps), complete=True)
+    return PositivePath(
+        tuple(ChartBasis(Monomial(r[0], r[1]), Monomial(r[2], r[3])) for r in trace.rows),
+        complete=True,
+    )
 
 
 def theorem_report(trace: ResolutionTrace, val_path: PositivePath) -> TheoremReport:
@@ -286,13 +375,21 @@ def theorem_report(trace: ResolutionTrace, val_path: PositivePath) -> TheoremRep
     the trace's (a, b); it must be complete to count as equal.  Vertices
     are compared as unordered generator pairs.
     """
-    res_path = bad_vertex_path(trace)
     equal = (
         val_path.complete
-        and len(res_path) == len(val_path)
-        and all(u == v for u, v in zip(res_path, val_path))
+        and len(trace.rows) == len(val_path)
+        and all(map(_is_vertex, trace.rows, val_path))
     )
-    return TheoremReport(trace.a, trace.b, res_path, val_path, equal)
+    return TheoremReport(trace.a, trace.b, trace, val_path, equal)
+
+
+def _is_vertex(row: Row, v: ChartBasis) -> bool:
+    """Whether a row's basis is the vertex v, generators in either order."""
+    fx, fy, gx, gy = row[:4]
+    f, g = v.f, v.g
+    return (fx == f.ex and fy == f.ey and gx == g.ex and gy == g.ey) or (
+        fx == g.ex and fy == g.ey and gx == f.ex and gy == f.ey
+    )
 
 
 def check_theorem(a: int, b: int) -> TheoremReport:
@@ -307,6 +404,23 @@ def check_theorem(a: int, b: int) -> TheoremReport:
     return theorem_report(trace, positive_path(nu, max_steps=a + b))
 
 
+def _expand(row: Row) -> LaurentPolynomial:
+    """A row's curve multiplied out into x, y coordinates, in one pass.
+
+    Through the origin the curve is sign * (f^(A+p) g^B - f^A g^(B+q));
+    missing it, sign * (f^A g^B - f^(A-p) g^(B+q)).  A unimodular basis
+    sends distinct exponent pairs to distinct monomials, so the two terms
+    never merge.
+    """
+    fx, fy, gx, gy, A, B, p, q, sign = row
+    i, j = (A + p, A) if p > 0 else (A, A - p)  # powers of f in the two terms
+    k = B + q
+    return _from_terms({
+        Monomial(fx * i + gx * B, fy * i + gy * B): sign,
+        Monomial(fx * j + gx * k, fy * j + gy * k): -sign,
+    })
+
+
 def expand_chart(c: ChartState) -> LaurentPolynomial:
     """Multiply a chart's factors back out into x, y coordinates.
 
@@ -314,19 +428,13 @@ def expand_chart(c: ChartState) -> LaurentPolynomial:
     x^b - y^a this equals x^b - y^a exactly (the tracked sign absorbs the
     sign changes of the refactoring steps).
     """
-    f, g = c.basis.f, c.basis.g
-    content = f ** c.exc_f * g ** c.exc_g
-    if isinstance(c.proper, ThroughOrigin):
-        body = LaurentPolynomial({f ** c.proper.s: 1, g ** c.proper.t: -1})
-    else:
-        body = LaurentPolynomial({UNIT: 1, f ** c.proper.f_exp * g ** c.proper.g_exp: -1})
-    return body.shift(content) * c.sign
+    return _expand(_row(c))
 
 
 def verify_reconstruction(trace: ResolutionTrace) -> bool:
     """True when every chart of the trace expands to x^b - y^a exactly."""
     curve = cusp_polynomial(trace.a, trace.b)
-    return all(expand_chart(c) == curve for c in trace.all_charts())
+    return all(_expand(row) == curve for row in _chart_rows(trace))
 
 
 def chart_agrees_with_lattice(c: ChartState, a: int, b: int) -> bool:

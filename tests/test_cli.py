@@ -5,6 +5,7 @@ import pytest
 
 from monoval import cli
 from monoval.exactnum import IndecisiveComparisonError, sqrt2_stream
+from monoval.resolution import ThroughOrigin, resolve
 from monoval.valtree import positive_path
 from monoval.valuation import MonomialValuation
 
@@ -220,3 +221,43 @@ def test_path_past_the_int_str_limit_fails_before_output(capsys):
         f"error: vertex {first} of the path has an exponent longer than 640 digits,"
         " the interpreter's limit for printing an integer\n"
     )
+
+
+def test_resolve_past_the_int_str_limit_fails_before_output(capsys):
+    # A Fibonacci pair of 400 digits: exponents stay below 640 digits while
+    # the exceptional multiplicities pass it.  The first blow-up that prints
+    # a longer integer is found with str() under the default limit.
+    a, b = 1, 1
+    while len(str(a)) < 400:
+        a, b = a + b, a
+    trace = resolve(a, b)
+
+    def ints(c):
+        p = c.proper
+        powers = (p.s, p.t) if isinstance(p, ThroughOrigin) else (p.f_exp, p.g_exp)
+        return (c.basis.f.ex, c.basis.f.ey, c.basis.g.ex, c.basis.g.ey, c.exc_f, c.exc_g, *powers)
+
+    first = next(
+        i
+        for i, step in enumerate(trace.steps)
+        if any(len(str(abs(n))) > 640
+               for c in (step.chart, *(child for child, _ in step.children)) for n in ints(c))
+    )
+    message = (
+        f"error: blow-up {first + 1} of the resolution prints an integer longer than 640"
+        " digits, the interpreter's limit for printing an integer\n"
+    )
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        results = {
+            fmt: run(capsys, "resolve", str(a), str(b), *fmt)
+            for fmt in (("--format", "json"), ("--trace",), ("--format", "dot"), ())
+        }
+    finally:
+        sys.set_int_max_str_digits(old)
+    for fmt in (("--format", "json"), ("--trace",)):
+        assert results[fmt] == (1, "", message)
+    for fmt in (("--format", "dot"), ()):
+        code, out, err = results[fmt]
+        assert code == 0 and err == "" and out

@@ -26,6 +26,7 @@ from monoval.valtree import (
 )
 from monoval.valuation import MonomialValuation
 from monoval.verify import run_verify
+from oracles import coprime_pairs
 
 
 def test_cf_json():
@@ -214,24 +215,6 @@ def assert_pair_matches_references(a, b):
         assert format_trace_text(trace, show_steps) == reference_trace_text(trace, show_steps)
     path = positive_path(MonomialValuation.rational(a, b), max_steps=a + b)
     assert_path_matches_references(path)
-
-
-def coprime_pairs(max_value: int):
-    """Coprime a > b > 1 up to ``max_value``: the last fitting convergent of drawn digits."""
-
-    def fold(digits):
-        h, h1, k, k1 = 1, 0, 0, 1
-        for d in digits:
-            if d * h + h1 > max_value:
-                break
-            h, h1, k, k1 = d * h + h1, h, d * k + k1, k
-        return h, k
-
-    return (
-        st.lists(st.integers(1, 20), min_size=len(str(max_value)), max_size=80)
-        .map(fold)
-        .filter(lambda pair: pair[1] > 1)
-    )
 
 
 @settings(max_examples=40, deadline=None)

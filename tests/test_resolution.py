@@ -1,12 +1,18 @@
+import gc
+import random
 from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import oracles
+from monoval import resolution
 from monoval.laurent import ChartBasis, Monomial, X, Y
 from monoval.resolution import (
     ChartState,
     Classification,
     MissesOrigin,
+    ResolutionInvariantError,
     ThroughOrigin,
     bad_vertex_path,
     blow_up,
@@ -19,9 +25,11 @@ from monoval.resolution import (
     is_smooth_component,
     off_origin_crossing_report,
     resolve,
+    theorem_report,
     verify_reconstruction,
 )
-from monoval.valtree import ROOT, TreeVertex
+from monoval.valtree import ROOT, PositivePath, TreeVertex, children, positive_path
+from monoval.valuation import MonomialValuation
 
 RESOLVED = Classification.RESOLVED
 CUSP = Classification.CUSP_SINGULAR
@@ -240,7 +248,161 @@ def test_chart_equality_keeps_generator_order():
 
 
 def test_bad_charts_are_the_path_vertices():
-    # the bad-chart path holds the charts' own bases, in order
+    # the bad-chart path holds the charts' bases, generators in their order
     trace = resolve(24, 7)
     path = bad_vertex_path(trace)
-    assert all(v is step.chart.basis for v, step in zip(path, trace.steps))
+    assert len(path) == len(trace.steps)
+    for v, step in zip(path, trace.steps):
+        assert type(v) is ChartBasis
+        assert (v.f, v.g) == (step.chart.basis.f, step.chart.basis.g)
+
+
+def test_theorem_report_compares_rows_with_vertices_as_unordered_pairs():
+    trace = resolve(24, 7)
+    path = positive_path(MonomialValuation.rational(24, 7), max_steps=31)
+    report = theorem_report(trace, path)
+    assert report.equal and report.resolution_path == bad_vertex_path(trace)
+    swapped = PositivePath(tuple(ChartBasis(v.g, v.f) for v in path), complete=True)
+    assert theorem_report(trace, swapped).equal
+    sibling = next(v for v in children(path.vertices[-2]) if v != path.vertices[-1])
+    moved = PositivePath(path.vertices[:-1] + (sibling,), complete=True)
+    assert not theorem_report(trace, moved).equal
+    assert not theorem_report(trace, PositivePath(path.vertices, complete=False)).equal
+
+
+# ------------------------------------------ integer rows against the oracles
+
+
+def chart_row(c: ChartState) -> tuple:
+    return (c.basis.f.ex, c.basis.f.ey, c.basis.g.ex, c.basis.g.ey,
+            c.exc_f, c.exc_g, c.proper.s, c.proper.t, c.sign)
+
+
+def assert_trace_equals_oracle(a, b):
+    trace = resolve(a, b)
+    expected = oracles.resolve_steps(a, b)
+    assert trace.rows == tuple(chart_row(step.chart) for step in expected)
+    assert list(trace.steps) == expected
+    assert trace.blow_up_count == len(expected)
+
+
+def test_rows_and_steps_equal_the_oracle_for_a_below_120():
+    for a in range(3, 120):
+        for b in range(2, a):
+            if gcd(a, b) == 1:
+                assert_trace_equals_oracle(a, b)
+
+
+@settings(max_examples=30, deadline=None)
+@given(oracles.coprime_pairs(10**40))
+def test_rows_and_steps_equal_the_oracle_up_to_10_40(pair):
+    assert_trace_equals_oracle(*pair)
+
+
+@settings(max_examples=30, deadline=None)
+@given(oracles.coprime_pairs(10**40))
+def test_fused_expansion_equals_the_oracle_chart_by_chart(pair):
+    a, b = pair
+    curve = cusp_polynomial(a, b)
+    for c in resolve(a, b).all_charts():
+        assert expand_chart(c) == oracles.expand_chart(c) == curve
+
+
+@st.composite
+def charts(draw):
+    """Any chart: a tree vertex as basis, generators in either order, any curve."""
+    v = ROOT
+    for side in draw(st.lists(st.integers(0, 1), max_size=30)):
+        v = children(v)[side]
+    f, g = (v.g, v.f) if draw(st.booleans()) else (v.f, v.g)
+    if draw(st.booleans()):
+        s, t = draw(st.integers(1, 50)), draw(st.integers(1, 50))
+        proper = ThroughOrigin(s // gcd(s, t), t // gcd(s, t))
+    else:
+        k, l = draw(st.integers(0, 50)), draw(st.integers(0, 50))
+        proper = MissesOrigin(k, l) if k or l else MissesOrigin(0, 1)
+    exc_f, exc_g = draw(st.integers(0, 10**30)), draw(st.integers(0, 10**30))
+    return ChartState(ChartBasis(f, g), exc_f, exc_g, proper, draw(st.sampled_from((1, -1))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(charts())
+def test_chart_rules_equal_the_oracle_on_any_chart(c):
+    assert expand_chart(c) == oracles.expand_chart(c)
+    assert classify(c) is oracles.chart_classify(c)
+    if isinstance(c.proper, ThroughOrigin):
+        assert blow_up(c) == oracles.chart_blow_up(c)
+
+
+def test_a_rule_leaving_two_unresolved_children_raises(monkeypatch):
+    monkeypatch.setattr(resolution, "_kind", lambda row: Classification.CUSP_SINGULAR)
+    with pytest.raises(ResolutionInvariantError, match=r"step 1 of \(24, 7\)"):
+        resolve(24, 7)
+
+
+def test_reconstruction_expands_the_root_and_both_children_of_every_row(monkeypatch):
+    expanded = []
+    real = resolution._expand
+
+    def counting(row):
+        expanded.append(row)
+        return real(row)
+
+    monkeypatch.setattr(resolution, "_expand", counting)
+    for a, b in [(3, 2), (24, 7), (377, 233), (20001, 20000)]:
+        expanded.clear()
+        trace = resolve(a, b)
+        assert verify_reconstruction(trace)
+        assert len(expanded) == 2 * trace.blow_up_count + 1
+
+
+def test_rows_are_exact_int_tuples_the_collector_stops_tracking():
+    trace = resolve(377, 233)
+    gc.collect()
+    assert all(type(row) is tuple and len(row) == 9 for row in trace.rows)
+    assert all(type(n) is int for row in trace.rows for n in row)
+    assert not any(gc.is_tracked(row) for row in trace.rows)
+
+
+def test_steps_are_built_on_access():
+    trace = resolve(24, 7)
+    steps = trace.steps
+    assert len(steps) == trace.blow_up_count == 8
+    assert steps[-1] == steps[7] and steps[0] == next(iter(steps))
+    assert steps[2:4] == (steps[2], steps[3])
+    assert steps[0] is not steps[0]  # each read builds a fresh step
+    with pytest.raises(IndexError):
+        steps[8]
+
+
+@settings(max_examples=60, deadline=None)
+@given(oracles.coprime_pairs(10**40))
+def test_multiplicity_never_shrinks_down_the_bad_chart_path(pair):
+    # A child's multiplicity exc_f + exc_g + min(s, t) is the largest of its
+    # blow-up; the CLI's check for integers too long to print looks only at
+    # the last blow-up.
+    largest = 0
+    for step in resolve(*pair).steps:
+        here = max(n for child, _ in step.children for n in (child.exc_f, child.exc_g))
+        assert here >= max(step.chart.exc_f, step.chart.exc_g)
+        assert here >= largest
+        largest = here
+
+
+@pytest.mark.parametrize("pair", [(24, 7), (377, 233), "random"])
+def test_every_chart_expands_to_the_curve_in_sympy(pair):
+    sympy = pytest.importorskip("sympy")
+    if pair == "random":
+        rng = random.Random(6)
+        pair = oracles.last_convergent([rng.randint(1, 20) for _ in range(40)], 10**6 - 1)
+    a, b = pair
+    x, y = sympy.symbols("x y")
+    curve = x**b - y**a
+    for c in resolve(a, b).all_charts():
+        f = x**c.basis.f.ex * y**c.basis.f.ey
+        g = x**c.basis.g.ex * y**c.basis.g.ey
+        if isinstance(c.proper, ThroughOrigin):
+            proper = f**c.proper.s - g**c.proper.t
+        else:
+            proper = 1 - f**c.proper.f_exp * g**c.proper.g_exp
+        assert sympy.expand(c.sign * f**c.exc_f * g**c.exc_g * proper - curve) == 0

@@ -14,11 +14,10 @@ def test_sweep_catches_a_flipped_chart_sign(monkeypatch):
         trace = real_resolve(a, b)
         if (a, b) != (7, 5):
             return trace
-        step = trace.steps[1]
-        (first, k1), second = step.children
-        bad_step = replace(step, children=((replace(first, sign=-first.sign), k1), second))
-        steps = trace.steps[:1] + (bad_step,) + trace.steps[2:]
-        return replace(trace, steps=steps)
+        # Flip the sign of row 1: both its children then expand to -(x^5 - y^7).
+        row = trace.rows[1]
+        rows = trace.rows[:1] + (row[:-1] + (-row[-1],),) + trace.rows[2:]
+        return replace(trace, rows=rows)
 
     monkeypatch.setattr(verify, "resolve", resolve_with_bad_chart)
     report = run_verify(12)
