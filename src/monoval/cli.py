@@ -19,11 +19,12 @@ from .emit import (
     format_path_text,
     format_trace_text,
     format_verify_text,
+    trace_integers,
 )
 from .exactnum import CFStream, IndecisiveComparisonError, cf_expand, sqrt2_stream
 from .expr import ExpressionError, parse_rational_function
 from .laurent import ZeroPolynomialError
-from .resolution import _children, resolve
+from .resolution import resolve
 from .valring import ring_generators
 from .valtree import positive_path
 from .valuation import MonomialValuation
@@ -175,25 +176,10 @@ def _cmd_member(args) -> tuple[str, int]:
 
 def _cmd_resolve(args) -> tuple[str, int]:
     trace = resolve(args.a, args.b)
-    # Besides a and b, every format prints the blown-up charts' bases.  JSON,
-    # DOT and --trace print their children's bases too, which add g/f and
-    # its inverse; JSON and --trace print the children's multiplicity, the
-    # largest of a blow-up.  The powers s, t never exceed a.
-    steps = args.format == "text" and args.trace
-    children = args.format != "text" or steps
-    multiplicity = args.format == "json" or steps
-
-    def printed(row) -> tuple:
-        first, _ = _children(row)  # (f, g/f, multiplicity, ...)
-        ints = row[:4]
-        if children:
-            ints += first[2:4]
-        if multiplicity:
-            ints += first[4:5]
-        return ints
-
     _check_printable(
-        trace.rows, printed, lambda i: f"blow-up {i + 1} of the resolution prints an integer"
+        trace.blow_ups,
+        lambda u: trace_integers(u, args.format, args.trace),
+        lambda i: f"blow-up {i + 1} of the resolution prints an integer",
     )
     if args.format == "json":
         return emit_json(trace), 0

@@ -14,11 +14,13 @@ outputs that run to tens of megabytes, are written through fixed
 names go through ``encode_basestring_ascii``, the escaper ``json.dumps``
 itself uses.  Every other object goes through ``json.dumps``.
 
-The trace emitters (JSON, DOT and text) read a trace's integer rows, not
-its ``ResolutionStep`` objects.  Row k + 1 is a child of row k, so each
-blow-up brings only two new monomials, g/f and f/g, and two new numbers,
-the children's multiplicity and |s - t|; ``_blow_ups`` names those and
-carries every other name down the bad-chart path.  Exponents of a wide
+The trace emitters (JSON, DOT and text) read a trace's ``BlowUp`` views
+of its integer rows, not its ``ResolutionStep`` objects.  The chart blown
+up next is a child of the last, so each blow-up brings only two new
+monomials, g/f and f/g, and two new numbers, the children's multiplicity
+and |s - t|; ``_blow_ups`` names those and carries every other name down
+the bad-chart path.  ``trace_integers`` says which integers each format
+prints, so a caller can check them before any output.  Exponents of a wide
 pair run to hundreds of digits, and ``str`` of an int takes time
 quadratic in its length.  Consecutive path vertices share generators, so
 the path emitters name each monomial once per output, in a memo local to
@@ -35,6 +37,7 @@ from json.encoder import encode_basestring_ascii
 from .exactnum import CFExpansion
 from .laurent import ChartBasis, Monomial
 from .resolution import (
+    BlowUp,
     ChartState,
     Classification,
     ResolutionTrace,
@@ -75,31 +78,49 @@ def _json_name(mono: Monomial) -> str:
 
 
 def _blow_ups(trace: ResolutionTrace, name, number):
-    """Per blow-up of a trace, what its emitters print, each made once.
+    """Per blow-up of a trace, its chart and children as printed, each name made once.
 
-    Yields ``name`` of the monomials f, g, g/f and f/g; ``number`` of
-    exc_f, exc_g, the children's multiplicity e = exc_f + exc_g + min(s, t),
-    s, t and d = |s - t|; whether the first child's curve (c1^d - (g/f)^t
-    if s > t, else 1 - c1^d (g/f)^t) and the second's (the same with f, g
-    and s, t swapped) pass through their origins; the sign, which the
-    second child negates; and the classifications of the chart and its
-    children.  An emitter that prints no numbers passes ``int``, which
-    leaves them as they are: ``str`` of one may pass the interpreter's
-    limit for printing an integer.
+    Yields the chart's fields (f, g, exc_f, exc_g, s, t) as ``name`` of
+    the monomials and ``number`` of the integers; each child's fields in
+    the same order (see ``BlowUp``), the power of its proper transform's
+    first coordinate being |s - t|; whether each child's curve passes
+    through its origin; the chart's sign, which the second child negates;
+    and the classifications of the chart and its children.  The next
+    chart is a child, so it keeps that child's names, and each blow-up
+    names only g/f, f/g, the children's multiplicity e and |s - t|.  An
+    emitter that prints no numbers passes ``int``, which leaves them as
+    they are: ``str`` of one may pass the interpreter's limit for
+    printing an integer.
     """
-    fx, fy, gx, gy, exc_f, exc_g, s, t, _ = trace.rows[0]
-    f, g = name(Monomial(fx, fy)), name(Monomial(gx, gy))
-    a, b, s_, t_ = number(exc_f), number(exc_g), number(s), number(t)
-    resolved = Classification.RESOLVED
-    for row, kind, first, k1, _, k2 in trace.blow_ups():
-        fx, fy, gx, gy, _, _, s, t, sign = row
-        gf, fg = name(Monomial(gx - fx, gy - fy)), name(Monomial(fx - gx, fy - gy))
-        e, d = number(first[4]), number(abs(s - t))
-        yield f, g, gf, fg, a, b, e, s_, t_, d, s > t, t > s, sign, kind, k1, k2
-        if k1 is not resolved:  # row k + 1 is (f, g/f, e, exc_g, s - t, t)
-            g, a, s_ = gf, e, d
-        else:  # row k + 1 is (g, f/g, e, exc_f, t - s, s)
-            f, g, a, b, s_, t_ = g, fg, e, a, d, s_
+    blow_ups = trace.blow_ups
+    u = blow_ups[0]
+    chart = (name(u.f), name(u.g), number(u.exc_f), number(u.exc_g), number(u.s), number(u.t))
+    for u in blow_ups:
+        f, g, a, b, s, t = chart
+        p, q = u.s, u.t
+        e, d = number(u.e), number(abs(p - q))
+        children = ((f, name(u.g_over_f), e, b, d, t), (g, name(u.f_over_g), e, a, d, s))
+        yield chart, children, (p > q, q > p), u.sign, u.kind, u.kinds
+        if u.bad is not None:
+            chart = children[u.bad]
+
+
+def trace_integers(u: BlowUp, fmt: str, show_steps: bool = False) -> tuple[int, ...]:
+    """The integers that a trace's output in ``fmt`` prints for one blow-up, besides a and b.
+
+    Every format prints the blown-up chart's basis.  JSON, DOT and
+    ``show_steps`` text print its children's bases too, which add g/f and
+    its inverse, and JSON and ``show_steps`` text print the children's
+    multiplicity, the largest number of a blow-up.  The powers s, t never
+    exceed a.
+    """
+    ints = (u.fx, u.fy, u.gx, u.gy)
+    steps = fmt == "text" and show_steps
+    if fmt != "text" or steps:
+        ints += (u.gx - u.fx, u.gy - u.fy)
+    if fmt == "json" or steps:
+        ints += (u.e,)
+    return ints
 
 
 def _vertex_json(v: ChartBasis) -> dict:
@@ -247,12 +268,12 @@ def _trace_json(trace: ResolutionTrace) -> str:
     step_t = _STEP.format
     steps = [
         step_t(
-            f, g, a, b, s, t, _THROUGH, sign,
-            f, gf, e, b, d, t, _THROUGH if through1 else _MISSES, sign, _KIND[k1],
-            g, fg, e, a, d, s, _THROUGH if through2 else _MISSES, -sign, _KIND[k2],
+            *chart, _THROUGH, sign,
+            *first, _THROUGH if through1 else _MISSES, sign, _KIND[k1],
+            *second, _THROUGH if through2 else _MISSES, -sign, _KIND[k2],
             _KIND[kind],
         )
-        for f, g, gf, fg, a, b, e, s, t, d, through1, through2, sign, kind, k1, k2
+        for chart, (first, second), (through1, through2), sign, kind, (k1, k2)
         in _blow_ups(trace, _json_name, str)
     ]
     return _TRACE.format(trace.a, trace.b, _json_list(steps), trace.blow_up_count)
@@ -302,12 +323,12 @@ def _dot_trace(trace: ResolutionTrace) -> str:
     node_lines: list[str] = []
     edge_lines: list[str] = []
     resolved = Classification.RESOLVED
-    for i, (f, g, gf, fg, *_, kind, k1, k2) in enumerate(_blow_ups(trace, str, int)):
+    for i, (chart, children, _, _, kind, kinds) in enumerate(_blow_ups(trace, str, int)):
         if i == 0:
-            node_lines.append(f'  b0 [label="k[{f}, {g}]\\n({kind.value})", style=bold];')
+            node_lines.append(f'  b0 [label="k[{chart[0]}, {chart[1]}]\\n({kind.value})", style=bold];')
         side = 0
-        for basis, k in ((f"k[{f}, {gf}]", k1), (f"k[{g}, {fg}]", k2)):
-            label = f"{basis}\\n({k.value})"
+        for child, k in zip(children, kinds):
+            label = f"k[{child[0]}, {child[1]}]\\n({k.value})"
             if k is not resolved:
                 name = f"b{i + 1}"
                 node_lines.append(f'  {name} [label="{label}", style=bold];')
@@ -384,16 +405,16 @@ def format_trace_text(trace: ResolutionTrace, show_steps: bool = False) -> str:
         "bad charts:",
     ]
     steps = ["steps:"]
-    for i, (f, g, gf, fg, a, b, e, s, t, d, through1, through2, sign, kind, k1, k2) in (
-        enumerate(_blow_ups(trace, str, str if show_steps else int))
+    for i, (chart, children, through, sign, kind, kinds) in enumerate(
+        _blow_ups(trace, str, str if show_steps else int)
     ):
-        lines.append(f"  {i}: k[{f}, {g}] ({kind.value})")
+        basis = f"k[{chart[0]}, {chart[1]}]"
+        lines.append(f"  {i}: {basis} ({kind.value})")
         if show_steps:
-            steps.append(f"  blow-up {i + 1} at the origin of k[{f}, {g}]:")
-            steps.append(f"    k[{f}, {gf}]: {_chart_text(f, gf, e, b, d, t, through1, sign)}"
-                         f" [{k1.value}]")
-            steps.append(f"    k[{g}, {fg}]: {_chart_text(g, fg, e, a, d, s, through2, -sign)}"
-                         f" [{k2.value}]")
+            steps.append(f"  blow-up {i + 1} at the origin of {basis}:")
+            for child, through_, sign_, k in zip(children, through, (sign, -sign), kinds):
+                steps.append(f"    k[{child[0]}, {child[1]}]: {_chart_text(*child, through_, sign_)}"
+                             f" [{k.value}]")
     if show_steps:
         lines.extend(steps)
     return "\n".join(lines) + "\n"

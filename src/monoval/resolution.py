@@ -6,17 +6,20 @@ are the Laurent monomials c1 = f and c2 = g, and the curve in it is
 ``sign * c1^exc_f * c2^exc_g * proper``.  The proper transform is the
 binomial c1^p - c2^q through the chart origin when p > 0 (p, q coprime),
 and the unit-minus-monomial 1 - c1^-p c2^q that misses it when p <= 0.
-The blow-up rule (``_children``) and the classification rule (``_kind``)
-are written once, on rows; ``blow_up`` and ``classify`` apply them to a
-``ChartState``, the object view of a row.
+The blow-up rule (``_children``), the classification rule (``_kind``)
+and the expansion (``_expand``) are written once, on rows.  The public
+``blow_up``, ``classify`` and ``expand_chart`` take a row or a
+``ChartState``, the object view of a row, and apply them.
 
-``resolve`` keeps one row per blow-up, the chart blown up, so a trace is
-a tuple of int tuples, which CPython's cyclic collector stops tracking.
-``ResolutionTrace.steps`` builds the ``ResolutionStep`` of an index on
-access.  Exponents grow fast along a resolution, so nothing is expanded
-except in the reconstruction check, which multiplies each chart back out
-in one pass from its row (``_expand``) and must recover x^b - y^a on the
-nose.
+``resolve`` blows up rows with ``blow_up`` and keeps one row per blow-up,
+the chart blown up, so a trace is a tuple of int tuples, which CPython's
+cyclic collector stops tracking.  The rows stay private to this module:
+``ResolutionTrace.blow_ups`` reads each as a ``BlowUp``, with its
+children's new generators and multiplicity, and ``ResolutionTrace.steps``
+builds the ``ResolutionStep`` objects; both build an index on access.
+Exponents grow fast along a resolution, so nothing is expanded except in
+the reconstruction check, which multiplies each chart back out in one
+pass with ``expand_chart`` and must recover x^b - y^a on the nose.
 
 Blowing up a chart origin substitutes one coordinate for the product of
 the other two and refactors; the driver repeatedly blows up the unique
@@ -31,7 +34,7 @@ import enum
 from collections.abc import Sequence
 from dataclasses import dataclass
 from math import gcd
-from typing import Iterator, Union
+from typing import Callable, Iterator, NamedTuple, Optional, Union
 
 from .laurent import (
     IDENTITY_BASIS,
@@ -39,7 +42,6 @@ from .laurent import (
     LaurentPolynomial,
     Monomial,
     UNIT,
-    _from_terms,
     factor_monomial_content,
     rewrite_in_chart,
 )
@@ -138,6 +140,50 @@ class ResolutionStep:
 Row = tuple  # (f.ex, f.ey, g.ex, g.ey, exc_f, exc_g, p, q, sign); see the module docstring
 
 
+class BlowUp(NamedTuple):
+    """One blow-up of a trace, by name (``ResolutionTrace.blow_ups``).
+
+    The chart blown up has basis (f, g), f = x^fx y^fy and g = x^gx y^gy,
+    and curve sign * f^exc_f * g^exc_g * (f^s - g^t).  Its first child
+    has basis (f, g/f), multiplicities (e, exc_g), proper exponents
+    (s - t, t) and the sign; its second has basis (g, f/g),
+    multiplicities (e, exc_f), proper exponents (t - s, s) and the sign
+    negated.  A child's proper transform passes through its origin when
+    its first exponent is positive (see ``_children``).  ``bad`` is the
+    index of the child blown up next, or None after the last blow-up.
+    """
+
+    fx: int
+    fy: int
+    gx: int
+    gy: int
+    exc_f: int
+    exc_g: int
+    s: int
+    t: int
+    sign: int
+    kind: Classification
+    e: int
+    kinds: tuple[Classification, Classification]
+    bad: Optional[int]
+
+    @property
+    def f(self) -> Monomial:
+        return Monomial(self.fx, self.fy)
+
+    @property
+    def g(self) -> Monomial:
+        return Monomial(self.gx, self.gy)
+
+    @property
+    def g_over_f(self) -> Monomial:
+        return Monomial(self.gx - self.fx, self.gy - self.fy)
+
+    @property
+    def f_over_g(self) -> Monomial:
+        return Monomial(self.fx - self.gx, self.fy - self.gy)
+
+
 @dataclass(frozen=True)
 class ResolutionTrace:
     """The charts blown up along a resolution, one row each, in order.
@@ -151,43 +197,54 @@ class ResolutionTrace:
     rows: tuple[Row, ...]
 
     @property
-    def steps(self) -> _Steps:
-        """The ``ResolutionStep`` of every row, each built when it is read."""
-        return _Steps(self.rows)
+    def steps(self) -> _RowViews:
+        """The ``ResolutionStep`` of every row, each built when it is read.
+
+        Iterating builds every chart once (see ``_charts``).
+        """
+        return _RowViews(self.rows, _steps)
+
+    @property
+    def blow_ups(self) -> _RowViews:
+        """The ``BlowUp`` of every row, each built when it is read."""
+        return _RowViews(self.rows, _blow_ups)
 
     @property
     def blow_up_count(self) -> int:
         return len(self.rows)
 
-    def blow_ups(self) -> Iterator[tuple]:
-        """Per blow-up: its row and classification, then each child's row and classification."""
-        for row in self.rows:
-            first, second = _children(row)
-            yield row, _kind(row), first, _kind(first), second, _kind(second)
-
     def all_charts(self) -> list[ChartState]:
         """The root chart plus every child produced along the trace."""
-        return [_state(row) for row in _chart_rows(self)]
+        charts = []
+        for _, chart, _, c1, _, c2 in _charts(self.rows):
+            if not charts:
+                charts.append(chart)
+            charts += c1, c2
+        return charts
 
 
-class _Steps(Sequence):
-    """Read-only sequence of a trace's steps, built from its rows on access."""
+class _RowViews(Sequence):
+    """Read-only sequence of views of a trace's rows, built on access.
 
-    __slots__ = ("_rows",)
+    ``views(rows)`` yields the views of consecutive rows.
+    """
 
-    def __init__(self, rows: tuple[Row, ...]):
+    __slots__ = ("_rows", "_views")
+
+    def __init__(self, rows: tuple[Row, ...], views: Callable[[tuple[Row, ...]], Iterator]):
         self._rows = rows
+        self._views = views
 
     def __len__(self) -> int:
         return len(self._rows)
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return tuple(map(_step, self._rows[i]))
-        return _step(self._rows[i])
+            return tuple(self._views(self._rows[i]))
+        return next(self._views((self._rows[i],)))
 
-    def __iter__(self) -> Iterator[ResolutionStep]:
-        return map(_step, self._rows)
+    def __iter__(self) -> Iterator:
+        return self._views(self._rows)
 
 
 @dataclass(frozen=True)
@@ -196,13 +253,9 @@ class TheoremReport:
 
     a: int
     b: int
-    trace: ResolutionTrace
+    resolution_path: PositivePath
     valuation_path: PositivePath
     equal: bool
-
-    @property
-    def resolution_path(self) -> PositivePath:
-        return bad_vertex_path(self.trace)
 
 
 @dataclass(frozen=True)
@@ -243,7 +296,9 @@ def initial_chart(a: int, b: int) -> ChartState:
     )
 
 
-def _row(c: ChartState) -> Row:
+def _row(c: ChartState | Row) -> Row:
+    if c.__class__ is tuple:
+        return c
     f, g, proper = c.basis.f, c.basis.g, c.proper
     if isinstance(proper, ThroughOrigin):
         p, q = proper.s, proper.t
@@ -252,10 +307,12 @@ def _row(c: ChartState) -> Row:
     return (f.ex, f.ey, g.ex, g.ey, c.exc_f, c.exc_g, p, q, c.sign)
 
 
-def _state(row: Row) -> ChartState:
+def _state(row: Row, f: Optional[Monomial] = None) -> ChartState:
+    """The ``ChartState`` of a row; ``f``, when given, is its first generator."""
     fx, fy, gx, gy, exc_f, exc_g, p, q, sign = row
     proper = ThroughOrigin(p, q) if p > 0 else MissesOrigin(-p, q)
-    return ChartState(ChartBasis(Monomial(fx, fy), Monomial(gx, gy)), exc_f, exc_g, proper, sign)
+    basis = ChartBasis(Monomial(fx, fy) if f is None else f, Monomial(gx, gy))
+    return ChartState(basis, exc_f, exc_g, proper, sign)
 
 
 def _children(row: Row) -> tuple[Row, Row]:
@@ -300,13 +357,34 @@ def _kind(row: Row) -> Classification:
     return Classification.RESOLVED
 
 
-def _step(row: Row) -> ResolutionStep:
-    first, second = _children(row)
-    return ResolutionStep(
-        _state(row),
-        _kind(row),
-        ((_state(first), _kind(first)), (_state(second), _kind(second))),
-    )
+def _charts(rows: tuple[Row, ...]) -> Iterator[tuple]:
+    """Per row: the row, its ``ChartState`` and its children's rows and states.
+
+    Each chart is built once: a row's children share its generators, and
+    a row that is the previous row's child is that child's state.
+    """
+    first = second = c1 = c2 = None
+    for row in rows:
+        chart = c1 if row == first else c2 if row == second else _state(row)
+        first, second = _children(row)
+        c1, c2 = _state(first, chart.basis.f), _state(second, chart.basis.g)
+        yield row, chart, first, c1, second, c2
+
+
+def _steps(rows: tuple[Row, ...]) -> Iterator[ResolutionStep]:
+    """The ``ResolutionStep`` of each row."""
+    for row, chart, first, c1, second, c2 in _charts(rows):
+        yield ResolutionStep(chart, _kind(row), ((c1, _kind(first)), (c2, _kind(second))))
+
+
+def _blow_ups(rows: tuple[Row, ...]) -> Iterator[BlowUp]:
+    """The ``BlowUp`` of each row."""
+    resolved = Classification.RESOLVED
+    for row in rows:
+        first, second = _children(row)
+        k1, k2 = _kind(first), _kind(second)
+        bad = 0 if k1 is not resolved else 1 if k2 is not resolved else None
+        yield BlowUp._make(row + (_kind(row), first[4], (k1, k2), bad))
 
 
 def _chart_rows(trace: ResolutionTrace) -> Iterator[Row]:
@@ -316,20 +394,24 @@ def _chart_rows(trace: ResolutionTrace) -> Iterator[Row]:
         yield from _children(row)
 
 
-def blow_up(c: ChartState) -> tuple[ChartState, ChartState]:
+def blow_up(c: ChartState | Row) -> tuple[ChartState, ChartState] | tuple[Row, Row]:
     """Blow up the chart origin; returns the two covering charts.
 
     The first chart is (c1, c2/c1) and the second (c2, c1/c2), with the
-    sign flipped (see ``_children``).  Charts whose curve misses the
-    origin have nothing to blow up and are rejected.
+    sign flipped (see ``_children``).  Given a row, as ``resolve`` gives
+    it, returns rows.  Charts whose curve misses the origin have nothing
+    to blow up and are rejected.
     """
-    if not isinstance(c.proper, ThroughOrigin):
+    row = _row(c)
+    if row[6] <= 0:
         raise ValueError("chart curve misses the origin; nothing to blow up")
-    first, second = _children(_row(c))
-    return _state(first), _state(second)
+    if c is row:
+        return _children(row)
+    first, second = _children(row)
+    return _state(first, c.basis.f), _state(second, c.basis.g)
 
 
-def classify(c: ChartState) -> Classification:
+def classify(c: ChartState | Row) -> Classification:
     """Origin-local classification of the total transform in one chart (see ``_kind``)."""
     return _kind(_row(c))
 
@@ -347,7 +429,7 @@ def resolve(a: int, b: int) -> ResolutionTrace:
     resolved = Classification.RESOLVED
     while True:
         rows.append(row)
-        first, second = _children(row)
+        first, second = blow_up(row)
         if _kind(first) is not resolved:
             if _kind(second) is not resolved:
                 raise ResolutionInvariantError(
@@ -380,7 +462,7 @@ def theorem_report(trace: ResolutionTrace, val_path: PositivePath) -> TheoremRep
         and len(trace.rows) == len(val_path)
         and all(map(_is_vertex, trace.rows, val_path))
     )
-    return TheoremReport(trace.a, trace.b, trace, val_path, equal)
+    return TheoremReport(trace.a, trace.b, bad_vertex_path(trace), val_path, equal)
 
 
 def _is_vertex(row: Row, v: ChartBasis) -> bool:
@@ -415,13 +497,13 @@ def _expand(row: Row) -> LaurentPolynomial:
     fx, fy, gx, gy, A, B, p, q, sign = row
     i, j = (A + p, A) if p > 0 else (A, A - p)  # powers of f in the two terms
     k = B + q
-    return _from_terms({
+    return LaurentPolynomial({
         Monomial(fx * i + gx * B, fy * i + gy * B): sign,
         Monomial(fx * j + gx * k, fy * j + gy * k): -sign,
     })
 
 
-def expand_chart(c: ChartState) -> LaurentPolynomial:
+def expand_chart(c: ChartState | Row) -> LaurentPolynomial:
     """Multiply a chart's factors back out into x, y coordinates.
 
     The reconstruction invariant: for every chart of every trace of
@@ -434,7 +516,7 @@ def expand_chart(c: ChartState) -> LaurentPolynomial:
 def verify_reconstruction(trace: ResolutionTrace) -> bool:
     """True when every chart of the trace expands to x^b - y^a exactly."""
     curve = cusp_polynomial(trace.a, trace.b)
-    return all(_expand(row) == curve for row in _chart_rows(trace))
+    return all(expand_chart(row) == curve for row in _chart_rows(trace))
 
 
 def chart_agrees_with_lattice(c: ChartState, a: int, b: int) -> bool:

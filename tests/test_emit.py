@@ -1,4 +1,5 @@
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from monoval.emit import (
     format_path_text,
     format_trace_text,
     to_jsonable,
+    trace_integers,
 )
 from monoval.exactnum import CFStream, cf_expand, sqrt2_stream
 from monoval.laurent import X, Y, ChartBasis
@@ -267,3 +269,22 @@ def test_templates_match_references_on_an_empty_path():
     path = PositivePath((), complete=False)
     assert_path_matches_references(path)
     assert '"vertices": []' in emit_json(path)
+
+
+@settings(max_examples=15, deadline=None)
+@given(coprime_pairs(10**20))
+def test_trace_integers_hold_the_largest_integer_each_format_prints(pair):
+    # The CLI checks only these integers against the limit for printing one.
+    a, b = pair
+    trace = resolve(a, b)
+    outputs = {
+        ("json", False): emit_json(trace),
+        ("dot", False): emit_dot(trace),
+        ("text", False): format_trace_text(trace),
+        ("text", True): format_trace_text(trace, show_steps=True),
+    }
+    for (fmt, steps), out in outputs.items():
+        printed = max(map(int, re.findall(r"\d+", out)))
+        listed = max(abs(n) for u in trace.blow_ups for n in trace_integers(u, fmt, steps))
+        # DOT prints no a and b, only chart bases
+        assert printed == (listed if fmt == "dot" else max(listed, a, b)), (fmt, steps)

@@ -266,7 +266,9 @@ def test_theorem_report_compares_rows_with_vertices_as_unordered_pairs():
     assert theorem_report(trace, swapped).equal
     sibling = next(v for v in children(path.vertices[-2]) if v != path.vertices[-1])
     moved = PositivePath(path.vertices[:-1] + (sibling,), complete=True)
-    assert not theorem_report(trace, moved).equal
+    report = theorem_report(trace, moved)
+    assert not report.equal
+    assert report.resolution_path == bad_vertex_path(trace) != report.valuation_path
     assert not theorem_report(trace, PositivePath(path.vertices, complete=False)).equal
 
 
@@ -340,20 +342,62 @@ def test_a_rule_leaving_two_unresolved_children_raises(monkeypatch):
         resolve(24, 7)
 
 
+def counting(monkeypatch, name):
+    """Replace a public function of ``resolution`` by one that records its argument."""
+    calls = []
+    real = getattr(resolution, name)
+
+    def wrapper(c):
+        calls.append(c)
+        return real(c)
+
+    monkeypatch.setattr(resolution, name, wrapper)
+    return calls
+
+
 def test_reconstruction_expands_the_root_and_both_children_of_every_row(monkeypatch):
-    expanded = []
-    real = resolution._expand
-
-    def counting(row):
-        expanded.append(row)
-        return real(row)
-
-    monkeypatch.setattr(resolution, "_expand", counting)
+    expanded = counting(monkeypatch, "expand_chart")
     for a, b in [(3, 2), (24, 7), (377, 233), (20001, 20000)]:
         expanded.clear()
         trace = resolve(a, b)
         assert verify_reconstruction(trace)
         assert len(expanded) == 2 * trace.blow_up_count + 1
+
+
+def test_resolve_blows_up_each_row_with_the_public_blow_up(monkeypatch):
+    blown = counting(monkeypatch, "blow_up")
+    trace = resolve(377, 233)
+    assert tuple(blown) == trace.rows
+
+
+def test_public_rules_take_rows_and_charts_alike():
+    trace = resolve(24, 7)
+    for row, step in zip(trace.rows, trace.steps):
+        first, second = blow_up(row)
+        assert (resolution._state(first), resolution._state(second)) == blow_up(step.chart)
+        assert classify(row) is classify(step.chart) is step.classification
+        assert expand_chart(row) == expand_chart(step.chart) == cusp_polynomial(24, 7)
+    with pytest.raises(ValueError, match="misses the origin"):
+        blow_up(second)
+
+
+@settings(max_examples=30, deadline=None)
+@given(oracles.coprime_pairs(10**40))
+def test_blow_up_views_name_the_steps(pair):
+    trace = resolve(*pair)
+    views = trace.blow_ups
+    assert len(views) == trace.blow_up_count and views[-1] == list(views)[-1]
+    for u, step in zip(views, trace.steps):
+        (c1, k1), (c2, k2) = step.children
+        assert (u.f, u.g) == (step.chart.basis.f, step.chart.basis.g)
+        assert (u.exc_f, u.exc_g, u.sign) == (step.chart.exc_f, step.chart.exc_g, step.chart.sign)
+        assert (u.s, u.t) == (step.chart.proper.s, step.chart.proper.t)
+        assert (u.kind, u.kinds) == (step.classification, (k1, k2))
+        assert (c1.basis.f, c1.basis.g, c2.basis.f, c2.basis.g) == (u.f, u.g_over_f, u.g, u.f_over_g)
+        assert u.e == c1.exc_f == c2.exc_f
+        unresolved = [i for i, k in enumerate(u.kinds) if k is not Classification.RESOLVED]
+        assert u.bad == (unresolved[0] if unresolved else None)
+    assert views[-1].bad is None
 
 
 def test_rows_are_exact_int_tuples_the_collector_stops_tracking():
@@ -373,6 +417,16 @@ def test_steps_are_built_on_access():
     assert steps[0] is not steps[0]  # each read builds a fresh step
     with pytest.raises(IndexError):
         steps[8]
+
+
+def test_iterating_steps_builds_each_chart_once():
+    built = list(resolve(377, 233).steps)
+    for step, following in zip(built, built[1:]):
+        bad = [c for c, k in step.children if k is not Classification.RESOLVED]
+        assert following.chart is bad[0]
+    for step in built:
+        (c1, _), (c2, _) = step.children
+        assert c1.basis.f is step.chart.basis.f and c2.basis.f is step.chart.basis.g
 
 
 @settings(max_examples=60, deadline=None)
