@@ -58,6 +58,8 @@ from .valtree import (
     lex_valuation_from_tail,
     positive_child,
     positive_path,
+    take_path,
+    walk,
 )
 from .valring import (
     RingPresentation,

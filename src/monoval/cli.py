@@ -26,7 +26,7 @@ from .expr import ExpressionError, parse_rational_function
 from .laurent import ZeroPolynomialError
 from .resolution import resolve
 from .valring import ring_generators
-from .valtree import positive_path
+from .valtree import take_path, walk
 from .valuation import MonomialValuation
 from .verify import run_verify
 
@@ -99,12 +99,7 @@ def _cmd_path(args) -> tuple[str, int]:
         nu = MonomialValuation.rational(args.a, args.b)
         max_steps = args.max_steps if args.max_steps is not None else args.a + args.b
         heading = f"positive path for nu(x) = {args.a}, nu(y) = {args.b}:"
-    path = positive_path(nu, max_steps=max_steps)
-    _check_printable(
-        path.vertices,
-        lambda v: (v.f.ex, v.f.ey, v.g.ex, v.g.ey),
-        lambda i: f"vertex {i} of the path has an exponent",
-    )
+    path = take_path(_printable_vertices(walk(nu), max_steps), max_steps)
     if args.format == "json":
         return emit_json(path), 0
     if args.format == "dot":
@@ -112,27 +107,48 @@ def _cmd_path(args) -> tuple[str, int]:
     return format_path_text(path, heading), 0
 
 
+def _print_bound():
+    """The least |int| with more digits than ``str`` prints (10**cap), or None without a cap."""
+    limit = sys.get_int_max_str_digits()
+    return 10**limit if limit else None
+
+
+def _too_long(what: str) -> ValueError:
+    return ValueError(
+        f"{what} longer than {sys.get_int_max_str_digits()} digits,"
+        " the interpreter's limit for printing an integer"
+    )
+
+
+def _printable_vertices(vertices, count: int):
+    """A walk's vertices, refusing the first of the first ``count`` that ``str`` cannot print.
+
+    Exponents never shrink down a path, so the walk stops at the first
+    vertex with one too long, before any output.
+    """
+    b = _print_bound()
+    for i, v in enumerate(vertices):
+        f, g = v.f, v.g
+        if b and i < count and (abs(f.ex) >= b or abs(f.ey) >= b or abs(g.ex) >= b or abs(g.ey) >= b):
+            raise _too_long(f"vertex {i} of the path has an exponent")
+        yield v
+
+
 def _check_printable(items, ints, what) -> None:
     """Refuse output with an integer longer than ``str`` allows, before any output.
 
     ``ints(item)`` gives the integers printed for an item, and ``what(i)``
-    the start of the message naming item i.  An int has more digits than
-    the cap (0: none) when |e| >= 10**cap.  The integers printed only grow
-    down a path or a trace, so output whose last item fits fits everywhere.
+    the start of the message naming item i.  The integers printed only
+    grow down a trace, so output whose last item fits fits everywhere.
     """
-    limit = sys.get_int_max_str_digits()
-    bound = 10**limit
+    bound = _print_bound()
 
     def too_long(item) -> bool:
         return any(abs(e) >= bound for e in ints(item))
 
-    if not limit or not too_long(items[-1]):
+    if not bound or not too_long(items[-1]):
         return
-    first = next(i for i, item in enumerate(items) if too_long(item))
-    raise ValueError(
-        f"{what(first)} longer than {limit} digits,"
-        " the interpreter's limit for printing an integer"
-    )
+    raise _too_long(what(next(i for i, item in enumerate(items) if too_long(item))))
 
 
 def _cmd_ringgens(args) -> tuple[str, int]:

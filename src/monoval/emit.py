@@ -42,7 +42,6 @@ from .resolution import (
     Classification,
     ResolutionTrace,
     TheoremReport,
-    ThroughOrigin,
 )
 from .valring import RingPresentation
 from .valtree import CorrespondenceReport, PositivePath
@@ -128,18 +127,11 @@ def _vertex_json(v: ChartBasis) -> dict:
 
 
 def _chart_json(c: ChartState) -> dict:
-    if isinstance(c.proper, ThroughOrigin):
-        proper = {"kind": "through-origin", "f_power": c.proper.s, "g_power": c.proper.t}
-    else:
-        proper = {
-            "kind": "misses-origin",
-            "f_power": c.proper.f_exp,
-            "g_power": c.proper.g_exp,
-        }
+    kind = "through-origin" if c.p > 0 else "misses-origin"
     return {
         "basis": _vertex_json(c.basis),
         "exceptional": {"f": c.exc_f, "g": c.exc_g},
-        "proper": proper,
+        "proper": {"kind": kind, "f_power": abs(c.p), "g_power": c.q},
         "sign": c.sign,
     }
 
@@ -207,6 +199,8 @@ def to_jsonable(obj):
                 "detail": obj.first_failure.detail,
             },
         }
+    if isinstance(obj, ChartState):  # a tuple, but not a JSON list
+        return _chart_json(obj)
     if isinstance(obj, Fraction):
         return str(obj)
     if isinstance(obj, dict):
@@ -392,11 +386,8 @@ def _chart_text(f: str, g: str, exc_f: str, exc_g: str, p: str, q: str,
 
 def format_chart_text(c: ChartState) -> str:
     """One-line ``V(exceptional) + V(proper)`` decomposition of a chart."""
-    p = c.proper
-    through = isinstance(p, ThroughOrigin)
-    powers = (p.s, p.t) if through else (p.f_exp, p.g_exp)
     return _chart_text(str(c.basis.f), str(c.basis.g), str(c.exc_f), str(c.exc_g),
-                       *map(str, powers), through, c.sign)
+                       str(abs(c.p)), str(c.q), c.p > 0, c.sign)
 
 
 def format_trace_text(trace: ResolutionTrace, show_steps: bool = False) -> str:

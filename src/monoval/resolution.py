@@ -1,25 +1,24 @@
 """Blow-up resolution of the plane cusp x^b = y^a.
 
-A chart of the total transform is a *row* of nine exact integers,
-``(f.ex, f.ey, g.ex, g.ey, exc_f, exc_g, p, q, sign)``.  Its coordinates
-are the Laurent monomials c1 = f and c2 = g, and the curve in it is
+A chart of the total transform is nine exact integers,
+``(fx, fy, gx, gy, exc_f, exc_g, p, q, sign)``, and ``ChartState`` is the
+named tuple of them.  Its coordinates are the Laurent monomials
+c1 = f = x^fx y^fy and c2 = g = x^gx y^gy, and the curve in it is
 ``sign * c1^exc_f * c2^exc_g * proper``.  The proper transform is the
 binomial c1^p - c2^q through the chart origin when p > 0 (p, q coprime),
 and the unit-minus-monomial 1 - c1^-p c2^q that misses it when p <= 0.
-The blow-up rule (``_children``), the classification rule (``_kind``)
-and the expansion (``_expand``) are written once, on rows.  The public
-``blow_up``, ``classify`` and ``expand_chart`` take a row or a
-``ChartState``, the object view of a row, and apply them.
+The blow-up rule (``blow_up``), the classification rule (``classify``)
+and the expansion (``expand_chart``) read any tuple in that layout.
 
-``resolve`` blows up rows with ``blow_up`` and keeps one row per blow-up,
-the chart blown up, so a trace is a tuple of int tuples, which CPython's
-cyclic collector stops tracking.  The rows stay private to this module:
-``ResolutionTrace.blow_ups`` reads each as a ``BlowUp``, with its
-children's new generators and multiplicity, and ``ResolutionTrace.steps``
-builds the ``ResolutionStep`` objects; both build an index on access.
-Exponents grow fast along a resolution, so nothing is expanded except in
-the reconstruction check, which multiplies each chart back out in one
-pass with ``expand_chart`` and must recover x^b - y^a on the nose.
+``resolve`` blows up rows with ``blow_up`` and keeps one plain tuple per
+blow-up, the chart blown up, so a trace is a tuple of int tuples, which
+CPython's cyclic collector stops tracking.  ``ResolutionTrace.blow_ups``
+reads each row as a ``BlowUp``, with its children's new generators and
+multiplicity, and ``ResolutionTrace.steps`` names the charts of each
+``ResolutionStep``; both build an index on access.  Exponents grow fast
+along a resolution, so nothing is expanded except in the reconstruction
+check, which multiplies each chart back out in one pass with
+``expand_chart`` and must recover x^b - y^a on the nose.
 
 Blowing up a chart origin substitutes one coordinate for the product of
 the other two and refactors; the driver repeatedly blows up the unique
@@ -33,6 +32,7 @@ from __future__ import annotations
 import enum
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import partial
 from math import gcd
 from typing import Callable, Iterator, NamedTuple, Optional, Union
 
@@ -94,50 +94,70 @@ class Classification(enum.Enum):
     TRIPLE_POINT = "triple-point"
 
 
-@dataclass(frozen=True, eq=False)
-class ChartState:
-    """One affine chart of the total transform.
+class _Chart(NamedTuple):
+    """The nine ints of a chart (see ``ChartState``)."""
+
+    fx: int
+    fy: int
+    gx: int
+    gy: int
+    exc_f: int
+    exc_g: int
+    p: int
+    q: int
+    sign: int
+
+
+class ChartState(_Chart):
+    """One affine chart of the total transform, as its nine ints.
 
     The full curve in this chart is
     ``sign * c1^exc_f * c2^exc_g * proper(c1, c2)`` with c1 = basis.f and
     c2 = basis.g; expanded back into x and y it equals x^b - y^a exactly.
+    The constructor takes the chart's parts and checks them;
+    ``ChartState._make(row)`` names a row as it is.  Equality is the
+    tuple's, so generators are ordered: exc_f, exc_g and sign belong to
+    basis.f and basis.g.
     """
 
-    basis: ChartBasis
-    exc_f: int
-    exc_g: int
-    proper: Proper
-    sign: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.exc_f < 0 or self.exc_g < 0:
+    def __new__(cls, basis: ChartBasis, exc_f: int, exc_g: int, proper: Proper, sign: int):
+        if exc_f < 0 or exc_g < 0:
             raise ValueError("exceptional multiplicities are nonnegative")
-        if self.sign not in (1, -1):
+        if sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
+        f, g = basis.f, basis.g
+        if isinstance(proper, ThroughOrigin):
+            p, q = proper.s, proper.t
+        else:
+            p, q = -proper.f_exp, proper.g_exp
+        return tuple.__new__(cls, (f.ex, f.ey, g.ex, g.ey, exc_f, exc_g, p, q, sign))
 
-    # Ordered, unlike the basis: exc_f, exc_g and sign belong to basis.f, basis.g.
-    def _key(self) -> tuple:
-        return (self.basis.f, self.basis.g, self.exc_f, self.exc_g, self.proper, self.sign)
+    # copy and pickle rebuild from the ints, which the constructor does not take
+    def __reduce__(self):
+        return self._make, (tuple(self),)
 
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
+    @property
+    def basis(self) -> ChartBasis:
+        return ChartBasis(Monomial(self.fx, self.fy), Monomial(self.gx, self.gy))
 
-    def __hash__(self) -> int:
-        return hash(self._key())
+    @property
+    def proper(self) -> Proper:
+        p = self.p
+        return ThroughOrigin(p, self.q) if p > 0 else MissesOrigin(-p, self.q)
 
 
-@dataclass(frozen=True)
-class ResolutionStep:
+# ChartState._make without its length check: names a row as it is
+_named = partial(tuple.__new__, ChartState)
+
+
+class ResolutionStep(NamedTuple):
     """One blow-up: the chart blown up and its two classified children."""
 
     chart: ChartState
     classification: Classification
     children: tuple[tuple[ChartState, Classification], tuple[ChartState, Classification]]
-
-
-Row = tuple  # (f.ex, f.ey, g.ex, g.ey, exc_f, exc_g, p, q, sign); see the module docstring
 
 
 class BlowUp(NamedTuple):
@@ -188,26 +208,24 @@ class BlowUp(NamedTuple):
 class ResolutionTrace:
     """The charts blown up along a resolution, one row each, in order.
 
-    Row k + 1 is the unresolved child of row k, and both children of the
-    last row are resolved.
+    A row is a plain tuple in ``ChartState``'s layout.  Row k + 1 is the
+    unresolved child of row k, and both children of the last row are
+    resolved.
     """
 
     a: int
     b: int
-    rows: tuple[Row, ...]
+    rows: tuple[tuple[int, ...], ...]
 
     @property
     def steps(self) -> _RowViews:
-        """The ``ResolutionStep`` of every row, each built when it is read.
-
-        Iterating builds every chart once (see ``_charts``).
-        """
-        return _RowViews(self.rows, _steps)
+        """The ``ResolutionStep`` of every row, each built when it is read."""
+        return _RowViews(self.rows, _step_view)
 
     @property
     def blow_ups(self) -> _RowViews:
         """The ``BlowUp`` of every row, each built when it is read."""
-        return _RowViews(self.rows, _blow_ups)
+        return _RowViews(self.rows, _blow_up_view)
 
     @property
     def blow_up_count(self) -> int:
@@ -215,36 +233,28 @@ class ResolutionTrace:
 
     def all_charts(self) -> list[ChartState]:
         """The root chart plus every child produced along the trace."""
-        charts = []
-        for _, chart, _, c1, _, c2 in _charts(self.rows):
-            if not charts:
-                charts.append(chart)
-            charts += c1, c2
-        return charts
+        return list(map(_named, _chart_rows(self)))
 
 
 class _RowViews(Sequence):
-    """Read-only sequence of views of a trace's rows, built on access.
+    """Read-only sequence of ``view(row)`` over a trace's rows, built on access."""
 
-    ``views(rows)`` yields the views of consecutive rows.
-    """
+    __slots__ = ("_rows", "_view")
 
-    __slots__ = ("_rows", "_views")
-
-    def __init__(self, rows: tuple[Row, ...], views: Callable[[tuple[Row, ...]], Iterator]):
+    def __init__(self, rows: tuple[tuple[int, ...], ...], view: Callable[[tuple], object]):
         self._rows = rows
-        self._views = views
+        self._view = view
 
     def __len__(self) -> int:
         return len(self._rows)
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return tuple(self._views(self._rows[i]))
-        return next(self._views((self._rows[i],)))
+            return tuple(map(self._view, self._rows[i]))
+        return self._view(self._rows[i])
 
     def __iter__(self) -> Iterator:
-        return self._views(self._rows)
+        return map(self._view, self._rows)
 
 
 @dataclass(frozen=True)
@@ -296,27 +306,8 @@ def initial_chart(a: int, b: int) -> ChartState:
     )
 
 
-def _row(c: ChartState | Row) -> Row:
-    if c.__class__ is tuple:
-        return c
-    f, g, proper = c.basis.f, c.basis.g, c.proper
-    if isinstance(proper, ThroughOrigin):
-        p, q = proper.s, proper.t
-    else:
-        p, q = -proper.f_exp, proper.g_exp
-    return (f.ex, f.ey, g.ex, g.ey, c.exc_f, c.exc_g, p, q, c.sign)
-
-
-def _state(row: Row, f: Optional[Monomial] = None) -> ChartState:
-    """The ``ChartState`` of a row; ``f``, when given, is its first generator."""
-    fx, fy, gx, gy, exc_f, exc_g, p, q, sign = row
-    proper = ThroughOrigin(p, q) if p > 0 else MissesOrigin(-p, q)
-    basis = ChartBasis(Monomial(fx, fy) if f is None else f, Monomial(gx, gy))
-    return ChartState(basis, exc_f, exc_g, proper, sign)
-
-
-def _children(row: Row) -> tuple[Row, Row]:
-    """The two charts covering the blown-up origin of a through-origin row.
+def _children(row: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The rows of the two charts covering the blown-up origin of a through-origin row.
 
     With coordinates (c1, c2) and curve sign * c1^A c2^B (c1^s - c2^t),
     the first chart is (c1, w = c2/c1).  Substituting c2 = c1*w leaves
@@ -333,7 +324,7 @@ def _children(row: Row) -> tuple[Row, Row]:
     )
 
 
-def _kind(row: Row) -> Classification:
+def _kind(row: tuple[int, ...]) -> Classification:
     """Origin-local classification of the total transform in a row's chart.
 
     A curve missing the origin leaves only exceptional axes there, which
@@ -357,63 +348,48 @@ def _kind(row: Row) -> Classification:
     return Classification.RESOLVED
 
 
-def _charts(rows: tuple[Row, ...]) -> Iterator[tuple]:
-    """Per row: the row, its ``ChartState`` and its children's rows and states.
-
-    Each chart is built once: a row's children share its generators, and
-    a row that is the previous row's child is that child's state.
-    """
-    first = second = c1 = c2 = None
-    for row in rows:
-        chart = c1 if row == first else c2 if row == second else _state(row)
-        first, second = _children(row)
-        c1, c2 = _state(first, chart.basis.f), _state(second, chart.basis.g)
-        yield row, chart, first, c1, second, c2
+def _step_view(row: tuple[int, ...]) -> ResolutionStep:
+    """The ``ResolutionStep`` of a row."""
+    first, second = _children(row)
+    return ResolutionStep(
+        _named(row), _kind(row),
+        ((_named(first), _kind(first)), (_named(second), _kind(second))),
+    )
 
 
-def _steps(rows: tuple[Row, ...]) -> Iterator[ResolutionStep]:
-    """The ``ResolutionStep`` of each row."""
-    for row, chart, first, c1, second, c2 in _charts(rows):
-        yield ResolutionStep(chart, _kind(row), ((c1, _kind(first)), (c2, _kind(second))))
-
-
-def _blow_ups(rows: tuple[Row, ...]) -> Iterator[BlowUp]:
-    """The ``BlowUp`` of each row."""
+def _blow_up_view(row: tuple[int, ...]) -> BlowUp:
+    """The ``BlowUp`` of a row."""
     resolved = Classification.RESOLVED
-    for row in rows:
-        first, second = _children(row)
-        k1, k2 = _kind(first), _kind(second)
-        bad = 0 if k1 is not resolved else 1 if k2 is not resolved else None
-        yield BlowUp._make(row + (_kind(row), first[4], (k1, k2), bad))
+    first, second = _children(row)
+    k1, k2 = _kind(first), _kind(second)
+    bad = 0 if k1 is not resolved else 1 if k2 is not resolved else None
+    return BlowUp._make(row + (_kind(row), first[4], (k1, k2), bad))
 
 
-def _chart_rows(trace: ResolutionTrace) -> Iterator[Row]:
+def _chart_rows(trace: ResolutionTrace) -> Iterator[tuple[int, ...]]:
     """The root chart's row, then both children of every row, in order."""
     yield trace.rows[0]
     for row in trace.rows:
         yield from _children(row)
 
 
-def blow_up(c: ChartState | Row) -> tuple[ChartState, ChartState] | tuple[Row, Row]:
+def blow_up(c: ChartState) -> tuple[ChartState, ChartState]:
     """Blow up the chart origin; returns the two covering charts.
 
     The first chart is (c1, c2/c1) and the second (c2, c1/c2), with the
-    sign flipped (see ``_children``).  Given a row, as ``resolve`` gives
-    it, returns rows.  Charts whose curve misses the origin have nothing
-    to blow up and are rejected.
+    sign flipped (see ``_children``).  ``c`` may be any tuple in
+    ``ChartState``'s layout, as ``resolve``'s rows are.  Charts whose
+    curve misses the origin have nothing to blow up and are rejected.
     """
-    row = _row(c)
-    if row[6] <= 0:
+    if c[6] <= 0:
         raise ValueError("chart curve misses the origin; nothing to blow up")
-    if c is row:
-        return _children(row)
-    first, second = _children(row)
-    return _state(first, c.basis.f), _state(second, c.basis.g)
+    first, second = _children(c)
+    return _named(first), _named(second)
 
 
-def classify(c: ChartState | Row) -> Classification:
+def classify(c: ChartState) -> Classification:
     """Origin-local classification of the total transform in one chart (see ``_kind``)."""
-    return _kind(_row(c))
+    return _kind(c)
 
 
 def resolve(a: int, b: int) -> ResolutionTrace:
@@ -422,9 +398,10 @@ def resolve(a: int, b: int) -> ResolutionTrace:
     Each step reads only the blown-up chart's own row: its children and
     their classifications.  Asserts at every step that at most one child
     is unresolved; the walk of bad charts is therefore a path, and its
-    length is the digit sum of the continued fraction of a/b.
+    length is the digit sum of the continued fraction of a/b.  Rows are
+    kept as plain tuples, which the cyclic collector stops tracking.
     """
-    row = _row(initial_chart(a, b))
+    row = tuple(initial_chart(a, b))
     rows = []
     resolved = Classification.RESOLVED
     while True:
@@ -435,9 +412,9 @@ def resolve(a: int, b: int) -> ResolutionTrace:
                 raise ResolutionInvariantError(
                     f"step {len(rows)} of ({a}, {b}) produced two unresolved charts"
                 )
-            row = first
+            row = tuple(first)
         elif _kind(second) is not resolved:
-            row = second
+            row = tuple(second)
         else:
             return ResolutionTrace(int(a), int(b), tuple(rows))
 
@@ -465,7 +442,7 @@ def theorem_report(trace: ResolutionTrace, val_path: PositivePath) -> TheoremRep
     return TheoremReport(trace.a, trace.b, bad_vertex_path(trace), val_path, equal)
 
 
-def _is_vertex(row: Row, v: ChartBasis) -> bool:
+def _is_vertex(row: tuple[int, ...], v: ChartBasis) -> bool:
     """Whether a row's basis is the vertex v, generators in either order."""
     fx, fy, gx, gy = row[:4]
     f, g = v.f, v.g
@@ -486,31 +463,23 @@ def check_theorem(a: int, b: int) -> TheoremReport:
     return theorem_report(trace, positive_path(nu, max_steps=a + b))
 
 
-def _expand(row: Row) -> LaurentPolynomial:
-    """A row's curve multiplied out into x, y coordinates, in one pass.
+def expand_chart(c: ChartState) -> LaurentPolynomial:
+    """Multiply a chart's factors back out into x, y coordinates, in one pass.
 
-    Through the origin the curve is sign * (f^(A+p) g^B - f^A g^(B+q));
-    missing it, sign * (f^A g^B - f^(A-p) g^(B+q)).  A unimodular basis
-    sends distinct exponent pairs to distinct monomials, so the two terms
-    never merge.
+    The reconstruction invariant: for every chart of every trace of
+    x^b - y^a this equals x^b - y^a exactly (the tracked sign absorbs the
+    sign changes of the refactoring steps).  Through the origin the curve
+    is sign * (f^(A+p) g^B - f^A g^(B+q)); missing it,
+    sign * (f^A g^B - f^(A-p) g^(B+q)).  A unimodular basis sends distinct
+    exponent pairs to distinct monomials, so the two terms never merge.
     """
-    fx, fy, gx, gy, A, B, p, q, sign = row
+    fx, fy, gx, gy, A, B, p, q, sign = c
     i, j = (A + p, A) if p > 0 else (A, A - p)  # powers of f in the two terms
     k = B + q
     return LaurentPolynomial({
         Monomial(fx * i + gx * B, fy * i + gy * B): sign,
         Monomial(fx * j + gx * k, fy * j + gy * k): -sign,
     })
-
-
-def expand_chart(c: ChartState | Row) -> LaurentPolynomial:
-    """Multiply a chart's factors back out into x, y coordinates.
-
-    The reconstruction invariant: for every chart of every trace of
-    x^b - y^a this equals x^b - y^a exactly (the tracked sign absorbs the
-    sign changes of the refactoring steps).
-    """
-    return _expand(_row(c))
 
 
 def verify_reconstruction(trace: ResolutionTrace) -> bool:

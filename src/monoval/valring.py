@@ -29,7 +29,7 @@ from .laurent import (
     rewrite_in_chart,
 )
 from .valuation import MonomialValuation
-from .valtree import _walk
+from .valtree import walk
 
 
 @dataclass(frozen=True)
@@ -130,9 +130,10 @@ def membership_union(
     ring).  Examines at most ``max_steps`` vertices and returns None when
     none of them works, which for a finite (rational-ratio) path may
     simply mean the monomial needs the localization of the terminal
-    presentation instead.
+    presentation instead.  Raises ValueError, as the walk does, when
+    nu(x) or nu(y) is not positive or the two are equal.
     """
-    for index, vertex in enumerate(islice(_walk(nu), max_steps)):
+    for index, vertex in enumerate(islice(walk(nu), max_steps)):
         alpha, beta = lattice_solve(mono, vertex)
         if alpha >= 0 and beta >= 0:
             return index

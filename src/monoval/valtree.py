@@ -20,9 +20,10 @@ definition the walk is tested against.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count
+from itertools import count, islice
 from math import gcd
 from typing import Iterator, Optional
 
@@ -107,17 +108,23 @@ def positive_child(nu: MonomialValuation, v: TreeVertex) -> Optional[TreeVertex]
 _END = object()  # marks the end of a finite digit expansion
 
 
-def _walk(nu: MonomialValuation) -> Iterator[TreeVertex]:
+def walk(nu: MonomialValuation) -> Iterator[TreeVertex]:
     """Yield the positive path from the root, driven by the digits of nu(x)/nu(y).
 
     With ``big``, ``small`` the generators of larger and smaller value, a
     digit d is the branch k[small, big/small^m] for m = 1..d, after which
     small and big/small^d are the new big and small (d = 0 just swaps
     them).  The last digit of a finite expansion stops one vertex short,
-    where the two values coincide; an unbounded digit never ends.
+    where the two values coincide; an unbounded digit never ends.  Before
+    the root it raises ValueError when nu(x) or nu(y) is not positive, or
+    when they are equal: then there is no path to build, only the bare
+    root.
     """
-    if nu.sign(nu(X)) <= 0 or nu.sign(nu(Y)) <= 0:
+    vx, vy = nu(X), nu(Y)
+    if nu.sign(vx) <= 0 or nu.sign(vy) <= 0:
         raise ValueError("k[x, y] is not positive: nu(x) and nu(y) must be positive")
+    if nu.compare(vx, vy) == 0:
+        raise ValueError("nu(x) = nu(y) is degenerate for path construction")
     yield ROOT
     big, small = X, Y
     digits = nu.group.ratio_digits()
@@ -137,6 +144,20 @@ def _walk(nu: MonomialValuation) -> Iterator[TreeVertex]:
         d = following
 
 
+def take_path(vertices: Iterator[TreeVertex], max_steps: int) -> PositivePath:
+    """The first ``max_steps`` vertices of a walk, as a path.
+
+    The path is complete when the walk ends within them; the walk is
+    asked for one vertex more to tell.
+    """
+    if max_steps < 1:
+        raise ValueError("max_steps must be positive")
+    # islice takes no count past sys.maxsize, and no walk gets that far
+    taken = tuple(islice(vertices, min(max_steps, sys.maxsize)))
+    complete = len(taken) < max_steps or next(vertices, None) is None
+    return PositivePath(taken, complete)
+
+
 def positive_path(nu: MonomialValuation, max_steps: int = 64) -> PositivePath:
     """Walk the positive path, visiting at most ``max_steps`` vertices.
 
@@ -145,24 +166,7 @@ def positive_path(nu: MonomialValuation, max_steps: int = 64) -> PositivePath:
     is reported truncated.  Equal values on x and y are rejected up front:
     there is no path to build, only the bare root.
     """
-    if max_steps < 1:
-        raise ValueError("max_steps must be positive")
-    if nu.compare(nu(X), nu(Y)) == 0:
-        raise ValueError("nu(x) = nu(y) is degenerate for path construction")
-    vertices: list[TreeVertex] = []
-    walker = _walk(nu)
-    for vertex in walker:
-        vertices.append(vertex)
-        if len(vertices) == max_steps:
-            break
-    else:
-        return PositivePath(tuple(vertices), complete=True)
-    try:
-        next(walker)
-        complete = False
-    except StopIteration:
-        complete = True
-    return PositivePath(tuple(vertices), complete=complete)
+    return take_path(walk(nu), max_steps)
 
 
 def branch_decomposition(path: PositivePath) -> tuple[Branch, ...]:

@@ -161,10 +161,10 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
 def test_indecisive_exit_code(capsys, monkeypatch):
     from fractions import Fraction
 
-    def fake_positive_path(nu, max_steps=64):
+    def fake_walk(nu):
         raise IndecisiveComparisonError(Fraction(1), 5)
 
-    monkeypatch.setattr(cli, "positive_path", fake_positive_path)
+    monkeypatch.setattr(cli, "walk", fake_walk)
     code, _, err = run(capsys, "path", "--stream", "sqrt2")
     assert code == 3 and "indecisive" in err
 
@@ -199,28 +199,68 @@ def test_out_unwritable_path(capsys, tmp_path):
         assert err.count("\n") == 1 and "Traceback" not in err
 
 
-def test_path_past_the_int_str_limit_fails_before_output(capsys):
-    # The first vertex with an exponent of more than 640 digits, found with
-    # str() while the default limit of 4300 digits still allows it.
+def first_vertex_past_640_digits() -> int:
+    # Found with str() while the default limit of 4300 digits still allows it.
     path = positive_path(MonomialValuation.from_stream(sqrt2_stream()), max_steps=4000)
-    first = next(
+    return next(
         i
         for i, v in enumerate(path)
         if any(len(str(abs(e))) > 640 for e in (v.f.ex, v.f.ey, v.g.ex, v.g.ey))
     )
+
+
+def run_under_640_digits(capsys, *argv):
     old = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(640)
     try:
-        code, out, err = run(
-            capsys, "path", "--stream", "sqrt2", "--max-steps", "4000", "--format", "json"
-        )
+        return run(capsys, *argv)
     finally:
         sys.set_int_max_str_digits(old)
+
+
+def test_path_past_the_int_str_limit_fails_before_output(capsys):
+    first = first_vertex_past_640_digits()
+    code, out, err = run_under_640_digits(
+        capsys, "path", "--stream", "sqrt2", "--max-steps", "4000", "--format", "json"
+    )
     assert code == 1 and out == ""
     assert err == (
         f"error: vertex {first} of the path has an exponent longer than 640 digits,"
         " the interpreter's limit for printing an integer\n"
     )
+
+
+def test_path_stops_walking_at_the_first_unprintable_vertex(capsys, monkeypatch):
+    first = first_vertex_past_640_digits()
+    produced = []
+    real_walk = cli.walk
+
+    def counting_walk(nu):
+        for v in real_walk(nu):
+            produced.append(v)
+            yield v
+
+    monkeypatch.setattr(cli, "walk", counting_walk)
+    # Six times the failing index: a walk that went on to the end would
+    # produce all 20,000 vertices, in seconds rather than hours.
+    code, out, err = run_under_640_digits(
+        capsys, "path", "--stream", "sqrt2", "--max-steps", "20000", "--format", "json"
+    )
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: vertex {first} of the path has an exponent longer than 640")
+    assert len(produced) <= first + 1
+
+
+def test_path_does_not_refuse_the_vertex_after_the_last(capsys):
+    # The walk is asked for one vertex past --max-steps to tell whether the
+    # path is complete; that vertex is not printed, so it may be too long.
+    first = first_vertex_past_640_digits()
+    code, out, err = run_under_640_digits(
+        capsys, "path", "--stream", "sqrt2", "--max-steps", str(first), "--format", "json"
+    )
+    assert code == 0 and err == ""
+    path = json.loads(out)
+    assert path["status"] == "truncated" and len(path["vertices"]) == first
 
 
 def test_resolve_past_the_int_str_limit_fails_before_output(capsys):

@@ -139,6 +139,15 @@ def test_fraction_and_container_jsonable():
     assert to_jsonable({"xs": (1, 2)}) == {"xs": [1, 2]}
 
 
+def test_a_chart_is_emitted_as_in_a_trace_not_as_its_tuple():
+    trace = resolve(24, 7)
+    step = trace.steps[0]
+    assert to_jsonable([step.chart, step.children[1][0]]) == [
+        to_jsonable(trace)["blow_ups"][0]["chart"],
+        to_jsonable(trace)["blow_ups"][0]["children"][1]["chart"],
+    ]
+
+
 # ------------------------------------------------- templates vs references
 #
 # Traces and paths are written from templates with a memo of monomial

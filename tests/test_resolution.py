@@ -1,4 +1,6 @@
+import copy
 import gc
+import pickle
 import random
 from math import gcd
 
@@ -244,7 +246,8 @@ def test_chart_equality_keeps_generator_order():
     assert c != swapped
     assert c == ChartState(ChartBasis(f, g), 2, 2, ThroughOrigin(1, 1), 1)
     assert hash(c) == hash(ChartState(ChartBasis(f, g), 2, 2, ThroughOrigin(1, 1), 1))
-    assert initial_chart(3, 2).basis is ROOT
+    root = initial_chart(3, 2).basis
+    assert (root.f, root.g) == (ROOT.f, ROOT.g)
 
 
 def test_bad_charts_are_the_path_vertices():
@@ -276,8 +279,10 @@ def test_theorem_report_compares_rows_with_vertices_as_unordered_pairs():
 
 
 def chart_row(c: ChartState) -> tuple:
+    p = c.proper
+    powers = (p.s, p.t) if isinstance(p, ThroughOrigin) else (-p.f_exp, p.g_exp)
     return (c.basis.f.ex, c.basis.f.ey, c.basis.g.ex, c.basis.g.ey,
-            c.exc_f, c.exc_g, c.proper.s, c.proper.t, c.sign)
+            c.exc_f, c.exc_g, *powers, c.sign)
 
 
 def assert_trace_equals_oracle(a, b):
@@ -311,8 +316,8 @@ def test_fused_expansion_equals_the_oracle_chart_by_chart(pair):
 
 
 @st.composite
-def charts(draw):
-    """Any chart: a tree vertex as basis, generators in either order, any curve."""
+def chart_parts(draw):
+    """Any chart's constructor arguments: a tree vertex as basis, generators in either order, any curve."""
     v = ROOT
     for side in draw(st.lists(st.integers(0, 1), max_size=30)):
         v = children(v)[side]
@@ -324,7 +329,11 @@ def charts(draw):
         k, l = draw(st.integers(0, 50)), draw(st.integers(0, 50))
         proper = MissesOrigin(k, l) if k or l else MissesOrigin(0, 1)
     exc_f, exc_g = draw(st.integers(0, 10**30)), draw(st.integers(0, 10**30))
-    return ChartState(ChartBasis(f, g), exc_f, exc_g, proper, draw(st.sampled_from((1, -1))))
+    return ChartBasis(f, g), exc_f, exc_g, proper, draw(st.sampled_from((1, -1)))
+
+
+def charts():
+    return chart_parts().map(lambda parts: ChartState(*parts))
 
 
 @settings(max_examples=300, deadline=None)
@@ -334,6 +343,38 @@ def test_chart_rules_equal_the_oracle_on_any_chart(c):
     assert classify(c) is oracles.chart_classify(c)
     if isinstance(c.proper, ThroughOrigin):
         assert blow_up(c) == oracles.chart_blow_up(c)
+
+
+@settings(max_examples=200, deadline=None)
+@given(chart_parts())
+def test_a_chart_is_its_nine_ints_by_name(parts):
+    basis, exc_f, exc_g, proper, sign = parts
+    c = ChartState(*parts)
+    assert (c.exc_f, c.exc_g, c.proper, c.sign) == (exc_f, exc_g, proper, sign)
+    assert (c.basis.f, c.basis.g) == (basis.f, basis.g)
+    assert type(c.basis) is ChartBasis and type(c.proper) is type(proper)
+    assert tuple(c) == chart_row(c) and all(type(n) is int for n in c)
+    assert ChartState._make(tuple(c)) == c
+    assert ChartState(c.basis, c.exc_f, c.exc_g, c.proper, c.sign) == c
+
+
+def test_charts_copy_and_pickle_as_charts():
+    for c in resolve(24, 7).all_charts():
+        for twin in (copy.copy(c), copy.deepcopy(c), pickle.loads(pickle.dumps(c))):
+            assert type(twin) is ChartState and twin == c
+            assert (twin.basis.f, twin.basis.g, twin.proper) == (c.basis.f, c.basis.g, c.proper)
+    step = resolve(3, 2).steps[0]
+    assert pickle.loads(pickle.dumps(step)) == step
+
+
+def test_chart_state_rejects_negative_multiplicities_and_bad_signs():
+    basis = ChartBasis(Y, Monomial(1, -1))
+    for exc_f, exc_g in [(-1, 0), (0, -1)]:
+        with pytest.raises(ValueError, match="nonnegative"):
+            ChartState(basis, exc_f, exc_g, ThroughOrigin(1, 2), 1)
+    for sign in (0, 2, -2):
+        with pytest.raises(ValueError, match="sign"):
+            ChartState(basis, 2, 0, ThroughOrigin(1, 2), sign)
 
 
 def test_a_rule_leaving_two_unresolved_children_raises(monkeypatch):
@@ -374,7 +415,7 @@ def test_public_rules_take_rows_and_charts_alike():
     trace = resolve(24, 7)
     for row, step in zip(trace.rows, trace.steps):
         first, second = blow_up(row)
-        assert (resolution._state(first), resolution._state(second)) == blow_up(step.chart)
+        assert (ChartState._make(first), ChartState._make(second)) == blow_up(step.chart)
         assert classify(row) is classify(step.chart) is step.classification
         assert expand_chart(row) == expand_chart(step.chart) == cusp_polynomial(24, 7)
     with pytest.raises(ValueError, match="misses the origin"):
@@ -408,6 +449,12 @@ def test_rows_are_exact_int_tuples_the_collector_stops_tracking():
     assert not any(gc.is_tracked(row) for row in trace.rows)
 
 
+def test_rows_stay_plain_tuples_whichever_child_is_blown_up_next():
+    trace = resolve(24, 7)
+    assert {u.bad for u in trace.blow_ups} == {0, 1, None}
+    assert all(type(row) is tuple for row in trace.rows)
+
+
 def test_steps_are_built_on_access():
     trace = resolve(24, 7)
     steps = trace.steps
@@ -417,16 +464,6 @@ def test_steps_are_built_on_access():
     assert steps[0] is not steps[0]  # each read builds a fresh step
     with pytest.raises(IndexError):
         steps[8]
-
-
-def test_iterating_steps_builds_each_chart_once():
-    built = list(resolve(377, 233).steps)
-    for step, following in zip(built, built[1:]):
-        bad = [c for c, k in step.children if k is not Classification.RESOLVED]
-        assert following.chart is bad[0]
-    for step in built:
-        (c1, _), (c2, _) = step.children
-        assert c1.basis.f is step.chart.basis.f and c2.basis.f is step.chart.basis.g
 
 
 @settings(max_examples=60, deadline=None)
