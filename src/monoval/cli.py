@@ -1,25 +1,33 @@
 """Command-line front end.
 
 Commands: cf, path, ringgens, member, resolve, verify.  Output goes to
-stdout (or --out) as text, JSON, or DOT.  Exit codes: 0 success, 1 usage
-or parse error, 2 verification failure, 3 indecisive stream comparison
+stdout (or --out) as text, JSON, or DOT, written in chunks as it is made.
+--out is written whole or not at all: into a new file in the target's
+directory, renamed onto the target at the end.  Exit codes: 0 success,
+1 usage, parse or output error (including a reader that closes stdout
+early), 2 verification failure, 3 indecisive stream comparison
 (reserved: path walks continued-fraction digits and never reaches it).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import re
+import stat
 import sys
+import tempfile
+from collections.abc import Iterable
 from fractions import Fraction
 
 from .emit import (
-    emit_dot,
+    dot_chunks,
     emit_json,
-    format_path_text,
-    format_trace_text,
     format_verify_text,
+    json_chunks,
+    path_text_chunks,
     trace_integers,
+    trace_text_chunks,
 )
 from .exactnum import CFStream, IndecisiveComparisonError, cf_expand, sqrt2_stream
 from .expr import ExpressionError, parse_rational_function
@@ -74,18 +82,23 @@ def parse_stream_spec(spec: str) -> CFStream:
     return CFStream.from_periodic(pre, per)
 
 
-def _cmd_cf(args) -> tuple[str, int]:
+# What a command returns: its output, in pieces written as they are made,
+# and its exit code.
+Output = tuple[Iterable[str], int]
+
+
+def _cmd_cf(args) -> Output:
     try:
         r = Fraction(args.rational)
     except ZeroDivisionError:
         raise ValueError(f"cannot read {args.rational!r}: the denominator is zero") from None
     cf = cf_expand(r)
     if args.format == "json":
-        return emit_json(cf), 0
-    return f"{r} = {cf}\n", 0
+        return (emit_json(cf),), 0
+    return (f"{r} = {cf}\n",), 0
 
 
-def _cmd_path(args) -> tuple[str, int]:
+def _cmd_path(args) -> Output:
     if args.stream is not None:
         if args.a is not None or args.b is not None:
             raise ValueError("give either a stream or integer values, not both")
@@ -101,10 +114,10 @@ def _cmd_path(args) -> tuple[str, int]:
         heading = f"positive path for nu(x) = {args.a}, nu(y) = {args.b}:"
     path = take_path(_printable_vertices(walk(nu), max_steps), max_steps)
     if args.format == "json":
-        return emit_json(path), 0
+        return json_chunks(path), 0
     if args.format == "dot":
-        return emit_dot(path), 0
-    return format_path_text(path, heading), 0
+        return dot_chunks(path), 0
+    return path_text_chunks(path, heading), 0
 
 
 def _print_bound():
@@ -151,10 +164,10 @@ def _check_printable(items, ints, what) -> None:
     raise _too_long(what(next(i for i, item in enumerate(items) if too_long(item))))
 
 
-def _cmd_ringgens(args) -> tuple[str, int]:
+def _cmd_ringgens(args) -> Output:
     pres = ring_generators(args.a, args.b)
     if args.format == "json":
-        return emit_json(pres), 0
+        return (emit_json(pres),), 0
     lines = [
         f"a = {pres.a}, b = {pres.b}: p = {pres.p}, q = {pres.q}"
         f" ({pres.p}*{pres.a} - {pres.q}*{pres.b} = 1)",
@@ -162,10 +175,10 @@ def _cmd_ringgens(args) -> tuple[str, int]:
         f"v = {pres.v} (value 1)",
         "valuation ring: k[u, v] localized at (v)",
     ]
-    return "\n".join(lines) + "\n", 0
+    return ("\n".join(lines) + "\n",), 0
 
 
-def _cmd_member(args) -> tuple[str, int]:
+def _cmd_member(args) -> Output:
     rf = parse_rational_function(args.expression)
     nu = MonomialValuation.rational(args.a, args.b)
     if rf.is_zero:
@@ -181,16 +194,14 @@ def _cmd_member(args) -> tuple[str, int]:
             "member": member,
             "value": str(value),
         }
-        return emit_json(payload), 0
+        return (emit_json(payload),), 0
     verdict = "member of" if member else "not a member of"
-    return (
-        f"{args.expression.strip()}: {verdict} the valuation ring for "
-        f"nu(x) = {args.a}, nu(y) = {args.b} (value {value})\n",
-        0,
-    )
+    text = (f"{args.expression.strip()}: {verdict} the valuation ring for "
+            f"nu(x) = {args.a}, nu(y) = {args.b} (value {value})\n")
+    return (text,), 0
 
 
-def _cmd_resolve(args) -> tuple[str, int]:
+def _cmd_resolve(args) -> Output:
     trace = resolve(args.a, args.b)
     _check_printable(
         trace.blow_ups,
@@ -198,18 +209,18 @@ def _cmd_resolve(args) -> tuple[str, int]:
         lambda i: f"blow-up {i + 1} of the resolution prints an integer",
     )
     if args.format == "json":
-        return emit_json(trace), 0
+        return json_chunks(trace), 0
     if args.format == "dot":
-        return emit_dot(trace), 0
-    return format_trace_text(trace, show_steps=args.trace), 0
+        return dot_chunks(trace), 0
+    return trace_text_chunks(trace, show_steps=args.trace), 0
 
 
-def _cmd_verify(args) -> tuple[str, int]:
+def _cmd_verify(args) -> Output:
     report = run_verify(args.max)
     code = 0 if report.all_passed else 2
     if args.format == "json":
-        return emit_json(report), code
-    return format_verify_text(report), code
+        return (emit_json(report),), code
+    return (format_verify_text(report),), code
 
 
 def build_parser() -> _Parser:
@@ -261,6 +272,52 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _write_file(path: str, chunks: Iterable[str]) -> None:
+    """Write the chunks to ``path`` whole or not at all.
+
+    They go to a new file in the target's directory, renamed onto the
+    target once the last is written.  On any failure the new file is
+    removed and an existing target is left as it was.  A target that
+    exists and is no regular file, such as a device or a pipe, is
+    written in place: renaming would replace it.
+    """
+    target = os.path.realpath(path)  # through a symlink, as open() writes
+    if os.path.exists(target) and not os.path.isfile(target):
+        with open(target, "w", encoding="utf-8") as fh:
+            fh.writelines(chunks)
+        return
+    fd, tmp = tempfile.mkstemp(prefix=f".{os.path.basename(target)}.", dir=os.path.dirname(target))
+    try:
+        with open(fd, "w", encoding="utf-8") as fh:
+            fh.writelines(chunks)
+        os.chmod(tmp, _new_file_mode(target))
+        os.replace(tmp, target)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
+def _new_file_mode(target: str) -> int:
+    """The mode the target would have after ``open(target, "w")``, not mkstemp's 0o600."""
+    try:
+        return stat.S_IMODE(os.stat(target).st_mode)
+    except FileNotFoundError:
+        umask = os.umask(0)
+        os.umask(umask)
+        return 0o666 & ~umask
+
+
+def _silence_stdout() -> None:
+    """Point stdout's descriptor at the null device, so the flush at exit meets no closed pipe."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):  # not backed by a descriptor
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -269,23 +326,29 @@ def main(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     try:
-        output, code = args.func(args)
+        chunks, code = args.func(args)
+        if args.out:
+            try:
+                _write_file(args.out, chunks)
+            except OSError as exc:
+                print(f"error: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
+                return 1
+        else:
+            write = sys.stdout.write
+            for chunk in chunks:
+                write(chunk)
+            sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        _silence_stdout()
+        print("error: stdout was closed before all output was written", file=sys.stderr)
+        return 1
     except IndecisiveComparisonError as exc:
         print(f"error: indecisive stream comparison: {exc}", file=sys.stderr)
         return 3
     except (ValueError, ZeroDivisionError, ZeroPolynomialError, ExpressionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(output)
-        except OSError as exc:
-            print(f"error: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
-            return 1
-    else:
-        sys.stdout.write(output)
-    return code
 
 
 if __name__ == "__main__":

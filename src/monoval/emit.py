@@ -14,6 +14,17 @@ outputs that run to tens of megabytes, are written through fixed
 names go through ``encode_basestring_ascii``, the escaper ``json.dumps``
 itself uses.  Every other object goes through ``json.dumps``.
 
+Traces and paths are streamed: ``json_chunks``, ``dot_chunks``,
+``trace_text_chunks`` and ``path_text_chunks`` yield the output one
+blow-up or one vertex at a time, so a caller can write it as it is made
+and never holds the whole document.  ``emit_json``, ``emit_dot``,
+``format_trace_text`` and ``format_path_text`` join those chunks; there is
+no second code path.  Two sections come out in another order than the
+rows are read in, and take a second pass: DOT prints every node before
+every edge, and keeps only which children of each blow-up are resolved
+for the edges; ``--trace`` text prints every bad chart before every step,
+and keeps the monomial names of the first pass for the second.
+
 The trace emitters (JSON, DOT and text) read a trace's ``BlowUp`` views
 of its integer rows, not its ``ResolutionStep`` objects.  The chart blown
 up next is a child of the last, so each blow-up brings only two new
@@ -31,6 +42,7 @@ basis compares equal under swapped generators while its ``str`` does not.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
@@ -212,11 +224,16 @@ def to_jsonable(obj):
     raise TypeError(f"cannot emit {type(obj).__name__} as JSON")
 
 
-def _json_list(items: list[str]) -> str:
-    """JSON array, as a top-level value's field, of items rendered at depth 4."""
-    if not items:
-        return "[]"
-    return "[\n" + ",\n".join(items) + "\n  ]"
+def _json_array(items: Iterator[str]) -> Iterator[str]:
+    """Chunks of a JSON array, as a top-level value's field, of items rendered at depth 4."""
+    first = next(items, None)
+    if first is None:
+        yield "[]"
+        return
+    yield "[\n" + first
+    for item in items:
+        yield ",\n" + item
+    yield "\n  ]"
 
 
 def _chart_template(depth: int) -> str:
@@ -250,17 +267,19 @@ _STEP = (
     '    {{\n      "chart": ' + _chart_template(6) + ',\n      "children": [\n'
     + _CHILD + ",\n" + _CHILD + '\n      ],\n      "classification": {}\n    }}'
 )
-_TRACE = '{{\n  "a": {},\n  "b": {},\n  "blow_ups": {},\n  "count": {}\n}}'
+# A trace's fields before its blow-ups, and after them.
+_TRACE = ('{{\n  "a": {},\n  "b": {},\n  "blow_ups": ', ',\n  "count": {}\n}}')
 _VERTEX = '    {{\n      "f": {},\n      "g": {}\n    }}'
-_PATH = '{{\n  "status": {},\n  "vertices": {}\n}}'
 _THROUGH = encode_basestring_ascii("through-origin")
 _MISSES = encode_basestring_ascii("misses-origin")
 _KIND = {k: encode_basestring_ascii(k.value) for k in Classification}
 
 
-def _trace_json(trace: ResolutionTrace) -> str:
+def _trace_json(trace: ResolutionTrace) -> Iterator[str]:
+    head, tail = _TRACE
+    yield head.format(trace.a, trace.b)
     step_t = _STEP.format
-    steps = [
+    yield from _json_array(
         step_t(
             *chart, _THROUGH, sign,
             *first, _THROUGH if through1 else _MISSES, sign, _KIND[k1],
@@ -269,72 +288,93 @@ def _trace_json(trace: ResolutionTrace) -> str:
         )
         for chart, (first, second), (through1, through2), sign, kind, (k1, k2)
         in _blow_ups(trace, _json_name, str)
-    ]
-    return _TRACE.format(trace.a, trace.b, _json_list(steps), trace.blow_up_count)
+    )
+    yield tail.format(trace.blow_up_count)
 
 
-def _path_json(path: PositivePath) -> str:
+def _path_json(path: PositivePath) -> Iterator[str]:
+    yield f'{{\n  "status": {encode_basestring_ascii(path.status)},\n  "vertices": '
     names = _JsonNames()
     vertex = _VERTEX.format
-    vertices = [vertex(names[v.f], names[v.g]) for v in path.vertices]
-    return _PATH.format(encode_basestring_ascii(path.status), _json_list(vertices))
+    yield from _json_array(vertex(names[v.f], names[v.g]) for v in path.vertices)
+    yield "\n}"
 
 
-def emit_json(obj) -> str:
-    """``json.dumps(to_jsonable(obj), sort_keys=True, indent=2)``, byte for byte."""
+def json_chunks(obj) -> Iterator[str]:
+    """``emit_json(obj)`` in pieces; a trace or path is made one blow-up or vertex at a time."""
     if isinstance(obj, ResolutionTrace):
         return _trace_json(obj)
     if isinstance(obj, PositivePath):
         return _path_json(obj)
-    return json.dumps(to_jsonable(obj), sort_keys=True, indent=2)
+    return iter((json.dumps(to_jsonable(obj), sort_keys=True, indent=2),))
 
 
-def _dot_path(path: PositivePath) -> str:
+def emit_json(obj) -> str:
+    """``json.dumps(to_jsonable(obj), sort_keys=True, indent=2)``, byte for byte."""
+    return "".join(json_chunks(obj))
+
+
+def _dot_head(name: str) -> str:
+    return f'digraph {name} {{\n  rankdir=LR;\n  node [shape=box, fontname="monospace"];\n'
+
+
+def _dot_path(path: PositivePath) -> Iterator[str]:
     names = _Names()
-    lines = [
-        "digraph positive_path {",
-        "  rankdir=LR;",
-        '  node [shape=box, fontname="monospace"];',
-    ]
+    yield _dot_head("positive_path")
     for i, v in enumerate(path.vertices):
-        lines.append(f'  v{i} [label="{names.basis(v)}", style=bold];')
+        yield f'  v{i} [label="{names.basis(v)}", style=bold];\n'
     if not path.complete:
-        lines.append('  trunc [label="(truncated)", shape=plaintext];')
+        yield '  trunc [label="(truncated)", shape=plaintext];\n'
     for i in range(len(path.vertices) - 1):
-        lines.append(f"  v{i} -> v{i + 1};")
+        yield f"  v{i} -> v{i + 1};\n"
     if not path.complete and path.vertices:
-        lines.append(f"  v{len(path.vertices) - 1} -> trunc [style=dashed];")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        yield f"  v{len(path.vertices) - 1} -> trunc [style=dashed];\n"
+    yield "}\n"
 
 
-def _dot_trace(trace: ResolutionTrace) -> str:
-    lines = [
-        "digraph resolution_trace {",
-        "  rankdir=LR;",
-        '  node [shape=box, fontname="monospace"];',
-    ]
-    node_lines: list[str] = []
-    edge_lines: list[str] = []
+def _dot_children(i: int, resolved: int) -> tuple[str, str]:
+    """DOT node names of blow-up i's children; bit k of ``resolved`` is set when child k is.
+
+    A child left to blow up is the next bold node, b(i + 1); resolved
+    children are side nodes, numbered in order.
+    """
+    first = f"s{i}_0" if resolved & 1 else f"b{i + 1}"
+    second = f"s{i}_{resolved & 1}" if resolved & 2 else f"b{i + 1}"
+    return first, second
+
+
+# A trace's DOT node for a chart of each classification, from its name and
+# its basis's two generators: bold unless resolved.
+_DOT_NODE = {
+    k: '  {} [label="k[{}, {}]\\n(' + k.value + ')"'
+    + ("" if k is Classification.RESOLVED else ", style=bold") + "];\n"
+    for k in Classification
+}
+
+
+def _dot_trace(trace: ResolutionTrace) -> Iterator[str]:
+    yield _dot_head("resolution_trace")
     resolved = Classification.RESOLVED
-    for i, (chart, children, _, _, kind, kinds) in enumerate(_blow_ups(trace, str, int)):
-        if i == 0:
-            node_lines.append(f'  b0 [label="k[{chart[0]}, {chart[1]}]\\n({kind.value})", style=bold];')
-        side = 0
-        for child, k in zip(children, kinds):
-            label = f"k[{child[0]}, {child[1]}]\\n({k.value})"
-            if k is not resolved:
-                name = f"b{i + 1}"
-                node_lines.append(f'  {name} [label="{label}", style=bold];')
-            else:
-                name = f"s{i}_{side}"
-                side += 1
-                node_lines.append(f'  {name} [label="{label}"];')
-            edge_lines.append(f"  b{i} -> {name};")
-    lines.extend(node_lines)
-    lines.extend(edge_lines)
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    bits = bytearray()  # per blow-up, which children are resolved: all the edges need
+    for i, (chart, (c1, c2), _, _, kind, (k1, k2)) in enumerate(_blow_ups(trace, str, int)):
+        if i == 0:  # a chart blown up is never resolved, so bold
+            yield _DOT_NODE[kind].format("b0", chart[0], chart[1])
+        bits.append((k1 is resolved) | (k2 is resolved) << 1)
+        n1, n2 = _dot_children(i, bits[i])
+        yield _DOT_NODE[k1].format(n1, c1[0], c1[1]) + _DOT_NODE[k2].format(n2, c2[0], c2[1])
+    for i, resolved_children in enumerate(bits):
+        n1, n2 = _dot_children(i, resolved_children)
+        yield f"  b{i} -> {n1};\n  b{i} -> {n2};\n"
+    yield "}\n"
+
+
+def dot_chunks(obj) -> Iterator[str]:
+    """``emit_dot(obj)`` in pieces; a trace or path is made one blow-up or vertex at a time."""
+    if isinstance(obj, PositivePath):
+        return _dot_path(obj)
+    if isinstance(obj, ResolutionTrace):
+        return _dot_trace(obj)
+    raise TypeError(f"cannot emit {type(obj).__name__} as DOT")
 
 
 def emit_dot(obj) -> str:
@@ -343,20 +383,20 @@ def emit_dot(obj) -> str:
     Path and bad-chart vertices are bold; a truncated path ends in a
     dashed marker node; resolved side charts of a trace appear unbolded.
     """
-    if isinstance(obj, PositivePath):
-        return _dot_path(obj)
-    if isinstance(obj, ResolutionTrace):
-        return _dot_trace(obj)
-    raise TypeError(f"cannot emit {type(obj).__name__} as DOT")
+    return "".join(dot_chunks(obj))
+
+
+def path_text_chunks(path: PositivePath, heading: str) -> Iterator[str]:
+    """``format_path_text(path, heading)`` in pieces, one vertex at a time."""
+    names = _Names()
+    yield heading + "\n"
+    for i, v in enumerate(path.vertices):
+        yield f"  {i}: {names.basis(v)}\n"
+    yield f"status: {path.status} ({len(path)} vertices)\n"
 
 
 def format_path_text(path: PositivePath, heading: str) -> str:
-    names = _Names()
-    lines = [heading]
-    for i, v in enumerate(path.vertices):
-        lines.append(f"  {i}: {names.basis(v)}")
-    lines.append(f"status: {path.status} ({len(path)} vertices)")
-    return "\n".join(lines) + "\n"
+    return "".join(path_text_chunks(path, heading))
 
 
 def _pow_str(name: str, e: str) -> str:
@@ -390,25 +430,42 @@ def format_chart_text(c: ChartState) -> str:
                        str(abs(c.p)), str(c.q), c.p > 0, c.sign)
 
 
-def format_trace_text(trace: ResolutionTrace, show_steps: bool = False) -> str:
-    lines = [
-        f"resolution of x^{trace.b} = y^{trace.a}: {trace.blow_up_count} blow-ups",
-        "bad charts:",
-    ]
-    steps = ["steps:"]
-    for i, (chart, children, through, sign, kind, kinds) in enumerate(
-        _blow_ups(trace, str, str if show_steps else int)
+def trace_text_chunks(trace: ResolutionTrace, show_steps: bool = False) -> Iterator[str]:
+    """``format_trace_text(trace, show_steps)`` in pieces, one blow-up at a time.
+
+    The bad charts come before the steps, so ``show_steps`` reads the
+    blow-ups twice.  The first pass keeps every monomial name it makes,
+    in order, and the second takes them back in the same order, since
+    ``_blow_ups`` asks for names in an order fixed by the trace: no
+    monomial is named twice.
+    """
+    yield (f"resolution of x^{trace.b} = y^{trace.a}: {trace.blow_up_count} blow-ups\n"
+           "bad charts:\n")
+    names: list[str] = []
+
+    def name(mono: Monomial) -> str:
+        text = str(mono)
+        names.append(text)
+        return text
+
+    for i, (chart, _, _, _, kind, _) in enumerate(_blow_ups(trace, name if show_steps else str, int)):
+        yield f"  {i}: k[{chart[0]}, {chart[1]}] ({kind.value})\n"
+    if not show_steps:
+        return
+    yield "steps:\n"
+    named = iter(names)
+    for i, (chart, children, through, sign, _, kinds) in enumerate(
+        _blow_ups(trace, lambda _: next(named), str)
     ):
-        basis = f"k[{chart[0]}, {chart[1]}]"
-        lines.append(f"  {i}: {basis} ({kind.value})")
-        if show_steps:
-            steps.append(f"  blow-up {i + 1} at the origin of {basis}:")
-            for child, through_, sign_, k in zip(children, through, (sign, -sign), kinds):
-                steps.append(f"    k[{child[0]}, {child[1]}]: {_chart_text(*child, through_, sign_)}"
-                             f" [{k.value}]")
-    if show_steps:
-        lines.extend(steps)
-    return "\n".join(lines) + "\n"
+        lines = [f"  blow-up {i + 1} at the origin of k[{chart[0]}, {chart[1]}]:\n"]
+        for child, through_, sign_, k in zip(children, through, (sign, -sign), kinds):
+            lines.append(f"    k[{child[0]}, {child[1]}]: {_chart_text(*child, through_, sign_)}"
+                         f" [{k.value}]\n")
+        yield "".join(lines)
+
+
+def format_trace_text(trace: ResolutionTrace, show_steps: bool = False) -> str:
+    return "".join(trace_text_chunks(trace, show_steps))
 
 
 def format_verify_text(report: VerifyReport) -> str:

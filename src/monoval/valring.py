@@ -16,7 +16,6 @@ searching the positive path for a vertex ring that contains them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 from math import gcd
 from typing import NamedTuple, Optional
 
@@ -29,7 +28,7 @@ from .laurent import (
     rewrite_in_chart,
 )
 from .valuation import MonomialValuation
-from .valtree import walk
+from .valtree import first_vertices, walk
 
 
 @dataclass(frozen=True)
@@ -131,9 +130,10 @@ def membership_union(
     none of them works, which for a finite (rational-ratio) path may
     simply mean the monomial needs the localization of the terminal
     presentation instead.  Raises ValueError, as the walk does, when
-    nu(x) or nu(y) is not positive or the two are equal.
+    nu(x) or nu(y) is not positive or the two are equal, and when
+    ``max_steps`` is negative.
     """
-    for index, vertex in enumerate(islice(walk(nu), max_steps)):
+    for index, vertex in enumerate(first_vertices(walk(nu), max_steps)):
         alpha, beta = lattice_solve(mono, vertex)
         if alpha >= 0 and beta >= 0:
             return index

@@ -144,6 +144,14 @@ def walk(nu: MonomialValuation) -> Iterator[TreeVertex]:
         d = following
 
 
+def first_vertices(vertices: Iterator[TreeVertex], max_steps: int) -> Iterator[TreeVertex]:
+    """The first ``max_steps`` vertices of a walk, or all of them when it ends sooner."""
+    if max_steps < 0:
+        raise ValueError("max_steps must not be negative")
+    # islice takes no count past sys.maxsize, and no walk gets that far
+    return islice(vertices, min(max_steps, sys.maxsize))
+
+
 def take_path(vertices: Iterator[TreeVertex], max_steps: int) -> PositivePath:
     """The first ``max_steps`` vertices of a walk, as a path.
 
@@ -152,8 +160,7 @@ def take_path(vertices: Iterator[TreeVertex], max_steps: int) -> PositivePath:
     """
     if max_steps < 1:
         raise ValueError("max_steps must be positive")
-    # islice takes no count past sys.maxsize, and no walk gets that far
-    taken = tuple(islice(vertices, min(max_steps, sys.maxsize)))
+    taken = tuple(first_vertices(vertices, max_steps))
     complete = len(taken) < max_steps or next(vertices, None) is None
     return PositivePath(taken, complete)
 

@@ -1,0 +1,112 @@
+"""Generated argv for every command: a documented exit code, never a traceback.
+
+Values stay small so that each call takes milliseconds; ``member`` powers
+stay at or below 20.
+"""
+
+import io
+import json
+import os
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from math import gcd
+
+from hypothesis import given, settings, strategies as st
+
+from monoval import cli
+
+SMALL = st.integers(-3, 120).map(str)
+INTEGERS = st.one_of(
+    SMALL, SMALL, SMALL,
+    st.sampled_from(["0", "1", "2", "10001", "10000", "-7", "+5", "007", "1_000", "x", "", "3.5"]),
+)
+# a > b > 1, coprime: the values every pair command accepts
+PAIRS = st.builds(lambda b, k: [str(b + k), str(b)], st.integers(2, 80), st.integers(1, 80)).filter(
+    lambda pair: gcd(int(pair[0]), int(pair[1])) == 1
+)
+POSITIONALS = st.one_of(PAIRS, PAIRS, PAIRS, st.lists(INTEGERS, max_size=3))
+RATIONALS = st.one_of(
+    st.builds(lambda p, q: f"{p}/{q}", st.integers(-50, 50), st.integers(-5, 50)),
+    st.sampled_from(["24/7", "-7/3", "1/0", "0", "3.25", "1e3", "-1e-3", "nan", "inf", "x", "",
+                     "1/", "/2", " 5/3 ", "2/4"]),
+)
+STREAMS = st.one_of(
+    st.builds(
+        lambda pre, period: ",".join(map(str, pre)) + ";" + ",".join(map(str, period)),
+        st.lists(st.integers(-1, 5), max_size=3), st.lists(st.integers(-1, 5), max_size=3),
+    ),
+    st.sampled_from(["sqrt2", "1,2,3", ";", "1;", ";1", "a;b", "1;;2", " sqrt2 ", ""]),
+)
+ATOMS = st.sampled_from(["x", "y", "1", "2", "-x", "x^2", "y^-3", "(x+y)", "(x - y + 1)", "0"])
+EXPRESSIONS = st.one_of(
+    st.builds(
+        lambda base, k, op, other: f"{base}^{k} {op} {other}",
+        ATOMS, st.integers(0, 20), st.sampled_from(["+", "-", "*", "/"]), ATOMS,
+    ),
+    st.sampled_from(["x +", "1/(y-y)", "y - y", "((x)", "x^^2", "x^-1/y", "2^100", "",
+                     "x^(2)", "x y", "(x+y)^20/(x-y)^20"]),
+)
+FORMATS = st.sampled_from(["text", "json", "dot", "text", "json", "dot", "xml"])
+
+
+@st.composite
+def argvs(draw):
+    command = draw(st.sampled_from(["cf", "path", "ringgens", "member", "resolve", "verify", "junk"]))
+    if command == "cf":
+        argv = ["cf", draw(RATIONALS)]
+    elif command == "path":
+        if draw(st.booleans()):
+            argv = ["path", "--stream", draw(STREAMS)] + draw(st.lists(INTEGERS, max_size=1))
+        else:
+            argv = ["path"] + draw(POSITIONALS)
+        if draw(st.booleans()):
+            argv += ["--max-steps", draw(INTEGERS)]
+    elif command == "ringgens":
+        argv = ["ringgens"] + draw(POSITIONALS)
+    elif command == "member":
+        argv = ["member", draw(EXPRESSIONS)]
+        a, b = draw(st.one_of(PAIRS, PAIRS, st.lists(INTEGERS, min_size=2, max_size=2)))
+        argv += draw(st.sampled_from([["--a", a, "--b", b], ["--a", a, "--b", b], ["--a", a]]))
+    elif command == "resolve":
+        argv = ["resolve"] + draw(POSITIONALS)
+        if draw(st.booleans()):
+            argv.append("--trace")
+    elif command == "verify":
+        argv = ["verify", "--max", draw(st.one_of(st.integers(-2, 20).map(str), st.just("x")))]
+    else:
+        argv = draw(st.lists(st.sampled_from(["cf", "path", "--format", "--out", "--", "-", "-7/3",
+                                              "--bogus", "3", "json"]), max_size=4))
+    if draw(st.booleans()):
+        argv += ["--format", draw(FORMATS)]
+    out = draw(st.sampled_from([None, "out.txt", "missing/out.txt", "."]))
+    return argv, out
+
+
+@settings(max_examples=300, deadline=None)
+@given(argvs())
+def test_any_argv_ends_in_a_documented_exit_code(case):
+    argv, out = case
+    with tempfile.TemporaryDirectory() as tmp:
+        target = os.path.join(tmp, out) if out else None
+        if target:
+            argv = argv + ["--out", target]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with redirect_stdout(stdout), redirect_stderr(stderr):
+            code = cli.main(argv)
+        err = stderr.getvalue()
+        assert code in (0, 1, 2, 3), (argv, code)
+        assert "Traceback" not in err
+        if code in (1, 3):  # refused before any output, with one line
+            assert stdout.getvalue() == "" and err.count("\n") == 1, (argv, err)
+            if target and os.path.isfile(target):
+                raise AssertionError(f"a failed run left {target}")
+            return
+        assert err == "", (argv, err)
+        if target:
+            assert stdout.getvalue() == ""
+            with open(target, encoding="utf-8") as fh:
+                output = fh.read()
+        else:
+            output = stdout.getvalue()
+        if cli.build_parser().parse_args(argv).format == "json":
+            json.loads(output)

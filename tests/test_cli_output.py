@@ -1,0 +1,185 @@
+"""How the CLI writes its output: in chunks, to a closed pipe, and to --out."""
+
+import io
+import json
+import os
+import stat
+import subprocess
+import sys
+import tracemalloc
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+
+import monoval
+from monoval import cli
+from monoval.emit import emit_dot, emit_json, format_path_text, format_trace_text
+from monoval.exactnum import sqrt2_stream
+from monoval.resolution import resolve
+from monoval.valtree import positive_path
+from monoval.valuation import MonomialValuation
+from oracles import coprime_pairs
+
+
+class Writer:
+    """A stdout that keeps every write, or raises BrokenPipeError at write number ``fail_at``."""
+
+    def __init__(self, fail_at=None, keep=True):
+        self.fail_at, self.keep = fail_at, keep
+        self.writes, self.calls, self.length = [], 0, 0
+
+    def write(self, text):
+        if self.calls == self.fail_at:
+            raise BrokenPipeError(32, "Broken pipe")
+        self.calls += 1
+        self.length += len(text)
+        if self.keep:
+            self.writes.append(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def run_into(writer, *argv):
+    """Exit code and stderr of the CLI writing to ``writer``."""
+    err = io.StringIO()
+    with redirect_stdout(writer), redirect_stderr(err):
+        code = cli.main(list(argv))
+    return code, err.getvalue()
+
+
+@settings(max_examples=15, deadline=None)
+@given(coprime_pairs(10**6))
+def test_streamed_output_equals_the_library_string(pair):
+    a, b = pair
+    trace = resolve(a, b)
+    path = positive_path(MonomialValuation.rational(a, b), max_steps=a + b)
+    heading = f"positive path for nu(x) = {a}, nu(y) = {b}:"
+    expected = {
+        ("resolve", "--format", "json"): emit_json(trace),
+        ("resolve", "--format", "dot"): emit_dot(trace),
+        ("resolve",): format_trace_text(trace),
+        ("resolve", "--trace"): format_trace_text(trace, show_steps=True),
+        ("path", "--format", "json"): emit_json(path),
+        ("path", "--format", "dot"): emit_dot(path),
+        ("path",): format_path_text(path, heading),
+    }
+    for (command, *options), text in expected.items():
+        writer = Writer()
+        code, err = run_into(writer, command, str(a), str(b), *options)
+        assert (code, err) == (0, "")
+        assert "".join(writer.writes) == text, (command, options)
+        assert len(writer.writes) > 1, (command, options)
+
+
+def test_streamed_stream_path_equals_the_library_string():
+    nu = MonomialValuation.from_stream(sqrt2_stream())
+    path = positive_path(nu, max_steps=300)
+    for fmt, text in (("json", emit_json(path)), ("dot", emit_dot(path)),
+                      ("text", format_path_text(path, f"positive path for {nu.describe()}:"))):
+        writer = Writer()
+        code, _ = run_into(writer, "path", "--stream", "sqrt2", "--max-steps", "300", "--format", fmt)
+        assert code == 0 and "".join(writer.writes) == text and len(writer.writes) > 1
+
+
+def test_resolve_json_is_never_held_whole():
+    writer = Writer(keep=False)
+    tracemalloc.start()
+    try:
+        code, _ = run_into(writer, "resolve", "5001", "5000", "--format", "json")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and writer.length > 4_000_000
+    assert peak < writer.length // 4, (peak, writer.length)
+
+
+@pytest.mark.parametrize("fail_at", [0, 1, 5])
+def test_a_closed_stdout_exits_1_with_one_line(fail_at):
+    code, err = run_into(Writer(fail_at=fail_at), "resolve", "201", "200", "--format", "json")
+    assert code == 1
+    assert err == "error: stdout was closed before all output was written\n"
+
+
+# The console script; and a caller that goes on writing to stdout after
+# main returns, which finds it pointed at the null device.
+AFTER_MAIN = "import sys; from monoval.cli import main; c = main(sys.argv[1:]); print('more'); sys.exit(c)"
+
+
+@pytest.mark.parametrize("program", [["-m", "monoval"], ["-c", AFTER_MAIN]])
+def test_a_reader_that_closes_early_gets_no_traceback(program):
+    src = str(Path(monoval.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.Popen(
+        [sys.executable, *program, "resolve", "20001", "20000", "--format", "json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    try:
+        assert len(proc.stdout.read(100)) == 100
+    finally:
+        proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 1
+    assert err == "error: stdout was closed before all output was written\n"
+
+
+def failing_after_the_first_chunk(exc):
+    def chunks(obj):
+        yield "{"
+        raise exc
+    return chunks
+
+
+def test_out_is_left_as_it_was_when_the_output_fails(capsys, tmp_path, monkeypatch):
+    target = tmp_path / "path.json"
+    target.write_bytes(b"earlier output\n")
+    monkeypatch.setattr(cli, "json_chunks", failing_after_the_first_chunk(ValueError("midway")))
+    code = cli.main(["path", "3", "2", "--format", "json", "--out", str(target)])
+    assert (code, capsys.readouterr()) == (1, ("", "error: midway\n"))
+    assert target.read_bytes() == b"earlier output\n"
+    assert list(tmp_path.iterdir()) == [target]
+    # An interrupt is not caught, but the partial file goes all the same.
+    monkeypatch.setattr(cli, "json_chunks", failing_after_the_first_chunk(KeyboardInterrupt()))
+    with pytest.raises(KeyboardInterrupt):
+        cli.main(["path", "3", "2", "--format", "json", "--out", str(target)])
+    assert target.read_bytes() == b"earlier output\n"
+    assert list(tmp_path.iterdir()) == [target]
+
+
+def test_out_gets_the_mode_open_would_give(tmp_path):
+    umask = os.umask(0)
+    os.umask(umask)
+    target = tmp_path / "cf.txt"
+    assert cli.main(["cf", "24/7", "--out", str(target)]) == 0
+    assert stat.S_IMODE(target.stat().st_mode) == 0o666 & ~umask
+    target.chmod(0o640)
+    assert cli.main(["cf", "3/2", "--out", str(target)]) == 0
+    assert stat.S_IMODE(target.stat().st_mode) == 0o640
+    assert target.read_text() == "3/2 = [1; 2]\n"
+
+
+def test_out_writes_through_a_symlink(tmp_path):
+    real = tmp_path / "real.txt"
+    real.write_text("old\n")
+    link = tmp_path / "link.txt"
+    link.symlink_to(real)
+    assert cli.main(["cf", "24/7", "--out", str(link)]) == 0
+    assert link.is_symlink() and real.read_text() == "24/7 = [3; 2, 3]\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.txt", "real.txt"]
+
+
+def test_out_writes_into_a_pipe_in_place(tmp_path):
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        assert cli.main(["path", "3", "2", "--format", "json", "--out", str(fifo)]) == 0
+        data = os.read(reader, 1 << 16)
+    finally:
+        os.close(reader)
+    assert stat.S_ISFIFO(fifo.stat().st_mode)
+    assert json.loads(data)["status"] == "complete"

@@ -171,3 +171,13 @@ def test_membership_union_rational_cross_check():
     nu = MonomialValuation.rational(5, 3)
     assert membership_by_value(rf(pres.u), nu)
     assert membership_union(pres.u, nu, max_steps=64) is None
+
+
+def test_membership_union_budget_past_maxsize_and_negative():
+    nu = MonomialValuation.rational(5, 3)
+    # The rational path ends long before any budget past sys.maxsize.
+    assert membership_union(Monomial(-1, 1), nu, max_steps=2**64) is None
+    assert membership_union(Monomial(1, -1), nu, max_steps=2**64) == 1
+    assert membership_union(UNIT, nu, max_steps=0) is None
+    with pytest.raises(ValueError, match="^max_steps must not be negative$"):
+        membership_union(UNIT, nu, max_steps=-1)
