@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import os
-import re
 import stat
 import sys
 import tempfile
@@ -43,19 +42,20 @@ class UsageError(Exception):
     pass
 
 
-_NEGATIVE_RATIONAL = re.compile(r"-\d+/\d+")
-
-
 class _Parser(argparse.ArgumentParser):
     # argparse exits with code 2 on bad usage; this CLI reserves 2 for
     # verification failures, so route usage errors through an exception.
     def error(self, message):
         raise UsageError(message)
 
-    # argparse knows '-7' and '-1.5' as negative numbers but reads '-7/3'
-    # as an unknown option; a negative rational is a positional argument.
+    # argparse knows '-7' and '-1.5' as negative numbers but reads any
+    # other argument that starts with '-', such as the rational '-7/3' or
+    # the expression '-x^2', as an unknown option.  One that starts with a
+    # single '-' and names no option of this parser is a positional
+    # argument; an unknown '--name' is still a usage error.
     def _parse_optional(self, arg_string):
-        if _NEGATIVE_RATIONAL.fullmatch(arg_string):
+        if (arg_string[:1] == "-" and arg_string[1:2] != "-"
+                and arg_string.split("=", 1)[0] not in self._option_string_actions):
             return None
         return super()._parse_optional(arg_string)
 

@@ -10,9 +10,8 @@ is also what the expression parser reads back.
 and ``emit_json(obj)`` is ``json.dumps(to_jsonable(obj), sort_keys=True,
 indent=2)`` byte for byte.  Resolution traces and positive paths, the
 outputs that run to tens of megabytes, are written through fixed
-``str.format`` templates laid out as that call lays them out; monomial
-names go through ``encode_basestring_ascii``, the escaper ``json.dumps``
-itself uses.  Every other object goes through ``json.dumps``.
+templates laid out as that call lays them out.  Every other object goes
+through ``json.dumps``.
 
 Traces and paths are streamed: ``json_chunks``, ``dot_chunks``,
 ``trace_text_chunks`` and ``path_text_chunks`` yield the output one
@@ -25,18 +24,32 @@ every edge, and keeps only which children of each blow-up are resolved
 for the edges; ``--trace`` text prints every bad chart before every step,
 and keeps the monomial names of the first pass for the second.
 
-The trace emitters (JSON, DOT and text) read a trace's ``BlowUp`` views
-of its integer rows, not its ``ResolutionStep`` objects.  The chart blown
-up next is a child of the last, so each blow-up brings only two new
-monomials, g/f and f/g, and two new numbers, the children's multiplicity
-and |s - t|; ``_blow_ups`` names those and carries every other name down
-the bad-chart path.  ``trace_integers`` says which integers each format
-prints, so a caller can check them before any output.  Exponents of a wide
-pair run to hundreds of digits, and ``str`` of an int takes time
-quadratic in its length.  Consecutive path vertices share generators, so
-the path emitters name each monomial once per output, in a memo local to
-the call.  The memo is keyed by ``Monomial``, never by ``ChartBasis``: a
-basis compares equal under swapped generators while its ``str`` does not.
+The trace emitters (JSON, DOT, text and ``--trace`` text) share one row
+kernel, ``_blow_ups``, over a trace's integer rows.  It builds no
+``BlowUp`` view or ``ResolutionStep``, and no ``Monomial`` below the
+root chart, and reads each row's children and classifications with
+``resolution._children`` and ``_kind``, the rules ``resolve`` runs.  The
+chart blown up next is a child of the last, so each blow-up brings only
+two new monomials, g/f and f/g, and two new numbers, the children's
+multiplicity and |s - t|; the kernel prints those and carries every
+other name and number down the bad-chart path.  f/g is the inverse of
+g/f, and ``laurent.monomial_names`` names both from one printing of each
+exponent: exponents of a wide pair run to hundreds of digits, and
+``str`` of an int takes time quadratic in its length.  Plain text prints
+only the bad charts, and names the same two new generators as the
+others: they cost no more ``str`` of an int than the bad one alone.  The
+per-blow-up JSON step and the DOT nodes are ``%`` templates, which fill
+faster than ``str.format``; monomial names and classifications hold no
+character that JSON escapes, so the templates quote them as they are.
+``trace_integers`` says which integers each format prints, so a caller
+can check them before any output.
+
+Consecutive path vertices share generators, so the path emitters name
+each monomial once per output, in a memo local to the call, and JSON
+literals of the names go through ``encode_basestring_ascii``, the escaper
+``json.dumps`` itself uses.  The memo is keyed by ``Monomial``, never by
+``ChartBasis``: a basis compares equal under swapped generators while its
+``str`` does not.
 """
 
 from __future__ import annotations
@@ -47,13 +60,15 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
 from .exactnum import CFExpansion
-from .laurent import ChartBasis, Monomial
+from .laurent import ChartBasis, Monomial, monomial_names
 from .resolution import (
     BlowUp,
     ChartState,
     Classification,
     ResolutionTrace,
     TheoremReport,
+    _children,
+    _kind,
 )
 from .valring import RingPresentation
 from .valtree import CorrespondenceReport, PositivePath
@@ -88,32 +103,41 @@ def _json_name(mono: Monomial) -> str:
     return encode_basestring_ascii(str(mono))
 
 
-def _blow_ups(trace: ResolutionTrace, name, number):
-    """Per blow-up of a trace, its chart and children as printed, each name made once.
+def _blow_ups(trace: ResolutionTrace, number, names=monomial_names):
+    """Per blow-up of a trace, read from its rows: its chart and children as printed.
 
-    Yields the chart's fields (f, g, exc_f, exc_g, s, t) as ``name`` of
-    the monomials and ``number`` of the integers; each child's fields in
-    the same order (see ``BlowUp``), the power of its proper transform's
-    first coordinate being |s - t|; whether each child's curve passes
-    through its origin; the chart's sign, which the second child negates;
-    and the classifications of the chart and its children.  The next
-    chart is a child, so it keeps that child's names, and each blow-up
-    names only g/f, f/g, the children's multiplicity e and |s - t|.  An
-    emitter that prints no numbers passes ``int``, which leaves them as
-    they are: ``str`` of one may pass the interpreter's limit for
-    printing an integer.
+    Yields the chart's fields (f, g, exc_f, exc_g, s, t), the monomials
+    named and the integers as ``number`` prints them; each child's fields
+    in the same order (see ``BlowUp``), the power of its proper
+    transform's first coordinate being |s - t|; whether each child's
+    curve passes through its origin; the chart's sign, which the second
+    child negates; and the classifications of the chart and its children.
+    ``_children`` and ``_kind`` read each row, so the blow-up and
+    classification rules are ``resolve``'s.  The next chart is a child,
+    so it keeps that child's fields and classification, and each blow-up
+    prints only g/f and f/g, both from ``names`` of g/f's exponents, the
+    children's multiplicity e and |s - t|.  An emitter that prints no
+    numbers passes ``int``, which leaves them as they are: ``str`` of one
+    may pass the interpreter's limit for printing an integer.
     """
-    blow_ups = trace.blow_ups
-    u = blow_ups[0]
-    chart = (name(u.f), name(u.g), number(u.exc_f), number(u.exc_g), number(u.s), number(u.t))
-    for u in blow_ups:
+    resolved = Classification.RESOLVED
+    row = trace.rows[0]
+    fx, fy, gx, gy, a, b, s, t, _ = row
+    f, g = str(Monomial(fx, fy)), str(Monomial(gx, gy))
+    chart = (f, g, number(a), number(b), number(s), number(t))
+    kind = _kind(row)
+    for row in trace.rows:
+        first, second = _children(row)
+        k1, k2 = _kind(first), _kind(second)
         f, g, a, b, s, t = chart
-        p, q = u.s, u.t
-        e, d = number(u.e), number(abs(p - q))
-        children = ((f, name(u.g_over_f), e, b, d, t), (g, name(u.f_over_g), e, a, d, s))
-        yield chart, children, (p > q, q > p), u.sign, u.kind, u.kinds
-        if u.bad is not None:
-            chart = children[u.bad]
+        g_over_f, f_over_g = names(first[2], first[3])
+        e, d = number(first[4]), number(abs(first[6]))
+        c1, c2 = (f, g_over_f, e, b, d, t), (g, f_over_g, e, a, d, s)
+        yield chart, c1, c2, first[6] > 0, second[6] > 0, row[8], kind, k1, k2
+        if k1 is not resolved:
+            chart, kind = c1, k1
+        else:
+            chart, kind = c2, k2
 
 
 def trace_integers(u: BlowUp, fmt: str, show_steps: bool = False) -> tuple[int, ...]:
@@ -238,58 +262,56 @@ def _json_array(items: Iterator[str]) -> Iterator[str]:
 
 def _chart_template(depth: int) -> str:
     """A chart object's eight fields, in key order, its ``{`` opening a line at ``depth``."""
-    return """{{
-  "basis": {{
-    "f": {},
-    "g": {}
-  }},
-  "exceptional": {{
-    "f": {},
-    "g": {}
-  }},
-  "proper": {{
-    "f_power": {},
-    "g_power": {},
-    "kind": {}
-  }},
-  "sign": {}
-}}""".replace("\n", "\n" + " " * depth)
+    return """{
+  "basis": {
+    "f": "%s",
+    "g": "%s"
+  },
+  "exceptional": {
+    "f": %s,
+    "g": %s
+  },
+  "proper": {
+    "f_power": %s,
+    "g_power": %s,
+    "kind": "%s"
+  },
+  "sign": %s
+}""".replace("\n", "\n" + " " * depth)
 
 
 # A child at depth 8: its chart's fields, then its classification.
 _CHILD = (
-    '        {{\n          "chart": ' + _chart_template(10)
-    + ',\n          "classification": {}\n        }}'
+    '        {\n          "chart": ' + _chart_template(10)
+    + ',\n          "classification": "%s"\n        }'
 )
 # A blow-up at depth 4: its chart's fields, both children, then its own
 # classification.
 _STEP = (
-    '    {{\n      "chart": ' + _chart_template(6) + ',\n      "children": [\n'
-    + _CHILD + ",\n" + _CHILD + '\n      ],\n      "classification": {}\n    }}'
+    '    {\n      "chart": ' + _chart_template(6) + ',\n      "children": [\n'
+    + _CHILD + ",\n" + _CHILD + '\n      ],\n      "classification": "%s"\n    }'
 )
 # A trace's fields before its blow-ups, and after them.
-_TRACE = ('{{\n  "a": {},\n  "b": {},\n  "blow_ups": ', ',\n  "count": {}\n}}')
+_TRACE = ('{\n  "a": %s,\n  "b": %s,\n  "blow_ups": ', ',\n  "count": %s\n}')
 _VERTEX = '    {{\n      "f": {},\n      "g": {}\n    }}'
-_THROUGH = encode_basestring_ascii("through-origin")
-_MISSES = encode_basestring_ascii("misses-origin")
-_KIND = {k: encode_basestring_ascii(k.value) for k in Classification}
+_KIND = {k: k.value for k in Classification}  # faster than the enum's .value
 
 
 def _trace_json(trace: ResolutionTrace) -> Iterator[str]:
     head, tail = _TRACE
-    yield head.format(trace.a, trace.b)
-    step_t = _STEP.format
+    yield head % (trace.a, trace.b)
+    step, kinds = _STEP, _KIND
     yield from _json_array(
-        step_t(
-            *chart, _THROUGH, sign,
-            *first, _THROUGH if through1 else _MISSES, sign, _KIND[k1],
-            *second, _THROUGH if through2 else _MISSES, -sign, _KIND[k2],
-            _KIND[kind],
+        step % (
+            *chart, "through-origin", sign,
+            *first, "through-origin" if through1 else "misses-origin", sign, kinds[k1],
+            *second, "through-origin" if through2 else "misses-origin", -sign, kinds[k2],
+            kinds[kind],
         )
-        for chart, (first, second), (through1, through2), sign, kind, (k1, k2)
-        in _blow_ups(trace, _json_name, str)
+        for chart, first, second, through1, through2, sign, kind, k1, k2
+        in _blow_ups(trace, str)
     )
-    yield tail.format(trace.blow_up_count)
+    yield tail % trace.blow_up_count
 
 
 def _path_json(path: PositivePath) -> Iterator[str]:
@@ -346,7 +368,7 @@ def _dot_children(i: int, resolved: int) -> tuple[str, str]:
 # A trace's DOT node for a chart of each classification, from its name and
 # its basis's two generators: bold unless resolved.
 _DOT_NODE = {
-    k: '  {} [label="k[{}, {}]\\n(' + k.value + ')"'
+    k: '  %s [label="k[%s, %s]\\n(' + k.value + ')"'
     + ("" if k is Classification.RESOLVED else ", style=bold") + "];\n"
     for k in Classification
 }
@@ -355,13 +377,14 @@ _DOT_NODE = {
 def _dot_trace(trace: ResolutionTrace) -> Iterator[str]:
     yield _dot_head("resolution_trace")
     resolved = Classification.RESOLVED
+    node = _DOT_NODE
     bits = bytearray()  # per blow-up, which children are resolved: all the edges need
-    for i, (chart, (c1, c2), _, _, kind, (k1, k2)) in enumerate(_blow_ups(trace, str, int)):
+    for i, (chart, c1, c2, _, _, _, kind, k1, k2) in enumerate(_blow_ups(trace, int)):
         if i == 0:  # a chart blown up is never resolved, so bold
-            yield _DOT_NODE[kind].format("b0", chart[0], chart[1])
+            yield node[kind] % ("b0", chart[0], chart[1])
         bits.append((k1 is resolved) | (k2 is resolved) << 1)
         n1, n2 = _dot_children(i, bits[i])
-        yield _DOT_NODE[k1].format(n1, c1[0], c1[1]) + _DOT_NODE[k2].format(n2, c2[0], c2[1])
+        yield node[k1] % (n1, c1[0], c1[1]) + node[k2] % (n2, c2[0], c2[1])
     for i, resolved_children in enumerate(bits):
         n1, n2 = _dot_children(i, resolved_children)
         yield f"  b{i} -> {n1};\n  b{i} -> {n2};\n"
@@ -434,34 +457,37 @@ def trace_text_chunks(trace: ResolutionTrace, show_steps: bool = False) -> Itera
     """``format_trace_text(trace, show_steps)`` in pieces, one blow-up at a time.
 
     The bad charts come before the steps, so ``show_steps`` reads the
-    blow-ups twice.  The first pass keeps every monomial name it makes,
-    in order, and the second takes them back in the same order, since
-    ``_blow_ups`` asks for names in an order fixed by the trace: no
-    monomial is named twice.
+    rows twice.  The first pass keeps the names of each blow-up's new
+    generators, in order, and the second takes them back in the same
+    order: no monomial is named twice.
     """
     yield (f"resolution of x^{trace.b} = y^{trace.a}: {trace.blow_up_count} blow-ups\n"
            "bad charts:\n")
-    names: list[str] = []
+    named: list[str] = []
 
-    def name(mono: Monomial) -> str:
-        text = str(mono)
-        names.append(text)
-        return text
+    def names(ex: int, ey: int) -> tuple[str, str]:
+        pair = monomial_names(ex, ey)
+        named.extend(pair)
+        return pair
 
-    for i, (chart, _, _, _, kind, _) in enumerate(_blow_ups(trace, name if show_steps else str, int)):
-        yield f"  {i}: k[{chart[0]}, {chart[1]}] ({kind.value})\n"
+    kinds = _KIND
+    for i, (chart, _, _, _, _, _, kind, _, _) in enumerate(
+        _blow_ups(trace, int, names if show_steps else monomial_names)
+    ):
+        yield f"  {i}: k[{chart[0]}, {chart[1]}] ({kinds[kind]})\n"
     if not show_steps:
         return
     yield "steps:\n"
-    named = iter(names)
-    for i, (chart, children, through, sign, _, kinds) in enumerate(
-        _blow_ups(trace, lambda _: next(named), str)
+    replay = iter(named)
+    pairs = zip(replay, replay)
+    for i, (chart, first, second, through1, through2, sign, _, k1, k2) in enumerate(
+        _blow_ups(trace, str, lambda ex, ey: next(pairs))
     ):
-        lines = [f"  blow-up {i + 1} at the origin of k[{chart[0]}, {chart[1]}]:\n"]
-        for child, through_, sign_, k in zip(children, through, (sign, -sign), kinds):
-            lines.append(f"    k[{child[0]}, {child[1]}]: {_chart_text(*child, through_, sign_)}"
-                         f" [{k.value}]\n")
-        yield "".join(lines)
+        text1 = _chart_text(*first, through1, sign)
+        text2 = _chart_text(*second, through2, -sign)
+        yield (f"  blow-up {i + 1} at the origin of k[{chart[0]}, {chart[1]}]:\n"
+               f"    k[{first[0]}, {first[1]}]: {text1} [{kinds[k1]}]\n"
+               f"    k[{second[0]}, {second[1]}]: {text2} [{kinds[k2]}]\n")
 
 
 def format_trace_text(trace: ResolutionTrace, show_steps: bool = False) -> str:

@@ -10,6 +10,11 @@ appears, which is held as a ``Fraction``; a ``Fraction`` that reduces to
 an integer is stored as that ``int``, so equal polynomials have equal
 term maps.  All values are immutable; term iteration is ordered so
 emitted artifacts are bit-stable.
+
+A monomial prints in reduced fraction form, ``y^3/x^2``.  ``Monomial.__str__``
+and ``monomial_names``, which names a monomial and its inverse from one
+printing of each exponent, both assemble the form with ``_fraction_form``,
+so the naming rules are written once.
 """
 
 from __future__ import annotations
@@ -74,21 +79,48 @@ class Monomial:
 
     def __str__(self) -> str:
         """Reduced fraction form, e.g. ``y^3/x^2``; exponent 1 suppressed."""
-        num, den = [], []
-        for name, e in (("x", self.ex), ("y", self.ey)):
-            if e > 0:
-                num.append(name if e == 1 else f"{name}^{e}")
-            elif e < 0:
-                den.append(name if e == -1 else f"{name}^{-e}")
-        if not num and not den:
-            return "1"
-        num_s = "*".join(num) if num else "1"
-        if not den:
-            return num_s
-        den_s = "*".join(den)
-        if len(den) > 1:
-            den_s = f"({den_s})"
-        return f"{num_s}/{den_s}"
+        ex, ey = self.ex, self.ey
+        return _fraction_form(_power("x", ex), _power("y", ey), ex, ey)
+
+
+def _power(name: str, e: int) -> str:
+    """``name`` raised to |e|, exponent 1 suppressed; empty for e = 0."""
+    if e > 0:
+        return name if e == 1 else f"{name}^{e}"
+    if e:
+        return name if e == -1 else f"{name}^{-e}"
+    return ""
+
+
+def _fraction_form(x: str, y: str, ex: int, ey: int) -> str:
+    """x^ex * y^ey in reduced fraction form, from ``x`` = x^|ex| and ``y`` = y^|ey| as named.
+
+    Positive powers go over the line and negative ones under it, x before
+    y; a product under the line is parenthesised.  Only the signs of ex
+    and ey are read, so the inverse monomial is the same names with both
+    signs flipped (see ``monomial_names``).
+    """
+    if ex > 0:
+        if ey > 0:
+            return f"{x}*{y}"
+        return f"{x}/{y}" if ey else x
+    if ex:
+        if ey > 0:
+            return f"{y}/{x}"
+        return f"1/({x}*{y})" if ey else f"1/{x}"
+    if ey > 0:
+        return y
+    return f"1/{y}" if ey else "1"
+
+
+def monomial_names(ex: int, ey: int) -> tuple[str, str]:
+    """``str(Monomial(ex, ey))`` and ``str(Monomial(-ex, -ey))``, each exponent printed once.
+
+    A monomial and its inverse print the same powers on opposite sides
+    of the line, and ``str`` of an int takes time quadratic in its length.
+    """
+    x, y = _power("x", ex), _power("y", ey)
+    return _fraction_form(x, y, ex, ey), _fraction_form(x, y, -ex, -ey)
 
 
 # Slot setters, so construction skips the __setattr__ guard.

@@ -9,13 +9,17 @@ by one value comparison per vertex, as the cross-check for the package's
 walk from continued-fraction digits.  The resolution is driven here on
 ``ChartState`` objects, blow-up by blow-up, and charts are expanded by
 monomial powers and a shift, as the cross-check for the package's
-integer rows and one-pass expansion.
+integer rows and one-pass expansion.  A trace is written here in JSON,
+DOT and text from its ``BlowUp`` views, naming every monomial with
+``str`` and filling ``str.format`` templates, as the cross-check for the
+package's emitters over the integer rows.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from math import gcd
 
 from hypothesis import strategies as st
@@ -29,12 +33,14 @@ from monoval.laurent import (
     X,
     Y,
 )
+from monoval.emit import _chart_text, _dot_children, _dot_head, _json_array
 from monoval.resolution import (
     ChartState,
     Classification,
     MissesOrigin,
     ResolutionInvariantError,
     ResolutionStep,
+    ResolutionTrace,
     ThroughOrigin,
     initial_chart,
 )
@@ -226,3 +232,135 @@ def expand_chart(c: ChartState) -> LaurentPolynomial:
     else:
         body = LaurentPolynomial({UNIT: 1, f ** c.proper.f_exp * g ** c.proper.g_exp: -1})
     return body.shift(content) * c.sign
+
+
+def monomial_name(ex: int, ey: int) -> str:
+    """x^ex * y^ey as a reduced fraction: positive powers over the line, x first."""
+    num, den = [], []
+    for name, e in (("x", ex), ("y", ey)):
+        if e > 0:
+            num.append(name if e == 1 else f"{name}^{e}")
+        elif e < 0:
+            den.append(name if e == -1 else f"{name}^{-e}")
+    if not den:
+        return "*".join(num) or "1"
+    den_s = den[0] if len(den) == 1 else f"({'*'.join(den)})"
+    return f"{'*'.join(num) or '1'}/{den_s}"
+
+
+# ------------------------------------------------------------ trace emitters
+
+
+def blow_up_names(trace: ResolutionTrace, name, number):
+    """Per ``BlowUp`` view: the chart and children as printed, names carried down the path.
+
+    Yields the chart's fields (f, g, exc_f, exc_g, s, t) as ``name`` of
+    the monomials and ``number`` of the integers, each child's fields in
+    the same order, whether each child's curve passes through its origin,
+    the chart's sign and the classifications of the chart and children.
+    """
+    blow_ups = trace.blow_ups
+    u = blow_ups[0]
+    chart = (name(u.f), name(u.g), number(u.exc_f), number(u.exc_g), number(u.s), number(u.t))
+    for u in blow_ups:
+        f, g, a, b, s, t = chart
+        p, q = u.s, u.t
+        e, d = number(u.e), number(abs(p - q))
+        children = ((f, name(u.g_over_f), e, b, d, t), (g, name(u.f_over_g), e, a, d, s))
+        yield chart, children, (p > q, q > p), u.sign, u.kind, u.kinds
+        if u.bad is not None:
+            chart = children[u.bad]
+
+
+def _json_chart(depth: int) -> str:
+    return """{{
+  "basis": {{
+    "f": {},
+    "g": {}
+  }},
+  "exceptional": {{
+    "f": {},
+    "g": {}
+  }},
+  "proper": {{
+    "f_power": {},
+    "g_power": {},
+    "kind": {}
+  }},
+  "sign": {}
+}}""".replace("\n", "\n" + " " * depth)
+
+
+_JSON_CHILD = (
+    '        {{\n          "chart": ' + _json_chart(10)
+    + ',\n          "classification": {}\n        }}'
+)
+_JSON_STEP = (
+    '    {{\n      "chart": ' + _json_chart(6) + ',\n      "children": [\n'
+    + _JSON_CHILD + ",\n" + _JSON_CHILD + '\n      ],\n      "classification": {}\n    }}'
+)
+_THROUGH = encode_basestring_ascii("through-origin")
+_MISSES = encode_basestring_ascii("misses-origin")
+_JSON_KIND = {k: encode_basestring_ascii(k.value) for k in Classification}
+
+
+def _json_name(mono: Monomial) -> str:
+    return encode_basestring_ascii(str(mono))
+
+
+def trace_json(trace: ResolutionTrace) -> str:
+    """``emit_json(trace)``, from the views and ``str.format`` templates."""
+    steps = _json_array(
+        _JSON_STEP.format(
+            *chart, _THROUGH, sign,
+            *first, _THROUGH if through1 else _MISSES, sign, _JSON_KIND[k1],
+            *second, _THROUGH if through2 else _MISSES, -sign, _JSON_KIND[k2],
+            _JSON_KIND[kind],
+        )
+        for chart, (first, second), (through1, through2), sign, kind, (k1, k2)
+        in blow_up_names(trace, _json_name, str)
+    )
+    return (f'{{\n  "a": {trace.a},\n  "b": {trace.b},\n  "blow_ups": ' + "".join(steps)
+            + f',\n  "count": {trace.blow_up_count}\n}}')
+
+
+_DOT_NODE = {
+    k: '  {} [label="k[{}, {}]\\n(' + k.value + ')"'
+    + ("" if k is Classification.RESOLVED else ", style=bold") + "];\n"
+    for k in Classification
+}
+
+
+def trace_dot(trace: ResolutionTrace) -> str:
+    """``emit_dot(trace)``: every node, then every edge, from the views."""
+    out = [_dot_head("resolution_trace")]
+    resolved = Classification.RESOLVED
+    bits = []
+    for i, (chart, (c1, c2), _, _, kind, (k1, k2)) in enumerate(blow_up_names(trace, str, int)):
+        if i == 0:
+            out.append(_DOT_NODE[kind].format("b0", chart[0], chart[1]))
+        bits.append((k1 is resolved) | (k2 is resolved) << 1)
+        n1, n2 = _dot_children(i, bits[i])
+        out.append(_DOT_NODE[k1].format(n1, c1[0], c1[1]) + _DOT_NODE[k2].format(n2, c2[0], c2[1]))
+    for i, resolved_children in enumerate(bits):
+        n1, n2 = _dot_children(i, resolved_children)
+        out.append(f"  b{i} -> {n1};\n  b{i} -> {n2};\n")
+    return "".join(out) + "}\n"
+
+
+def trace_text(trace: ResolutionTrace, show_steps: bool = False) -> str:
+    """``format_trace_text(trace, show_steps)``: bad charts, then each step, from the views."""
+    out = [f"resolution of x^{trace.b} = y^{trace.a}: {trace.blow_up_count} blow-ups\n"
+           "bad charts:\n"]
+    for i, (chart, _, _, _, kind, _) in enumerate(blow_up_names(trace, str, int)):
+        out.append(f"  {i}: k[{chart[0]}, {chart[1]}] ({kind.value})\n")
+    if show_steps:
+        out.append("steps:\n")
+        for i, (chart, children, through, sign, _, kinds) in enumerate(
+            blow_up_names(trace, str, str)
+        ):
+            out.append(f"  blow-up {i + 1} at the origin of k[{chart[0]}, {chart[1]}]:\n")
+            for child, through_, sign_, k in zip(children, through, (sign, -sign), kinds):
+                out.append(f"    k[{child[0]}, {child[1]}]: {_chart_text(*child, through_, sign_)}"
+                           f" [{k.value}]\n")
+    return "".join(out)

@@ -96,6 +96,15 @@ def test_member(capsys):
     assert data["member"] is True and data["value"] == "0"
 
 
+def test_member_expression_with_a_leading_minus(capsys):
+    code, out, _ = run(capsys, "member", "-x^2", "--a", "3", "--b", "2", "--format", "json")
+    assert code == 0 and json.loads(out)["value"] == "6"
+    code, out, _ = run(capsys, "member", "-y", "--a", "3", "--b", "2")
+    assert code == 0 and out == "-y: member of the valuation ring for nu(x) = 3, nu(y) = 2 (value 2)\n"
+    code, out, err = run(capsys, "member", "-x^2", "--a", "3", "--b", "2", "--bogus")
+    assert code == 1 and out == "" and err.startswith("usage error:")
+
+
 def test_member_deep_nesting(capsys):
     deep = "(" * 3000 + "x" + ")" * 3000
     code, out, err = run(capsys, "member", deep, "--a", "3", "--b", "2")

@@ -1,6 +1,7 @@
 import json
 import re
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,7 +16,7 @@ from monoval.emit import (
     trace_integers,
 )
 from monoval.exactnum import CFStream, cf_expand, sqrt2_stream
-from monoval.laurent import X, Y, ChartBasis
+from monoval.laurent import X, Y, ChartBasis, Monomial, monomial_names
 from monoval.resolution import Classification, check_theorem, resolve
 from monoval.valring import ring_generators
 from monoval.valtree import (
@@ -28,6 +29,7 @@ from monoval.valtree import (
 )
 from monoval.valuation import MonomialValuation
 from monoval.verify import run_verify
+import oracles
 from oracles import coprime_pairs
 
 
@@ -297,3 +299,57 @@ def test_trace_integers_hold_the_largest_integer_each_format_prints(pair):
         listed = max(abs(n) for u in trace.blow_ups for n in trace_integers(u, fmt, steps))
         # DOT prints no a and b, only chart bases
         assert printed == (listed if fmt == "dot" else max(listed, a, b)), (fmt, steps)
+
+
+# --------------------------------------------------- rows vs the view oracle
+#
+# The trace emitters read the integer rows; ``oracles`` keeps the emitters
+# they replaced, which read ``BlowUp`` views, name every monomial with
+# ``str`` and fill ``str.format`` templates.
+
+
+def convergent(digits) -> tuple[int, int]:
+    """(a, b) with a/b = [d0; d1, ...]."""
+    h, h1, k, k1 = 1, 0, 0, 1
+    for d in digits:
+        h, h1 = d * h + h1, h
+        k, k1 = d * k + k1, k
+    return h, k
+
+
+# A wide pair: n digits spread evenly over 1..40, shuffled, so the exponents
+# run to hundreds of digits.
+wide_pairs = st.integers(40, 300).flatmap(
+    lambda n: st.permutations([1 + 40 * i // n for i in range(n)])
+).map(convergent)
+
+
+def assert_trace_matches_the_view_oracle(a, b):
+    trace = resolve(a, b)
+    assert emit_json(trace) == oracles.trace_json(trace)
+    assert emit_dot(trace) == oracles.trace_dot(trace)
+    for show_steps in (False, True):
+        assert format_trace_text(trace, show_steps) == oracles.trace_text(trace, show_steps)
+
+
+@settings(max_examples=25, deadline=None)
+@given(coprime_pairs(10**40))
+def test_trace_emitters_match_the_view_oracle_up_to_10_40(pair):
+    assert_trace_matches_the_view_oracle(*pair)
+
+
+@settings(max_examples=5, deadline=None)
+@given(wide_pairs)
+def test_trace_emitters_match_the_view_oracle_on_wide_pairs(pair):
+    assert_trace_matches_the_view_oracle(*pair)
+
+
+@given(st.integers(-(10**400), 10**400), st.integers(-(10**400), 10**400))
+@settings(max_examples=100)
+def test_json_templates_quote_names_that_need_no_escaping(ex, ey):
+    # The trace templates put monomial names and classifications in quotes as they are.
+    for name in monomial_names(ex, ey):
+        assert f'"{name}"' == encode_basestring_ascii(name)
+    assert monomial_names(ex, ey)[0] == str(Monomial(ex, ey))
+    for text in ("through-origin", "misses-origin", *(k.value for k in Classification)):
+        assert f'"{text}"' == encode_basestring_ascii(text)

@@ -6,9 +6,11 @@ digests were recorded before tree vertices and chart bases became one
 class.  The six digests of the pair A, B below (a/b = [3; 1, 4, 1, 5, 9,
 2, 6, ..., 9, 5], 155 blow-ups, 21-digit exponents) and of the text
 stream path were recorded before resolve and path output were written
-from fixed templates; they are the only goldens with big exponents.
-Any change to vertex order, generator order, chart data or
-formatting shows up here.
+from fixed templates.  The two plain-text resolve digests, of 24, 7 and
+of A, B, were recorded before the trace emitters read the integer rows
+through one kernel.  The digests of A, B and of the text stream path
+are the only goldens with big exponents.  Any change to vertex order,
+generator order, chart data or formatting shows up here.
 """
 
 import hashlib
@@ -50,6 +52,10 @@ GOLDEN = [
      "632c40051b4ddb137b928eacdf5f8d64a30744f49e5d7a7ca996198f71df8ed5"),
     (("path", "--stream", "0;3,1", "--max-steps", "300", "--format", "text"),
      "208e363dae31754e5a53405a034944a1a4e48e64f1fa0d400756b8c994f4de14"),
+    (("resolve", "24", "7"),
+     "5ef4902dee79dc6a5e46c414811ea235cc8d533d35faa2d23ba616c6bd8e770d"),
+    (("resolve", A, B),
+     "e6241fa8f294a872f6e916d058ccbb8dd161cf8b75979ba6a38cd1f34d130531"),
 ]
 
 

@@ -17,10 +17,11 @@ from monoval.laurent import (
     expand_from_chart,
     factor_monomial_content,
     lattice_solve,
+    monomial_names,
     rewrite_in_chart,
 )
 
-from oracles import random_polynomial
+from oracles import monomial_name, random_polynomial
 
 
 def poly(d):
@@ -54,6 +55,28 @@ def test_monomial_combine():
 )
 def test_monomial_str(mono, text):
     assert str(mono) == text
+
+
+SMALL_EXPONENTS = (-2, -1, 0, 1, 3)
+
+
+@pytest.mark.parametrize("ex", SMALL_EXPONENTS)
+@pytest.mark.parametrize("ey", SMALL_EXPONENTS)
+def test_monomial_and_its_inverse_are_named_in_fraction_form(ex, ey):
+    # every sign pattern, with the exponents 0 and +-1 that print no power
+    assert str(Monomial(ex, ey)) == monomial_name(ex, ey)
+    assert monomial_names(ex, ey) == (monomial_name(ex, ey), monomial_name(-ex, -ey))
+
+
+huge_exponents = st.one_of(st.sampled_from((0, 1, -1)), st.integers(-(10**400), 10**400))
+
+
+@given(huge_exponents, huge_exponents)
+@settings(max_examples=200)
+def test_monomial_names_are_str_of_the_monomial_and_its_inverse(ex, ey):
+    names = monomial_names(ex, ey)
+    assert names == (str(Monomial(ex, ey)), str(Monomial(-ex, -ey)))
+    assert names[0] == monomial_name(ex, ey)
 
 
 # -- polynomials -------------------------------------------------------------
