@@ -7,11 +7,16 @@ directory, renamed onto the target at the end.  Exit codes: 0 success,
 1 usage, parse or output error (including a reader that closes stdout
 early), 2 verification failure, 3 indecisive stream comparison
 (reserved: path walks continued-fraction digits and never reaches it).
+
+``main`` builds its parser once per process, on its first call, and
+parses every later argv with it; a one-shot ``monoval`` process builds
+it once either way.  Importing this module builds none.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import stat
 import sys
@@ -224,7 +229,9 @@ def _cmd_verify(args) -> Output:
 
 
 def build_parser() -> _Parser:
-    parser = _Parser(prog="monoval", description=__doc__)
+    """A new parser for the command line, on every call."""
+    # -h prints the module docstring but its last paragraph, which is about the code.
+    parser = _Parser(prog="monoval", description=__doc__.rsplit("\n\n", 1)[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p, formats=("text", "json")):
@@ -270,6 +277,16 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_verify)
 
     return parser
+
+
+@functools.cache
+def _parser() -> _Parser:
+    """The parser ``main`` uses: built on the first call, then shared.
+
+    ``parse_args`` keeps no state between calls (each fills a new
+    namespace), so one parser serves every call in a process.
+    """
+    return build_parser()
 
 
 def _write_file(path: str, chunks: Iterable[str]) -> None:
@@ -319,9 +336,8 @@ def _silence_stdout() -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -10,8 +10,10 @@ is also what the expression parser reads back.
 and ``emit_json(obj)`` is ``json.dumps(to_jsonable(obj), sort_keys=True,
 indent=2)`` byte for byte.  Resolution traces and positive paths, the
 outputs that run to tens of megabytes, are written through fixed
-templates laid out as that call lays them out.  Every other object goes
-through ``json.dumps``.
+templates laid out as that call lays them out, and so is a continued
+fraction, the most frequent small request: ``json.dumps`` with an indent
+runs its pure-Python encoder, several times slower than one ``join``.
+Every other object goes through ``json.dumps``.
 
 Traces and paths are streamed: ``json_chunks``, ``dot_chunks``,
 ``trace_text_chunks`` and ``path_text_chunks`` yield the output one
@@ -294,6 +296,7 @@ _STEP = (
 # A trace's fields before its blow-ups, and after them.
 _TRACE = ('{\n  "a": %s,\n  "b": %s,\n  "blow_ups": ', ',\n  "count": %s\n}')
 _VERTEX = '    {{\n      "f": {},\n      "g": {}\n    }}'
+_CF = '{\n  "digits": [\n    %s\n  ]\n}'  # an expansion has at least one digit
 _KIND = {k: k.value for k in Classification}  # faster than the enum's .value
 
 
@@ -323,11 +326,17 @@ def _path_json(path: PositivePath) -> Iterator[str]:
 
 
 def json_chunks(obj) -> Iterator[str]:
-    """``emit_json(obj)`` in pieces; a trace or path is made one blow-up or vertex at a time."""
+    """``emit_json(obj)`` in pieces; a trace or path is made one blow-up or vertex at a time.
+
+    Any other object is written whole before this returns, so an integer
+    too long to print raises here, not while the chunks are drawn.
+    """
     if isinstance(obj, ResolutionTrace):
         return _trace_json(obj)
     if isinstance(obj, PositivePath):
         return _path_json(obj)
+    if isinstance(obj, CFExpansion):
+        return iter((_CF % ",\n    ".join(map(str, obj.digits)),))
     return iter((json.dumps(to_jsonable(obj), sort_keys=True, indent=2),))
 
 

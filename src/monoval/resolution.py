@@ -32,7 +32,7 @@ from __future__ import annotations
 import enum
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from math import gcd
 from typing import Callable, Iterator, NamedTuple, Optional, Union
 
@@ -259,13 +259,27 @@ class _RowViews(Sequence):
 
 @dataclass(frozen=True)
 class TheoremReport:
-    """Bad-chart path of the resolution against the valuation's positive path."""
+    """Bad-chart path of the resolution against the valuation's positive path.
 
-    a: int
-    b: int
-    resolution_path: PositivePath
+    ``equal`` is decided on the trace's rows; ``resolution_path``, a chart
+    basis per row, is built when first read (``run_verify`` never reads it).
+    """
+
+    trace: ResolutionTrace
     valuation_path: PositivePath
     equal: bool
+
+    @property
+    def a(self) -> int:
+        return self.trace.a
+
+    @property
+    def b(self) -> int:
+        return self.trace.b
+
+    @cached_property
+    def resolution_path(self) -> PositivePath:
+        return bad_vertex_path(self.trace)
 
 
 @dataclass(frozen=True)
@@ -439,7 +453,7 @@ def theorem_report(trace: ResolutionTrace, val_path: PositivePath) -> TheoremRep
         and len(trace.rows) == len(val_path)
         and all(map(_is_vertex, trace.rows, val_path))
     )
-    return TheoremReport(trace.a, trace.b, bad_vertex_path(trace), val_path, equal)
+    return TheoremReport(trace, val_path, equal)
 
 
 def _is_vertex(row: tuple[int, ...], v: ChartBasis) -> bool:
@@ -470,16 +484,17 @@ def expand_chart(c: ChartState) -> LaurentPolynomial:
     x^b - y^a this equals x^b - y^a exactly (the tracked sign absorbs the
     sign changes of the refactoring steps).  Through the origin the curve
     is sign * (f^(A+p) g^B - f^A g^(B+q)); missing it,
-    sign * (f^A g^B - f^(A-p) g^(B+q)).  A unimodular basis sends distinct
-    exponent pairs to distinct monomials, so the two terms never merge.
+    sign * (f^A g^B - f^(A-p) g^(B+q)).  The two terms are summed, so a
+    tuple whose two monomials coincide, as they can over a degenerate
+    basis or with p = q = 0, expands to zero.
     """
     fx, fy, gx, gy, A, B, p, q, sign = c
     i, j = (A + p, A) if p > 0 else (A, A - p)  # powers of f in the two terms
     k = B + q
-    return LaurentPolynomial({
-        Monomial(fx * i + gx * B, fy * i + gy * B): sign,
-        Monomial(fx * j + gx * k, fy * j + gy * k): -sign,
-    })
+    return LaurentPolynomial((
+        (Monomial(fx * i + gx * B, fy * i + gy * B), sign),
+        (Monomial(fx * j + gx * k, fy * j + gy * k), -sign),
+    ))
 
 
 def verify_reconstruction(trace: ResolutionTrace) -> bool:

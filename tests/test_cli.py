@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
 import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from monoval import cli
-from monoval.exactnum import IndecisiveComparisonError, sqrt2_stream
+from monoval.emit import to_jsonable
+from monoval.exactnum import IndecisiveComparisonError, cf_expand, sqrt2_stream
 from monoval.resolution import ThroughOrigin, resolve
 from monoval.valtree import positive_path
 from monoval.valuation import MonomialValuation
@@ -310,3 +315,93 @@ def test_resolve_past_the_int_str_limit_fails_before_output(capsys):
     for fmt in (("--format", "dot"), ()):
         code, out, err = results[fmt]
         assert code == 0 and err == "" and out
+
+
+# ------------------------------------------------- one parser per process
+
+
+def test_calls_in_one_process_share_no_arguments(capsys, tmp_path):
+    target = tmp_path / "cf.json"
+    assert run(capsys, "cf", "24/7", "--format", "json", "--out", str(target)) == (0, "", "")
+    assert run(capsys, "cf", "24/7") == (0, "24/7 = [3; 2, 3]\n", "")  # no --out, text
+    code, out, _ = run(capsys, "resolve", "24", "7", "--trace")
+    assert code == 0 and "steps:" in out
+    code, out, _ = run(capsys, "resolve", "24", "7")
+    assert code == 0 and "steps:" not in out
+    code, out, _ = run(capsys, "path", "--stream", "sqrt2", "--max-steps", "3")
+    assert code == 0 and "truncated" in out
+    code, out, _ = run(capsys, "path", "24", "7")  # no stream; a + b steps by default
+    assert code == 0 and out.endswith("status: complete (8 vertices)\n")
+
+
+def test_a_usage_error_after_a_successful_call_is_one_line(capsys):
+    assert run(capsys, "ringgens", "24", "7")[0] == 0
+    code, out, err = run(capsys, "ringgens", "24")
+    assert (code, out) == (1, "") and err.startswith("usage error:") and err.count("\n") == 1
+    assert run(capsys, "ringgens", "24", "7")[0] == 0
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["cf", "-h"], ["resolve", "--help"]])
+def test_help_is_the_text_of_a_fresh_parser(capsys, argv):
+    with pytest.raises(SystemExit) as fresh:
+        cli.build_parser().parse_args(argv)
+    expected = capsys.readouterr().out
+    assert fresh.value.code == 0 and expected.startswith("usage: monoval")
+    for _ in range(2):
+        run(capsys, "cf", "3/2", "--format", "json")
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 0 and capsys.readouterr().out == expected
+
+
+def test_help_prints_the_docstring_but_its_note_on_the_code(capsys):
+    with pytest.raises(SystemExit):
+        cli.main(["-h"])
+    out = " ".join(capsys.readouterr().out.split())
+    assert "Commands: cf, path, ringgens, member, resolve, verify." in out
+    assert "never reaches it)." in out and "once per process" not in out
+
+
+def test_importing_the_cli_builds_no_parser():
+    program = """if True:
+        import argparse
+        import sys
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        argparse.ArgumentParser.__init__ = counting_init
+        from monoval import cli
+        print(len(built), file=sys.stderr)
+        cli.main(["cf", "1/2"])
+        print(len(built), file=sys.stderr)
+        cli.main(["cf", "2/3"])
+        print(len(built), file=sys.stderr)
+    """
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    counts = subprocess.run([sys.executable, "-c", program], env=env, capture_output=True, text=True,
+                            check=True).stderr
+    # None at import; the parser and its subparsers on the first call, none on the second.
+    at_import, first, second = map(int, counts.split())
+    assert at_import == 0 and first > 0 and second == first, counts
+
+
+@pytest.mark.parametrize(
+    "rational", ["-7/3", "5", "-9", "0", f"{7**355}/{3**400}"],
+    ids=["negative", "integral", "negative integral", "zero", "300 digits"],
+)
+def test_cf_json_is_json_dumps_of_to_jsonable(capsys, rational):
+    code, out, err = run(capsys, "cf", rational, "--format", "json")
+    expected = json.dumps(to_jsonable(cf_expand(Fraction(rational))), sort_keys=True, indent=2)
+    assert (code, out, err) == (0, expected, "")
+
+
+def test_cf_past_the_int_str_limit_fails_before_output(capsys):
+    for fmt in ("json", "text"):
+        code, out, err = run_under_640_digits(capsys, "cf", "1e700", "--format", fmt)
+        assert (code, out) == (1, "") and err.startswith("error: Exceeds the limit (640 digits)")
+        assert err.count("\n") == 1

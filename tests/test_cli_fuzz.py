@@ -10,6 +10,7 @@ import os
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from math import gcd
+from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
@@ -110,3 +111,33 @@ def test_any_argv_ends_in_a_documented_exit_code(case):
             output = stdout.getvalue()
         if cli.build_parser().parse_args(argv).format == "json":
             json.loads(output)
+
+
+def run_sequence(cases, tmp):
+    """stdout, stderr, exit code and any --out file of each call, in one process."""
+    results = []
+    for argv, out in cases:
+        target = os.path.join(tmp, out) if out else None
+        if target:
+            argv = argv + ["--out", target]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with redirect_stdout(stdout), redirect_stderr(stderr):
+            code = cli.main(argv)
+        written = None
+        if target and os.path.isfile(target):
+            with open(target, encoding="utf-8") as fh:
+                written = fh.read()
+            os.unlink(target)
+        results.append((stdout.getvalue(), stderr.getvalue().replace(tmp, "TMP"), code, written))
+    return results
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(argvs(), min_size=2, max_size=6))
+def test_a_sequence_of_calls_answers_as_a_fresh_parser_per_call_does(cases):
+    # main keeps one parser for the process; building one per call is the reference.
+    with tempfile.TemporaryDirectory() as tmp:
+        shared = run_sequence(cases, tmp)
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(cli, "_parser", cli.build_parser):
+        fresh = run_sequence(cases, tmp)
+    assert shared == fresh

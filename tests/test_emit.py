@@ -4,7 +4,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from monoval.emit import (
     emit_dot,
@@ -230,12 +230,32 @@ def assert_pair_matches_references(a, b):
     assert_path_matches_references(path)
 
 
+# The pair of the goldens with big exponents: a/b = [3; 1, 4, 1, 5, 9, 2,
+# 6, ..., 9, 5], 21-digit exponents, 155 blow-ups.
+WIDE_PAIR = (488032046811688643031, 127468235891474990090)
+
+
+def with_fixed_pairs(test):
+    """Run a four-format byte-equality test on fixed pairs before the drawn ones.
+
+    Hypothesis never shrinks an explicit example, so a broken emitter
+    fails on these in seconds; shrinking a drawn pair, each step of which
+    builds and compares four outputs, takes minutes.  The pairs stay
+    small enough that the failure's diff of two outputs is quick too.
+    """
+    for pair in ((24, 7), (377, 233), WIDE_PAIR):
+        test = example(pair)(test)
+    return test
+
+
+@with_fixed_pairs
 @settings(max_examples=40, deadline=None)
 @given(coprime_pairs(10**6))
 def test_templates_match_references_up_to_10_6(pair):
     assert_pair_matches_references(*pair)
 
 
+@with_fixed_pairs
 @settings(max_examples=20, deadline=None)
 @given(coprime_pairs(10**40))
 def test_templates_match_references_up_to_10_40(pair):
@@ -332,12 +352,14 @@ def assert_trace_matches_the_view_oracle(a, b):
         assert format_trace_text(trace, show_steps) == oracles.trace_text(trace, show_steps)
 
 
+@with_fixed_pairs
 @settings(max_examples=25, deadline=None)
 @given(coprime_pairs(10**40))
 def test_trace_emitters_match_the_view_oracle_up_to_10_40(pair):
     assert_trace_matches_the_view_oracle(*pair)
 
 
+@with_fixed_pairs
 @settings(max_examples=5, deadline=None)
 @given(wide_pairs)
 def test_trace_emitters_match_the_view_oracle_on_wide_pairs(pair):

@@ -5,11 +5,11 @@ import random
 from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from monoval import resolution
-from monoval.laurent import ChartBasis, Monomial, X, Y
+from monoval.laurent import ChartBasis, LaurentPolynomial, Monomial, X, Y
 from monoval.resolution import (
     ChartState,
     Classification,
@@ -275,6 +275,16 @@ def test_theorem_report_compares_rows_with_vertices_as_unordered_pairs():
     assert not theorem_report(trace, PositivePath(path.vertices, complete=False)).equal
 
 
+def test_theorem_report_builds_the_resolution_path_when_it_is_read(monkeypatch):
+    trace = resolve(24, 7)
+    built = counting(monkeypatch, "bad_vertex_path")
+    report = theorem_report(trace, positive_path(MonomialValuation.rational(24, 7), max_steps=31))
+    assert report.equal and (report.a, report.b) == (24, 7) and built == []
+    path = report.resolution_path
+    assert built == [trace] and report.resolution_path is path
+    assert path == bad_vertex_path(trace)
+
+
 # ------------------------------------------ integer rows against the oracles
 
 
@@ -343,6 +353,24 @@ def test_chart_rules_equal_the_oracle_on_any_chart(c):
     assert classify(c) is oracles.chart_classify(c)
     if isinstance(c.proper, ThroughOrigin):
         assert blow_up(c) == oracles.chart_blow_up(c)
+
+
+# Two tuples whose terms coincide, so they expand to 0: x * x^0 - x^0 * x
+# over the degenerate basis (x, x), and the proper transform 1 - c1^0 c2^0.
+@example((1, 0, 1, 0, 0, 0, 1, 1, 1))
+@example((1, 0, 0, 1, 2, 3, 0, 0, 1))
+@settings(max_examples=300, deadline=None)
+@given(st.tuples(*[st.integers(-2, 2)] * 4, *[st.integers(0, 3)] * 2,
+                 st.integers(-2, 2), st.integers(0, 2), st.sampled_from((1, -1))))
+def test_expand_chart_sums_its_two_terms_on_any_tuple(row):
+    fx, fy, gx, gy, A, B, p, q, sign = row
+    f, g = Monomial(fx, fy), Monomial(gx, gy)
+    if p > 0:  # sign * (f^(A+p) g^B - f^A g^(B+q))
+        first, second = f ** (A + p) * g ** B, f ** A * g ** (B + q)
+    else:  # sign * (f^A g^B - f^(A-p) g^(B+q))
+        first, second = f ** A * g ** B, f ** (A - p) * g ** (B + q)
+    expected = LaurentPolynomial.monomial(first, sign) - LaurentPolynomial.monomial(second, sign)
+    assert expand_chart(row) == expected
 
 
 @settings(max_examples=200, deadline=None)
