@@ -59,7 +59,9 @@ from .valtree import (
     positive_child,
     positive_path,
     take_path,
+    take_runs,
     walk,
+    walk_runs,
 )
 from .valring import (
     RingPresentation,

@@ -30,7 +30,7 @@ from .emit import (
     format_verify_text,
     json_chunks,
     path_text_chunks,
-    trace_integers,
+    printed_integers,
     trace_text_chunks,
 )
 from .exactnum import CFStream, IndecisiveComparisonError, cf_expand, sqrt2_stream
@@ -38,7 +38,7 @@ from .expr import ExpressionError, parse_rational_function
 from .laurent import ZeroPolynomialError
 from .resolution import resolve
 from .valring import ring_generators
-from .valtree import take_path, walk
+from .valtree import take_runs, walk_runs
 from .valuation import MonomialValuation
 from .verify import run_verify
 
@@ -98,6 +98,15 @@ def _cmd_cf(args) -> Output:
     except ZeroDivisionError:
         raise ValueError(f"cannot read {args.rational!r}: the denominator is zero") from None
     cf = cf_expand(r)
+    bound = _print_bound()
+    # No digit exceeds the larger of |numerator| and denominator.
+    if bound and (abs(r.numerator) >= bound or r.denominator >= bound):
+        too_long = next((i for i, d in enumerate(cf.digits) if abs(d) >= bound), None)
+        if too_long is not None:
+            raise _too_long(f"digit {too_long} of the continued fraction is")
+        if args.format == "text":  # which prints the rational too
+            part = "numerator" if abs(r.numerator) >= bound else "denominator"
+            raise _too_long(f"the {part} of the rational is")
     if args.format == "json":
         return (emit_json(cf),), 0
     return (f"{r} = {cf}\n",), 0
@@ -117,7 +126,7 @@ def _cmd_path(args) -> Output:
         nu = MonomialValuation.rational(args.a, args.b)
         max_steps = args.max_steps if args.max_steps is not None else args.a + args.b
         heading = f"positive path for nu(x) = {args.a}, nu(y) = {args.b}:"
-    path = take_path(_printable_vertices(walk(nu), max_steps), max_steps)
+    path = take_runs(_printable_runs(walk_runs(nu), max_steps), max_steps)
     if args.format == "json":
         return json_chunks(path), 0
     if args.format == "dot":
@@ -128,7 +137,13 @@ def _cmd_path(args) -> Output:
 def _print_bound():
     """The least |int| with more digits than ``str`` prints (10**cap), or None without a cap."""
     limit = sys.get_int_max_str_digits()
-    return 10**limit if limit else None
+    return _power_of_ten(limit) if limit else None
+
+
+@functools.cache
+def _power_of_ten(n: int) -> int:
+    """10**n, computed once per n: 10**4300 takes tens of microseconds, a small request's share."""
+    return 10**n
 
 
 def _too_long(what: str) -> ValueError:
@@ -138,35 +153,57 @@ def _too_long(what: str) -> ValueError:
     )
 
 
-def _printable_vertices(vertices, count: int):
-    """A walk's vertices, refusing the first of the first ``count`` that ``str`` cannot print.
-
-    Exponents never shrink down a path, so the walk stops at the first
-    vertex with one too long, before any output.
-    """
-    b = _print_bound()
-    for i, v in enumerate(vertices):
-        f, g = v.f, v.g
-        if b and i < count and (abs(f.ex) >= b or abs(f.ey) >= b or abs(g.ex) >= b or abs(g.ey) >= b):
-            raise _too_long(f"vertex {i} of the path has an exponent")
-        yield v
+def _first(n: int, test) -> int:
+    """The least j < n with ``test(j)``, for a test false up to some j and true from there on."""
+    lo, hi = 0, n - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if test(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
 
 
-def _check_printable(items, ints, what) -> None:
-    """Refuse output with an integer longer than ``str`` allows, before any output.
+def _printable_runs(runs, count: int):
+    """A walk's runs, refusing the first vertex of the first ``count`` that ``str`` cannot print.
 
-    ``ints(item)`` gives the integers printed for an item, and ``what(i)``
-    the start of the message naming item i.  The integers printed only
-    grow down a trace, so output whose last item fits fits everywhere.
+    Exponents never shrink down a path, so each run is checked at its
+    last vertex among the first ``count``, and the walk stops at the first
+    run that fails, before any output; the vertex named is found by
+    bisection inside that run.
     """
     bound = _print_bound()
+    i = 0  # vertices before the run
+    for (fx, fy, gx, gy), n in runs:
+        m = count - i if n is None else min(n, count - i)  # vertices of the run to print
 
-    def too_long(item) -> bool:
-        return any(abs(e) >= bound for e in ints(item))
+        def too_long(j: int) -> bool:
+            return max(abs(fx), abs(fy), abs(gx - j * fx), abs(gy - j * fy)) >= bound
 
-    if not bound or not too_long(items[-1]):
-        return
-    raise _too_long(what(next(i for i, item in enumerate(items) if too_long(item))))
+        if bound and m > 0 and too_long(m - 1):
+            raise _too_long(f"vertex {i + _first(m, too_long)} of the path has an exponent")
+        yield (fx, fy, gx, gy), n
+        if n is not None:
+            i += n
+
+
+def _check_printable(trace, fmt: str, show_steps: bool) -> None:
+    """Refuse a trace with an integer longer than ``str`` allows, before any output.
+
+    The integers printed only grow down a trace, so output whose last
+    blow-up fits fits everywhere, and the first blow-up that does not is
+    found by bisection.
+    """
+    bound = _print_bound()
+    rows = trace.rows
+
+    def too_long(i: int) -> bool:
+        return any(abs(e) >= bound for e in printed_integers(rows[i], fmt, show_steps))
+
+    n = trace.blow_up_count
+    if bound and too_long(n - 1):
+        raise _too_long(f"blow-up {_first(n, too_long) + 1} of the resolution prints an integer")
 
 
 def _cmd_ringgens(args) -> Output:
@@ -208,11 +245,7 @@ def _cmd_member(args) -> Output:
 
 def _cmd_resolve(args) -> Output:
     trace = resolve(args.a, args.b)
-    _check_printable(
-        trace.blow_ups,
-        lambda u: trace_integers(u, args.format, args.trace),
-        lambda i: f"blow-up {i + 1} of the resolution prints an integer",
-    )
+    _check_printable(trace, args.format, args.trace)
     if args.format == "json":
         return json_chunks(trace), 0
     if args.format == "dot":

@@ -26,16 +26,19 @@ every edge, and keeps only which children of each blow-up are resolved
 for the edges; ``--trace`` text prints every bad chart before every step,
 and keeps the monomial names of the first pass for the second.
 
-The trace emitters (JSON, DOT, text and ``--trace`` text) share one row
-kernel, ``_blow_ups``, over a trace's integer rows.  It builds no
-``BlowUp`` view or ``ResolutionStep``, and no ``Monomial`` below the
-root chart, and reads each row's children and classifications with
-``resolution._children`` and ``_kind``, the rules ``resolve`` runs.  The
-chart blown up next is a child of the last, so each blow-up brings only
-two new monomials, g/f and f/g, and two new numbers, the children's
-multiplicity and |s - t|; the kernel prints those and carries every
-other name and number down the bad-chart path.  f/g is the inverse of
-g/f, and ``laurent.monomial_names`` names both from one printing of each
+The trace emitters (JSON, DOT, text and ``--trace`` text) share one
+kernel, ``_blow_ups``, over a trace's runs (see ``resolution``).  It
+builds no ``ResolutionStep`` and no ``Monomial`` below the root chart.
+Inside a run every row blows up into a first child that is the next row
+and a second child that misses its origin, and every row has the run's
+first classification; so each row's integers come by addition from the
+last, and only the run's last row is read with ``resolution._children``
+and ``_kind``, the rules ``resolve`` runs.  The chart blown up next is a
+child of the last, so each blow-up brings only two new monomials, g/f
+and f/g, and two new numbers, the children's multiplicity and |s - t|;
+the kernel prints those and carries every other name and number down
+the bad-chart path.  f/g is the inverse of g/f, and
+``laurent.monomial_names`` names both from one printing of each
 exponent: exponents of a wide pair run to hundreds of digits, and
 ``str`` of an int takes time quadratic in its length.  Plain text prints
 only the bad charts, and names the same two new generators as the
@@ -43,15 +46,12 @@ others: they cost no more ``str`` of an int than the bad one alone.  The
 per-blow-up JSON step and the DOT nodes are ``%`` templates, which fill
 faster than ``str.format``; monomial names and classifications hold no
 character that JSON escapes, so the templates quote them as they are.
-``trace_integers`` says which integers each format prints, so a caller
-can check them before any output.
+``printed_integers`` says which integers each format prints for a row,
+so a caller can check them before any output.
 
-Consecutive path vertices share generators, so the path emitters name
-each monomial once per output, in a memo local to the call, and JSON
-literals of the names go through ``encode_basestring_ascii``, the escaper
-``json.dumps`` itself uses.  The memo is keyed by ``Monomial``, never by
-``ChartBasis``: a basis compares equal under swapped generators while its
-``str`` does not.
+The path emitters walk a path's runs too: a run's first generator is
+named once, and each vertex names only its second, g/f^j, with
+``laurent.monomial_name``; no ``TreeVertex`` or ``Monomial`` is built.
 """
 
 from __future__ import annotations
@@ -62,9 +62,8 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
 from .exactnum import CFExpansion
-from .laurent import ChartBasis, Monomial, monomial_names
+from .laurent import ChartBasis, Monomial, monomial_name, monomial_names
 from .resolution import (
-    BlowUp,
     ChartState,
     Classification,
     ResolutionTrace,
@@ -77,73 +76,69 @@ from .valtree import CorrespondenceReport, PositivePath
 from .verify import VerifyReport
 
 
-class _Names(dict):
-    """``str`` of each monomial, computed on first use."""
-
-    __slots__ = ()
-
-    def __missing__(self, key: Monomial) -> str:
-        name = self[key] = str(key)
-        return name
-
-    def basis(self, v: ChartBasis) -> str:
-        """``str(v)``, from the memo."""
-        return f"k[{self[v.f]}, {self[v.g]}]"
-
-
-class _JsonNames(dict):
-    """JSON string literal of each monomial's name, computed on first use."""
-
-    __slots__ = ()
-
-    def __missing__(self, mono: Monomial) -> str:
-        name = self[mono] = _json_name(mono)
-        return name
-
-
-def _json_name(mono: Monomial) -> str:
-    return encode_basestring_ascii(str(mono))
-
-
 def _blow_ups(trace: ResolutionTrace, number, names=monomial_names):
-    """Per blow-up of a trace, read from its rows: its chart and children as printed.
+    """Per blow-up of a trace, read from its runs: its chart and children as printed.
 
     Yields the chart's fields (f, g, exc_f, exc_g, s, t), the monomials
     named and the integers as ``number`` prints them; each child's fields
-    in the same order (see ``BlowUp``), the power of its proper
-    transform's first coordinate being |s - t|; whether each child's
-    curve passes through its origin; the chart's sign, which the second
-    child negates; and the classifications of the chart and its children.
-    ``_children`` and ``_kind`` read each row, so the blow-up and
-    classification rules are ``resolve``'s.  The next chart is a child,
-    so it keeps that child's fields and classification, and each blow-up
-    prints only g/f and f/g, both from ``names`` of g/f's exponents, the
-    children's multiplicity e and |s - t|.  An emitter that prints no
-    numbers passes ``int``, which leaves them as they are: ``str`` of one
-    may pass the interpreter's limit for printing an integer.
+    in the same order, the power of its proper transform's first
+    coordinate being |s - t|; whether each child's curve passes through
+    its origin; the chart's sign, which the second child negates; and the
+    classifications of the chart and its children, by value.  The first
+    child of (f, g, exc_f, exc_g, s, t) is (f, g/f, e, exc_g, |s - t|, t)
+    and the second (g, f/g, e, exc_f, |s - t|, s), where e is the
+    children's multiplicity (see ``resolution._children``).
+
+    Inside a run the rows step by addition, and the first child, through
+    its origin, is the next row; the second child is resolved.  Every row
+    of a run has s >= 2 and the run's t, with t >= 2 or exc_g >= 1, so
+    all of them share the first row's classification: a cusp, or a
+    tangential crossing when t = 1.  ``_children`` and ``_kind`` read
+    each run's last row, so the blow-up and classification rules are
+    ``resolve``'s.  The next chart is a child, so it keeps that child's
+    fields and classification, and each blow-up prints only g/f and f/g,
+    both from ``names`` of g/f's exponents, the children's multiplicity e
+    and |s - t|.  An emitter that prints no numbers passes ``int``, which
+    leaves them as they are: ``str`` of one may pass the interpreter's
+    limit for printing an integer.
     """
-    resolved = Classification.RESOLVED
-    row = trace.rows[0]
+    kinds, resolved = _KIND, _KIND[Classification.RESOLVED]
+    row = trace.runs[0][0]
     fx, fy, gx, gy, a, b, s, t, _ = row
     f, g = str(Monomial(fx, fy)), str(Monomial(gx, gy))
     chart = (f, g, number(a), number(b), number(s), number(t))
-    kind = _kind(row)
-    for row in trace.rows:
+    kind = kinds[_kind(row)]
+    for row, n in trace.runs:
+        if n > 1:
+            fx, fy, gx, gy, a, b, s, t, sign = row
+            step = b + t
+            f, g, exc_f, exc_g, s_, t_ = chart
+            for _ in range(n - 1):
+                gx -= fx
+                gy -= fy
+                a += step
+                s -= t
+                g_over_f, f_over_g = names(gx, gy)
+                e, d = number(a), number(s)
+                c1 = (f, g_over_f, e, exc_g, d, t_)
+                yield chart, c1, (g, f_over_g, e, exc_f, d, s_), True, False, sign, kind, kind, resolved
+                chart, g, exc_f, s_ = c1, g_over_f, e, d
+            row = (fx, fy, gx, gy, a, b, s, t, sign)
         first, second = _children(row)
-        k1, k2 = _kind(first), _kind(second)
-        f, g, a, b, s, t = chart
+        k1, k2 = kinds[_kind(first)], kinds[_kind(second)]
+        f, g, exc_f, exc_g, s_, t_ = chart
         g_over_f, f_over_g = names(first[2], first[3])
         e, d = number(first[4]), number(abs(first[6]))
-        c1, c2 = (f, g_over_f, e, b, d, t), (g, f_over_g, e, a, d, s)
+        c1, c2 = (f, g_over_f, e, exc_g, d, t_), (g, f_over_g, e, exc_f, d, s_)
         yield chart, c1, c2, first[6] > 0, second[6] > 0, row[8], kind, k1, k2
-        if k1 is not resolved:
+        if k1 != resolved:
             chart, kind = c1, k1
         else:
             chart, kind = c2, k2
 
 
-def trace_integers(u: BlowUp, fmt: str, show_steps: bool = False) -> tuple[int, ...]:
-    """The integers that a trace's output in ``fmt`` prints for one blow-up, besides a and b.
+def printed_integers(row: tuple[int, ...], fmt: str, show_steps: bool = False) -> tuple[int, ...]:
+    """The integers that a trace's output in ``fmt`` prints for the blow-up of a row, besides a and b.
 
     Every format prints the blown-up chart's basis.  JSON, DOT and
     ``show_steps`` text print its children's bases too, which add g/f and
@@ -151,13 +146,24 @@ def trace_integers(u: BlowUp, fmt: str, show_steps: bool = False) -> tuple[int, 
     multiplicity, the largest number of a blow-up.  The powers s, t never
     exceed a.
     """
-    ints = (u.fx, u.fy, u.gx, u.gy)
+    fx, fy, gx, gy, exc_f, exc_g, s, t, _ = row
+    ints = (fx, fy, gx, gy)
     steps = fmt == "text" and show_steps
     if fmt != "text" or steps:
-        ints += (u.gx - u.fx, u.gy - u.fy)
+        ints += (gx - fx, gy - fy)
     if fmt == "json" or steps:
-        ints += (u.e,)
+        ints += (exc_f + exc_g + min(s, t),)
     return ints
+
+
+def _path_names(path: PositivePath) -> Iterator[tuple[str, str]]:
+    """The names of the two generators of every vertex of a path, a run's first named once."""
+    for (fx, fy, gx, gy), n in path.runs:
+        f = monomial_name(fx, fy)
+        for _ in range(n):
+            yield f, monomial_name(gx, gy)
+            gx -= fx
+            gy -= fy
 
 
 def _vertex_json(v: ChartBasis) -> dict:
@@ -295,7 +301,7 @@ _STEP = (
 )
 # A trace's fields before its blow-ups, and after them.
 _TRACE = ('{\n  "a": %s,\n  "b": %s,\n  "blow_ups": ', ',\n  "count": %s\n}')
-_VERTEX = '    {{\n      "f": {},\n      "g": {}\n    }}'
+_VERTEX = '    {\n      "f": "%s",\n      "g": "%s"\n    }'
 _CF = '{\n  "digits": [\n    %s\n  ]\n}'  # an expansion has at least one digit
 _KIND = {k: k.value for k in Classification}  # faster than the enum's .value
 
@@ -303,13 +309,13 @@ _KIND = {k: k.value for k in Classification}  # faster than the enum's .value
 def _trace_json(trace: ResolutionTrace) -> Iterator[str]:
     head, tail = _TRACE
     yield head % (trace.a, trace.b)
-    step, kinds = _STEP, _KIND
+    step = _STEP
     yield from _json_array(
         step % (
             *chart, "through-origin", sign,
-            *first, "through-origin" if through1 else "misses-origin", sign, kinds[k1],
-            *second, "through-origin" if through2 else "misses-origin", -sign, kinds[k2],
-            kinds[kind],
+            *first, "through-origin" if through1 else "misses-origin", sign, k1,
+            *second, "through-origin" if through2 else "misses-origin", -sign, k2,
+            kind,
         )
         for chart, first, second, through1, through2, sign, kind, k1, k2
         in _blow_ups(trace, str)
@@ -319,9 +325,7 @@ def _trace_json(trace: ResolutionTrace) -> Iterator[str]:
 
 def _path_json(path: PositivePath) -> Iterator[str]:
     yield f'{{\n  "status": {encode_basestring_ascii(path.status)},\n  "vertices": '
-    names = _JsonNames()
-    vertex = _VERTEX.format
-    yield from _json_array(vertex(names[v.f], names[v.g]) for v in path.vertices)
+    yield from _json_array(map(_VERTEX.__mod__, _path_names(path)))
     yield "\n}"
 
 
@@ -350,16 +354,15 @@ def _dot_head(name: str) -> str:
 
 
 def _dot_path(path: PositivePath) -> Iterator[str]:
-    names = _Names()
     yield _dot_head("positive_path")
-    for i, v in enumerate(path.vertices):
-        yield f'  v{i} [label="{names.basis(v)}", style=bold];\n'
+    for i, (f, g) in enumerate(_path_names(path)):
+        yield f'  v{i} [label="k[{f}, {g}]", style=bold];\n'
     if not path.complete:
         yield '  trunc [label="(truncated)", shape=plaintext];\n'
-    for i in range(len(path.vertices) - 1):
+    for i in range(path.count - 1):
         yield f"  v{i} -> v{i + 1};\n"
-    if not path.complete and path.vertices:
-        yield f"  v{len(path.vertices) - 1} -> trunc [style=dashed];\n"
+    if not path.complete and path.count:
+        yield f"  v{path.count - 1} -> trunc [style=dashed];\n"
     yield "}\n"
 
 
@@ -374,10 +377,10 @@ def _dot_children(i: int, resolved: int) -> tuple[str, str]:
     return first, second
 
 
-# A trace's DOT node for a chart of each classification, from its name and
-# its basis's two generators: bold unless resolved.
+# A trace's DOT node for a chart of each classification, by value, from its
+# name and its basis's two generators: bold unless resolved.
 _DOT_NODE = {
-    k: '  %s [label="k[%s, %s]\\n(' + k.value + ')"'
+    k.value: '  %s [label="k[%s, %s]\\n(' + k.value + ')"'
     + ("" if k is Classification.RESOLVED else ", style=bold") + "];\n"
     for k in Classification
 }
@@ -385,13 +388,13 @@ _DOT_NODE = {
 
 def _dot_trace(trace: ResolutionTrace) -> Iterator[str]:
     yield _dot_head("resolution_trace")
-    resolved = Classification.RESOLVED
+    resolved = _KIND[Classification.RESOLVED]
     node = _DOT_NODE
     bits = bytearray()  # per blow-up, which children are resolved: all the edges need
     for i, (chart, c1, c2, _, _, _, kind, k1, k2) in enumerate(_blow_ups(trace, int)):
         if i == 0:  # a chart blown up is never resolved, so bold
             yield node[kind] % ("b0", chart[0], chart[1])
-        bits.append((k1 is resolved) | (k2 is resolved) << 1)
+        bits.append((k1 == resolved) | (k2 == resolved) << 1)
         n1, n2 = _dot_children(i, bits[i])
         yield node[k1] % (n1, c1[0], c1[1]) + node[k2] % (n2, c2[0], c2[1])
     for i, resolved_children in enumerate(bits):
@@ -420,11 +423,10 @@ def emit_dot(obj) -> str:
 
 def path_text_chunks(path: PositivePath, heading: str) -> Iterator[str]:
     """``format_path_text(path, heading)`` in pieces, one vertex at a time."""
-    names = _Names()
     yield heading + "\n"
-    for i, v in enumerate(path.vertices):
-        yield f"  {i}: {names.basis(v)}\n"
-    yield f"status: {path.status} ({len(path)} vertices)\n"
+    for i, (f, g) in enumerate(_path_names(path)):
+        yield f"  {i}: k[{f}, {g}]\n"
+    yield f"status: {path.status} ({path.count} vertices)\n"
 
 
 def format_path_text(path: PositivePath, heading: str) -> str:
@@ -479,11 +481,10 @@ def trace_text_chunks(trace: ResolutionTrace, show_steps: bool = False) -> Itera
         named.extend(pair)
         return pair
 
-    kinds = _KIND
     for i, (chart, _, _, _, _, _, kind, _, _) in enumerate(
         _blow_ups(trace, int, names if show_steps else monomial_names)
     ):
-        yield f"  {i}: k[{chart[0]}, {chart[1]}] ({kinds[kind]})\n"
+        yield f"  {i}: k[{chart[0]}, {chart[1]}] ({kind})\n"
     if not show_steps:
         return
     yield "steps:\n"
@@ -495,8 +496,8 @@ def trace_text_chunks(trace: ResolutionTrace, show_steps: bool = False) -> Itera
         text1 = _chart_text(*first, through1, sign)
         text2 = _chart_text(*second, through2, -sign)
         yield (f"  blow-up {i + 1} at the origin of k[{chart[0]}, {chart[1]}]:\n"
-               f"    k[{first[0]}, {first[1]}]: {text1} [{kinds[k1]}]\n"
-               f"    k[{second[0]}, {second[1]}]: {text2} [{kinds[k2]}]\n")
+               f"    k[{first[0]}, {first[1]}]: {text1} [{k1}]\n"
+               f"    k[{second[0]}, {second[1]}]: {text2} [{k2}]\n")
 
 
 def format_trace_text(trace: ResolutionTrace, show_steps: bool = False) -> str:

@@ -11,16 +11,18 @@ an integer is stored as that ``int``, so equal polynomials have equal
 term maps.  All values are immutable; term iteration is ordered so
 emitted artifacts are bit-stable.
 
-A monomial prints in reduced fraction form, ``y^3/x^2``.  ``Monomial.__str__``
-and ``monomial_names``, which names a monomial and its inverse from one
-printing of each exponent, both assemble the form with ``_fraction_form``,
-so the naming rules are written once.
+A monomial prints in reduced fraction form, ``y^3/x^2``.  ``monomial_name``,
+which ``Monomial.__str__`` calls, and ``monomial_names``, which names a
+monomial and its inverse from one printing of each exponent, both
+assemble the form with ``_fraction_form``, so the naming rules are
+written once.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
-from typing import Iterable, Mapping, Tuple, Union
+from typing import Tuple, Union
 
 
 class ZeroPolynomialError(ValueError):
@@ -79,8 +81,7 @@ class Monomial:
 
     def __str__(self) -> str:
         """Reduced fraction form, e.g. ``y^3/x^2``; exponent 1 suppressed."""
-        ex, ey = self.ex, self.ey
-        return _fraction_form(_power("x", ex), _power("y", ey), ex, ey)
+        return monomial_name(self.ex, self.ey)
 
 
 def _power(name: str, e: int) -> str:
@@ -111,6 +112,11 @@ def _fraction_form(x: str, y: str, ex: int, ey: int) -> str:
     if ey > 0:
         return y
     return f"1/{y}" if ey else "1"
+
+
+def monomial_name(ex: int, ey: int) -> str:
+    """``str(Monomial(ex, ey))``, with no ``Monomial`` built."""
+    return _fraction_form(_power("x", ex), _power("y", ey), ex, ey)
 
 
 def monomial_names(ex: int, ey: int) -> tuple[str, str]:

@@ -10,15 +10,23 @@ and the unit-minus-monomial 1 - c1^-p c2^q that misses it when p <= 0.
 The blow-up rule (``blow_up``), the classification rule (``classify``)
 and the expansion (``expand_chart``) read any tuple in that layout.
 
-``resolve`` blows up rows with ``blow_up`` and keeps one plain tuple per
-blow-up, the chart blown up, so a trace is a tuple of int tuples, which
-CPython's cyclic collector stops tracking.  ``ResolutionTrace.blow_ups``
-reads each row as a ``BlowUp``, with its children's new generators and
-multiplicity, and ``ResolutionTrace.steps`` names the charts of each
-``ResolutionStep``; both build an index on access.  Exponents grow fast
-along a resolution, so nothing is expanded except in the reconstruction
-check, which multiplies each chart back out in one pass with
-``expand_chart`` and must recover x^b - y^a on the nose.
+The charts blown up form one path, and it changes direction only once
+per continued-fraction digit of a/b: while s - t >= 2, and t >= 2 or
+exc_g >= 1, the first child of a chart with p = s, q = t is the next
+chart blown up, and it differs only by arithmetic progressions.  Row j
+of such a run from (f, g, A, B, s, t, sign) is
+(f, g/f^j, A + j(B + t), B, s - jt, t, sign).  So ``resolve`` keeps a
+trace as runs (first row, length): it jumps over a run with one
+division of the chart's own s by t, and steps each run's last row with
+``_children`` and ``_kind``.  It never reads the digits of a/b and
+never calls a valuation.  A trace takes memory in the number of digits,
+not of blow-ups: ``ResolutionTrace.rows`` and ``steps`` are lazy
+sequences over the runs, which iterate by addition and index by a
+bisection of the cumulative lengths, and ``blow_up_count`` is a sum.
+Exponents grow fast along a resolution, so nothing is expanded except in
+the reconstruction check, which blows up every row with ``blow_up``,
+multiplies each chart back out in one pass with ``expand_chart`` and
+must recover x^b - y^a on the nose.
 
 Blowing up a chart origin substitutes one coordinate for the product of
 the other two and refactors; the driver repeatedly blows up the unique
@@ -30,11 +38,10 @@ valuation with nu(x) = a, nu(y) = b; a chart basis is a tree vertex.
 from __future__ import annotations
 
 import enum
-from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property, partial
 from math import gcd
-from typing import Callable, Iterator, NamedTuple, Optional, Union
+from typing import Iterable, Iterator, NamedTuple, Union
 
 from .laurent import (
     IDENTITY_BASIS,
@@ -45,7 +52,7 @@ from .laurent import (
     factor_monomial_content,
     rewrite_in_chart,
 )
-from .valtree import PositivePath, positive_path
+from .valtree import ExpandedRuns, PositivePath, positive_path, run_bases
 from .valuation import MonomialValuation
 
 
@@ -160,101 +167,43 @@ class ResolutionStep(NamedTuple):
     children: tuple[tuple[ChartState, Classification], tuple[ChartState, Classification]]
 
 
-class BlowUp(NamedTuple):
-    """One blow-up of a trace, by name (``ResolutionTrace.blow_ups``).
-
-    The chart blown up has basis (f, g), f = x^fx y^fy and g = x^gx y^gy,
-    and curve sign * f^exc_f * g^exc_g * (f^s - g^t).  Its first child
-    has basis (f, g/f), multiplicities (e, exc_g), proper exponents
-    (s - t, t) and the sign; its second has basis (g, f/g),
-    multiplicities (e, exc_f), proper exponents (t - s, s) and the sign
-    negated.  A child's proper transform passes through its origin when
-    its first exponent is positive (see ``_children``).  ``bad`` is the
-    index of the child blown up next, or None after the last blow-up.
-    """
-
-    fx: int
-    fy: int
-    gx: int
-    gy: int
-    exc_f: int
-    exc_g: int
-    s: int
-    t: int
-    sign: int
-    kind: Classification
-    e: int
-    kinds: tuple[Classification, Classification]
-    bad: Optional[int]
-
-    @property
-    def f(self) -> Monomial:
-        return Monomial(self.fx, self.fy)
-
-    @property
-    def g(self) -> Monomial:
-        return Monomial(self.gx, self.gy)
-
-    @property
-    def g_over_f(self) -> Monomial:
-        return Monomial(self.gx - self.fx, self.gy - self.fy)
-
-    @property
-    def f_over_g(self) -> Monomial:
-        return Monomial(self.fx - self.gx, self.fy - self.gy)
+# (first row, length): the rows row_j = (f, g/f^j, A + j(B + t), B, s - jt,
+# t, sign) for j < length, of a first row (f, g, A, B, s, t, sign).
+RowRun = tuple[tuple[int, ...], int]
 
 
 @dataclass(frozen=True)
 class ResolutionTrace:
-    """The charts blown up along a resolution, one row each, in order.
+    """The charts blown up along a resolution, in order, kept as runs.
 
     A row is a plain tuple in ``ChartState``'s layout.  Row k + 1 is the
     unresolved child of row k, and both children of the last row are
-    resolved.
+    resolved.  ``runs`` holds (first row, length) pairs; inside a run
+    each row's unresolved child is its first, and the rows follow
+    ``_row_at``.  ``rows`` and ``steps`` expand the runs when read.
     """
 
     a: int
     b: int
-    rows: tuple[tuple[int, ...], ...]
+    runs: tuple[RowRun, ...]
 
-    @property
-    def steps(self) -> _RowViews:
-        """The ``ResolutionStep`` of every row, each built when it is read."""
-        return _RowViews(self.rows, _step_view)
-
-    @property
-    def blow_ups(self) -> _RowViews:
-        """The ``BlowUp`` of every row, each built when it is read."""
-        return _RowViews(self.rows, _blow_up_view)
-
-    @property
+    @cached_property
     def blow_up_count(self) -> int:
-        return len(self.rows)
+        return sum(n for _, n in self.runs)
+
+    @cached_property
+    def rows(self) -> ExpandedRuns:
+        """Every row, a tuple of nine ints, each built when it is read."""
+        return ExpandedRuns(self.runs, self.blow_up_count, _row_at, _expand_rows)
+
+    @property
+    def steps(self) -> ExpandedRuns:
+        """The ``ResolutionStep`` of every row, each built when it is read."""
+        return ExpandedRuns(self.runs, self.blow_up_count, _step_at, _expand_steps)
 
     def all_charts(self) -> list[ChartState]:
         """The root chart plus every child produced along the trace."""
-        return list(map(_named, _chart_rows(self)))
-
-
-class _RowViews(Sequence):
-    """Read-only sequence of ``view(row)`` over a trace's rows, built on access."""
-
-    __slots__ = ("_rows", "_view")
-
-    def __init__(self, rows: tuple[tuple[int, ...], ...], view: Callable[[tuple], object]):
-        self._rows = rows
-        self._view = view
-
-    def __len__(self) -> int:
-        return len(self._rows)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return tuple(map(self._view, self._rows[i]))
-        return self._view(self._rows[i])
-
-    def __iter__(self) -> Iterator:
-        return map(self._view, self._rows)
+        return list(_charts(self))
 
 
 @dataclass(frozen=True)
@@ -371,20 +320,40 @@ def _step_view(row: tuple[int, ...]) -> ResolutionStep:
     )
 
 
-def _blow_up_view(row: tuple[int, ...]) -> BlowUp:
-    """The ``BlowUp`` of a row."""
-    resolved = Classification.RESOLVED
-    first, second = _children(row)
-    k1, k2 = _kind(first), _kind(second)
-    bad = 0 if k1 is not resolved else 1 if k2 is not resolved else None
-    return BlowUp._make(row + (_kind(row), first[4], (k1, k2), bad))
+def _row_at(row: tuple[int, ...], j: int) -> tuple[int, ...]:
+    """Row j of the run that starts at ``row``."""
+    fx, fy, gx, gy, A, B, s, t, sign = row
+    return (fx, fy, gx - j * fx, gy - j * fy, A + j * (B + t), B, s - j * t, t, sign)
 
 
-def _chart_rows(trace: ResolutionTrace) -> Iterator[tuple[int, ...]]:
-    """The root chart's row, then both children of every row, in order."""
-    yield trace.rows[0]
+def _expand_rows(runs: Iterable[RowRun]) -> Iterator[tuple[int, ...]]:
+    """Every row of the runs, in order, stepped by addition."""
+    for row, n in runs:
+        yield row
+        if n > 1:
+            fx, fy, gx, gy, A, B, s, t, sign = row
+            step = B + t
+            for _ in range(n - 1):
+                gx -= fx
+                gy -= fy
+                A += step
+                s -= t
+                yield fx, fy, gx, gy, A, B, s, t, sign
+
+
+def _step_at(row: tuple[int, ...], j: int) -> ResolutionStep:
+    return _step_view(_row_at(row, j))
+
+
+def _expand_steps(runs: Iterable[RowRun]) -> Iterator[ResolutionStep]:
+    return map(_step_view, _expand_rows(runs))
+
+
+def _charts(trace: ResolutionTrace) -> Iterator[ChartState]:
+    """The root chart, then both children of every row from ``blow_up``, in order."""
+    yield _named(trace.runs[0][0])
     for row in trace.rows:
-        yield from _children(row)
+        yield from blow_up(row)
 
 
 def blow_up(c: ChartState) -> tuple[ChartState, ChartState]:
@@ -407,38 +376,48 @@ def classify(c: ChartState) -> Classification:
 
 
 def resolve(a: int, b: int) -> ResolutionTrace:
-    """Blow up the unique bad chart until every chart is resolved.
+    """Blow up the unique bad chart until every chart is resolved, a run at a time.
 
-    Each step reads only the blown-up chart's own row: its children and
-    their classifications.  Asserts at every step that at most one child
-    is unresolved; the walk of bad charts is therefore a path, and its
-    length is the digit sum of the continued fraction of a/b.  Rows are
-    kept as plain tuples, which the cyclic collector stops tracking.
+    A run starts at the chart blown up next.  While its s - t >= 2, and
+    t >= 2 or exc_g >= 1, its first child has p = s - t >= 2 and is a cusp
+    or a tangential crossing, and its second misses the origin; so with
+    k = (s - 2) // t the run is k + 1 rows long, and it ends at row k,
+    where s - kt is 2 to t + 1.  Otherwise it is one row.  The run's last row is blown up
+    with ``_children`` and its children classified with ``_kind``, and
+    each time at most one child may be unresolved; the walk of bad charts
+    is therefore a path, and its length is the digit sum of the continued
+    fraction of a/b.  Rows are plain tuples, which the cyclic collector
+    stops tracking.
     """
     row = tuple(initial_chart(a, b))
-    rows = []
+    runs = []
     resolved = Classification.RESOLVED
     while True:
-        rows.append(row)
-        first, second = blow_up(row)
+        s, t = row[6], row[7]
+        if s - t < 2 or (t < 2 and row[5] < 1):
+            runs.append((row, 1))
+            last = row
+        else:
+            k = (s - 2) // t
+            runs.append((row, k + 1))
+            last = _row_at(row, k)
+        first, second = _children(last)
         if _kind(first) is not resolved:
             if _kind(second) is not resolved:
+                step = sum(n for _, n in runs)
                 raise ResolutionInvariantError(
-                    f"step {len(rows)} of ({a}, {b}) produced two unresolved charts"
+                    f"step {step} of ({a}, {b}) produced two unresolved charts"
                 )
-            row = tuple(first)
+            row = first
         elif _kind(second) is not resolved:
-            row = tuple(second)
+            row = second
         else:
-            return ResolutionTrace(int(a), int(b), tuple(rows))
+            return ResolutionTrace(int(a), int(b), tuple(runs))
 
 
 def bad_vertex_path(trace: ResolutionTrace) -> PositivePath:
     """Bases of the blown-up charts, in order, as tree vertices."""
-    return PositivePath(
-        tuple(ChartBasis(Monomial(r[0], r[1]), Monomial(r[2], r[3])) for r in trace.rows),
-        complete=True,
-    )
+    return PositivePath.from_runs(((row[:4], n) for row, n in trace.runs), complete=True)
 
 
 def theorem_report(trace: ResolutionTrace, val_path: PositivePath) -> TheoremReport:
@@ -446,23 +425,19 @@ def theorem_report(trace: ResolutionTrace, val_path: PositivePath) -> TheoremRep
 
     ``val_path`` should be the positive path of nu(x) = a, nu(y) = b for
     the trace's (a, b); it must be complete to count as equal.  Vertices
-    are compared as unordered generator pairs.
+    are compared one by one, as ints, as unordered generator pairs.
     """
     equal = (
         val_path.complete
-        and len(trace.rows) == len(val_path)
-        and all(map(_is_vertex, trace.rows, val_path))
+        and trace.blow_up_count == val_path.count
+        and all(map(_same_vertex, run_bases(trace.runs), run_bases(val_path.runs)))
     )
     return TheoremReport(trace, val_path, equal)
 
 
-def _is_vertex(row: tuple[int, ...], v: ChartBasis) -> bool:
-    """Whether a row's basis is the vertex v, generators in either order."""
-    fx, fy, gx, gy = row[:4]
-    f, g = v.f, v.g
-    return (fx == f.ex and fy == f.ey and gx == g.ex and gy == g.ey) or (
-        fx == g.ex and fy == g.ey and gx == f.ex and gy == f.ey
-    )
+def _same_vertex(u: tuple[int, ...], v: tuple[int, ...]) -> bool:
+    """Whether two bases (fx, fy, gx, gy) are one vertex, generators in either order."""
+    return u == v or u == (v[2], v[3], v[0], v[1])
 
 
 def check_theorem(a: int, b: int) -> TheoremReport:
@@ -498,9 +473,13 @@ def expand_chart(c: ChartState) -> LaurentPolynomial:
 
 
 def verify_reconstruction(trace: ResolutionTrace) -> bool:
-    """True when every chart of the trace expands to x^b - y^a exactly."""
+    """True when every chart of the trace expands to x^b - y^a exactly.
+
+    The charts are the root's and those ``blow_up`` makes of every row,
+    so the public rule is checked on every blow-up.
+    """
     curve = cusp_polynomial(trace.a, trace.b)
-    return all(expand_chart(row) == curve for row in _chart_rows(trace))
+    return all(expand_chart(c) == curve for c in _charts(trace))
 
 
 def chart_agrees_with_lattice(c: ChartState, a: int, b: int) -> bool:

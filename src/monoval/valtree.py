@@ -12,20 +12,29 @@ lengths and continued-fraction digits live here.
 The walk is the Euclidean algorithm on (nu(x), nu(y)): the branch
 k[s, t/s^m] runs for as many steps as the matching continued-fraction
 digit of nu(x)/nu(y).  So the path is read off the digits that the value
-group supplies (``ratio_digits``), at one monomial division per vertex,
-with no comparison and no convergent bracket; only the up-front checks
-compare values.  ``positive_child`` keeps the one-step comparison, as the
-definition the walk is tested against.
+group supplies (``ratio_digits``), with no comparison and no convergent
+bracket; only the up-front checks compare values.  ``walk_runs`` yields
+one run per digit, ((fx, fy, gx, gy), n): the n vertices k[f, g/f^j],
+j = 0..n-1, of f = x^fx y^fy and g = x^gx y^gy.  A ``PositivePath``
+keeps those runs, so it takes memory in the number of digits, not of
+vertices, and builds a ``TreeVertex`` only when one is read; ``walk`` is
+the same path a vertex at a time.  ``branch_decomposition`` reads the
+runs, splitting vertices only where two runs meet.  ``positive_child``
+keeps the one-step comparison, as the definition the walk is tested
+against.
 """
 
 from __future__ import annotations
 
 import sys
+from bisect import bisect_right
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count, islice
+from itertools import accumulate, count, islice
 from math import gcd
-from typing import Iterator, Optional
+from operator import eq
+from typing import Callable, Iterator, Optional
 
 from .exactnum import cf_expand
 from .laurent import IDENTITY_BASIS, ChartBasis, Monomial, X, Y, lattice_solve
@@ -35,30 +44,152 @@ from .valuation import UNBOUNDED, MonomialValuation, Value
 TreeVertex = ChartBasis
 ROOT = IDENTITY_BASIS
 
+# ((fx, fy, gx, gy, ...), n): n items that start at the tuple and step by
+# one blow-up or one vertex each (see ``run_bases``); n is None for a run
+# without end.
+Run = tuple[tuple[int, ...], Optional[int]]
 
-@dataclass(frozen=True)
-class PositivePath:
-    """Ordered vertices of the positive path, starting at k[x, y].
 
-    ``complete`` is False when the walk stopped at the step budget with
-    more path remaining; truncation is always explicit, never silent.
+class ExpandedRuns(Sequence):
+    """The items of runs, ``at(start, j)`` for j < n of each run (start, n), built when read.
+
+    ``len`` is the sum of the lengths.  Iteration is ``expand(runs)``,
+    which steps through each run by addition.  Indexing bisects the
+    cumulative lengths, computed when first needed; the last item is
+    read off the last run.  Equal to any tuple, list or expanded runs
+    with equal items in the same order.
     """
 
-    vertices: tuple[TreeVertex, ...]
-    complete: bool
+    __slots__ = ("_runs", "_count", "_at", "_expand", "_ends")
+
+    def __init__(self, runs: tuple[Run, ...], n: int,
+                 at: Callable[[tuple, int], object],
+                 expand: Callable[[tuple[Run, ...]], Iterator]):
+        self._runs = runs
+        self._count = n
+        self._at = at
+        self._expand = expand
+        self._ends = None
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __iter__(self) -> Iterator:
+        return self._expand(self._runs)
+
+    def __getitem__(self, i):
+        n = self._count
+        if isinstance(i, slice):
+            return tuple(map(self.__getitem__, range(*i.indices(n))))
+        if i < 0:
+            i += n
+        if not 0 <= i < n:
+            raise IndexError("index out of range")
+        if i == n - 1:  # the last item, read by every printability check
+            start, length = self._runs[-1]
+            return self._at(start, length - 1)
+        if self._ends is None:
+            self._ends = list(accumulate(length for _, length in self._runs))
+        r = bisect_right(self._ends, i)
+        return self._at(self._runs[r][0], i - self._ends[r - 1] if r else i)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (tuple, list, ExpandedRuns)):
+            return NotImplemented
+        n = other._count if isinstance(other, ExpandedRuns) else len(other)
+        return self._count == n and all(map(eq, self, other))
+
+    __hash__ = None
+
+
+def run_bases(runs: Iterable[Run]) -> Iterator[tuple[int, int, int, int]]:
+    """(fx, fy, gx, gy) of every vertex of finite runs, in order: j times g/f at step j."""
+    for start, n in runs:
+        fx, fy, gx, gy = start[:4]
+        for _ in range(n):
+            yield fx, fy, gx, gy
+            gx -= fx
+            gy -= fy
+
+
+def _vertex_runs(vertices: Iterable[TreeVertex]) -> Iterator[Run]:
+    """A run of one for each vertex."""
+    for v in vertices:
+        yield (v.f.ex, v.f.ey, v.g.ex, v.g.ey), 1
+
+
+def _vertex_at(start: tuple, j: int) -> TreeVertex:
+    fx, fy, gx, gy = start
+    return TreeVertex(Monomial(fx, fy), Monomial(gx - j * fx, gy - j * fy))
+
+
+def _vertices(runs: Iterable[Run]) -> Iterator[TreeVertex]:
+    """Every vertex of runs, each generator built once: f per run, g/f^j per vertex."""
+    for (fx, fy, gx, gy), n in runs:
+        f = Monomial(fx, fy)
+        # range, not repeat: a length may exceed a C integer
+        for _ in count() if n is None else range(n):
+            yield TreeVertex(f, Monomial(gx, gy))
+            gx -= fx
+            gy -= fy
+
+
+class PositivePath:
+    """Ordered vertices of the positive path, starting at k[x, y], kept as runs.
+
+    ``runs`` is a tuple of ((fx, fy, gx, gy), n), the n vertices
+    k[f, g/f^j] for j = 0..n-1; a path from ``walk_runs`` has one run per
+    digit, and a path made from vertices one run per vertex.
+    ``vertices`` is a lazy sequence of ``TreeVertex``; ``count`` is the
+    number of vertices, which ``len`` also gives while it fits a C
+    integer.  ``complete`` is False when the walk stopped at the step
+    budget with more path remaining; truncation is always explicit,
+    never silent.  Equality compares the vertices and ``complete``.
+    """
+
+    __slots__ = ("runs", "complete", "count")
+
+    def __init__(self, vertices: Iterable[TreeVertex], complete: bool):
+        self.runs = tuple(_vertex_runs(vertices))
+        self.count = len(self.runs)
+        self.complete = complete
+
+    @classmethod
+    def from_runs(cls, runs: Iterable[Run], complete: bool) -> "PositivePath":
+        """The path of finite, nonempty runs ((fx, fy, gx, gy), n)."""
+        path = cls.__new__(cls)
+        path.runs = tuple(runs)
+        path.count = sum(n for _, n in path.runs)
+        path.complete = complete
+        return path
+
+    @property
+    def vertices(self) -> ExpandedRuns:
+        return ExpandedRuns(self.runs, self.count, _vertex_at, _vertices)
 
     @property
     def status(self) -> str:
         return "complete" if self.complete else "truncated"
 
     def __len__(self) -> int:
-        return len(self.vertices)
+        return self.count
 
-    def __iter__(self):
-        return iter(self.vertices)
+    def __iter__(self) -> Iterator[TreeVertex]:
+        return _vertices(self.runs)
 
     def __getitem__(self, i):
         return self.vertices[i]
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.complete == other.complete and self.vertices == other.vertices
+
+    def __hash__(self) -> int:
+        return hash((tuple(self), self.complete))
+
+    def __repr__(self) -> str:
+        return f"PositivePath.from_runs({self.runs!r}, complete={self.complete!r})"
 
 
 @dataclass(frozen=True)
@@ -108,40 +239,44 @@ def positive_child(nu: MonomialValuation, v: TreeVertex) -> Optional[TreeVertex]
 _END = object()  # marks the end of a finite digit expansion
 
 
-def walk(nu: MonomialValuation) -> Iterator[TreeVertex]:
-    """Yield the positive path from the root, driven by the digits of nu(x)/nu(y).
+def walk_runs(nu: MonomialValuation) -> Iterator[Run]:
+    """Yield the positive path from the root as runs, one per digit of nu(x)/nu(y).
 
-    With ``big``, ``small`` the generators of larger and smaller value, a
-    digit d is the branch k[small, big/small^m] for m = 1..d, after which
-    small and big/small^d are the new big and small (d = 0 just swaps
-    them).  The last digit of a finite expansion stops one vertex short,
-    where the two values coincide; an unbounded digit never ends.  Before
-    the root it raises ValueError when nu(x) or nu(y) is not positive, or
-    when they are equal: then there is no path to build, only the bare
-    root.
+    The root k[x, y] is a run of its own.  With ``big``, ``small`` the
+    generators of larger and smaller value, a digit d is the branch
+    k[small, big/small^m] for m = 1..d, the run ((small, big/small), d),
+    after which small and big/small^d are the new big and small (d = 0
+    just swaps them, and gives no run).  The last digit of a finite
+    expansion stops one vertex short, where the two values coincide; an
+    unbounded digit is a run of length None, which never ends.  Before
+    the root it raises ValueError when nu(x) or nu(y) is not positive,
+    or when they are equal: then there is no path to build, only the
+    bare root.
     """
     vx, vy = nu(X), nu(Y)
     if nu.sign(vx) <= 0 or nu.sign(vy) <= 0:
         raise ValueError("k[x, y] is not positive: nu(x) and nu(y) must be positive")
     if nu.compare(vx, vy) == 0:
         raise ValueError("nu(x) = nu(y) is degenerate for path construction")
-    yield ROOT
-    big, small = X, Y
+    yield (1, 0, 0, 1), 1
+    bx, by, sx, sy = 1, 0, 0, 1  # big = x, small = y
     digits = nu.group.ratio_digits()
     d = next(digits)
     while True:
         following = next(digits, _END)
         last = following is _END
-        # range, not repeat: a digit may exceed a C integer
-        branch = count() if d is UNBOUNDED else range(d - 1 if last else d)
-        quotient = big
-        for _ in branch:
-            quotient = quotient / small
-            yield TreeVertex(small, quotient)
+        n = d - 1 if last and d is not UNBOUNDED else d
+        if n != 0:
+            yield (sx, sy, bx - sx, by - sy), n
         if last:
             return
-        big, small = small, quotient
+        bx, by, sx, sy = sx, sy, bx - d * sx, by - d * sy
         d = following
+
+
+def walk(nu: MonomialValuation) -> Iterator[TreeVertex]:
+    """Yield the positive path from the root a vertex at a time (see ``walk_runs``)."""
+    return _vertices(walk_runs(nu))
 
 
 def first_vertices(vertices: Iterator[TreeVertex], max_steps: int) -> Iterator[TreeVertex]:
@@ -152,17 +287,34 @@ def first_vertices(vertices: Iterator[TreeVertex], max_steps: int) -> Iterator[T
     return islice(vertices, min(max_steps, sys.maxsize))
 
 
-def take_path(vertices: Iterator[TreeVertex], max_steps: int) -> PositivePath:
-    """The first ``max_steps`` vertices of a walk, as a path.
+def take_path(vertices: Iterable[TreeVertex], max_steps: int) -> PositivePath:
+    """The first ``max_steps`` vertices of a walk, as a path of one run per vertex.
 
     The path is complete when the walk ends within them; the walk is
     asked for one vertex more to tell.
     """
+    return take_runs(_vertex_runs(vertices), max_steps)
+
+
+def take_runs(runs: Iterator[Run], max_steps: int) -> PositivePath:
+    """The first ``max_steps`` vertices of nonempty runs, as a path.
+
+    The last run taken is cut short when it runs past the budget.  The
+    path is complete when the runs end within the budget; they are asked
+    for one run more to tell.
+    """
     if max_steps < 1:
         raise ValueError("max_steps must be positive")
-    taken = tuple(first_vertices(vertices, max_steps))
-    complete = len(taken) < max_steps or next(vertices, None) is None
-    return PositivePath(taken, complete)
+    taken, left = [], max_steps
+    for start, n in runs:
+        if n is not None and n <= left:
+            taken.append((start, n))
+            left -= n
+            continue
+        if left:
+            taken.append((start, left))
+        return PositivePath.from_runs(taken, complete=False)
+    return PositivePath.from_runs(taken, complete=True)
 
 
 def positive_path(nu: MonomialValuation, max_steps: int = 64) -> PositivePath:
@@ -171,9 +323,10 @@ def positive_path(nu: MonomialValuation, max_steps: int = 64) -> PositivePath:
     A rational ratio gives a finite path (walk until the two generator
     values coincide); an irrational one never terminates and the result
     is reported truncated.  Equal values on x and y are rejected up front:
-    there is no path to build, only the bare root.
+    there is no path to build, only the bare root.  The path keeps one run
+    per digit.
     """
-    return take_path(walk(nu), max_steps)
+    return take_runs(walk_runs(nu), max_steps)
 
 
 def branch_decomposition(path: PositivePath) -> tuple[Branch, ...]:
@@ -183,31 +336,41 @@ def branch_decomposition(path: PositivePath) -> tuple[Branch, ...]:
     predecessor; maximal runs with the same shared generator s form the
     branch B(s, t), where t is recovered from the run's first vertex
     {s, t/s}.  The root k[x, y] counts as the m = 0 member of the first
-    branch and contributes no length.
+    branch and contributes no length.  The steps inside a run of the path
+    all share its f; only where two runs meet are the vertices compared.
     """
-    verts = path.vertices
-    if len(verts) < 2:
+    if path.count < 2:
         raise ValueError("need at least two vertices to decompose")
-    branches: list[Branch] = []
-    pivot: Monomial | None = None
-    t_mono: Monomial | None = None
-    length = 0
-    for prev, cur in zip(verts, verts[1:]):
-        prev_gens = {prev.f, prev.g}
-        if cur.f in prev_gens:
-            shared, other = cur.f, cur.g
-        elif cur.g in prev_gens:
-            shared, other = cur.g, cur.f
+    branches: list[list] = []  # [s, t, length]
+    for shared, t, steps in _shared_steps(path.runs):
+        if branches and branches[-1][0] == shared:
+            branches[-1][2] += steps
         else:
-            raise ValueError(f"{prev} and {cur} are not parent and child")
-        if shared == pivot:
-            length += 1
-        else:
-            if pivot is not None:
-                branches.append(Branch(pivot, t_mono, length))
-            pivot, t_mono, length = shared, shared * other, 1
-    branches.append(Branch(pivot, t_mono, length))
-    return tuple(branches)
+            branches.append([shared, t, steps])
+    return tuple(Branch(*branch) for branch in branches)
+
+
+def _shared_steps(runs: tuple[Run, ...]) -> Iterator[tuple[Monomial, Monomial, int]]:
+    """(s, t, k) for each stretch of k steps down a path that share the generator s.
+
+    t is s times the other generator of the vertex the stretch steps to
+    first.  Inside a run ((f, g), n) the n - 1 steps share f and reach
+    k[f, g/f] first; between two runs the first vertex of the second must
+    share a generator with the last of the first.
+    """
+    prev = None
+    for (fx, fy, gx, gy), n in runs:
+        f, g = Monomial(fx, fy), Monomial(gx, gy)
+        if prev is not None:
+            if f in prev:
+                yield f, f * g, 1
+            elif g in prev:
+                yield g, g * f, 1
+            else:
+                raise ValueError(f"k[{prev[0]}, {prev[1]}] and k[{f}, {g}] are not parent and child")
+        if n > 1:
+            yield f, g, n - 1
+        prev = f, Monomial(gx - (n - 1) * fx, gy - (n - 1) * fy)
 
 
 def correspondence_report(a: int, b: int, path: PositivePath) -> CorrespondenceReport:

@@ -9,10 +9,13 @@ by one value comparison per vertex, as the cross-check for the package's
 walk from continued-fraction digits.  The resolution is driven here on
 ``ChartState`` objects, blow-up by blow-up, and charts are expanded by
 monomial powers and a shift, as the cross-check for the package's
-integer rows and one-pass expansion.  A trace is written here in JSON,
-DOT and text from its ``BlowUp`` views, naming every monomial with
-``str`` and filling ``str.format`` templates, as the cross-check for the
-package's emitters over the integer rows.
+integer rows and one-pass expansion; ``resolve_rows`` drives the
+package's rules one row at a time, as the cross-check for its runs.
+A trace is written here in JSON, DOT and text from ``BlowUp`` views of
+its rows, naming every monomial with ``str`` and filling ``str.format``
+templates, as the cross-check for the package's emitters over the runs.
+Branches are split here vertex by vertex, as the cross-check for the
+package's decomposition over a path's runs.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import random
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from math import gcd
+from typing import NamedTuple, Optional
 
 from hypothesis import strategies as st
 
@@ -34,6 +38,7 @@ from monoval.laurent import (
     Y,
 )
 from monoval.emit import _chart_text, _dot_children, _dot_head, _json_array
+from monoval.exactnum import cf_expand
 from monoval.resolution import (
     ChartState,
     Classification,
@@ -42,9 +47,11 @@ from monoval.resolution import (
     ResolutionStep,
     ResolutionTrace,
     ThroughOrigin,
+    _children,
+    _kind,
     initial_chart,
 )
-from monoval.valtree import ROOT, TreeVertex
+from monoval.valtree import ROOT, Branch, CorrespondenceReport, PositivePath, TreeVertex
 
 
 def euclid_quotients(a: int, b: int) -> list[int]:
@@ -223,6 +230,40 @@ def resolve_steps(a: int, b: int) -> list[ResolutionStep]:
         chart = unresolved[0]
 
 
+def resolve_rows(a: int, b: int):
+    """The rows of the resolution of x^b = y^a, the package's rules applied row by row.
+
+    This is the stepwise driver that ``resolve`` replaced by runs: each
+    row's children from ``_children``, each child classified by ``_kind``.
+    """
+    row = tuple(initial_chart(a, b))
+    resolved = Classification.RESOLVED
+    while True:
+        yield row
+        unresolved = [c for c in _children(row) if _kind(c) is not resolved]
+        if len(unresolved) > 1:
+            raise ResolutionInvariantError(f"two unresolved charts in ({a}, {b})")
+        if not unresolved:
+            return
+        row = unresolved[0]
+
+
+def continues_run(row) -> bool:
+    """Whether the row blown up after ``row`` belongs to its run.
+
+    It does when s - t >= 2, and t >= 2 or exc_g >= 1: then the first
+    child, a cusp or a tangential crossing like ``row`` itself, is the
+    next row, and only integers in arithmetic progression change.
+    """
+    _, _, _, _, _, exc_g, s, t, _ = row
+    return s - t >= 2 and (t >= 2 or exc_g >= 1)
+
+
+def trace_from_rows(a: int, b: int, rows) -> ResolutionTrace:
+    """A trace of the given rows, one run each."""
+    return ResolutionTrace(a, b, tuple((tuple(row), 1) for row in rows))
+
+
 def expand_chart(c: ChartState) -> LaurentPolynomial:
     """sign * f^exc_f g^exc_g * proper, by monomial powers and a shift."""
     f, g = c.basis.f, c.basis.g
@@ -248,7 +289,103 @@ def monomial_name(ex: int, ey: int) -> str:
     return f"{'*'.join(num) or '1'}/{den_s}"
 
 
+# ------------------------------------------------------------------ branches
+
+
+def branch_decomposition(path: PositivePath) -> tuple[Branch, ...]:
+    """Branches B(s, t) of a path, split vertex by vertex on the generator each shares."""
+    verts = tuple(path)
+    if len(verts) < 2:
+        raise ValueError("need at least two vertices to decompose")
+    branches = []
+    pivot = t_mono = None
+    length = 0
+    for prev, cur in zip(verts, verts[1:]):
+        prev_gens = {prev.f, prev.g}
+        if cur.f in prev_gens:
+            shared, other = cur.f, cur.g
+        elif cur.g in prev_gens:
+            shared, other = cur.g, cur.f
+        else:
+            raise ValueError(f"{prev} and {cur} are not parent and child")
+        if shared == pivot:
+            length += 1
+        else:
+            if pivot is not None:
+                branches.append(Branch(pivot, t_mono, length))
+            pivot, t_mono, length = shared, shared * other, 1
+    branches.append(Branch(pivot, t_mono, length))
+    return tuple(branches)
+
+
+def correspondence_report(a: int, b: int, path: PositivePath) -> CorrespondenceReport:
+    """Branch lengths of the vertex-split path against the digits of a/b, last one less."""
+    lengths = tuple(br.length for br in branch_decomposition(path))
+    digits = cf_expand(Fraction(a, b)).digits
+    expected = list(digits)
+    expected[-1] -= 1
+    if expected and expected[-1] == 0:
+        expected.pop()
+    return CorrespondenceReport(a, b, lengths, digits, tuple(expected), lengths == tuple(expected))
+
+
 # ------------------------------------------------------------ trace emitters
+
+
+class BlowUp(NamedTuple):
+    """One blow-up of a trace, by name.
+
+    The chart blown up has basis (f, g), f = x^fx y^fy and g = x^gx y^gy,
+    and curve sign * f^exc_f * g^exc_g * (f^s - g^t).  Its first child
+    has basis (f, g/f), multiplicities (e, exc_g), proper exponents
+    (s - t, t) and the sign; its second has basis (g, f/g),
+    multiplicities (e, exc_f), proper exponents (t - s, s) and the sign
+    negated.  ``bad`` is the index of the child blown up next, or None
+    after the last blow-up.
+    """
+
+    fx: int
+    fy: int
+    gx: int
+    gy: int
+    exc_f: int
+    exc_g: int
+    s: int
+    t: int
+    sign: int
+    kind: Classification
+    e: int
+    kinds: tuple[Classification, Classification]
+    bad: Optional[int]
+
+    @property
+    def f(self) -> Monomial:
+        return Monomial(self.fx, self.fy)
+
+    @property
+    def g(self) -> Monomial:
+        return Monomial(self.gx, self.gy)
+
+    @property
+    def g_over_f(self) -> Monomial:
+        return Monomial(self.gx - self.fx, self.gy - self.fy)
+
+    @property
+    def f_over_g(self) -> Monomial:
+        return Monomial(self.fx - self.gx, self.fy - self.gy)
+
+
+def blow_up_view(step: ResolutionStep) -> BlowUp:
+    """The ``BlowUp`` of a step."""
+    (first, k1), (second, k2) = step.children
+    resolved = Classification.RESOLVED
+    bad = 0 if k1 is not resolved else 1 if k2 is not resolved else None
+    return BlowUp._make(tuple(step.chart) + (step.classification, first.exc_f, (k1, k2), bad))
+
+
+def blow_up_views(trace: ResolutionTrace):
+    """The ``BlowUp`` of every step of a trace, each built when it is read."""
+    return map(blow_up_view, trace.steps)
 
 
 def blow_up_names(trace: ResolutionTrace, name, number):
@@ -259,10 +396,9 @@ def blow_up_names(trace: ResolutionTrace, name, number):
     the same order, whether each child's curve passes through its origin,
     the chart's sign and the classifications of the chart and children.
     """
-    blow_ups = trace.blow_ups
-    u = blow_ups[0]
+    u = blow_up_view(trace.steps[0])
     chart = (name(u.f), name(u.g), number(u.exc_f), number(u.exc_g), number(u.s), number(u.t))
-    for u in blow_ups:
+    for u in blow_up_views(trace):
         f, g, a, b, s, t = chart
         p, q = u.s, u.t
         e, d = number(u.e), number(abs(p - q))

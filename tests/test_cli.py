@@ -9,7 +9,7 @@ import pytest
 
 from monoval import cli
 from monoval.emit import to_jsonable
-from monoval.exactnum import IndecisiveComparisonError, cf_expand, sqrt2_stream
+from monoval.exactnum import CFStream, IndecisiveComparisonError, cf_expand, sqrt2_stream
 from monoval.resolution import ThroughOrigin, resolve
 from monoval.valtree import positive_path
 from monoval.valuation import MonomialValuation
@@ -178,7 +178,7 @@ def test_indecisive_exit_code(capsys, monkeypatch):
     def fake_walk(nu):
         raise IndecisiveComparisonError(Fraction(1), 5)
 
-    monkeypatch.setattr(cli, "walk", fake_walk)
+    monkeypatch.setattr(cli, "walk_runs", fake_walk)
     code, _, err = run(capsys, "path", "--stream", "sqrt2")
     assert code == 3 and "indecisive" in err
 
@@ -247,22 +247,47 @@ def test_path_past_the_int_str_limit_fails_before_output(capsys):
 def test_path_stops_walking_at_the_first_unprintable_vertex(capsys, monkeypatch):
     first = first_vertex_past_640_digits()
     produced = []
-    real_walk = cli.walk
+    real_walk = cli.walk_runs
 
     def counting_walk(nu):
-        for v in real_walk(nu):
-            produced.append(v)
-            yield v
+        for run in real_walk(nu):
+            produced.append(run)
+            yield run
 
-    monkeypatch.setattr(cli, "walk", counting_walk)
+    monkeypatch.setattr(cli, "walk_runs", counting_walk)
     # Six times the failing index: a walk that went on to the end would
-    # produce all 20,000 vertices, in seconds rather than hours.
+    # produce the runs of all 20,000 vertices, with exponents of thousands
+    # of digits.
     code, out, err = run_under_640_digits(
         capsys, "path", "--stream", "sqrt2", "--max-steps", "20000", "--format", "json"
     )
     assert code == 1 and out == ""
     assert err.startswith(f"error: vertex {first} of the path has an exponent longer than 640")
-    assert len(produced) <= first + 1
+    assert sum(n for _, n in produced[:-1]) <= first
+
+
+def test_bisection_finds_the_first_index_that_passes():
+    for n in range(1, 70):
+        for first in range(n):
+            assert cli._first(n, lambda j: j >= first) == first
+    assert cli._first(10**4000, lambda j: j >= 10**3999 + 7) == 10**3999 + 7
+
+
+def test_path_names_the_first_unprintable_vertex_inside_a_run(capsys):
+    # Digits of 50: the first vertex past 640 digits is the 13th of its run,
+    # which the check finds by bisection.
+    nu = MonomialValuation.from_stream(CFStream.from_periodic([1], [50]))
+    first = next(
+        i
+        for i, v in enumerate(positive_path(nu, max_steps=20000))
+        if max(abs(v.f.ex), abs(v.f.ey), abs(v.g.ex), abs(v.g.ey)) >= 10**640
+    )
+    assert first == 18814
+    code, out, err = run_under_640_digits(
+        capsys, "path", "--stream", "1;50", "--max-steps", "20000", "--format", "json"
+    )
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: vertex {first} of the path has an exponent longer than 640")
 
 
 def test_path_does_not_refuse_the_vertex_after_the_last(capsys):
@@ -401,7 +426,27 @@ def test_cf_json_is_json_dumps_of_to_jsonable(capsys, rational):
 
 
 def test_cf_past_the_int_str_limit_fails_before_output(capsys):
-    for fmt in ("json", "text"):
-        code, out, err = run_under_640_digits(capsys, "cf", "1e700", "--format", fmt)
-        assert (code, out) == (1, "") and err.startswith("error: Exceeds the limit (640 digits)")
-        assert err.count("\n") == 1
+    # The CLI's own words, naming the digit; not CPython's advice to raise the limit.
+    cases = [
+        ("1e700", "digit 0 of the continued fraction is"),
+        ("-1e700", "digit 0 of the continued fraction is"),
+        ("1e-700", "digit 1 of the continued fraction is"),
+        ("-2.5e-700", "digit 2 of the continued fraction is"),  # [-1; 1, 4 * 10^699]
+    ]
+    for rational, what in cases:
+        for fmt in ("json", "text"):
+            code, out, err = run_under_640_digits(capsys, "cf", rational, "--format", fmt)
+            assert (code, out) == (1, ""), (rational, fmt)
+            assert err == (f"error: {what} longer than 640 digits,"
+                           " the interpreter's limit for printing an integer\n")
+
+
+def test_cf_text_refuses_a_rational_too_long_to_print(capsys):
+    # Digits of 600 places, a denominator of 700: JSON prints only the digits.
+    rational = "0." + "7" * 600 + "e-100"
+    code, out, err = run_under_640_digits(capsys, "cf", rational, "--format", "json")
+    assert code == 0 and json.loads(out)["digits"][0] == 0 and err == ""
+    code, out, err = run_under_640_digits(capsys, "cf", rational)
+    assert (code, out) == (1, "")
+    assert err == ("error: the denominator of the rational is longer than 640 digits,"
+                   " the interpreter's limit for printing an integer\n")

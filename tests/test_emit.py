@@ -1,6 +1,8 @@
+import hashlib
 import json
 import re
 from fractions import Fraction
+from itertools import zip_longest
 from json.encoder import encode_basestring_ascii
 
 import pytest
@@ -12,8 +14,8 @@ from monoval.emit import (
     format_chart_text,
     format_path_text,
     format_trace_text,
+    printed_integers,
     to_jsonable,
-    trace_integers,
 )
 from monoval.exactnum import CFStream, cf_expand, sqrt2_stream
 from monoval.laurent import X, Y, ChartBasis, Monomial, monomial_names
@@ -214,18 +216,35 @@ def reference_trace_text(trace, show_steps) -> str:
     return "\n".join(lines) + "\n"
 
 
+def assert_same_text(got: str, want: str) -> None:
+    """``got == want``, failing with the first line that differs rather than pytest's diff.
+
+    The sha256 digests are compared first.  On a mismatch the failure
+    names the first differing line and its number, in well under a
+    second; pytest's diff of two outputs of a few megabytes takes most of
+    a minute.  Equal digests still go through the full ``==``.
+    """
+    if hashlib.sha256(got.encode()).digest() != hashlib.sha256(want.encode()).digest():
+        lines = zip_longest(got.split("\n"), want.split("\n"))
+        number, (line, expected) = next((i, pair) for i, pair in enumerate(lines, 1)
+                                        if pair[0] != pair[1])
+        pytest.fail(f"outputs differ first at line {number}:\n"
+                    f"  got:      {line!r:.300}\n  expected: {expected!r:.300}")
+    assert got == want
+
+
 def assert_path_matches_references(path):
-    assert emit_json(path) == dumps(path)
-    assert emit_dot(path) == reference_path_dot(path)
-    assert format_path_text(path, "heading:") == reference_path_text(path, "heading:")
+    assert_same_text(emit_json(path), dumps(path))
+    assert_same_text(emit_dot(path), reference_path_dot(path))
+    assert_same_text(format_path_text(path, "heading:"), reference_path_text(path, "heading:"))
 
 
 def assert_pair_matches_references(a, b):
     trace = resolve(a, b)
-    assert emit_json(trace) == dumps(trace)
-    assert emit_dot(trace) == reference_trace_dot(trace)
+    assert_same_text(emit_json(trace), dumps(trace))
+    assert_same_text(emit_dot(trace), reference_trace_dot(trace))
     for show_steps in (False, True):
-        assert format_trace_text(trace, show_steps) == reference_trace_text(trace, show_steps)
+        assert_same_text(format_trace_text(trace, show_steps), reference_trace_text(trace, show_steps))
     path = positive_path(MonomialValuation.rational(a, b), max_steps=a + b)
     assert_path_matches_references(path)
 
@@ -240,10 +259,11 @@ def with_fixed_pairs(test):
 
     Hypothesis never shrinks an explicit example, so a broken emitter
     fails on these in seconds; shrinking a drawn pair, each step of which
-    builds and compares four outputs, takes minutes.  The pairs stay
-    small enough that the failure's diff of two outputs is quick too.
+    builds and compares four outputs, takes minutes.  (101, 100) and
+    (1001, 3) are traces with runs of about 100 and 330 rows, a
+    tangential crossing and a cusp at each row inside.
     """
-    for pair in ((24, 7), (377, 233), WIDE_PAIR):
+    for pair in ((24, 7), (377, 233), WIDE_PAIR, (101, 100), (1001, 3)):
         test = example(pair)(test)
     return test
 
@@ -270,6 +290,22 @@ def test_templates_match_references_on_truncated_stream_paths(d0, pre, period, m
     path = positive_path(MonomialValuation.from_stream(stream), max_steps=max_steps)
     assert not path.complete
     assert_path_matches_references(path)
+
+
+def test_templates_match_references_on_a_path_cut_inside_a_run():
+    # [1; 40, 7, 40, 7, ...]: the budget ends the run of 40 after 18 vertices.
+    stream = CFStream.from_periodic([1], [40, 7])
+    path = positive_path(MonomialValuation.from_stream(stream), max_steps=20)
+    assert [n for _, n in path.runs] == [1, 1, 18]
+    assert_path_matches_references(path)
+
+
+def test_a_differing_line_is_named_without_a_diff():
+    with pytest.raises(pytest.fail.Exception, match="differ first at line 3:"):
+        assert_same_text("a\nb\nc\nd", "a\nb\nx\nd")
+    with pytest.raises(pytest.fail.Exception, match="differ first at line 2:"):
+        assert_same_text("a\n", "a")
+    assert_same_text("a\nb", "a\nb")
 
 
 def test_templates_match_references_on_a_one_vertex_path():
@@ -304,7 +340,7 @@ def test_templates_match_references_on_an_empty_path():
 
 @settings(max_examples=15, deadline=None)
 @given(coprime_pairs(10**20))
-def test_trace_integers_hold_the_largest_integer_each_format_prints(pair):
+def test_printed_integers_hold_the_largest_integer_each_format_prints(pair):
     # The CLI checks only these integers against the limit for printing one.
     a, b = pair
     trace = resolve(a, b)
@@ -316,7 +352,7 @@ def test_trace_integers_hold_the_largest_integer_each_format_prints(pair):
     }
     for (fmt, steps), out in outputs.items():
         printed = max(map(int, re.findall(r"\d+", out)))
-        listed = max(abs(n) for u in trace.blow_ups for n in trace_integers(u, fmt, steps))
+        listed = max(abs(n) for row in trace.rows for n in printed_integers(row, fmt, steps))
         # DOT prints no a and b, only chart bases
         assert printed == (listed if fmt == "dot" else max(listed, a, b)), (fmt, steps)
 
@@ -346,10 +382,10 @@ wide_pairs = st.integers(40, 300).flatmap(
 
 def assert_trace_matches_the_view_oracle(a, b):
     trace = resolve(a, b)
-    assert emit_json(trace) == oracles.trace_json(trace)
-    assert emit_dot(trace) == oracles.trace_dot(trace)
+    assert_same_text(emit_json(trace), oracles.trace_json(trace))
+    assert_same_text(emit_dot(trace), oracles.trace_dot(trace))
     for show_steps in (False, True):
-        assert format_trace_text(trace, show_steps) == oracles.trace_text(trace, show_steps)
+        assert_same_text(format_trace_text(trace, show_steps), oracles.trace_text(trace, show_steps))
 
 
 @with_fixed_pairs

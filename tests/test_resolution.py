@@ -2,6 +2,7 @@ import copy
 import gc
 import pickle
 import random
+from itertools import accumulate
 from math import gcd
 
 import pytest
@@ -426,17 +427,24 @@ def counting(monkeypatch, name):
 
 def test_reconstruction_expands_the_root_and_both_children_of_every_row(monkeypatch):
     expanded = counting(monkeypatch, "expand_chart")
+    blown = counting(monkeypatch, "blow_up")
     for a, b in [(3, 2), (24, 7), (377, 233), (20001, 20000)]:
-        expanded.clear()
         trace = resolve(a, b)
+        expanded.clear()
+        blown.clear()
         assert verify_reconstruction(trace)
         assert len(expanded) == 2 * trace.blow_up_count + 1
+        assert blown == list(trace.rows)  # the public rule makes every child
 
 
-def test_resolve_blows_up_each_row_with_the_public_blow_up(monkeypatch):
-    blown = counting(monkeypatch, "blow_up")
-    trace = resolve(377, 233)
-    assert tuple(blown) == trace.rows
+def test_resolve_steps_each_run_end_with_the_blow_up_rule(monkeypatch):
+    stepped = counting(monkeypatch, "_children")
+    for (a, b), runs in [((377, 233), 13), ((20001, 20000), 4)]:
+        stepped.clear()
+        trace = resolve(a, b)
+        ends = accumulate(n for _, n in trace.runs)
+        assert tuple(stepped) == tuple(trace.rows[i - 1] for i in ends)
+        assert len(stepped) == len(trace.runs) == runs
 
 
 def test_public_rules_take_rows_and_charts_alike():
@@ -454,8 +462,8 @@ def test_public_rules_take_rows_and_charts_alike():
 @given(oracles.coprime_pairs(10**40))
 def test_blow_up_views_name_the_steps(pair):
     trace = resolve(*pair)
-    views = trace.blow_ups
-    assert len(views) == trace.blow_up_count and views[-1] == list(views)[-1]
+    views = list(oracles.blow_up_views(trace))
+    assert len(views) == trace.blow_up_count
     for u, step in zip(views, trace.steps):
         (c1, k1), (c2, k2) = step.children
         assert (u.f, u.g) == (step.chart.basis.f, step.chart.basis.g)
@@ -470,16 +478,20 @@ def test_blow_up_views_name_the_steps(pair):
 
 
 def test_rows_are_exact_int_tuples_the_collector_stops_tracking():
-    trace = resolve(377, 233)
+    # A trace keeps only its runs, (first row, length) pairs; the other rows
+    # are built when read.  A pass of the collector untracks a run's row, and
+    # the next the pair that holds it.
+    trace = resolve(20001, 20000)
+    gc.collect()
     gc.collect()
     assert all(type(row) is tuple and len(row) == 9 for row in trace.rows)
     assert all(type(n) is int for row in trace.rows for n in row)
-    assert not any(gc.is_tracked(row) for row in trace.rows)
+    assert not any(gc.is_tracked(run) or gc.is_tracked(run[0]) for run in trace.runs)
 
 
 def test_rows_stay_plain_tuples_whichever_child_is_blown_up_next():
     trace = resolve(24, 7)
-    assert {u.bad for u in trace.blow_ups} == {0, 1, None}
+    assert {u.bad for u in oracles.blow_up_views(trace)} == {0, 1, None}
     assert all(type(row) is tuple for row in trace.rows)
 
 

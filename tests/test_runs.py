@@ -1,0 +1,228 @@
+"""Runs against the stepwise oracles: traces, paths and branches.
+
+``resolve`` jumps over a continued-fraction branch with one ``divmod``,
+and a positive path keeps one run per digit.  Expanded, the runs must
+equal the row-by-row driver ``oracles.resolve_rows`` and the
+one-comparison-per-vertex walk ``oracles.bracket_walk``; the branches
+read off the runs must equal the vertex-by-vertex split in ``oracles``;
+and ``theorem_report``, which compares the runs' bases as ints, must
+agree with a comparison of the vertices themselves.
+"""
+
+import random
+import time
+from itertools import accumulate, zip_longest
+
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+import oracles
+from monoval import cli
+from monoval.exactnum import CFStream
+from monoval.laurent import Monomial
+from monoval.resolution import resolve, theorem_report
+from monoval.valtree import (
+    PositivePath,
+    TreeVertex,
+    branch_decomposition,
+    children,
+    correspondence_report,
+    positive_path,
+    run_bases,
+)
+from monoval.valuation import MonomialValuation
+
+
+def fibonacci_pair(digits: int) -> tuple[int, int]:
+    a, b = 1, 1
+    while len(str(a)) < digits:
+        a, b = a + b, a
+    return a, b
+
+
+# Every digit is 1: a run of one row per blow-up, the case runs cannot shorten.
+FIB_201 = fibonacci_pair(201)
+
+
+def ordered(vertices):
+    return [(v.f, v.g) for v in vertices]
+
+
+# ------------------------------------------------------------------ traces
+
+
+# The long-branch families: a/b = [1; n], [n/2; 2] and [n/3; 1, 2], each one
+# branch of about n blow-ups.
+@example((10**6 + 1, 10**6))
+@example((10**6 + 1, 2))
+@example((10**6 + 1, 3))
+@example((11, 10))
+@example((11, 2))
+@example((11, 3))
+@example(FIB_201)
+@settings(max_examples=40, deadline=None)
+@given(oracles.coprime_pairs(10**40))
+def test_expanded_runs_equal_the_stepwise_rows(pair):
+    a, b = pair
+    trace = resolve(a, b)
+    starts = set(accumulate(n for _, n in trace.runs[:-1]))
+    count, prev = 0, None
+    for got, want in zip_longest(trace.rows, oracles.resolve_rows(a, b)):
+        assert got == want, count
+        # each run is as long as the rule allows
+        assert (count in starts) == (prev is not None and not oracles.continues_run(prev)), count
+        count, prev = count + 1, want
+    assert trace.blow_up_count == count == sum(oracles.euclid_quotients(a, b))
+    # one run per digit and one per change of side, besides the root
+    assert len(trace.runs) <= 2 * len(oracles.euclid_quotients(a, b)) + 1
+
+
+@example((1001, 3), random.Random(0))
+@example((2001, 2000), random.Random(1))
+@settings(max_examples=40, deadline=None)
+@given(oracles.coprime_pairs(10**12), st.randoms(use_true_random=False))
+def test_indexing_the_rows_bisects_to_the_rows_iteration_gives(pair, rng):
+    trace = resolve(*pair)
+    rows = list(trace.rows)
+    steps = oracles.resolve_steps(*pair)
+    n = len(rows)
+    assert len(trace.rows) == n == trace.blow_up_count
+    for i in [0, n - 1, -1, -n] + [rng.randrange(-n, n) for _ in range(20)]:
+        assert trace.rows[i] == rows[i]
+        assert trace.steps[i] == steps[i]
+    i, j = sorted(rng.randrange(n + 1) for _ in range(2))
+    assert trace.rows[i:j] == tuple(rows[i:j])
+    assert trace.rows[::-3] == tuple(rows[::-3])
+    for i in (n, -n - 1):
+        with pytest.raises(IndexError):
+            trace.rows[i]
+
+
+def test_long_branches_take_a_few_runs_and_no_time():
+    start = time.perf_counter()
+    trace = resolve(10**6 + 1, 10**6)
+    assert time.perf_counter() - start < 0.01
+    assert trace.blow_up_count == 10**6 + 1
+    huge = resolve(10**7 + 1, 10**7)
+    assert huge.blow_up_count == 10**7 + 1 and len(huge.runs) == 4
+    path = positive_path(MonomialValuation.rational(10**7 + 1, 10**7), max_steps=10**8)
+    last = huge.rows[-1]
+    assert path.complete and len(path.runs) == 3
+    assert path[-1] == TreeVertex(Monomial(*last[:2]), Monomial(*last[2:4]))
+
+
+# ------------------------------------------------------------------- paths
+
+
+@st.composite
+def valuations(draw):
+    """A rational valuation or a periodic stream with digits up to 60."""
+    if draw(st.booleans()):
+        a, b = draw(st.integers(1, 10**9)), draw(st.integers(1, 10**9))
+        if a == b:
+            b += 1
+        return MonomialValuation.rational(a, b)
+    pre = draw(st.lists(st.integers(1, 60), max_size=3))
+    period = draw(st.lists(st.integers(1, 60), min_size=1, max_size=3))
+    d0 = draw(st.integers(0, 60))
+    return MonomialValuation.from_stream(CFStream.from_periodic([d0, *pre], period))
+
+
+# '1;40,7' is [1; 40, 7, 40, 7, ...]: the root, a run of one, then a run of
+# 40 that a budget of 20 cuts after 18 vertices.
+@example(MonomialValuation.from_stream(CFStream.from_periodic([1], [40, 7])), 20)
+@example(MonomialValuation.rational(10**6 + 1, 10**6), 1000)
+# Up to 200 steps: the walk compares each vertex's values, and a stream
+# comparison may read at most 256 convergents.
+@settings(max_examples=80, deadline=None)
+@given(valuations(), st.integers(1, 200))
+def test_path_runs_expand_to_the_per_vertex_walk(nu, max_steps):
+    path = positive_path(nu, max_steps=max_steps)
+    vertices, complete = oracles.bracket_walk(nu, max_steps)
+    assert ordered(path) == ordered(vertices) == ordered(path.vertices)
+    assert list(run_bases(path.runs)) == [(v.f.ex, v.f.ey, v.g.ex, v.g.ey) for v in vertices]
+    assert path.complete == complete and path.count == len(path) == len(vertices)
+    assert all(n >= 1 for _, n in path.runs)
+    for i in (0, -1, len(vertices) // 2):
+        assert (path[i].f, path[i].g) == (vertices[i].f, vertices[i].g)
+
+
+def test_a_truncated_stream_path_ends_inside_a_run(capsys):
+    nu = MonomialValuation.from_stream(CFStream.from_periodic([1], [40, 7]))
+    path = positive_path(nu, max_steps=20)
+    assert [n for _, n in path.runs] == [1, 1, 18] and not path.complete
+    assert path == PositivePath(oracles.bracket_walk(nu, 20)[0], complete=False)
+    assert cli.main(["path", "--stream", "1;40,7", "--max-steps", "20"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1:-1] == [f"  {i}: {v}" for i, v in enumerate(oracles.bracket_walk(nu, 20)[0])]
+    assert lines[-1] == "status: truncated (20 vertices)"
+
+
+# ---------------------------------------------------------------- branches
+
+
+@example(MonomialValuation.rational(24, 7), 64)
+@example(MonomialValuation.rational(2, 7), 64)
+@settings(max_examples=80, deadline=None)
+@given(valuations(), st.integers(1, 300))
+def test_branches_over_runs_equal_the_vertex_split(nu, max_steps):
+    path = positive_path(nu, max_steps=max_steps)
+    one_per_vertex = PositivePath(tuple(path), path.complete)
+    if path.count < 2:
+        for p in (path, one_per_vertex):
+            with pytest.raises(ValueError, match="at least two"):
+                branch_decomposition(p)
+        return
+    expected = oracles.branch_decomposition(path)
+    assert branch_decomposition(path) == branch_decomposition(one_per_vertex) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(oracles.coprime_pairs(10**20), st.randoms(use_true_random=False))
+def test_correspondence_over_runs_equals_the_vertex_split(pair, rng):
+    a, b = pair
+    path = positive_path(MonomialValuation.rational(a, b), max_steps=a + b)
+    vertices = list(path)
+    variants = [path, PositivePath(vertices[:-1], True), PositivePath(vertices[1:], True)]
+    i = rng.randrange(1, len(vertices))
+    sibling = next(v for v in children(vertices[i - 1]) if v != vertices[i])
+    variants.append(PositivePath(vertices[:i] + [sibling] + vertices[i + 1:], True))
+    for p in variants:
+        try:
+            expected = oracles.correspondence_report(a, b, p)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as raised:
+                correspondence_report(a, b, p)
+            assert str(raised.value) == str(exc)
+        else:
+            assert correspondence_report(a, b, p) == expected
+    assert correspondence_report(a, b, path).match
+
+
+# ---------------------------------------------------------- theorem report
+
+
+def vertex_equal(bad, path) -> bool:
+    """The theorem's path equality, decided on ``TreeVertex`` objects."""
+    return path.complete and len(path) == len(bad) and all(v == w for v, w in zip(bad, path))
+
+
+@settings(max_examples=30, deadline=None)
+@given(oracles.coprime_pairs(10**20), st.randoms(use_true_random=False))
+def test_theorem_report_agrees_with_comparing_vertices(pair, rng):
+    a, b = pair
+    trace = resolve(a, b)
+    bad = [TreeVertex(Monomial(*r[:2]), Monomial(*r[2:4])) for r in oracles.resolve_rows(a, b)]
+    path = positive_path(MonomialValuation.rational(a, b), max_steps=a + b)
+    vertices = list(path)
+    i = rng.randrange(len(vertices))
+    swapped = [TreeVertex(v.g, v.f) if rng.random() < 0.5 else v for v in vertices]
+    moved = vertices[:i] + [children(vertices[i])[rng.randrange(2)]] + vertices[i + 1:]
+    variants = [path, PositivePath(swapped, True), PositivePath(moved, True),
+                PositivePath(vertices, False), PositivePath(vertices[:-1], True),
+                PositivePath(vertices + [children(vertices[-1])[0]], True)]
+    for p in variants:
+        assert theorem_report(trace, p).equal == vertex_equal(bad, p)
+    assert theorem_report(trace, path).equal and theorem_report(trace, variants[1]).equal
+    assert not theorem_report(trace, variants[2]).equal
+

@@ -1,7 +1,6 @@
 """The single-pass sweep: one trace and one path per pair, checks still strict."""
 
-from dataclasses import replace
-
+import oracles
 from monoval import resolution, valtree, verify
 from monoval.valtree import PositivePath
 from monoval.verify import coprime_pairs, run_verify
@@ -15,9 +14,9 @@ def test_sweep_catches_a_flipped_chart_sign(monkeypatch):
         if (a, b) != (7, 5):
             return trace
         # Flip the sign of row 1: both its children then expand to -(x^5 - y^7).
-        row = trace.rows[1]
-        rows = trace.rows[:1] + (row[:-1] + (-row[-1],),) + trace.rows[2:]
-        return replace(trace, rows=rows)
+        rows = list(trace.rows)
+        rows[1] = rows[1][:-1] + (-rows[1][-1],)
+        return oracles.trace_from_rows(a, b, rows)
 
     monkeypatch.setattr(verify, "resolve", resolve_with_bad_chart)
     report = run_verify(12)
