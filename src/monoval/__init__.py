@@ -94,7 +94,13 @@ from .resolution import (
     theorem_report,
     verify_reconstruction,
 )
-from .expr import ExpressionError, lower, parse_expression, parse_rational_function
+from .expr import (
+    ExpressionError,
+    initial_value,
+    lower,
+    parse_expression,
+    parse_rational_function,
+)
 from .emit import emit_dot, emit_json
 from .verify import VerifyReport, coprime_pairs, run_verify
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import functools
 import os
+import re
 import stat
 import sys
 import tempfile
@@ -34,7 +35,13 @@ from .emit import (
     trace_text_chunks,
 )
 from .exactnum import CFStream, IndecisiveComparisonError, cf_expand, sqrt2_stream
-from .expr import ExpressionError, parse_rational_function
+from .expr import (
+    ExpressionError,
+    LongIntegerError,
+    WorkBudgetError,
+    initial_value,
+    parse_expression,
+)
 from .laurent import ZeroPolynomialError
 from .resolution import resolve
 from .valring import ring_generators
@@ -97,6 +104,13 @@ def _cmd_cf(args) -> Output:
         r = Fraction(args.rational)
     except ZeroDivisionError:
         raise ValueError(f"cannot read {args.rational!r}: the denominator is zero") from None
+    except ValueError:  # not a rational, or one with an integer longer than int() reads
+        limit = sys.get_int_max_str_digits()
+        for run in re.finditer(r"\d(?:_?\d)*", args.rational):
+            if limit and len(run.group().replace("_", "")) > limit:
+                where = f"the integer at position {run.start()} of the rational is"
+                raise _too_long(where, "reading") from None
+        raise
     cf = cf_expand(r)
     bound = _print_bound()
     # No digit exceeds the larger of |numerator| and denominator.
@@ -146,10 +160,10 @@ def _power_of_ten(n: int) -> int:
     return 10**n
 
 
-def _too_long(what: str) -> ValueError:
+def _too_long(what: str, doing: str = "printing") -> ValueError:
     return ValueError(
         f"{what} longer than {sys.get_int_max_str_digits()} digits,"
-        " the interpreter's limit for printing an integer"
+        f" the interpreter's limit for {doing} an integer"
     )
 
 
@@ -220,13 +234,35 @@ def _cmd_ringgens(args) -> Output:
     return ("\n".join(lines) + "\n",), 0
 
 
+# nu(y) for the walk that looks for expression errors behind bad weights:
+# x^i y^j and x^k y^l tie only when |i - k| is a multiple of it.
+_UNTIED_WEIGHT = 1_000_003
+
+
 def _cmd_member(args) -> Output:
-    rf = parse_rational_function(args.expression)
-    nu = MonomialValuation.rational(args.a, args.b)
-    if rf.is_zero:
+    try:
+        node = parse_expression(args.expression)
+    except LongIntegerError as exc:
+        where = f"the {exc.what} at position {exc.position} of the expression is"
+        raise _too_long(where, "reading") from None
+    try:
+        nu = MonomialValuation.rational(args.a, args.b)
+    except ValueError as bad_weights:
+        # An error in the expression is reported before one in the weights.
+        # Any positive weights find it; these seldom tie, so forms stay short.
+        try:
+            initial_value(node, 1, _UNTIED_WEIGHT)
+        except WorkBudgetError:
+            pass
+        raise bad_weights
+    v = initial_value(node, args.a, args.b)
+    if v is None:
         member, value = True, "infinity"
     else:
-        value = nu.group.realize(nu(rf))
+        value = nu.group.realize(v)
+        bound = _print_bound()
+        if bound and abs(value.numerator) >= bound:
+            raise _too_long("the value is")
         member = value >= 0
     if args.format == "json":
         payload = {

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -133,6 +134,31 @@ def test_member_errors(capsys):
     assert code == 1 and "position" in err
     code, _, err = run(capsys, "member", "1/(y-y)", "--a", "3", "--b", "2")
     assert code == 1
+
+
+def test_member_reports_an_expression_error_before_bad_weights(capsys):
+    code, out, err = run(capsys, "member", "1/(y-y)", "--a", "0", "--b", "2")
+    assert (code, out, err) == (1, "", "error: division by zero (at position 1)\n")
+    code, out, err = run(capsys, "member", "x", "--a", "0", "--b", "2")
+    assert (code, out, err) == (1, "", "error: nu(x) and nu(y) must both be positive\n")
+
+
+def test_member_reports_bad_weights_at_once_behind_a_large_expression(capsys):
+    # Looking for an expression error expands nothing large, and work past
+    # the budget is no expression error.
+    for expression in ("(x+y)^2000", "(x+y)^20000 - (x+y)^20000 + x", "(x - y)^900 * (x + y)^900"):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "member", expression, "--a", "0", "--b", "2")
+        assert (code, out, err) == (1, "", "error: nu(x) and nu(y) must both be positive\n")
+        assert time.perf_counter() - start < 0.5
+
+
+def test_member_refuses_work_past_its_budget(capsys):
+    code, out, err = run(capsys, "member", "(x+y)^20000 - (x+y)^20000 + x", "--a", "3", "--b", "2")
+    assert (code, out) == (1, "") and err.count("\n") == 1
+    assert err.startswith("error: the power would take the evaluation past its work budget")
+    code, out, _ = run(capsys, "member", "(x+y)^20000", "--a", "3", "--b", "2")
+    assert code == 0 and out.endswith("(value 40000)\n")
 
 
 def test_resolve(capsys):
@@ -450,3 +476,41 @@ def test_cf_text_refuses_a_rational_too_long_to_print(capsys):
     assert (code, out) == (1, "")
     assert err == ("error: the denominator of the rational is longer than 640 digits,"
                    " the interpreter's limit for printing an integer\n")
+
+
+def test_cf_of_an_integer_past_the_int_str_limit_fails_before_output(capsys):
+    # CPython reads no integer longer than its limit; the CLI names which one.
+    def message(position, limit):
+        return (f"error: the integer at position {position} of the rational is longer than"
+                f" {limit} digits, the interpreter's limit for reading an integer\n")
+
+    code, out, err = run(capsys, "cf", "7" * 5000)
+    assert (code, out, err) == (1, "", message(0, sys.get_int_max_str_digits()))
+    for rational, position in (("1/" + "3" * 700, 2), ("2.5e" + "1_1" * 350, 4)):
+        code, out, err = run_under_640_digits(capsys, "cf", rational, "--format", "json")
+        assert (code, out, err) == (1, "", message(position, 640))
+
+
+def test_member_integer_past_the_int_str_limit_fails_before_output(capsys):
+    long = "7" * 700
+    cases = [
+        (f"x + {long}", "integer at position 4"),
+        (f"y^{long}", "exponent at position 2"),
+        (f"x^-{long} + (", "exponent at position 3"),
+    ]
+    for expression, what in cases:
+        for fmt in ("text", "json"):
+            code, out, err = run_under_640_digits(
+                capsys, "member", expression, "--a", "3", "--b", "2", "--format", fmt)
+            assert (code, out) == (1, "")
+            assert err == (f"error: the {what} of the expression is longer than 640 digits,"
+                           " the interpreter's limit for reading an integer\n")
+
+
+def test_member_value_past_the_int_str_limit_fails_before_output(capsys):
+    n = "7" * 4000
+    for fmt in ("text", "json"):
+        code, out, err = run(capsys, "member", f"x^{n}", "--a", n, "--b", "2", "--format", fmt)
+        assert (code, out) == (1, "")
+        assert err == (f"error: the value is longer than {sys.get_int_max_str_digits()} digits,"
+                       " the interpreter's limit for printing an integer\n")

@@ -1,7 +1,8 @@
 """Generated argv for every command: a documented exit code, never a traceback.
 
-Values stay small so that each call takes milliseconds; ``member`` powers
-stay at or below 20.
+Values stay small so that each call takes milliseconds, but ``member``
+powers go up to 2,000, also in sums whose initial forms cancel and are
+then computed exactly: the work budget refuses what would take long.
 """
 
 import io
@@ -39,13 +40,14 @@ STREAMS = st.one_of(
     st.sampled_from(["sqrt2", "1,2,3", ";", "1;", ";1", "a;b", "1;;2", " sqrt2 ", ""]),
 )
 ATOMS = st.sampled_from(["x", "y", "1", "2", "-x", "x^2", "y^-3", "(x+y)", "(x - y + 1)", "0"])
+POWERS = st.integers(0, 2000)
+OPS = st.sampled_from(["+", "-", "*", "/"])
 EXPRESSIONS = st.one_of(
-    st.builds(
-        lambda base, k, op, other: f"{base}^{k} {op} {other}",
-        ATOMS, st.integers(0, 20), st.sampled_from(["+", "-", "*", "/"]), ATOMS,
-    ),
+    st.builds(lambda base, k, op, other: f"{base}^{k} {op} {other}", ATOMS, POWERS, OPS, ATOMS),
+    st.builds(lambda base, k, op, other: f"{base}^{k} - {base}^{k} {op} {other}",
+              ATOMS, POWERS, OPS, ATOMS),
     st.sampled_from(["x +", "1/(y-y)", "y - y", "((x)", "x^^2", "x^-1/y", "2^100", "",
-                     "x^(2)", "x y", "(x+y)^20/(x-y)^20"]),
+                     "x^(2)", "x y", "(x+y)^20/(x-y)^20", "(x+y)^20000 - (x+y)^20000 + x"]),
 )
 FORMATS = st.sampled_from(["text", "json", "dot", "text", "json", "dot", "xml"])
 

@@ -1,7 +1,9 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from monoval.expr import (
     ExpressionError,
@@ -12,6 +14,8 @@ from monoval.expr import (
     Quotient,
     Sum,
     Variable,
+    WorkBudgetError,
+    initial_value,
     lower,
     parse_expression,
     parse_rational_function,
@@ -154,3 +158,166 @@ def test_print_parse_round_trip_edge_cases():
         assert parse_rational_function(str(r)) == r
     zero = RationalFunction(LaurentPolynomial.zero())
     assert parse_rational_function(str(zero)) == zero
+
+
+# Expressions for the initial-form evaluator: negative powers, literal
+# zeros, and "(E) - (E) + t", whose two initial forms always cancel, at
+# every depth the recursion reaches, also twice along one chain; and
+# "(E + F) - (E)", whose forms cancel when E's weight is the lower, and
+# whose exact value F then gives the initial form.
+ATOMS = st.sampled_from(["x", "y", "0", "1", "2", "3", "x^2", "y^3", "1/2", "x*y"])
+
+
+def _extend(children):
+    ops = st.sampled_from("+-*/")
+    return st.one_of(
+        st.builds(lambda l, op, r: f"{l} {op} {r}", children, ops, children),
+        st.builds(lambda e, k: f"({e})^{k}", children, st.integers(-2, 3)),
+        children.map(lambda e: f"-({e})"),
+        st.builds(lambda e, op, t: f"({e}) - ({e}) {op} {t}", children, ops, children),
+        st.builds(lambda e, f, op, t: f"{e} - ({e}) + {f} - ({f}) {op} {t}",
+                  children, children, ops, children),
+        st.builds(lambda e, f, op, t: f"({e} + {f}) - ({e}) {op} {t}",
+                  children, children, ops, children),
+    )
+
+
+EXPRESSIONS = st.recursive(ATOMS, _extend, max_leaves=12)
+WEIGHTS = st.integers(1, 30)
+
+
+def by_lowering(node, a, b):
+    """The oracle: "zero", or nu of the exact rational function, realized."""
+    rf = lower(node)
+    if rf.is_zero:
+        return "zero"
+    nu = MonomialValuation.rational(a, b)
+    return nu.group.realize(nu(rf))
+
+
+def by_initial_forms(node, a, b):
+    value = initial_value(node, a, b)
+    return "zero" if value is None else MonomialValuation.rational(a, b).group.realize(value)
+
+
+def outcome(evaluate, node, a, b):
+    try:
+        return evaluate(node, a, b)
+    except ExpressionError as exc:
+        return type(exc).__name__, str(exc), exc.position
+
+
+@settings(max_examples=400, deadline=None)
+@given(EXPRESSIONS, WEIGHTS, WEIGHTS)
+def test_initial_forms_value_an_expression_as_lowering_does(text, a, b):
+    # Realized values, not Value pairs: a multi-term initial form may carry
+    # another (m, n) of the same weight than nu(lower(node)) picks.
+    node = parse_expression(text)
+    expected = outcome(by_lowering, node, a, b)
+    assert outcome(by_initial_forms, node, a, b) == expected, text
+
+
+@pytest.mark.parametrize("text, a, b, expected", [
+    ("x^2 - y^3", 3, 2, 6),
+    ("x^2 - y^3 + x*y", 3, 2, 5),
+    ("(x^2 - y^3)/(x^2 + y^3)", 3, 2, 0),
+    ("(x^2 + y^3) - (x^2 - y^3) + x^3", 3, 2, 6),   # forms add, then cancel in part
+    ("(x + y)^2 - x^2 - 2*x*y", 1, 1, 2),           # forms of one weight, never cancelling
+    ("x - x + y - y + x^2", 3, 2, 6),                # cancels twice along one chain
+    ("(x + y^2 + x*y) - x", 3, 2, 4),               # cancels, leaving two weights
+    ("x^-2 * (y - y + x)^3", 5, 7, 5),
+    ("(y - y)^0", 3, 2, 0),
+    ("(y - y)^2 + 0/x", 3, 2, "zero"),
+    ("1/2*x - x/2", 3, 2, "zero"),
+])
+def test_initial_forms_explicit_cases(text, a, b, expected):
+    node = parse_expression(text)
+    assert by_initial_forms(node, a, b) == by_lowering(node, a, b) == expected
+
+
+@pytest.mark.parametrize("text, position", [
+    ("1/(y-y)", 1), ("(y - y)^-1", 7), ("x/0", 1), ("(x - x)/(y - y)", 7), ("1/0/0", 1),
+])
+def test_initial_forms_raise_lowering_errors_at_the_same_positions(text, position):
+    node = parse_expression(text)
+    expected = outcome(by_lowering, node, 3, 2)
+    assert expected[2] == position
+    assert outcome(by_initial_forms, node, 3, 2) == expected
+
+
+def test_initial_forms_need_positive_weights():
+    for a, b in ((0, 2), (3, -1)):
+        with pytest.raises(ValueError):
+            initial_value(parse_expression("x"), a, b)
+
+
+def test_cancelling_chain_is_linear():
+    # Each cancellation extends the exact prefix kept so far: no operand is
+    # lowered twice, so the chain costs about what lowering it costs.
+    node = parse_expression("x - x + " * 2000 + "y")
+
+    def best(evaluate):
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            evaluate()
+            times.append(time.perf_counter() - start)
+        return min(times)
+
+    assert initial_value(node, 3, 2) == Value(0, 1)
+    assert best(lambda: initial_value(node, 3, 2)) < 3 * best(lambda: lower(node))
+
+
+def test_initial_forms_cancel_at_every_nesting_depth():
+    text = "y"
+    for _ in range(MAX_NESTING):
+        text = f"(x - x + {text})"
+    node = parse_expression(text)
+    assert by_initial_forms(node, 3, 2) == by_lowering(node, 3, 2) == 2
+    deep = parse_expression("-" * (MAX_NESTING - 1) + "(x - x + y)")
+    assert by_initial_forms(deep, 3, 2) == by_lowering(deep, 3, 2) == 2
+
+
+def test_a_power_whose_initial_form_is_a_monomial_is_not_expanded():
+    node = parse_expression("(x+y)^20000")
+    start = time.perf_counter()
+    assert initial_value(node, 3, 2) == Value(0, 20000)
+    assert time.perf_counter() - start < 1
+
+
+def test_the_work_budget_refuses_before_expanding():
+    # With a = b every term of x + y is initial, so (x+y)^1200 is charged
+    # about 11 million units; 3^3000000 is one term whose coefficient
+    # outgrows the budget.  Both would take seconds to expand.
+    for text, position in (("(x+y)^1200", 5), ("(x+y)^20000", 5), ("3^3000000", 1)):
+        start = time.perf_counter()
+        with pytest.raises(WorkBudgetError) as err:
+            initial_value(parse_expression(text), 1, 1)
+        assert time.perf_counter() - start < 0.5
+        assert err.value.position == position and "work budget of 4,000,000" in str(err.value)
+    cancelling = parse_expression("(x+y)^20000 - (x+y)^20000 + x")
+    with pytest.raises(WorkBudgetError) as err:
+        initial_value(cancelling, 3, 2)
+    assert err.value.position == 5
+
+
+def test_the_exact_fallback_has_a_budget_of_its_own():
+    # Each power is charged about 1.3 million units, once as initial forms
+    # and once exactly after they cancel: 5.4 million in all, but neither
+    # pass alone reaches the budget.
+    node = parse_expression("(x+y)^700 - (x+y)^700 + x")
+    assert by_initial_forms(node, 1, 1) == by_lowering(node, 1, 1) == 1
+
+
+def test_lower_has_no_budget():
+    node = parse_expression("2^2000000")
+    with pytest.raises(WorkBudgetError):
+        initial_value(node, 3, 2)
+    assert lower(node).numerator == LaurentPolynomial.constant(2**2000000)
+
+
+def test_the_work_budget_admits_a_two_term_initial_form_to_the_500th():
+    node = parse_expression("(x^2-y^3)^500")
+    assert len(lower(node).numerator) == 501
+    for a, b in ((3, 2), (1, 1)):
+        assert by_initial_forms(node, a, b) == 500 * min(2 * a, 3 * b)
