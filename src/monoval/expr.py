@@ -39,8 +39,8 @@ at most C(k + t - 1, t - 1) for p's t terms; coefficients at most the
 k-th power of the sum of p's, over their common denominator.  A call
 that would pass a budget raises ``WorkBudgetError``; it never returns a
 truncated value.  The budget admits (x + y)^700 - (x + y)^700 + x with
-a = b = 1 (about 2.7 million units in each budget) and refuses the
-exact (x + y)^20000 before any work.  ``lower`` has no budget.
+a = b = 1 (about 590,000 units in each budget) and refuses the exact
+(x + y)^20000 before any work.  ``lower`` has no budget.
 
 Parentheses and unary minus signs may nest at most ``MAX_NESTING`` deep;
 a deeper expression is an ``ExpressionError``.  The parser, ``lower``
@@ -324,8 +324,8 @@ def _power_units(p: LaurentPolynomial, n: int) -> int:
     """A bound on the units of ``p ** n``; counting stops past the budget.
 
     ``LaurentPolynomial.__pow__`` multiplies the result so far by the
-    square p**s at each set bit of n, and squares p**s after every bit,
-    the last one too.
+    square p**s at each set bit of n, and squares p**s after every bit
+    but the last, so only the products it makes are counted.
     """
     monomials = p.monomials()
     t = len(monomials)
@@ -348,9 +348,10 @@ def _power_units(p: LaurentPolynomial, n: int) -> int:
         if n & 1:
             units += size(r) * size(s)
             r += s
-        units += size(s) ** 2
-        s *= 2
         n >>= 1
+        if n:
+            units += size(s) ** 2
+            s *= 2
     return units
 
 

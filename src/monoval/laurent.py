@@ -278,8 +278,9 @@ class LaurentPolynomial:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:  # no square after the last bit
+                base = base * base
         return result
 
     def __str__(self) -> str:
@@ -309,6 +310,18 @@ def _from_terms(data: dict, cls=LaurentPolynomial) -> LaurentPolynomial:
     out = object.__new__(cls)
     out._terms = data
     return out
+
+
+def binomial(ex1: int, ey1: int, ex2: int, ey2: int, c) -> LaurentPolynomial:
+    """c * x^ex1 y^ey1 - c * x^ex2 y^ey2.
+
+    A nonzero ``int`` c with two distinct exponent pairs is two exact,
+    nonzero terms, wrapped as they are; any other c, or one pair twice
+    (which cancels to 0), goes through the constructor.
+    """
+    if c.__class__ is int and c and (ex1 != ex2 or ey1 != ey2):
+        return _from_terms({Monomial(ex1, ey1): c, Monomial(ex2, ey2): -c})
+    return LaurentPolynomial((((ex1, ey1), c), ((ex2, ey2), -c)))
 
 
 class ChartBasis:

@@ -24,9 +24,13 @@ not of blow-ups: ``ResolutionTrace.rows`` and ``steps`` are lazy
 sequences over the runs, which iterate by addition and index by a
 bisection of the cumulative lengths, and ``blow_up_count`` is a sum.
 Exponents grow fast along a resolution, so nothing is expanded except in
-the reconstruction check, which blows up every row with ``blow_up``,
-multiplies each chart back out in one pass with ``expand_chart`` and
-must recover x^b - y^a on the nose.
+the reconstruction check.  It walks the rows of the runs by addition,
+blows up every row with the public ``blow_up``, multiplies the root chart
+and both children of every row back out with ``expand_chart`` and must
+recover x^b - y^a on the nose from each.  A chart expands to two terms
+whose exponent pairs are computed as ints; ``laurent.binomial`` wraps
+them without the general constructor's checks, so a chart costs about
+what its integers cost.
 
 Blowing up a chart origin substitutes one coordinate for the product of
 the other two and refactors; the driver repeatedly blows up the unique
@@ -49,6 +53,7 @@ from .laurent import (
     LaurentPolynomial,
     Monomial,
     UNIT,
+    binomial,
     factor_monomial_content,
     rewrite_in_chart,
 )
@@ -461,25 +466,33 @@ def expand_chart(c: ChartState) -> LaurentPolynomial:
     is sign * (f^(A+p) g^B - f^A g^(B+q)); missing it,
     sign * (f^A g^B - f^(A-p) g^(B+q)).  The two terms are summed, so a
     tuple whose two monomials coincide, as they can over a degenerate
-    basis or with p = q = 0, expands to zero.
+    basis or with p = q = 0, expands to zero.  The exponents are computed
+    as ints, and ``laurent.binomial`` wraps the two terms as they are
+    when the sign is a nonzero int and the pairs differ.
     """
     fx, fy, gx, gy, A, B, p, q, sign = c
     i, j = (A + p, A) if p > 0 else (A, A - p)  # powers of f in the two terms
     k = B + q
-    return LaurentPolynomial((
-        (Monomial(fx * i + gx * B, fy * i + gy * B), sign),
-        (Monomial(fx * j + gx * k, fy * j + gy * k), -sign),
-    ))
+    return binomial(fx * i + gx * B, fy * i + gy * B, fx * j + gx * k, fy * j + gy * k, sign)
 
 
 def verify_reconstruction(trace: ResolutionTrace) -> bool:
     """True when every chart of the trace expands to x^b - y^a exactly.
 
-    The charts are the root's and those ``blow_up`` makes of every row,
-    so the public rule is checked on every blow-up.
+    The charts are the root's and both of those ``blow_up`` makes of
+    every row, read off the runs by addition, so the public rule is
+    checked on every blow-up and every chart is expanded with
+    ``expand_chart``; the first chart that differs ends the check.
     """
+    split, expand = blow_up, expand_chart  # looked up per call, so a rebinding is used
     curve = cusp_polynomial(trace.a, trace.b)
-    return all(expand_chart(c) == curve for c in _charts(trace))
+    if expand(trace.runs[0][0]) != curve:
+        return False
+    for row in _expand_rows(trace.runs):
+        first, second = split(row)
+        if expand(first) != curve or expand(second) != curve:
+            return False
+    return True
 
 
 def chart_agrees_with_lattice(c: ChartState, a: int, b: int) -> bool:

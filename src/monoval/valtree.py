@@ -37,7 +37,7 @@ from operator import eq
 from typing import Callable, Iterator, Optional
 
 from .exactnum import cf_expand
-from .laurent import IDENTITY_BASIS, ChartBasis, Monomial, X, Y, lattice_solve
+from .laurent import IDENTITY_BASIS, ChartBasis, Monomial, X, Y, lattice_solve, monomial_name
 from .valuation import UNBOUNDED, MonomialValuation, Value
 
 
@@ -338,39 +338,47 @@ def branch_decomposition(path: PositivePath) -> tuple[Branch, ...]:
     {s, t/s}.  The root k[x, y] counts as the m = 0 member of the first
     branch and contributes no length.  The steps inside a run of the path
     all share its f; only where two runs meet are the vertices compared.
+    Generators are compared as exponent pairs, and a ``Monomial`` is
+    built only for the branches returned.
     """
     if path.count < 2:
         raise ValueError("need at least two vertices to decompose")
-    branches: list[list] = []  # [s, t, length]
+    branches: list[list] = []  # [s, t, length], s and t exponent pairs
     for shared, t, steps in _shared_steps(path.runs):
         if branches and branches[-1][0] == shared:
             branches[-1][2] += steps
         else:
             branches.append([shared, t, steps])
-    return tuple(Branch(*branch) for branch in branches)
+    return tuple(Branch(Monomial(*s), Monomial(*t), n) for s, t, n in branches)
 
 
-def _shared_steps(runs: tuple[Run, ...]) -> Iterator[tuple[Monomial, Monomial, int]]:
+def _shared_steps(runs: tuple[Run, ...]) -> Iterator[tuple[tuple[int, int], tuple[int, int], int]]:
     """(s, t, k) for each stretch of k steps down a path that share the generator s.
 
-    t is s times the other generator of the vertex the stretch steps to
-    first.  Inside a run ((f, g), n) the n - 1 steps share f and reach
-    k[f, g/f] first; between two runs the first vertex of the second must
-    share a generator with the last of the first.
+    s and t are exponent pairs (ex, ey); t is s times the other generator
+    of the vertex the stretch steps to first.  Inside a run ((f, g), n)
+    the n - 1 steps share f and reach k[f, g/f] first; between two runs
+    the first vertex of the second must share a generator with the last
+    of the first.
     """
     prev = None
     for (fx, fy, gx, gy), n in runs:
-        f, g = Monomial(fx, fy), Monomial(gx, gy)
+        f, g = (fx, fy), (gx, gy)
         if prev is not None:
             if f in prev:
-                yield f, f * g, 1
+                shared = f
             elif g in prev:
-                yield g, g * f, 1
+                shared = g
             else:
-                raise ValueError(f"k[{prev[0]}, {prev[1]}] and k[{f}, {g}] are not parent and child")
+                (px, py), (qx, qy) = prev
+                raise ValueError(
+                    f"k[{monomial_name(px, py)}, {monomial_name(qx, qy)}] and"
+                    f" k[{monomial_name(fx, fy)}, {monomial_name(gx, gy)}] are not parent and child"
+                )
+            yield shared, (fx + gx, fy + gy), 1
         if n > 1:
             yield f, g, n - 1
-        prev = f, Monomial(gx - (n - 1) * fx, gy - (n - 1) * fy)
+        prev = f, (gx - (n - 1) * fx, gy - (n - 1) * fy)
 
 
 def correspondence_report(a: int, b: int, path: PositivePath) -> CorrespondenceReport:

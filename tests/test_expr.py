@@ -1,9 +1,10 @@
 import random
 import time
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from monoval.expr import (
     ExpressionError,
@@ -15,6 +16,8 @@ from monoval.expr import (
     Sum,
     Variable,
     WorkBudgetError,
+    _power_units,
+    _size,
     initial_value,
     lower,
     parse_expression,
@@ -286,10 +289,10 @@ def test_a_power_whose_initial_form_is_a_monomial_is_not_expanded():
 
 
 def test_the_work_budget_refuses_before_expanding():
-    # With a = b every term of x + y is initial, so (x+y)^1200 is charged
-    # about 11 million units; 3^3000000 is one term whose coefficient
+    # With a = b every term of x + y is initial, so (x+y)^1600 is charged
+    # about 4.8 million units; 3^3000000 is one term whose coefficient
     # outgrows the budget.  Both would take seconds to expand.
-    for text, position in (("(x+y)^1200", 5), ("(x+y)^20000", 5), ("3^3000000", 1)):
+    for text, position in (("(x+y)^1600", 5), ("(x+y)^20000", 5), ("3^3000000", 1)):
         start = time.perf_counter()
         with pytest.raises(WorkBudgetError) as err:
             initial_value(parse_expression(text), 1, 1)
@@ -302,11 +305,61 @@ def test_the_work_budget_refuses_before_expanding():
 
 
 def test_the_exact_fallback_has_a_budget_of_its_own():
-    # Each power is charged about 1.3 million units, once as initial forms
-    # and once exactly after they cancel: 5.4 million in all, but neither
-    # pass alone reaches the budget.
-    node = parse_expression("(x+y)^700 - (x+y)^700 + x")
-    assert by_initial_forms(node, 1, 1) == by_lowering(node, 1, 1) == 1
+    # Each 3^500000 is charged about 1.6 million units, once as initial
+    # forms and once exactly after they cancel: 6.3 million in all, but
+    # neither pass alone reaches the budget.  (x+y)^700, charged about
+    # 290,000 units a power, is the README's example.
+    for text in ("3^500000 - 3^500000 + x", "(x+y)^700 - (x+y)^700 + x"):
+        node = parse_expression(text)
+        assert by_initial_forms(node, 1, 1) == by_lowering(node, 1, 1) == 1
+
+
+@contextmanager
+def counting_products():
+    """Sum ``_size(p) * _size(q)`` over the products p * q made inside, in ``units[0]``."""
+    units = [0]
+    multiply = LaurentPolynomial.__mul__
+
+    def counted(p, q):
+        units[0] += _size(p) * _size(q)
+        return multiply(p, q)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(LaurentPolynomial, "__mul__", counted)
+        yield units
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 100, 513, 1024])
+def test_power_units_count_every_product_that_pow_makes(n):
+    # A monomial's powers stay one term with a coefficient of +-1, so
+    # every product costs one unit and the bound is exact: one product
+    # per set bit of n, and one square per bit but the last.
+    monomial = LaurentPolynomial.monomial(Monomial(2, -1), -1)
+    with counting_products() as units:
+        monomial ** n
+    assert units[0] == _power_units(monomial, n) == bin(n).count("1") + n.bit_length() - 1
+
+
+COEFFICIENTS = st.one_of(
+    st.integers(-3, 3), st.integers(-2**700, 2**700),
+    st.fractions(max_denominator=2**600),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.dictionaries(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), COEFFICIENTS,
+                       max_size=4),
+       st.integers(0, 40))
+def test_power_units_bound_the_units_that_pow_uses(terms, n):
+    # Counting stops once it passes the budget, where the power is refused;
+    # below that the count bounds the products made.  Small counts keep
+    # each example fast.
+    p = LaurentPolynomial(terms)
+    bound = _power_units(p, n)
+    assume(bound <= 100_000)
+    with counting_products() as units:
+        p ** n
+    assert units[0] <= bound
 
 
 def test_lower_has_no_budget():

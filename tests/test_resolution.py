@@ -2,6 +2,7 @@ import copy
 import gc
 import pickle
 import random
+from fractions import Fraction
 from itertools import accumulate
 from math import gcd
 
@@ -358,11 +359,13 @@ def test_chart_rules_equal_the_oracle_on_any_chart(c):
 
 # Two tuples whose terms coincide, so they expand to 0: x * x^0 - x^0 * x
 # over the degenerate basis (x, x), and the proper transform 1 - c1^0 c2^0.
+# A sign of 0, or one that is not an int, takes the general constructor.
 @example((1, 0, 1, 0, 0, 0, 1, 1, 1))
 @example((1, 0, 0, 1, 2, 3, 0, 0, 1))
 @settings(max_examples=300, deadline=None)
 @given(st.tuples(*[st.integers(-2, 2)] * 4, *[st.integers(0, 3)] * 2,
-                 st.integers(-2, 2), st.integers(0, 2), st.sampled_from((1, -1))))
+                 st.integers(-2, 2), st.integers(0, 2),
+                 st.one_of(st.integers(-2, 2), st.sampled_from((Fraction(1, 2), Fraction(-2))))))
 def test_expand_chart_sums_its_two_terms_on_any_tuple(row):
     fx, fy, gx, gy, A, B, p, q, sign = row
     f, g = Monomial(fx, fy), Monomial(gx, gy)
@@ -371,7 +374,11 @@ def test_expand_chart_sums_its_two_terms_on_any_tuple(row):
     else:  # sign * (f^A g^B - f^(A-p) g^(B+q))
         first, second = f ** A * g ** B, f ** (A - p) * g ** (B + q)
     expected = LaurentPolynomial.monomial(first, sign) - LaurentPolynomial.monomial(second, sign)
-    assert expand_chart(row) == expected
+    expanded = expand_chart(row)
+    assert expanded == expected == LaurentPolynomial(((first, sign), (second, -sign)))
+    # the term map holds what the constructor would: exact, nonzero, ints when integral
+    assert all(c and type(c) is (int if c.denominator == 1 else Fraction)
+               for _, c in expanded.terms())
 
 
 @settings(max_examples=200, deadline=None)

@@ -177,6 +177,22 @@ def test_branches_over_runs_equal_the_vertex_split(nu, max_steps):
     assert branch_decomposition(path) == branch_decomposition(one_per_vertex) == expected
 
 
+@pytest.mark.parametrize("runs, message", [
+    ((((1, 0, 0, 1), 1), ((1, 1, 1, 2), 1)),
+     "k[x, y] and k[x*y, x*y^2] are not parent and child"),
+    # the last vertex of a run is compared, not its first
+    ((((1, 0, 0, 1), 3), ((0, 1, 1, -1), 2)),
+     "k[x, y/x^2] and k[y, x/y] are not parent and child"),
+])
+def test_runs_that_are_not_parent_and_child_are_refused_as_the_vertex_split_does(runs, message):
+    path = PositivePath.from_runs(runs, complete=True)
+    for split in (branch_decomposition, oracles.branch_decomposition):
+        for p in (path, PositivePath(tuple(path), complete=True)):
+            with pytest.raises(ValueError) as err:
+                split(p)
+            assert str(err.value) == message
+
+
 @settings(max_examples=60, deadline=None)
 @given(oracles.coprime_pairs(10**20), st.randoms(use_true_random=False))
 def test_correspondence_over_runs_equals_the_vertex_split(pair, rng):

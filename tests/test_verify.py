@@ -1,9 +1,11 @@
 """The single-pass sweep: one trace and one path per pair, checks still strict."""
 
+from dataclasses import replace
+
 import oracles
 from monoval import resolution, valtree, verify
 from monoval.valtree import PositivePath
-from monoval.verify import coprime_pairs, run_verify
+from monoval.verify import Failure, coprime_pairs, run_verify
 
 
 def test_sweep_catches_a_flipped_chart_sign(monkeypatch):
@@ -25,8 +27,9 @@ def test_sweep_catches_a_flipped_chart_sign(monkeypatch):
     assert all(
         counts.failed == 0 for name, counts in report.checks.items() if name != "reconstruction"
     )
-    failure = report.first_failure
-    assert (failure.a, failure.b, failure.check) == (7, 5, "reconstruction")
+    assert report.first_failure == Failure(
+        7, 5, "reconstruction", "some chart does not expand back to the curve"
+    )
 
 
 def test_sweep_catches_a_dropped_path_vertex(monkeypatch):
@@ -43,8 +46,49 @@ def test_sweep_catches_a_dropped_path_vertex(monkeypatch):
     assert report.checks["cf-correspondence"].failed == pairs
     assert report.checks["blow-up-count"].failed == 0
     assert report.checks["reconstruction"].failed == 0
-    failure = report.first_failure
-    assert (failure.a, failure.b, failure.check) == (3, 2, "path-equality")
+    assert report.first_failure == Failure(
+        3, 2, "path-equality", "bad-chart path differs from positive path"
+    )
+
+
+def only_failing(report, name):
+    """Whether ``name`` is the one check of the sweep that failed, and for one pair."""
+    return all(
+        counts.failed == (name == check) for check, counts in report.checks.items()
+    )
+
+
+def test_sweep_reports_a_wrong_branch_split_with_its_lengths(monkeypatch):
+    real_report = verify.correspondence_report
+
+    def report_without_the_last_vertex(a, b, path):
+        if (a, b) == (7, 5):
+            path = PositivePath(path.vertices[:-1], complete=path.complete)
+        return real_report(a, b, path)
+
+    monkeypatch.setattr(verify, "correspondence_report", report_without_the_last_vertex)
+    report = run_verify(12)
+    assert only_failing(report, "cf-correspondence")
+    assert report.first_failure == Failure(
+        7, 5, "cf-correspondence", "branch lengths (1, 2) vs digits (1, 2, 2)"
+    )
+
+
+def test_sweep_reports_a_miscounted_digit_sum_with_both_counts(monkeypatch):
+    real_report = verify.correspondence_report
+
+    def report_with_one_digit_too_many(a, b, path):
+        corr = real_report(a, b, path)
+        if (a, b) == (7, 5):
+            return replace(corr, cf_digits=corr.cf_digits + (1,))
+        return corr
+
+    monkeypatch.setattr(verify, "correspondence_report", report_with_one_digit_too_many)
+    report = run_verify(12)
+    assert only_failing(report, "blow-up-count")
+    assert report.first_failure == Failure(
+        7, 5, "blow-up-count", "5 blow-ups vs digit sum 6"
+    )
 
 
 def test_each_pair_is_resolved_and_walked_once(monkeypatch):
