@@ -61,7 +61,7 @@ from .laurent import LaurentPolynomial, RationalFunction, X, Y
 from .valuation import Value
 
 # Work units each budget of one ``initial_value`` call holds (see above).
-WORK_BUDGET = 4_000_000
+WORK_BUDGET = 1_500_000
 # Coefficient bits that one unit of work covers.
 BLOCK_BITS = 512
 

@@ -480,19 +480,12 @@ def verify_reconstruction(trace: ResolutionTrace) -> bool:
     """True when every chart of the trace expands to x^b - y^a exactly.
 
     The charts are the root's and both of those ``blow_up`` makes of
-    every row, read off the runs by addition, so the public rule is
-    checked on every blow-up and every chart is expanded with
-    ``expand_chart``; the first chart that differs ends the check.
+    every row, so the public rule is checked on every blow-up and every
+    chart is expanded with ``expand_chart``; the first chart that differs
+    ends the check.
     """
-    split, expand = blow_up, expand_chart  # looked up per call, so a rebinding is used
     curve = cusp_polynomial(trace.a, trace.b)
-    if expand(trace.runs[0][0]) != curve:
-        return False
-    for row in _expand_rows(trace.runs):
-        first, second = split(row)
-        if expand(first) != curve or expand(second) != curve:
-            return False
-    return True
+    return all(expand_chart(c) == curve for c in _charts(trace))
 
 
 def chart_agrees_with_lattice(c: ChartState, a: int, b: int) -> bool:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import gcd
-from typing import Callable, Iterator, Optional
+from typing import Iterator, Optional
 
 from .resolution import resolve, theorem_report, verify_reconstruction
 from .valtree import correspondence_report, positive_path
@@ -75,17 +75,18 @@ def run_verify(max_a: int) -> VerifyReport:
     processed in sorted order; the checks are independent per pair, so the
     outcome does not depend on ordering.  Each pair is resolved once and
     its positive path walked once; all four checks read those two results.
-    A failure's detail is formatted only for the first failure kept.
+    A failure's detail is a template, formatted only for the first failure
+    kept.
     """
     max_a = int(max_a)
     if max_a < 1:
         raise ValueError("max_a must be positive")
     report = VerifyReport(max_a=max_a)
 
-    def record(a: int, b: int, name: str, ok: bool, detail: Callable[[], str]) -> None:
+    def record(a: int, b: int, name: str, ok: bool, detail: str, *args) -> None:
         report.checks[name].record(ok)
         if not ok and report.first_failure is None:
-            report.first_failure = Failure(a, b, name, detail())
+            report.first_failure = Failure(a, b, name, detail.format(*args))
 
     for a, b in coprime_pairs(max_a):
         report.pairs += 1
@@ -94,23 +95,23 @@ def run_verify(max_a: int) -> VerifyReport:
         path = positive_path(MonomialValuation.rational(a, b), max_steps=a + b)
 
         thm = theorem_report(trace, path)
-        record(a, b, "path-equality", thm.equal, lambda: "bad-chart path differs from positive path")
+        record(a, b, "path-equality", thm.equal, "bad-chart path differs from positive path")
 
         corr = correspondence_report(a, b, path)
         record(
             a, b, "cf-correspondence", corr.match,
-            lambda: f"branch lengths {corr.branch_lengths} vs digits {corr.cf_digits}",
+            "branch lengths {} vs digits {}", corr.branch_lengths, corr.cf_digits,
         )
 
         digit_sum = sum(corr.cf_digits)
         record(
             a, b, "blow-up-count", trace.blow_up_count == digit_sum,
-            lambda: f"{trace.blow_up_count} blow-ups vs digit sum {digit_sum}",
+            "{} blow-ups vs digit sum {}", trace.blow_up_count, digit_sum,
         )
 
         record(
             a, b, "reconstruction", verify_reconstruction(trace),
-            lambda: "some chart does not expand back to the curve",
+            "some chart does not expand back to the curve",
         )
 
     return report

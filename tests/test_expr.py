@@ -289,15 +289,15 @@ def test_a_power_whose_initial_form_is_a_monomial_is_not_expanded():
 
 
 def test_the_work_budget_refuses_before_expanding():
-    # With a = b every term of x + y is initial, so (x+y)^1600 is charged
-    # about 4.8 million units; 3^3000000 is one term whose coefficient
+    # With a = b every term of x + y is initial, so (x+y)^1200 is charged
+    # about 1.7 million units; 3^3000000 is one term whose coefficient
     # outgrows the budget.  Both would take seconds to expand.
-    for text, position in (("(x+y)^1600", 5), ("(x+y)^20000", 5), ("3^3000000", 1)):
+    for text, position in (("(x+y)^1200", 5), ("(x+y)^20000", 5), ("3^3000000", 1)):
         start = time.perf_counter()
         with pytest.raises(WorkBudgetError) as err:
             initial_value(parse_expression(text), 1, 1)
         assert time.perf_counter() - start < 0.5
-        assert err.value.position == position and "work budget of 4,000,000" in str(err.value)
+        assert err.value.position == position and "work budget of 1,500,000" in str(err.value)
     cancelling = parse_expression("(x+y)^20000 - (x+y)^20000 + x")
     with pytest.raises(WorkBudgetError) as err:
         initial_value(cancelling, 3, 2)
@@ -305,11 +305,11 @@ def test_the_work_budget_refuses_before_expanding():
 
 
 def test_the_exact_fallback_has_a_budget_of_its_own():
-    # Each 3^500000 is charged about 1.6 million units, once as initial
-    # forms and once exactly after they cancel: 6.3 million in all, but
-    # neither pass alone reaches the budget.  (x+y)^700, charged about
-    # 290,000 units a power, is the README's example.
-    for text in ("3^500000 - 3^500000 + x", "(x+y)^700 - (x+y)^700 + x"):
+    # Each 3^300000 is charged about 500,000 units, once as initial forms
+    # and once exactly after they cancel: 2 million in all, but neither
+    # pass alone reaches the budget.  (x+y)^700, charged about 290,000
+    # units a power, is the README's example.
+    for text in ("3^300000 - 3^300000 + x", "(x+y)^700 - (x+y)^700 + x"):
         node = parse_expression(text)
         assert by_initial_forms(node, 1, 1) == by_lowering(node, 1, 1) == 1
 
