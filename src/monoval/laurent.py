@@ -1,10 +1,13 @@
 """Sparse Laurent polynomials in two variables with exact coefficients.
 
 Monomials are exponent pairs ``x^ex * y^ey`` (exponents may be negative),
-polynomials are finite monomial-to-coefficient maps with exact rational
-coefficients, and a chart basis is a pair of monomials whose exponent
-matrix is unimodular, giving a bijective change of lattice coordinates;
-the same pair is a vertex k[f, g] of the tree of coordinate rings.
+polynomials are finite maps from plain ``(ex, ey)`` int pairs to exact
+rational coefficients, and a chart basis is a pair of monomials whose
+exponent matrix is unimodular, giving a bijective change of lattice
+coordinates; the same pair is a vertex k[f, g] of the tree of coordinate
+rings.  Polynomial arithmetic works on the pairs and builds a
+``Monomial`` only where the API returns one (``terms``, ``monomials``,
+the printed forms, the content of ``factor_monomial_content``).
 A coefficient is held as a Python ``int`` until a non-integer rational
 appears, which is held as a ``Fraction``; a ``Fraction`` that reduces to
 an integer is stored as that ``int``, so equal polynomials have equal
@@ -32,8 +35,9 @@ class ZeroPolynomialError(ValueError):
 class Monomial:
     """x^ex * y^ey as a point of the exponent lattice.
 
-    Immutable, with its hash computed once: monomials are the keys of every
-    term map.  Equal only to another ``Monomial``, never to a plain tuple.
+    Immutable, with its hash computed once.  Equal only to another
+    ``Monomial``, never to a plain tuple; a polynomial's term map is keyed
+    by the (ex, ey) pair, and hands out a ``Monomial`` only when asked.
     """
 
     __slots__ = ("ex", "ey", "_hash")
@@ -140,6 +144,7 @@ Y = Monomial(0, 1)
 
 TermMap = Union[Mapping, Iterable[Tuple]]
 Coefficient = Union[int, Fraction]
+Pair = Tuple[int, int]
 
 
 def _exact(c) -> Coefficient:
@@ -151,29 +156,32 @@ def _exact(c) -> Coefficient:
 
 
 class LaurentPolynomial:
-    """Finite map from monomials to nonzero rational coefficients.
+    """Finite map from exponent pairs to nonzero rational coefficients.
 
-    The empty map is the zero polynomial; zero coefficients are never
-    stored.  Coefficients are ``int`` or non-integral ``Fraction`` (see the
-    module docstring).  Instances are immutable by convention and all
-    arithmetic returns fresh values.
+    The term map is keyed by plain ``(ex, ey)`` int pairs, so hashing and
+    comparing keys costs no Python call; ``terms``, ``monomials`` and the
+    printed forms build a ``Monomial`` per term when asked.  The empty map
+    is the zero polynomial; zero coefficients are never stored.
+    Coefficients are ``int`` or non-integral ``Fraction`` (see the module
+    docstring).  Instances are immutable by convention and all arithmetic
+    returns fresh values.
     """
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms: TermMap = ()):
-        data: dict[Monomial, Coefficient] = {}
+        """Sum the terms given, each keyed by a ``Monomial`` or an (ex, ey) pair."""
+        data: dict[Pair, Coefficient] = {}
         items = terms.items() if isinstance(terms, (dict, Mapping)) else terms
         for mono, coeff in items:
-            if not isinstance(mono, Monomial):
-                mono = Monomial(*mono)
-            c = data.get(mono, 0) + _exact(coeff)
+            key = _pair(mono)
+            c = data.get(key, 0) + _exact(coeff)
             if c.__class__ is not int:
                 c = _exact(c)
             if c:
-                data[mono] = c
-            elif mono in data:
-                del data[mono]
+                data[key] = c
+            elif key in data:
+                del data[key]
         self._terms = data
 
     @classmethod
@@ -185,9 +193,9 @@ class LaurentPolynomial:
         return cls.monomial(UNIT, c)
 
     @classmethod
-    def monomial(cls, mono: Monomial, coeff=1) -> "LaurentPolynomial":
+    def monomial(cls, mono: Monomial | Pair, coeff=1) -> "LaurentPolynomial":
         coeff = _exact(coeff)
-        return _from_terms({mono: coeff} if coeff else {}, cls)
+        return _from_terms({_pair(mono): coeff} if coeff else {}, cls)
 
     @property
     def is_zero(self) -> bool:
@@ -195,29 +203,25 @@ class LaurentPolynomial:
 
     def terms(self) -> list[tuple[Monomial, Coefficient]]:
         """Terms sorted lexicographically on (ex, ey)."""
-        return sorted(self._terms.items(), key=lambda kv: (kv[0].ex, kv[0].ey))
+        return [(Monomial(ex, ey), c) for (ex, ey), c in sorted(self._terms.items())]
 
     def monomials(self) -> list[Monomial]:
-        return [m for m, _ in self.terms()]
+        return [Monomial(ex, ey) for ex, ey in sorted(self._terms)]
 
-    def coefficient(self, mono: Monomial) -> Coefficient:
-        return self._terms.get(mono, 0)
+    def coefficient(self, mono: Monomial | Pair) -> Coefficient:
+        """The coefficient of a ``Monomial`` or an (ex, ey) pair; 0 when absent."""
+        return self._terms.get(_pair(mono), 0)
 
     def min_exponents(self) -> tuple[int, int]:
         """Componentwise minimum of the exponents over all terms."""
         if self.is_zero:
             raise ZeroPolynomialError("zero polynomial has no exponents")
-        return (
-            min(m.ex for m in self._terms),
-            min(m.ey for m in self._terms),
-        )
+        return min(ex for ex, _ in self._terms), min(ey for _, ey in self._terms)
 
-    def shift(self, mono: Monomial) -> "LaurentPolynomial":
+    def shift(self, mono: Monomial | Pair) -> "LaurentPolynomial":
         """Multiply by a single monomial."""
-        dx, dy = mono.ex, mono.ey
-        return _from_terms(
-            {Monomial(m.ex + dx, m.ey + dy): c for m, c in self._terms.items()}
-        )
+        dx, dy = _pair(mono)
+        return _from_terms({(ex + dx, ey + dy): c for (ex, ey), c in self._terms.items()})
 
     def __len__(self) -> int:
         return len(self._terms)
@@ -247,12 +251,11 @@ class LaurentPolynomial:
 
     def __mul__(self, other) -> "LaurentPolynomial":
         if isinstance(other, LaurentPolynomial):
-            data: dict[Monomial, Coefficient] = {}
-            right = [(m.ex, m.ey, c) for m, c in other._terms.items()]
-            for m1, c1 in self._terms.items():
-                ex, ey = m1.ex, m1.ey
+            data: dict[Pair, Coefficient] = {}
+            right = [(ex, ey, c) for (ex, ey), c in other._terms.items()]
+            for (ex, ey), c1 in self._terms.items():
                 for ex2, ey2, c2 in right:
-                    m = Monomial(ex + ex2, ey + ey2)
+                    m = (ex + ex2, ey + ey2)
                     s = data.get(m, 0) + c1 * c2
                     if s.__class__ is not int:
                         s = _exact(s)
@@ -305,8 +308,16 @@ class LaurentPolynomial:
         return f"LaurentPolynomial({dict(self.terms())!r})"
 
 
+def _pair(mono) -> Pair:
+    """The (ex, ey) key of a ``Monomial``, or of a pair given as a tuple or list."""
+    if isinstance(mono, Monomial):
+        return (mono.ex, mono.ey)
+    ex, ey = mono
+    return (ex, ey)
+
+
 def _from_terms(data: dict, cls=LaurentPolynomial) -> LaurentPolynomial:
-    """Wrap a term map whose coefficients are already nonzero and exact."""
+    """Wrap a term map keyed by (ex, ey) pairs whose coefficients are already nonzero and exact."""
     out = object.__new__(cls)
     out._terms = data
     return out
@@ -320,7 +331,7 @@ def binomial(ex1: int, ey1: int, ex2: int, ey2: int, c) -> LaurentPolynomial:
     (which cancels to 0), goes through the constructor.
     """
     if c.__class__ is int and c and (ex1 != ex2 or ey1 != ey2):
-        return _from_terms({Monomial(ex1, ey1): c, Monomial(ex2, ey2): -c})
+        return _from_terms({(ex1, ey1): c, (ex2, ey2): -c})
     return LaurentPolynomial((((ex1, ey1), c), ((ex2, ey2), -c)))
 
 
@@ -379,15 +390,16 @@ def lattice_solve(target: Monomial, basis: ChartBasis) -> tuple[int, int]:
 def rewrite_in_chart(p: LaurentPolynomial, basis: ChartBasis) -> LaurentPolynomial:
     """Rewrite ``p`` so exponent pairs count powers of ``basis.f`` and ``basis.g``.
 
-    Termwise lattice solve; the exponent map is a bijection, so this is a
-    ring isomorphism on Laurent polynomials and substituting the basis
-    monomials back recovers ``p`` exactly.
+    Termwise lattice solve (as :func:`lattice_solve`, on the pairs); the
+    exponent map is a bijection, so this is a ring isomorphism on Laurent
+    polynomials and substituting the basis monomials back recovers ``p``
+    exactly.
     """
-    out: dict[Monomial, Coefficient] = {}
-    for mono, c in p._terms.items():
-        alpha, beta = lattice_solve(mono, basis)
-        out[Monomial(alpha, beta)] = c
-    return _from_terms(out)
+    f, g, d = basis.f, basis.g, basis.det
+    fx, fy, gx, gy = f.ex * d, f.ey * d, g.ex * d, g.ey * d
+    return _from_terms(
+        {(gy * ex - gx * ey, fx * ey - fy * ex): c for (ex, ey), c in p._terms.items()}
+    )
 
 
 def expand_from_chart(p: LaurentPolynomial, basis: ChartBasis) -> LaurentPolynomial:
@@ -395,10 +407,11 @@ def expand_from_chart(p: LaurentPolynomial, basis: ChartBasis) -> LaurentPolynom
 
     The exponent map is a bijection, so distinct terms never collide.
     """
-    out: dict[Monomial, Coefficient] = {}
-    for mono, c in p._terms.items():
-        out[basis.f ** mono.ex * basis.g ** mono.ey] = c
-    return _from_terms(out)
+    f, g = basis.f, basis.g
+    fx, fy, gx, gy = f.ex, f.ey, g.ex, g.ey
+    return _from_terms(
+        {(fx * i + gx * j, fy * i + gy * j): c for (i, j), c in p._terms.items()}
+    )
 
 
 def factor_monomial_content(p: LaurentPolynomial) -> tuple[Monomial, LaurentPolynomial]:
@@ -410,8 +423,7 @@ def factor_monomial_content(p: LaurentPolynomial) -> tuple[Monomial, LaurentPoly
     if p.is_zero:
         raise ZeroPolynomialError("zero polynomial has no monomial content")
     ex0, ey0 = p.min_exponents()
-    content = Monomial(ex0, ey0)
-    return content, p.shift(content.inverse())
+    return Monomial(ex0, ey0), p.shift((-ex0, -ey0))
 
 
 class RationalFunction:

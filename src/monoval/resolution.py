@@ -255,7 +255,7 @@ class OffOriginReport:
 
 def cusp_polynomial(a: int, b: int) -> LaurentPolynomial:
     """x^b - y^a."""
-    return LaurentPolynomial({Monomial(b, 0): 1, Monomial(0, a): -1})
+    return LaurentPolynomial({(b, 0): 1, (0, a): -1})
 
 
 def initial_chart(a: int, b: int) -> ChartState:

@@ -15,7 +15,10 @@ A trace is written here in JSON, DOT and text from ``BlowUp`` views of
 its rows, naming every monomial with ``str`` and filling ``str.format``
 templates, as the cross-check for the package's emitters over the runs.
 Branches are split here vertex by vertex, as the cross-check for the
-package's decomposition over a path's runs.
+package's decomposition over a path's runs.  Polynomials are added,
+multiplied, shifted and rewritten here on term maps keyed by
+``Monomial``, as the cross-check for the package's maps keyed by
+exponent pairs.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ from monoval.laurent import (
     RationalFunction,
     X,
     Y,
+    lattice_solve,
 )
 from monoval.emit import _chart_text, _dot_children, _dot_head, _json_array
 from monoval.exactnum import cf_expand
@@ -287,6 +291,91 @@ def monomial_name(ex: int, ey: int) -> str:
         return "*".join(num) or "1"
     den_s = den[0] if len(den) == 1 else f"({'*'.join(den)})"
     return f"{'*'.join(num) or '1'}/{den_s}"
+
+
+# ------------------------------------------------------------ term maps
+
+
+def _exact(c):
+    """``c`` as an ``int`` when integral, else as a ``Fraction``."""
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+class MonomialTerms:
+    """A Laurent polynomial whose term map is keyed by ``Monomial``.
+
+    This is the arithmetic ``LaurentPolynomial`` did before it keyed its
+    terms by (ex, ey) pairs: a ``Monomial`` is built for every term of a
+    sum, product, shift or chart rewrite.  ``terms()`` lists the terms
+    as ``LaurentPolynomial.terms()`` does, sorted on (ex, ey).
+    """
+
+    __slots__ = ("_terms",)
+
+    def __init__(self, data: dict):
+        self._terms = data
+
+    @classmethod
+    def of(cls, p: LaurentPolynomial) -> "MonomialTerms":
+        return cls(dict(p.terms()))
+
+    def terms(self) -> list:
+        return sorted(self._terms.items(), key=lambda kv: (kv[0].ex, kv[0].ey))
+
+    def shift(self, mono: Monomial) -> "MonomialTerms":
+        dx, dy = mono.ex, mono.ey
+        return MonomialTerms({Monomial(m.ex + dx, m.ey + dy): c for m, c in self._terms.items()})
+
+    def __add__(self, other: "MonomialTerms") -> "MonomialTerms":
+        data = dict(self._terms)
+        for m, c in other._terms.items():
+            s = _exact(data.get(m, 0) + c)
+            if s:
+                data[m] = s
+            elif m in data:
+                del data[m]
+        return MonomialTerms(data)
+
+    def __mul__(self, other) -> "MonomialTerms":
+        if isinstance(other, MonomialTerms):
+            data = {}
+            right = [(m.ex, m.ey, c) for m, c in other._terms.items()]
+            for m1, c1 in self._terms.items():
+                for ex2, ey2, c2 in right:
+                    m = Monomial(m1.ex + ex2, m1.ey + ey2)
+                    s = _exact(data.get(m, 0) + c1 * c2)
+                    if s:
+                        data[m] = s
+                    elif m in data:
+                        del data[m]
+            return MonomialTerms(data)
+        other = _exact(other)
+        if not other:
+            return MonomialTerms({})
+        return MonomialTerms({m: _exact(c * other) for m, c in self._terms.items()})
+
+
+def rewrite_in_chart(p: MonomialTerms, basis: ChartBasis) -> MonomialTerms:
+    """Each term's exponents solved in the basis, one ``Monomial`` per term."""
+    out = {}
+    for mono, c in p._terms.items():
+        alpha, beta = lattice_solve(mono, basis)
+        out[Monomial(alpha, beta)] = c
+    return MonomialTerms(out)
+
+
+def expand_from_chart(p: MonomialTerms, basis: ChartBasis) -> MonomialTerms:
+    """Each term's basis monomials multiplied back out as ``Monomial`` powers."""
+    return MonomialTerms(
+        {basis.f ** mono.ex * basis.g ** mono.ey: c for mono, c in p._terms.items()}
+    )
+
+
+def factor_monomial_content(p: MonomialTerms) -> tuple[Monomial, MonomialTerms]:
+    """The componentwise least exponents as a ``Monomial``, and p shifted by its inverse."""
+    content = Monomial(min(m.ex for m in p._terms), min(m.ey for m in p._terms))
+    return content, p.shift(content.inverse())
 
 
 # ------------------------------------------------------------------ branches

@@ -1,8 +1,10 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from monoval.laurent import (
     ChartBasis,
@@ -21,7 +23,8 @@ from monoval.laurent import (
     rewrite_in_chart,
 )
 
-from oracles import monomial_name, random_polynomial
+import oracles
+from oracles import MonomialTerms, monomial_name, random_polynomial
 
 
 def poly(d):
@@ -95,6 +98,14 @@ def test_polynomial_basics():
     # zero coefficients are dropped, including after cancellation
     assert (p - p).is_zero
     assert poly({(0, 0): 0}).is_zero
+
+
+def test_coefficient_reads_a_monomial_or_a_pair():
+    p = poly({(1, 0): 1, Monomial(-2, 3): Fraction(1, 2)})
+    assert p.coefficient(X) == p.coefficient((1, 0)) == 1
+    assert p.coefficient(Monomial(-2, 3)) == p.coefficient((-2, 3)) == Fraction(1, 2)
+    assert p.coefficient([-2, 3]) == Fraction(1, 2)
+    assert p.coefficient(Y) == p.coefficient((0, 1)) == 0  # absent
 
 
 def test_polynomial_arithmetic():
@@ -305,3 +316,92 @@ def test_integral_fractions_are_stored_as_int():
     assert type(half.coefficient(X)) is Fraction
     assert repr(whole) == "LaurentPolynomial({Monomial(ex=1, ey=0): 1})"
     assert LaurentPolynomial.constant(0).is_zero and LaurentPolynomial.monomial(X, 0).is_zero
+
+
+# -- term maps keyed by exponent pairs, against the Monomial-keyed oracle -----
+
+small_exponents = st.integers(-3, 3)
+coefficients = st.one_of(
+    st.integers(-4, 4),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+)
+
+
+def _key(ex, ey, form):
+    return {"monomial": Monomial(ex, ey), "tuple": (ex, ey), "list": [ex, ey]}[form]
+
+
+@st.composite
+def keyed_items(draw):
+    """Terms keyed by a Monomial, a tuple or a list; some repeated with the opposite sign."""
+    terms = st.tuples(small_exponents, small_exponents, coefficients)
+    items = draw(st.lists(terms, max_size=6))
+    cancelled = [(ex, ey, -c) for ex, ey, c in items if draw(st.booleans())]
+    forms = st.sampled_from(("monomial", "tuple", "list"))
+    return [(_key(ex, ey, draw(forms)), c) for ex, ey, c in items + cancelled]
+
+
+def oracle_of(items) -> MonomialTerms:
+    """The items summed one ``Monomial``-keyed term at a time."""
+    total = MonomialTerms({})
+    for key, c in items:
+        mono = key if isinstance(key, Monomial) else Monomial(*key)
+        total = total + MonomialTerms({mono: c} if c else {})
+    return total
+
+
+def assert_same_terms(new: LaurentPolynomial, old: MonomialTerms):
+    assert [(m, c, type(c)) for m, c in new.terms()] == [(m, c, type(c)) for m, c in old.terms()]
+    assert all(type(m) is Monomial for m in new.monomials())
+    assert all(
+        type(k) is tuple and len(k) == 2 and type(k[0]) is int and type(k[1]) is int
+        for k in new._terms
+    )
+    assert repr(new) == f"LaurentPolynomial({dict(old.terms())!r})"
+
+
+# Every key form, a Fraction, a cancelling pair of terms and a basis
+# (x^9 y^4, x^2 y) in one example, so a broken term map fails at once.
+@example(
+    [(Monomial(2, -1), 3), ((0, 1), Fraction(1, 2)), ([-1, 0], -2), ([0, 1], Fraction(-1, 2))],
+    [((1, 0), 1), (Monomial(0, -2), Fraction(3, 4)), ([-1, 0], 2)],
+    1, -2, Fraction(2, 3), 3,
+)
+@settings(max_examples=150, deadline=None)
+@given(keyed_items(), keyed_items(), small_exponents, small_exponents, coefficients,
+       st.integers(0, 2**32))
+def test_pair_keyed_arithmetic_matches_the_monomial_keyed_oracle(
+    p_items, q_items, dx, dy, k, seed
+):
+    p, q = LaurentPolynomial(p_items), LaurentPolynomial(q_items)
+    op, oq = oracle_of(p_items), oracle_of(q_items)
+    m = Monomial(dx, dy)
+    basis = _random_unimodular_basis(random.Random(seed))
+    for new, old in [
+        (p, op),
+        (q, oq),
+        (p + q, op + oq),
+        (p - q, op + oq * -1),
+        (p + (-p), MonomialTerms({})),
+        (p * q, op * oq),
+        (p * k, op * k),
+        (p.shift(m), op.shift(m)),
+        (p.shift((dx, dy)), op.shift(m)),
+        (rewrite_in_chart(p, basis), oracles.rewrite_in_chart(op, basis)),
+        (expand_from_chart(p, basis), oracles.expand_from_chart(op, basis)),
+    ]:
+        assert_same_terms(new, old)
+    if not p.is_zero:
+        content, primitive = factor_monomial_content(p)
+        old_content, old_primitive = oracles.factor_monomial_content(op)
+        assert type(content) is Monomial and content == old_content
+        assert_same_terms(primitive, old_primitive)
+
+
+@given(keyed_items())
+@settings(max_examples=50, deadline=None)
+def test_a_pair_keyed_polynomial_pickles_and_copies(items):
+    p = LaurentPolynomial(items)
+    for twin in (pickle.loads(pickle.dumps(p)), copy.copy(p), copy.deepcopy(p)):
+        assert twin == p
+        assert twin.terms() == p.terms() and repr(twin) == repr(p)
