@@ -5,14 +5,13 @@ blow-up resolution of the plane cusp x^b = y^a.
 
 Everything is exact integer and rational arithmetic; there is no floating
 point anywhere, and irrational ratios are handled through continued
-fraction digit streams with interval-bracketing comparisons.
+fraction digit streams, compared with rationals digit by digit.
 """
 
 from .exactnum import (
     CFExpansion,
     CFStream,
     GREATER,
-    IndecisiveComparisonError,
     LESS,
     Rational,
     cf_alternate,

@@ -5,8 +5,7 @@ stdout (or --out) as text, JSON, or DOT, written in chunks as it is made.
 --out is written whole or not at all: into a new file in the target's
 directory, renamed onto the target at the end.  Exit codes: 0 success,
 1 usage, parse or output error (including a reader that closes stdout
-early), 2 verification failure, 3 indecisive stream comparison
-(reserved: path walks continued-fraction digits and never reaches it).
+early), 2 verification failure.
 
 ``main`` builds its parser once per process, on its first call, and
 parses every later argv with it; a one-shot ``monoval`` process builds
@@ -34,7 +33,7 @@ from .emit import (
     printed_integers,
     trace_text_chunks,
 )
-from .exactnum import CFStream, IndecisiveComparisonError, cf_expand, sqrt2_stream
+from .exactnum import CFStream, cf_expand, sqrt2_stream
 from .expr import (
     ExpressionError,
     LongIntegerError,
@@ -428,9 +427,6 @@ def main(argv=None) -> int:
         _silence_stdout()
         print("error: stdout was closed before all output was written", file=sys.stderr)
         return 1
-    except IndecisiveComparisonError as exc:
-        print(f"error: indecisive stream comparison: {exc}", file=sys.stderr)
-        return 3
     except (ValueError, ZeroDivisionError, ZeroPolynomialError, ExpressionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -6,9 +6,9 @@ relies on.  On top of that live finite continued-fraction expansions
 (digit tuples), lazily evaluated digit streams standing in for irrational
 numbers, and the two digit recurrences everything else builds on: Euclid
 quotients (``euclid_digits``) and convergents (``iter_convergents``, the
-only place the h/k recurrence is written).  A bracketing oracle decides
-the sign of ``stream - rational`` from convergents without ever touching
-floating point.
+only place the h/k recurrence is written).  The sign of
+``stream - rational`` is read off the first digit where the two
+expansions differ, without ever touching floating point.
 """
 
 from __future__ import annotations
@@ -22,22 +22,6 @@ Rational = Fraction
 
 LESS = -1
 GREATER = 1
-
-
-class IndecisiveComparisonError(Exception):
-    """Convergent brackets failed to separate a stream from a rational.
-
-    Raised instead of guessing: the stream may actually equal the rational
-    (breaking the caller's irrationality promise) or merely be adversarially
-    close within the iteration budget.
-    """
-
-    def __init__(self, target: Fraction, iterations: int):
-        super().__init__(
-            f"could not separate stream from {target} within {iterations} convergents"
-        )
-        self.target = target
-        self.iterations = iterations
 
 
 @dataclass(frozen=True)
@@ -84,7 +68,7 @@ class CFStream:
     afterwards.  ``periodic`` optionally records an eventually periodic
     pattern ``(preperiod, period)``; produced digits are cross-checked
     against it.  Streams never materialize their value; consumers work
-    through convergents.
+    through digits and convergents.
     """
 
     def __init__(
@@ -251,31 +235,21 @@ def cf_convergents(cf: Union[CFExpansion, CFStream], count: int) -> tuple[Fracti
     return tuple(islice(iter_convergents(digits), count))
 
 
-def bracket_compare(convergents: Iterable[Fraction], t: Fraction, max_iters: int) -> int:
-    """Sign of ``rho - t`` from the convergents of an irrational ``rho``.
+def stream_compare(rho: CFStream, t) -> int:
+    """Sign of ``rho - t`` for an infinite stream and a rational.
 
-    Refines the convergent bracket around ``rho`` until ``t`` falls
-    outside it.  Each even convergent is strictly below ``rho`` and each
-    odd one strictly above, so hitting a bracket endpoint still decides.
-    Raises IndecisiveComparisonError after ``max_iters`` convergents
-    rather than ever guessing.
-    """
-    for i, c in enumerate(islice(convergents, max_iters)):
-        if i % 2 == 0:
-            if t <= c:
-                return GREATER
-        elif t >= c:
-            return LESS
-    raise IndecisiveComparisonError(t, max_iters)
-
-
-def stream_compare(rho: CFStream, t, max_iters: int = 256) -> int:
-    """Sign of ``rho - t`` for an (assumed irrational) stream and a rational.
-
-    Brackets ``rho`` between its convergents (see ``bracket_compare``);
-    raises IndecisiveComparisonError after ``max_iters`` convergents.
+    An infinite expansion is irrational, so it never equals ``t``.  The
+    first index i where rho's digit d_i differs from t's canonical digit
+    e_i decides, or t's last index k when they agree up to it.  After a
+    common prefix the larger complete quotient makes the larger value at
+    even i and the smaller at odd i.  At i = k with d_k = e_k, rho's
+    quotient d_k + 1/x, with x > 1 the rest of the stream, exceeds t's
+    e_k.  Reads at most k + 1 digits of ``rho``.
     """
     t = Fraction(t)
-    if max_iters < 1:
-        raise ValueError("max_iters must be positive")
-    return bracket_compare(iter_convergents(rho.digits()), t, max_iters)
+    for i, e in enumerate(euclid_digits(t.numerator, t.denominator)):
+        d = rho.digit(i)
+        if d != e:
+            break
+    sign = GREATER if d >= e else LESS
+    return -sign if i % 2 else sign

@@ -184,6 +184,9 @@ class LaurentPolynomial:
                 del data[key]
         self._terms = data
 
+    def __reduce__(self):
+        return (LaurentPolynomial, (self._terms,))
+
     @classmethod
     def zero(cls) -> "LaurentPolynomial":
         return cls()
@@ -353,6 +356,9 @@ class ChartBasis:
         self.g = g
         self.det = det
 
+    def __reduce__(self):
+        return (ChartBasis, (self.f, self.g))
+
     @property
     def generators(self) -> tuple[Monomial, Monomial]:
         return (self.f, self.g)
@@ -442,6 +448,9 @@ class RationalFunction:
             raise ZeroDivisionError("zero denominator")
         self.numerator = numerator
         self.denominator = denominator
+
+    def __reduce__(self):
+        return (RationalFunction, (self.numerator, self.denominator))
 
     @classmethod
     def constant(cls, c) -> "RationalFunction":

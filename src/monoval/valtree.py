@@ -163,6 +163,9 @@ class PositivePath:
         path.complete = complete
         return path
 
+    def __reduce__(self):
+        return (PositivePath.from_runs, (self.runs, self.complete))
+
     @property
     def vertices(self) -> ExpandedRuns:
         return ExpandedRuns(self.runs, self.count, _vertex_at, _vertices)

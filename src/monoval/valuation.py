@@ -19,13 +19,11 @@ single comparison (see ``valtree``).
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count
 from typing import Iterator, Optional
 
-from .exactnum import CFStream, bracket_compare, euclid_digits, iter_convergents
+from .exactnum import CFStream, euclid_digits, stream_compare
 from .laurent import (
     LaurentPolynomial,
     Monomial,
@@ -114,33 +112,20 @@ class StreamRatioGroup:
     """``nu(x)`` is a continued-fraction stream, ``nu(y) = 1``.
 
     Fixing ``nu(y) = 1`` uses up the scaling freedom, so the stream alone
-    determines the group.  Sign decisions bracket the stream between
-    convergents; convergents are memoized behind a lock, which keeps
-    shared use cheap without being observably stateful.
+    determines the group.  ``m*nu(x) + n*nu(y)`` with m != 0 has the sign
+    of ``nu(x) - (-n/m)`` times the sign of m, and ``stream_compare``
+    decides the former from digits.
     """
 
-    def __init__(self, stream: CFStream, max_iters: int = 256):
-        if max_iters < 1:
-            raise ValueError("max_iters must be positive")
+    def __init__(self, stream: CFStream):
         self.stream = stream
-        self.max_iters = max_iters
-        self._convergents: list[Fraction] = []
-        self._pending = iter_convergents(stream.digits())
-        self._lock = threading.Lock()
-
-    def _convergent(self, i: int) -> Fraction:
-        with self._lock:
-            while len(self._convergents) <= i:
-                self._convergents.append(next(self._pending))
-        return self._convergents[i]
 
     def compare(self, v1: Value, v2: Value) -> int:
         dm = v1.m - v2.m
         dn = v1.n - v2.n
         if dm == 0:
             return _int_sign(dn)
-        convergents = map(self._convergent, count())
-        s = bracket_compare(convergents, Fraction(-dn, dm), self.max_iters)
+        s = stream_compare(self.stream, Fraction(-dn, dm))
         return s if dm > 0 else -s
 
     def sign(self, v: Value) -> int:
@@ -223,8 +208,8 @@ class MonomialValuation:
         return cls(RationalRatioGroup(vx, vy))
 
     @classmethod
-    def from_stream(cls, stream: CFStream, max_iters: int = 256) -> "MonomialValuation":
-        return cls(StreamRatioGroup(stream, max_iters))
+    def from_stream(cls, stream: CFStream) -> "MonomialValuation":
+        return cls(StreamRatioGroup(stream))
 
     @classmethod
     def lex(cls, vx: tuple[int, int], vy: tuple[int, int]) -> "MonomialValuation":

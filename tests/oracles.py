@@ -105,8 +105,8 @@ def bracket_walk(nu, max_steps: int) -> tuple[list[TreeVertex], bool]:
 
     The generator values evolve by (max, min) -> (min, max - min), so one
     comparison both picks the positive child and keeps positivity; the
-    walk ends when the two values are equal.  For a stream valuation the
-    comparisons bracket convergents and are bounded by its ``max_iters``.
+    walk ends when the two values are equal.  For a stream valuation each
+    comparison reads the stream's digits up to the first that differs.
     """
     vf, vg = nu(X), nu(Y)
     vertex = ROOT

@@ -10,7 +10,7 @@ import pytest
 
 from monoval import cli
 from monoval.emit import to_jsonable
-from monoval.exactnum import CFStream, IndecisiveComparisonError, cf_expand, sqrt2_stream
+from monoval.exactnum import CFStream, cf_expand, sqrt2_stream
 from monoval.resolution import ThroughOrigin, resolve
 from monoval.valtree import positive_path
 from monoval.valuation import MonomialValuation
@@ -196,17 +196,6 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "--max", "5")
     assert code == 2
     assert "FAILURES FOUND" in out and "synthetic" in out
-
-
-def test_indecisive_exit_code(capsys, monkeypatch):
-    from fractions import Fraction
-
-    def fake_walk(nu):
-        raise IndecisiveComparisonError(Fraction(1), 5)
-
-    monkeypatch.setattr(cli, "walk_runs", fake_walk)
-    code, _, err = run(capsys, "path", "--stream", "sqrt2")
-    assert code == 3 and "indecisive" in err
 
 
 def test_unknown_flags_rejected(capsys):
@@ -410,7 +399,7 @@ def test_help_prints_the_docstring_but_its_note_on_the_code(capsys):
         cli.main(["-h"])
     out = " ".join(capsys.readouterr().out.split())
     assert "Commands: cf, path, ringgens, member, resolve, verify." in out
-    assert "never reaches it)." in out and "once per process" not in out
+    assert "2 verification failure." in out and "once per process" not in out
 
 
 def test_importing_the_cli_builds_no_parser():

@@ -97,9 +97,9 @@ def test_any_argv_ends_in_a_documented_exit_code(case):
         with redirect_stdout(stdout), redirect_stderr(stderr):
             code = cli.main(argv)
         err = stderr.getvalue()
-        assert code in (0, 1, 2, 3), (argv, code)
+        assert code in (0, 1, 2), (argv, code)
         assert "Traceback" not in err
-        if code in (1, 3):  # refused before any output, with one line
+        if code == 1:  # refused before any output, with one line
             assert stdout.getvalue() == "" and err.count("\n") == 1, (argv, err)
             if target and os.path.isfile(target):
                 raise AssertionError(f"a failed run left {target}")

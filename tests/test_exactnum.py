@@ -8,7 +8,6 @@ from monoval.exactnum import (
     CFExpansion,
     CFStream,
     GREATER,
-    IndecisiveComparisonError,
     LESS,
     cf_alternate,
     cf_canonicalize,
@@ -186,7 +185,7 @@ def test_stream_validation():
     ],
 )
 def test_stream_compare_sqrt2(t, expected):
-    assert stream_compare(sqrt2_stream(), t, max_iters=64) == expected
+    assert stream_compare(sqrt2_stream(), t) == expected
 
 
 def test_stream_compare_convergents_both_sides():
@@ -197,11 +196,28 @@ def test_stream_compare_convergents_both_sides():
         assert stream_compare(rho, c) == (GREATER if i % 2 == 0 else LESS)
 
 
-def test_stream_compare_indecisive():
+def test_stream_compare_decides_deep_convergents():
+    # Each convergent's digits are a prefix of sqrt(2)'s, so it needs the
+    # deepest read; each of the first 400 lies on its own side, by the
+    # sign of 2 - t^2.
     rho = sqrt2_stream()
-    deep = cf_convergents(rho, 12)[-1]
-    with pytest.raises(IndecisiveComparisonError):
-        stream_compare(rho, deep, max_iters=5)
+    for i, c in enumerate(cf_convergents(rho, 400)):
+        expected = GREATER if c * c < 2 else LESS
+        assert stream_compare(rho, c) == expected == (LESS if i % 2 else GREATER)
+
+
+@pytest.mark.parametrize(
+    "t", [Fraction(5), Fraction(-7, 2), Fraction(99, 70), Fraction(10**40 + 1, 10**40)]
+)
+def test_stream_compare_reads_no_more_digits_than_the_rational_has(t):
+    read = []
+
+    def source(i):
+        read.append(i)
+        return 1 + i % 3
+
+    stream_compare(CFStream(source), t)
+    assert max(read) < len(cf_expand(t))
 
 
 def test_stream_compare_randomized_against_square_oracle():
@@ -209,7 +225,7 @@ def test_stream_compare_randomized_against_square_oracle():
     rho = sqrt2_stream()
     for _ in range(300):
         t = Fraction(rng.randint(-400, 400), rng.randint(1, 200))
-        got = stream_compare(rho, t, max_iters=128)
+        got = stream_compare(rho, t)
         # independent check: sign of 2 - t^2, corrected for negative t
         if t <= 0:
             expected = GREATER

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from monoval.exactnum import cf_expand
 from monoval.laurent import (
     ChartBasis,
     IDENTITY_BASIS,
@@ -22,6 +23,9 @@ from monoval.laurent import (
     monomial_names,
     rewrite_in_chart,
 )
+from monoval.resolution import resolve
+from monoval.valtree import positive_path
+from monoval.valuation import MonomialValuation, Value
 
 import oracles
 from oracles import MonomialTerms, monomial_name, random_polynomial
@@ -398,10 +402,34 @@ def test_pair_keyed_arithmetic_matches_the_monomial_keyed_oracle(
         assert_same_terms(primitive, old_primitive)
 
 
+PROTOCOLS = range(pickle.HIGHEST_PROTOCOL + 1)
+_p = LaurentPolynomial({(1, 0): 1, (0, -2): Fraction(-1, 3)})
+PUBLIC_VALUES = {
+    "Monomial": Monomial(2, -3),
+    "LaurentPolynomial": _p,
+    "RationalFunction": RationalFunction(_p, _p * _p),
+    "ChartBasis": ChartBasis(Monomial(1, 0), Monomial(1, 1)),
+    "PositivePath": positive_path(MonomialValuation.rational(24, 7), 50),
+    "ResolutionTrace": resolve(24, 7),
+    "ChartState": resolve(24, 7).all_charts()[3],
+    "CFExpansion": cf_expand(Fraction(24, 7)),
+    "Value": Value(3, -4),
+}
+
+
 @given(keyed_items())
 @settings(max_examples=50, deadline=None)
 def test_a_pair_keyed_polynomial_pickles_and_copies(items):
     p = LaurentPolynomial(items)
-    for twin in (pickle.loads(pickle.dumps(p)), copy.copy(p), copy.deepcopy(p)):
+    pickled = [pickle.loads(pickle.dumps(p, proto)) for proto in PROTOCOLS]
+    for twin in (*pickled, copy.copy(p), copy.deepcopy(p)):
         assert twin == p
         assert twin.terms() == p.terms() and repr(twin) == repr(p)
+
+
+@pytest.mark.parametrize("proto", PROTOCOLS)
+@pytest.mark.parametrize("name", PUBLIC_VALUES)
+def test_public_value_types_pickle_at_every_protocol(name, proto):
+    value = PUBLIC_VALUES[name]
+    twin = pickle.loads(pickle.dumps(value, proto))
+    assert type(twin) is type(value) and twin == value and repr(twin) == repr(value)

@@ -18,7 +18,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from monoval import cli
-from monoval.exactnum import CFStream
+from monoval.exactnum import CFStream, sqrt2_stream
 from monoval.laurent import Monomial
 from monoval.resolution import resolve, theorem_report
 from monoval.valtree import (
@@ -132,10 +132,9 @@ def valuations(draw):
 # 40 that a budget of 20 cuts after 18 vertices.
 @example(MonomialValuation.from_stream(CFStream.from_periodic([1], [40, 7])), 20)
 @example(MonomialValuation.rational(10**6 + 1, 10**6), 1000)
-# Up to 200 steps: the walk compares each vertex's values, and a stream
-# comparison may read at most 256 convergents.
+@example(MonomialValuation.from_stream(sqrt2_stream()), 1000)
 @settings(max_examples=80, deadline=None)
-@given(valuations(), st.integers(1, 200))
+@given(valuations(), st.integers(1, 1000))
 def test_path_runs_expand_to_the_per_vertex_walk(nu, max_steps):
     path = positive_path(nu, max_steps=max_steps)
     vertices, complete = oracles.bracket_walk(nu, max_steps)

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from monoval.exactnum import IndecisiveComparisonError, sqrt2_stream
+from monoval.exactnum import cf_convergents, sqrt2_stream
 from monoval.laurent import (
     LaurentPolynomial,
     Monomial,
@@ -145,14 +145,15 @@ def test_valuation_axioms_lex():
     _axiom_suite(MonomialValuation.lex((1, 0), (0, 1)), random.Random(5), 150)
 
 
-def test_indecisive_propagates():
-    nu = MonomialValuation.from_stream(sqrt2_stream(), max_iters=3)
-    # a value whose decision threshold is a deep convergent of sqrt(2)
-    from monoval.exactnum import cf_convergents
-
-    c = cf_convergents(sqrt2_stream(), 10)[-1]
-    with pytest.raises(IndecisiveComparisonError):
-        nu.sign(Value(c.denominator, -c.numerator))
+def test_stream_signs_decide_at_deep_convergents():
+    # k*sqrt(2) - h for sqrt(2)'s convergent h/k has the sign of 2k^2 - h^2,
+    # on both sides of the comparison.
+    nu = MonomialValuation.from_stream(sqrt2_stream())
+    for c in cf_convergents(sqrt2_stream(), 400):
+        h, k = c.numerator, c.denominator
+        sign = (2 * k * k > h * h) - (2 * k * k < h * h)
+        assert nu.sign(Value(k, -h)) == sign == -nu.sign(Value(-k, h))
+        assert nu.compare(Value(k, 0), Value(0, h)) == sign
 
 
 def test_valuation_rejects_unknown_types():

@@ -25,9 +25,9 @@ def ordered(vertices):
     return [(v.f, v.g) for v in vertices]
 
 
-def assert_walks_agree(nu, oracle_nu, max_steps):
+def assert_walks_agree(nu, max_steps):
     path = positive_path(nu, max_steps=max_steps)
-    vertices, complete = bracket_walk(oracle_nu, max_steps)
+    vertices, complete = bracket_walk(nu, max_steps)
     assert ordered(path.vertices) == ordered(vertices)
     assert path.complete == complete
     return path
@@ -49,7 +49,7 @@ def test_rational_walk_matches_bracket_walk(pair, max_steps):
     if a == b:
         return
     nu = MonomialValuation.rational(a, b)
-    assert_walks_agree(nu, nu, max_steps)
+    assert_walks_agree(nu, max_steps)
 
 
 @settings(max_examples=60, deadline=None)
@@ -57,7 +57,7 @@ def test_rational_walk_matches_bracket_walk(pair, max_steps):
 def test_integer_ratios_and_a_below_b(b, k):
     for a, bb in ((k * b, b), (b, k * b), (k, k + 1), (k + 1, k)):
         nu = MonomialValuation.rational(a, bb)
-        assert_walks_agree(nu, nu, 200)
+        assert_walks_agree(nu, 200)
 
 
 @settings(max_examples=40, deadline=None)
@@ -67,7 +67,7 @@ def test_fractional_values_walk_like_their_ratio(p, q, r, s):
     if vx == vy:
         return
     nu = MonomialValuation.rational(vx, vy)
-    path = assert_walks_agree(nu, nu, 300)
+    path = assert_walks_agree(nu, 300)
     ratio = vx / vy
     same = positive_path(MonomialValuation.rational(ratio.numerator, ratio.denominator), 300)
     assert ordered(path.vertices) == ordered(same.vertices)
@@ -78,7 +78,7 @@ def test_200_digit_fibonacci_pair_walks_to_the_end():
     while len(str(fib[-1])) < 200:
         fib.append(fib[-1] + fib[-2])
     nu = MonomialValuation.rational(fib[-1], fib[-2])
-    path = assert_walks_agree(nu, nu, len(fib) + 1)
+    path = assert_walks_agree(nu, len(fib) + 1)
     assert path.complete and len(path) == len(fib) - 1  # digits [1; 1, ..., 1, 2]
 
 
@@ -106,10 +106,7 @@ def test_stream_walk_matches_bracket_walk(spec, depth):
     d0, pre, period = spec
     stream = CFStream.from_periodic((d0, *pre), period)
     nu = MonomialValuation.from_stream(stream)
-    # Each of the depth vertices uses at most one digit, so a budget past
-    # the depth lets every oracle comparison decide.
-    oracle_nu = MonomialValuation.from_stream(stream, max_iters=depth + 16)
-    path = assert_walks_agree(nu, oracle_nu, depth)
+    path = assert_walks_agree(nu, depth)
     assert not path.complete and len(path) == depth
 
 
@@ -126,7 +123,7 @@ def test_lex_walk_matches_bracket_walk(vx, vy, max_steps):
     if vx == vy:
         return
     nu = MonomialValuation.lex(vx, vy)
-    assert_walks_agree(nu, nu, max_steps)
+    assert_walks_agree(nu, max_steps)
 
 
 @settings(max_examples=60, deadline=None)
@@ -138,7 +135,7 @@ def test_lex_tail_walk_matches_bracket_walk(turns, swap, max_steps):
         vertex = children(vertex)[turn]
     f, g = (vertex.g, vertex.f) if swap else (vertex.f, vertex.g)
     nu = lex_valuation_from_tail(f, g)
-    path = assert_walks_agree(nu, nu, max_steps)
+    path = assert_walks_agree(nu, max_steps)
     assert not path.complete
 
 
