@@ -24,7 +24,7 @@ no second code path.  Two sections come out in another order than the
 rows are read in, and take a second pass: DOT prints every node before
 every edge, and keeps only which children of each blow-up are resolved
 for the edges; ``--trace`` text prints every bad chart before every step,
-and keeps the monomial names of the first pass for the second.
+and walks the runs again for the steps.
 
 The trace emitters (JSON, DOT, text and ``--trace`` text) share one
 kernel, ``_blow_ups``, over a trace's runs (see ``resolution``).  It
@@ -76,7 +76,7 @@ from .valtree import CorrespondenceReport, PositivePath
 from .verify import VerifyReport
 
 
-def _blow_ups(trace: ResolutionTrace, number, names=monomial_names):
+def _blow_ups(trace: ResolutionTrace, number):
     """Per blow-up of a trace, read from its runs: its chart and children as printed.
 
     Yields the chart's fields (f, g, exc_f, exc_g, s, t), the monomials
@@ -97,10 +97,10 @@ def _blow_ups(trace: ResolutionTrace, number, names=monomial_names):
     each run's last row, so the blow-up and classification rules are
     ``resolve``'s.  The next chart is a child, so it keeps that child's
     fields and classification, and each blow-up prints only g/f and f/g,
-    both from ``names`` of g/f's exponents, the children's multiplicity e
-    and |s - t|.  An emitter that prints no numbers passes ``int``, which
-    leaves them as they are: ``str`` of one may pass the interpreter's
-    limit for printing an integer.
+    both from ``monomial_names`` of g/f's exponents, the children's
+    multiplicity e and |s - t|.  An emitter that prints no numbers passes
+    ``int``, which leaves them as they are: ``str`` of one may pass the
+    interpreter's limit for printing an integer.
     """
     kinds, resolved = _KIND, _KIND[Classification.RESOLVED]
     row = trace.runs[0][0]
@@ -118,7 +118,7 @@ def _blow_ups(trace: ResolutionTrace, number, names=monomial_names):
                 gy -= fy
                 a += step
                 s -= t
-                g_over_f, f_over_g = names(gx, gy)
+                g_over_f, f_over_g = monomial_names(gx, gy)
                 e, d = number(a), number(s)
                 c1 = (f, g_over_f, e, exc_g, d, t_)
                 yield chart, c1, (g, f_over_g, e, exc_f, d, s_), True, False, sign, kind, kind, resolved
@@ -127,7 +127,7 @@ def _blow_ups(trace: ResolutionTrace, number, names=monomial_names):
         first, second = _children(row)
         k1, k2 = kinds[_kind(first)], kinds[_kind(second)]
         f, g, exc_f, exc_g, s_, t_ = chart
-        g_over_f, f_over_g = names(first[2], first[3])
+        g_over_f, f_over_g = monomial_names(first[2], first[3])
         e, d = number(first[4]), number(abs(first[6]))
         c1, c2 = (f, g_over_f, e, exc_g, d, t_), (g, f_over_g, e, exc_f, d, s_)
         yield chart, c1, c2, first[6] > 0, second[6] > 0, row[8], kind, k1, k2
@@ -468,30 +468,17 @@ def trace_text_chunks(trace: ResolutionTrace, show_steps: bool = False) -> Itera
     """``format_trace_text(trace, show_steps)`` in pieces, one blow-up at a time.
 
     The bad charts come before the steps, so ``show_steps`` reads the
-    rows twice.  The first pass keeps the names of each blow-up's new
-    generators, in order, and the second takes them back in the same
-    order: no monomial is named twice.
+    rows twice, and names their monomials again: memory stays bounded.
     """
     yield (f"resolution of x^{trace.b} = y^{trace.a}: {trace.blow_up_count} blow-ups\n"
            "bad charts:\n")
-    named: list[str] = []
-
-    def names(ex: int, ey: int) -> tuple[str, str]:
-        pair = monomial_names(ex, ey)
-        named.extend(pair)
-        return pair
-
-    for i, (chart, _, _, _, _, _, kind, _, _) in enumerate(
-        _blow_ups(trace, int, names if show_steps else monomial_names)
-    ):
+    for i, (chart, _, _, _, _, _, kind, _, _) in enumerate(_blow_ups(trace, int)):
         yield f"  {i}: k[{chart[0]}, {chart[1]}] ({kind})\n"
     if not show_steps:
         return
     yield "steps:\n"
-    replay = iter(named)
-    pairs = zip(replay, replay)
     for i, (chart, first, second, through1, through2, sign, _, k1, k2) in enumerate(
-        _blow_ups(trace, str, lambda ex, ey: next(pairs))
+        _blow_ups(trace, str)
     ):
         text1 = _chart_text(*first, through1, sign)
         text2 = _chart_text(*second, through2, -sign)

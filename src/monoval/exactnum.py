@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count as _count, islice
+from math import gcd
 from typing import Callable, Iterable, Iterator, Union
 
 Rational = Fraction
@@ -65,24 +66,15 @@ class CFStream:
 
     ``source`` must be a pure function of the index (no hidden mutable
     state), producing an integer ``d0`` at index 0 and positive digits
-    afterwards.  ``periodic`` optionally records an eventually periodic
-    pattern ``(preperiod, period)``; produced digits are cross-checked
-    against it.  Streams never materialize their value; consumers work
-    through digits and convergents.
+    afterwards.  ``periodic`` is the pattern ``(preperiod, period)`` of a
+    stream made by ``from_periodic``, and None for any other.  Streams
+    never materialize their value; consumers work through digits and
+    convergents.
     """
 
-    def __init__(
-        self,
-        source: Callable[[int], int],
-        periodic: tuple[tuple[int, ...], tuple[int, ...]] | None = None,
-    ):
-        if periodic is not None:
-            pre, per = tuple(periodic[0]), tuple(periodic[1])
-            if not per:
-                raise ValueError("period must be nonempty")
-            periodic = (pre, per)
+    def __init__(self, source: Callable[[int], int]):
         self._source = source
-        self.periodic = periodic
+        self.periodic = None
 
     @classmethod
     def from_periodic(cls, preperiod, period) -> "CFStream":
@@ -105,7 +97,9 @@ class CFStream:
                 return _pre[i]
             return _per[(i - len(_pre)) % len(_per)]
 
-        return cls(source, periodic=(pre, per))
+        stream = cls(source)
+        stream.periodic = (pre, per)
+        return stream
 
     def digits(self) -> Iterator[int]:
         """The digits d0, d1, ... in order, without end."""
@@ -117,13 +111,6 @@ class CFStream:
         d = int(self._source(i))
         if i >= 1 and d < 1:
             raise ValueError(f"stream produced digit {d} at index {i}; must be >= 1")
-        if self.periodic is not None:
-            pre, per = self.periodic
-            expected = pre[i] if i < len(pre) else per[(i - len(pre)) % len(per)]
-            if d != expected:
-                raise ValueError(
-                    f"digit source produced {d} at index {i}, periodic metadata says {expected}"
-                )
         return d
 
     def __str__(self) -> str:
@@ -138,6 +125,16 @@ class CFStream:
 def sqrt2_stream() -> CFStream:
     """The stream [1; 2, 2, 2, ...], whose value is the square root of 2."""
     return CFStream.from_periodic((1,), (2,))
+
+
+def _coprime_pair(a, b, least_b: int = 1) -> tuple[int, int]:
+    """``(int(a), int(b))`` for coprime a > b >= ``least_b``, which is 1 or 2; else ValueError."""
+    a, b = int(a), int(b)
+    if not a > b >= least_b:
+        raise ValueError("need a > b > 1" if least_b == 2 else "need a > b >= 1")
+    if gcd(a, b) != 1:
+        raise ValueError(f"({a}, {b}) are not coprime")
+    return a, b
 
 
 def cf_expand(r) -> CFExpansion:
@@ -167,11 +164,9 @@ def euclid_digits(n: int, d: int) -> Iterator[int]:
 
 
 def cf_value(cf: CFExpansion) -> Fraction:
-    """Exact value of a finite expansion, folding the nested fraction."""
-    digits = cf.digits
-    value = Fraction(digits[-1])
-    for d in reversed(digits[:-1]):
-        value = d + 1 / value  # value >= 1 here, so never zero
+    """Exact value of a finite expansion: its last convergent."""
+    for value in iter_convergents(cf.digits):
+        pass
     return value
 
 

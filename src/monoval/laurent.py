@@ -381,31 +381,26 @@ class ChartBasis:
 IDENTITY_BASIS = ChartBasis(X, Y)
 
 
-def lattice_solve(target: Monomial, basis: ChartBasis) -> tuple[int, int]:
+def lattice_solve(target: Monomial | Pair, basis: ChartBasis) -> tuple[int, int]:
     """Integer pair (alpha, beta) with ``basis.f**alpha * basis.g**beta == target``.
 
-    Unimodularity makes the solution exist and be unique for every lattice
-    point: the inverse of the exponent matrix is again integral.
+    ``target`` is a ``Monomial`` or an (ex, ey) pair.  Unimodularity makes
+    the solution exist and be unique for every lattice point: the inverse
+    of the exponent matrix is again integral.
     """
-    d = basis.det  # +-1, so dividing by it is multiplying by it
-    alpha = (basis.g.ey * target.ex - basis.g.ex * target.ey) * d
-    beta = (basis.f.ex * target.ey - basis.f.ey * target.ex) * d
-    return alpha, beta
+    ex, ey = _pair(target)
+    f, g, d = basis.f, basis.g, basis.det  # d is +-1, so dividing by it is multiplying by it
+    return (g.ey * ex - g.ex * ey) * d, (f.ex * ey - f.ey * ex) * d
 
 
 def rewrite_in_chart(p: LaurentPolynomial, basis: ChartBasis) -> LaurentPolynomial:
     """Rewrite ``p`` so exponent pairs count powers of ``basis.f`` and ``basis.g``.
 
-    Termwise lattice solve (as :func:`lattice_solve`, on the pairs); the
-    exponent map is a bijection, so this is a ring isomorphism on Laurent
-    polynomials and substituting the basis monomials back recovers ``p``
-    exactly.
+    Termwise :func:`lattice_solve` on the pairs; the exponent map is a
+    bijection, so this is a ring isomorphism on Laurent polynomials and
+    substituting the basis monomials back recovers ``p`` exactly.
     """
-    f, g, d = basis.f, basis.g, basis.det
-    fx, fy, gx, gy = f.ex * d, f.ey * d, g.ex * d, g.ey * d
-    return _from_terms(
-        {(gy * ex - gx * ey, fx * ey - fy * ex): c for (ex, ey), c in p._terms.items()}
-    )
+    return _from_terms({lattice_solve(m, basis): c for m, c in p._terms.items()})
 
 
 def expand_from_chart(p: LaurentPolynomial, basis: ChartBasis) -> LaurentPolynomial:

@@ -47,6 +47,7 @@ from functools import cached_property, partial
 from math import gcd
 from typing import Iterable, Iterator, NamedTuple, Union
 
+from .exactnum import _coprime_pair
 from .laurent import (
     IDENTITY_BASIS,
     ChartBasis,
@@ -57,7 +58,7 @@ from .laurent import (
     factor_monomial_content,
     rewrite_in_chart,
 )
-from .valtree import ExpandedRuns, PositivePath, positive_path, run_bases
+from .valtree import ExpandedRuns, PositivePath, _same_vertices, positive_path
 from .valuation import MonomialValuation
 
 
@@ -260,11 +261,7 @@ def cusp_polynomial(a: int, b: int) -> LaurentPolynomial:
 
 def initial_chart(a: int, b: int) -> ChartState:
     """The chart k[x, y] carrying the curve x^b - y^a."""
-    a, b = int(a), int(b)
-    if not (a > b > 1):
-        raise ValueError("need a > b > 1")
-    if gcd(a, b) != 1:
-        raise ValueError(f"({a}, {b}) are not coprime")
+    a, b = _coprime_pair(a, b, least_b=2)
     return ChartState(
         basis=IDENTITY_BASIS,
         exc_f=0,
@@ -435,14 +432,9 @@ def theorem_report(trace: ResolutionTrace, val_path: PositivePath) -> TheoremRep
     equal = (
         val_path.complete
         and trace.blow_up_count == val_path.count
-        and all(map(_same_vertex, run_bases(trace.runs), run_bases(val_path.runs)))
+        and _same_vertices(trace.runs, val_path.runs)
     )
     return TheoremReport(trace, val_path, equal)
-
-
-def _same_vertex(u: tuple[int, ...], v: tuple[int, ...]) -> bool:
-    """Whether two bases (fx, fy, gx, gy) are one vertex, generators in either order."""
-    return u == v or u == (v[2], v[3], v[0], v[1])
 
 
 def check_theorem(a: int, b: int) -> TheoremReport:

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import NamedTuple, Optional
 
+from .exactnum import _coprime_pair
 from .laurent import (
     ChartBasis,
     Monomial,
@@ -69,11 +70,7 @@ def bezout(a: int, b: int) -> tuple[int, int]:
     Any other solution differs by a multiple of (b, a) and presents the
     same localized ring; minimality makes outputs canonical.
     """
-    a, b = int(a), int(b)
-    if not (a > b >= 1):
-        raise ValueError("need a > b >= 1")
-    if gcd(a, b) != 1:
-        raise ValueError(f"({a}, {b}) are not coprime")
+    a, b = _coprime_pair(a, b)
     if b == 1:
         return 1, a - 1
     p = pow(a, -1, b)  # smallest positive inverse of a modulo b

@@ -31,12 +31,11 @@ from bisect import bisect_right
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, count, islice
-from math import gcd
+from itertools import accumulate, count, islice, starmap
 from operator import eq
 from typing import Callable, Iterator, Optional
 
-from .exactnum import cf_expand
+from .exactnum import _coprime_pair, cf_expand
 from .laurent import IDENTITY_BASIS, ChartBasis, Monomial, X, Y, lattice_solve, monomial_name
 from .valuation import UNBOUNDED, MonomialValuation, Value
 
@@ -103,13 +102,24 @@ class ExpandedRuns(Sequence):
 
 
 def run_bases(runs: Iterable[Run]) -> Iterator[tuple[int, int, int, int]]:
-    """(fx, fy, gx, gy) of every vertex of finite runs, in order: j times g/f at step j."""
+    """(fx, fy, gx, gy) of every vertex of runs, in order: j times g/f at step j."""
     for start, n in runs:
         fx, fy, gx, gy = start[:4]
-        for _ in range(n):
+        # range, not repeat: a length may exceed a C integer
+        for _ in count() if n is None else range(n):
             yield fx, fy, gx, gy
             gx -= fx
             gy -= fy
+
+
+def _same_vertices(runs: Iterable[Run], others: Iterable[Run]) -> bool:
+    """Whether two runs of equal vertex counts hold the same vertices, in order.
+
+    Two vertices are the same when they hold the same two generators, in
+    either order.  The bases are compared as ints; no vertex is built.
+    """
+    return all(u == v or u == (v[2], v[3], v[0], v[1])
+               for u, v in zip(run_bases(runs), run_bases(others)))
 
 
 def _vertex_runs(vertices: Iterable[TreeVertex]) -> Iterator[Run]:
@@ -118,20 +128,18 @@ def _vertex_runs(vertices: Iterable[TreeVertex]) -> Iterator[Run]:
         yield (v.f.ex, v.f.ey, v.g.ex, v.g.ey), 1
 
 
+def _vertex(fx: int, fy: int, gx: int, gy: int) -> TreeVertex:
+    return TreeVertex(Monomial(fx, fy), Monomial(gx, gy))
+
+
 def _vertex_at(start: tuple, j: int) -> TreeVertex:
     fx, fy, gx, gy = start
-    return TreeVertex(Monomial(fx, fy), Monomial(gx - j * fx, gy - j * fy))
+    return _vertex(fx, fy, gx - j * fx, gy - j * fy)
 
 
 def _vertices(runs: Iterable[Run]) -> Iterator[TreeVertex]:
-    """Every vertex of runs, each generator built once: f per run, g/f^j per vertex."""
-    for (fx, fy, gx, gy), n in runs:
-        f = Monomial(fx, fy)
-        # range, not repeat: a length may exceed a C integer
-        for _ in count() if n is None else range(n):
-            yield TreeVertex(f, Monomial(gx, gy))
-            gx -= fx
-            gy -= fy
+    """Every vertex of runs, built when it is read."""
+    return starmap(_vertex, run_bases(runs))
 
 
 class PositivePath:
@@ -144,7 +152,8 @@ class PositivePath:
     number of vertices, which ``len`` also gives while it fits a C
     integer.  ``complete`` is False when the walk stopped at the step
     budget with more path remaining; truncation is always explicit,
-    never silent.  Equality compares the vertices and ``complete``.
+    never silent.  Equality compares the vertices, generators in either
+    order, and ``complete``.
     """
 
     __slots__ = ("runs", "complete", "count")
@@ -186,7 +195,8 @@ class PositivePath:
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self.complete == other.complete and self.vertices == other.vertices
+        return (self.complete == other.complete and self.count == other.count
+                and _same_vertices(self.runs, other.runs))
 
     def __hash__(self) -> int:
         return hash((tuple(self), self.complete))
@@ -404,11 +414,7 @@ def correspondence_report(a: int, b: int, path: PositivePath) -> CorrespondenceR
 
 def cf_correspondence_check(a: int, b: int) -> CorrespondenceReport:
     """Compare branch lengths from a direct walk with the digits of a/b."""
-    a, b = int(a), int(b)
-    if not (a > b >= 1):
-        raise ValueError("need a > b >= 1")
-    if gcd(a, b) != 1:
-        raise ValueError(f"({a}, {b}) are not coprime")
+    a, b = _coprime_pair(a, b)
     nu = MonomialValuation.rational(a, b)
     return correspondence_report(a, b, positive_path(nu, max_steps=a + b))
 

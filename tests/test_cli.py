@@ -174,6 +174,19 @@ def test_resolve(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["resolve", "2", "2"], "need a > b > 1"),
+        (["ringgens", "3", "3"], "need a > b >= 1"),
+        (["resolve", "6", "4"], "(6, 4) are not coprime"),
+        (["ringgens", "4", "2"], "(4, 2) are not coprime"),
+    ],
+)
+def test_a_pair_that_is_not_ordered_and_coprime_is_one_error_line(capsys, argv, message):
+    assert run(capsys, *argv) == (1, "", f"error: {message}\n")
+
+
 def test_verify_ok(capsys):
     code, out, _ = run(capsys, "verify", "--max", "10")
     assert code == 0 and "all checks passed" in out

@@ -168,10 +168,25 @@ def test_stream_validation():
         CFStream.from_periodic((1,), ())
     with pytest.raises(ValueError):
         CFStream.from_periodic((1, 0), (2,))
-    # metadata cross-check catches a lying source
-    lying = CFStream(lambda i: 3, periodic=((1,), (2,)))
-    with pytest.raises(ValueError):
-        lying.digit(0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(-10**20, 10**20),
+    st.lists(st.integers(1, 10**20), max_size=6),
+    st.lists(st.integers(1, 10**20), min_size=1, max_size=6),
+    st.integers(0, 10**30),
+)
+def test_a_periodic_stream_follows_its_pattern(d0, tail, period, i):
+    pre = [d0] + tail
+    rho = CFStream.from_periodic(pre, period)
+    unrolled = pre + period * 8
+    n = len(unrolled)
+    assert [rho.digit(k) for k in range(n)] == unrolled
+    # past the preperiod every digit repeats the one a whole number of periods back
+    back = i if i < len(pre) else len(pre) + (i - len(pre)) % len(period)
+    assert rho.digit(i) == unrolled[back]
+    assert rho.periodic == (tuple(pre), tuple(period))
 
 
 @pytest.mark.parametrize(

@@ -32,7 +32,15 @@ from monoval.resolution import (
     theorem_report,
     verify_reconstruction,
 )
-from monoval.valtree import ROOT, PositivePath, TreeVertex, children, positive_path
+from monoval.valring import bezout
+from monoval.valtree import (
+    ROOT,
+    PositivePath,
+    TreeVertex,
+    cf_correspondence_check,
+    children,
+    positive_path,
+)
 from monoval.valuation import MonomialValuation
 
 RESOLVED = Classification.RESOLVED
@@ -54,6 +62,29 @@ def test_initial_chart():
     for bad in [(4, 2), (2, 3), (3, 1), (3, 3)]:
         with pytest.raises(ValueError):
             initial_chart(*bad)
+
+
+# Each entry point that takes a coprime pair a > b, with the least b it takes.
+@pytest.mark.parametrize(
+    "check, a, b, message",
+    [
+        (initial_chart, 2, 2, "need a > b > 1"),
+        (initial_chart, 3, 1, "need a > b > 1"),
+        (initial_chart, 2, 3, "need a > b > 1"),
+        (initial_chart, 6, 4, "(6, 4) are not coprime"),
+        (initial_chart, "9", "6", "(9, 6) are not coprime"),
+        (bezout, 3, 3, "need a > b >= 1"),
+        (bezout, 2, 0, "need a > b >= 1"),
+        (bezout, 4, 2, "(4, 2) are not coprime"),
+        (cf_correspondence_check, 1, 2, "need a > b >= 1"),
+        (cf_correspondence_check, 5, 5, "need a > b >= 1"),
+        (cf_correspondence_check, 15.0, 10, "(15, 10) are not coprime"),
+    ],
+)
+def test_a_pair_that_is_not_ordered_and_coprime_is_refused_in_the_same_words(check, a, b, message):
+    with pytest.raises(ValueError) as info:
+        check(a, b)
+    assert str(info.value) == message
 
 
 def test_blow_up_requires_curve_through_origin():

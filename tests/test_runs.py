@@ -19,7 +19,7 @@ from hypothesis import example, given, settings, strategies as st
 import oracles
 from monoval import cli
 from monoval.exactnum import CFStream, sqrt2_stream
-from monoval.laurent import Monomial
+from monoval.laurent import ChartBasis, Monomial
 from monoval.resolution import resolve, theorem_report
 from monoval.valtree import (
     PositivePath,
@@ -241,3 +241,37 @@ def test_theorem_report_agrees_with_comparing_vertices(pair, rng):
     assert theorem_report(trace, path).equal and theorem_report(trace, variants[1]).equal
     assert not theorem_report(trace, variants[2]).equal
 
+
+def vertexwise_path_equal(p, q) -> bool:
+    """Path equality decided on ``ChartBasis`` vertices, one by one."""
+    return p.complete == q.complete and len(p) == len(q) and all(map(ChartBasis.__eq__, p, q))
+
+
+@settings(max_examples=40, deadline=None)
+@given(oracles.coprime_pairs(10**12), st.randoms(use_true_random=False))
+def test_path_equality_agrees_with_comparing_vertices(pair, rng):
+    a, b = pair
+    nu = MonomialValuation.rational(a, b)
+    path = positive_path(nu, max_steps=a + b)  # one run per digit
+    vertices = list(path)
+    i = rng.randrange(1, len(vertices))
+    v = vertices[i]
+    sibling = next(w for w in children(vertices[i - 1]) if w != v)
+    k = rng.randrange(1, len(vertices))
+    variants = [
+        path,
+        PositivePath(vertices, path.complete),  # one run per vertex
+        PositivePath(vertices[:i] + [TreeVertex(v.g, v.f)] + vertices[i + 1:], True),
+        PositivePath(vertices[:i] + [sibling] + vertices[i + 1:], True),
+        PositivePath(vertices[:-1], True),
+        PositivePath(vertices, not path.complete),
+        positive_path(nu, max_steps=k),  # cut after k vertices, inside a run or not
+        PositivePath(vertices[:k], False),
+    ]
+    for p in variants:
+        for q in variants:
+            assert (p == q) == vertexwise_path_equal(p, q)
+            if p == q:
+                assert hash(p) == hash(q)
+    assert variants[0] == variants[1] == variants[2] != variants[3]
+    assert variants[6] == variants[7]
