@@ -244,23 +244,21 @@ def _cmd_member(args) -> Output:
     except LongIntegerError as exc:
         where = f"the {exc.what} at position {exc.position} of the expression is"
         raise _too_long(where, "reading") from None
-    try:
-        nu = MonomialValuation.rational(args.a, args.b)
-    except ValueError as bad_weights:
-        # An error in the expression is reported before one in the weights.
-        # Any positive weights find it; these seldom tie, so forms stay short.
+    if args.a <= 0 or args.b <= 0:
+        # An error in the expression is reported before one in the weights,
+        # which initial_value raises.  Any positive weights find it; these
+        # seldom tie, so forms stay short.
         try:
             initial_value(node, 1, _UNTIED_WEIGHT)
         except WorkBudgetError:
             pass
-        raise bad_weights
     v = initial_value(node, args.a, args.b)
     if v is None:
         member, value = True, "infinity"
     else:
-        value = nu.group.realize(v)
+        value = v.m * args.a + v.n * args.b
         bound = _print_bound()
-        if bound and abs(value.numerator) >= bound:
+        if bound and abs(value) >= bound:
             raise _too_long("the value is")
         member = value >= 0
     if args.format == "json":

@@ -28,7 +28,7 @@ and walks the runs again for the steps.
 
 The trace emitters (JSON, DOT, text and ``--trace`` text) share one
 kernel, ``_blow_ups``, over a trace's runs (see ``resolution``).  It
-builds no ``ResolutionStep`` and no ``Monomial`` below the root chart.
+builds no ``ResolutionStep`` and no ``Monomial``.
 Inside a run every row blows up into a first child that is the next row
 and a second child that misses its origin, and every row has the run's
 first classification; so each row's integers come by addition from the
@@ -62,7 +62,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
 from .exactnum import CFExpansion
-from .laurent import ChartBasis, Monomial, monomial_name, monomial_names
+from .laurent import ChartBasis, monomial_name, monomial_names
 from .resolution import (
     ChartState,
     Classification,
@@ -105,7 +105,7 @@ def _blow_ups(trace: ResolutionTrace, number):
     kinds, resolved = _KIND, _KIND[Classification.RESOLVED]
     row = trace.runs[0][0]
     fx, fy, gx, gy, a, b, s, t, _ = row
-    f, g = str(Monomial(fx, fy)), str(Monomial(gx, gy))
+    f, g = monomial_name(fx, fy), monomial_name(gx, gy)
     chart = (f, g, number(a), number(b), number(s), number(t))
     kind = kinds[_kind(row)]
     for row, n in trace.runs:
@@ -173,7 +173,7 @@ def _vertex_json(v: ChartBasis) -> dict:
 def _chart_json(c: ChartState) -> dict:
     kind = "through-origin" if c.p > 0 else "misses-origin"
     return {
-        "basis": _vertex_json(c.basis),
+        "basis": {"f": monomial_name(c.fx, c.fy), "g": monomial_name(c.gx, c.gy)},
         "exceptional": {"f": c.exc_f, "g": c.exc_g},
         "proper": {"kind": kind, "f_power": abs(c.p), "g_power": c.q},
         "sign": c.sign,
@@ -460,8 +460,8 @@ def _chart_text(f: str, g: str, exc_f: str, exc_g: str, p: str, q: str,
 
 def format_chart_text(c: ChartState) -> str:
     """One-line ``V(exceptional) + V(proper)`` decomposition of a chart."""
-    return _chart_text(str(c.basis.f), str(c.basis.g), str(c.exc_f), str(c.exc_g),
-                       str(abs(c.p)), str(c.q), c.p > 0, c.sign)
+    return _chart_text(monomial_name(c.fx, c.fy), monomial_name(c.gx, c.gy), str(c.exc_f),
+                       str(c.exc_g), str(abs(c.p)), str(c.q), c.p > 0, c.sign)
 
 
 def trace_text_chunks(trace: ResolutionTrace, show_steps: bool = False) -> Iterator[str]:

@@ -127,13 +127,18 @@ def sqrt2_stream() -> CFStream:
     return CFStream.from_periodic((1,), (2,))
 
 
+def _require_coprime(a: int, b: int) -> None:
+    """ValueError unless gcd(a, b) = 1."""
+    if gcd(a, b) != 1:
+        raise ValueError(f"({a}, {b}) are not coprime")
+
+
 def _coprime_pair(a, b, least_b: int = 1) -> tuple[int, int]:
     """``(int(a), int(b))`` for coprime a > b >= ``least_b``, which is 1 or 2; else ValueError."""
     a, b = int(a), int(b)
     if not a > b >= least_b:
         raise ValueError("need a > b > 1" if least_b == 2 else "need a > b >= 1")
-    if gcd(a, b) != 1:
-        raise ValueError(f"({a}, {b}) are not coprime")
+    _require_coprime(a, b)
     return a, b
 
 

@@ -35,17 +35,16 @@ class ZeroPolynomialError(ValueError):
 class Monomial:
     """x^ex * y^ey as a point of the exponent lattice.
 
-    Immutable, with its hash computed once.  Equal only to another
-    ``Monomial``, never to a plain tuple; a polynomial's term map is keyed
-    by the (ex, ey) pair, and hands out a ``Monomial`` only when asked.
+    Immutable.  Equal only to another ``Monomial``, never to a plain
+    tuple; a polynomial's term map is keyed by the (ex, ey) pair, and
+    hands out a ``Monomial`` only when asked.
     """
 
-    __slots__ = ("ex", "ey", "_hash")
+    __slots__ = ("ex", "ey")
 
     def __init__(self, ex: int, ey: int):
         _set_ex(self, ex)
         _set_ey(self, ey)
-        _set_hash(self, hash((ex, ey)))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r} of an immutable Monomial")
@@ -62,7 +61,7 @@ class Monomial:
         return NotImplemented
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash((self.ex, self.ey))
 
     def __repr__(self) -> str:
         return f"Monomial(ex={self.ex!r}, ey={self.ey!r})"
@@ -136,7 +135,6 @@ def monomial_names(ex: int, ey: int) -> tuple[str, str]:
 # Slot setters, so construction skips the __setattr__ guard.
 _set_ex = Monomial.ex.__set__
 _set_ey = Monomial.ey.__set__
-_set_hash = Monomial._hash.__set__
 
 UNIT = Monomial(0, 0)
 X = Monomial(1, 0)

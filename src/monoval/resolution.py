@@ -44,16 +44,13 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import cached_property, partial
-from math import gcd
 from typing import Iterable, Iterator, NamedTuple, Union
 
-from .exactnum import _coprime_pair
+from .exactnum import _coprime_pair, _require_coprime
 from .laurent import (
-    IDENTITY_BASIS,
     ChartBasis,
     LaurentPolynomial,
     Monomial,
-    UNIT,
     binomial,
     factor_monomial_content,
     rewrite_in_chart,
@@ -79,8 +76,7 @@ class ThroughOrigin:
     def __post_init__(self) -> None:
         if self.s < 1 or self.t < 1:
             raise ValueError("exponents of a binomial through the origin must be >= 1")
-        if gcd(self.s, self.t) != 1:
-            raise ValueError(f"({self.s}, {self.t}) are not coprime")
+        _require_coprime(self.s, self.t)
 
 
 @dataclass(frozen=True)
@@ -262,13 +258,7 @@ def cusp_polynomial(a: int, b: int) -> LaurentPolynomial:
 def initial_chart(a: int, b: int) -> ChartState:
     """The chart k[x, y] carrying the curve x^b - y^a."""
     a, b = _coprime_pair(a, b, least_b=2)
-    return ChartState(
-        basis=IDENTITY_BASIS,
-        exc_f=0,
-        exc_g=0,
-        proper=ThroughOrigin(s=b, t=a),
-        sign=1,
-    )
+    return _named((1, 0, 0, 1, 0, 0, b, a, 1))
 
 
 def _children(row: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -491,15 +481,10 @@ def chart_agrees_with_lattice(c: ChartState, a: int, b: int) -> bool:
     content, primitive = factor_monomial_content(in_chart)
     if content != Monomial(c.exc_f, c.exc_g):
         return False
-    if isinstance(c.proper, ThroughOrigin):
-        expected = LaurentPolynomial(
-            {Monomial(c.proper.s, 0): c.sign, Monomial(0, c.proper.t): -c.sign}
-        )
-    else:
-        expected = LaurentPolynomial(
-            {UNIT: c.sign, Monomial(c.proper.f_exp, c.proper.g_exp): -c.sign}
-        )
-    return primitive == expected
+    p, q, sign = c.p, c.q, c.sign
+    if p > 0:
+        return primitive == binomial(p, 0, 0, q, sign)  # sign * (c1^p - c2^q)
+    return primitive == binomial(0, 0, -p, q, sign)  # sign * (1 - c1^-p c2^q)
 
 
 def is_smooth_component(component: Proper, characteristic: int = 0) -> bool:
@@ -536,7 +521,7 @@ def off_origin_crossing_report(c: ChartState, characteristic: int = 0) -> OffOri
     unity are reported as skipped.  Binomials through the origin meet the
     axes only at the origin itself, which is the classifier's job.
     """
-    if not isinstance(c.proper, MissesOrigin):
+    if c.p > 0:
         return OffOriginReport(points=(), skipped=0)
     points: list[tuple[str, bool]] = []
     skipped = 0
@@ -552,7 +537,7 @@ def off_origin_crossing_report(c: ChartState, characteristic: int = 0) -> OffOri
         if exp_on_other % 2 == 0:
             points.append((f"{axis} = 0, unit coordinate -1", transversal))
 
-    k, l = c.proper.f_exp, c.proper.g_exp
+    k, l = -c.p, c.q
     if k == 0 and l >= 1:
         axis_meetings(l, "c1", c.exc_f >= 1)
     if l == 0 and k >= 1:

@@ -16,10 +16,9 @@ searching the positive path for a vertex ring that contains them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 from typing import NamedTuple, Optional
 
-from .exactnum import _coprime_pair
+from .exactnum import _coprime_pair, _require_coprime
 from .laurent import (
     ChartBasis,
     Monomial,
@@ -47,8 +46,7 @@ class RingPresentation:
     b: int
 
     def __post_init__(self) -> None:
-        if gcd(self.a, self.b) != 1:
-            raise ValueError(f"({self.a}, {self.b}) are not coprime")
+        _require_coprime(self.a, self.b)
         if self.p * self.a - self.q * self.b != 1:
             raise ValueError(f"p*a - q*b = {self.p * self.a - self.q * self.b}, expected 1")
         if self.u != Monomial(-self.b, self.a) or self.v != Monomial(self.p, -self.q):
@@ -97,10 +95,8 @@ def membership_structural(r: RationalFunction, pres: RingPresentation) -> Struct
     if r.numerator.is_zero:
         raise ZeroPolynomialError("numerator is zero; the value is infinite")
     basis = pres.basis()
-    num = rewrite_in_chart(r.numerator, basis)
-    den = rewrite_in_chart(r.denominator, basis)
-    n = min(mono.ey for mono in num.monomials())
-    m = min(mono.ey for mono in den.monomials())
+    n = rewrite_in_chart(r.numerator, basis).min_exponents()[1]
+    m = rewrite_in_chart(r.denominator, basis).min_exponents()[1]
     return StructuralMembership(member=n >= m, gap=n - m)
 
 

@@ -151,6 +151,16 @@ def test_alternate_form(r):
     assert cf_canonicalize(alt) == cf
 
 
+@pytest.mark.parametrize(
+    "digits, canonical",
+    [((3, 2, 2, 1), (3, 2, 3)), ((0, 1), (1,)), ((-2, 4, 1), (-2, 5))],
+)
+def test_the_alternate_of_an_expansion_ending_in_1_is_canonical(digits, canonical):
+    alt = cf_alternate(CFExpansion(digits))
+    assert alt == CFExpansion(canonical)
+    assert cf_value(alt) == cf_value(CFExpansion(digits))
+
+
 def test_sqrt2_stream_digits():
     rho = sqrt2_stream()
     assert [rho.digit(i) for i in range(6)] == [1, 2, 2, 2, 2, 2]
@@ -168,6 +178,15 @@ def test_stream_validation():
         CFStream.from_periodic((1,), ())
     with pytest.raises(ValueError):
         CFStream.from_periodic((1, 0), (2,))
+
+
+def test_a_stream_refuses_a_negative_index_and_names_only_a_known_pattern():
+    ones = CFStream(lambda i: 1)
+    with pytest.raises(IndexError, match="nonnegative"):
+        ones.digit(-1)
+    assert ones.periodic is None
+    assert str(ones) == "<digit stream>"
+    assert str(CFStream.from_periodic((1,), (1, 2))) == "[1; (1, 2)...]"
 
 
 @settings(max_examples=200, deadline=None)

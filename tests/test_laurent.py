@@ -250,6 +250,14 @@ def test_rational_function_arithmetic():
         RationalFunction(LaurentPolynomial.monomial(X), LaurentPolynomial.zero())
 
 
+def test_rational_function_difference():
+    x = RationalFunction.from_monomial(X)
+    y = RationalFunction.from_monomial(Y)
+    assert x - y == RationalFunction(poly({(1, 0): 1, (0, 1): -1}))
+    assert x / y - y / x == RationalFunction(poly({(2, 0): 1, (0, 2): -1}), poly({(1, 1): 1}))
+    assert (x - x).is_zero
+
+
 # -- lean representation -----------------------------------------------------
 
 exponents = st.integers(-(10**30), 10**30)

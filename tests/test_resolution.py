@@ -87,6 +87,23 @@ def test_a_pair_that_is_not_ordered_and_coprime_is_refused_in_the_same_words(che
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize(
+    "kind, exponents, message",
+    [
+        (ThroughOrigin, (0, 1), "exponents of a binomial through the origin must be >= 1"),
+        (ThroughOrigin, (2, -1), "exponents of a binomial through the origin must be >= 1"),
+        (ThroughOrigin, (4, 6), "(4, 6) are not coprime"),
+        (MissesOrigin, (-1, 2), "exponents must be nonnegative"),
+        (MissesOrigin, (1, -2), "exponents must be nonnegative"),
+        (MissesOrigin, (0, 0), "1 - 1 is not a curve component"),
+    ],
+)
+def test_a_proper_transform_refuses_exponents_of_no_curve_component(kind, exponents, message):
+    with pytest.raises(ValueError) as info:
+        kind(*exponents)
+    assert str(info.value) == message
+
+
 def test_blow_up_requires_curve_through_origin():
     c = initial_chart(3, 2)
     first, second = blow_up(c)

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from math import gcd
 
 import pytest
@@ -14,6 +15,7 @@ from monoval.laurent import (
     ZeroPolynomialError,
 )
 from monoval.valring import (
+    RingPresentation,
     bezout,
     membership_by_value,
     membership_structural,
@@ -64,6 +66,23 @@ def test_ring_generators_known():
     assert (pres.u, pres.v) == (Monomial(-7, 24), Monomial(5, -17))
     pres = ring_generators(2, 1)
     assert (pres.u, pres.v) == (Monomial(-1, 2), Monomial(1, -1))
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        ({"a": 4, "b": 2}, "(4, 2) are not coprime"),
+        ({"p": 2, "q": 2, "v": Monomial(2, -2)}, "p*a - q*b = 2, expected 1"),
+        ({"v": Monomial(1, -2)}, "generators do not match the exponent data"),
+        ({"u": Monomial(2, -3)}, "generators do not match the exponent data"),
+    ],
+)
+def test_a_presentation_refuses_data_that_do_not_fit(changes, message):
+    pres = ring_generators(3, 2)
+    assert pres == RingPresentation(pres.u, pres.v, pres.p, pres.q, pres.a, pres.b)
+    with pytest.raises(ValueError) as info:
+        replace(pres, **changes)
+    assert str(info.value) == message
 
 
 def test_ring_generator_values_and_identities():

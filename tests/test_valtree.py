@@ -25,6 +25,7 @@ from monoval.valtree import (
     branch_decomposition,
     cf_correspondence_check,
     children,
+    correspondence_report,
     lex_valuation_from_tail,
     positive_child,
     positive_path,
@@ -170,6 +171,24 @@ def test_cf_correspondence_sweep_to_100():
         for b in range(1, a):
             if gcd(a, b) == 1:
                 assert cf_correspondence_check(a, b).match, (a, b)
+
+
+def test_branches_do_not_depend_on_the_order_of_a_vertex_s_generators():
+    for a in range(2, 25):
+        for b in range(1, a):
+            if gcd(a, b) != 1:
+                continue
+            path = positive_path(MonomialValuation.rational(a, b), max_steps=a + b)
+            branches = branch_decomposition(path)
+            report = correspondence_report(a, b, path)
+            vertices = list(path.vertices)
+            flipped = [TreeVertex(v.g, v.f) for v in vertices]
+            for i in range(len(vertices)):
+                for other in (vertices[:i] + flipped[i:i + 1] + vertices[i + 1:],
+                              flipped[:i] + vertices[i:i + 1] + flipped[i + 1:]):
+                    other = PositivePath(other, complete=True)
+                    assert branch_decomposition(other) == branches, (a, b, i)
+                    assert correspondence_report(a, b, other) == report, (a, b, i)
 
 
 def _value_pairs_along_path(a, b):

@@ -91,6 +91,14 @@ def test_compare_values_lex():
     assert g.realize(Value(2, 3)) == (2, 3)
 
 
+def test_describe_names_the_values_of_x_and_y():
+    assert MonomialValuation.lex((1, 0), (0, 1)).describe() == (
+        "nu(x) = (1, 0), nu(y) = (0, 1) in Z^2 (lex)"
+    )
+    assert LexZ2Group((2, -1), (0, 3)).describe() == "nu(x) = (2, -1), nu(y) = (0, 3) in Z^2 (lex)"
+    assert MonomialValuation.rational(Fraction(3, 2), 1).describe() == "nu(x) = 3/2, nu(y) = 1"
+
+
 def test_rational_group_normalization():
     g = RationalRatioGroup(2, 3)
     assert g.swapped

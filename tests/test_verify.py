@@ -1,9 +1,10 @@
 """The single-pass sweep: one trace and one path per pair, checks still strict."""
 
+import json
 from dataclasses import replace
 
 import oracles
-from monoval import resolution, valtree, verify
+from monoval import cli, resolution, valtree, verify
 from monoval.valtree import PositivePath
 from monoval.verify import Failure, coprime_pairs, run_verify
 
@@ -30,6 +31,30 @@ def test_sweep_catches_a_flipped_chart_sign(monkeypatch):
     assert report.first_failure == Failure(
         7, 5, "reconstruction", "some chart does not expand back to the curve"
     )
+
+
+def test_a_failed_sweep_names_its_first_failure_in_json(monkeypatch, capsys):
+    real_resolve = verify.resolve
+
+    def resolve_with_bad_chart(a, b):
+        trace = real_resolve(a, b)
+        if (a, b) != (7, 5):
+            return trace
+        rows = list(trace.rows)
+        rows[1] = rows[1][:-1] + (-rows[1][-1],)
+        return oracles.trace_from_rows(a, b, rows)
+
+    monkeypatch.setattr(verify, "resolve", resolve_with_bad_chart)
+    assert cli.main(["verify", "--max", "12", "--format", "json"]) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["all_passed"] is False
+    assert report["checks"]["reconstruction"] == {"passed": report["pairs"] - 1, "failed": 1}
+    assert report["first_failure"] == {
+        "a": 7,
+        "b": 5,
+        "check": "reconstruction",
+        "detail": "some chart does not expand back to the curve",
+    }
 
 
 def test_sweep_catches_a_dropped_path_vertex(monkeypatch):
