@@ -21,16 +21,16 @@ division of the chart's own s by t, and steps each run's last row with
 ``_children`` and ``_kind``.  It never reads the digits of a/b and
 never calls a valuation.  A trace takes memory in the number of digits,
 not of blow-ups: ``ResolutionTrace.rows`` and ``steps`` are lazy
-sequences over the runs, which iterate by addition and index by a
-bisection of the cumulative lengths, and ``blow_up_count`` is a sum.
-Exponents grow fast along a resolution, so nothing is expanded except in
-the reconstruction check.  It walks the rows of the runs by addition,
-blows up every row with the public ``blow_up``, multiplies the root chart
-and both children of every row back out with ``expand_chart`` and must
-recover x^b - y^a on the nose from each.  A chart expands to two terms
-whose exponent pairs are computed as ints; ``laurent.binomial`` wraps
-them without the general constructor's checks, so a chart costs about
-what its integers cost.
+sequences over the runs, which build row j of a run with ``_row_at``
+and index by a bisection of the cumulative lengths, and
+``blow_up_count`` is a sum.  Exponents grow fast along a resolution, so
+nothing is expanded except in the reconstruction check.  It reads the
+rows of the runs in order, blows up every row with the public
+``blow_up``, multiplies the root chart and both children of every row
+back out with ``expand_chart`` and must recover x^b - y^a on the nose
+from each.  A chart expands to two terms whose exponent pairs are
+computed as ints; ``laurent.binomial`` wraps them without the general
+constructor's checks, so a chart costs about what its integers cost.
 
 Blowing up a chart origin substitutes one coordinate for the product of
 the other two and refactors; the driver repeatedly blows up the unique
@@ -44,7 +44,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import cached_property, partial
-from typing import Iterable, Iterator, NamedTuple, Union
+from typing import Iterator, NamedTuple, Union
 
 from .exactnum import _coprime_pair, _require_coprime
 from .laurent import (
@@ -196,12 +196,12 @@ class ResolutionTrace:
     @cached_property
     def rows(self) -> ExpandedRuns:
         """Every row, a tuple of nine ints, each built when it is read."""
-        return ExpandedRuns(self.runs, self.blow_up_count, _row_at, _expand_rows)
+        return ExpandedRuns(self.runs, self.blow_up_count, _row_at)
 
     @property
     def steps(self) -> ExpandedRuns:
         """The ``ResolutionStep`` of every row, each built when it is read."""
-        return ExpandedRuns(self.runs, self.blow_up_count, _step_at, _expand_steps)
+        return ExpandedRuns(self.runs, self.blow_up_count, _step_at)
 
     def all_charts(self) -> list[ChartState]:
         """The root chart plus every child produced along the trace."""
@@ -318,27 +318,8 @@ def _row_at(row: tuple[int, ...], j: int) -> tuple[int, ...]:
     return (fx, fy, gx - j * fx, gy - j * fy, A + j * (B + t), B, s - j * t, t, sign)
 
 
-def _expand_rows(runs: Iterable[RowRun]) -> Iterator[tuple[int, ...]]:
-    """Every row of the runs, in order, stepped by addition."""
-    for row, n in runs:
-        yield row
-        if n > 1:
-            fx, fy, gx, gy, A, B, s, t, sign = row
-            step = B + t
-            for _ in range(n - 1):
-                gx -= fx
-                gy -= fy
-                A += step
-                s -= t
-                yield fx, fy, gx, gy, A, B, s, t, sign
-
-
 def _step_at(row: tuple[int, ...], j: int) -> ResolutionStep:
     return _step_view(_row_at(row, j))
-
-
-def _expand_steps(runs: Iterable[RowRun]) -> Iterator[ResolutionStep]:
-    return map(_step_view, _expand_rows(runs))
 
 
 def _charts(trace: ResolutionTrace) -> Iterator[ChartState]:

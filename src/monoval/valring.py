@@ -15,7 +15,9 @@ searching the positive path for a vertex ring that contains them.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
+from itertools import islice
 from typing import NamedTuple, Optional
 
 from .exactnum import _coprime_pair, _require_coprime
@@ -28,7 +30,7 @@ from .laurent import (
     rewrite_in_chart,
 )
 from .valuation import MonomialValuation
-from .valtree import first_vertices, walk
+from .valtree import walk
 
 
 @dataclass(frozen=True)
@@ -126,7 +128,10 @@ def membership_union(
     nu(x) or nu(y) is not positive or the two are equal, and when
     ``max_steps`` is negative.
     """
-    for index, vertex in enumerate(first_vertices(walk(nu), max_steps)):
+    if max_steps < 0:
+        raise ValueError("max_steps must not be negative")
+    # islice takes no count past sys.maxsize, and no walk gets that far
+    for index, vertex in enumerate(islice(walk(nu), min(max_steps, sys.maxsize))):
         alpha, beta = lattice_solve(mono, vertex)
         if alpha >= 0 and beta >= 0:
             return index

@@ -26,12 +26,11 @@ against.
 
 from __future__ import annotations
 
-import sys
 from bisect import bisect_right
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, count, islice, starmap
+from itertools import accumulate, count, starmap
 from operator import eq
 from typing import Callable, Iterator, Optional
 
@@ -52,29 +51,28 @@ Run = tuple[tuple[int, ...], Optional[int]]
 class ExpandedRuns(Sequence):
     """The items of runs, ``at(start, j)`` for j < n of each run (start, n), built when read.
 
-    ``len`` is the sum of the lengths.  Iteration is ``expand(runs)``,
-    which steps through each run by addition.  Indexing bisects the
-    cumulative lengths, computed when first needed; the last item is
-    read off the last run.  Equal to any tuple, list or expanded runs
-    with equal items in the same order.
+    ``len`` is the sum of the lengths.  Iteration reads each run's items
+    by ``at`` in order.  Indexing bisects the cumulative lengths,
+    computed when first needed.  Equal to any tuple, list or expanded
+    runs with equal items in the same order.
     """
 
-    __slots__ = ("_runs", "_count", "_at", "_expand", "_ends")
+    __slots__ = ("_runs", "_count", "_at", "_ends")
 
-    def __init__(self, runs: tuple[Run, ...], n: int,
-                 at: Callable[[tuple, int], object],
-                 expand: Callable[[tuple[Run, ...]], Iterator]):
+    def __init__(self, runs: tuple[Run, ...], n: int, at: Callable[[tuple, int], object]):
         self._runs = runs
         self._count = n
         self._at = at
-        self._expand = expand
         self._ends = None
 
     def __len__(self) -> int:
         return self._count
 
     def __iter__(self) -> Iterator:
-        return self._expand(self._runs)
+        at = self._at
+        for start, n in self._runs:
+            for j in range(n):
+                yield at(start, j)
 
     def __getitem__(self, i):
         n = self._count
@@ -84,9 +82,6 @@ class ExpandedRuns(Sequence):
             i += n
         if not 0 <= i < n:
             raise IndexError("index out of range")
-        if i == n - 1:  # the last item, read by every printability check
-            start, length = self._runs[-1]
-            return self._at(start, length - 1)
         if self._ends is None:
             self._ends = list(accumulate(length for _, length in self._runs))
         r = bisect_right(self._ends, i)
@@ -137,11 +132,6 @@ def _vertex_at(start: tuple, j: int) -> TreeVertex:
     return _vertex(fx, fy, gx - j * fx, gy - j * fy)
 
 
-def _vertices(runs: Iterable[Run]) -> Iterator[TreeVertex]:
-    """Every vertex of runs, built when it is read."""
-    return starmap(_vertex, run_bases(runs))
-
-
 class PositivePath:
     """Ordered vertices of the positive path, starting at k[x, y], kept as runs.
 
@@ -177,7 +167,7 @@ class PositivePath:
 
     @property
     def vertices(self) -> ExpandedRuns:
-        return ExpandedRuns(self.runs, self.count, _vertex_at, _vertices)
+        return ExpandedRuns(self.runs, self.count, _vertex_at)
 
     @property
     def status(self) -> str:
@@ -187,7 +177,7 @@ class PositivePath:
         return self.count
 
     def __iter__(self) -> Iterator[TreeVertex]:
-        return _vertices(self.runs)
+        return iter(self.vertices)
 
     def __getitem__(self, i):
         return self.vertices[i]
@@ -289,15 +279,7 @@ def walk_runs(nu: MonomialValuation) -> Iterator[Run]:
 
 def walk(nu: MonomialValuation) -> Iterator[TreeVertex]:
     """Yield the positive path from the root a vertex at a time (see ``walk_runs``)."""
-    return _vertices(walk_runs(nu))
-
-
-def first_vertices(vertices: Iterator[TreeVertex], max_steps: int) -> Iterator[TreeVertex]:
-    """The first ``max_steps`` vertices of a walk, or all of them when it ends sooner."""
-    if max_steps < 0:
-        raise ValueError("max_steps must not be negative")
-    # islice takes no count past sys.maxsize, and no walk gets that far
-    return islice(vertices, min(max_steps, sys.maxsize))
+    return starmap(_vertex, run_bases(walk_runs(nu)))
 
 
 def take_path(vertices: Iterable[TreeVertex], max_steps: int) -> PositivePath:
@@ -400,16 +382,12 @@ def correspondence_report(a: int, b: int, path: PositivePath) -> CorrespondenceR
     ``path`` should be the positive path of nu(x) = a, nu(y) = b, for
     coprime a > b >= 1.  The expected lengths are the canonical digits
     with the last one decremented (equivalently, the longer expansion
-    ending in 1, dropped); a trailing zero-length branch is dropped.
+    ending in 1, dropped).
     """
     lengths = tuple(br.length for br in branch_decomposition(path))
     cf = cf_expand(Fraction(a, b))
-    expected = list(cf.digits)
-    expected[-1] -= 1
-    if expected and expected[-1] == 0:
-        expected.pop()
-    expected_t = tuple(expected)
-    return CorrespondenceReport(a, b, lengths, cf.digits, expected_t, lengths == expected_t)
+    expected = cf.digits[:-1] + (cf.digits[-1] - 1,)
+    return CorrespondenceReport(a, b, lengths, cf.digits, expected, lengths == expected)
 
 
 def cf_correspondence_check(a: int, b: int) -> CorrespondenceReport:

@@ -217,6 +217,12 @@ def test_factor_monomial_content():
         factor_monomial_content(LaurentPolynomial.zero())
 
 
+def test_the_zero_polynomial_has_no_least_exponents():
+    with pytest.raises(ZeroPolynomialError) as err:
+        LaurentPolynomial().min_exponents()
+    assert str(err.value) == "zero polynomial has no exponents"
+
+
 def test_factor_content_reassembles_random():
     rng = random.Random(5)
     for _ in range(200):
@@ -248,6 +254,12 @@ def test_rational_function_arithmetic():
         x / RationalFunction.constant(0)
     with pytest.raises(ZeroDivisionError):
         RationalFunction(LaurentPolynomial.monomial(X), LaurentPolynomial.zero())
+
+
+def test_the_zero_rational_function_has_no_negative_powers():
+    with pytest.raises(ZeroDivisionError) as err:
+        RationalFunction(LaurentPolynomial()) ** -1
+    assert str(err.value) == "cannot invert the zero rational function"
 
 
 def test_rational_function_difference():

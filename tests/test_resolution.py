@@ -216,6 +216,13 @@ def test_reconstruction_and_lattice_cross_check_sweep():
                 assert chart_agrees_with_lattice(c, a, b), (a, b)
 
 
+def test_lattice_cross_check_rejects_a_wrong_exceptional_content():
+    chart = resolve(24, 7).all_charts()[3]
+    assert chart_agrees_with_lattice(chart, 24, 7)
+    raised = ChartState._make((*chart[:4], chart.exc_f + 1, *chart[5:]))
+    assert not chart_agrees_with_lattice(raised, 24, 7)
+
+
 def test_lemma_invariants_along_traces():
     # at most one unresolved child per step, coprime (s, t) everywhere,
     # and the (s, t) pairs follow the subtractive Euclid on (b, a)
@@ -254,6 +261,12 @@ def test_is_smooth_component():
         is_smooth_component(MissesOrigin(0, 1), characteristic=-1)
 
 
+def test_smoothness_refuses_what_is_not_a_curve_component():
+    with pytest.raises(TypeError) as err:
+        is_smooth_component(object())
+    assert str(err.value) == "not a curve component: object"
+
+
 def test_off_origin_crossing_report():
     chart = ChartState(
         ChartBasis(Monomial(1, -1), Monomial(-2, 3)), 6, 2, MissesOrigin(0, 1), 1
@@ -275,6 +288,20 @@ def test_off_origin_crossing_report():
         for c in resolve(a, b).all_charts():
             if isinstance(c.proper, MissesOrigin):
                 assert off_origin_crossing_report(c).all_transversal
+
+
+def test_off_origin_crossings_lie_only_on_exceptional_axes():
+    # 1 - c1^4 meets c2 = 0 at c1^4 = 1: +1 and -1 are exact, two roots skipped
+    chart = ChartState(ChartBasis(X, Monomial(-1, 1)), 0, 2, MissesOrigin(4, 0), 1)
+    rep = off_origin_crossing_report(chart)
+    assert rep.points == (
+        ("c2 = 0, unit coordinate +1", True),
+        ("c2 = 0, unit coordinate -1", True),
+    )
+    assert rep.skipped == 2
+    # with neither axis exceptional there is no crossing to check
+    bare = ChartState(ChartBasis(X, Monomial(-1, 1)), 0, 0, MissesOrigin(0, 4), 1)
+    assert off_origin_crossing_report(bare) == resolution.OffOriginReport(points=(), skipped=0)
 
 
 def test_component_smoothness_along_traces():

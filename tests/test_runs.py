@@ -87,6 +87,7 @@ def test_indexing_the_rows_bisects_to_the_rows_iteration_gives(pair, rng):
     steps = oracles.resolve_steps(*pair)
     n = len(rows)
     assert len(trace.rows) == n == trace.blow_up_count
+    assert list(trace.steps) == steps
     for i in [0, n - 1, -1, -n] + [rng.randrange(-n, n) for _ in range(20)]:
         assert trace.rows[i] == rows[i]
         assert trace.steps[i] == steps[i]
