@@ -24,13 +24,13 @@ not of blow-ups: ``ResolutionTrace.rows`` and ``steps`` are lazy
 sequences over the runs, which build row j of a run with ``_row_at``
 and index by a bisection of the cumulative lengths, and
 ``blow_up_count`` is a sum.  Exponents grow fast along a resolution, so
-nothing is expanded except in the reconstruction check.  It reads the
+no polynomial is built on the way.  The reconstruction check reads the
 rows of the runs in order, blows up every row with the public
-``blow_up``, multiplies the root chart and both children of every row
-back out with ``expand_chart`` and must recover x^b - y^a on the nose
-from each.  A chart expands to two terms whose exponent pairs are
-computed as ints; ``laurent.binomial`` wraps them without the general
-constructor's checks, so a chart costs about what its integers cost.
+``blow_up``, and checks that the root chart and both children of every
+row recover x^b - y^a on the nose.  It compares the exponent pairs of
+the two terms that ``expand_chart`` would multiply back out, and the
+chart's sign, as ints with those of x^b - y^a; so a chart costs about
+what its integers cost.
 
 Blowing up a chart origin substitutes one coordinate for the product of
 the other two and refactors; the driver repeatedly blows up the unique
@@ -397,8 +397,10 @@ def theorem_report(trace: ResolutionTrace, val_path: PositivePath) -> TheoremRep
     """Compare a trace's bad-chart path with a valuation's positive path.
 
     ``val_path`` should be the positive path of nu(x) = a, nu(y) = b for
-    the trace's (a, b); it must be complete to count as equal.  Vertices
-    are compared one by one, as ints, as unordered generator pairs.
+    the trace's (a, b); it must be complete to count as equal.  Both are
+    merged into maximal runs, which decide when they are equal; otherwise
+    vertices are compared one by one, as ints, as unordered generator
+    pairs.
     """
     equal = (
         val_path.complete
@@ -420,35 +422,46 @@ def check_theorem(a: int, b: int) -> TheoremReport:
     return theorem_report(trace, positive_path(nu, max_steps=a + b))
 
 
+def _chart_pairs(c: tuple[int, ...]) -> tuple[int, int, int, int]:
+    """The exponent pairs (ex1, ey1) and (ex2, ey2) of a chart's two terms, in a row.
+
+    Through the origin the curve is sign * (f^(A+p) g^B - f^A g^(B+q));
+    missing it, sign * (f^A g^B - f^(A-p) g^(B+q)).
+    """
+    fx, fy, gx, gy, A, B, p, q, _ = c
+    i, j = (A + p, A) if p > 0 else (A, A - p)  # powers of f in the two terms
+    k = B + q
+    return fx * i + gx * B, fy * i + gy * B, fx * j + gx * k, fy * j + gy * k
+
+
 def expand_chart(c: ChartState) -> LaurentPolynomial:
     """Multiply a chart's factors back out into x, y coordinates, in one pass.
 
     The reconstruction invariant: for every chart of every trace of
     x^b - y^a this equals x^b - y^a exactly (the tracked sign absorbs the
-    sign changes of the refactoring steps).  Through the origin the curve
-    is sign * (f^(A+p) g^B - f^A g^(B+q)); missing it,
-    sign * (f^A g^B - f^(A-p) g^(B+q)).  The two terms are summed, so a
-    tuple whose two monomials coincide, as they can over a degenerate
-    basis or with p = q = 0, expands to zero.  The exponents are computed
-    as ints, and ``laurent.binomial`` wraps the two terms as they are
-    when the sign is a nonzero int and the pairs differ.
+    sign changes of the refactoring steps).  The two terms of
+    ``_chart_pairs`` are summed, so a tuple whose two monomials coincide,
+    as they can over a degenerate basis or with p = q = 0, expands to
+    zero.  ``laurent.binomial`` wraps the two terms as they are when the
+    sign is a nonzero int and the pairs differ.
     """
-    fx, fy, gx, gy, A, B, p, q, sign = c
-    i, j = (A + p, A) if p > 0 else (A, A - p)  # powers of f in the two terms
-    k = B + q
-    return binomial(fx * i + gx * B, fy * i + gy * B, fx * j + gx * k, fy * j + gy * k, sign)
+    return binomial(*_chart_pairs(c), c[8])
 
 
 def verify_reconstruction(trace: ResolutionTrace) -> bool:
     """True when every chart of the trace expands to x^b - y^a exactly.
 
     The charts are the root's and both of those ``blow_up`` makes of
-    every row, so the public rule is checked on every blow-up and every
-    chart is expanded with ``expand_chart``; the first chart that differs
-    ends the check.
+    every row, so the public rule is checked on every blow-up.  A chart
+    is checked as its exponent pairs and sign, as ints: ``expand_chart``
+    gives sign * (m1 - m2), which is x^b - y^a exactly when m1 = x^b and
+    m2 = y^a with sign 1, or the other way round with sign -1.  Any other
+    sign fails, and so do coinciding pairs, which expand to 0.  No
+    polynomial is built; the first chart that differs ends the check.
     """
-    curve = cusp_polynomial(trace.a, trace.b)
-    return all(expand_chart(c) == curve for c in _charts(trace))
+    a, b = trace.a, trace.b
+    pairs = {1: (b, 0, 0, a), -1: (0, a, b, 0)}  # by sign
+    return all(_chart_pairs(c) == pairs.get(c[8]) for c in _charts(trace))
 
 
 def chart_agrees_with_lattice(c: ChartState, a: int, b: int) -> bool:

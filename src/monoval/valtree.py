@@ -107,12 +107,34 @@ def run_bases(runs: Iterable[Run]) -> Iterator[tuple[int, int, int, int]]:
             gy -= fy
 
 
-def _same_vertices(runs: Iterable[Run], others: Iterable[Run]) -> bool:
+def _maximal_runs(runs: Iterable[Run]) -> list[Run]:
+    """Finite runs as ((fx, fy, gx, gy), n), each merged with the runs that continue it.
+
+    A run ((f, g), m) absorbs the run that follows it when that run
+    starts at (f, g/f^m): the vertices are the same, in the same order.
+    """
+    merged: list[Run] = []
+    for start, n in runs:
+        fx, fy, gx, gy = start[:4]
+        if merged:
+            (px, py, qx, qy), m = merged[-1]
+            if fx == px and fy == py and gx == qx - m * px and gy == qy - m * py:
+                merged[-1] = (px, py, qx, qy), m + n
+                continue
+        merged.append(((fx, fy, gx, gy), n))
+    return merged
+
+
+def _same_vertices(runs: tuple[Run, ...], others: tuple[Run, ...]) -> bool:
     """Whether two runs of equal vertex counts hold the same vertices, in order.
 
     Two vertices are the same when they hold the same two generators, in
-    either order.  The bases are compared as ints; no vertex is built.
+    either order.  Equal maximal runs have equal starts and lengths, so
+    they hold the same vertices; otherwise the bases are compared vertex
+    by vertex.  Both are compared as ints; no vertex is built.
     """
+    if _maximal_runs(runs) == _maximal_runs(others):
+        return True
     return all(u == v or u == (v[2], v[3], v[0], v[1])
                for u, v in zip(run_bases(runs), run_bases(others)))
 
@@ -336,15 +358,20 @@ def branch_decomposition(path: PositivePath) -> tuple[Branch, ...]:
     Generators are compared as exponent pairs, and a ``Monomial`` is
     built only for the branches returned.
     """
+    return tuple(Branch(Monomial(*s), Monomial(*t), n) for s, t, n in _branches(path))
+
+
+def _branches(path: PositivePath) -> list[list]:
+    """[s, t, length] of each branch, s and t exponent pairs (see ``branch_decomposition``)."""
     if path.count < 2:
         raise ValueError("need at least two vertices to decompose")
-    branches: list[list] = []  # [s, t, length], s and t exponent pairs
+    branches: list[list] = []
     for shared, t, steps in _shared_steps(path.runs):
         if branches and branches[-1][0] == shared:
             branches[-1][2] += steps
         else:
             branches.append([shared, t, steps])
-    return tuple(Branch(Monomial(*s), Monomial(*t), n) for s, t, n in branches)
+    return branches
 
 
 def _shared_steps(runs: tuple[Run, ...]) -> Iterator[tuple[tuple[int, int], tuple[int, int], int]]:
@@ -384,7 +411,7 @@ def correspondence_report(a: int, b: int, path: PositivePath) -> CorrespondenceR
     with the last one decremented (equivalently, the longer expansion
     ending in 1, dropped).
     """
-    lengths = tuple(br.length for br in branch_decomposition(path))
+    lengths = tuple(n for _, _, n in _branches(path))
     cf = cf_expand(Fraction(a, b))
     expected = cf.digits[:-1] + (cf.digits[-1] - 1,)
     return CorrespondenceReport(a, b, lengths, cf.digits, expected, lengths == expected)

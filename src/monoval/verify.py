@@ -4,8 +4,10 @@ For every coprime pair 1 < b < a <= max_a this runs four independent
 checks: the bad-chart path of the resolution equals the valuation's
 positive path, branch lengths match continued-fraction digits, the
 blow-up count equals the digit sum, and every chart of every trace
-expands back to x^b - y^a exactly.  Failures are report content, never
-exceptions; the first counterexample is kept verbatim.
+expands back to x^b - y^a exactly.  The paths are compared as maximal
+runs, vertex by vertex only where those differ, and each chart as the
+exponent pairs and sign of its two terms, as ints.  Failures are report
+content, never exceptions; the first counterexample is kept verbatim.
 """
 
 from __future__ import annotations

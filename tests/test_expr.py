@@ -374,3 +374,10 @@ def test_the_work_budget_admits_a_two_term_initial_form_to_the_500th():
     assert len(lower(node).numerator) == 501
     for a, b in ((3, 2), (1, 1)):
         assert by_initial_forms(node, a, b) == 500 * min(2 * a, 3 * b)
+
+
+def test_lowering_and_initial_values_refuse_a_node_of_no_known_kind():
+    for call in (lambda: lower(object()), lambda: initial_value(object(), 3, 2)):
+        with pytest.raises(TypeError) as err:
+            call()
+        assert str(err.value) == "unknown node object"

@@ -453,3 +453,13 @@ def test_public_value_types_pickle_at_every_protocol(name, proto):
     value = PUBLIC_VALUES[name]
     twin = pickle.loads(pickle.dumps(value, proto))
     assert type(twin) is type(value) and twin == value and repr(twin) == repr(value)
+
+
+def test_values_leave_operations_with_other_types_to_python():
+    p = LaurentPolynomial.monomial(X, 2)
+    for value in (X, p, IDENTITY_BASIS, RationalFunction(p)):
+        assert value.__eq__(object()) is NotImplemented
+        assert value != object()
+    assert p.__mul__("x") is NotImplemented
+    with pytest.raises(TypeError):
+        p * "x"

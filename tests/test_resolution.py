@@ -495,7 +495,7 @@ def test_a_rule_leaving_two_unresolved_children_raises(monkeypatch):
 
 
 def counting(monkeypatch, name):
-    """Replace a public function of ``resolution`` by one that records its argument."""
+    """Replace a function of ``resolution`` by one that records its argument."""
     calls = []
     real = getattr(resolution, name)
 
@@ -507,16 +507,72 @@ def counting(monkeypatch, name):
     return calls
 
 
-def test_reconstruction_expands_the_root_and_both_children_of_every_row(monkeypatch):
-    expanded = counting(monkeypatch, "expand_chart")
+def test_reconstruction_checks_the_root_and_both_children_of_every_row(monkeypatch):
+    checked = counting(monkeypatch, "_chart_pairs")
     blown = counting(monkeypatch, "blow_up")
     for a, b in [(3, 2), (24, 7), (377, 233), (20001, 20000)]:
         trace = resolve(a, b)
-        expanded.clear()
+        charts = trace.all_charts()
+        checked.clear()
         blown.clear()
         assert verify_reconstruction(trace)
-        assert len(expanded) == 2 * trace.blow_up_count + 1
+        assert len(checked) == 2 * trace.blow_up_count + 1
+        assert checked == charts
         assert blown == list(trace.rows)  # the public rule makes every child
+
+
+def oracle_reconstruction(trace) -> bool:
+    """The reconstruction verdict of the oracle expansion of every chart.
+
+    A row that misses the origin has no children, and a tuple that names
+    no chart (a basis that is not unimodular, a proper transform that is
+    no curve) has no oracle expansion: both fail.
+    """
+    curve = cusp_polynomial(trace.a, trace.b)
+    try:
+        return all(oracles.expand_chart(c) == curve for c in trace.all_charts())
+    except ValueError:
+        return False
+
+
+def int_reconstruction(trace) -> bool:
+    try:
+        return verify_reconstruction(trace)
+    except ValueError:  # blow_up refuses a row that misses the origin
+        return False
+
+
+def test_the_int_check_agrees_with_the_oracle_expansion_for_a_up_to_60():
+    for a in range(3, 61):
+        for b in range(2, a):
+            if gcd(a, b) == 1:
+                trace = resolve(a, b)
+                assert verify_reconstruction(trace) is oracle_reconstruction(trace) is True
+
+
+@st.composite
+def corrupted_traces(draw):
+    """A trace of one-row runs with one row corrupted: an entry moved by one,
+    a sign of 0 or +-2, or a basis (f, f) with p = q, whose two pairs coincide."""
+    a, b = draw(oracles.coprime_pairs(500))
+    rows = [list(row) for row in resolve(a, b).rows]
+    row = rows[draw(st.integers(0, len(rows) - 1))]
+    how = draw(st.sampled_from(("entry", "sign", "coincide")))
+    if how == "entry":
+        row[draw(st.integers(0, 8))] += draw(st.sampled_from((-1, 1)))
+    elif how == "sign":
+        row[8] = draw(st.sampled_from((0, 2, -2)))
+    else:
+        row[2:4], row[7] = row[0:2], row[6]
+    return oracles.trace_from_rows(a, b, rows)
+
+
+@example(oracles.trace_from_rows(3, 2, [(1, 0, 1, 0, 0, 0, 1, 1, 1)]))
+@example(oracles.trace_from_rows(3, 2, [(1, 0, 0, 1, 0, 0, 2, 3, 2)]))
+@settings(max_examples=300, deadline=None)
+@given(corrupted_traces())
+def test_the_int_check_agrees_with_the_oracle_expansion_on_corrupted_traces(trace):
+    assert int_reconstruction(trace) == oracle_reconstruction(trace)
 
 
 def test_resolve_steps_each_run_end_with_the_blow_up_rule(monkeypatch):

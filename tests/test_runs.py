@@ -12,6 +12,7 @@ agree with a comparison of the vertices themselves.
 import random
 import time
 from itertools import accumulate, zip_longest
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -24,6 +25,8 @@ from monoval.resolution import resolve, theorem_report
 from monoval.valtree import (
     PositivePath,
     TreeVertex,
+    _maximal_runs,
+    _same_vertices,
     branch_decomposition,
     children,
     correspondence_report,
@@ -237,10 +240,69 @@ def test_theorem_report_agrees_with_comparing_vertices(pair, rng):
     variants = [path, PositivePath(swapped, True), PositivePath(moved, True),
                 PositivePath(vertices, False), PositivePath(vertices[:-1], True),
                 PositivePath(vertices + [children(vertices[-1])[0]], True)]
+    runs = path.runs
+    for recut in (split_run, merge_runs, swap_run, run_off_by_one):
+        changed = recut(runs, rng)
+        if changed is not None:
+            variants.append(PositivePath.from_runs(changed, True))
     for p in variants:
         assert theorem_report(trace, p).equal == vertex_equal(bad, p)
+        if p.count == trace.blow_up_count:
+            assert _same_vertices(trace.runs, p.runs) == all(map(ChartBasis.__eq__, bad, p))
+        assert (p == path) == vertexwise_path_equal(p, path)
     assert theorem_report(trace, path).equal and theorem_report(trace, variants[1]).equal
     assert not theorem_report(trace, variants[2]).equal
+
+
+def split_run(runs, rng):
+    """A run of two or more cut in two, at a random vertex: the same vertices."""
+    long = [i for i, (_, n) in enumerate(runs) if n >= 2]
+    if not long:
+        return None
+    i = rng.choice(long)
+    (fx, fy, gx, gy), n = runs[i]
+    k = rng.randrange(1, n)
+    cut = ((fx, fy, gx, gy), k), ((fx, fy, gx - k * fx, gy - k * fy), n - k)
+    return runs[:i] + cut + runs[i + 1:]
+
+
+def merge_runs(runs, rng):
+    """Two neighbouring runs as one, from the first's start."""
+    if len(runs) < 2:
+        return None
+    i = rng.randrange(len(runs) - 1)
+    return runs[:i] + ((runs[i][0], runs[i][1] + runs[i + 1][1]),) + runs[i + 2:]
+
+
+def swap_run(runs, rng):
+    """One run started from (g, f) instead of (f, g)."""
+    i = rng.randrange(len(runs))
+    (fx, fy, gx, gy), n = runs[i]
+    return runs[:i] + (((gx, gy, fx, fy), n),) + runs[i + 1:]
+
+
+def run_off_by_one(runs, rng):
+    """One run a vertex longer or shorter."""
+    i = rng.randrange(len(runs))
+    start, n = runs[i]
+    n += rng.choice((-1, 1)) if n > 1 else 1
+    return runs[:i] + ((start, n),) + runs[i + 1:]
+
+
+def test_rows_and_paths_leave_equality_with_other_types_to_python():
+    trace = resolve(24, 7)
+    path = positive_path(MonomialValuation.rational(24, 7), max_steps=31)
+    for seq in (trace.rows, path):
+        assert seq.__eq__(object()) is NotImplemented
+        assert seq != object()
+
+
+def test_resolution_and_path_have_equal_maximal_runs_for_a_up_to_200():
+    for a in range(3, 201):
+        for b in range(2, a):
+            if gcd(a, b) == 1:
+                path = positive_path(MonomialValuation.rational(a, b), max_steps=a + b)
+                assert _maximal_runs(resolve(a, b).runs) == _maximal_runs(path.runs), (a, b)
 
 
 def vertexwise_path_equal(p, q) -> bool:
