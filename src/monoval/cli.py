@@ -9,7 +9,9 @@ early), 2 verification failure.
 
 ``main`` builds its parser once per process, on its first call, and
 parses every later argv with it; a one-shot ``monoval`` process builds
-it once either way.  Importing this module builds none.
+it once either way.  Importing this module builds none.  One guard,
+``_printable_runs``, refuses a path or a trace with an integer longer
+than ``str`` prints, run by run, before any output.
 """
 
 from __future__ import annotations
@@ -42,9 +44,9 @@ from .expr import (
     parse_expression,
 )
 from .laurent import ZeroPolynomialError
-from .resolution import resolve
+from .resolution import _row_at, resolve
 from .valring import ring_generators
-from .valtree import take_runs, walk_runs
+from .valtree import _base_at, take_runs, walk_runs
 from .valuation import MonomialValuation
 from .verify import run_verify
 
@@ -139,7 +141,9 @@ def _cmd_path(args) -> Output:
         nu = MonomialValuation.rational(args.a, args.b)
         max_steps = args.max_steps if args.max_steps is not None else args.a + args.b
         heading = f"positive path for nu(x) = {args.a}, nu(y) = {args.b}:"
-    path = take_runs(_printable_runs(walk_runs(nu), max_steps), max_steps)
+    runs = _printable_runs(walk_runs(nu), max_steps, _base_at,
+                           lambda i: f"vertex {i} of the path has an exponent")
+    path = take_runs(runs, max_steps)
     if args.format == "json":
         return json_chunks(path), 0
     if args.format == "dot":
@@ -178,45 +182,27 @@ def _first(n: int, test) -> int:
     return lo
 
 
-def _printable_runs(runs, count: int):
-    """A walk's runs, refusing the first vertex of the first ``count`` that ``str`` cannot print.
+def _printable_runs(runs, count: int, printed, name):
+    """Runs, refusing the first of their first ``count`` items to print an integer ``str`` cannot.
 
-    Exponents never shrink down a path, so each run is checked at its
-    last vertex among the first ``count``, and the walk stops at the first
-    run that fails, before any output; the vertex named is found by
+    ``printed(start, j)`` is the integers that item j of the run
+    (start, n) prints, and ``name(i)`` the words that name item i of all
+    runs, such as "vertex i of the path has an exponent".  The printed
+    integers never shrink down a path or a trace, so each run is checked
+    at its last item among the first ``count``, and the runs stop at the
+    first that fails, before any output; the item named is found by
     bisection inside that run.
     """
     bound = _print_bound()
-    i = 0  # vertices before the run
-    for (fx, fy, gx, gy), n in runs:
-        m = count - i if n is None else min(n, count - i)  # vertices of the run to print
-
-        def too_long(j: int) -> bool:
-            return max(abs(fx), abs(fy), abs(gx - j * fx), abs(gy - j * fy)) >= bound
-
-        if bound and m > 0 and too_long(m - 1):
-            raise _too_long(f"vertex {i + _first(m, too_long)} of the path has an exponent")
-        yield (fx, fy, gx, gy), n
+    i = 0  # items before the run
+    for start, n in runs:
+        m = count - i if n is None else min(n, count - i)  # items of the run to print
+        if bound and m > 0 and max(map(abs, printed(start, m - 1))) >= bound:
+            j = _first(m, lambda j: max(map(abs, printed(start, j))) >= bound)
+            raise _too_long(name(i + j))
+        yield start, n
         if n is not None:
             i += n
-
-
-def _check_printable(trace, fmt: str, show_steps: bool) -> None:
-    """Refuse a trace with an integer longer than ``str`` allows, before any output.
-
-    The integers printed only grow down a trace, so output whose last
-    blow-up fits fits everywhere, and the first blow-up that does not is
-    found by bisection.
-    """
-    bound = _print_bound()
-    rows = trace.rows
-
-    def too_long(i: int) -> bool:
-        return any(abs(e) >= bound for e in printed_integers(rows[i], fmt, show_steps))
-
-    n = trace.blow_up_count
-    if bound and too_long(n - 1):
-        raise _too_long(f"blow-up {_first(n, too_long) + 1} of the resolution prints an integer")
 
 
 def _cmd_ringgens(args) -> Output:
@@ -278,7 +264,11 @@ def _cmd_member(args) -> Output:
 
 def _cmd_resolve(args) -> Output:
     trace = resolve(args.a, args.b)
-    _check_printable(trace, args.format, args.trace)
+    for _ in _printable_runs(  # refuses before any output
+            trace.runs, trace.blow_up_count,
+            lambda row, j: printed_integers(_row_at(row, j), args.format, args.trace),
+            lambda i: f"blow-up {i + 1} of the resolution prints an integer"):
+        pass
     if args.format == "json":
         return json_chunks(trace), 0
     if args.format == "dot":

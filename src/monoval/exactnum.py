@@ -83,8 +83,8 @@ class CFStream:
         ``preperiod`` holds at least the integer digit d0; ``period``
         repeats forever after it.
         """
-        pre = tuple(int(d) for d in preperiod)
-        per = tuple(int(d) for d in period)
+        pre = tuple(_integer(d, "a digit") for d in preperiod)
+        per = tuple(_integer(d, "a digit") for d in period)
         if not pre:
             raise ValueError("preperiod needs at least the integer digit d0")
         if not per:
@@ -108,7 +108,7 @@ class CFStream:
     def digit(self, i: int) -> int:
         if i < 0:
             raise IndexError("digit index must be nonnegative")
-        d = int(self._source(i))
+        d = _integer(self._source(i), "a stream digit")
         if i >= 1 and d < 1:
             raise ValueError(f"stream produced digit {d} at index {i}; must be >= 1")
         return d
@@ -127,6 +127,17 @@ def sqrt2_stream() -> CFStream:
     return CFStream.from_periodic((1,), (2,))
 
 
+def _integer(x, what: str) -> int:
+    """``int(x)`` for a string or an integral value; for any other x, a ValueError naming ``what``."""
+    try:
+        n = int(x)
+    except OverflowError:  # an infinite float
+        n = None
+    if n != x and not isinstance(x, str):
+        raise ValueError(f"{what} must be an integer, not {x!r}")
+    return n
+
+
 def _require_coprime(a: int, b: int) -> None:
     """ValueError unless gcd(a, b) = 1."""
     if gcd(a, b) != 1:
@@ -134,8 +145,8 @@ def _require_coprime(a: int, b: int) -> None:
 
 
 def _coprime_pair(a, b, least_b: int = 1) -> tuple[int, int]:
-    """``(int(a), int(b))`` for coprime a > b >= ``least_b``, which is 1 or 2; else ValueError."""
-    a, b = int(a), int(b)
+    """``(a, b)`` as ints for coprime a > b >= ``least_b``, which is 1 or 2; else ValueError."""
+    a, b = _integer(a, "a"), _integer(b, "b")
     if not a > b >= least_b:
         raise ValueError("need a > b > 1" if least_b == 2 else "need a > b >= 1")
     _require_coprime(a, b)

@@ -303,15 +303,6 @@ def _kind(row: tuple[int, ...]) -> Classification:
     return Classification.RESOLVED
 
 
-def _step_view(row: tuple[int, ...]) -> ResolutionStep:
-    """The ``ResolutionStep`` of a row."""
-    first, second = _children(row)
-    return ResolutionStep(
-        _named(row), _kind(row),
-        ((_named(first), _kind(first)), (_named(second), _kind(second))),
-    )
-
-
 def _row_at(row: tuple[int, ...], j: int) -> tuple[int, ...]:
     """Row j of the run that starts at ``row``."""
     fx, fy, gx, gy, A, B, s, t, sign = row
@@ -319,7 +310,13 @@ def _row_at(row: tuple[int, ...], j: int) -> tuple[int, ...]:
 
 
 def _step_at(row: tuple[int, ...], j: int) -> ResolutionStep:
-    return _step_view(_row_at(row, j))
+    """The ``ResolutionStep`` of row j of the run that starts at ``row``."""
+    row = _row_at(row, j)
+    first, second = _children(row)
+    return ResolutionStep(
+        _named(row), _kind(row),
+        ((_named(first), _kind(first)), (_named(second), _kind(second))),
+    )
 
 
 def _charts(trace: ResolutionTrace) -> Iterator[ChartState]:
@@ -363,6 +360,7 @@ def resolve(a: int, b: int) -> ResolutionTrace:
     stops tracking.
     """
     row = tuple(initial_chart(a, b))
+    b, a = row[6], row[7]  # the ints initial_chart read
     runs = []
     resolved = Classification.RESOLVED
     while True:
@@ -385,7 +383,7 @@ def resolve(a: int, b: int) -> ResolutionTrace:
         elif _kind(second) is not resolved:
             row = second
         else:
-            return ResolutionTrace(int(a), int(b), tuple(runs))
+            return ResolutionTrace(a, b, tuple(runs))
 
 
 def bad_vertex_path(trace: ResolutionTrace) -> PositivePath:
@@ -508,32 +506,22 @@ def is_smooth_component(component: Proper, characteristic: int = 0) -> bool:
 def off_origin_crossing_report(c: ChartState, characteristic: int = 0) -> OffOriginReport:
     """Check normal crossings away from the origin in a resolved chart.
 
-    A component 1 - c1^k c2^l meets the c1 = 0 axis only when k = 0, at
-    the points (0, eta) with eta^l = 1; the crossing there is transversal
-    unless the characteristic divides l.  Only eta = 1 (and eta = -1 for
-    even l) have exactly representable coordinates; the remaining roots of
-    unity are reported as skipped.  Binomials through the origin meet the
-    axes only at the origin itself, which is the classifier's job.
+    A component 1 - c1^k c2^l meets the exceptional axis c1 = 0 only when
+    k = 0, at (0, eta) with eta^e = 1 for e = l, and c2 = 0 only when
+    l = 0, with e = k; so at most one axis is met.  The crossing is
+    transversal unless the characteristic divides e.  Only eta = 1 (and
+    eta = -1 for even e) have exactly representable coordinates; the
+    other roots of unity are reported as skipped.  Binomials through the
+    origin meet the axes only at the origin itself, the classifier's job.
     """
-    if c.p > 0:
-        return OffOriginReport(points=(), skipped=0)
-    points: list[tuple[str, bool]] = []
-    skipped = 0
-
-    def axis_meetings(exp_on_other: int, axis: str, axis_present: bool) -> None:
-        nonlocal skipped
-        if not axis_present:
-            return
-        representable = 1 + (1 if exp_on_other % 2 == 0 else 0)
-        skipped += max(exp_on_other - representable, 0)
-        transversal = characteristic == 0 or exp_on_other % characteristic != 0
-        points.append((f"{axis} = 0, unit coordinate +1", transversal))
-        if exp_on_other % 2 == 0:
-            points.append((f"{axis} = 0, unit coordinate -1", transversal))
-
     k, l = -c.p, c.q
-    if k == 0 and l >= 1:
-        axis_meetings(l, "c1", c.exc_f >= 1)
-    if l == 0 and k >= 1:
-        axis_meetings(k, "c2", c.exc_g >= 1)
-    return OffOriginReport(points=tuple(points), skipped=skipped)
+    if k == 0 and l >= 1 and c.exc_f >= 1:
+        e, axis = l, "c1"
+    elif l == 0 and k >= 1 and c.exc_g >= 1:
+        e, axis = k, "c2"
+    else:
+        return OffOriginReport(points=(), skipped=0)
+    transversal = characteristic == 0 or e % characteristic != 0
+    units = ("+1", "-1") if e % 2 == 0 else ("+1",)
+    points = tuple((f"{axis} = 0, unit coordinate {u}", transversal) for u in units)
+    return OffOriginReport(points=points, skipped=max(e - len(points), 0))

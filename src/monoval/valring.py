@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import NamedTuple, Optional
 
-from .exactnum import _coprime_pair, _require_coprime
+from .exactnum import _coprime_pair, _integer, _require_coprime
 from .laurent import (
     ChartBasis,
     Monomial,
@@ -80,10 +80,9 @@ def bezout(a: int, b: int) -> tuple[int, int]:
 
 def ring_generators(a: int, b: int) -> RingPresentation:
     """The presentation u = y^a/x^b, v = x^p/y^q with (p, q) from bezout."""
+    a, b = _coprime_pair(a, b)
     p, q = bezout(a, b)
-    return RingPresentation(
-        u=Monomial(-b, a), v=Monomial(p, -q), p=p, q=q, a=int(a), b=int(b)
-    )
+    return RingPresentation(u=Monomial(-b, a), v=Monomial(p, -q), p=p, q=q, a=a, b=b)
 
 
 def membership_structural(r: RationalFunction, pres: RingPresentation) -> StructuralMembership:
@@ -126,8 +125,9 @@ def membership_union(
     simply mean the monomial needs the localization of the terminal
     presentation instead.  Raises ValueError, as the walk does, when
     nu(x) or nu(y) is not positive or the two are equal, and when
-    ``max_steps`` is negative.
+    ``max_steps`` is negative or not an integer.
     """
+    max_steps = _integer(max_steps, "max_steps")
     if max_steps < 0:
         raise ValueError("max_steps must not be negative")
     # islice takes no count past sys.maxsize, and no walk gets that far

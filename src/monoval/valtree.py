@@ -34,7 +34,7 @@ from itertools import accumulate, count, starmap
 from operator import eq
 from typing import Callable, Iterator, Optional
 
-from .exactnum import _coprime_pair, cf_expand
+from .exactnum import _coprime_pair, _integer, cf_expand
 from .laurent import IDENTITY_BASIS, ChartBasis, Monomial, X, Y, lattice_solve, monomial_name
 from .valuation import UNBOUNDED, MonomialValuation, Value
 
@@ -149,9 +149,17 @@ def _vertex(fx: int, fy: int, gx: int, gy: int) -> TreeVertex:
     return TreeVertex(Monomial(fx, fy), Monomial(gx, gy))
 
 
-def _vertex_at(start: tuple, j: int) -> TreeVertex:
+def _base_at(start: tuple, j: int) -> tuple[int, int, int, int]:
+    """(fx, fy, gx, gy) of k[f, g/f^j], vertex j of the run from (f, g).
+
+    Hot loops that visit every vertex of a run subtract f instead.
+    """
     fx, fy, gx, gy = start
-    return _vertex(fx, fy, gx - j * fx, gy - j * fy)
+    return fx, fy, gx - j * fx, gy - j * fy
+
+
+def _vertex_at(start: tuple, j: int) -> TreeVertex:
+    return _vertex(*_base_at(start, j))
 
 
 class PositivePath:
@@ -318,8 +326,10 @@ def take_runs(runs: Iterator[Run], max_steps: int) -> PositivePath:
 
     The last run taken is cut short when it runs past the budget.  The
     path is complete when the runs end within the budget; they are asked
-    for one run more to tell.
+    for one run more to tell.  A budget below 1 or not an integer is a
+    ValueError.
     """
+    max_steps = _integer(max_steps, "max_steps")
     if max_steps < 1:
         raise ValueError("max_steps must be positive")
     taken, left = [], max_steps

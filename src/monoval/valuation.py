@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional
 
-from .exactnum import CFStream, euclid_digits, stream_compare
+from .exactnum import CFStream, _integer, euclid_digits, stream_compare
 from .laurent import (
     LaurentPolynomial,
     Monomial,
@@ -143,8 +143,8 @@ class LexZ2Group:
     """``nu(x)`` and ``nu(y)`` live in Z^2 with lexicographic order."""
 
     def __init__(self, vx: tuple[int, int], vy: tuple[int, int]):
-        self.vx = (int(vx[0]), int(vx[1]))
-        self.vy = (int(vy[0]), int(vy[1]))
+        self.vx = (_integer(vx[0], "nu(x)[0]"), _integer(vx[1], "nu(x)[1]"))
+        self.vy = (_integer(vy[0], "nu(y)[0]"), _integer(vy[1], "nu(y)[1]"))
 
     def realize(self, v: Value) -> tuple[int, int]:
         return (

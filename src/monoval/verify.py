@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from math import gcd
 from typing import Iterator, Optional
 
+from .exactnum import _integer
 from .resolution import resolve, theorem_report, verify_reconstruction
 from .valtree import correspondence_report, positive_path
 from .valuation import MonomialValuation
@@ -80,7 +81,7 @@ def run_verify(max_a: int) -> VerifyReport:
     A failure's detail is a template, formatted only for the first failure
     kept.
     """
-    max_a = int(max_a)
+    max_a = _integer(max_a, "max_a")
     if max_a < 1:
         raise ValueError("max_a must be positive")
     report = VerifyReport(max_a=max_a)

@@ -279,6 +279,27 @@ def expand_chart(c: ChartState) -> LaurentPolynomial:
     return body.shift(content) * c.sign
 
 
+def off_origin_crossings(k: int, l: int, exc_f: int, exc_g: int, characteristic: int):
+    """(points, skipped) where 1 - c1^k c2^l meets an exceptional axis off the origin.
+
+    On c1 = 0, exceptional when exc_f >= 1, the curve is 1 - c2^l when
+    k = 0 and the constant 1 when k >= 1; on c2 = 0 the same with the
+    roles swapped.  A meeting is a root eta of eta^e = 1 with e the
+    other exponent: of the e roots, +1 and -1 are enumerated, the rest
+    counted as skipped.  The derivative -e*eta^(e - 1) vanishes there
+    exactly when the characteristic divides e.
+    """
+    points, skipped = [], 0
+    for axis, present, own, e in (("c1", exc_f >= 1, k, l), ("c2", exc_g >= 1, l, k)):
+        if not present or own != 0 or e < 1:
+            continue
+        roots = [eta for eta in (1, -1) if eta**e == 1]
+        transversal = characteristic == 0 or e % characteristic != 0
+        points += [(f"{axis} = 0, unit coordinate {eta:+d}", transversal) for eta in roots]
+        skipped += e - len(roots)
+    return tuple(points), skipped
+
+
 def monomial_name(ex: int, ey: int) -> str:
     """x^ex * y^ey as a reduced fraction: positive powers over the line, x first."""
     num, den = [], []

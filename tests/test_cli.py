@@ -3,7 +3,9 @@ import os
 import subprocess
 import sys
 import time
+from bisect import bisect_right
 from fractions import Fraction
+from itertools import accumulate
 from pathlib import Path
 
 import pytest
@@ -318,6 +320,30 @@ def test_path_names_the_first_unprintable_vertex_inside_a_run(capsys):
     assert err.startswith(f"error: vertex {first} of the path has an exponent longer than 640")
 
 
+def test_path_refuses_a_vertex_inside_a_run_only_when_it_is_printed(capsys):
+    # Digits of 5: the first vertex past 640 digits is the third of its run
+    # of five, so both budgets below end inside that run.
+    nu = MonomialValuation.from_stream(CFStream.from_periodic([1], [5]))
+    path = positive_path(nu, max_steps=6000)
+    first = next(
+        i
+        for i, v in enumerate(path)
+        if max(abs(v.f.ex), abs(v.f.ey), abs(v.g.ex), abs(v.g.ey)) >= 10**640
+    )
+    starts = [0, *accumulate(n for _, n in path.runs)]
+    r = bisect_right(starts, first) - 1
+    assert starts[r] < first - 1 and first + 1 < starts[r + 1]
+    code, out, err = run_under_640_digits(
+        capsys, "path", "--stream", "1;5", "--max-steps", str(first), "--format", "json"
+    )
+    assert code == 0 and err == "" and len(json.loads(out)["vertices"]) == first
+    for fmt in ("json", "dot", "text"):
+        assert run_under_640_digits(
+            capsys, "path", "--stream", "1;5", "--max-steps", str(first + 1), "--format", fmt
+        ) == (1, "", f"error: vertex {first} of the path has an exponent longer than 640 digits,"
+                     " the interpreter's limit for printing an integer\n")
+
+
 def test_path_does_not_refuse_the_vertex_after_the_last(capsys):
     # The walk is asked for one vertex past --max-steps to tell whether the
     # path is complete; that vertex is not printed, so it may be too long.
@@ -330,30 +356,39 @@ def test_path_does_not_refuse_the_vertex_after_the_last(capsys):
     assert path["status"] == "truncated" and len(path["vertices"]) == first
 
 
-def test_resolve_past_the_int_str_limit_fails_before_output(capsys):
-    # A Fibonacci pair of 400 digits: exponents stay below 640 digits while
-    # the exceptional multiplicities pass it.  The first blow-up that prints
-    # a longer integer is found with str() under the default limit.
-    a, b = 1, 1
-    while len(str(a)) < 400:
-        a, b = a + b, a
-    trace = resolve(a, b)
+def first_step_past_640_digits(trace) -> int:
+    """The index of the first step whose chart or children hold an integer past 640 digits.
+
+    Found with str() under the default limit, over every integer of the
+    three charts, which holds every integer JSON and --trace print.
+    """
 
     def ints(c):
         p = c.proper
         powers = (p.s, p.t) if isinstance(p, ThroughOrigin) else (p.f_exp, p.g_exp)
         return (c.basis.f.ex, c.basis.f.ey, c.basis.g.ex, c.basis.g.ey, c.exc_f, c.exc_g, *powers)
 
-    first = next(
+    return next(
         i
         for i, step in enumerate(trace.steps)
         if any(len(str(abs(n))) > 640
                for c in (step.chart, *(child for child, _ in step.children)) for n in ints(c))
     )
-    message = (
-        f"error: blow-up {first + 1} of the resolution prints an integer longer than 640"
-        " digits, the interpreter's limit for printing an integer\n"
-    )
+
+
+def refusal_of_blow_up(i: int) -> str:
+    return (f"error: blow-up {i} of the resolution prints an integer longer than 640"
+            " digits, the interpreter's limit for printing an integer\n")
+
+
+def test_resolve_past_the_int_str_limit_fails_before_output(capsys):
+    # A Fibonacci pair of 400 digits: exponents stay below 640 digits while
+    # the exceptional multiplicities pass it.
+    a, b = 1, 1
+    while len(str(a)) < 400:
+        a, b = a + b, a
+    first = first_step_past_640_digits(resolve(a, b))
+    message = refusal_of_blow_up(first + 1)
     old = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(640)
     try:
@@ -368,6 +403,25 @@ def test_resolve_past_the_int_str_limit_fails_before_output(capsys):
     for fmt in (("--format", "dot"), ()):
         code, out, err = results[fmt]
         assert code == 0 and err == "" and out
+
+
+@pytest.mark.parametrize("digit, length, place", [(10, 324, "first"), (9, 338, "last")])
+def test_resolve_refuses_at_the_first_or_last_row_of_a_run(capsys, digit, length, place):
+    # a/b = [digit; digit, ...]: its resolution runs are about digit rows
+    # long, and these lengths put the first unprintable blow-up at the
+    # named end of a run of more than one row.
+    h, h1, k, k1 = 1, 0, 0, 1
+    for _ in range(length):
+        h, h1, k, k1 = digit * h + h1, h, digit * k + k1, k
+    trace = resolve(h, k)
+    first = first_step_past_640_digits(trace)
+    starts = [0, *accumulate(n for _, n in trace.runs)]
+    r = bisect_right(starts, first) - 1
+    assert starts[r + 1] - starts[r] > 1
+    assert first == (starts[r] if place == "first" else starts[r + 1] - 1)
+    for fmt in (("--format", "json"), ("--trace",)):
+        result = run_under_640_digits(capsys, "resolve", str(h), str(k), *fmt)
+        assert result == (1, "", refusal_of_blow_up(first + 1))
 
 
 # ------------------------------------------------- one parser per process

@@ -18,6 +18,12 @@ from monoval.exactnum import (
     stream_compare,
 )
 
+from monoval.laurent import Monomial
+from monoval.resolution import check_theorem, resolve
+from monoval.valring import bezout, membership_union, ring_generators
+from monoval.valtree import positive_path, take_path, take_runs, walk, walk_runs
+from monoval.valuation import MonomialValuation
+from monoval.verify import run_verify
 from oracles import euclid_quotients, nested_cf_value
 
 rationals = st.fractions(min_value=-200, max_value=200, max_denominator=500)
@@ -266,3 +272,63 @@ def test_stream_compare_randomized_against_square_oracle():
         else:
             expected = GREATER if t * t < 2 else LESS
         assert got == expected
+
+
+# ------------------------------------------- integers read by entry points
+
+_NU = MonomialValuation.rational(5, 3)
+
+
+# Each entry point that reads an integer, given a value int() would truncate.
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: resolve(5.9, 3), "a must be an integer, not 5.9"),
+        (lambda: resolve(Fraction(11, 2), 3), "a must be an integer, not Fraction(11, 2)"),
+        (lambda: resolve(7, 2.5), "b must be an integer, not 2.5"),
+        (lambda: resolve(float("inf"), 3), "a must be an integer, not inf"),
+        (lambda: check_theorem(5.5, 3), "a must be an integer, not 5.5"),
+        (lambda: bezout(7.5, 2), "a must be an integer, not 7.5"),
+        (lambda: ring_generators(5.9, 3), "a must be an integer, not 5.9"),
+        (lambda: run_verify(10.7), "max_a must be an integer, not 10.7"),
+        (lambda: MonomialValuation.lex((1.5, 0), (0, 1)), "nu(x)[0] must be an integer, not 1.5"),
+        (lambda: MonomialValuation.lex((1, 0), (0, 0.5)), "nu(y)[1] must be an integer, not 0.5"),
+        (lambda: CFStream.from_periodic((1.5,), (2,)), "a digit must be an integer, not 1.5"),
+        (lambda: CFStream.from_periodic((1,), (2, 2.5)), "a digit must be an integer, not 2.5"),
+        (lambda: CFStream(lambda i: 2.5).digit(1), "a stream digit must be an integer, not 2.5"),
+        (lambda: positive_path(_NU, 2.5), "max_steps must be an integer, not 2.5"),
+        (lambda: take_path(walk(_NU), 2.5), "max_steps must be an integer, not 2.5"),
+        (lambda: take_runs(walk_runs(_NU), 2.5), "max_steps must be an integer, not 2.5"),
+        (lambda: membership_union(Monomial(1, -1), _NU, 2.5),
+         "max_steps must be an integer, not 2.5"),
+    ],
+)
+def test_an_integer_argument_with_a_fractional_part_is_refused(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
+
+
+def test_an_integer_argument_may_be_any_integral_value_or_a_string():
+    assert resolve("9", "4") == resolve(9.0, Fraction(4)) == resolve(9, 4)
+    assert type(resolve(9.0, 4).a) is int
+    assert ring_generators("7", "3") == ring_generators(7, 3)
+    assert type(ring_generators(7.0, 3).b) is int
+    assert bezout(7.0, "2") == bezout(7, 2)
+    assert run_verify(6.0) == run_verify(6)
+    assert MonomialValuation.lex((1.0, 0), (0, "1")).group.vx == (1, 0)
+    assert CFStream.from_periodic((1.0,), ("2",)).periodic == ((1,), (2,))
+    assert CFStream(lambda i: 2.0).digit(1) == 2
+    assert positive_path(_NU, 3.0) == positive_path(_NU, 3)
+    assert take_path(walk(_NU), 3.0) == positive_path(_NU, 3)
+    assert membership_union(Monomial(1, -1), _NU, 64.0) == 1
+
+
+def test_a_step_budget_below_its_least_value_keeps_its_message():
+    for steps in (0, -1, 0.0):
+        with pytest.raises(ValueError, match="^max_steps must be positive$"):
+            positive_path(_NU, steps)
+        with pytest.raises(ValueError, match="^max_steps must be positive$"):
+            take_path(walk(_NU), steps)
+    with pytest.raises(ValueError, match="^max_steps must not be negative$"):
+        membership_union(Monomial(1, -1), _NU, -1.0)

@@ -3,7 +3,7 @@ import gc
 import pickle
 import random
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, product
 from math import gcd
 
 import pytest
@@ -302,6 +302,19 @@ def test_off_origin_crossings_lie_only_on_exceptional_axes():
     # with neither axis exceptional there is no crossing to check
     bare = ChartState(ChartBasis(X, Monomial(-1, 1)), 0, 0, MissesOrigin(0, 4), 1)
     assert off_origin_crossing_report(bare) == resolution.OffOriginReport(points=(), skipped=0)
+
+
+def test_off_origin_crossings_equal_the_enumeration_oracle():
+    # Every misses-origin proper transform 1 - c1^k c2^l with k, l <= 6 (and
+    # the degenerate k = l = 0), over every exceptional pattern; a chart
+    # through the origin (p > 0) has nothing to report.
+    none = resolution.OffOriginReport(points=(), skipped=0)
+    for k, l, exc_f, exc_g, char in product(range(7), range(7), (0, 1), (0, 1), (0, 2, 3)):
+        chart = ChartState._make((1, 0, -1, 1, exc_f, exc_g, -k, l, 1))
+        report = off_origin_crossing_report(chart, char)
+        expected = oracles.off_origin_crossings(k, l, exc_f, exc_g, char)
+        assert (report.points, report.skipped) == expected, chart
+        assert off_origin_crossing_report(chart._replace(p=k + 1, q=l + 1), char) == none
 
 
 def test_component_smoothness_along_traces():
