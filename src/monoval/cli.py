@@ -36,14 +36,7 @@ from .emit import (
     trace_text_chunks,
 )
 from .exactnum import CFStream, cf_expand, sqrt2_stream
-from .expr import (
-    ExpressionError,
-    LongIntegerError,
-    WorkBudgetError,
-    initial_value,
-    parse_expression,
-)
-from .laurent import ZeroPolynomialError
+from .expr import LongIntegerError, WorkBudgetError, initial_value, parse_expression
 from .resolution import _row_at, resolve
 from .valring import ring_generators
 from .valtree import _base_at, take_runs, walk_runs
@@ -113,14 +106,13 @@ def _cmd_cf(args) -> Output:
                 raise _too_long(where, "reading") from None
         raise
     cf = cf_expand(r)
-    bound = _print_bound()
     # No digit exceeds the larger of |numerator| and denominator.
-    if bound and (abs(r.numerator) >= bound or r.denominator >= bound):
-        too_long = next((i for i, d in enumerate(cf.digits) if abs(d) >= bound), None)
+    if _unprintable(r.numerator, r.denominator):
+        too_long = next((i for i, d in enumerate(cf.digits) if _unprintable(d)), None)
         if too_long is not None:
             raise _too_long(f"digit {too_long} of the continued fraction is")
         if args.format == "text":  # which prints the rational too
-            part = "numerator" if abs(r.numerator) >= bound else "denominator"
+            part = "numerator" if _unprintable(r.numerator) else "denominator"
             raise _too_long(f"the {part} of the rational is")
     if args.format == "json":
         return (emit_json(cf),), 0
@@ -134,13 +126,11 @@ def _cmd_path(args) -> Output:
         stream = parse_stream_spec(args.stream)
         nu = MonomialValuation.from_stream(stream)
         max_steps = args.max_steps if args.max_steps is not None else 64
-        heading = f"positive path for {nu.describe()}:"
     else:
         if args.a is None or args.b is None:
             raise ValueError("need both a and b (or --stream)")
         nu = MonomialValuation.rational(args.a, args.b)
         max_steps = args.max_steps if args.max_steps is not None else args.a + args.b
-        heading = f"positive path for nu(x) = {args.a}, nu(y) = {args.b}:"
     runs = _printable_runs(walk_runs(nu), max_steps, _base_at,
                            lambda i: f"vertex {i} of the path has an exponent")
     path = take_runs(runs, max_steps)
@@ -148,13 +138,13 @@ def _cmd_path(args) -> Output:
         return json_chunks(path), 0
     if args.format == "dot":
         return dot_chunks(path), 0
-    return path_text_chunks(path, heading), 0
+    return path_text_chunks(path, f"positive path for {nu.describe()}:"), 0
 
 
-def _print_bound():
-    """The least |int| with more digits than ``str`` prints (10**cap), or None without a cap."""
+def _unprintable(*ints: int) -> bool:
+    """Whether one of the ints has more digits than ``str`` prints (never, without a limit)."""
     limit = sys.get_int_max_str_digits()
-    return _power_of_ten(limit) if limit else None
+    return bool(limit) and max(map(abs, ints)) >= _power_of_ten(limit)
 
 
 @functools.cache
@@ -193,12 +183,11 @@ def _printable_runs(runs, count: int, printed, name):
     first that fails, before any output; the item named is found by
     bisection inside that run.
     """
-    bound = _print_bound()
     i = 0  # items before the run
     for start, n in runs:
         m = count - i if n is None else min(n, count - i)  # items of the run to print
-        if bound and m > 0 and max(map(abs, printed(start, m - 1))) >= bound:
-            j = _first(m, lambda j: max(map(abs, printed(start, j))) >= bound)
+        if m > 0 and _unprintable(*printed(start, m - 1)):
+            j = _first(m, lambda j: _unprintable(*printed(start, j)))
             raise _too_long(name(i + j))
         yield start, n
         if n is not None:
@@ -243,8 +232,7 @@ def _cmd_member(args) -> Output:
         member, value = True, "infinity"
     else:
         value = v.m * args.a + v.n * args.b
-        bound = _print_bound()
-        if bound and abs(value) >= bound:
+        if _unprintable(value):
             raise _too_long("the value is")
         member = value >= 0
     if args.format == "json":
@@ -415,7 +403,7 @@ def main(argv=None) -> int:
         _silence_stdout()
         print("error: stdout was closed before all output was written", file=sys.stderr)
         return 1
-    except (ValueError, ZeroDivisionError, ZeroPolynomialError, ExpressionError) as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -11,8 +11,9 @@ the printed forms, the content of ``factor_monomial_content``).
 A coefficient is held as a Python ``int`` until a non-integer rational
 appears, which is held as a ``Fraction``; a ``Fraction`` that reduces to
 an integer is stored as that ``int``, so equal polynomials have equal
-term maps.  All values are immutable; term iteration is ordered so
-emitted artifacts are bit-stable.
+term maps.  ``Monomial`` refuses assignment; the other values are
+read-only by convention, as no function here changes one.  Term
+iteration is ordered so emitted artifacts are bit-stable.
 
 A monomial prints in reduced fraction form, ``y^3/x^2``.  ``monomial_name``,
 which ``Monomial.__str__`` calls, and ``monomial_names``, which names a
@@ -322,18 +323,6 @@ def _from_terms(data: dict, cls=LaurentPolynomial) -> LaurentPolynomial:
     out = object.__new__(cls)
     out._terms = data
     return out
-
-
-def binomial(ex1: int, ey1: int, ex2: int, ey2: int, c) -> LaurentPolynomial:
-    """c * x^ex1 y^ey1 - c * x^ex2 y^ey2.
-
-    A nonzero ``int`` c with two distinct exponent pairs is two exact,
-    nonzero terms, wrapped as they are; any other c, or one pair twice
-    (which cancels to 0), goes through the constructor.
-    """
-    if c.__class__ is int and c and (ex1 != ex2 or ey1 != ey2):
-        return _from_terms({(ex1, ey1): c, (ex2, ey2): -c})
-    return LaurentPolynomial((((ex1, ey1), c), ((ex2, ey2), -c)))
 
 
 class ChartBasis:

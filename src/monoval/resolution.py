@@ -47,16 +47,8 @@ from functools import cached_property, partial
 from typing import Iterator, NamedTuple, Union
 
 from .exactnum import _coprime_pair, _require_coprime
-from .laurent import (
-    ChartBasis,
-    LaurentPolynomial,
-    Monomial,
-    binomial,
-    factor_monomial_content,
-    rewrite_in_chart,
-)
-from .valtree import ExpandedRuns, PositivePath, _same_vertices, positive_path
-from .valuation import MonomialValuation
+from .laurent import ChartBasis, LaurentPolynomial, Monomial, factor_monomial_content, rewrite_in_chart
+from .valtree import ExpandedRuns, PositivePath, _pair_path, _same_vertices
 
 
 class ResolutionInvariantError(RuntimeError):
@@ -238,8 +230,9 @@ class OffOriginReport:
     """Transversality of axis crossings away from the chart origin.
 
     Only intersection points with exactly representable coordinates
-    (roots of unity in the ground field: 1, and -1 for even exponents)
-    are checked; the rest are counted as skipped, never assumed.
+    (roots of unity in the ground field: 1, and -1 where it is a root
+    distinct from 1) are checked; the other distinct roots are counted
+    as skipped, never assumed.
     """
 
     points: tuple[tuple[str, bool], ...]
@@ -312,11 +305,8 @@ def _row_at(row: tuple[int, ...], j: int) -> tuple[int, ...]:
 def _step_at(row: tuple[int, ...], j: int) -> ResolutionStep:
     """The ``ResolutionStep`` of row j of the run that starts at ``row``."""
     row = _row_at(row, j)
-    first, second = _children(row)
-    return ResolutionStep(
-        _named(row), _kind(row),
-        ((_named(first), _kind(first)), (_named(second), _kind(second))),
-    )
+    first, second = blow_up(row)
+    return ResolutionStep(_named(row), _kind(row), ((first, _kind(first)), (second, _kind(second))))
 
 
 def _charts(trace: ResolutionTrace) -> Iterator[ChartState]:
@@ -415,9 +405,7 @@ def check_theorem(a: int, b: int) -> TheoremReport:
     classifying charts, the other by walking the tree with the valuation
     nu(x) = a, nu(y) = b.
     """
-    trace = resolve(a, b)
-    nu = MonomialValuation.rational(a, b)
-    return theorem_report(trace, positive_path(nu, max_steps=a + b))
+    return theorem_report(resolve(a, b), _pair_path(a, b))
 
 
 def _chart_pairs(c: tuple[int, ...]) -> tuple[int, int, int, int]:
@@ -437,13 +425,13 @@ def expand_chart(c: ChartState) -> LaurentPolynomial:
 
     The reconstruction invariant: for every chart of every trace of
     x^b - y^a this equals x^b - y^a exactly (the tracked sign absorbs the
-    sign changes of the refactoring steps).  The two terms of
-    ``_chart_pairs`` are summed, so a tuple whose two monomials coincide,
+    sign changes of the refactoring steps).  The constructor sums the two
+    terms of ``_chart_pairs``, so a tuple whose two monomials coincide,
     as they can over a degenerate basis or with p = q = 0, expands to
-    zero.  ``laurent.binomial`` wraps the two terms as they are when the
-    sign is a nonzero int and the pairs differ.
+    zero.
     """
-    return binomial(*_chart_pairs(c), c[8])
+    ex1, ey1, ex2, ey2 = _chart_pairs(c)
+    return LaurentPolynomial((((ex1, ey1), c[8]), ((ex2, ey2), -c[8])))
 
 
 def verify_reconstruction(trace: ResolutionTrace) -> bool:
@@ -474,9 +462,9 @@ def chart_agrees_with_lattice(c: ChartState, a: int, b: int) -> bool:
     if content != Monomial(c.exc_f, c.exc_g):
         return False
     p, q, sign = c.p, c.q, c.sign
-    if p > 0:
-        return primitive == binomial(p, 0, 0, q, sign)  # sign * (c1^p - c2^q)
-    return primitive == binomial(0, 0, -p, q, sign)  # sign * (1 - c1^-p c2^q)
+    # sign * (c1^p - c2^q), or sign * (1 - c1^-p c2^q) when p <= 0
+    first, second = ((p, 0), (0, q)) if p > 0 else ((0, 0), (-p, q))
+    return primitive == LaurentPolynomial(((first, sign), (second, -sign)))
 
 
 def is_smooth_component(component: Proper, characteristic: int = 0) -> bool:
@@ -509,10 +497,12 @@ def off_origin_crossing_report(c: ChartState, characteristic: int = 0) -> OffOri
     A component 1 - c1^k c2^l meets the exceptional axis c1 = 0 only when
     k = 0, at (0, eta) with eta^e = 1 for e = l, and c2 = 0 only when
     l = 0, with e = k; so at most one axis is met.  The crossing is
-    transversal unless the characteristic divides e.  Only eta = 1 (and
-    eta = -1 for even e) have exactly representable coordinates; the
-    other roots of unity are reported as skipped.  Binomials through the
-    origin meet the axes only at the origin itself, the classifier's job.
+    transversal unless the characteristic divides e.  The distinct roots
+    number e', which is e with every factor of the characteristic p > 0
+    removed, and e itself in characteristic 0.  Only eta = 1, and eta = -1
+    when e' is even, have exactly representable coordinates; the other
+    roots are reported as skipped.  Binomials through the origin meet the
+    axes only at the origin itself, the classifier's job.
     """
     k, l = -c.p, c.q
     if k == 0 and l >= 1 and c.exc_f >= 1:
@@ -522,6 +512,9 @@ def off_origin_crossing_report(c: ChartState, characteristic: int = 0) -> OffOri
     else:
         return OffOriginReport(points=(), skipped=0)
     transversal = characteristic == 0 or e % characteristic != 0
-    units = ("+1", "-1") if e % 2 == 0 else ("+1",)
+    roots = e
+    while characteristic > 1 and roots % characteristic == 0:
+        roots //= characteristic
+    units = ("+1", "-1") if roots % 2 == 0 else ("+1",)
     points = tuple((f"{axis} = 0, unit coordinate {u}", transversal) for u in units)
-    return OffOriginReport(points=points, skipped=max(e - len(points), 0))
+    return OffOriginReport(points=points, skipped=roots - len(points))

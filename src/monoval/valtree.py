@@ -30,7 +30,7 @@ from bisect import bisect_right
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, count, starmap
+from itertools import accumulate, count
 from operator import eq
 from typing import Callable, Iterator, Optional
 
@@ -43,7 +43,7 @@ TreeVertex = ChartBasis
 ROOT = IDENTITY_BASIS
 
 # ((fx, fy, gx, gy, ...), n): n items that start at the tuple and step by
-# one blow-up or one vertex each (see ``run_bases``); n is None for a run
+# one blow-up or one vertex each (see ``run_items``); n is None for a run
 # without end.
 Run = tuple[tuple[int, ...], Optional[int]]
 
@@ -69,10 +69,7 @@ class ExpandedRuns(Sequence):
         return self._count
 
     def __iter__(self) -> Iterator:
-        at = self._at
-        for start, n in self._runs:
-            for j in range(n):
-                yield at(start, j)
+        return run_items(self._runs, self._at)
 
     def __getitem__(self, i):
         n = self._count
@@ -96,15 +93,15 @@ class ExpandedRuns(Sequence):
     __hash__ = None
 
 
-def run_bases(runs: Iterable[Run]) -> Iterator[tuple[int, int, int, int]]:
-    """(fx, fy, gx, gy) of every vertex of runs, in order: j times g/f at step j."""
+def run_items(runs: Iterable[Run], at: Callable[[tuple, int], object]) -> Iterator:
+    """``at(start, j)`` for every item j of every run (start, n), in order.
+
+    A run of length None never ends.
+    """
     for start, n in runs:
-        fx, fy, gx, gy = start[:4]
         # range, not repeat: a length may exceed a C integer
-        for _ in count() if n is None else range(n):
-            yield fx, fy, gx, gy
-            gx -= fx
-            gy -= fy
+        for j in count() if n is None else range(n):
+            yield at(start, j)
 
 
 def _maximal_runs(runs: Iterable[Run]) -> list[Run]:
@@ -115,13 +112,10 @@ def _maximal_runs(runs: Iterable[Run]) -> list[Run]:
     """
     merged: list[Run] = []
     for start, n in runs:
-        fx, fy, gx, gy = start[:4]
-        if merged:
-            (px, py, qx, qy), m = merged[-1]
-            if fx == px and fy == py and gx == qx - m * px and gy == qy - m * py:
-                merged[-1] = (px, py, qx, qy), m + n
-                continue
-        merged.append(((fx, fy, gx, gy), n))
+        if merged and start[:4] == _base_at(*merged[-1]):
+            merged[-1] = merged[-1][0], merged[-1][1] + n
+        else:
+            merged.append((start[:4], n))
     return merged
 
 
@@ -136,7 +130,7 @@ def _same_vertices(runs: tuple[Run, ...], others: tuple[Run, ...]) -> bool:
     if _maximal_runs(runs) == _maximal_runs(others):
         return True
     return all(u == v or u == (v[2], v[3], v[0], v[1])
-               for u, v in zip(run_bases(runs), run_bases(others)))
+               for u, v in zip(run_items(runs, _base_at), run_items(others, _base_at)))
 
 
 def _vertex_runs(vertices: Iterable[TreeVertex]) -> Iterator[Run]:
@@ -145,21 +139,19 @@ def _vertex_runs(vertices: Iterable[TreeVertex]) -> Iterator[Run]:
         yield (v.f.ex, v.f.ey, v.g.ex, v.g.ey), 1
 
 
-def _vertex(fx: int, fy: int, gx: int, gy: int) -> TreeVertex:
-    return TreeVertex(Monomial(fx, fy), Monomial(gx, gy))
-
-
 def _base_at(start: tuple, j: int) -> tuple[int, int, int, int]:
-    """(fx, fy, gx, gy) of k[f, g/f^j], vertex j of the run from (f, g).
+    """(fx, fy, gx, gy) of k[f, g/f^j], vertex j of the run from (f, g, ...).
 
-    Hot loops that visit every vertex of a run subtract f instead.
+    ``start`` may be a trace row: only its first four ints are read.  Hot
+    loops that visit every vertex of a run subtract f instead.
     """
-    fx, fy, gx, gy = start
+    fx, fy, gx, gy = start[:4]
     return fx, fy, gx - j * fx, gy - j * fy
 
 
 def _vertex_at(start: tuple, j: int) -> TreeVertex:
-    return _vertex(*_base_at(start, j))
+    fx, fy, gx, gy = _base_at(start, j)
+    return TreeVertex(Monomial(fx, fy), Monomial(gx, gy))
 
 
 class PositivePath:
@@ -219,7 +211,9 @@ class PositivePath:
                 and _same_vertices(self.runs, other.runs))
 
     def __hash__(self) -> int:
-        return hash((tuple(self), self.complete))
+        # Equal paths have equal ends, so two vertices hash a path of any length.
+        v = self.vertices
+        return hash((self.count, self.complete, *v[:1], *v[-1:]))
 
     def __repr__(self) -> str:
         return f"PositivePath.from_runs({self.runs!r}, complete={self.complete!r})"
@@ -309,7 +303,7 @@ def walk_runs(nu: MonomialValuation) -> Iterator[Run]:
 
 def walk(nu: MonomialValuation) -> Iterator[TreeVertex]:
     """Yield the positive path from the root a vertex at a time (see ``walk_runs``)."""
-    return starmap(_vertex, run_bases(walk_runs(nu)))
+    return run_items(walk_runs(nu), _vertex_at)
 
 
 def take_path(vertices: Iterable[TreeVertex], max_steps: int) -> PositivePath:
@@ -356,6 +350,11 @@ def positive_path(nu: MonomialValuation, max_steps: int = 64) -> PositivePath:
     return take_runs(walk_runs(nu), max_steps)
 
 
+def _pair_path(a: int, b: int) -> PositivePath:
+    """The whole positive path of nu(x) = a, nu(y) = b, within its budget of a + b vertices."""
+    return positive_path(MonomialValuation.rational(a, b), max_steps=a + b)
+
+
 def branch_decomposition(path: PositivePath) -> tuple[Branch, ...]:
     """Split a path into its monotone branches, in path order.
 
@@ -394,7 +393,8 @@ def _shared_steps(runs: tuple[Run, ...]) -> Iterator[tuple[tuple[int, int], tupl
     of the first.
     """
     prev = None
-    for (fx, fy, gx, gy), n in runs:
+    for start, n in runs:
+        fx, fy, gx, gy = start
         f, g = (fx, fy), (gx, gy)
         if prev is not None:
             if f in prev:
@@ -410,7 +410,7 @@ def _shared_steps(runs: tuple[Run, ...]) -> Iterator[tuple[tuple[int, int], tupl
             yield shared, (fx + gx, fy + gy), 1
         if n > 1:
             yield f, g, n - 1
-        prev = f, (gx - (n - 1) * fx, gy - (n - 1) * fy)
+        prev = f, _base_at(start, n - 1)[2:]
 
 
 def correspondence_report(a: int, b: int, path: PositivePath) -> CorrespondenceReport:
@@ -430,8 +430,7 @@ def correspondence_report(a: int, b: int, path: PositivePath) -> CorrespondenceR
 def cf_correspondence_check(a: int, b: int) -> CorrespondenceReport:
     """Compare branch lengths from a direct walk with the digits of a/b."""
     a, b = _coprime_pair(a, b)
-    nu = MonomialValuation.rational(a, b)
-    return correspondence_report(a, b, positive_path(nu, max_steps=a + b))
+    return correspondence_report(a, b, _pair_path(a, b))
 
 
 def lex_valuation_from_tail(f: Monomial, g: Monomial) -> MonomialValuation:

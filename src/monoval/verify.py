@@ -18,8 +18,7 @@ from typing import Iterator, Optional
 
 from .exactnum import _integer
 from .resolution import resolve, theorem_report, verify_reconstruction
-from .valtree import correspondence_report, positive_path
-from .valuation import MonomialValuation
+from .valtree import _pair_path, correspondence_report
 
 CHECK_NAMES = (
     "path-equality",
@@ -95,7 +94,7 @@ def run_verify(max_a: int) -> VerifyReport:
         report.pairs += 1
 
         trace = resolve(a, b)
-        path = positive_path(MonomialValuation.rational(a, b), max_steps=a + b)
+        path = _pair_path(a, b)
 
         thm = theorem_report(trace, path)
         record(a, b, "path-equality", thm.equal, "bad-chart path differs from positive path")

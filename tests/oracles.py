@@ -285,18 +285,30 @@ def off_origin_crossings(k: int, l: int, exc_f: int, exc_g: int, characteristic:
     On c1 = 0, exceptional when exc_f >= 1, the curve is 1 - c2^l when
     k = 0 and the constant 1 when k >= 1; on c2 = 0 the same with the
     roles swapped.  A meeting is a root eta of eta^e = 1 with e the
-    other exponent: of the e roots, +1 and -1 are enumerated, the rest
-    counted as skipped.  The derivative -e*eta^(e - 1) vanishes there
-    exactly when the characteristic divides e.
+    other exponent.  In characteristic p > 0, eta^e - 1 is the p^m-th
+    power of eta^(e / p^m) - 1 when p^m is the largest power of p that
+    divides e, and that has e / p^m distinct roots, since p does not
+    divide it; in characteristic 0 there are e.  Of the distinct roots,
+    +1 and -1 are enumerated (one root when they coincide, as they do in
+    characteristic 2), the rest counted as skipped.  The derivative
+    -e*eta^(e - 1) vanishes there exactly when the characteristic
+    divides e.
     """
     points, skipped = [], 0
     for axis, present, own, e in (("c1", exc_f >= 1, k, l), ("c2", exc_g >= 1, l, k)):
         if not present or own != 0 or e < 1:
             continue
-        roots = [eta for eta in (1, -1) if eta**e == 1]
+        distinct = e
+        while characteristic and distinct % characteristic == 0:
+            distinct //= characteristic
+        in_field = (lambda n: n % characteristic) if characteristic else (lambda n: n)
+        roots = {}  # each root once, keyed by its value in the prime field
+        for eta in (1, -1):
+            if in_field(eta**distinct - 1) == 0:
+                roots.setdefault(in_field(eta), eta)
         transversal = characteristic == 0 or e % characteristic != 0
-        points += [(f"{axis} = 0, unit coordinate {eta:+d}", transversal) for eta in roots]
-        skipped += e - len(roots)
+        points += [(f"{axis} = 0, unit coordinate {eta:+d}", transversal) for eta in roots.values()]
+        skipped += distinct - len(roots)
     return tuple(points), skipped
 
 

@@ -510,6 +510,7 @@ def test_cf_json_is_json_dumps_of_to_jsonable(capsys, rational):
 def test_cf_past_the_int_str_limit_fails_before_output(capsys):
     # The CLI's own words, naming the digit; not CPython's advice to raise the limit.
     cases = [
+        ("1e640", "digit 0 of the continued fraction is"),  # 10^640, the least of 641 digits
         ("1e700", "digit 0 of the continued fraction is"),
         ("-1e700", "digit 0 of the continued fraction is"),
         ("1e-700", "digit 1 of the continued fraction is"),
@@ -521,6 +522,8 @@ def test_cf_past_the_int_str_limit_fails_before_output(capsys):
             assert (code, out) == (1, ""), (rational, fmt)
             assert err == (f"error: {what} longer than 640 digits,"
                            " the interpreter's limit for printing an integer\n")
+    code, out, err = run_under_640_digits(capsys, "cf", "9" * 640)  # the largest printable
+    assert (code, out, err) == (0, f"{'9' * 640} = [{'9' * 640}]\n", "")
 
 
 def test_cf_text_refuses_a_rational_too_long_to_print(capsys):

@@ -304,12 +304,30 @@ def test_off_origin_crossings_lie_only_on_exceptional_axes():
     assert off_origin_crossing_report(bare) == resolution.OffOriginReport(points=(), skipped=0)
 
 
+def test_off_origin_crossings_count_distinct_roots_in_positive_characteristic():
+    # 1 - c2^2 on the exceptional c1 = 0: in characteristic 2, -1 = +1 is one double root
+    rep = off_origin_crossing_report(ChartState._make((1, 0, -1, 1, 1, 0, 0, 2, 1)), 2)
+    assert rep == resolution.OffOriginReport(points=(("c1 = 0, unit coordinate +1", False),), skipped=0)
+    six = ChartState._make((1, 0, -1, 1, 1, 0, 0, 6, 1))  # eta^6 = 1
+    # characteristic 3: eta^6 - 1 = (eta^2 - 1)^3, roots +1 and -1
+    rep3 = off_origin_crossing_report(six, 3)
+    assert [u for u, _ in rep3.points] == ["c1 = 0, unit coordinate +1", "c1 = 0, unit coordinate -1"]
+    assert rep3.skipped == 0 and not rep3.all_transversal
+    # characteristic 2: eta^6 - 1 = (eta^3 - 1)^2, roots +1 and two cube roots of unity
+    rep2 = off_origin_crossing_report(six, 2)
+    assert [u for u, _ in rep2.points] == ["c1 = 0, unit coordinate +1"] and rep2.skipped == 2
+    # characteristic 5 does not divide 6: six distinct roots, four skipped
+    rep5 = off_origin_crossing_report(six, 5)
+    assert len(rep5.points) == 2 and rep5.skipped == 4 and rep5.all_transversal
+
+
 def test_off_origin_crossings_equal_the_enumeration_oracle():
-    # Every misses-origin proper transform 1 - c1^k c2^l with k, l <= 6 (and
-    # the degenerate k = l = 0), over every exceptional pattern; a chart
-    # through the origin (p > 0) has nothing to report.
+    # Every misses-origin proper transform 1 - c1^k c2^l with k, l <= 12 (and
+    # the degenerate k = l = 0), over every exceptional pattern, in
+    # characteristic 0, 2, 3 and 5; a chart through the origin (p > 0) has
+    # nothing to report.
     none = resolution.OffOriginReport(points=(), skipped=0)
-    for k, l, exc_f, exc_g, char in product(range(7), range(7), (0, 1), (0, 1), (0, 2, 3)):
+    for k, l, exc_f, exc_g, char in product(range(13), range(13), (0, 1), (0, 1), (0, 2, 3, 5)):
         chart = ChartState._make((1, 0, -1, 1, exc_f, exc_g, -k, l, 1))
         report = off_origin_crossing_report(chart, char)
         expected = oracles.off_origin_crossings(k, l, exc_f, exc_g, char)

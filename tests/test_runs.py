@@ -18,20 +18,21 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
-from monoval import cli
+from monoval import cli, valtree
 from monoval.exactnum import CFStream, sqrt2_stream
 from monoval.laurent import ChartBasis, Monomial
 from monoval.resolution import resolve, theorem_report
 from monoval.valtree import (
     PositivePath,
     TreeVertex,
+    _base_at,
     _maximal_runs,
     _same_vertices,
     branch_decomposition,
     children,
     correspondence_report,
     positive_path,
-    run_bases,
+    run_items,
 )
 from monoval.valuation import MonomialValuation
 
@@ -143,7 +144,7 @@ def test_path_runs_expand_to_the_per_vertex_walk(nu, max_steps):
     path = positive_path(nu, max_steps=max_steps)
     vertices, complete = oracles.bracket_walk(nu, max_steps)
     assert ordered(path) == ordered(vertices) == ordered(path.vertices)
-    assert list(run_bases(path.runs)) == [(v.f.ex, v.f.ey, v.g.ex, v.g.ey) for v in vertices]
+    assert list(run_items(path.runs, _base_at)) == [(v.f.ex, v.f.ey, v.g.ex, v.g.ey) for v in vertices]
     assert path.complete == complete and path.count == len(path) == len(vertices)
     assert all(n >= 1 for _, n in path.runs)
     for i in (0, -1, len(vertices) // 2):
@@ -303,6 +304,40 @@ def test_resolution_and_path_have_equal_maximal_runs_for_a_up_to_200():
             if gcd(a, b) == 1:
                 path = positive_path(MonomialValuation.rational(a, b), max_steps=a + b)
                 assert _maximal_runs(resolve(a, b).runs) == _maximal_runs(path.runs), (a, b)
+
+
+def test_a_run_is_merged_only_into_the_run_it_continues():
+    # Every vertex is unimodular, and the two differ only at vertex 2,
+    # k[x/y, y/x^2] against k[x, y/x^2]: the second run of the first list
+    # starts from x/y, not x, so it does not continue the run before it.
+    runs = (((1, 0, 0, 1), 2), ((1, -1, -2, 1), 1))
+    others = (((1, 0, 0, 1), 3),)
+    assert [str(v) for v in PositivePath.from_runs(runs, True)][2] == "k[x/y, y/x^2]"
+    assert [str(v) for v in PositivePath.from_runs(others, True)][2] == "k[x, y/x^2]"
+    assert _maximal_runs(runs) == list(runs)
+    assert not _same_vertices(runs, others)
+    assert PositivePath.from_runs(runs, True) != PositivePath.from_runs(others, True)
+
+
+def test_a_path_hashes_by_building_at_most_two_vertices(monkeypatch):
+    n = 10**12
+    runs = (((1, 0, 0, 1), 1), ((0, 1, 1, -1), 1), ((0, 1, 1, -2), n - 2))  # k[x, y], k[y, x/y^j]
+    path = PositivePath.from_runs(runs, True)
+    built = []
+    real_vertex_at = valtree._vertex_at
+
+    def counted_vertex_at(start, j):
+        built.append(j)
+        assert len(built) <= 2, "a third vertex built"  # fails at once, where a walk would not end
+        return real_vertex_at(start, j)
+
+    monkeypatch.setattr(valtree, "_vertex_at", counted_vertex_at)
+    h = hash(path)
+    built.clear()
+    split = runs[:2] + (((0, 1, 1, -2), 5), ((0, 1, 1, -7), n - 7))  # the same vertices
+    assert _maximal_runs(split) == _maximal_runs(runs) == [runs[0], ((0, 1, 1, -1), n - 1)]
+    assert PositivePath.from_runs(split, True) == path
+    assert hash(PositivePath.from_runs(split, True)) == h
 
 
 def vertexwise_path_equal(p, q) -> bool:

@@ -58,13 +58,13 @@ def test_a_failed_sweep_names_its_first_failure_in_json(monkeypatch, capsys):
 
 
 def test_sweep_catches_a_dropped_path_vertex(monkeypatch):
-    real_path = verify.positive_path
+    real_path = verify._pair_path
 
-    def path_missing_last_vertex(nu, max_steps=64):
-        path = real_path(nu, max_steps=max_steps)
+    def path_missing_last_vertex(a, b):
+        path = real_path(a, b)
         return PositivePath(path.vertices[:-1], complete=path.complete)
 
-    monkeypatch.setattr(verify, "positive_path", path_missing_last_vertex)
+    monkeypatch.setattr(verify, "_pair_path", path_missing_last_vertex)
     report = run_verify(12)
     pairs = report.pairs
     assert report.checks["path-equality"].failed == pairs
