@@ -141,10 +141,22 @@ def _cmd_path(args) -> Output:
     return path_text_chunks(path, f"positive path for {nu.describe()}:"), 0
 
 
+def _print_test():
+    """A test of whether one of some ints has more digits than ``str`` prints, under today's limit.
+
+    It reads the limit and its power of ten once; without a limit it is
+    never true.
+    """
+    limit = sys.get_int_max_str_digits()
+    if not limit:
+        return lambda *ints: False
+    bound = _power_of_ten(limit)
+    return lambda *ints: max(map(abs, ints)) >= bound
+
+
 def _unprintable(*ints: int) -> bool:
     """Whether one of the ints has more digits than ``str`` prints (never, without a limit)."""
-    limit = sys.get_int_max_str_digits()
-    return bool(limit) and max(map(abs, ints)) >= _power_of_ten(limit)
+    return _print_test()(*ints)
 
 
 @functools.cache
@@ -181,13 +193,15 @@ def _printable_runs(runs, count: int, printed, name):
     integers never shrink down a path or a trace, so each run is checked
     at its last item among the first ``count``, and the runs stop at the
     first that fails, before any output; the item named is found by
-    bisection inside that run.
+    bisection inside that run.  The print limit is read once, when the
+    first run is read.
     """
+    unprintable = _print_test()
     i = 0  # items before the run
     for start, n in runs:
         m = count - i if n is None else min(n, count - i)  # items of the run to print
-        if m > 0 and _unprintable(*printed(start, m - 1)):
-            j = _first(m, lambda j: _unprintable(*printed(start, j)))
+        if m > 0 and unprintable(*printed(start, m - 1)):
+            j = _first(m, lambda j: unprintable(*printed(start, j)))
             raise _too_long(name(i + j))
         yield start, n
         if n is not None:

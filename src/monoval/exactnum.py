@@ -144,6 +144,35 @@ def _require_coprime(a: int, b: int) -> None:
         raise ValueError(f"({a}, {b}) are not coprime")
 
 
+# Miller-Rabin on the first 13 primes decides primality exactly below this
+# bound (Sorenson and Webster, 2015).
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_TEST_BOUND = 3_317_044_064_679_887_385_961_981
+
+
+def _is_prime(n: int) -> bool:
+    """Whether n is prime, exactly, for n below ``_PRIME_TEST_BOUND``."""
+    if n < 2:
+        return False
+    for p in _PRIME_BASES:
+        if n % p == 0:
+            return n == p
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for base in _PRIME_BASES:
+        x = pow(base, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def _coprime_pair(a, b, least_b: int = 1) -> tuple[int, int]:
     """``(a, b)`` as ints for coprime a > b >= ``least_b``, which is 1 or 2; else ValueError."""
     a, b = _integer(a, "a"), _integer(b, "b")

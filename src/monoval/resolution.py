@@ -24,13 +24,19 @@ not of blow-ups: ``ResolutionTrace.rows`` and ``steps`` are lazy
 sequences over the runs, which build row j of a run with ``_row_at``
 and index by a bisection of the cumulative lengths, and
 ``blow_up_count`` is a sum.  Exponents grow fast along a resolution, so
-no polynomial is built on the way.  The reconstruction check reads the
-rows of the runs in order, blows up every row with the public
-``blow_up``, and checks that the root chart and both children of every
-row recover x^b - y^a on the nose.  It compares the exponent pairs of
-the two terms that ``expand_chart`` would multiply back out, and the
-chart's sign, as ints with those of x^b - y^a; so a chart costs about
-what its integers cost.
+no polynomial is built on the way.  The reconstruction check proves
+that the root chart and both children of every row recover x^b - y^a on
+the nose, a run at a time.  It compares the exponent pairs of the two
+terms that ``expand_chart`` would multiply back out, and the chart's
+sign, as ints with those of x^b - y^a; so a chart costs about what its
+integers cost.  On a run of five rows or more whose rows before the last
+all have s > max(t, 0), each entry of each child is a polynomial of
+degree at most 2 in the row index, so the public ``blow_up`` of rows 0,
+1 and n - 2 decides those rows, and the last row is blown up on its own;
+any other run is blown up row by row.  So the check proves every chart
+from the closed form that ``_row_at``, ``_children`` and ``_chart_pairs``
+implement, in time that follows the number of runs, not of blow-ups;
+``all_charts`` still builds every chart.
 
 Blowing up a chart origin substitutes one coordinate for the product of
 the other two and refactors; the driver repeatedly blows up the unique
@@ -46,7 +52,7 @@ from dataclasses import dataclass
 from functools import cached_property, partial
 from typing import Iterator, NamedTuple, Union
 
-from .exactnum import _coprime_pair, _require_coprime
+from .exactnum import _PRIME_TEST_BOUND, _coprime_pair, _is_prime, _require_coprime
 from .laurent import ChartBasis, LaurentPolynomial, Monomial, factor_monomial_content, rewrite_in_chart
 from .valtree import ExpandedRuns, PositivePath, _pair_path, _same_vertices
 
@@ -437,17 +443,43 @@ def expand_chart(c: ChartState) -> LaurentPolynomial:
 def verify_reconstruction(trace: ResolutionTrace) -> bool:
     """True when every chart of the trace expands to x^b - y^a exactly.
 
-    The charts are the root's and both of those ``blow_up`` makes of
-    every row, so the public rule is checked on every blow-up.  A chart
+    The charts are the root's and both children of every row.  A chart
     is checked as its exponent pairs and sign, as ints: ``expand_chart``
     gives sign * (m1 - m2), which is x^b - y^a exactly when m1 = x^b and
     m2 = y^a with sign 1, or the other way round with sign -1.  Any other
     sign fails, and so do coinciding pairs, which expand to 0.  No
     polynomial is built; the first chart that differs ends the check.
+
+    Rows are blown up with the public ``blow_up``, but not every row.
+    Take a run (start, n) with n >= 5 and s_j = s - j*t.  When
+    min(s_0, s_{n-2}) > max(t, 0), every row j <= n - 2 passes through
+    the origin and takes the s > t branch of ``_children``, and each
+    child's p keeps one sign; so each of the four entries of
+    ``_chart_pairs`` of each child, and its sign, is a polynomial of
+    degree at most 2 in j, and rows 0, 1 and n - 2 matching prove that
+    all of rows 0 to n - 2 match.  Row n - 1 is blown up on its own, as
+    is every row of a shorter run or of one outside that range.  The
+    check therefore proves the charts from the closed form that
+    ``_row_at``, ``_children`` and ``_chart_pairs`` implement, rather
+    than building each one: a fault of that code at an interior row
+    alone is for the tests to find.
     """
     a, b = trace.a, trace.b
-    pairs = {1: (b, 0, 0, a), -1: (0, a, b, 0)}  # by sign
-    return all(_chart_pairs(c) == pairs.get(c[8]) for c in _charts(trace))
+    want = {1: (b, 0, 0, a), -1: (0, a, b, 0)}.get  # the pairs, by sign
+    root = trace.runs[0][0]
+    if _chart_pairs(root) != want(root[8]):
+        return False
+    for start, n in trace.runs:
+        s, t = start[6], start[7]
+        if n >= 5 and min(s, s - (n - 2) * t) > max(t, 0):
+            rows = (0, 1, n - 2, n - 1)
+        else:
+            rows = range(n)
+        for j in rows:
+            first, second = blow_up(_row_at(start, j))
+            if _chart_pairs(first) != want(first[8]) or _chart_pairs(second) != want(second[8]):
+                return False
+    return True
 
 
 def chart_agrees_with_lattice(c: ChartState, a: int, b: int) -> bool:
@@ -467,6 +499,16 @@ def chart_agrees_with_lattice(c: ChartState, a: int, b: int) -> bool:
     return primitive == LaurentPolynomial(((first, sign), (second, -sign)))
 
 
+def _check_characteristic(characteristic: int) -> None:
+    """ValueError unless the characteristic is 0 or a prime."""
+    if characteristic < 0:
+        raise ValueError("characteristic must be nonnegative")
+    if characteristic >= _PRIME_TEST_BOUND:
+        raise ValueError(f"characteristic must be below {_PRIME_TEST_BOUND}, where primes are told exactly")
+    if characteristic and not _is_prime(characteristic):
+        raise ValueError(f"characteristic must be 0 or a prime, not {characteristic}")
+
+
 def is_smooth_component(component: Proper, characteristic: int = 0) -> bool:
     """Jacobian smoothness of a single curve component.
 
@@ -475,10 +517,10 @@ def is_smooth_component(component: Proper, characteristic: int = 0) -> bool:
     singular points).  A unit-minus-monomial 1 - c1^k c2^l never meets the
     origin; its partials can only vanish along the curve when the
     characteristic divides both exponents, in which case it is a p-th
-    power and not reduced.
+    power and not reduced.  A characteristic that is not 0 or a prime is
+    refused.
     """
-    if characteristic < 0:
-        raise ValueError("characteristic must be nonnegative")
+    _check_characteristic(characteristic)
     if isinstance(component, ThroughOrigin):
         return not (component.s >= 2 and component.t >= 2)
     if isinstance(component, MissesOrigin):
@@ -502,8 +544,10 @@ def off_origin_crossing_report(c: ChartState, characteristic: int = 0) -> OffOri
     removed, and e itself in characteristic 0.  Only eta = 1, and eta = -1
     when e' is even, have exactly representable coordinates; the other
     roots are reported as skipped.  Binomials through the origin meet the
-    axes only at the origin itself, the classifier's job.
+    axes only at the origin itself, the classifier's job.  A characteristic
+    that is not 0 or a prime is refused.
     """
+    _check_characteristic(characteristic)
     k, l = -c.p, c.q
     if k == 0 and l >= 1 and c.exc_f >= 1:
         e, axis = l, "c1"

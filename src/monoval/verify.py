@@ -6,8 +6,12 @@ positive path, branch lengths match continued-fraction digits, the
 blow-up count equals the digit sum, and every chart of every trace
 expands back to x^b - y^a exactly.  The paths are compared as maximal
 runs, vertex by vertex only where those differ, and each chart as the
-exponent pairs and sign of its two terms, as ints.  Failures are report
-content, never exceptions; the first counterexample is kept verbatim.
+exponent pairs and sign of its two terms, as ints.  The charts are
+proved a run of the trace at a time, from the closed form of the run's
+rows and of their blow-ups: a run of five rows or more is blown up at
+rows 0, 1, n - 2 and n - 1, and a shorter one at every row (see
+``resolution.verify_reconstruction``).  Failures are report content,
+never exceptions; the first counterexample is kept verbatim.
 """
 
 from __future__ import annotations

@@ -1,0 +1,212 @@
+"""Hand-written mutants of the package's closed forms, each of which some test must kill.
+
+Usage: python3 tests/mutants.py [NAME ...]
+
+Each row of ``MUTANTS`` names a module of ``src/monoval``, an exact piece
+of its source, the replacement that makes the mutant, the tests that
+should kill it, and what it breaks.  The script first checks that every
+source text occurs exactly once and that each mutant's tests pass on the
+unchanged package.  Then it applies each mutant alone to a copy of
+``src`` and ``tests`` in a temporary directory and runs its tests there
+with ``pytest -x``.  A mutant is killed when they fail.  It exits 1 when
+a mutant survives, when its tests do not end within ``TIMEOUT_S``, or
+when they fail on the unchanged package; else 0.  Tier-1 does not collect
+this file, since its name has no ``test_`` prefix.
+
+A survivor is killed by adding a test, never by editing its mutant.
+"""
+
+from __future__ import annotations
+
+import os
+import re
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+TIMEOUT_S = 300
+
+RESOLUTION = "tests/test_resolution.py::"
+CRITERION_7 = "tests/test_acceptance.py::test_criterion_07_lemma_invariants_sweep_200"
+CERTIFICATE = (
+    RESOLUTION + "test_the_run_certificate_agrees_with_blowing_up_every_row_up_to_10_40",
+    RESOLUTION + "test_the_run_certificate_agrees_with_blowing_up_every_row_on_long_branches",
+)
+
+
+class Mutant(NamedTuple):
+    name: str
+    module: str
+    source: str
+    replacement: str
+    tests: tuple[str, ...]
+    breaks: str
+
+
+MUTANTS = (
+    Mutant(
+        "row-at-interior", "resolution.py",
+        "A + j * (B + t), B, s - j * t",
+        "A + j * (B + t) + (j == 3), B, s - j * t",
+        CERTIFICATE + (CRITERION_7,),
+        "row 3 of every run gets a wrong exceptional multiplicity",
+    ),
+    Mutant(
+        "children-interior", "resolution.py",
+        "e = A + B + (s if s < t else t)",
+        "e = A + B + (s if s < t else t) + (s == 3 * t + 2)",
+        CERTIFICATE + (CRITERION_7,),
+        "a row with s = 3t + 2, always before row n - 2 of its run, gets children"
+        " with a wrong exceptional multiplicity",
+    ),
+    Mutant(
+        "chart-pairs-interior", "resolution.py",
+        "    k = B + q\n",
+        "    k = B + q + (p == 2 * q + 2)\n",
+        CERTIFICATE + (CRITERION_7,),
+        "the first child of a row with s = 3t + 2 expands to a wrong second term",
+    ),
+    Mutant(
+        "children-sign", "resolution.py",
+        "(gx, gy, fx - gx, fy - gy, e, A, t - s, s, -sign)",
+        "(gx, gy, fx - gx, fy - gy, e, A, t - s, s, sign)",
+        ("tests/test_verify.py",),
+        "the second child keeps its parent's sign, so it expands to minus the curve",
+    ),
+    Mutant(
+        "certificate-one-end", "resolution.py",
+        "min(s, s - (n - 2) * t) > max(t, 0)",
+        "s > max(t, 0)",
+        (RESOLUTION + "test_reconstruction_blows_up_every_row_of_a_run_outside_the_range",),
+        "a run whose row n - 2 has s <= t is certified instead of blown up row by row",
+    ),
+    Mutant(
+        "certificate-samples-n-3", "resolution.py",
+        "rows = (0, 1, n - 2, n - 1)",
+        "rows = (0, 1, n - 3, n - 1)",
+        (RESOLUTION + "test_reconstruction_blows_up_rows_0_1_n_minus_2_and_n_minus_1_of_a_long_run",),
+        "the certificate samples row n - 3 in place of row n - 2",
+    ),
+    Mutant(
+        "certificate-skips-last-row", "resolution.py",
+        "rows = (0, 1, n - 2, n - 1)",
+        "rows = (0, 1, n - 2)",
+        (RESOLUTION + "test_reconstruction_blows_up_rows_0_1_n_minus_2_and_n_minus_1_of_a_long_run",),
+        "the last row of a certified run, which may have s <= t, is never blown up",
+    ),
+    Mutant(
+        "kind-cusp", "resolution.py",
+        "if p >= 2 and q >= 2:",
+        "if p >= 2 and q >= 3:",
+        (RESOLUTION + "test_chart_rules_equal_the_oracle_on_any_chart",),
+        "c1^p - c2^2 is no longer a cusp",
+    ),
+    Mutant(
+        "later-run-length", "resolution.py",
+        "runs.append((row, k + 1))",
+        "runs.append((row, k + 1 + (len(runs) == 3)))",
+        ("tests/test_runs.py::test_expanded_runs_equal_the_stepwise_rows",),
+        "the fourth run of a trace is one row too long",
+    ),
+    Mutant(
+        "maximal-runs-later-start", "valtree.py",
+        "merged[-1] = merged[-1][0], merged[-1][1] + n",
+        "merged[-1] = start[:4], merged[-1][1] + n",
+        ("tests/test_runs.py::test_merged_runs_keep_the_first_start",),
+        "a merged run starts where the run it absorbed started",
+    ),
+    Mutant(
+        "base-at-interior", "valtree.py",
+        "return fx, fy, gx - j * fx, gy - j * fy",
+        "return fx, fy, gx - j * fx + (j == 3), gy - j * fy",
+        ("tests/test_runs.py",),
+        "vertex 3 of every run gets a wrong second generator",
+    ),
+    Mutant(
+        "guard-one-item-short", "cli.py",
+        "if m > 0 and unprintable(*printed(start, m - 1)):",
+        "if m > 1 and unprintable(*printed(start, m - 2)):",
+        ("tests/test_cli.py",),
+        "the print guard checks a run one item before its last printed item",
+    ),
+    Mutant(
+        "stream-compare-tie", "exactnum.py",
+        "sign = GREATER if d >= e else LESS",
+        "sign = GREATER if d > e else LESS",
+        ("tests/test_exactnum.py", "tests/test_sympy_oracle.py"),
+        "a stream digit equal to the compared digit decides the wrong way",
+    ),
+)
+
+
+def copy_tree(dest: Path) -> None:
+    ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", "*.egg-info")
+    for name in ("src", "tests"):
+        shutil.copytree(ROOT / name, dest / name, ignore=ignore)
+    shutil.copy(ROOT / "pyproject.toml", dest)
+
+
+def run_tests(tree: Path, tests) -> tuple[str, str]:
+    """How ``tests`` run with -x in ``tree`` ended, and the test that failed, if one did.
+
+    The ending is 'passed', 'failed', 'timeout' or 'pytest exit N' for an
+    error in collecting or running the tests.
+    """
+    argv = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
+    # no bytecode: a mutant of the same size and second as the source must not read stale .pyc
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
+    try:
+        done = subprocess.run(argv, cwd=tree, env=env, stdout=subprocess.PIPE,
+                              stderr=subprocess.STDOUT, timeout=TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return "timeout", ""
+    out = done.stdout.decode(errors="replace")
+    if done.returncode == 0:
+        return "passed", ""
+    if done.returncode == 1:
+        failed = re.search(r"^FAILED (\S+)", out, re.M)
+        return "failed", failed.group(1) if failed else ""
+    sys.stdout.write(out[-2000:])
+    return f"pytest exit {done.returncode}", ""
+
+
+def main(names) -> int:
+    chosen = [m for m in MUTANTS if not names or m.name in names]
+    unknown = set(names) - {m.name for m in MUTANTS}
+    if unknown:
+        print("unknown mutants:", ", ".join(sorted(unknown)))
+        return 1
+    for m in chosen:
+        text = (ROOT / "src" / "monoval" / m.module).read_text()
+        assert text.count(m.source) == 1, f"{m.name}: its source occurs {text.count(m.source)} times"
+    ok = True
+    with tempfile.TemporaryDirectory(prefix="monoval-mutants-") as tmp:
+        tree = Path(tmp)
+        copy_tree(tree)
+        tests = sorted({t for m in chosen for t in m.tests})
+        verdict, failed = run_tests(tree, tests)
+        print(f"unchanged package: {len(tests)} test selections {verdict} {failed}", flush=True)
+        if verdict != "passed":
+            return 1
+        for m in chosen:
+            path = tree / "src" / "monoval" / m.module
+            original = path.read_text()
+            path.write_text(original.replace(m.source, m.replacement))
+            start = time.perf_counter()
+            verdict, failed = run_tests(tree, m.tests)
+            path.write_text(original)
+            outcome = "killed" if verdict == "failed" else "SURVIVED" if verdict == "passed" else verdict.upper()
+            print(f"{outcome:9} {m.name} ({time.perf_counter() - start:.1f} s): {m.breaks}", flush=True)
+            if failed:
+                print(f"          by {failed}", flush=True)
+            ok = ok and verdict == "failed"
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

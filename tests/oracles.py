@@ -51,6 +51,8 @@ from monoval.resolution import (
     ResolutionStep,
     ResolutionTrace,
     ThroughOrigin,
+    _chart_pairs,
+    _charts,
     _children,
     _kind,
     initial_chart,
@@ -266,6 +268,18 @@ def continues_run(row) -> bool:
 def trace_from_rows(a: int, b: int, rows) -> ResolutionTrace:
     """A trace of the given rows, one run each."""
     return ResolutionTrace(a, b, tuple((tuple(row), 1) for row in rows))
+
+
+def reconstruction_by_rows(trace: ResolutionTrace) -> bool:
+    """The reconstruction verdict with every row blown up by the public ``blow_up``.
+
+    The root chart and both children of every row are compared, as
+    exponent pairs and sign, with those of x^b - y^a.  This is the check
+    ``verify_reconstruction`` certifies a run at a time; like it, it
+    raises ``ValueError`` on a row that misses the origin.
+    """
+    pairs = {1: (trace.b, 0, 0, trace.a), -1: (0, trace.a, trace.b, 0)}  # by sign
+    return all(_chart_pairs(c) == pairs.get(c[8]) for c in _charts(trace))
 
 
 def expand_chart(c: ChartState) -> LaurentPolynomial:

@@ -9,6 +9,7 @@ from monoval.exactnum import (
     CFStream,
     GREATER,
     LESS,
+    _is_prime,
     cf_alternate,
     cf_canonicalize,
     cf_convergents,
@@ -332,3 +333,13 @@ def test_a_step_budget_below_its_least_value_keeps_its_message():
             take_path(walk(_NU), steps)
     with pytest.raises(ValueError, match="^max_steps must not be negative$"):
         membership_union(Monomial(1, -1), _NU, -1.0)
+
+
+def test_is_prime_equals_trial_division_and_rejects_strong_pseudoprimes():
+    def trial(n):
+        return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+    assert [n for n in range(-3, 20_000) if _is_prime(n)] == [n for n in range(20_000) if trial(n)]
+    # strong pseudoprimes to every base up to 7, 23 and 37 in turn
+    assert not any(map(_is_prime, (3215031751, 3825123056546413051, 318665857834031151167461)))
+    assert _is_prime(2**61 - 1) and _is_prime(2**31 - 1) and not _is_prime(2**61 + 1)

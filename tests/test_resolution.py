@@ -7,7 +7,7 @@ from itertools import accumulate, product
 from math import gcd
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import oracles
 from monoval import resolution
@@ -17,6 +17,7 @@ from monoval.resolution import (
     Classification,
     MissesOrigin,
     ResolutionInvariantError,
+    ResolutionTrace,
     ThroughOrigin,
     bad_vertex_path,
     blow_up,
@@ -259,6 +260,29 @@ def test_is_smooth_component():
     assert not is_smooth_component(ThroughOrigin(2, 3), characteristic=2)
     with pytest.raises(ValueError):
         is_smooth_component(MissesOrigin(0, 1), characteristic=-1)
+
+
+@pytest.mark.parametrize("characteristic", [1, 4, 6, -2, 2**89])
+def test_a_characteristic_that_is_not_0_or_a_prime_is_refused(characteristic):
+    chart = ChartState._make((1, 0, -1, 1, 1, 0, 0, 6, 1))
+    if characteristic < 0:
+        message = "characteristic must be nonnegative"
+    elif characteristic > 6:
+        message = "characteristic must be below 3317044064679887385961981, where primes are told exactly"
+    else:
+        message = f"characteristic must be 0 or a prime, not {characteristic}"
+    for call in (lambda: off_origin_crossing_report(chart, characteristic),
+                 lambda: is_smooth_component(MissesOrigin(0, 6), characteristic)):
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == message
+
+
+def test_a_characteristic_that_is_a_prime_is_taken():
+    chart = ChartState._make((1, 0, -1, 1, 1, 0, 0, 6, 1))
+    for p in (2, 3, 5, 2**61 - 1):
+        assert off_origin_crossing_report(chart, p).points[0][0] == "c1 = 0, unit coordinate +1"
+        assert is_smooth_component(MissesOrigin(0, 6), p) is (p > 3)
 
 
 def test_smoothness_refuses_what_is_not_a_curve_component():
@@ -538,18 +562,53 @@ def counting(monkeypatch, name):
     return calls
 
 
-def test_reconstruction_checks_the_root_and_both_children_of_every_row(monkeypatch):
-    checked = counting(monkeypatch, "_chart_pairs")
+def blown_rows(monkeypatch, trace, picks):
+    """The rows ``verify_reconstruction`` blows up, and the rows ``picks`` names.
+
+    ``picks`` maps a run's index to the indices j of the rows it should
+    blow up; a run it leaves out should have every row blown up.
+    """
     blown = counting(monkeypatch, "blow_up")
-    for a, b in [(3, 2), (24, 7), (377, 233), (20001, 20000)]:
-        trace = resolve(a, b)
-        charts = trace.all_charts()
-        checked.clear()
-        blown.clear()
-        assert verify_reconstruction(trace)
-        assert len(checked) == 2 * trace.blow_up_count + 1
-        assert checked == charts
-        assert blown == list(trace.rows)  # the public rule makes every child
+    want = [resolution._row_at(start, j)
+            for i, (start, n) in enumerate(trace.runs) for j in picks.get(i, range(n))]
+    try:
+        verdict = verify_reconstruction(trace)
+    except ValueError:  # blow_up refuses a row that misses the origin
+        verdict = None
+    return blown, want, verdict
+
+
+@pytest.mark.parametrize("pair, picks", [
+    ((24, 7), {}),  # runs of 1 and 3 rows
+    ((14, 3), {}),  # a run of 4
+    ((17, 3), {1: (0, 1, 3, 4)}),  # a run of 5
+    ((23, 3), {1: (0, 1, 5, 6)}),
+    ((20001, 20000), {2: (0, 1, 19996, 19997)}),
+])
+def test_reconstruction_blows_up_rows_0_1_n_minus_2_and_n_minus_1_of_a_long_run(monkeypatch, pair, picks):
+    trace = resolve(*pair)
+    checked = counting(monkeypatch, "_chart_pairs")
+    blown, want, verdict = blown_rows(monkeypatch, trace, picks)
+    assert verdict is True
+    assert blown == want
+    assert checked[0] == trace.runs[0][0]  # the root
+    assert len(checked) == 2 * len(blown) + 1  # and both children of each row
+
+
+@pytest.mark.parametrize("pair, run, extra", [((17, 3), 1, 1), ((23, 3), 1, 1), ((23, 3), 1, 2)])
+def test_reconstruction_blows_up_every_row_of_a_run_outside_the_range(monkeypatch, pair, run, extra):
+    # Lengthened, the run's row n - 2 has s <= t, and its last row misses
+    # the origin, so blow_up refuses it after every row before.
+    runs = list(resolve(*pair).runs)
+    start, n = runs[run]
+    runs[run] = start, n + extra
+    trace = ResolutionTrace(*pair, tuple(runs))
+    s, t = start[6], start[7]
+    assert s - (n + extra - 2) * t <= t < s
+    blown, want, verdict = blown_rows(monkeypatch, trace, {})
+    assert verdict is None
+    assert blown == want[:len(blown)]
+    assert blown[-1] == resolution._row_at(start, n) and blown[-1][6] <= 0
 
 
 def oracle_reconstruction(trace) -> bool:
@@ -604,6 +663,63 @@ def corrupted_traces(draw):
 @given(corrupted_traces())
 def test_the_int_check_agrees_with_the_oracle_expansion_on_corrupted_traces(trace):
     assert int_reconstruction(trace) == oracle_reconstruction(trace)
+
+
+def by_rows(trace) -> bool:
+    try:
+        return oracles.reconstruction_by_rows(trace)
+    except ValueError:
+        return False
+
+
+@settings(max_examples=60, deadline=None)
+@given(oracles.coprime_pairs(10**40))
+def test_the_run_certificate_agrees_with_blowing_up_every_row_up_to_10_40(pair):
+    trace = resolve(*pair)
+    assert int_reconstruction(trace) is by_rows(trace) is True
+
+
+@example(5, "n + 1, n")
+@example(5, "n, 2")
+@example(7, "n, 3")
+@settings(max_examples=30, deadline=None)
+@given(st.integers(4, 3000), st.sampled_from(("n + 1, n", "n, 2", "n, 3")))
+def test_the_run_certificate_agrees_with_blowing_up_every_row_on_long_branches(n, family):
+    a, b = {"n + 1, n": (n + 1, n), "n, 2": (n, 2), "n, 3": (n, 3)}[family]
+    assume(gcd(a, b) == 1)
+    trace = resolve(a, b)
+    assert max(m for _, m in trace.runs) >= n // 3 - 1  # one run of about n, n/2 or n/3 rows
+    assert int_reconstruction(trace) is by_rows(trace) is True
+
+
+@st.composite
+def corrupted_runs(draw):
+    """A trace with one run of two rows or more corrupted: an entry of its
+    first row moved by 1 or 2, its sign set to 0, +-2 or flipped, or its
+    length off by one."""
+    a, b = draw(oracles.coprime_pairs(10**6))
+    runs = list(resolve(a, b).runs)
+    long = [i for i, (_, n) in enumerate(runs) if n > 1]
+    assume(long)
+    i = draw(st.sampled_from(long))
+    row, n = list(runs[i][0]), runs[i][1]
+    how = draw(st.sampled_from(("entry", "sign", "length")))
+    if how == "entry":
+        row[draw(st.integers(0, 8))] += draw(st.sampled_from((-2, -1, 1, 2)))
+    elif how == "sign":
+        row[8] = draw(st.sampled_from((0, 2, -2, -row[8])))
+    else:
+        n += draw(st.sampled_from((-1, 1)))
+    runs[i] = tuple(row), n
+    return ResolutionTrace(a, b, tuple(runs))
+
+
+@example(ResolutionTrace(17, 3, (((1, 0, 0, 1, 0, 0, 3, 17, 1), 1), ((0, 1, 1, -1, 3, 0, 14, 3, -1), 6))))
+@example(ResolutionTrace(23, 3, (((1, 0, 0, 1, 0, 0, 3, 23, 1), 1), ((0, 1, 1, -1, 3, 0, 20, 3, 1), 7))))
+@settings(max_examples=300, deadline=None)
+@given(corrupted_runs())
+def test_the_run_certificate_agrees_with_blowing_up_every_row_on_corrupted_runs(trace):
+    assert int_reconstruction(trace) == by_rows(trace)
 
 
 def test_resolve_steps_each_run_end_with_the_blow_up_rule(monkeypatch):

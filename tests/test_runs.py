@@ -319,6 +319,15 @@ def test_a_run_is_merged_only_into_the_run_it_continues():
     assert PositivePath.from_runs(runs, True) != PositivePath.from_runs(others, True)
 
 
+def test_merged_runs_keep_the_first_start():
+    # k[x, y/x^j] for j < 5, split after vertex 2: one run from k[x, y]
+    runs = (((1, 0, 0, 1), 2), ((1, 0, -2, 1), 3))
+    whole = (((1, 0, 0, 1), 5),)
+    assert _maximal_runs(runs) == list(whole)
+    assert _same_vertices(runs, whole)
+    assert PositivePath.from_runs(runs, True) == PositivePath.from_runs(whole, True)
+
+
 def test_a_path_hashes_by_building_at_most_two_vertices(monkeypatch):
     n = 10**12
     runs = (((1, 0, 0, 1), 1), ((0, 1, 1, -1), 1), ((0, 1, 1, -2), n - 2))  # k[x, y], k[y, x/y^j]
