@@ -106,13 +106,14 @@ def _cmd_cf(args) -> Output:
                 raise _too_long(where, "reading") from None
         raise
     cf = cf_expand(r)
+    unprintable = _print_test()
     # No digit exceeds the larger of |numerator| and denominator.
-    if _unprintable(r.numerator, r.denominator):
-        too_long = next((i for i, d in enumerate(cf.digits) if _unprintable(d)), None)
+    if unprintable(r.numerator, r.denominator):
+        too_long = next((i for i, d in enumerate(cf.digits) if unprintable(d)), None)
         if too_long is not None:
             raise _too_long(f"digit {too_long} of the continued fraction is")
         if args.format == "text":  # which prints the rational too
-            part = "numerator" if _unprintable(r.numerator) else "denominator"
+            part = "numerator" if unprintable(r.numerator) else "denominator"
             raise _too_long(f"the {part} of the rational is")
     if args.format == "json":
         return (emit_json(cf),), 0
@@ -154,11 +155,6 @@ def _print_test():
     return lambda *ints: max(map(abs, ints)) >= bound
 
 
-def _unprintable(*ints: int) -> bool:
-    """Whether one of the ints has more digits than ``str`` prints (never, without a limit)."""
-    return _print_test()(*ints)
-
-
 @functools.cache
 def _power_of_ten(n: int) -> int:
     """10**n, computed once per n: 10**4300 takes tens of microseconds, a small request's share."""
@@ -194,18 +190,18 @@ def _printable_runs(runs, count: int, printed, name):
     at its last item among the first ``count``, and the runs stop at the
     first that fails, before any output; the item named is found by
     bisection inside that run.  The print limit is read once, when the
-    first run is read.
+    first run is read.  The runs are finite, as a trace's and a walk's
+    of a rational or a stream are.
     """
     unprintable = _print_test()
     i = 0  # items before the run
     for start, n in runs:
-        m = count - i if n is None else min(n, count - i)  # items of the run to print
+        m = min(n, count - i)  # items of the run to print
         if m > 0 and unprintable(*printed(start, m - 1)):
             j = _first(m, lambda j: unprintable(*printed(start, j)))
             raise _too_long(name(i + j))
         yield start, n
-        if n is not None:
-            i += n
+        i += n
 
 
 def _cmd_ringgens(args) -> Output:
@@ -246,7 +242,7 @@ def _cmd_member(args) -> Output:
         member, value = True, "infinity"
     else:
         value = v.m * args.a + v.n * args.b
-        if _unprintable(value):
+        if _print_test()(value):
             raise _too_long("the value is")
         member = value >= 0
     if args.format == "json":

@@ -47,7 +47,8 @@ per-blow-up JSON step and the DOT nodes are ``%`` templates, which fill
 faster than ``str.format``; monomial names and classifications hold no
 character that JSON escapes, so the templates quote them as they are.
 ``printed_integers`` says which integers each format prints for a row,
-so a caller can check them before any output.
+so a caller can check them before any output; it reads the new ones
+from the row's first child, by ``resolution._children``.
 
 The path emitters walk a path's runs too: a run's first generator is
 named once, and each vertex names only its second, g/f^j, with
@@ -143,17 +144,13 @@ def printed_integers(row: tuple[int, ...], fmt: str, show_steps: bool = False) -
     Every format prints the blown-up chart's basis.  JSON, DOT and
     ``show_steps`` text print its children's bases too, which add g/f and
     its inverse, and JSON and ``show_steps`` text print the children's
-    multiplicity, the largest number of a blow-up.  The powers s, t never
-    exceed a.
+    multiplicity, the largest number of a blow-up; both are read from the
+    first child that ``_children`` makes.  The powers s, t never exceed a.
     """
-    fx, fy, gx, gy, exc_f, exc_g, s, t, _ = row
-    ints = (fx, fy, gx, gy)
-    steps = fmt == "text" and show_steps
-    if fmt != "text" or steps:
-        ints += (gx - fx, gy - fy)
-    if fmt == "json" or steps:
-        ints += (exc_f + exc_g + min(s, t),)
-    return ints
+    if fmt == "text" and not show_steps:
+        return row[:4]
+    first = _children(row)[0]  # (f, g/f, multiplicity, ...)
+    return row[:4] + (first[2:5] if fmt in ("json", "text") else first[2:4])
 
 
 def _path_names(path: PositivePath) -> Iterator[tuple[str, str]]:

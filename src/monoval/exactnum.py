@@ -262,6 +262,7 @@ def cf_convergents(cf: Union[CFExpansion, CFStream], count: int) -> tuple[Fracti
 
     For a finite expansion ``count`` may not exceed the digit supply.
     """
+    count = _integer(count, "count")
     if count < 1:
         raise ValueError("count must be positive")
     if isinstance(cf, CFExpansion):

@@ -304,14 +304,14 @@ def _height(p: LaurentPolynomial) -> int:
 
     The bound is the larger of that denominator and the sum of the
     numerators' absolute values, so the k-th power of the bound bounds
-    the coefficients of p^k: their height is at most k times p's.
+    the coefficients of p^k: their height is at most k times p's.  One
+    pass keeps the sum over the common denominator of the terms so far.
     """
-    coefficients = [c for _, c in p.terms()]
-    if len(coefficients) == 1:  # most operands: a shortcut of the same bound
-        c = coefficients[0]
-        return (max(abs(c.numerator), c.denominator) - 1).bit_length()
-    d = math.lcm(*(c.denominator for c in coefficients))
-    s = sum(abs(c.numerator) * (d // c.denominator) for c in coefficients)
+    d, s = 1, 0
+    for _, c in p.terms():
+        e = math.lcm(d, c.denominator)
+        s = s * (e // d) + abs(c.numerator) * (e // c.denominator)
+        d = e
     return (max(s, d) - 1).bit_length()
 
 
@@ -332,16 +332,12 @@ def _power_units(p: LaurentPolynomial, n: int) -> int:
     if not t:
         return 0
     h = _height(p)
-    if t == 1:
-        def size(k: int) -> int:  # _size(p**k), a single term
-            return 1 + k * h // BLOCK_BITS
-    else:
-        rx = max(m.ex for m in monomials) - min(m.ex for m in monomials)
-        ry = max(m.ey for m in monomials) - min(m.ey for m in monomials)
+    xs, ys = [m.ex for m in monomials], [m.ey for m in monomials]
+    rx, ry = max(xs) - min(xs), max(ys) - min(ys)
 
-        def size(k: int) -> int:  # a bound on _size(p**k)
-            terms = min((k * rx + 1) * (k * ry + 1), math.comb(k + t - 1, t - 1))
-            return terms * (1 + k * h // BLOCK_BITS)
+    def size(k: int) -> int:  # a bound on _size(p**k), exact for a single term
+        terms = min((k * rx + 1) * (k * ry + 1), math.comb(k + t - 1, t - 1))
+        return terms * (1 + k * h // BLOCK_BITS)
 
     units, r, s = 0, 0, 1  # the result so far is p**r, the square p**s
     while n and units <= WORK_BUDGET:

@@ -22,7 +22,7 @@ division of the chart's own s by t, and steps each run's last row with
 never calls a valuation.  A trace takes memory in the number of digits,
 not of blow-ups: ``ResolutionTrace.rows`` and ``steps`` are lazy
 sequences over the runs, which build row j of a run with ``_row_at``
-and index by a bisection of the cumulative lengths, and
+and index by walking the runs to the one that holds the index, and
 ``blow_up_count`` is a sum.  Exponents grow fast along a resolution, so
 no polynomial is built on the way.  The reconstruction check proves
 that the root chart and both children of every row recover x^b - y^a on

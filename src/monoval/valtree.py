@@ -26,11 +26,10 @@ against.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, count
+from itertools import count
 from operator import eq
 from typing import Callable, Iterator, Optional
 
@@ -52,18 +51,17 @@ class ExpandedRuns(Sequence):
     """The items of runs, ``at(start, j)`` for j < n of each run (start, n), built when read.
 
     ``len`` is the sum of the lengths.  Iteration reads each run's items
-    by ``at`` in order.  Indexing bisects the cumulative lengths,
-    computed when first needed.  Equal to any tuple, list or expanded
-    runs with equal items in the same order.
+    by ``at`` in order.  Indexing walks the runs, subtracting their
+    lengths until the index falls inside one.  Equal to any tuple, list
+    or expanded runs with equal items in the same order.
     """
 
-    __slots__ = ("_runs", "_count", "_at", "_ends")
+    __slots__ = ("_runs", "_count", "_at")
 
     def __init__(self, runs: tuple[Run, ...], n: int, at: Callable[[tuple, int], object]):
         self._runs = runs
         self._count = n
         self._at = at
-        self._ends = None
 
     def __len__(self) -> int:
         return self._count
@@ -79,10 +77,10 @@ class ExpandedRuns(Sequence):
             i += n
         if not 0 <= i < n:
             raise IndexError("index out of range")
-        if self._ends is None:
-            self._ends = list(accumulate(length for _, length in self._runs))
-        r = bisect_right(self._ends, i)
-        return self._at(self._runs[r][0], i - self._ends[r - 1] if r else i)
+        for start, length in self._runs:
+            if i < length:
+                return self._at(start, i)
+            i -= length
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, (tuple, list, ExpandedRuns)):
@@ -258,9 +256,7 @@ def positive_child(nu: MonomialValuation, v: TreeVertex) -> Optional[TreeVertex]
     c = nu.compare(vf, vg)
     if c == 0:
         return None
-    if c > 0:
-        return TreeVertex(v.g, v.f / v.g)
-    return TreeVertex(v.f, v.g / v.f)
+    return children(v)[c > 0]
 
 
 _END = object()  # marks the end of a finite digit expansion

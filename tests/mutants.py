@@ -107,6 +107,13 @@ MUTANTS = (
         "c1^p - c2^2 is no longer a cusp",
     ),
     Mutant(
+        "kind-triple-or", "resolution.py",
+        "if exc_f >= 1 and exc_g >= 1:",
+        "if exc_f >= 1 or exc_g >= 1:",
+        (RESOLUTION + "test_chart_rules_equal_the_oracle_on_any_chart",),
+        "a line through the origin beside one exceptional axis is a triple point",
+    ),
+    Mutant(
         "later-run-length", "resolution.py",
         "runs.append((row, k + 1))",
         "runs.append((row, k + 1 + (len(runs) == 3)))",
@@ -121,6 +128,34 @@ MUTANTS = (
         "a merged run starts where the run it absorbed started",
     ),
     Mutant(
+        "maximal-runs-three-ints", "valtree.py",
+        "if merged and start[:4] == _base_at(*merged[-1]):",
+        "if merged and start[:3] == _base_at(*merged[-1])[:3]:",
+        ("tests/test_runs.py::test_a_run_is_merged_only_into_the_run_it_continues",),
+        "a run merges into one whose continuation differs from its start only in gy",
+    ),
+    Mutant(
+        "index-walk-one-past", "valtree.py",
+        "            if i < length:",
+        "            if i <= length:",
+        ("tests/test_runs.py::test_indexing_the_rows_bisects_to_the_rows_iteration_gives",),
+        "an index equal to a run's length reads past that run's last item",
+    ),
+    Mutant(
+        "positive-child-other", "valtree.py",
+        "return children(v)[c > 0]",
+        "return children(v)[c < 0]",
+        ("tests/test_valtree.py",),
+        "the positive child is the child whose new generator has negative value",
+    ),
+    Mutant(
+        "shared-steps-g-for-f", "valtree.py",
+        "                shared = f\n",
+        "                shared = g\n",
+        ("tests/test_runs.py::test_branches_over_runs_equal_the_vertex_split",),
+        "a step between two runs that shares f is read as sharing g",
+    ),
+    Mutant(
         "base-at-interior", "valtree.py",
         "return fx, fy, gx - j * fx, gy - j * fy",
         "return fx, fy, gx - j * fx + (j == 3), gy - j * fy",
@@ -133,6 +168,13 @@ MUTANTS = (
         "if m > 1 and unprintable(*printed(start, m - 2)):",
         ("tests/test_cli.py",),
         "the print guard checks a run one item before its last printed item",
+    ),
+    Mutant(
+        "printed-integers-no-multiplicity", "emit.py",
+        "first[2:5]",
+        "first[2:4]",
+        ("tests/test_emit.py::test_printed_integers_hold_the_largest_integer_each_format_prints",),
+        "the print guard of JSON and --trace text skips the children's multiplicity",
     ),
     Mutant(
         "stream-compare-tie", "exactnum.py",

@@ -302,6 +302,8 @@ _NU = MonomialValuation.rational(5, 3)
         (lambda: take_runs(walk_runs(_NU), 2.5), "max_steps must be an integer, not 2.5"),
         (lambda: membership_union(Monomial(1, -1), _NU, 2.5),
          "max_steps must be an integer, not 2.5"),
+        (lambda: cf_convergents(sqrt2_stream(), 2.5), "count must be an integer, not 2.5"),
+        (lambda: cf_convergents(cf_expand(Fraction(7, 3)), 2.5), "count must be an integer, not 2.5"),
     ],
 )
 def test_an_integer_argument_with_a_fractional_part_is_refused(call, message):
@@ -323,6 +325,9 @@ def test_an_integer_argument_may_be_any_integral_value_or_a_string():
     assert positive_path(_NU, 3.0) == positive_path(_NU, 3)
     assert take_path(walk(_NU), 3.0) == positive_path(_NU, 3)
     assert membership_union(Monomial(1, -1), _NU, 64.0) == 1
+    assert cf_convergents(sqrt2_stream(), 2.0) == cf_convergents(sqrt2_stream(), 2)
+    assert cf_convergents(sqrt2_stream(), "3") == cf_convergents(sqrt2_stream(), 3)
+    assert cf_convergents(cf_expand(Fraction(24, 7)), "3") == cf_convergents(CFExpansion((3, 2, 3)), 3)
 
 
 def test_a_step_budget_below_its_least_value_keeps_its_message():

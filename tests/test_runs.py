@@ -317,6 +317,10 @@ def test_a_run_is_merged_only_into_the_run_it_continues():
     assert _maximal_runs(runs) == list(runs)
     assert not _same_vertices(runs, others)
     assert PositivePath.from_runs(runs, True) != PositivePath.from_runs(others, True)
+    # a start one int off the continuation k[x, y/x^2], in any of the four
+    for i in range(4):
+        start = tuple(e + (k == i) for k, e in enumerate((1, 0, -2, 1)))
+        assert _maximal_runs((runs[0], (start, 1))) == [runs[0], (start, 1)], start
 
 
 def test_merged_runs_keep_the_first_start():
