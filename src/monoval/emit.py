@@ -9,16 +9,18 @@ is also what the expression parser reads back.
 ``to_jsonable`` is the plain dict/list view of every emittable object,
 and ``emit_json(obj)`` is ``json.dumps(to_jsonable(obj), sort_keys=True,
 indent=2)`` byte for byte.  Resolution traces and positive paths, the
-outputs that run to tens of megabytes, are written through fixed
-templates laid out as that call lays them out, and so is a continued
-fraction, the most frequent small request: ``json.dumps`` with an indent
-runs its pure-Python encoder, several times slower than one ``join``.
-Every other object goes through ``json.dumps``.
+outputs that run to tens of megabytes, are written through f-strings
+laid out as that call lays them out, and a continued fraction, the most
+frequent small request, through one fixed template: ``json.dumps`` with
+an indent runs its pure-Python encoder, several times slower than one
+``join``.  Every other object goes through ``json.dumps``.
 
 Traces and paths are streamed: ``json_chunks``, ``dot_chunks``,
-``trace_text_chunks`` and ``path_text_chunks`` yield the output one
-blow-up or one vertex at a time, so a caller can write it as it is made
-and never holds the whole document.  ``emit_json``, ``emit_dot``,
+``trace_text_chunks`` and ``path_text_chunks`` yield each heading alone,
+then each section's items (a blow-up, a vertex, a node or an edge)
+joined into blocks of about 64 KB (``_blocks``), so a caller can write
+the output as it is made and never holds the whole document; a write
+per item cost more than filling the item.  ``emit_json``, ``emit_dot``,
 ``format_trace_text`` and ``format_path_text`` join those chunks; there is
 no second code path.  Two sections come out in another order than the
 rows are read in, and take a second pass: DOT prints every node before
@@ -43,9 +45,11 @@ exponent: exponents of a wide pair run to hundreds of digits, and
 ``str`` of an int takes time quadratic in its length.  Plain text prints
 only the bad charts, and names the same two new generators as the
 others: they cost no more ``str`` of an int than the bad one alone.  The
-per-blow-up JSON step and the DOT nodes are ``%`` templates, which fill
-faster than ``str.format``; monomial names and classifications hold no
-character that JSON escapes, so the templates quote them as they are.
+per-blow-up JSON step and the DOT nodes are filled by f-strings, which
+fill faster than a ``%`` template: that parses its format again on every
+fill.  Monomial names and classifications hold no character that JSON
+escapes, so the JSON step quotes them as they are.  Each JSON array item
+carries its ``,\\n`` separator, which the first drops.
 ``printed_integers`` says which integers each format prints for a row,
 so a caller can check them before any output; it reads the new ones
 from the row's first child, by ``resolution._children``.
@@ -59,6 +63,7 @@ from __future__ import annotations
 
 import json
 from collections.abc import Iterator
+from itertools import chain, count, starmap
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
@@ -103,7 +108,7 @@ def _blow_ups(trace: ResolutionTrace, number):
     ``int``, which leaves them as they are: ``str`` of one may pass the
     interpreter's limit for printing an integer.
     """
-    kinds, resolved = _KIND, _KIND[Classification.RESOLVED]
+    kinds, resolved = _KIND, _RESOLVED
     row = trace.runs[0][0]
     fx, fy, gx, gy, a, b, s, t, _ = row
     f, g = monomial_name(fx, fy), monomial_name(gx, gy)
@@ -253,81 +258,132 @@ def to_jsonable(obj):
     raise TypeError(f"cannot emit {type(obj).__name__} as JSON")
 
 
-def _json_array(items: Iterator[str]) -> Iterator[str]:
-    """Chunks of a JSON array, as a top-level value's field, of items rendered at depth 4."""
-    first = next(items, None)
-    if first is None:
-        yield "[]"
-        return
-    yield "[\n" + first
+_BLOCK = 1 << 16  # characters per write, about; the emitters write ASCII, so bytes
+
+
+def _blocks(items: Iterator[str]) -> Iterator[str]:
+    """The items joined in order into blocks of at least ``_BLOCK`` characters, the last maybe fewer.
+
+    A block ends at the first item that brings it to ``_BLOCK``, so none
+    is longer than that plus one item.  Bounding a block by characters,
+    not by items, keeps the memory it holds flat on wide pairs, whose
+    ``--trace`` steps run to kilobytes each.
+    """
+    block, size = [], 0
     for item in items:
-        yield ",\n" + item
-    yield "\n  ]"
+        block.append(item)
+        size += len(item)
+        if size >= _BLOCK:
+            yield "".join(block)
+            block, size = [], 0
+    if block:
+        yield "".join(block)
 
 
-def _chart_template(depth: int) -> str:
-    """A chart object's eight fields, in key order, its ``{`` opening a line at ``depth``."""
-    return """{
-  "basis": {
-    "f": "%s",
-    "g": "%s"
-  },
-  "exceptional": {
-    "f": %s,
-    "g": %s
-  },
-  "proper": {
-    "f_power": %s,
-    "g_power": %s,
-    "kind": "%s"
-  },
-  "sign": %s
-}""".replace("\n", "\n" + " " * depth)
+def _json_items(items: Iterator[str]) -> Iterator[str]:
+    """Blocks of a JSON array's items after its ``[``; each item opens with ``,\\n``, the first with ``\\n``."""
+    first = next(items, None)
+    if first is not None:
+        yield from _blocks(chain((first[1:],), items))
 
 
-# A child at depth 8: its chart's fields, then its classification.
-_CHILD = (
-    '        {\n          "chart": ' + _chart_template(10)
-    + ',\n          "classification": "%s"\n        }'
-)
-# A blow-up at depth 4: its chart's fields, both children, then its own
-# classification.
-_STEP = (
-    '    {\n      "chart": ' + _chart_template(6) + ',\n      "children": [\n'
-    + _CHILD + ",\n" + _CHILD + '\n      ],\n      "classification": "%s"\n    }'
-)
-# A trace's fields before its blow-ups, and after them.
-_TRACE = ('{\n  "a": %s,\n  "b": %s,\n  "blow_ups": ', ',\n  "count": %s\n}')
-_VERTEX = '    {\n      "f": "%s",\n      "g": "%s"\n    }'
+def _json_step(chart, first, second, through1, through2, sign, kind, k1, k2) -> str:
+    """One blow-up of ``_blow_ups`` as a JSON array item at depth 4, after its ``,\\n``.
+
+    Monomial names and classifications hold no character that JSON
+    escapes, so they are quoted as they are.
+    """
+    f, g, exc_f, exc_g, s, t = chart
+    f1, g1, exc_f1, exc_g1, s1, t1 = first
+    f2, g2, exc_f2, exc_g2, s2, t2 = second
+    proper1 = "through-origin" if through1 else "misses-origin"
+    proper2 = "through-origin" if through2 else "misses-origin"
+    return f""",
+    {{
+      "chart": {{
+        "basis": {{
+          "f": "{f}",
+          "g": "{g}"
+        }},
+        "exceptional": {{
+          "f": {exc_f},
+          "g": {exc_g}
+        }},
+        "proper": {{
+          "f_power": {s},
+          "g_power": {t},
+          "kind": "through-origin"
+        }},
+        "sign": {sign}
+      }},
+      "children": [
+        {{
+          "chart": {{
+            "basis": {{
+              "f": "{f1}",
+              "g": "{g1}"
+            }},
+            "exceptional": {{
+              "f": {exc_f1},
+              "g": {exc_g1}
+            }},
+            "proper": {{
+              "f_power": {s1},
+              "g_power": {t1},
+              "kind": "{proper1}"
+            }},
+            "sign": {sign}
+          }},
+          "classification": "{k1}"
+        }},
+        {{
+          "chart": {{
+            "basis": {{
+              "f": "{f2}",
+              "g": "{g2}"
+            }},
+            "exceptional": {{
+              "f": {exc_f2},
+              "g": {exc_g2}
+            }},
+            "proper": {{
+              "f_power": {s2},
+              "g_power": {t2},
+              "kind": "{proper2}"
+            }},
+            "sign": {-sign}
+          }},
+          "classification": "{k2}"
+        }}
+      ],
+      "classification": "{kind}"
+    }}"""
+
+
+def _json_vertex(f: str, g: str) -> str:
+    """A path's vertex as a JSON array item at depth 4, after its ``,\\n``."""
+    return f',\n    {{\n      "f": "{f}",\n      "g": "{g}"\n    }}'
+
+
 _CF = '{\n  "digits": [\n    %s\n  ]\n}'  # an expansion has at least one digit
 _KIND = {k: k.value for k in Classification}  # faster than the enum's .value
+_RESOLVED = _KIND[Classification.RESOLVED]
 
 
 def _trace_json(trace: ResolutionTrace) -> Iterator[str]:
-    head, tail = _TRACE
-    yield head % (trace.a, trace.b)
-    step = _STEP
-    yield from _json_array(
-        step % (
-            *chart, "through-origin", sign,
-            *first, "through-origin" if through1 else "misses-origin", sign, k1,
-            *second, "through-origin" if through2 else "misses-origin", -sign, k2,
-            kind,
-        )
-        for chart, first, second, through1, through2, sign, kind, k1, k2
-        in _blow_ups(trace, str)
-    )
-    yield tail % trace.blow_up_count
+    yield f'{{\n  "a": {trace.a},\n  "b": {trace.b},\n  "blow_ups": ['
+    yield from _json_items(starmap(_json_step, _blow_ups(trace, str)))
+    yield f'\n  ],\n  "count": {trace.blow_up_count}\n}}'
 
 
 def _path_json(path: PositivePath) -> Iterator[str]:
-    yield f'{{\n  "status": {encode_basestring_ascii(path.status)},\n  "vertices": '
-    yield from _json_array(map(_VERTEX.__mod__, _path_names(path)))
-    yield "\n}"
+    yield f'{{\n  "status": {encode_basestring_ascii(path.status)},\n  "vertices": ['
+    yield from _json_items(starmap(_json_vertex, _path_names(path)))
+    yield "\n  ]\n}" if path.count else "]\n}"
 
 
 def json_chunks(obj) -> Iterator[str]:
-    """``emit_json(obj)`` in pieces; a trace or path is made one blow-up or vertex at a time.
+    """``emit_json(obj)`` in pieces; a trace or path is made a block of items at a time.
 
     Any other object is written whole before this returns, so an integer
     too long to print raises here, not while the chunks are drawn.
@@ -352,12 +408,11 @@ def _dot_head(name: str) -> str:
 
 def _dot_path(path: PositivePath) -> Iterator[str]:
     yield _dot_head("positive_path")
-    for i, (f, g) in enumerate(_path_names(path)):
-        yield f'  v{i} [label="k[{f}, {g}]", style=bold];\n'
+    yield from _blocks(f'  v{i} [label="k[{f}, {g}]", style=bold];\n'
+                       for i, (f, g) in enumerate(_path_names(path)))
     if not path.complete:
         yield '  trunc [label="(truncated)", shape=plaintext];\n'
-    for i in range(path.count - 1):
-        yield f"  v{i} -> v{i + 1};\n"
+    yield from _blocks(f"  v{i} -> v{i + 1};\n" for i in range(path.count - 1))
     if not path.complete and path.count:
         yield f"  v{path.count - 1} -> trunc [style=dashed];\n"
     yield "}\n"
@@ -374,34 +429,33 @@ def _dot_children(i: int, resolved: int) -> tuple[str, str]:
     return first, second
 
 
-# A trace's DOT node for a chart of each classification, by value, from its
-# name and its basis's two generators: bold unless resolved.
-_DOT_NODE = {
-    k.value: '  %s [label="k[%s, %s]\\n(' + k.value + ')"'
-    + ("" if k is Classification.RESOLVED else ", style=bold") + "];\n"
-    for k in Classification
-}
+def _dot_node(name: str, f: str, g: str, kind: str) -> str:
+    """A trace's DOT node for the chart on generators f, g of classification ``kind``: bold unless resolved."""
+    bold = "" if kind == _RESOLVED else ", style=bold"
+    return f'  {name} [label="k[{f}, {g}]\\n({kind})"{bold}];\n'
+
+
+def _dot_nodes(trace: ResolutionTrace, bits: bytearray) -> Iterator[str]:
+    """A trace's DOT nodes, one blow-up's children at a time; appends to ``bits`` which are resolved."""
+    for i, (chart, c1, c2, _, _, _, kind, k1, k2) in enumerate(_blow_ups(trace, int)):
+        if i == 0:  # a chart blown up is never resolved, so bold
+            yield _dot_node("b0", chart[0], chart[1], kind)
+        bits.append((k1 == _RESOLVED) | (k2 == _RESOLVED) << 1)
+        n1, n2 = _dot_children(i, bits[i])
+        yield _dot_node(n1, c1[0], c1[1], k1) + _dot_node(n2, c2[0], c2[1], k2)
 
 
 def _dot_trace(trace: ResolutionTrace) -> Iterator[str]:
     yield _dot_head("resolution_trace")
-    resolved = _KIND[Classification.RESOLVED]
-    node = _DOT_NODE
     bits = bytearray()  # per blow-up, which children are resolved: all the edges need
-    for i, (chart, c1, c2, _, _, _, kind, k1, k2) in enumerate(_blow_ups(trace, int)):
-        if i == 0:  # a chart blown up is never resolved, so bold
-            yield node[kind] % ("b0", chart[0], chart[1])
-        bits.append((k1 == resolved) | (k2 == resolved) << 1)
-        n1, n2 = _dot_children(i, bits[i])
-        yield node[k1] % (n1, c1[0], c1[1]) + node[k2] % (n2, c2[0], c2[1])
-    for i, resolved_children in enumerate(bits):
-        n1, n2 = _dot_children(i, resolved_children)
-        yield f"  b{i} -> {n1};\n  b{i} -> {n2};\n"
+    yield from _blocks(_dot_nodes(trace, bits))
+    yield from _blocks(f"  b{i} -> {n1};\n  b{i} -> {n2};\n"
+                       for i, (n1, n2) in enumerate(map(_dot_children, count(), bits)))
     yield "}\n"
 
 
 def dot_chunks(obj) -> Iterator[str]:
-    """``emit_dot(obj)`` in pieces; a trace or path is made one blow-up or vertex at a time."""
+    """``emit_dot(obj)`` in pieces; a trace or path is made a block of items at a time."""
     if isinstance(obj, PositivePath):
         return _dot_path(obj)
     if isinstance(obj, ResolutionTrace):
@@ -419,10 +473,9 @@ def emit_dot(obj) -> str:
 
 
 def path_text_chunks(path: PositivePath, heading: str) -> Iterator[str]:
-    """``format_path_text(path, heading)`` in pieces, one vertex at a time."""
+    """``format_path_text(path, heading)`` in pieces: the heading, blocks of vertices, the status."""
     yield heading + "\n"
-    for i, (f, g) in enumerate(_path_names(path)):
-        yield f"  {i}: k[{f}, {g}]\n"
+    yield from _blocks(f"  {i}: k[{f}, {g}]\n" for i, (f, g) in enumerate(_path_names(path)))
     yield f"status: {path.status} ({path.count} vertices)\n"
 
 
@@ -461,27 +514,29 @@ def format_chart_text(c: ChartState) -> str:
                        str(c.exc_g), str(abs(c.p)), str(c.q), c.p > 0, c.sign)
 
 
+def _step_text(i: int, chart, first, second, through1, through2, sign, kind, k1, k2) -> str:
+    """Blow-up i + 1 of ``_blow_ups`` as ``--trace`` text: its chart and each child's decomposition."""
+    text1 = _chart_text(*first, through1, sign)
+    text2 = _chart_text(*second, through2, -sign)
+    return (f"  blow-up {i + 1} at the origin of k[{chart[0]}, {chart[1]}]:\n"
+            f"    k[{first[0]}, {first[1]}]: {text1} [{k1}]\n"
+            f"    k[{second[0]}, {second[1]}]: {text2} [{k2}]\n")
+
+
 def trace_text_chunks(trace: ResolutionTrace, show_steps: bool = False) -> Iterator[str]:
-    """``format_trace_text(trace, show_steps)`` in pieces, one blow-up at a time.
+    """``format_trace_text(trace, show_steps)`` in pieces: each heading, then its section in blocks.
 
     The bad charts come before the steps, so ``show_steps`` reads the
     rows twice, and names their monomials again: memory stays bounded.
     """
     yield (f"resolution of x^{trace.b} = y^{trace.a}: {trace.blow_up_count} blow-ups\n"
            "bad charts:\n")
-    for i, (chart, _, _, _, _, _, kind, _, _) in enumerate(_blow_ups(trace, int)):
-        yield f"  {i}: k[{chart[0]}, {chart[1]}] ({kind})\n"
+    yield from _blocks(f"  {i}: k[{chart[0]}, {chart[1]}] ({kind})\n"
+                       for i, (chart, _, _, _, _, _, kind, _, _) in enumerate(_blow_ups(trace, int)))
     if not show_steps:
         return
     yield "steps:\n"
-    for i, (chart, first, second, through1, through2, sign, _, k1, k2) in enumerate(
-        _blow_ups(trace, str)
-    ):
-        text1 = _chart_text(*first, through1, sign)
-        text2 = _chart_text(*second, through2, -sign)
-        yield (f"  blow-up {i + 1} at the origin of k[{chart[0]}, {chart[1]}]:\n"
-               f"    k[{first[0]}, {first[1]}]: {text1} [{k1}]\n"
-               f"    k[{second[0]}, {second[1]}]: {text2} [{k2}]\n")
+    yield from _blocks(_step_text(i, *blow_up) for i, blow_up in enumerate(_blow_ups(trace, str)))
 
 
 def format_trace_text(trace: ResolutionTrace, show_steps: bool = False) -> str:

@@ -305,10 +305,12 @@ def _height(p: LaurentPolynomial) -> int:
     The bound is the larger of that denominator and the sum of the
     numerators' absolute values, so the k-th power of the bound bounds
     the coefficients of p^k: their height is at most k times p's.  One
-    pass keeps the sum over the common denominator of the terms so far.
+    pass keeps the sum over the common denominator of the terms so far;
+    it reads the term map's coefficients in their stored order, with no
+    ``Monomial`` built and no sort.
     """
     d, s = 1, 0
-    for _, c in p.terms():
+    for c in p._terms.values():
         e = math.lcm(d, c.denominator)
         s = s * (e // d) + abs(c.numerator) * (e // c.denominator)
         d = e
@@ -325,14 +327,14 @@ def _power_units(p: LaurentPolynomial, n: int) -> int:
 
     ``LaurentPolynomial.__pow__`` multiplies the result so far by the
     square p**s at each set bit of n, and squares p**s after every bit
-    but the last, so only the products it makes are counted.
+    but the last, so only the products it makes are counted.  The
+    exponent ranges are read from the term map's (ex, ey) keys.
     """
-    monomials = p.monomials()
-    t = len(monomials)
+    t = len(p)
     if not t:
         return 0
     h = _height(p)
-    xs, ys = [m.ex for m in monomials], [m.ey for m in monomials]
+    xs, ys = zip(*p._terms)
     rx, ry = max(xs) - min(xs), max(ys) - min(ys)
 
     def size(k: int) -> int:  # a bound on _size(p**k), exact for a single term

@@ -138,7 +138,7 @@ MUTANTS = (
         "index-walk-one-past", "valtree.py",
         "            if i < length:",
         "            if i <= length:",
-        ("tests/test_runs.py::test_indexing_the_rows_bisects_to_the_rows_iteration_gives",),
+        ("tests/test_runs.py::test_indexing_the_rows_walks_to_the_row_iteration_gives",),
         "an index equal to a run's length reads past that run's last item",
     ),
     Mutant(
@@ -175,6 +175,34 @@ MUTANTS = (
         "first[2:4]",
         ("tests/test_emit.py::test_printed_integers_hold_the_largest_integer_each_format_prints",),
         "the print guard of JSON and --trace text skips the children's multiplicity",
+    ),
+    Mutant(
+        "blocks-drop-last", "emit.py",
+        "    if block:\n",
+        "    if False:\n",
+        ("tests/test_cli_output.py::test_writes_land_under_at_and_over_one_block",),
+        "the last block of a section, shorter than _BLOCK, is never written",
+    ),
+    Mutant(
+        "json-first-item-separator", "emit.py",
+        "chain((first[1:],), items)",
+        "chain((first,), items)",
+        ("tests/test_emit.py::test_trace_emitters_match_the_view_oracle_up_to_10_40",),
+        "the first blow-up or vertex of a JSON array keeps its leading comma",
+    ),
+    Mutant(
+        "json-step-second-sign", "emit.py",
+        '"sign": {-sign}',
+        '"sign": {sign}',
+        ("tests/test_emit.py::test_trace_emitters_match_the_view_oracle_up_to_10_40",),
+        "the JSON step prints the second child with its parent's sign",
+    ),
+    Mutant(
+        "dot-node-bold-inverted", "emit.py",
+        'bold = "" if kind == _RESOLVED else ", style=bold"',
+        'bold = ", style=bold" if kind == _RESOLVED else ""',
+        ("tests/test_emit.py::test_dot_trace_bold_and_side_nodes",),
+        "a trace's resolved charts are bold and its bad charts are not",
     ),
     Mutant(
         "stream-compare-tie", "exactnum.py",

@@ -13,7 +13,10 @@ integer rows and one-pass expansion; ``resolve_rows`` drives the
 package's rules one row at a time, as the cross-check for its runs.
 A trace is written here in JSON, DOT and text from ``BlowUp`` views of
 its rows, naming every monomial with ``str`` and filling ``str.format``
-templates, as the cross-check for the package's emitters over the runs.
+templates, as the cross-check for the package's emitters over the runs;
+a path is written here in DOT and text from its vertices, with ``str``
+of each generator, as the cross-check for the package's emitters over a
+path's runs.
 Branches are split here vertex by vertex, as the cross-check for the
 package's decomposition over a path's runs.  Polynomials are added,
 multiplied, shifted and rewritten here on term maps keyed by
@@ -41,7 +44,7 @@ from monoval.laurent import (
     Y,
     lattice_solve,
 )
-from monoval.emit import _chart_text, _dot_children, _dot_head, _json_array
+from monoval.emit import _chart_text, _dot_children, _dot_head
 from monoval.exactnum import cf_expand
 from monoval.resolution import (
     ChartState,
@@ -582,7 +585,7 @@ def _json_name(mono: Monomial) -> str:
 
 def trace_json(trace: ResolutionTrace) -> str:
     """``emit_json(trace)``, from the views and ``str.format`` templates."""
-    steps = _json_array(
+    steps = ",\n".join(
         _JSON_STEP.format(
             *chart, _THROUGH, sign,
             *first, _THROUGH if through1 else _MISSES, sign, _JSON_KIND[k1],
@@ -592,8 +595,8 @@ def trace_json(trace: ResolutionTrace) -> str:
         for chart, (first, second), (through1, through2), sign, kind, (k1, k2)
         in blow_up_names(trace, _json_name, str)
     )
-    return (f'{{\n  "a": {trace.a},\n  "b": {trace.b},\n  "blow_ups": ' + "".join(steps)
-            + f',\n  "count": {trace.blow_up_count}\n}}')
+    return (f'{{\n  "a": {trace.a},\n  "b": {trace.b},\n  "blow_ups": [\n' + steps
+            + f'\n  ],\n  "count": {trace.blow_up_count}\n}}')
 
 
 _DOT_NODE = {
@@ -635,4 +638,24 @@ def trace_text(trace: ResolutionTrace, show_steps: bool = False) -> str:
             for child, through_, sign_, k in zip(children, through, (sign, -sign), kinds):
                 out.append(f"    k[{child[0]}, {child[1]}]: {_chart_text(*child, through_, sign_)}"
                            f" [{k.value}]\n")
+    return "".join(out)
+
+
+def path_dot(path: PositivePath) -> str:
+    """``emit_dot(path)``: every vertex, then every edge, from ``str`` of each vertex's generators."""
+    out = ['digraph positive_path {\n  rankdir=LR;\n  node [shape=box, fontname="monospace"];\n']
+    out += [f'  v{i} [label="k[{v.f}, {v.g}]", style=bold];\n' for i, v in enumerate(path.vertices)]
+    if not path.complete:
+        out.append('  trunc [label="(truncated)", shape=plaintext];\n')
+    out += [f"  v{i} -> v{i + 1};\n" for i in range(len(path.vertices) - 1)]
+    if not path.complete and path.vertices:
+        out.append(f"  v{len(path.vertices) - 1} -> trunc [style=dashed];\n")
+    return "".join(out) + "}\n"
+
+
+def path_text(path: PositivePath, heading: str) -> str:
+    """``format_path_text(path, heading)``, from ``str`` of each vertex's generators."""
+    out = [heading + "\n"]
+    out += [f"  {i}: k[{v.f}, {v.g}]\n" for i, v in enumerate(path.vertices)]
+    out.append(f"status: {path.status} ({len(path.vertices)} vertices)\n")
     return "".join(out)

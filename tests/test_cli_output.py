@@ -15,11 +15,13 @@ from hypothesis import given, settings
 
 import monoval
 from monoval import cli
-from monoval.emit import emit_dot, emit_json, format_path_text, format_trace_text
+from monoval.cli import parse_stream_spec
+from monoval.emit import _BLOCK, emit_dot, emit_json, format_path_text, format_trace_text, to_jsonable
 from monoval.exactnum import sqrt2_stream
 from monoval.resolution import resolve
 from monoval.valtree import positive_path
 from monoval.valuation import MonomialValuation
+import oracles
 from oracles import coprime_pairs
 
 
@@ -95,6 +97,108 @@ def test_resolve_json_is_never_held_whole():
         tracemalloc.stop()
     assert code == 0 and writer.length > 4_000_000
     assert peak < writer.length // 4, (peak, writer.length)
+
+
+def cli_writes(*argv) -> list[str]:
+    """The writes of a CLI run that exits 0 with nothing on stderr."""
+    writer = Writer()
+    assert run_into(writer, *argv) == (0, "")
+    return writer.writes
+
+
+def dumps(obj) -> str:
+    return json.dumps(to_jsonable(obj), sort_keys=True, indent=2)
+
+
+def path_oracle(path, heading: str, fmt: str) -> str:
+    """The path's output in ``fmt``: JSON from ``json.dumps``, DOT and text from the path oracles."""
+    if fmt == "json":
+        return dumps(path)
+    if fmt == "dot":
+        return oracles.path_dot(path)
+    return oracles.path_text(path, heading)
+
+
+def assert_path_writes_equal_the_oracles(path, heading, *argv):
+    for fmt in ("json", "dot", "text"):
+        assert "".join(cli_writes(*argv, "--format", fmt)) == path_oracle(path, heading, fmt), fmt
+
+
+@settings(max_examples=10, deadline=None)
+@given(coprime_pairs(10**40))
+def test_path_writes_equal_the_path_oracles_up_to_10_40(pair):
+    a, b = pair
+    path = positive_path(MonomialValuation.rational(a, b), max_steps=a + b)
+    assert_path_writes_equal_the_oracles(path, f"positive path for nu(x) = {a}, nu(y) = {b}:",
+                                         "path", str(a), str(b))
+
+
+def test_stream_path_writes_equal_the_path_oracles():
+    nu = MonomialValuation.from_stream(sqrt2_stream())
+    path = positive_path(nu, max_steps=3000)
+    assert_path_writes_equal_the_oracles(path, f"positive path for {nu.describe()}:",
+                                         "path", "--stream", "sqrt2", "--max-steps", "3000")
+
+
+def stream_path_output(spec: str, steps: int, fmt: str) -> tuple[list[str], str]:
+    """The CLI's writes of ``path --stream spec --max-steps steps`` in ``fmt``, and the path oracle's text."""
+    nu = MonomialValuation.from_stream(parse_stream_spec(spec))
+    path = positive_path(nu, max_steps=steps)
+    want = path_oracle(path, f"positive path for {nu.describe()}:", fmt)
+    return cli_writes("path", "--stream", spec, "--max-steps", str(steps), "--format", fmt), want
+
+
+def trace_output(a: int, b: int, fmt: str) -> tuple[list[str], str]:
+    """The CLI's writes of ``resolve a b`` in ``fmt`` ("trace" for --trace), and the trace oracle's text."""
+    trace = resolve(a, b)
+    if fmt == "json":
+        want = oracles.trace_json(trace)
+    elif fmt == "dot":
+        want = oracles.trace_dot(trace)
+    else:
+        want = oracles.trace_text(trace, show_steps=fmt == "trace")
+    options = ("--trace",) if fmt == "trace" else ("--format", fmt)
+    return cli_writes("resolve", str(a), str(b), *options), want
+
+
+# Requests whose section at write ``index`` is exactly one block long at
+# the middle input, shorter at the first, and longer at the last: a path
+# cut one vertex earlier or later, or a pair whose last continued-fraction
+# digit is one less or one more.  The sections are a path's vertices
+# (JSON, text) or nodes (DOT), and a trace's blow-ups (JSON), bad charts
+# (text), nodes (DOT) or steps (--trace, after its bad charts and the
+# "steps:" line).
+BLOCK_EDGES = [
+    (stream_path_output, "json", 1, [("0;2,4", 372), ("0;2,4", 373), ("0;2,4", 374)]),
+    (stream_path_output, "dot", 1, [("1;6", 418), ("1;6", 419), ("1;6", 420)]),
+    (stream_path_output, "text", 1, [("3;2,3,2", 393), ("3;2,3,2", 394), ("3;2,3,2", 395)]),
+    (trace_output, "json", 1, [(535, 247), (548, 253), (561, 259)]),  # [2; 6, 41..43]
+    (trace_output, "dot", 1, [(240752, 55779), (241339, 55915), (241926, 56051)]),  # [4; 3, 6, 7, 410..412]
+    (trace_output, "text", 1, [(473567, 115784), (474021, 115895), (474475, 116006)]),  # [4; 11, 10, 1043..1045]
+    (trace_output, "trace", 3, [(133886, 122933), (134815, 123786), (135744, 124639)]),  # [1; 11, 4, 2, 8, 144..146]
+]
+
+
+@pytest.mark.parametrize("output, fmt, index, inputs", BLOCK_EDGES,
+                         ids=[f"{output.__name__}-{fmt}" for output, fmt, _, _ in BLOCK_EDGES])
+def test_writes_land_under_at_and_over_one_block(output, fmt, index, inputs):
+    (under, want_under), (at, want_at), (over, want_over) = (output(*x, fmt) for x in inputs)
+    assert "".join(under) == want_under
+    assert "".join(at) == want_at
+    assert "".join(over) == want_over
+    assert len(under[index]) < _BLOCK and len(under) == len(at)
+    assert len(at[index]) == _BLOCK
+    assert len(over[index]) >= _BLOCK and len(over) == len(at) + 1
+
+
+def test_resolve_json_is_written_in_few_blocks_of_about_64_kb():
+    writes = cli_writes("resolve", "20001", "20000", "--format", "json")
+    assert "".join(writes) == oracles.trace_json(resolve(20001, 20000))
+    total = sum(map(len, writes))
+    assert len(writes) <= total // _BLOCK + 3
+    # a block ends at the item that fills it, so it overshoots by less than one item
+    longest_item = max(map(len, "".join(writes).split(",\n    {"))) + len(",\n    {")
+    assert max(map(len, writes)) < _BLOCK + longest_item
 
 
 @pytest.mark.parametrize("fail_at", [0, 1, 5])

@@ -154,10 +154,11 @@ def test_a_chart_is_emitted_as_in_a_trace_not_as_its_tuple():
 
 # ------------------------------------------------- templates vs references
 #
-# Traces and paths are written from templates with a memo of monomial
-# names.  The references below are the plain views they replaced: JSON
-# from ``to_jsonable`` through ``json.dumps``, DOT and text from
-# ``str(vertex)`` and ``format_chart_text``.
+# Traces and paths are written from f-strings over their runs.  The
+# references are the plain views they replaced: JSON from ``to_jsonable``
+# through ``json.dumps``, a trace's DOT and text below from
+# ``str(vertex)`` and ``format_chart_text``, and a path's DOT and text
+# from ``oracles.path_dot`` and ``oracles.path_text``.
 
 
 def dumps(obj) -> str:
@@ -165,17 +166,6 @@ def dumps(obj) -> str:
 
 
 DOT_HEAD = ["  rankdir=LR;", '  node [shape=box, fontname="monospace"];']
-
-
-def reference_path_dot(path) -> str:
-    lines = ["digraph positive_path {", *DOT_HEAD]
-    lines += [f'  v{i} [label="{v}", style=bold];' for i, v in enumerate(path.vertices)]
-    if not path.complete:
-        lines.append('  trunc [label="(truncated)", shape=plaintext];')
-    lines += [f"  v{i} -> v{i + 1};" for i in range(len(path.vertices) - 1)]
-    if not path.complete and path.vertices:
-        lines.append(f"  v{len(path.vertices) - 1} -> trunc [style=dashed];")
-    return "\n".join(lines + ["}"]) + "\n"
 
 
 def reference_trace_dot(trace) -> str:
@@ -194,12 +184,6 @@ def reference_trace_dot(trace) -> str:
             nodes.append(f'  {name} [label="{label}"{style}];')
             edges.append(f"  b{i} -> {name};")
     return "\n".join(["digraph resolution_trace {", *DOT_HEAD, *nodes, *edges, "}"]) + "\n"
-
-
-def reference_path_text(path, heading) -> str:
-    lines = [heading] + [f"  {i}: {v}" for i, v in enumerate(path.vertices)]
-    lines.append(f"status: {path.status} ({len(path)} vertices)")
-    return "\n".join(lines) + "\n"
 
 
 def reference_trace_text(trace, show_steps) -> str:
@@ -235,8 +219,8 @@ def assert_same_text(got: str, want: str) -> None:
 
 def assert_path_matches_references(path):
     assert_same_text(emit_json(path), dumps(path))
-    assert_same_text(emit_dot(path), reference_path_dot(path))
-    assert_same_text(format_path_text(path, "heading:"), reference_path_text(path, "heading:"))
+    assert_same_text(emit_dot(path), oracles.path_dot(path))
+    assert_same_text(format_path_text(path, "heading:"), oracles.path_text(path, "heading:"))
 
 
 def assert_pair_matches_references(a, b):

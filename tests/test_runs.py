@@ -85,7 +85,7 @@ def test_expanded_runs_equal_the_stepwise_rows(pair):
 @example((2001, 2000), random.Random(1))
 @settings(max_examples=40, deadline=None)
 @given(oracles.coprime_pairs(10**12), st.randoms(use_true_random=False))
-def test_indexing_the_rows_bisects_to_the_rows_iteration_gives(pair, rng):
+def test_indexing_the_rows_walks_to_the_row_iteration_gives(pair, rng):
     trace = resolve(*pair)
     rows = list(trace.rows)
     steps = oracles.resolve_steps(*pair)
