@@ -84,8 +84,25 @@ def parse_stream_spec(spec: str) -> CFStream:
         pre = tuple(int(d) for d in pre_s.split(",") if d.strip())
         per = tuple(int(d) for d in per_s.split(",") if d.strip())
     except ValueError:
-        raise ValueError(f"stream spec {spec!r} contains a non-integer digit")
+        raise _bad_digit(spec) from None
     return CFStream.from_periodic(pre, per)
+
+
+# A digit that int() reads, but for its length: its sign and digits, in group 1.
+_INTEGER = re.compile(r"\s*([+-]?\d(?:_?\d)*)\s*")
+
+
+def _bad_digit(spec: str) -> ValueError:
+    """The error for the first digit of a stream spec that ``int`` does not read."""
+    limit = sys.get_int_max_str_digits()
+    for digit in re.finditer(r"[^,;]+", spec):
+        literal = _INTEGER.fullmatch(digit.group())
+        if literal is None and digit.group().strip():
+            break
+        if literal and limit and len(re.sub(r"\D", "", literal.group(1))) > limit:
+            where = f"the digit at position {digit.start() + literal.start(1)} of the stream spec is"
+            return _too_long(where, "reading")
+    return ValueError(f"stream spec {spec!r} contains a non-integer digit")
 
 
 # What a command returns: its output, in pieces written as they are made,

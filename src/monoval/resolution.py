@@ -391,10 +391,10 @@ def theorem_report(trace: ResolutionTrace, val_path: PositivePath) -> TheoremRep
     """Compare a trace's bad-chart path with a valuation's positive path.
 
     ``val_path`` should be the positive path of nu(x) = a, nu(y) = b for
-    the trace's (a, b); it must be complete to count as equal.  Both are
-    merged into maximal runs, which decide when they are equal; otherwise
-    vertices are compared one by one, as ints, as unordered generator
-    pairs.
+    the trace's (a, b); it must be complete to count as equal.  Their
+    runs are walked side by side, a stretch inside one run of each at a
+    time, and each stretch is decided by its first vertices, compared as
+    ints (see ``valtree._same_vertices``); no vertex is built.
     """
     equal = (
         val_path.complete

@@ -102,33 +102,38 @@ def run_items(runs: Iterable[Run], at: Callable[[tuple, int], object]) -> Iterat
             yield at(start, j)
 
 
-def _maximal_runs(runs: Iterable[Run]) -> list[Run]:
-    """Finite runs as ((fx, fy, gx, gy), n), each merged with the runs that continue it.
-
-    A run ((f, g), m) absorbs the run that follows it when that run
-    starts at (f, g/f^m): the vertices are the same, in the same order.
-    """
-    merged: list[Run] = []
-    for start, n in runs:
-        if merged and start[:4] == _base_at(*merged[-1]):
-            merged[-1] = merged[-1][0], merged[-1][1] + n
-        else:
-            merged.append((start[:4], n))
-    return merged
-
-
 def _same_vertices(runs: tuple[Run, ...], others: tuple[Run, ...]) -> bool:
-    """Whether two runs of equal vertex counts hold the same vertices, in order.
+    """Whether two lists of finite runs hold the same vertices, in order.
 
     Two vertices are the same when they hold the same two generators, in
-    either order.  Equal maximal runs have equal starts and lengths, so
-    they hold the same vertices; otherwise the bases are compared vertex
-    by vertex.  Both are compared as ints; no vertex is built.
+    either order.  The lists are walked side by side, a stretch at a
+    time: the longest stretch that lies inside one run on each side.  Its
+    vertices agree when its first vertices are equal as four ints; a
+    stretch of one vertex also agrees with its generators swapped.  Past
+    one vertex the shared generator decides, since k[f, g/f] is never
+    k[g, f/g].  Every stretch ends a run, so the walk takes at most one
+    step per run of either side, and it builds no vertex.  Empty runs
+    are skipped; when one list runs out first, they differ.
     """
-    if _maximal_runs(runs) == _maximal_runs(others):
-        return True
-    return all(u == v or u == (v[2], v[3], v[0], v[1])
-               for u, v in zip(run_items(runs, _base_at), run_items(others, _base_at)))
+    ours, theirs = _nonempty(runs), _nonempty(others)
+    (u, m), (v, n) = next(ours, _NO_RUN), next(theirs, _NO_RUN)
+    while m and n:
+        k = min(m, n)
+        if u != v and (k > 1 or u != (v[2], v[3], v[0], v[1])):
+            return False
+        m -= k
+        n -= k
+        u, m = (_base_at(u, k), m) if m else next(ours, _NO_RUN)
+        v, n = (_base_at(v, k), n) if n else next(theirs, _NO_RUN)
+    return m == n
+
+
+_NO_RUN = (None, 0)  # what a list of runs yields past its last
+
+
+def _nonempty(runs: Iterable[Run]) -> Iterator[Run]:
+    """The runs of at least one vertex, each from its first four ints."""
+    return ((start[:4], n) for start, n in runs if n > 0)
 
 
 def _vertex_runs(vertices: Iterable[TreeVertex]) -> Iterator[Run]:

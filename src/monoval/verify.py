@@ -4,8 +4,8 @@ For every coprime pair 1 < b < a <= max_a this runs four independent
 checks: the bad-chart path of the resolution equals the valuation's
 positive path, branch lengths match continued-fraction digits, the
 blow-up count equals the digit sum, and every chart of every trace
-expands back to x^b - y^a exactly.  The paths are compared as maximal
-runs, vertex by vertex only where those differ, and each chart as the
+expands back to x^b - y^a exactly.  The paths are compared by walking
+their runs side by side, one step per run, and each chart as the
 exponent pairs and sign of its two terms, as ints.  The charts are
 proved a run of the trace at a time, from the closed form of the run's
 rows and of their blow-ups: a run of five rows or more is blown up at

@@ -121,18 +121,40 @@ MUTANTS = (
         "the fourth run of a trace is one row too long",
     ),
     Mutant(
-        "maximal-runs-later-start", "valtree.py",
-        "merged[-1] = merged[-1][0], merged[-1][1] + n",
-        "merged[-1] = start[:4], merged[-1][1] + n",
-        ("tests/test_runs.py::test_merged_runs_keep_the_first_start",),
-        "a merged run starts where the run it absorbed started",
+        "same-vertices-longest-stretch", "valtree.py",
+        "k = min(m, n)",
+        "k = max(m, n)",
+        ("tests/test_runs.py::test_empty_runs_are_skipped_and_a_list_that_runs_out_first_differs",),
+        "a stretch runs past the end of the shorter of the two runs it lies in",
     ),
     Mutant(
-        "maximal-runs-three-ints", "valtree.py",
-        "if merged and start[:4] == _base_at(*merged[-1]):",
-        "if merged and start[:3] == _base_at(*merged[-1])[:3]:",
-        ("tests/test_runs.py::test_a_run_is_merged_only_into_the_run_it_continues",),
-        "a run merges into one whose continuation differs from its start only in gy",
+        "same-vertices-no-swap", "valtree.py",
+        "if u != v and (k > 1 or u != (v[2], v[3], v[0], v[1])):",
+        "if u != v:",
+        ("tests/test_runs.py::test_a_swapped_vertex_matches_alone_and_a_swapped_run_does_not",),
+        "a vertex written with its generators swapped never matches",
+    ),
+    Mutant(
+        "same-vertices-swapped-pair", "valtree.py",
+        "(k > 1 or",
+        "(k > 2 or",
+        ("tests/test_runs.py::test_a_swapped_vertex_matches_alone_and_a_swapped_run_does_not",),
+        "a stretch of two vertices matches with its generators swapped",
+    ),
+    Mutant(
+        "same-vertices-swap-three-ints", "valtree.py",
+        "u != (v[2], v[3], v[0], v[1])",
+        "u[:3] != (v[2], v[3], v[0])",
+        ("tests/test_runs.py::test_a_swapped_vertex_matches_alone_and_a_swapped_run_does_not",),
+        "a swapped vertex matches when three of its four ints do",
+    ),
+    Mutant(
+        "same-vertices-count-end", "valtree.py",
+        "return m == n",
+        "return True",
+        ("tests/test_runs.py::test_empty_runs_are_skipped_and_a_list_that_runs_out_first_differs",),
+        "a list of runs that ends before the other still holds the same vertices"
+        " (no answer of a caller changes: each checks the vertex counts first)",
     ),
     Mutant(
         "index-walk-one-past", "valtree.py",

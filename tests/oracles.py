@@ -18,10 +18,12 @@ a path is written here in DOT and text from its vertices, with ``str``
 of each generator, as the cross-check for the package's emitters over a
 path's runs.
 Branches are split here vertex by vertex, as the cross-check for the
-package's decomposition over a path's runs.  Polynomials are added,
-multiplied, shifted and rewritten here on term maps keyed by
-``Monomial``, as the cross-check for the package's maps keyed by
-exponent pairs.
+package's decomposition over a path's runs.  Runs that continue each
+other are merged here into maximal runs, the form in which the
+resolution's bad-chart path and the positive path have equal runs.
+Polynomials are added, multiplied, shifted and rewritten here on term
+maps keyed by ``Monomial``, as the cross-check for the package's maps
+keyed by exponent pairs.
 """
 
 from __future__ import annotations
@@ -455,6 +457,23 @@ def branch_decomposition(path: PositivePath) -> tuple[Branch, ...]:
             pivot, t_mono, length = shared, shared * other, 1
     branches.append(Branch(pivot, t_mono, length))
     return tuple(branches)
+
+
+def maximal_runs(runs) -> list[tuple[tuple[int, int, int, int], int]]:
+    """Finite runs as ((fx, fy, gx, gy), n), each merged with the runs that continue it.
+
+    A run ((f, g), m) absorbs the run that follows it when that run
+    starts at (f, g/f^m): the vertices are the same, in the same order.
+    """
+    merged = []
+    for start, n in runs:
+        if merged:
+            (fx, fy, gx, gy), m = merged[-1]
+            if start[:4] == (fx, fy, gx - m * fx, gy - m * fy):
+                merged[-1] = merged[-1][0], m + n
+                continue
+        merged.append((start[:4], n))
+    return merged
 
 
 def correspondence_report(a: int, b: int, path: PositivePath) -> CorrespondenceReport:

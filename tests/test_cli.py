@@ -566,6 +566,30 @@ def test_member_integer_past_the_int_str_limit_fails_before_output(capsys):
                            " the interpreter's limit for reading an integer\n")
 
 
+def test_a_stream_digit_past_the_int_str_limit_is_named_by_position(capsys):
+    def message(position, limit):
+        return (f"error: the digit at position {position} of the stream spec is longer than"
+                f" {limit} digits, the interpreter's limit for reading an integer\n")
+
+    long = "2" * (sys.get_int_max_str_digits() + 1)
+    code, out, err = run(capsys, "path", "--stream", f"1;{long}")
+    assert (code, out, err) == (1, "", message(2, sys.get_int_max_str_digits()))
+    for spec, position in ((f"{'3' * 641},1;2", 0), (f"1, ,2;3, +{'1_1' * 400}", 9)):
+        code, out, err = run_under_640_digits(capsys, "path", "--stream", spec, "--format", "json")
+        assert (code, out, err) == (1, "", message(position, 640)), spec
+    # the first digit int() refuses decides; one that is no integer keeps its message
+    for spec in ("1;2,x", f"1;x,{long}"):
+        code, out, err = run(capsys, "path", "--stream", spec)
+        assert (code, out, err) == (1, "", f"error: stream spec {spec!r} contains a non-integer digit\n")
+
+
+def test_member_reads_decimal_digits_only(capsys):
+    code, out, err = run(capsys, "member", "x^\u00b2", "--a", "1", "--b", "2")
+    assert (code, out, err) == (1, "", "error: unexpected character '\u00b2' (at position 2)\n")
+    code, out, err = run(capsys, "member", "x^\u0663", "--a", "1", "--b", "2")  # Arabic-Indic 3
+    assert code == 0 and out.endswith("(value 3)\n") and err == ""
+
+
 def test_member_value_past_the_int_str_limit_fails_before_output(capsys):
     n = "7" * 4000
     for fmt in ("text", "json"):

@@ -103,6 +103,20 @@ def test_syntax_errors_carry_positions(text, position):
     assert err.value.position == position
 
 
+@pytest.mark.parametrize("text, position", [("x^\u00b2", 2), ("\u00b9", 0), ("x + \u2460", 4), ("12\u00b3", 2)])
+def test_digits_int_does_not_read_are_unexpected_characters(text, position):
+    # superscripts and circled digits are str.isdigit() but not decimal
+    with pytest.raises(ExpressionError) as err:
+        parse_expression(text)
+    assert err.value.position == position
+    assert str(err.value) == f"unexpected character {text[position]!r} (at position {position})"
+
+
+def test_any_decimal_digit_reads_as_int_reads_it():
+    assert parse_expression("x^\u0663") == parse_expression("x^3")  # Arabic-Indic 3
+    assert parse_expression("\uff11\uff12") == parse_expression("12")  # fullwidth
+
+
 def test_lowering_rejects_zero_division():
     with pytest.raises(ExpressionError):
         parse_rational_function("1/(y - y)")

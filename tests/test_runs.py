@@ -26,7 +26,6 @@ from monoval.valtree import (
     PositivePath,
     TreeVertex,
     _base_at,
-    _maximal_runs,
     _same_vertices,
     branch_decomposition,
     children,
@@ -303,7 +302,7 @@ def test_resolution_and_path_have_equal_maximal_runs_for_a_up_to_200():
         for b in range(2, a):
             if gcd(a, b) == 1:
                 path = positive_path(MonomialValuation.rational(a, b), max_steps=a + b)
-                assert _maximal_runs(resolve(a, b).runs) == _maximal_runs(path.runs), (a, b)
+                assert oracles.maximal_runs(resolve(a, b).runs) == oracles.maximal_runs(path.runs), (a, b)
 
 
 def test_a_run_is_merged_only_into_the_run_it_continues():
@@ -314,20 +313,20 @@ def test_a_run_is_merged_only_into_the_run_it_continues():
     others = (((1, 0, 0, 1), 3),)
     assert [str(v) for v in PositivePath.from_runs(runs, True)][2] == "k[x/y, y/x^2]"
     assert [str(v) for v in PositivePath.from_runs(others, True)][2] == "k[x, y/x^2]"
-    assert _maximal_runs(runs) == list(runs)
+    assert oracles.maximal_runs(runs) == list(runs)
     assert not _same_vertices(runs, others)
     assert PositivePath.from_runs(runs, True) != PositivePath.from_runs(others, True)
     # a start one int off the continuation k[x, y/x^2], in any of the four
     for i in range(4):
         start = tuple(e + (k == i) for k, e in enumerate((1, 0, -2, 1)))
-        assert _maximal_runs((runs[0], (start, 1))) == [runs[0], (start, 1)], start
+        assert oracles.maximal_runs((runs[0], (start, 1))) == [runs[0], (start, 1)], start
 
 
 def test_merged_runs_keep_the_first_start():
     # k[x, y/x^j] for j < 5, split after vertex 2: one run from k[x, y]
     runs = (((1, 0, 0, 1), 2), ((1, 0, -2, 1), 3))
     whole = (((1, 0, 0, 1), 5),)
-    assert _maximal_runs(runs) == list(whole)
+    assert oracles.maximal_runs(runs) == list(whole)
     assert _same_vertices(runs, whole)
     assert PositivePath.from_runs(runs, True) == PositivePath.from_runs(whole, True)
 
@@ -348,9 +347,129 @@ def test_a_path_hashes_by_building_at_most_two_vertices(monkeypatch):
     h = hash(path)
     built.clear()
     split = runs[:2] + (((0, 1, 1, -2), 5), ((0, 1, 1, -7), n - 7))  # the same vertices
-    assert _maximal_runs(split) == _maximal_runs(runs) == [runs[0], ((0, 1, 1, -1), n - 1)]
+    assert oracles.maximal_runs(split) == oracles.maximal_runs(runs) == [runs[0], ((0, 1, 1, -1), n - 1)]
     assert PositivePath.from_runs(split, True) == path
     assert hash(PositivePath.from_runs(split, True)) == h
+
+
+def greedy_right(runs):
+    """The runs recut so that each run's last vertex starts the next run instead.
+
+    The moved vertex is written in the order that steps into the next
+    run, which swaps its generators where the next run steps by its g; a
+    run of one vertex is left empty.  The vertices stay the same.
+    """
+    recut = list(runs)
+    for i in range(len(recut) - 1):
+        start, n = recut[i]
+        fx, fy, gx, gy = _base_at(start, n - 1)
+        nxt, m = recut[i + 1]
+        moved = (fx, fy, gx, gy) if nxt[:2] == (fx, fy) else (gx, gy, fx, fy)
+        recut[i:i + 2] = (start, n - 1), (moved, m + 1)
+    return tuple(recut)
+
+
+def test_the_greedy_right_recut_compares_equal_for_a_up_to_120():
+    for a in range(3, 121):
+        for b in range(2, a):
+            if gcd(a, b) == 1:
+                trace = resolve(a, b)
+                path = positive_path(MonomialValuation.rational(a, b), max_steps=a + b)
+                recut = PositivePath.from_runs(greedy_right(path.runs), True)
+                assert recut == path and path == recut, (a, b)
+                assert theorem_report(trace, recut).equal, (a, b)
+
+
+def test_a_swapped_vertex_matches_alone_and_a_swapped_run_does_not():
+    # k[x, y] is k[y, x]; but k[x, y], k[x, y/x] is not k[y, x], k[y, x/y]
+    for n in (1, 2, 3):
+        runs, swapped = (((1, 0, 0, 1), n),), (((0, 1, 1, 0), n),)
+        assert _same_vertices(runs, swapped) == (n == 1), n
+        assert (PositivePath.from_runs(runs, True) == PositivePath.from_runs(swapped, True)) == (n == 1)
+    # a swapped start one int off k[y, x], in any of the four
+    for i in range(4):
+        start = tuple(e + (k == i) for k, e in enumerate((0, 1, 1, 0)))
+        assert not _same_vertices((((1, 0, 0, 1), 1),), ((start, 1),)), start
+
+
+def test_empty_runs_are_skipped_and_a_list_that_runs_out_first_differs():
+    one, two = (((1, 0, 0, 1), 1),), (((1, 0, 0, 1), 2),)
+    empty = ((0, 1, 1, 0), 0)
+    assert _same_vertices((), ()) and _same_vertices((empty,), ())
+    assert _same_vertices((empty,) + one + (empty,), one)
+    assert _same_vertices(one + (empty, ((1, 0, -1, 1), 1)), two)
+    assert not _same_vertices(one, two) and not _same_vertices(two, one)
+    assert not _same_vertices((), one) and not _same_vertices(one, (empty,))
+
+
+def random_recut(vertices, rng):
+    """The vertices as runs cut at random, one-vertex runs in either order, and empty runs put in."""
+    runs, i = [], 0
+    while i < len(vertices):
+        v = vertices[i]
+        start, swapped = (v.f.ex, v.f.ey, v.g.ex, v.g.ey), (v.g.ex, v.g.ey, v.f.ex, v.f.ey)
+        if i + 1 < len(vertices) and v.g in (vertices[i + 1].f, vertices[i + 1].g):
+            start, swapped = swapped, start  # the next vertex shares g: step by it
+        n = 1
+        while i + n < len(vertices) and vertices[i + n] == valtree._vertex_at(start, n):
+            n += 1
+        n = rng.randint(1, n)
+        if n == 1 and rng.random() < 0.5:
+            start = swapped
+        if rng.random() < 0.2:
+            runs.append((rng.choice((start, swapped)), 0))
+        runs.append((start, n))
+        i += n
+    return tuple(runs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(oracles.coprime_pairs(10**3), st.randoms(use_true_random=False))
+def test_random_recuts_compare_as_their_vertices_do(pair, rng):
+    a, b = pair
+    path = positive_path(MonomialValuation.rational(a, b), max_steps=a + b)  # one run per digit
+    vertices = list(path)
+    for _ in range(4):
+        runs = random_recut(vertices, rng)
+        recut = PositivePath.from_runs(runs, True)
+        assert recut == path and path == recut
+        for change in (swap_run, run_off_by_one):
+            p = PositivePath.from_runs(change(runs, rng), True)
+            for q in (path, recut, PositivePath(vertices, True)):
+                assert (p == q) == (q == p) == vertexwise_path_equal(p, q)
+
+
+def test_a_recut_path_of_10_12_vertices_compares_in_one_step_per_run(monkeypatch):
+    n = 10**12
+    path = positive_path(MonomialValuation.rational(n + 1, n), max_steps=2 * n + 1)
+    # k[x, y], k[y, x/y], k[x/y, y^j/x^(j-1)] for j = 2..n, recut greedy-right:
+    # k[y, x] alone, then k[x/y, y], k[x/y, y^2/x], ... as one run
+    recut = PositivePath.from_runs((((0, 1, 1, 0), 1), ((1, -1, 0, 1), n)), True)
+    assert greedy_right(path.runs) == (((1, 0, 0, 1), 0), ((0, 1, 1, 0), 1), ((1, -1, 0, 1), n))
+    M = 10**7
+    trace = resolve(M + 1, M)
+    trace_recut = PositivePath.from_runs(
+        greedy_right(positive_path(MonomialValuation.rational(M + 1, M), max_steps=2 * M + 1).runs), True)
+    calls = []
+    real_base_at = valtree._base_at
+
+    def counted_base_at(start, j):
+        calls.append(j)
+        return real_base_at(start, j)
+
+    def no_vertex_at(start, j):
+        raise AssertionError("a vertex built")
+
+    monkeypatch.setattr(valtree, "_base_at", counted_base_at)
+    monkeypatch.setattr(valtree, "_vertex_at", no_vertex_at)
+    for p, q, equal in ((path, recut, True), (recut, path, True), (path, path, True),
+                        (path, PositivePath.from_runs(recut.runs[:1] + (((1, -1, -1, 2), n),), True), False)):
+        calls.clear()
+        assert (p == q) == equal
+        assert len(calls) <= 2 * (len(p.runs) + len(q.runs)), calls
+    calls.clear()
+    assert theorem_report(trace, trace_recut).equal
+    assert len(calls) <= 2 * (len(trace.runs) + len(trace_recut.runs)), calls
 
 
 def vertexwise_path_equal(p, q) -> bool:
