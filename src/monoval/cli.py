@@ -76,9 +76,7 @@ def parse_stream_spec(spec: str) -> CFStream:
     if spec == "sqrt2":
         return sqrt2_stream()
     if ";" not in spec:
-        raise ValueError(
-            f"stream spec {spec!r} has no period; use 'sqrt2' or 'pre;period' digit lists"
-        )
+        raise ValueError("the stream spec has no period; use 'sqrt2' or 'pre;period' digit lists")
     pre_s, per_s = spec.split(";", 1)
     try:
         pre = tuple(int(d) for d in pre_s.split(",") if d.strip())
@@ -93,16 +91,20 @@ _INTEGER = re.compile(r"\s*([+-]?\d(?:_?\d)*)\s*")
 
 
 def _bad_digit(spec: str) -> ValueError:
-    """The error for the first digit of a stream spec that ``int`` does not read."""
+    """The error for the first digit of a stream spec that ``int`` does not read, named by position.
+
+    The digits are read as ``parse_stream_spec`` splits them: at commas,
+    and at the first semicolon only.
+    """
     limit = sys.get_int_max_str_digits()
-    for digit in re.finditer(r"[^,;]+", spec):
+    for digit in re.finditer(r"[^,\s][^,]*", spec.replace(";", ",", 1)):  # each from its first non-space
+        where = f"the digit at position {digit.start()} of the stream spec is"
         literal = _INTEGER.fullmatch(digit.group())
-        if literal is None and digit.group().strip():
-            break
-        if literal and limit and len(re.sub(r"\D", "", literal.group(1))) > limit:
-            where = f"the digit at position {digit.start() + literal.start(1)} of the stream spec is"
+        if literal is None:
+            return ValueError(f"{where} not an integer")
+        if limit and len(re.sub(r"\D", "", literal.group(1))) > limit:
             return _too_long(where, "reading")
-    return ValueError(f"stream spec {spec!r} contains a non-integer digit")
+    return ValueError("the stream spec contains a non-integer digit")
 
 
 # What a command returns: its output, in pieces written as they are made,

@@ -29,14 +29,17 @@ that the root chart and both children of every row recover x^b - y^a on
 the nose, a run at a time.  It compares the exponent pairs of the two
 terms that ``expand_chart`` would multiply back out, and the chart's
 sign, as ints with those of x^b - y^a; so a chart costs about what its
-integers cost.  On a run of five rows or more whose rows before the last
-all have s > max(t, 0), each entry of each child is a polynomial of
-degree at most 2 in the row index, so the public ``blow_up`` of rows 0,
-1 and n - 2 decides those rows, and the last row is blown up on its own;
-any other run is blown up row by row.  So the check proves every chart
-from the closed form that ``_row_at``, ``_children`` and ``_chart_pairs``
-implement, in time that follows the number of runs, not of blow-ups;
-``all_charts`` still builds every chart.
+integers cost.  Two facts make one blow-up per run enough.  The first
+child of a row has the row's exponent pairs and sign; the second, whose
+generators are swapped, has the same pairs in the other order and the
+sign flipped, so it expands to the same polynomial.  And ``_row_at``
+keeps a run's pairs fixed for as long as p = s - jt > 0.  So a run
+whose two ends have s > 0 is decided by blowing up its last row, once,
+with the public ``blow_up``; that is the row ``resolve`` steps with
+``_children``.  The check therefore proves every chart from the closed
+form that ``_row_at``, ``_children`` and ``_chart_pairs`` implement, in
+time that follows the number of runs, not of blow-ups; ``all_charts``
+still builds every chart.
 
 Blowing up a chart origin substitutes one coordinate for the product of
 the other two and refactors; the driver repeatedly blows up the unique
@@ -450,19 +453,20 @@ def verify_reconstruction(trace: ResolutionTrace) -> bool:
     sign fails, and so do coinciding pairs, which expand to 0.  No
     polynomial is built; the first chart that differs ends the check.
 
-    Rows are blown up with the public ``blow_up``, but not every row.
-    Take a run (start, n) with n >= 5 and s_j = s - j*t.  When
-    min(s_0, s_{n-2}) > max(t, 0), every row j <= n - 2 passes through
-    the origin and takes the s > t branch of ``_children``, and each
-    child's p keeps one sign; so each of the four entries of
-    ``_chart_pairs`` of each child, and its sign, is a polynomial of
-    degree at most 2 in j, and rows 0, 1 and n - 2 matching prove that
-    all of rows 0 to n - 2 match.  Row n - 1 is blown up on its own, as
-    is every row of a shorter run or of one outside that range.  The
-    check therefore proves the charts from the closed form that
-    ``_row_at``, ``_children`` and ``_chart_pairs`` implement, rather
-    than building each one: a fault of that code at an interior row
-    alone is for the tests to find.
+    One row of each run is blown up, its last, with the public
+    ``blow_up``.  The first child of a row has the row's exponent pairs
+    and sign, and the second, whose generators ``_children`` swaps, has
+    them in the other order with the sign flipped, so both expand to the
+    row's polynomial; and row j of a run (start, n) has the start's
+    pairs while p = s - j*t > 0 (``_row_at``).  So when
+    min(s, s - (n - 1)*t) > 0 every row of the run passes through the
+    origin, and the last row's children matching proves every chart the
+    run's rows give.  A run whose end misses the origin has a row that
+    cannot be blown up, and the check returns False for it rather than
+    raising.  A run of no rows holds no chart.  The check thus proves the
+    charts from the closed form that ``_row_at``, ``_children`` and
+    ``_chart_pairs`` implement, rather than building each one: a fault
+    of that code at an interior row alone is for the tests to find.
     """
     a, b = trace.a, trace.b
     want = {1: (b, 0, 0, a), -1: (0, a, b, 0)}.get  # the pairs, by sign
@@ -470,13 +474,11 @@ def verify_reconstruction(trace: ResolutionTrace) -> bool:
     if _chart_pairs(root) != want(root[8]):
         return False
     for start, n in trace.runs:
-        s, t = start[6], start[7]
-        if n >= 5 and min(s, s - (n - 2) * t) > max(t, 0):
-            rows = (0, 1, n - 2, n - 1)
-        else:
-            rows = range(n)
-        for j in rows:
-            first, second = blow_up(_row_at(start, j))
+        if n > 0:
+            s, t = start[6], start[7]
+            if min(s, s - (n - 1) * t) <= 0:
+                return False
+            first, second = blow_up(_row_at(start, n - 1))
             if _chart_pairs(first) != want(first[8]) or _chart_pairs(second) != want(second[8]):
                 return False
     return True

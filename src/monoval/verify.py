@@ -8,10 +8,12 @@ expands back to x^b - y^a exactly.  The paths are compared by walking
 their runs side by side, one step per run, and each chart as the
 exponent pairs and sign of its two terms, as ints.  The charts are
 proved a run of the trace at a time, from the closed form of the run's
-rows and of their blow-ups: a run of five rows or more is blown up at
-rows 0, 1, n - 2 and n - 1, and a shorter one at every row (see
-``resolution.verify_reconstruction``).  Failures are report content,
-never exceptions; the first counterexample is kept verbatim.
+rows and of their blow-ups: both children of a row expand to the row's
+polynomial, and a run's rows share their exponent pairs while they pass
+through the origin, so a run whose ends both do is blown up at its last
+row alone (see ``resolution.verify_reconstruction``).  Failures are
+report content, never exceptions; the first counterexample is kept
+verbatim.
 """
 
 from __future__ import annotations

@@ -61,7 +61,7 @@ MUTANTS = (
         "e = A + B + (s if s < t else t)",
         "e = A + B + (s if s < t else t) + (s == 3 * t + 2)",
         CERTIFICATE + (CRITERION_7,),
-        "a row with s = 3t + 2, always before row n - 2 of its run, gets children"
+        "a row with s = 3t + 2, never the last of its run, gets children"
         " with a wrong exceptional multiplicity",
     ),
     Mutant(
@@ -79,25 +79,39 @@ MUTANTS = (
         "the second child keeps its parent's sign, so it expands to minus the curve",
     ),
     Mutant(
-        "certificate-one-end", "resolution.py",
-        "min(s, s - (n - 2) * t) > max(t, 0)",
-        "s > max(t, 0)",
-        (RESOLUTION + "test_reconstruction_blows_up_every_row_of_a_run_outside_the_range",),
-        "a run whose row n - 2 has s <= t is certified instead of blown up row by row",
+        "certificate-end-reads-start", "resolution.py",
+        "min(s, s - (n - 1) * t)",
+        "s",
+        (RESOLUTION + "test_reconstruction_refuses_a_run_lengthened_past_the_origin_unblown",),
+        "a run whose last row misses the origin passes the end test, and blow_up raises",
     ),
     Mutant(
-        "certificate-samples-n-3", "resolution.py",
-        "rows = (0, 1, n - 2, n - 1)",
-        "rows = (0, 1, n - 3, n - 1)",
-        (RESOLUTION + "test_reconstruction_blows_up_rows_0_1_n_minus_2_and_n_minus_1_of_a_long_run",),
-        "the certificate samples row n - 3 in place of row n - 2",
+        "certificate-end-one-row-short", "resolution.py",
+        "(n - 1) * t",
+        "(n - 2) * t",
+        (RESOLUTION + "test_reconstruction_refuses_a_run_lengthened_past_the_origin_unblown",),
+        "the end test reads row n - 2, so a last row that misses the origin reaches blow_up",
     ),
     Mutant(
-        "certificate-skips-last-row", "resolution.py",
-        "rows = (0, 1, n - 2, n - 1)",
-        "rows = (0, 1, n - 2)",
-        (RESOLUTION + "test_reconstruction_blows_up_rows_0_1_n_minus_2_and_n_minus_1_of_a_long_run",),
-        "the last row of a certified run, which may have s <= t, is never blown up",
+        "certificate-end-at-zero", "resolution.py",
+        "* t) <= 0:",
+        "* t) < 0:",
+        (RESOLUTION + "test_the_run_certificate_agrees_with_blowing_up_every_row_on_corrupted_runs",),
+        "a run whose last row has s = 0 passes the end test, and blow_up raises",
+    ),
+    Mutant(
+        "certificate-blows-up-n-2", "resolution.py",
+        "_row_at(start, n - 1)",
+        "_row_at(start, n - 2)",
+        (RESOLUTION + "test_reconstruction_blows_up_the_last_row_of_each_run",),
+        "row n - 2 of a run is blown up in place of the row resolve steps",
+    ),
+    Mutant(
+        "certificate-no-empty-guard", "resolution.py",
+        "        if n > 0:\n",
+        "        if True:\n",
+        (RESOLUTION + "test_the_run_certificate_agrees_with_blowing_up_every_row_on_corrupted_runs",),
+        "a run of no rows is tested and blown up at row -1, so one at a resolved chart fails",
     ),
     Mutant(
         "kind-cusp", "resolution.py",

@@ -280,8 +280,9 @@ def reconstruction_by_rows(trace: ResolutionTrace) -> bool:
 
     The root chart and both children of every row are compared, as
     exponent pairs and sign, with those of x^b - y^a.  This is the check
-    ``verify_reconstruction`` certifies a run at a time; like it, it
-    raises ``ValueError`` on a row that misses the origin.
+    ``verify_reconstruction`` certifies from the last row of each run.
+    Unlike it, this raises ``ValueError`` on a row that misses the
+    origin, where ``verify_reconstruction`` returns False.
     """
     pairs = {1: (trace.b, 0, 0, trace.a), -1: (0, trace.a, trace.b, 0)}  # by sign
     return all(_chart_pairs(c) == pairs.get(c[8]) for c in _charts(trace))

@@ -577,10 +577,22 @@ def test_a_stream_digit_past_the_int_str_limit_is_named_by_position(capsys):
     for spec, position in ((f"{'3' * 641},1;2", 0), (f"1, ,2;3, +{'1_1' * 400}", 9)):
         code, out, err = run_under_640_digits(capsys, "path", "--stream", spec, "--format", "json")
         assert (code, out, err) == (1, "", message(position, 640)), spec
-    # the first digit int() refuses decides; one that is no integer keeps its message
-    for spec in ("1;2,x", f"1;x,{long}"):
+    # the first digit int() refuses decides; one that is no integer is named by position too
+    for spec, position in (("1;2,x", 4), (f"1;x,{long}", 2)):
         code, out, err = run(capsys, "path", "--stream", spec)
-        assert (code, out, err) == (1, "", f"error: stream spec {spec!r} contains a non-integer digit\n")
+        assert (code, out, err) == (
+            1, "", f"error: the digit at position {position} of the stream spec is not an integer\n")
+
+
+def test_stream_spec_refusals_are_one_short_line(capsys):
+    long = "2" * (sys.get_int_max_str_digits() + 1)
+    no_integer = "the digit at position {} of the stream spec is not an integer"
+    for spec, message in ((f"1;2,x,{long}", no_integer.format(4)),
+                          (f"1,{long}", "the stream spec has no period; use 'sqrt2' or 'pre;period' digit lists"),
+                          ("1;2;3", no_integer.format(2))):  # the period's digits split at commas only
+        code, out, err = run(capsys, "path", "--stream", spec)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+        assert len(err) <= 200
 
 
 def test_member_reads_decimal_digits_only(capsys):

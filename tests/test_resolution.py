@@ -562,53 +562,35 @@ def counting(monkeypatch, name):
     return calls
 
 
-def blown_rows(monkeypatch, trace, picks):
-    """The rows ``verify_reconstruction`` blows up, and the rows ``picks`` names.
-
-    ``picks`` maps a run's index to the indices j of the rows it should
-    blow up; a run it leaves out should have every row blown up.
-    """
-    blown = counting(monkeypatch, "blow_up")
-    want = [resolution._row_at(start, j)
-            for i, (start, n) in enumerate(trace.runs) for j in picks.get(i, range(n))]
-    try:
-        verdict = verify_reconstruction(trace)
-    except ValueError:  # blow_up refuses a row that misses the origin
-        verdict = None
-    return blown, want, verdict
+def last_rows(runs):
+    """The last row of each run."""
+    return [resolution._row_at(start, n - 1) for start, n in runs]
 
 
-@pytest.mark.parametrize("pair, picks", [
-    ((24, 7), {}),  # runs of 1 and 3 rows
-    ((14, 3), {}),  # a run of 4
-    ((17, 3), {1: (0, 1, 3, 4)}),  # a run of 5
-    ((23, 3), {1: (0, 1, 5, 6)}),
-    ((20001, 20000), {2: (0, 1, 19996, 19997)}),
-])
-def test_reconstruction_blows_up_rows_0_1_n_minus_2_and_n_minus_1_of_a_long_run(monkeypatch, pair, picks):
+@pytest.mark.parametrize("pair", [(24, 7), (14, 3), (17, 3), (23, 3), (20001, 20000)])
+def test_reconstruction_blows_up_the_last_row_of_each_run(monkeypatch, pair):
     trace = resolve(*pair)
     checked = counting(monkeypatch, "_chart_pairs")
-    blown, want, verdict = blown_rows(monkeypatch, trace, picks)
-    assert verdict is True
-    assert blown == want
+    blown = counting(monkeypatch, "blow_up")
+    assert verify_reconstruction(trace) is True
+    assert blown == last_rows(trace.runs)
     assert checked[0] == trace.runs[0][0]  # the root
-    assert len(checked) == 2 * len(blown) + 1  # and both children of each row
+    assert len(checked) == 1 + 2 * len(trace.runs)  # and both children of each last row
 
 
 @pytest.mark.parametrize("pair, run, extra", [((17, 3), 1, 1), ((23, 3), 1, 1), ((23, 3), 1, 2)])
-def test_reconstruction_blows_up_every_row_of_a_run_outside_the_range(monkeypatch, pair, run, extra):
-    # Lengthened, the run's row n - 2 has s <= t, and its last row misses
-    # the origin, so blow_up refuses it after every row before.
+def test_reconstruction_refuses_a_run_lengthened_past_the_origin_unblown(monkeypatch, pair, run, extra):
+    # Lengthened, the run's last row misses the origin, so it has no
+    # children: the verdict is False, and no row of the run is blown up.
     runs = list(resolve(*pair).runs)
     start, n = runs[run]
     runs[run] = start, n + extra
     trace = ResolutionTrace(*pair, tuple(runs))
     s, t = start[6], start[7]
-    assert s - (n + extra - 2) * t <= t < s
-    blown, want, verdict = blown_rows(monkeypatch, trace, {})
-    assert verdict is None
-    assert blown == want[:len(blown)]
-    assert blown[-1] == resolution._row_at(start, n) and blown[-1][6] <= 0
+    assert s - (n + extra - 1) * t <= 0 < s - (n - 1) * t
+    blown = counting(monkeypatch, "blow_up")
+    assert verify_reconstruction(trace) is False
+    assert blown == last_rows(runs[:run])
 
 
 def oracle_reconstruction(trace) -> bool:
@@ -626,10 +608,7 @@ def oracle_reconstruction(trace) -> bool:
 
 
 def int_reconstruction(trace) -> bool:
-    try:
-        return verify_reconstruction(trace)
-    except ValueError:  # blow_up refuses a row that misses the origin
-        return False
+    return verify_reconstruction(trace)  # never raises, where the oracles may
 
 
 def test_the_int_check_agrees_with_the_oracle_expansion_for_a_up_to_60():
@@ -715,6 +694,14 @@ def corrupted_runs(draw):
 
 
 @example(ResolutionTrace(17, 3, (((1, 0, 0, 1, 0, 0, 3, 17, 1), 1), ((0, 1, 1, -1, 3, 0, 14, 3, -1), 6))))
+# a run of no rows, at a chart that misses the origin, holds no chart
+@example(ResolutionTrace(3, 2, (((1, 0, 0, 1, 0, 0, 2, 3, 1), 1), ((0, 1, 1, -1, 2, 0, 1, 2, -1), 1),
+                                ((1, -1, -1, 2, 3, 2, 1, 1, 1), 1), ((1, -1, -2, 3, 6, 2, 0, 1, 1), 0))))
+# the 19,998-row run lengthened by two, to a last row with s = 0
+@example(ResolutionTrace(20001, 20000, (((1, 0, 0, 1, 0, 0, 20000, 20001, 1), 1),
+                                        ((0, 1, 1, -1, 20000, 0, 1, 20000, -1), 1),
+                                        ((1, -1, -1, 2, 20001, 20000, 19999, 1, 1), 20000),
+                                        ((1, -1, -19999, 20000, 399999999, 20000, 1, 1, 1), 1))))
 @example(ResolutionTrace(23, 3, (((1, 0, 0, 1, 0, 0, 3, 23, 1), 1), ((0, 1, 1, -1, 3, 0, 20, 3, 1), 7))))
 @settings(max_examples=300, deadline=None)
 @given(corrupted_runs())
