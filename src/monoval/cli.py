@@ -10,8 +10,14 @@ early), 2 verification failure.
 ``main`` builds its parser once per process, on its first call, and
 parses every later argv with it; a one-shot ``monoval`` process builds
 it once either way.  Importing this module builds none.  One guard,
-``_printable_runs``, refuses a path or a trace with an integer longer
-than ``str`` prints, run by run, before any output.
+``_printable_runs``, refuses a stream's path or a trace with an integer
+longer than ``str`` prints, run by run, before any output.  A pair's
+path needs none: it is Euclid's algorithm on (a, b), so no exponent
+exceeds max(a, b), which was read from argv under the same limit.  The
+same bound holds for a trace's chart bases and its powers s and t.
+Only the exceptional multiplicities grow past a and b, and only JSON
+and ``--trace`` print them; a chart's own are below its children's,
+e = A + B + min(s, t), so those two formats check e of each blow-up.
 """
 
 from __future__ import annotations
@@ -32,14 +38,13 @@ from .emit import (
     format_verify_text,
     json_chunks,
     path_text_chunks,
-    printed_integers,
     trace_text_chunks,
 )
-from .exactnum import CFStream, cf_expand, sqrt2_stream
+from .exactnum import CFStream, _quoted, cf_expand, sqrt2_stream
 from .expr import LongIntegerError, WorkBudgetError, initial_value, parse_expression
-from .resolution import _row_at, resolve
+from .resolution import _children, _row_at, resolve
 from .valring import ring_generators
-from .valtree import _base_at, take_runs, walk_runs
+from .valtree import _base_at, _pair_path, positive_path, take_runs, walk_runs
 from .valuation import MonomialValuation
 from .verify import run_verify
 
@@ -77,34 +82,31 @@ def parse_stream_spec(spec: str) -> CFStream:
         return sqrt2_stream()
     if ";" not in spec:
         raise ValueError("the stream spec has no period; use 'sqrt2' or 'pre;period' digit lists")
-    pre_s, per_s = spec.split(";", 1)
+    cut, pre, per = spec.index(";"), [], []
+    # The digits, split at commas and at the first semicolon only, each from its first non-space.
+    for digit in re.finditer(r"[^,\s][^,]*", spec.replace(";", ",", 1)):
+        try:
+            (pre if digit.start() < cut else per).append(int(digit.group()))
+        except ValueError:
+            where = f"the digit at position {digit.start()} of the stream spec is"
+            if _INTEGER.fullmatch(digit.group()):  # which int() reads, but for its length
+                raise _too_long(where, "reading") from None
+            raise ValueError(f"{where} not an integer") from None
+    return CFStream.from_periodic(tuple(pre), tuple(per))
+
+
+# A literal that int() reads, but for its length: a sign and digits, maybe spaced and grouped by _.
+_INTEGER = re.compile(r"\s*[+-]?\d(?:_?\d)*\s*")
+
+
+def _integer_argument(text: str) -> int:
+    """``int(text)``, for argparse: a refusal quotes at most the start of ``text``."""
     try:
-        pre = tuple(int(d) for d in pre_s.split(",") if d.strip())
-        per = tuple(int(d) for d in per_s.split(",") if d.strip())
+        return int(text)
     except ValueError:
-        raise _bad_digit(spec) from None
-    return CFStream.from_periodic(pre, per)
-
-
-# A digit that int() reads, but for its length: its sign and digits, in group 1.
-_INTEGER = re.compile(r"\s*([+-]?\d(?:_?\d)*)\s*")
-
-
-def _bad_digit(spec: str) -> ValueError:
-    """The error for the first digit of a stream spec that ``int`` does not read, named by position.
-
-    The digits are read as ``parse_stream_spec`` splits them: at commas,
-    and at the first semicolon only.
-    """
-    limit = sys.get_int_max_str_digits()
-    for digit in re.finditer(r"[^,\s][^,]*", spec.replace(";", ",", 1)):  # each from its first non-space
-        where = f"the digit at position {digit.start()} of the stream spec is"
-        literal = _INTEGER.fullmatch(digit.group())
-        if literal is None:
-            return ValueError(f"{where} not an integer")
-        if limit and len(re.sub(r"\D", "", literal.group(1))) > limit:
-            return _too_long(where, "reading")
-    return ValueError("the stream spec contains a non-integer digit")
+        if _INTEGER.fullmatch(text):
+            raise argparse.ArgumentTypeError(str(_too_long("the integer is", "reading"))) from None
+        raise argparse.ArgumentTypeError(f"invalid int value: {_quoted(text)}") from None
 
 
 # What a command returns: its output, in pieces written as they are made,
@@ -116,14 +118,14 @@ def _cmd_cf(args) -> Output:
     try:
         r = Fraction(args.rational)
     except ZeroDivisionError:
-        raise ValueError(f"cannot read {args.rational!r}: the denominator is zero") from None
+        raise ValueError(f"cannot read {_quoted(args.rational)}: the denominator is zero") from None
     except ValueError:  # not a rational, or one with an integer longer than int() reads
         limit = sys.get_int_max_str_digits()
         for run in re.finditer(r"\d(?:_?\d)*", args.rational):
             if limit and len(run.group().replace("_", "")) > limit:
                 where = f"the integer at position {run.start()} of the rational is"
                 raise _too_long(where, "reading") from None
-        raise
+        raise ValueError(f"Invalid literal for Fraction: {_quoted(args.rational)}") from None
     cf = cf_expand(r)
     unprintable = _print_test()
     # No digit exceeds the larger of |numerator| and denominator.
@@ -146,14 +148,15 @@ def _cmd_path(args) -> Output:
         stream = parse_stream_spec(args.stream)
         nu = MonomialValuation.from_stream(stream)
         max_steps = args.max_steps if args.max_steps is not None else 64
+        runs = _printable_runs(walk_runs(nu), max_steps, _base_at,
+                               lambda i: f"vertex {i} of the path has an exponent")
+        path = take_runs(runs, max_steps)
     else:
         if args.a is None or args.b is None:
             raise ValueError("need both a and b (or --stream)")
         nu = MonomialValuation.rational(args.a, args.b)
-        max_steps = args.max_steps if args.max_steps is not None else args.a + args.b
-    runs = _printable_runs(walk_runs(nu), max_steps, _base_at,
-                           lambda i: f"vertex {i} of the path has an exponent")
-    path = take_runs(runs, max_steps)
+        # Euclid on (a, b): no exponent of the path exceeds max(a, b), which argv held.
+        path = _pair_path(args.a, args.b) if args.max_steps is None else positive_path(nu, args.max_steps)
     if args.format == "json":
         return json_chunks(path), 0
     if args.format == "dot":
@@ -202,15 +205,16 @@ def _first(n: int, test) -> int:
 def _printable_runs(runs, count: int, printed, name):
     """Runs, refusing the first of their first ``count`` items to print an integer ``str`` cannot.
 
-    ``printed(start, j)`` is the integers that item j of the run
-    (start, n) prints, and ``name(i)`` the words that name item i of all
-    runs, such as "vertex i of the path has an exponent".  The printed
-    integers never shrink down a path or a trace, so each run is checked
-    at its last item among the first ``count``, and the runs stop at the
-    first that fails, before any output; the item named is found by
-    bisection inside that run.  The print limit is read once, when the
-    first run is read.  The runs are finite, as a trace's and a walk's
-    of a rational or a stream are.
+    ``printed(start, j)`` is the integers of item j of the run (start, n)
+    that may pass the limit: a stream's vertex exponents, or a blow-up's
+    children's multiplicity (see the module docstring).  ``name(i)`` is
+    the words that name item i of all runs, such as "vertex i of the path
+    has an exponent".  Those integers never shrink down a path or a
+    trace, so each run is checked at its last item among the first
+    ``count``, and the runs stop at the first that fails, before any
+    output; the item named is found by bisection inside that run.  The
+    print limit is read once, when the first run is read.  Each run is
+    finite, as a trace's and a stream walk's are.
     """
     unprintable = _print_test()
     i = 0  # items before the run
@@ -281,11 +285,12 @@ def _cmd_member(args) -> Output:
 
 def _cmd_resolve(args) -> Output:
     trace = resolve(args.a, args.b)
-    for _ in _printable_runs(  # refuses before any output
-            trace.runs, trace.blow_up_count,
-            lambda row, j: printed_integers(_row_at(row, j), args.format, args.trace),
-            lambda i: f"blow-up {i + 1} of the resolution prints an integer"):
-        pass
+    if args.format == "json" or args.trace:  # the formats that print the children's multiplicity
+        for _ in _printable_runs(  # refuses before any output
+                trace.runs, trace.blow_up_count,
+                lambda row, j: (_children(_row_at(row, j))[0][4],),
+                lambda i: f"blow-up {i + 1} of the resolution prints an integer"):
+            pass
     if args.format == "json":
         return json_chunks(trace), 0
     if args.format == "dot":
@@ -317,35 +322,35 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_cf)
 
     p = sub.add_parser("path", help="positive path of a monomial valuation")
-    p.add_argument("a", nargs="?", type=int, help="nu(x)")
-    p.add_argument("b", nargs="?", type=int, help="nu(y)")
+    p.add_argument("a", nargs="?", type=_integer_argument, help="nu(x)")
+    p.add_argument("b", nargs="?", type=_integer_argument, help="nu(y)")
     p.add_argument("--stream", help="digit stream spec: 'sqrt2' or 'pre;period'")
-    p.add_argument("--max-steps", type=int, dest="max_steps")
+    p.add_argument("--max-steps", type=_integer_argument, dest="max_steps")
     add_common(p, formats=("text", "json", "dot"))
     p.set_defaults(func=_cmd_path)
 
     p = sub.add_parser("ringgens", help="valuation ring generators for nu(x)=a, nu(y)=b")
-    p.add_argument("a", type=int)
-    p.add_argument("b", type=int)
+    p.add_argument("a", type=_integer_argument)
+    p.add_argument("b", type=_integer_argument)
     add_common(p)
     p.set_defaults(func=_cmd_ringgens)
 
     p = sub.add_parser("member", help="valuation ring membership of an expression")
     p.add_argument("expression", help="expression in x and y, e.g. \"x^2 - y^3\"")
-    p.add_argument("--a", type=int, required=True, help="nu(x)")
-    p.add_argument("--b", type=int, required=True, help="nu(y)")
+    p.add_argument("--a", type=_integer_argument, required=True, help="nu(x)")
+    p.add_argument("--b", type=_integer_argument, required=True, help="nu(y)")
     add_common(p)
     p.set_defaults(func=_cmd_member)
 
     p = sub.add_parser("resolve", help="blow-up resolution of x^b = y^a")
-    p.add_argument("a", type=int)
-    p.add_argument("b", type=int)
+    p.add_argument("a", type=_integer_argument)
+    p.add_argument("b", type=_integer_argument)
     p.add_argument("--trace", action="store_true", help="show every blow-up step")
     add_common(p, formats=("text", "json", "dot"))
     p.set_defaults(func=_cmd_resolve)
 
     p = sub.add_parser("verify", help="exhaustive checks over coprime pairs")
-    p.add_argument("--max", type=int, required=True, help="largest a in the sweep")
+    p.add_argument("--max", type=_integer_argument, required=True, help="largest a in the sweep")
     add_common(p)
     p.set_defaults(func=_cmd_verify)
 

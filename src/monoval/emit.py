@@ -50,9 +50,6 @@ fill faster than a ``%`` template: that parses its format again on every
 fill.  Monomial names and classifications hold no character that JSON
 escapes, so the JSON step quotes them as they are.  Each JSON array item
 carries its ``,\\n`` separator, which the first drops.
-``printed_integers`` says which integers each format prints for a row,
-so a caller can check them before any output; it reads the new ones
-from the row's first child, by ``resolution._children``.
 
 The path emitters walk a path's runs too: a run's first generator is
 named once, and each vertex names only its second, g/f^j, with
@@ -141,21 +138,6 @@ def _blow_ups(trace: ResolutionTrace, number):
             chart, kind = c1, k1
         else:
             chart, kind = c2, k2
-
-
-def printed_integers(row: tuple[int, ...], fmt: str, show_steps: bool = False) -> tuple[int, ...]:
-    """The integers that a trace's output in ``fmt`` prints for the blow-up of a row, besides a and b.
-
-    Every format prints the blown-up chart's basis.  JSON, DOT and
-    ``show_steps`` text print its children's bases too, which add g/f and
-    its inverse, and JSON and ``show_steps`` text print the children's
-    multiplicity, the largest number of a blow-up; both are read from the
-    first child that ``_children`` makes.  The powers s, t never exceed a.
-    """
-    if fmt == "text" and not show_steps:
-        return row[:4]
-    first = _children(row)[0]  # (f, g/f, multiplicity, ...)
-    return row[:4] + (first[2:5] if fmt in ("json", "text") else first[2:4])
 
 
 def _path_names(path: PositivePath) -> Iterator[tuple[str, str]]:

@@ -134,8 +134,14 @@ def _integer(x, what: str) -> int:
     except OverflowError:  # an infinite float
         n = None
     if n != x and not isinstance(x, str):
-        raise ValueError(f"{what} must be an integer, not {x!r}")
+        raise ValueError(f"{what} must be an integer, not {_quoted(x)}")
     return n
+
+
+def _quoted(x, width: int = 64) -> str:
+    """``repr(x)``, or its first ``width`` characters and '...': a message quoting x stays short."""
+    text = repr(x)
+    return text if len(text) <= width else text[:width] + "..."
 
 
 def _require_coprime(a: int, b: int) -> None:

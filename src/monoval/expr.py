@@ -57,6 +57,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
+from .exactnum import _quoted
 from .laurent import LaurentPolynomial, RationalFunction, X, Y
 from .valuation import Value
 
@@ -205,7 +206,7 @@ class _Parser:
         node = self.expr()
         kind, text, position = self.peek()
         if kind != "end":
-            raise ExpressionError(f"unexpected {text!r}", position)
+            raise ExpressionError(f"unexpected {_quoted(text)}", position)
         return node
 
     def expr(self) -> Node:

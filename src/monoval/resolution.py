@@ -181,14 +181,18 @@ class ResolutionTrace:
 
     A row is a plain tuple in ``ChartState``'s layout.  Row k + 1 is the
     unresolved child of row k, and both children of the last row are
-    resolved.  ``runs`` holds (first row, length) pairs; inside a run
-    each row's unresolved child is its first, and the rows follow
-    ``_row_at``.  ``rows`` and ``steps`` expand the runs when read.
+    resolved.  ``runs`` holds (first row, length) pairs, at least one;
+    inside a run each row's unresolved child is its first, and the rows
+    follow ``_row_at``.  ``rows`` and ``steps`` expand the runs when read.
     """
 
     a: int
     b: int
     runs: tuple[RowRun, ...]
+
+    def __post_init__(self):
+        if not self.runs:
+            raise ValueError("a resolution trace needs at least one run")
 
     @cached_property
     def blow_up_count(self) -> int:

@@ -61,13 +61,12 @@ def _int_sign(x) -> int:
 
 
 class RationalRatioGroup:
-    """Both ``nu(x)`` and ``nu(y)`` are exact positive rationals.
+    """Both ``nu(x)`` and ``nu(y)`` are exact positive rationals, ``vx`` and ``vy``.
 
-    Either orientation is accepted; the ``(a, b)`` view normalizes to
-    ``a >= b`` and ``swapped`` records whether x and y traded roles.
-    Comparison is exact, never approximate: multiplying both values by
-    den(nu(x)) * den(nu(y)) > 0 gives the integer weights ``px``, ``py``,
-    so ``m*nu(x) + n*nu(y)`` has the sign of ``m*px + n*py``.
+    Either may be the larger.  Comparison is exact, never approximate:
+    multiplying both values by den(nu(x)) * den(nu(y)) > 0 gives the
+    integer weights ``px``, ``py``, so ``m*nu(x) + n*nu(y)`` has the sign
+    of ``m*px + n*py``.
     """
 
     def __init__(self, vx, vy):
@@ -78,18 +77,6 @@ class RationalRatioGroup:
         self.vy = vy
         self.px = vx.numerator * vy.denominator
         self.py = vy.numerator * vx.denominator
-
-    @property
-    def swapped(self) -> bool:
-        return self.vx < self.vy
-
-    @property
-    def a(self) -> Fraction:
-        return max(self.vx, self.vy)
-
-    @property
-    def b(self) -> Fraction:
-        return min(self.vx, self.vy)
 
     def realize(self, v: Value) -> Fraction:
         return v.m * self.vx + v.n * self.vy

@@ -206,11 +206,32 @@ MUTANTS = (
         "the print guard checks a run one item before its last printed item",
     ),
     Mutant(
-        "printed-integers-no-multiplicity", "emit.py",
-        "first[2:5]",
-        "first[2:4]",
-        ("tests/test_emit.py::test_printed_integers_hold_the_largest_integer_each_format_prints",),
-        "the print guard of JSON and --trace text skips the children's multiplicity",
+        "guard-skips-trace-text", "cli.py",
+        'if args.format == "json" or args.trace:',
+        'if args.format == "json":',
+        ("tests/test_cli.py::test_resolve_past_the_int_str_limit_fails_before_output",),
+        "--trace text prints a multiplicity past the limit unchecked, and fails after its output began",
+    ),
+    Mutant(
+        "guard-on-every-trace-format", "cli.py",
+        'if args.format == "json" or args.trace:',
+        "if True:",
+        ("tests/test_cli.py::test_resolve_past_the_int_str_limit_fails_before_output",),
+        "DOT and plain text, which print no multiplicity, are refused with the others",
+    ),
+    Mutant(
+        "guard-reads-the-row-multiplicity", "cli.py",
+        "(_children(_row_at(row, j))[0][4],)",
+        "(_row_at(row, j)[4],)",
+        ("tests/test_cli.py::test_resolve_refuses_at_the_first_or_last_row_of_a_run",),
+        "the guard reads a blow-up's own multiplicity, not its children's, and names a later blow-up",
+    ),
+    Mutant(
+        "stream-path-unguarded", "cli.py",
+        "runs = _printable_runs(walk_runs(nu), max_steps, _base_at,",
+        "runs = (lambda runs, *_: runs)(walk_runs(nu), max_steps, _base_at,",
+        ("tests/test_cli.py::test_path_past_the_int_str_limit_fails_before_output",),
+        "a stream's path prints its vertices unchecked, and fails after its output began",
     ),
     Mutant(
         "blocks-drop-last", "emit.py",

@@ -595,6 +595,29 @@ def test_stream_spec_refusals_are_one_short_line(capsys):
         assert len(err) <= 200
 
 
+def test_refusals_that_quote_the_input_are_one_short_line(capsys):
+    limit = sys.get_int_max_str_digits()
+    too_long = (f"the integer is longer than {limit} digits,"
+                " the interpreter's limit for reading an integer")
+    cases = (
+        (("resolve", "1" * 5000, "2"), f"usage error: argument a: {too_long}"),
+        (("verify", "--max", "9" * 5000), f"usage error: argument --max: {too_long}"),
+        (("path", "3", "2", "--max-steps", "x" * 5000),
+         f"usage error: argument --max-steps: invalid int value: '{'x' * 63}..."),
+        (("cf", "x" * 5000), f"error: Invalid literal for Fraction: '{'x' * 63}..."),
+        (("cf", "1/" + "0" * 4000), f"error: cannot read '1/{'0' * 61}...: the denominator is zero"),
+        (("member", "x " + "1" * 4000, "--a", "1", "--b", "2"),
+         f"error: unexpected '{'1' * 63}... (at position 2)"),
+    )
+    for argv, message in cases:
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (1, "", message + "\n"), argv[0]
+        assert len(err) <= 200
+    # a short input is quoted whole, as before
+    assert run(capsys, "resolve", "7", "2.5")[2] == "usage error: argument b: invalid int value: '2.5'\n"
+    assert run(capsys, "cf", "2/0")[2] == "error: cannot read '2/0': the denominator is zero\n"
+
+
 def test_member_reads_decimal_digits_only(capsys):
     code, out, err = run(capsys, "member", "x^\u00b2", "--a", "1", "--b", "2")
     assert (code, out, err) == (1, "", "error: unexpected character '\u00b2' (at position 2)\n")

@@ -14,16 +14,16 @@ from monoval.emit import (
     format_chart_text,
     format_path_text,
     format_trace_text,
-    printed_integers,
     to_jsonable,
 )
 from monoval.exactnum import CFStream, cf_expand, sqrt2_stream
 from monoval.laurent import X, Y, ChartBasis, Monomial, monomial_names
-from monoval.resolution import Classification, check_theorem, resolve
+from monoval.resolution import Classification, _children, check_theorem, resolve
 from monoval.valring import ring_generators
 from monoval.valtree import (
     ROOT,
     PositivePath,
+    _pair_path,
     cf_correspondence_check,
     children,
     lex_valuation_from_tail,
@@ -322,32 +322,6 @@ def test_templates_match_references_on_an_empty_path():
     assert '"vertices": []' in emit_json(path)
 
 
-@settings(max_examples=15, deadline=None)
-@given(coprime_pairs(10**20))
-def test_printed_integers_hold_the_largest_integer_each_format_prints(pair):
-    # The CLI checks only these integers against the limit for printing one.
-    a, b = pair
-    trace = resolve(a, b)
-    outputs = {
-        ("json", False): emit_json(trace),
-        ("dot", False): emit_dot(trace),
-        ("text", False): format_trace_text(trace),
-        ("text", True): format_trace_text(trace, show_steps=True),
-    }
-    for (fmt, steps), out in outputs.items():
-        printed = max(map(int, re.findall(r"\d+", out)))
-        listed = max(abs(n) for row in trace.rows for n in printed_integers(row, fmt, steps))
-        # DOT prints no a and b, only chart bases
-        assert printed == (listed if fmt == "dot" else max(listed, a, b)), (fmt, steps)
-
-
-# --------------------------------------------------- rows vs the view oracle
-#
-# The trace emitters read the integer rows; ``oracles`` keeps the emitters
-# they replaced, which read ``BlowUp`` views, name every monomial with
-# ``str`` and fill ``str.format`` templates.
-
-
 def convergent(digits) -> tuple[int, int]:
     """(a, b) with a/b = [d0; d1, ...]."""
     h, h1, k, k1 = 1, 0, 0, 1
@@ -355,6 +329,55 @@ def convergent(digits) -> tuple[int, int]:
         h, h1 = d * h + h1, h
         k, k1 = d * k + k1, k
     return h, k
+
+
+def largest_printed(text: str) -> int:
+    return max(map(int, re.findall(r"\d+", text)), default=0)
+
+
+# F(480), F(479), of 101 digits: every digit of a/b is 1, so the trace
+# is 480 one-row runs, and its last multiplicity is about a * b.
+FIBONACCI_PAIR = convergent([1] * 480)
+
+
+@example(WIDE_PAIR)
+@example(FIBONACCI_PAIR)
+@settings(max_examples=15, deadline=None)
+@given(coprime_pairs(10**40))
+def test_a_trace_prints_past_max_a_b_only_the_last_multiplicities(pair):
+    # The CLI checks JSON and --trace against the limit for printing an
+    # integer by the children's multiplicity alone, and DOT and text not at all.
+    a, b = pair
+    trace = resolve(a, b)
+    assert largest_printed(format_trace_text(trace)) <= max(a, b)
+    assert largest_printed(emit_dot(trace)) <= max(a, b)
+    last = _children(trace.rows[-1])[0][4]  # the last blow-up's multiplicity, its largest
+    for out in (emit_json(trace), format_trace_text(trace, show_steps=True)):
+        assert largest_printed(out) == max(a, b, last)
+
+
+@example((7, 24), 1)
+@example((4, 6), 1)
+@example((2, 1), 1)
+@example(WIDE_PAIR, 10**30)
+@example(FIBONACCI_PAIR, 1)
+@settings(max_examples=30, deadline=None)
+@given(coprime_pairs(10**40).flatmap(st.permutations), st.integers(1, 10**6))
+def test_a_pair_path_prints_no_integer_past_max_a_b(pair, factor):
+    # Its exponents are Euclid remainders of (a, b), so ``path a b`` needs no print guard.
+    a, b = (factor * n for n in pair)
+    nu = MonomialValuation.rational(a, b)
+    path = _pair_path(a, b)
+    assert path.complete
+    for out in (emit_json(path), emit_dot(path), format_path_text(path, f"positive path for {nu.describe()}:")):
+        assert largest_printed(out) <= max(a, b)
+
+
+# --------------------------------------------------- rows vs the view oracle
+#
+# The trace emitters read the integer rows; ``oracles`` keeps the emitters
+# they replaced, which read ``BlowUp`` views, name every monomial with
+# ``str`` and fill ``str.format`` templates.
 
 
 # A wide pair: n digits spread evenly over 1..40, shuffled, so the exponents

@@ -304,6 +304,8 @@ _NU = MonomialValuation.rational(5, 3)
          "max_steps must be an integer, not 2.5"),
         (lambda: cf_convergents(sqrt2_stream(), 2.5), "count must be an integer, not 2.5"),
         (lambda: cf_convergents(cf_expand(Fraction(7, 3)), 2.5), "count must be an integer, not 2.5"),
+        # a long value is quoted by its first 64 characters
+        (lambda: resolve(Fraction(1, 10**3000), 3), f"a must be an integer, not Fraction(1, 1{'0' * 51}..."),
     ],
 )
 def test_an_integer_argument_with_a_fractional_part_is_refused(call, message):

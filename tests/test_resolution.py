@@ -578,6 +578,11 @@ def test_reconstruction_blows_up_the_last_row_of_each_run(monkeypatch, pair):
     assert len(checked) == 1 + 2 * len(trace.runs)  # and both children of each last row
 
 
+def test_a_trace_of_no_runs_is_refused_when_built():
+    with pytest.raises(ValueError, match="^a resolution trace needs at least one run$"):
+        ResolutionTrace(3, 2, ())
+
+
 @pytest.mark.parametrize("pair, run, extra", [((17, 3), 1, 1), ((23, 3), 1, 1), ((23, 3), 1, 2)])
 def test_reconstruction_refuses_a_run_lengthened_past_the_origin_unblown(monkeypatch, pair, run, extra):
     # Lengthened, the run's last row misses the origin, so it has no

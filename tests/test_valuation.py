@@ -99,13 +99,13 @@ def test_describe_names_the_values_of_x_and_y():
     assert MonomialValuation.rational(Fraction(3, 2), 1).describe() == "nu(x) = 3/2, nu(y) = 1"
 
 
-def test_rational_group_normalization():
+def test_rational_group_keeps_the_given_values_in_either_order():
     g = RationalRatioGroup(2, 3)
-    assert g.swapped
-    assert (g.a, g.b) == (3, 2)
+    assert (g.vx, g.vy, g.px, g.py) == (2, 3, 2, 3)
     assert g.realize(Value(1, 0)) == 2  # nu(x) stays the given value
     g2 = RationalRatioGroup(Fraction(3, 2), Fraction(1, 2))
-    assert not g2.swapped
+    assert (g2.px, g2.py) == (6, 2)  # each times the other's denominator
+    assert g2.compare(Value(1, 0), Value(0, 3)) == 0
     with pytest.raises(ValueError):
         RationalRatioGroup(0, 1)
     with pytest.raises(ValueError):
