@@ -155,7 +155,7 @@ def _cmd_path(args) -> Output:
         if args.a is None or args.b is None:
             raise ValueError("need both a and b (or --stream)")
         nu = MonomialValuation.rational(args.a, args.b)
-        # Euclid on (a, b): no exponent of the path exceeds max(a, b), which argv held.
+        # No print guard: see the module docstring.
         path = _pair_path(args.a, args.b) if args.max_steps is None else positive_path(nu, args.max_steps)
     if args.format == "json":
         return json_chunks(path), 0
@@ -285,7 +285,7 @@ def _cmd_member(args) -> Output:
 
 def _cmd_resolve(args) -> Output:
     trace = resolve(args.a, args.b)
-    if args.format == "json" or args.trace:  # the formats that print the children's multiplicity
+    if args.format == "json" or args.trace:  # see the module docstring
         for _ in _printable_runs(  # refuses before any output
                 trace.runs, trace.blow_up_count,
                 lambda row, j: (_children(_row_at(row, j))[0][4],),

@@ -138,10 +138,10 @@ def _integer(x, what: str) -> int:
     return n
 
 
-def _quoted(x, width: int = 64) -> str:
-    """``repr(x)``, or its first ``width`` characters and '...': a message quoting x stays short."""
+def _quoted(x) -> str:
+    """``repr(x)``, or its first 64 characters and '...': a message quoting x stays short."""
     text = repr(x)
-    return text if len(text) <= width else text[:width] + "..."
+    return text if len(text) <= 64 else text[:64] + "..."
 
 
 def _require_coprime(a: int, b: int) -> None:

@@ -345,8 +345,7 @@ FIBONACCI_PAIR = convergent([1] * 480)
 @settings(max_examples=15, deadline=None)
 @given(coprime_pairs(10**40))
 def test_a_trace_prints_past_max_a_b_only_the_last_multiplicities(pair):
-    # The CLI checks JSON and --trace against the limit for printing an
-    # integer by the children's multiplicity alone, and DOT and text not at all.
+    # The bound that ``cli``'s print guard rests on (see its module docstring).
     a, b = pair
     trace = resolve(a, b)
     assert largest_printed(format_trace_text(trace)) <= max(a, b)
@@ -364,7 +363,7 @@ def test_a_trace_prints_past_max_a_b_only_the_last_multiplicities(pair):
 @settings(max_examples=30, deadline=None)
 @given(coprime_pairs(10**40).flatmap(st.permutations), st.integers(1, 10**6))
 def test_a_pair_path_prints_no_integer_past_max_a_b(pair, factor):
-    # Its exponents are Euclid remainders of (a, b), so ``path a b`` needs no print guard.
+    # The bound that ``cli``'s print guard rests on (see its module docstring).
     a, b = (factor * n for n in pair)
     nu = MonomialValuation.rational(a, b)
     path = _pair_path(a, b)
