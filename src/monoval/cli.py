@@ -16,8 +16,9 @@ path needs none: it is Euclid's algorithm on (a, b), so no exponent
 exceeds max(a, b), which was read from argv under the same limit.  The
 same bound holds for a trace's chart bases and its powers s and t.
 Only the exceptional multiplicities grow past a and b, and only JSON
-and ``--trace`` print them; a chart's own are below its children's,
-e = A + B + min(s, t), so those two formats check e of each blow-up.
+and ``--trace`` text print them (DOT prints none, with ``--trace`` or
+without); a chart's own are below its children's, e = A + B + min(s, t),
+so those two formats check e of each blow-up.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .emit import (
     path_text_chunks,
     trace_text_chunks,
 )
-from .exactnum import CFStream, _quoted, cf_expand, sqrt2_stream
+from .exactnum import CFStream, _clipped, _quoted, cf_expand, sqrt2_stream
 from .expr import LongIntegerError, WorkBudgetError, initial_value, parse_expression
 from .resolution import _children, _row_at, resolve
 from .valring import ring_generators
@@ -58,6 +59,21 @@ class _Parser(argparse.ArgumentParser):
     # verification failures, so route usage errors through an exception.
     def error(self, message):
         raise UsageError(message)
+
+    # argparse quotes an invalid choice and lists unrecognized arguments
+    # whole; these quote at most 64 characters, as the CLI's own refusals do.
+    def _check_value(self, action, value):
+        try:
+            super()._check_value(action, value)
+        except argparse.ArgumentError as exc:
+            message = exc.message.replace(repr(value), _quoted(value), 1)
+            raise argparse.ArgumentError(action, message) from None
+
+    def parse_args(self, args=None, namespace=None):
+        args, extra = self.parse_known_args(args, namespace)
+        if extra:
+            self.error(f"unrecognized arguments: {_clipped(' '.join(extra))}")
+        return args
 
     # argparse knows '-7' and '-1.5' as negative numbers but reads any
     # other argument that starts with '-', such as the rational '-7/3' or
@@ -114,18 +130,50 @@ def _integer_argument(text: str) -> int:
 Output = tuple[Iterable[str], int]
 
 
-def _cmd_cf(args) -> Output:
+# Fraction's decimal literal with an exponent, on Python 3.10 to 3.13 (3.10 reads no '_'):
+# sign, whole part, fractional part, exponent's sign, exponent.  Compiled on its first use.
+_DIGITS = r"\d+(?:_\d+)*" if sys.version_info >= (3, 11) else r"\d+"
+_DECIMAL = rf"(?i)\s*([-+]?)(?=\d|\.\d)(\d*|{_DIGITS})(?:\.(\d*|{_DIGITS}))?E([-+]?)({_DIGITS})\s*"
+
+
+def _read_rational(text: str) -> Fraction:
+    """``Fraction(text)``, but an exponent that settles the answer is not raised to a power.
+
+    Under an int-str limit L, a decimal literal whose integers ``int``
+    reads is 0 when its mantissa is 0, whatever the exponent.  Else, with
+    d the mantissa's digits, |exp| > L + d puts the value past 10**L, or
+    within 10**-(L + 1) of 0, so the first digit of its continued
+    fraction longer than L digits is digit 0, digit 1 (above 0) or
+    digit 2 (below 0: [-1; 1, ...]).  That digit is refused at once, in
+    ``_cmd_cf``'s words, before ``Fraction`` computes 10**|exp|.  A
+    refusal quotes at most the start of ``text``.
+    """
+    limit = sys.get_int_max_str_digits()
+    # An "e" first: on a long p/q the match alone takes longer than Fraction's reading.
+    literal = limit and ("e" in text or "E" in text) and re.fullmatch(_DECIMAL, text)
+    if literal:
+        sign, whole, part, exp_sign, exp = (g.replace("_", "") for g in literal.groups(""))
+        if max(len(whole), len(part), len(exp)) <= limit:  # else Fraction refuses one at once
+            mantissa = whole + part
+            if not any(map(int, mantissa)):
+                return Fraction(0)
+            if int(exp) > limit + len(mantissa):
+                digit = 0 if exp_sign != "-" else 2 if sign == "-" else 1
+                raise _too_long(f"digit {digit} of the continued fraction is")
     try:
-        r = Fraction(args.rational)
+        return Fraction(text)
     except ZeroDivisionError:
-        raise ValueError(f"cannot read {_quoted(args.rational)}: the denominator is zero") from None
+        raise ValueError(f"cannot read {_quoted(text)}: the denominator is zero") from None
     except ValueError:  # not a rational, or one with an integer longer than int() reads
-        limit = sys.get_int_max_str_digits()
-        for run in re.finditer(r"\d(?:_?\d)*", args.rational):
+        for run in re.finditer(r"\d(?:_?\d)*", text):
             if limit and len(run.group().replace("_", "")) > limit:
                 where = f"the integer at position {run.start()} of the rational is"
                 raise _too_long(where, "reading") from None
-        raise ValueError(f"Invalid literal for Fraction: {_quoted(args.rational)}") from None
+        raise ValueError(f"Invalid literal for Fraction: {_quoted(text)}") from None
+
+
+def _cmd_cf(args) -> Output:
+    r = _read_rational(args.rational)
     cf = cf_expand(r)
     unprintable = _print_test()
     # No digit exceeds the larger of |numerator| and denominator.
@@ -285,7 +333,7 @@ def _cmd_member(args) -> Output:
 
 def _cmd_resolve(args) -> Output:
     trace = resolve(args.a, args.b)
-    if args.format == "json" or args.trace:  # see the module docstring
+    if args.format == "json" or args.trace and args.format == "text":  # see the module docstring
         for _ in _printable_runs(  # refuses before any output
                 trace.runs, trace.blow_up_count,
                 lambda row, j: (_children(_row_at(row, j))[0][4],),

@@ -139,8 +139,12 @@ def _integer(x, what: str) -> int:
 
 
 def _quoted(x) -> str:
-    """``repr(x)``, or its first 64 characters and '...': a message quoting x stays short."""
-    text = repr(x)
+    """``repr(x)``, clipped by ``_clipped``: a message quoting x stays short."""
+    return _clipped(repr(x))
+
+
+def _clipped(text: str) -> str:
+    """``text``, or its first 64 characters and '...'."""
     return text if len(text) <= 64 else text[:64] + "..."
 
 

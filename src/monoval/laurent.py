@@ -11,7 +11,15 @@ the printed forms, the content of ``factor_monomial_content``).
 A coefficient is held as a Python ``int`` until a non-integer rational
 appears, which is held as a ``Fraction``; a ``Fraction`` that reduces to
 an integer is stored as that ``int``, so equal polynomials have equal
-term maps.  ``Monomial`` refuses assignment; the other values are
+term maps.  That normal form is made in one place, ``_normal``: the
+constructor, ``+`` and both products (by a polynomial and by a scalar)
+only sum coefficients into a dict and pass it through ``_normal`` once.
+``monomial`` builds a one-term map and tests its one coefficient itself,
+as a pass over a dict would cost more than the test.  Negation,
+``shift``, ``rewrite_in_chart`` and ``expand_from_chart`` negate or move
+the terms of a map already in normal form, which can make no zero and no
+integral ``Fraction``, so they wrap their maps as they are.
+``Monomial`` refuses assignment; the other values are
 read-only by convention, as no function here changes one.  Term
 iteration is ordered so emitted artifacts are bit-stable.
 
@@ -174,14 +182,8 @@ class LaurentPolynomial:
         items = terms.items() if isinstance(terms, (dict, Mapping)) else terms
         for mono, coeff in items:
             key = _pair(mono)
-            c = data.get(key, 0) + _exact(coeff)
-            if c.__class__ is not int:
-                c = _exact(c)
-            if c:
-                data[key] = c
-            elif key in data:
-                del data[key]
-        self._terms = data
+            data[key] = data.get(key, 0) + _exact(coeff)
+        self._terms = _normal(data)
 
     def __reduce__(self):
         return (LaurentPolynomial, (self._terms,))
@@ -197,7 +199,7 @@ class LaurentPolynomial:
     @classmethod
     def monomial(cls, mono: Monomial | Pair, coeff=1) -> "LaurentPolynomial":
         coeff = _exact(coeff)
-        return _from_terms({_pair(mono): coeff} if coeff else {}, cls)
+        return _from_terms({_pair(mono): coeff} if coeff else {})
 
     @property
     def is_zero(self) -> bool:
@@ -239,14 +241,8 @@ class LaurentPolynomial:
     def __add__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
         data = dict(self._terms)
         for m, c in other._terms.items():
-            s = data.get(m, 0) + c
-            if s.__class__ is not int:
-                s = _exact(s)
-            if s:
-                data[m] = s
-            elif m in data:
-                del data[m]
-        return _from_terms(data)
+            data[m] = data.get(m, 0) + c
+        return _from_terms(_normal(data))
 
     def __sub__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
         return self + (-other)
@@ -254,23 +250,13 @@ class LaurentPolynomial:
     def __mul__(self, other) -> "LaurentPolynomial":
         if isinstance(other, LaurentPolynomial):
             data: dict[Pair, Coefficient] = {}
-            right = [(ex, ey, c) for (ex, ey), c in other._terms.items()]
             for (ex, ey), c1 in self._terms.items():
-                for ex2, ey2, c2 in right:
+                for (ex2, ey2), c2 in other._terms.items():
                     m = (ex + ex2, ey + ey2)
-                    s = data.get(m, 0) + c1 * c2
-                    if s.__class__ is not int:
-                        s = _exact(s)
-                    if s:
-                        data[m] = s
-                    elif m in data:
-                        del data[m]
-            return _from_terms(data)
+                    data[m] = data.get(m, 0) + c1 * c2
+            return _from_terms(_normal(data))
         if isinstance(other, (int, Fraction)):
-            other = _exact(other)
-            if not other:
-                return _from_terms({})
-            return _from_terms({m: _exact(c * other) for m, c in self._terms.items()})
+            return _from_terms(_normal({m: c * other for m, c in self._terms.items()}))
         return NotImplemented
 
     __rmul__ = __mul__
@@ -318,9 +304,23 @@ def _pair(mono) -> Pair:
     return (ex, ey)
 
 
-def _from_terms(data: dict, cls=LaurentPolynomial) -> LaurentPolynomial:
-    """Wrap a term map keyed by (ex, ey) pairs whose coefficients are already nonzero and exact."""
-    out = object.__new__(cls)
+def _normal(data: dict) -> dict:
+    """``data`` in normal form, in place: no zero coefficient, and an integral ``Fraction`` as its ``int``.
+
+    Only the terms whose coefficient is not a nonzero ``int`` are
+    visited; each is taken out and, unless zero, put back in normal form.
+    No result depends on the order of a term map.
+    """
+    for m in [m for m, c in data.items() if c.__class__ is not int or not c]:
+        c = data.pop(m)
+        if c:
+            data[m] = c.numerator if c.denominator == 1 else c
+    return data
+
+
+def _from_terms(data: dict) -> LaurentPolynomial:
+    """Wrap a term map keyed by (ex, ey) pairs that is already in normal form."""
+    out = object.__new__(LaurentPolynomial)
     out._terms = data
     return out
 

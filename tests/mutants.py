@@ -33,6 +33,7 @@ TIMEOUT_S = 300
 
 RESOLUTION = "tests/test_resolution.py::"
 CRITERION_7 = "tests/test_acceptance.py::test_criterion_07_lemma_invariants_sweep_200"
+CF_LIMIT = "tests/test_cli.py::test_cf_past_the_int_str_limit_fails_before_output"
 CERTIFICATE = (
     RESOLUTION + "test_the_run_certificate_agrees_with_blowing_up_every_row_up_to_10_40",
     RESOLUTION + "test_the_run_certificate_agrees_with_blowing_up_every_row_on_long_branches",
@@ -207,17 +208,24 @@ MUTANTS = (
     ),
     Mutant(
         "guard-skips-trace-text", "cli.py",
-        'if args.format == "json" or args.trace:',
+        'if args.format == "json" or args.trace and args.format == "text":',
         'if args.format == "json":',
         ("tests/test_cli.py::test_resolve_past_the_int_str_limit_fails_before_output",),
         "--trace text prints a multiplicity past the limit unchecked, and fails after its output began",
     ),
     Mutant(
         "guard-on-every-trace-format", "cli.py",
-        'if args.format == "json" or args.trace:',
+        'if args.format == "json" or args.trace and args.format == "text":',
         "if True:",
         ("tests/test_cli.py::test_resolve_past_the_int_str_limit_fails_before_output",),
         "DOT and plain text, which print no multiplicity, are refused with the others",
+    ),
+    Mutant(
+        "guard-on-dot-trace", "cli.py",
+        'if args.format == "json" or args.trace and args.format == "text":',
+        'if args.format == "json" or args.trace:',
+        ("tests/test_cli.py::test_resolve_past_the_int_str_limit_fails_before_output",),
+        "DOT with --trace, which prints no multiplicity, is refused",
     ),
     Mutant(
         "guard-reads-the-row-multiplicity", "cli.py",
@@ -232,6 +240,27 @@ MUTANTS = (
         "runs = (lambda runs, *_: runs)(walk_runs(nu), max_steps, _base_at,",
         ("tests/test_cli.py::test_path_past_the_int_str_limit_fails_before_output",),
         "a stream's path prints its vertices unchecked, and fails after its output began",
+    ),
+    Mutant(
+        "cf-exponent-digit-sign", "cli.py",
+        'digit = 0 if exp_sign != "-" else 2 if sign == "-" else 1',
+        'digit = 0 if exp_sign != "-" else 1 if sign == "-" else 2',
+        (CF_LIMIT,),
+        "a tiny rational's refusal names digit 2 above 0 and digit 1 below it",
+    ),
+    Mutant(
+        "cf-exponent-bound-without-mantissa", "cli.py",
+        "if int(exp) > limit + len(mantissa):",
+        "if int(exp) > limit:",
+        (CF_LIMIT,),
+        "an exponent past the limit by less than the mantissa's digits is refused, though every digit prints",
+    ),
+    Mutant(
+        "cf-zero-mantissa-expanded", "cli.py",
+        "if not any(map(int, mantissa)):",
+        "if False:",
+        (CF_LIMIT,),
+        "0e99999999 is refused for a long digit instead of read as 0",
     ),
     Mutant(
         "blocks-drop-last", "emit.py",
@@ -260,6 +289,21 @@ MUTANTS = (
         'bold = ", style=bold" if kind == _RESOLVED else ""',
         ("tests/test_emit.py::test_dot_trace_bold_and_side_nodes",),
         "a trace's resolved charts are bold and its bad charts are not",
+    ),
+    Mutant(
+        "normal-keeps-zeros", "laurent.py",
+        "        c = data.pop(m)\n        if c:\n",
+        "        c = data.pop(m)\n        if True:\n",
+        ("tests/test_laurent.py::test_pair_keyed_arithmetic_matches_the_monomial_keyed_oracle",),
+        "a sum or product that cancels a term keeps it with coefficient 0",
+    ),
+    Mutant(
+        "normal-keeps-integral-fractions", "laurent.py",
+        "data[m] = c.numerator if c.denominator == 1 else c",
+        "data[m] = c",
+        ("tests/test_laurent.py::test_pair_keyed_arithmetic_matches_the_monomial_keyed_oracle",
+         "tests/test_laurent.py::test_integral_fractions_are_stored_as_int"),
+        "a Fraction that reduces to an integer is stored as a Fraction, not as its int",
     ),
     Mutant(
         "stream-compare-tie", "exactnum.py",

@@ -394,15 +394,18 @@ def test_resolve_past_the_int_str_limit_fails_before_output(capsys):
     try:
         results = {
             fmt: run(capsys, "resolve", str(a), str(b), *fmt)
-            for fmt in (("--format", "json"), ("--trace",), ("--format", "dot"), ())
+            for fmt in (("--format", "json"), ("--trace",), ("--format", "dot"),
+                        ("--format", "dot", "--trace"), ())
         }
     finally:
         sys.set_int_max_str_digits(old)
     for fmt in (("--format", "json"), ("--trace",)):
         assert results[fmt] == (1, "", message)
-    for fmt in (("--format", "dot"), ()):
+    for fmt in (("--format", "dot"), ("--format", "dot", "--trace"), ()):
         code, out, err = results[fmt]
         assert code == 0 and err == "" and out
+    # --trace changes text output only
+    assert results[("--format", "dot", "--trace")] == results[("--format", "dot")]
 
 
 @pytest.mark.parametrize("digit, length, place", [(10, 324, "first"), (9, 338, "last")])
@@ -507,23 +510,73 @@ def test_cf_json_is_json_dumps_of_to_jsonable(capsys, rational):
     assert (code, out, err) == (0, expected, "")
 
 
-def test_cf_past_the_int_str_limit_fails_before_output(capsys):
+def run_in_a_subprocess(limit, argvs):
+    """``run`` of each argv in one fresh interpreter under int-str limit ``limit``.
+
+    It is killed after 60 s, so a request that hangs fails the test
+    instead of stalling the suite.
+    """
+    program = """if True:
+        import contextlib, io, json, sys
+        from monoval import cli
+        limit, argvs = json.loads(sys.stdin.read())
+        sys.set_int_max_str_digits(limit)
+        results = []
+        for argv in argvs:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                results.append((cli.main(argv), out.getvalue(), err.getvalue()))
+        print(json.dumps(results))
+    """
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    done = subprocess.run([sys.executable, "-c", program], input=json.dumps([limit, argvs]), env=env,
+                          capture_output=True, text=True, timeout=60, check=True)
+    return [tuple(result) for result in json.loads(done.stdout)]
+
+
+def test_cf_past_the_int_str_limit_fails_before_output():
     # The CLI's own words, naming the digit; not CPython's advice to raise the limit.
-    cases = [
-        ("1e640", "digit 0 of the continued fraction is"),  # 10^640, the least of 641 digits
-        ("1e700", "digit 0 of the continued fraction is"),
-        ("-1e700", "digit 0 of the continued fraction is"),
-        ("1e-700", "digit 1 of the continued fraction is"),
-        ("-2.5e-700", "digit 2 of the continued fraction is"),  # [-1; 1, 4 * 10^699]
+    # In a subprocess with a timeout: an exponent of 10^8 is refused, or read
+    # as 0 after a zero mantissa, without computing 10^(10^8).
+    refused = {
+        "1e640": "digit 0 of the continued fraction is",  # 10^640, the least of 641 digits
+        "1e700": "digit 0 of the continued fraction is",
+        "-1e700": "digit 0 of the continued fraction is",
+        "1e-700": "digit 1 of the continued fraction is",
+        "-2.5e-700": "digit 2 of the continued fraction is",  # [-1; 1, 4 * 10^699]
+        "1e99999999": "digit 0 of the continued fraction is",
+        "-1E+99999999": "digit 0 of the continued fraction is",
+        "1.e-99999999": "digit 1 of the continued fraction is",
+        "0.25e-99999999": "digit 1 of the continued fraction is",
+        "-2.5E-99999999": "digit 2 of the continued fraction is",
+        "7" * 700 + "e99999999": "the integer at position 0 of the rational is",  # read first
+    }
+    argvs = [["cf", rational, "--format", fmt] for rational in refused for fmt in ("json", "text")]
+    for argv, result in zip(argvs, run_in_a_subprocess(640, argvs)):
+        what = refused[argv[1]]
+        doing = "reading" if "integer" in what else "printing"
+        assert result == (1, "", f"error: {what} longer than 640 digits,"
+                                 f" the interpreter's limit for {doing} an integer\n"), argv
+    # The largest printable integer, zero mantissas, and exponents past the
+    # limit by no more than the mantissa's digits, whose digits all print.
+    answered = [("9" * 640, int("9" * 640)), ("0e99999999", 0), ("-0.0E-99999999", 0),
+                ("0.0001e641", 10**637), ("1000e-642", Fraction(1, 10**639)),
+                ("-1000e-642", Fraction(-1, 10**639))]
+    if sys.version_info >= (3, 11):  # Fraction reads '_' from 3.11 on
+        answered.append((" 0_0.0e+99_999_999 ", 0))
+    results = run_in_a_subprocess(640, [["cf", rational] for rational, _ in answered])
+    assert results == [(0, f"{Fraction(v)} = {cf_expand(Fraction(v))}\n", "") for _, v in answered]
+    # The literals of the default limit read as before.
+    results = run_in_a_subprocess(4300, [["cf", r] for r in ("1e3", "-1e-3", "0e5000", "1e5000", "1e-5000")])
+    too_long = " longer than 4300 digits, the interpreter's limit for printing an integer\n"
+    assert results == [
+        (0, "1000 = [1000]\n", ""),
+        (0, "-1/1000 = [-1; 1, 999]\n", ""),
+        (0, "0 = [0]\n", ""),
+        (1, "", "error: digit 0 of the continued fraction is" + too_long),
+        (1, "", "error: digit 1 of the continued fraction is" + too_long),
     ]
-    for rational, what in cases:
-        for fmt in ("json", "text"):
-            code, out, err = run_under_640_digits(capsys, "cf", rational, "--format", fmt)
-            assert (code, out) == (1, ""), (rational, fmt)
-            assert err == (f"error: {what} longer than 640 digits,"
-                           " the interpreter's limit for printing an integer\n")
-    code, out, err = run_under_640_digits(capsys, "cf", "9" * 640)  # the largest printable
-    assert (code, out, err) == (0, f"{'9' * 640} = [{'9' * 640}]\n", "")
 
 
 def test_cf_text_refuses_a_rational_too_long_to_print(capsys):
@@ -613,7 +666,22 @@ def test_refusals_that_quote_the_input_are_one_short_line(capsys):
         code, out, err = run(capsys, *argv)
         assert (code, out, err) == (1, "", message + "\n"), argv[0]
         assert len(err) <= 200
+    # argparse's own refusals, whose list of choices each Python version words its own way:
+    # an invalid choice, unrecognized arguments, an unknown command
+    cases = (
+        (("path", "3", "2", "--format", "x" * 5000),
+         f"usage error: argument --format: invalid choice: '{'x' * 63}... ("),
+        (("path", "3", "2", "x" * 5000), f"usage error: unrecognized arguments: {'x' * 64}...\n"),
+        (("path", "3", "2", *["a"] * 3000), f"usage error: unrecognized arguments: {'a ' * 32}...\n"),
+        (("x" * 5000,), f"usage error: argument command: invalid choice: '{'x' * 63}... ("),
+    )
+    for argv, start in cases:
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "") and err.startswith(start), argv[0]
+        assert len(err) <= 200 and err.count("\n") == 1
     # a short input is quoted whole, as before
+    assert run(capsys, "path", "3", "2", "a", "b")[2] == "usage error: unrecognized arguments: a b\n"
+    assert run(capsys, "frob")[2].startswith("usage error: argument command: invalid choice: 'frob' (")
     assert run(capsys, "resolve", "7", "2.5")[2] == "usage error: argument b: invalid int value: '2.5'\n"
     assert run(capsys, "cf", "2/0")[2] == "error: cannot read '2/0': the denominator is zero\n"
 
