@@ -54,10 +54,23 @@ class UsageError(Exception):
     pass
 
 
+# The message argparse gives for an argument to a flag that takes none; compiled on its first use.
+_IGNORED_ARGUMENT = r"argument \S+: ignored explicit argument "
+_AMBIGUOUS = "ambiguous option: "
+
+
 class _Parser(argparse.ArgumentParser):
     # argparse exits with code 2 on bad usage; this CLI reserves 2 for
     # verification failures, so route usage errors through an exception.
+    # argparse also quotes whole an argument given to a flag, and an option
+    # that abbreviates several; these reach only here, and are clipped here.
     def error(self, message):
+        explicit = re.match(_IGNORED_ARGUMENT, message)
+        if explicit:
+            message = explicit.group() + _clipped(message[explicit.end():])
+        elif message.startswith(_AMBIGUOUS):  # then the option, " could match " and this parser's options
+            option, sep, matches = message[len(_AMBIGUOUS):].rpartition(" could match ")
+            message = f"{_AMBIGUOUS}{_clipped(option)}{sep}{matches}"
         raise UsageError(message)
 
     # argparse quotes an invalid choice and lists unrecognized arguments

@@ -25,8 +25,9 @@ per item cost more than filling the item.  ``emit_json``, ``emit_dot``,
 no second code path.  Two sections come out in another order than the
 rows are read in, and take a second pass: DOT prints every node before
 every edge, and keeps only which children of each blow-up are resolved
-for the edges; ``--trace`` text prints every bad chart before every step,
-and walks the runs again for the steps.
+for the edges, which it writes a stretch of blow-ups with equal bits at
+a time (``_dot_edges``); ``--trace`` text prints every bad chart before
+every step, and walks the runs again for the steps.
 
 The trace emitters (JSON, DOT, text and ``--trace`` text) share one
 kernel, ``_blow_ups``, over a trace's runs (see ``resolution``).  It
@@ -39,10 +40,14 @@ and ``_kind``, the rules ``resolve`` runs.  The chart blown up next is a
 child of the last, so each blow-up brings only two new monomials, g/f
 and f/g, and two new numbers, the children's multiplicity and |s - t|;
 the kernel prints those and carries every other name and number down
-the bad-chart path.  f/g is the inverse of g/f, and
-``laurent.monomial_names`` names both from one printing of each
-exponent: exponents of a wide pair run to hundreds of digits, and
-``str`` of an int takes time quadratic in its length.  Plain text prints
+the bad-chart path.  f/g is the inverse of g/f, and both are named
+from one printing of each exponent: exponents of a wide pair run to
+hundreds of digits, and ``str`` of an int takes time quadratic in its
+length.  Inside a run, g/f^j has exponents affine in j, so a run of
+``_SHORT_RUN`` rows or more is named by ``laurent.run_monomial_names``
+a stretch of one printed shape at a time; a shorter run is named a row
+at a time by ``laurent.monomial_names``, as a stretch costs more to set
+up than it saves there.  Plain text prints
 only the bad charts, and names the same two new generators as the
 others: they cost no more ``str`` of an int than the bad one alone.  The
 per-blow-up JSON step and the DOT nodes are filled by f-strings, which
@@ -52,20 +57,30 @@ escapes, so the JSON step quotes them as they are.  Each JSON array item
 carries its ``,\\n`` separator, which the first drops.
 
 The path emitters walk a path's runs too: a run's first generator is
-named once, and each vertex names only its second, g/f^j, with
+named once, and its vertices' second generators, g/f^j, by
+``laurent.run_monomial_name``, which prints no inverse, or for a run
+shorter than ``_SHORT_RUN`` a vertex at a time by
 ``laurent.monomial_name``; no ``TreeVertex`` or ``Monomial`` is built.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from collections.abc import Iterator
-from itertools import chain, count, starmap
+from itertools import chain, repeat, starmap
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
 from .exactnum import CFExpansion
-from .laurent import ChartBasis, monomial_name, monomial_names
+from .laurent import (
+    _STRETCH,
+    ChartBasis,
+    monomial_name,
+    monomial_names,
+    run_monomial_name,
+    run_monomial_names,
+)
 from .resolution import (
     ChartState,
     Classification,
@@ -73,10 +88,25 @@ from .resolution import (
     TheoremReport,
     _children,
     _kind,
+    _row_at,
 )
 from .valring import RingPresentation
 from .valtree import CorrespondenceReport, PositivePath
 from .verify import VerifyReport
+
+
+# Runs shorter than this are named a row at a time.  A stretch costs a few
+# microseconds to set up and saves a fraction of one per name, so it
+# pays from about 32 rows on, for small and 300-digit exponents alike.
+_SHORT_RUN = 32
+
+
+def _row_names(fx: int, fy: int, gx: int, gy: int, n: int) -> Iterator[tuple[str, str]]:
+    """``monomial_names(gx - j*fx, gy - j*fy)`` for j = 1..n-1, a row at a time."""
+    for _ in range(n - 1):
+        gx -= fx
+        gy -= fy
+        yield monomial_names(gx, gy)
 
 
 def _blow_ups(trace: ResolutionTrace, number):
@@ -100,7 +130,7 @@ def _blow_ups(trace: ResolutionTrace, number):
     each run's last row, so the blow-up and classification rules are
     ``resolve``'s.  The next chart is a child, so it keeps that child's
     fields and classification, and each blow-up prints only g/f and f/g,
-    both from ``monomial_names`` of g/f's exponents, the children's
+    named together (see the module docstring), the children's
     multiplicity e and |s - t|.  An emitter that prints no numbers passes
     ``int``, which leaves them as they are: ``str`` of one may pass the
     interpreter's limit for printing an integer.
@@ -116,17 +146,18 @@ def _blow_ups(trace: ResolutionTrace, number):
             fx, fy, gx, gy, a, b, s, t, sign = row
             step = b + t
             f, g, exc_f, exc_g, s_, t_ = chart
-            for _ in range(n - 1):
-                gx -= fx
-                gy -= fy
+            if n < _SHORT_RUN:
+                names = _row_names(fx, fy, gx, gy, n)
+            else:
+                names = run_monomial_names(fx, fy, gx, gy, 1, n)
+            for g_over_f, f_over_g in names:
                 a += step
                 s -= t
-                g_over_f, f_over_g = monomial_names(gx, gy)
                 e, d = number(a), number(s)
                 c1 = (f, g_over_f, e, exc_g, d, t_)
                 yield chart, c1, (g, f_over_g, e, exc_f, d, s_), True, False, sign, kind, kind, resolved
                 chart, g, exc_f, s_ = c1, g_over_f, e, d
-            row = (fx, fy, gx, gy, a, b, s, t, sign)
+            row = _row_at(row, n - 1)
         first, second = _children(row)
         k1, k2 = kinds[_kind(first)], kinds[_kind(second)]
         f, g, exc_f, exc_g, s_, t_ = chart
@@ -144,6 +175,9 @@ def _path_names(path: PositivePath) -> Iterator[tuple[str, str]]:
     """The names of the two generators of every vertex of a path, a run's first named once."""
     for (fx, fy, gx, gy), n in path.runs:
         f = monomial_name(fx, fy)
+        if n >= _SHORT_RUN:
+            yield from zip(repeat(f), run_monomial_name(fx, fy, gx, gy, 0, n))
+            continue
         for _ in range(n):
             yield f, monomial_name(gx, gy)
             gx -= fx
@@ -427,12 +461,43 @@ def _dot_nodes(trace: ResolutionTrace, bits: bytearray) -> Iterator[str]:
         yield _dot_node(n1, c1[0], c1[1], k1) + _dot_node(n2, c2[0], c2[1], k2)
 
 
+# A stretch of blow-ups with equal bits, compiled on its first use.  Not
+# (.)\1*: a repeated backreference makes the matcher keep state for every
+# byte it repeats.
+_EQUAL_BITS = b"\x00+|\x01+|\x02+|\x03+"
+
+
+def _dot_edges(bits: bytearray) -> Iterator[list[str]]:
+    """A trace's DOT edges, as ``_dot_children`` names them, a stretch of equal ``bits`` at a time.
+
+    Each number is printed once, for a blow-up i and for the next bold
+    node b(i + 1).
+    """
+    for stretch in re.finditer(_EQUAL_BITS, bits):
+        start, stop = stretch.span()
+        resolved = bits[start]
+        for i0 in range(start, stop, _STRETCH):
+            yield _dot_edge_stretch(i0, min(i0 + _STRETCH, stop), resolved)
+
+
+def _dot_edge_stretch(i0: int, i1: int, resolved: int) -> list[str]:
+    """The DOT edges of blow-ups i0 to i1 - 1, all of whose children are ``resolved`` as ``bits`` says."""
+    numbers = list(map(str, range(i0, i1 + 1)))
+    pairs = zip(numbers, numbers[1:])
+    if resolved == 2:  # inside a run: the first child is blown up next
+        return [f"  b{i} -> b{j};\n  b{i} -> s{i}_0;\n" for i, j in pairs]
+    if resolved == 1:
+        return [f"  b{i} -> s{i}_0;\n  b{i} -> b{j};\n" for i, j in pairs]
+    if resolved == 3:
+        return [f"  b{i} -> s{i}_0;\n  b{i} -> s{i}_1;\n" for i, j in pairs]
+    return [f"  b{i} -> b{j};\n  b{i} -> b{j};\n" for i, j in pairs]
+
+
 def _dot_trace(trace: ResolutionTrace) -> Iterator[str]:
     yield _dot_head("resolution_trace")
     bits = bytearray()  # per blow-up, which children are resolved: all the edges need
     yield from _blocks(_dot_nodes(trace, bits))
-    yield from _blocks(f"  b{i} -> {n1};\n  b{i} -> {n2};\n"
-                       for i, (n1, n2) in enumerate(map(_dot_children, count(), bits)))
+    yield from _blocks(chain.from_iterable(_dot_edges(bits)))
     yield "}\n"
 
 

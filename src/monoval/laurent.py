@@ -26,14 +26,27 @@ iteration is ordered so emitted artifacts are bit-stable.
 A monomial prints in reduced fraction form, ``y^3/x^2``.  ``monomial_name``,
 which ``Monomial.__str__`` calls, and ``monomial_names``, which names a
 monomial and its inverse from one printing of each exponent, both
-assemble the form with ``_fraction_form``, so the naming rules are
-written once.
+assemble the form with ``_fraction_form``.
+
+``run_monomial_names`` and ``run_monomial_name`` name g/f^j for a range
+of j, the second generators along a run of blow-ups or of a path, with
+and without the inverses.  The exponents of g/f^j are affine in j, so
+the range splits into stretches over which each keeps one sign and an
+absolute value of at least 2, or stays constant; such a stretch prints
+in one shape.  The j where an exponent is -1, 0 or 1 stand alone and
+are named by ``monomial_names`` or ``monomial_name``.  Every other
+stretch is filled from two lists of powers, each exponent printed
+once, and one f-string comprehension per shape: ``_shapes`` writes
+``_fraction_form``'s shapes out over lists, the one other place they
+are written, and the tests compare the two at every j.  A stretch
+holds at most ``_STRETCH`` names, so memory stays flat on a long run.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Iterator, Mapping
 from fractions import Fraction
+from itertools import chain, count, islice, starmap
 from typing import Tuple, Union
 
 
@@ -139,6 +152,88 @@ def monomial_names(ex: int, ey: int) -> tuple[str, str]:
     """
     x, y = _power("x", ex), _power("y", ey)
     return _fraction_form(x, y, ex, ey), _fraction_form(x, y, -ex, -ey)
+
+
+# Names a stretch holds at most, so the memory of a run's names stays flat.
+_STRETCH = 1024
+
+
+def _cuts(f: int, g: int, start: int, stop: int) -> range:
+    """The j in (start, stop) at which a stretch of x^(g - j*f) must start.
+
+    Those are the j at which g - j*f is -1, 0 or 1, and the first j past
+    them.  Between these the exponent keeps one sign and an absolute
+    value of at least 2, or stays constant when f = 0, so it prints in one
+    shape; when |f| >= 2 the range may hold only the one j at which the
+    sign changes.
+    """
+    if not f:
+        return range(0)
+    if f < 0:
+        f, g = -f, -g
+    # j < lo: g - j*f >= 2; lo <= j < hi: |g - j*f| <= 1; j >= hi: g - j*f <= -2
+    lo, hi = -((1 - g) // f), -((-2 - g) // f)
+    return range(max(lo, start + 1), min(hi + 1, stop))
+
+
+def _powers(name: str, f: int, e: int, m: int) -> list[str]:
+    """``_power(name, e - k*f)`` for k in range(m), where e - k*f keeps e's sign and |e - k*f| >= 2 unless f = 0."""
+    if not f:
+        return [_power(name, e)] * m
+    if e < 0:
+        e, f = -e, -f
+    # count, not range: a range over big ints multiplies for every item
+    return [f"{name}^{v}" for v in islice(count(e, -f), m)]
+
+
+def _shapes(xs: list[str], ys: list[str], ex: int, ey: int) -> list[str]:
+    """``_fraction_form`` of each pair of powers in ``xs`` and ``ys``, all with the signs of ex and ey."""
+    if ex > 0:
+        if ey > 0:
+            return [f"{x}*{y}" for x, y in zip(xs, ys)]
+        return [f"{x}/{y}" for x, y in zip(xs, ys)] if ey else xs
+    if ex:
+        if ey > 0:
+            return [f"{y}/{x}" for x, y in zip(xs, ys)]
+        return [f"1/({x}*{y})" for x, y in zip(xs, ys)] if ey else [f"1/{x}" for x in xs]
+    if ey > 0:
+        return ys
+    return [f"1/{y}" for y in ys] if ey else ["1"] * len(xs)
+
+
+def _stretch_names(fx: int, fy: int, gx: int, gy: int, start: int, stop: int, inverses: bool):
+    """The names of g/f^j for j in range(start, stop), a list a stretch at a time, and the inverses' when asked.
+
+    A stretch holds at most ``_STRETCH`` values of j, over which both
+    exponents of g/f^j keep their shape; a j at which one is -1, 0 or 1
+    stands alone.
+    """
+    cuts = sorted({start, stop, *_cuts(fx, gx, start, stop), *_cuts(fy, gy, start, stop)})
+    for lo, hi in zip(cuts, cuts[1:]):
+        for j0 in range(lo, hi, _STRETCH):
+            ex, ey, m = gx - j0 * fx, gy - j0 * fy, min(hi - j0, _STRETCH)
+            if m == 1:
+                if inverses:
+                    name, inverse = monomial_names(ex, ey)
+                    yield [name], [inverse]
+                else:
+                    yield [monomial_name(ex, ey)]
+                continue
+            xs, ys = _powers("x", fx, ex, m), _powers("y", fy, ey, m)
+            if inverses:
+                yield _shapes(xs, ys, ex, ey), _shapes(xs, ys, -ex, -ey)
+            else:
+                yield _shapes(xs, ys, ex, ey)
+
+
+def run_monomial_names(fx: int, fy: int, gx: int, gy: int, start: int, stop: int) -> Iterator[tuple[str, str]]:
+    """``monomial_names(gx - j*fx, gy - j*fy)`` for j in range(start, stop), filled a stretch at a time."""
+    return chain.from_iterable(starmap(zip, _stretch_names(fx, fy, gx, gy, start, stop, True)))
+
+
+def run_monomial_name(fx: int, fy: int, gx: int, gy: int, start: int, stop: int) -> Iterator[str]:
+    """``monomial_name(gx - j*fx, gy - j*fy)`` for j in range(start, stop), filled a stretch at a time."""
+    return chain.from_iterable(_stretch_names(fx, fy, gx, gy, start, stop, False))
 
 
 # Slot setters, so construction skips the __setattr__ guard.

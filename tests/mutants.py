@@ -34,6 +34,8 @@ TIMEOUT_S = 300
 RESOLUTION = "tests/test_resolution.py::"
 CRITERION_7 = "tests/test_acceptance.py::test_criterion_07_lemma_invariants_sweep_200"
 CF_LIMIT = "tests/test_cli.py::test_cf_past_the_int_str_limit_fails_before_output"
+RUN_NAMES = "tests/test_laurent.py::test_a_run_is_named_as_its_monomials_with_small_slopes"
+THIN_EMIT = "tests/test_emit.py::test_a_thin_pair_is_emitted_as_the_oracles_emit_it"
 CERTIFICATE = (
     RESOLUTION + "test_the_run_certificate_agrees_with_blowing_up_every_row_up_to_10_40",
     RESOLUTION + "test_the_run_certificate_agrees_with_blowing_up_every_row_on_long_branches",
@@ -289,6 +291,34 @@ MUTANTS = (
         'bold = ", style=bold" if kind == _RESOLVED else ""',
         ("tests/test_emit.py::test_dot_trace_bold_and_side_nodes",),
         "a trace's resolved charts are bold and its bad charts are not",
+    ),
+    Mutant(
+        "stretch-ends-early", "laurent.py",
+        "min(hi - j0, _STRETCH)",
+        "min(hi - j0 - 1, _STRETCH)",
+        (RUN_NAMES,),
+        "every stretch of a run's names ends one row early, so the row before each cut goes unnamed",
+    ),
+    Mutant(
+        "stretch-ends-late", "laurent.py",
+        "lo, hi = -((1 - g) // f), -((-2 - g) // f)",
+        "lo, hi = -((1 - g) // f) + 1, -((-2 - g) // f)",
+        (RUN_NAMES,),
+        "the stretch before an exponent reaches 1 ends one row late, and prints that row's power as ^1",
+    ),
+    Mutant(
+        "stretch-constant-unit-exponent", "laurent.py",
+        "        return [_power(name, e)] * m\n",
+        "        return [f\"{name}^{abs(e)}\" if e else \"\"] * m\n",
+        (RUN_NAMES, THIN_EMIT),
+        "an exponent constant at +-1 along a stretch prints as ^1",
+    ),
+    Mutant(
+        "dot-edge-stretch-late", "emit.py",
+        "yield _dot_edge_stretch(i0, min(i0 + _STRETCH, stop), resolved)",
+        "yield _dot_edge_stretch(i0, min(i0 + _STRETCH, stop + 1), resolved)",
+        (THIN_EMIT, "tests/test_emit.py::test_dot_edges_are_written_a_stretch_of_equal_bits_at_a_time"),
+        "each stretch of equal DOT edges ends one blow-up late, repeating the next stretch's first edge",
     ),
     Mutant(
         "normal-keeps-zeros", "laurent.py",

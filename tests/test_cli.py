@@ -679,7 +679,24 @@ def test_refusals_that_quote_the_input_are_one_short_line(capsys):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (1, "") and err.startswith(start), argv[0]
         assert len(err) <= 200 and err.count("\n") == 1
+    # an argument to a flag that takes none, and an option that abbreviates several
+    cases = (
+        (("resolve", "3", "2", "--trace=" + "x" * 300),
+         f"usage error: argument --trace: ignored explicit argument '{'x' * 63}...\n"),
+        (("resolve", "3", "2", "--trace=" + "x " * 300),
+         f"usage error: argument --trace: ignored explicit argument '{'x ' * 31}x...\n"),
+        (("resolve", "3", "2", "--=" + "x" * 300),
+         f"usage error: ambiguous option: --={'x' * 61}... could match "),
+    )
+    for argv, start in cases:
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "") and err.startswith(start), argv[-1][:10]
+        assert len(err) <= 200 and err.count("\n") == 1
     # a short input is quoted whole, as before
+    assert run(capsys, "resolve", "3", "2", "--trace=y")[2] == (
+        "usage error: argument --trace: ignored explicit argument 'y'\n")
+    assert run(capsys, "resolve", "3", "2", "--=x")[2].startswith(
+        "usage error: ambiguous option: --=x could match --")
     assert run(capsys, "path", "3", "2", "a", "b")[2] == "usage error: unrecognized arguments: a b\n"
     assert run(capsys, "frob")[2].startswith("usage error: argument command: invalid choice: 'frob' (")
     assert run(capsys, "resolve", "7", "2.5")[2] == "usage error: argument b: invalid int value: '2.5'\n"

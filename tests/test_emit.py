@@ -8,6 +8,7 @@ from json.encoder import encode_basestring_ascii
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from monoval import emit
 from monoval.emit import (
     emit_dot,
     emit_json,
@@ -406,6 +407,58 @@ def test_trace_emitters_match_the_view_oracle_up_to_10_40(pair):
 @given(wide_pairs)
 def test_trace_emitters_match_the_view_oracle_on_wide_pairs(pair):
     assert_trace_matches_the_view_oracle(*pair)
+
+
+# --------------------------------------------------- a run a stretch at a time
+#
+# Runs of ``_SHORT_RUN`` rows or more are named by ``laurent``'s stretch
+# kernel, shorter ones a row at a time; a stretch holds at most
+# ``laurent._STRETCH`` names.
+
+
+def assert_pair_path_matches_the_path_oracles(a, b):
+    nu = MonomialValuation.rational(a, b)
+    path = _pair_path(a, b)
+    heading = f"positive path for {nu.describe()}:"
+    assert_same_text(emit_json(path), dumps(path))
+    assert_same_text(emit_dot(path), oracles.path_dot(path))
+    assert_same_text(format_path_text(path, heading), oracles.path_text(path, heading))
+
+
+# a = 3b + 1: a trace's run of 1,998 rows and a path's of 1,999 cross the stretch cap.
+THIN_PAIR = (6001, 2000)
+
+
+def test_a_thin_pair_is_emitted_as_the_oracles_emit_it():
+    trace = resolve(*THIN_PAIR)
+    assert max(n for _, n in trace.runs) == 1998 > emit._STRETCH
+    assert_trace_matches_the_view_oracle(*THIN_PAIR)
+    assert_pair_path_matches_the_path_oracles(*THIN_PAIR)
+
+
+@pytest.mark.parametrize("a", (2 * emit._SHORT_RUN + k for k in (-1, 1, 3)))
+def test_runs_on_each_side_of_the_short_run_cut_are_emitted_as_the_oracles_emit_them(a):
+    # (a, 2) has a trace run of (a - 3) / 2 rows and a path run of (a - 1) / 2 vertices.
+    assert max(n for _, n in resolve(a, 2).runs) == (a - 3) // 2
+    assert max(n for _, n in _pair_path(a, 2).runs) == (a - 1) // 2
+    assert_trace_matches_the_view_oracle(a, 2)
+    assert_pair_path_matches_the_path_oracles(a, 2)
+
+
+def dot_edges_one_at_a_time(bits) -> list[str]:
+    edges = []
+    for i, resolved in enumerate(bits):
+        first, second = emit._dot_children(i, resolved)
+        edges.append(f"  b{i} -> {first};\n  b{i} -> {second};\n")
+    return edges
+
+
+@example([(2, 2 * emit._STRETCH + 1), (3, 1)])
+@example([(0, 3), (1, 2), (2, 3), (1, 1), (3, 1)])
+@given(st.lists(st.tuples(st.integers(0, 3), st.integers(1, 40)), max_size=8))
+def test_dot_edges_are_written_a_stretch_of_equal_bits_at_a_time(stretches):
+    bits = bytearray(b"".join(bytes([resolved]) * n for resolved, n in stretches))
+    assert [edge for stretch in emit._dot_edges(bits) for edge in stretch] == dot_edges_one_at_a_time(bits)
 
 
 @given(st.integers(-(10**400), 10**400), st.integers(-(10**400), 10**400))

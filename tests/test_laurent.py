@@ -22,7 +22,10 @@ from monoval.laurent import (
     lattice_solve,
     monomial_names,
     rewrite_in_chart,
+    run_monomial_name,
+    run_monomial_names,
 )
+from monoval import emit, laurent
 from monoval.resolution import resolve
 from monoval.valtree import positive_path
 from monoval.valuation import MonomialValuation, Value
@@ -84,6 +87,70 @@ def test_monomial_names_are_str_of_the_monomial_and_its_inverse(ex, ey):
     names = monomial_names(ex, ey)
     assert names == (str(Monomial(ex, ey)), str(Monomial(-ex, -ey)))
     assert names[0] == monomial_name(ex, ey)
+
+
+# -- a run's names, a stretch at a time --------------------------------------
+
+
+def assert_run_named_as_each_monomial(fx, fy, gx, gy, start, stop):
+    """The stretch kernel names g/f^j as ``monomial_names`` and ``monomial_name`` do, at every j."""
+    exponents = [(gx - j * fx, gy - j * fy) for j in range(start, stop)]
+    assert list(run_monomial_names(fx, fy, gx, gy, start, stop)) == [monomial_names(*e) for e in exponents]
+    assert list(run_monomial_name(fx, fy, gx, gy, start, stop)) == [monomial_name(*e) for e in exponents]
+
+
+# Slopes of a run's f, and g near where an exponent crosses -1, 0 and 1 inside it.
+slopes = st.integers(-4, 4)
+
+
+@example(1, 0, 5, 1, 0, 12)  # x^5*y, ..., x*y, y, y/x, ...: crosses 1, 0 and -1; y constant at 1
+@example(2, -1, 5, -3, 0, 8)  # x^5, x^3, x, 1/x: skips 0; y's exponent crosses 0
+@example(5, 3, 12, -7, 0, 6)  # x's exponent 12, 7, 2, -3: changes sign and skips -1, 0 and 1
+@example(0, 1, -1, 4, 0, 9)  # x's exponent constant at -1
+@example(0, 0, 2, -1, 3, 7)  # no slope: one name throughout
+@given(slopes, slopes, st.integers(-40, 40), st.integers(-40, 40), st.integers(-3, 3), st.integers(0, 40))
+@settings(max_examples=300)
+def test_a_run_is_named_as_its_monomials_with_small_slopes(fx, fy, gx, gy, start, length):
+    assert_run_named_as_each_monomial(fx, fy, gx, gy, start, start + length)
+
+
+BIG = 10**300
+
+
+@example(1, -1, BIG + 5, -BIG, 10)
+@example(BIG // 10, 1, BIG + 1, 3, 14)  # x's exponent crosses 1 at j = 10
+@given(st.one_of(slopes, st.integers(-BIG, BIG)), st.one_of(slopes, st.integers(-BIG, BIG)),
+       st.integers(-BIG - 50, -BIG + 50) | st.integers(BIG - 50, BIG + 50) | st.integers(-50, 50),
+       st.integers(-BIG - 50, -BIG + 50) | st.integers(BIG - 50, BIG + 50), st.integers(0, 60))
+@settings(max_examples=100)
+def test_a_run_is_named_as_its_monomials_near_10_300(fx, fy, gx, gy, length):
+    assert_run_named_as_each_monomial(fx, fy, gx, gy, 0, length)
+
+
+CAP = laurent._STRETCH
+SHORT_RUN = emit._SHORT_RUN  # shorter runs are named a row at a time there
+
+
+@pytest.mark.parametrize("length", (SHORT_RUN - 1, SHORT_RUN, SHORT_RUN + 1, CAP - 1, CAP, CAP + 1, 2 * CAP + 3))
+@pytest.mark.parametrize("fx, fy, gx, gy", [
+    (1, -1, -1, 2),  # the run of a thin pair, y^(j + 2)/x^(j + 1)
+    (0, 1, 1, -1),  # x/y^(j + 1): x's exponent constant at 1
+    (1, 0, CAP, 1),  # x's exponent crosses 0 at j = CAP, where the first stretch would end
+    (-1, 1, -CAP - 1, CAP + 2),  # both cross 0 past the first stretch
+    (3, -2, 2 * CAP, -5),
+])
+def test_a_run_is_named_as_its_monomials_past_the_stretch_cap_and_the_short_run_cut(fx, fy, gx, gy, length):
+    assert_run_named_as_each_monomial(fx, fy, gx, gy, 0, length)
+    assert_run_named_as_each_monomial(fx, fy, gx, gy, 5, 5 + length)
+
+
+def test_a_stretch_holds_at_most_the_cap():
+    lengths = [len(names) for names, _ in laurent._stretch_names(1, -1, -1, 2, 1, 3 * CAP + 2, True)]
+    assert lengths == [CAP, CAP, CAP, 1]
+    # 1/x^j from j = -2: x^2, x, 1, 1/x, then 1/x^2 to 1/x^9 in one shape
+    stretches = list(laurent._stretch_names(1, 0, 0, 0, -2, 10, False))
+    assert stretches[:4] == [["x^2"], ["x"], ["1"], ["1/x"]]
+    assert stretches[4:] == [[f"1/x^{e}" for e in range(2, 10)]]
 
 
 # -- polynomials -------------------------------------------------------------
