@@ -8,12 +8,14 @@ numbers, and the two digit recurrences everything else builds on: Euclid
 quotients (``euclid_digits``) and convergents (``iter_convergents``, the
 only place the h/k recurrence is written).  The sign of
 ``stream - rational`` is read off the first digit where the two
-expansions differ, without ever touching floating point.
+expansions differ, without ever touching floating point.  The module
+also holds what the other modules' values share: ``_integer``, which
+reads an integer argument, and ``_record``, which gives a named tuple a
+frozen dataclass's equality.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count as _count, islice
 from math import gcd
@@ -25,24 +27,86 @@ LESS = -1
 GREATER = 1
 
 
-@dataclass(frozen=True)
+def _frozen(self, name: str, value=None):
+    """``__setattr__`` and ``__delattr__`` of a value that refuses assignment."""
+    raise AttributeError(f"cannot assign to field {name!r}")
+
+
+_tuple_eq, _tuple_ne = tuple.__eq__, tuple.__ne__
+
+
+def _record_eq(self, other) -> bool:
+    return type(other) is type(self) and _tuple_eq(self, other)
+
+
+def _record_ne(self, other) -> bool:
+    return type(other) is not type(self) or _tuple_ne(self, other)
+
+
+def _unordered(self, other):
+    return NotImplemented
+
+
+def _record_reduce(self):
+    return type(self), tuple(self)
+
+
+def _record(cls: type) -> type:
+    """Make a named-tuple class a record: equal only to its own type, unordered, frozen.
+
+    A plain named tuple equals any tuple of the same items, so ``Sum`` and
+    ``Product`` nodes of one layout would compare equal, and ``<`` would
+    order ``Value``s as pairs of ints, not as group elements.  Its
+    ``hash`` stays the tuple's.  Assignment is refused even where a
+    subclass has a ``__dict__`` for a ``cached_property``, which writes
+    to that dict directly.  Copies and pickles rebuild a record from its
+    fields through its constructor, so they carry no cached value.
+    """
+    cls.__eq__, cls.__ne__ = _record_eq, _record_ne
+    cls.__lt__ = cls.__le__ = cls.__gt__ = cls.__ge__ = _unordered
+    cls.__setattr__ = cls.__delattr__ = _frozen
+    cls.__reduce__ = _record_reduce
+    return cls
+
+
 class CFExpansion:
     """A finite continued fraction ``[d0; d1, ..., dk]``.
 
     The leading digit may be any integer; every later digit must be at
     least 1.  Canonical form additionally requires the last digit to be
     at least 2 unless the expansion is a single digit, which makes the
-    expansion of a rational number unique.
+    expansion of a rational number unique.  ``digits`` is a tuple of
+    ints, each read with ``_integer``: 2.0 is kept as 2, and 1.5 is
+    refused.  An expansion refuses assignment, and ``len`` is its number
+    of digits.
     """
 
-    digits: tuple[int, ...]
+    __slots__ = ("digits",)
 
-    def __post_init__(self) -> None:
-        if not self.digits:
+    def __init__(self, digits: Iterable[int]):
+        digits = tuple(_integer(d, f"digit {i}") for i, d in enumerate(digits))
+        if not digits:
             raise ValueError("expansion needs at least one digit")
-        for i, d in enumerate(self.digits):
+        for i, d in enumerate(digits):
             if i >= 1 and d < 1:
                 raise ValueError(f"digit {i} is {d}; digits past the first must be >= 1")
+        _set_digits(self, digits)
+
+    __setattr__ = __delattr__ = _frozen
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.digits == other.digits
+
+    def __hash__(self) -> int:
+        return hash(self.digits)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(digits={self.digits!r})"
+
+    def __reduce__(self):
+        return type(self), (self.digits,)
 
     @property
     def is_canonical(self) -> bool:
@@ -59,6 +123,23 @@ class CFExpansion:
         if not tail:
             return f"[{head}]"
         return f"[{head}; {', '.join(str(d) for d in tail)}]"
+
+
+_set_digits = CFExpansion.digits.__set__
+
+
+def _expansion(digits: tuple[int, ...]) -> CFExpansion:
+    """The ``CFExpansion`` of a tuple of ints already known to be valid, unchecked."""
+    cf = object.__new__(CFExpansion)
+    _set_digits(cf, digits)
+    return cf
+
+
+def _expansion_digits(cf) -> tuple[int, ...]:
+    """``cf.digits``; a TypeError unless ``cf`` is a ``CFExpansion``."""
+    if not isinstance(cf, CFExpansion):
+        raise TypeError(f"cf must be a CFExpansion, not {type(cf).__name__}")
+    return cf.digits
 
 
 class CFStream:
@@ -201,7 +282,7 @@ def cf_expand(r) -> CFExpansion:
     then evaluating is the identity on rationals.
     """
     r = Fraction(r)
-    return CFExpansion(tuple(euclid_digits(r.numerator, r.denominator)))
+    return _expansion(tuple(euclid_digits(r.numerator, r.denominator)))
 
 
 def euclid_digits(n: int, d: int) -> Iterator[int]:
@@ -220,7 +301,7 @@ def euclid_digits(n: int, d: int) -> Iterator[int]:
 
 def cf_value(cf: CFExpansion) -> Fraction:
     """Exact value of a finite expansion: its last convergent."""
-    for value in iter_convergents(cf.digits):
+    for value in iter_convergents(_expansion_digits(cf)):
         pass
     return value
 
@@ -231,9 +312,9 @@ def cf_canonicalize(cf: CFExpansion) -> CFExpansion:
     One merge suffices: the new last digit is the old next-to-last plus
     one, hence at least 2.
     """
-    digits = cf.digits
+    digits = _expansion_digits(cf)
     if len(digits) > 1 and digits[-1] == 1:
-        return CFExpansion(digits[:-2] + (digits[-2] + 1,))
+        return _expansion(digits[:-2] + (digits[-2] + 1,))
     return cf
 
 
@@ -244,10 +325,10 @@ def cf_alternate(cf: CFExpansion) -> CFExpansion:
     already ending in 1 collapses back to canonical form.  Both forms have
     the same digit sum.
     """
-    digits = cf.digits
+    digits = _expansion_digits(cf)
     if len(digits) > 1 and digits[-1] == 1:
         return cf_canonicalize(cf)
-    return CFExpansion(digits[:-1] + (digits[-1] - 1, 1))
+    return _expansion(digits[:-1] + (digits[-1] - 1, 1))
 
 
 def iter_convergents(digits: Iterable[int]) -> Iterator[Fraction]:
@@ -281,8 +362,10 @@ def cf_convergents(cf: Union[CFExpansion, CFStream], count: int) -> tuple[Fracti
                 f"asked for {count} convergents but only {len(cf.digits)} digits exist"
             )
         digits = cf.digits
-    else:
+    elif isinstance(cf, CFStream):
         digits = cf.digits()
+    else:
+        raise TypeError(f"cf must be a CFExpansion or a CFStream, not {type(cf).__name__}")
     return tuple(islice(iter_convergents(digits), count))
 
 

@@ -53,11 +53,10 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
-from .exactnum import _quoted
+from .exactnum import _quoted, _record
 from .laurent import LaurentPolynomial, RationalFunction, X, Y
 from .valuation import Value
 
@@ -94,44 +93,44 @@ class WorkBudgetError(ExpressionError):
         )
 
 
-@dataclass(frozen=True)
-class Literal:
+@_record
+class Literal(NamedTuple):
     value: Fraction
 
 
-@dataclass(frozen=True)
-class Variable:
+@_record
+class Variable(NamedTuple):
     name: str  # "x" or "y"
 
 
-@dataclass(frozen=True)
-class Negation:
+@_record
+class Negation(NamedTuple):
     operand: "Node"
 
 
-@dataclass(frozen=True)
-class Sum:
+@_record
+class Sum(NamedTuple):
     left: "Node"
     right: "Node"
     position: int  # of the '+' or '-' sign, for lowering-time errors
 
 
-@dataclass(frozen=True)
-class Product:
+@_record
+class Product(NamedTuple):
     left: "Node"
     right: "Node"
     position: int  # of the '*' sign, for lowering-time errors
 
 
-@dataclass(frozen=True)
-class Quotient:
+@_record
+class Quotient(NamedTuple):
     left: "Node"
     right: "Node"
     position: int  # of the '/' sign, for lowering-time errors
 
 
-@dataclass(frozen=True)
-class Power:
+@_record
+class Power(NamedTuple):
     base: "Node"
     exponent: int
     position: int  # of the '^' sign

@@ -51,11 +51,10 @@ valuation with nu(x) = a, nu(y) = b; a chart basis is a tree vertex.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from functools import cached_property, partial
 from typing import Iterator, NamedTuple, Union
 
-from .exactnum import _PRIME_TEST_BOUND, _coprime_pair, _is_prime, _require_coprime
+from .exactnum import _PRIME_TEST_BOUND, _coprime_pair, _is_prime, _record, _require_coprime
 from .laurent import ChartBasis, LaurentPolynomial, Monomial, factor_monomial_content, rewrite_in_chart
 from .valtree import ExpandedRuns, PositivePath, _pair_path, _same_vertices
 
@@ -67,31 +66,45 @@ class ResolutionInvariantError(RuntimeError):
     """
 
 
-@dataclass(frozen=True)
-class ThroughOrigin:
-    """Proper transform c1^s - c2^t, vanishing at the chart origin."""
+class _Binomial(NamedTuple):
+    """The two ints of a ``ThroughOrigin``."""
 
     s: int
     t: int
 
-    def __post_init__(self) -> None:
-        if self.s < 1 or self.t < 1:
-            raise ValueError("exponents of a binomial through the origin must be >= 1")
-        _require_coprime(self.s, self.t)
 
-
-@dataclass(frozen=True)
-class MissesOrigin:
-    """Proper transform 1 - c1^f_exp c2^g_exp, nonzero at the chart origin."""
+class _Unit(NamedTuple):
+    """The two ints of a ``MissesOrigin``."""
 
     f_exp: int
     g_exp: int
 
-    def __post_init__(self) -> None:
-        if self.f_exp < 0 or self.g_exp < 0:
+
+@_record
+class ThroughOrigin(_Binomial):
+    """Proper transform c1^s - c2^t, vanishing at the chart origin."""
+
+    __slots__ = ()
+
+    def __new__(cls, s: int, t: int):
+        if s < 1 or t < 1:
+            raise ValueError("exponents of a binomial through the origin must be >= 1")
+        _require_coprime(s, t)
+        return tuple.__new__(cls, (s, t))
+
+
+@_record
+class MissesOrigin(_Unit):
+    """Proper transform 1 - c1^f_exp c2^g_exp, nonzero at the chart origin."""
+
+    __slots__ = ()
+
+    def __new__(cls, f_exp: int, g_exp: int):
+        if f_exp < 0 or g_exp < 0:
             raise ValueError("exponents must be nonnegative")
-        if self.f_exp == 0 and self.g_exp == 0:
+        if f_exp == 0 and g_exp == 0:
             raise ValueError("1 - 1 is not a curve component")
+        return tuple.__new__(cls, (f_exp, g_exp))
 
 
 Proper = Union[ThroughOrigin, MissesOrigin]
@@ -175,8 +188,18 @@ class ResolutionStep(NamedTuple):
 RowRun = tuple[tuple[int, ...], int]
 
 
-@dataclass(frozen=True)
-class ResolutionTrace:
+class _Trace(NamedTuple):
+    """The three fields of a ``ResolutionTrace``."""
+
+    a: int
+    b: int
+    runs: tuple[RowRun, ...]
+
+
+# No __slots__ here or in TheoremReport: cached_property keeps its values
+# in the instance __dict__.
+@_record
+class ResolutionTrace(_Trace):
     """The charts blown up along a resolution, in order, kept as runs.
 
     A row is a plain tuple in ``ChartState``'s layout.  Row k + 1 is the
@@ -186,13 +209,10 @@ class ResolutionTrace:
     follow ``_row_at``.  ``rows`` and ``steps`` expand the runs when read.
     """
 
-    a: int
-    b: int
-    runs: tuple[RowRun, ...]
-
-    def __post_init__(self):
-        if not self.runs:
+    def __new__(cls, a: int, b: int, runs: tuple[RowRun, ...]):
+        if not runs:
             raise ValueError("a resolution trace needs at least one run")
+        return tuple.__new__(cls, (a, b, runs))
 
     @cached_property
     def blow_up_count(self) -> int:
@@ -213,17 +233,21 @@ class ResolutionTrace:
         return list(_charts(self))
 
 
-@dataclass(frozen=True)
-class TheoremReport:
+class _Theorem(NamedTuple):
+    """The three fields of a ``TheoremReport``."""
+
+    trace: ResolutionTrace
+    valuation_path: PositivePath
+    equal: bool
+
+
+@_record
+class TheoremReport(_Theorem):
     """Bad-chart path of the resolution against the valuation's positive path.
 
     ``equal`` is decided on the trace's rows; ``resolution_path``, a chart
     basis per row, is built when first read (``run_verify`` never reads it).
     """
-
-    trace: ResolutionTrace
-    valuation_path: PositivePath
-    equal: bool
 
     @property
     def a(self) -> int:
@@ -238,8 +262,8 @@ class TheoremReport:
         return bad_vertex_path(self.trace)
 
 
-@dataclass(frozen=True)
-class OffOriginReport:
+@_record
+class OffOriginReport(NamedTuple):
     """Transversality of axis crossings away from the chart origin.
 
     Only intersection points with exactly representable coordinates

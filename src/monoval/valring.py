@@ -16,11 +16,10 @@ searching the positive path for a vertex ring that contains them.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from itertools import islice
 from typing import NamedTuple, Optional
 
-from .exactnum import _coprime_pair, _integer, _require_coprime
+from .exactnum import _coprime_pair, _integer, _record, _require_coprime
 from .laurent import (
     ChartBasis,
     Monomial,
@@ -33,12 +32,8 @@ from .valuation import MonomialValuation
 from .valtree import walk
 
 
-@dataclass(frozen=True)
-class RingPresentation:
-    """Generator pair (u, v) of the valuation ring for nu(x) = a, nu(y) = b.
-
-    The localization prime is the principal ideal generated by v.
-    """
+class _Presentation(NamedTuple):
+    """The six fields of a ``RingPresentation``."""
 
     u: Monomial
     v: Monomial
@@ -47,13 +42,24 @@ class RingPresentation:
     a: int
     b: int
 
-    def __post_init__(self) -> None:
-        _require_coprime(self.a, self.b)
-        if self.p * self.a - self.q * self.b != 1:
-            raise ValueError(f"p*a - q*b = {self.p * self.a - self.q * self.b}, expected 1")
-        if self.u != Monomial(-self.b, self.a) or self.v != Monomial(self.p, -self.q):
+
+@_record
+class RingPresentation(_Presentation):
+    """Generator pair (u, v) of the valuation ring for nu(x) = a, nu(y) = b.
+
+    The localization prime is the principal ideal generated by v.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, u: Monomial, v: Monomial, p: int, q: int, a: int, b: int):
+        _require_coprime(a, b)
+        if p * a - q * b != 1:
+            raise ValueError(f"p*a - q*b = {p * a - q * b}, expected 1")
+        if u != Monomial(-b, a) or v != Monomial(p, -q):
             raise ValueError("generators do not match the exponent data")
         # det(u, v) = q*b - p*a = -1, so (u, v) is automatically unimodular
+        return tuple.__new__(cls, (u, v, p, q, a, b))
 
     def basis(self) -> ChartBasis:
         return ChartBasis(self.u, self.v)

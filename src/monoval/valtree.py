@@ -27,13 +27,12 @@ against.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
 from operator import eq
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
-from .exactnum import _coprime_pair, _integer, cf_expand
+from .exactnum import _coprime_pair, _integer, _record, cf_expand
 from .laurent import IDENTITY_BASIS, ChartBasis, Monomial, X, Y, lattice_solve, monomial_name
 from .valuation import UNBOUNDED, MonomialValuation, Value
 
@@ -222,8 +221,8 @@ class PositivePath:
         return f"PositivePath.from_runs({self.runs!r}, complete={self.complete!r})"
 
 
-@dataclass(frozen=True)
-class Branch:
+@_record
+class Branch(NamedTuple):
     """Maximal run of path vertices of the form k[s, t/s^m], m = 1..length."""
 
     s: Monomial
@@ -231,8 +230,8 @@ class Branch:
     length: int
 
 
-@dataclass(frozen=True)
-class CorrespondenceReport:
+@_record
+class CorrespondenceReport(NamedTuple):
     """Branch lengths versus continued-fraction digits for one ratio."""
 
     a: int

@@ -19,11 +19,10 @@ single comparison (see ``valtree``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
-from .exactnum import CFStream, _integer, euclid_digits, stream_compare
+from .exactnum import CFStream, _integer, _record, euclid_digits, stream_compare
 from .laurent import (
     LaurentPolynomial,
     Monomial,
@@ -32,8 +31,8 @@ from .laurent import (
 )
 
 
-@dataclass(frozen=True)
-class Value:
+@_record
+class Value(NamedTuple):
     """The group element ``m*nu(x) + n*nu(y)``."""
 
     m: int

@@ -18,11 +18,10 @@ verbatim.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import gcd
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
-from .exactnum import _integer
+from .exactnum import _integer, _record
 from .resolution import resolve, theorem_report, verify_reconstruction
 from .valtree import _pair_path, correspondence_report
 
@@ -34,10 +33,20 @@ CHECK_NAMES = (
 )
 
 
-@dataclass
 class CheckCounts:
-    passed: int = 0
-    failed: int = 0
+    """Passes and failures of one check; mutable, so not hashable."""
+
+    def __init__(self, passed: int = 0, failed: int = 0):
+        self.passed = passed
+        self.failed = failed
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __repr__(self) -> str:
+        return f"CheckCounts(passed={self.passed!r}, failed={self.failed!r})"
 
     def record(self, ok: bool) -> None:
         if ok:
@@ -46,22 +55,42 @@ class CheckCounts:
             self.failed += 1
 
 
-@dataclass(frozen=True)
-class Failure:
+@_record
+class Failure(NamedTuple):
     a: int
     b: int
     check: str
     detail: str
 
 
-@dataclass
 class VerifyReport:
-    max_a: int
-    pairs: int = 0
-    checks: dict[str, CheckCounts] = field(
-        default_factory=lambda: {name: CheckCounts() for name in CHECK_NAMES}
-    )
-    first_failure: Optional[Failure] = None
+    """The counts of a sweep, filled in as it runs; mutable, so not hashable.
+
+    ``checks`` defaults to a fresh ``CheckCounts`` per name in ``CHECK_NAMES``.
+    """
+
+    def __init__(
+        self,
+        max_a: int,
+        pairs: int = 0,
+        checks: Optional[dict[str, CheckCounts]] = None,
+        first_failure: Optional[Failure] = None,
+    ):
+        self.max_a = max_a
+        self.pairs = pairs
+        self.checks = {name: CheckCounts() for name in CHECK_NAMES} if checks is None else checks
+        self.first_failure = first_failure
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __repr__(self) -> str:
+        return (
+            f"VerifyReport(max_a={self.max_a!r}, pairs={self.pairs!r},"
+            f" checks={self.checks!r}, first_failure={self.first_failure!r})"
+        )
 
     @property
     def all_passed(self) -> bool:

@@ -304,6 +304,8 @@ _NU = MonomialValuation.rational(5, 3)
          "max_steps must be an integer, not 2.5"),
         (lambda: cf_convergents(sqrt2_stream(), 2.5), "count must be an integer, not 2.5"),
         (lambda: cf_convergents(cf_expand(Fraction(7, 3)), 2.5), "count must be an integer, not 2.5"),
+        (lambda: CFExpansion((1, 1.5)), "digit 1 must be an integer, not 1.5"),
+        (lambda: CFExpansion([Fraction(1, 2)]), "digit 0 must be an integer, not Fraction(1, 2)"),
         # a long value is quoted by its first 64 characters
         (lambda: resolve(Fraction(1, 10**3000), 3), f"a must be an integer, not Fraction(1, 1{'0' * 51}..."),
     ],
@@ -330,6 +332,24 @@ def test_an_integer_argument_may_be_any_integral_value_or_a_string():
     assert cf_convergents(sqrt2_stream(), 2.0) == cf_convergents(sqrt2_stream(), 2)
     assert cf_convergents(sqrt2_stream(), "3") == cf_convergents(sqrt2_stream(), 3)
     assert cf_convergents(cf_expand(Fraction(24, 7)), "3") == cf_convergents(CFExpansion((3, 2, 3)), 3)
+    # an expansion keeps a tuple of ints, whatever iterable of integral values it was given
+    cf = CFExpansion([3, 2.0, Fraction(3)])
+    assert cf == CFExpansion((3, 2, 3)) == cf_expand(Fraction(24, 7))
+    assert hash(cf) == hash(CFExpansion((3, 2, 3)))
+    assert type(cf.digits) is tuple and all(type(d) is int for d in cf.digits)
+
+
+@pytest.mark.parametrize("function", [cf_value, cf_canonicalize, cf_alternate])
+@pytest.mark.parametrize("cf", [(), [1, 0], (3, 2), "32", None])
+def test_a_finite_expansion_function_refuses_what_is_not_an_expansion(function, cf):
+    with pytest.raises(TypeError) as info:
+        function(cf)
+    assert str(info.value) == f"cf must be a CFExpansion, not {type(cf).__name__}"
+
+
+def test_cf_convergents_refuses_what_is_neither_an_expansion_nor_a_stream():
+    with pytest.raises(TypeError, match="^cf must be a CFExpansion or a CFStream, not tuple$"):
+        cf_convergents((3, 2), 1)
 
 
 def test_a_step_budget_below_its_least_value_keeps_its_message():

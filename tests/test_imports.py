@@ -1,6 +1,9 @@
-"""Every name a library module imports at module level is used in it."""
+"""What the library modules import: every module-level name is used, and nothing loads `dataclasses`."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -38,3 +41,57 @@ def test_the_check_sees_an_unused_import():
     assert unused_imports("import os\nfrom a import b, c as d\nb()\n") == [
         "line 1: os", "line 2: d",
     ]
+
+
+def imported_modules(source: str) -> set[str]:
+    """Top-level names of the modules that ``source`` imports, at any depth of its code."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_module_imports_dataclasses(path):
+    assert "dataclasses" not in imported_modules(path.read_text(encoding="utf-8"))
+
+
+def test_the_dataclasses_check_sees_an_import_inside_a_function():
+    assert "dataclasses" in imported_modules("def f():\n    from dataclasses import field\n")
+    assert "dataclasses" in imported_modules("import dataclasses as dc\n")
+
+
+# Prints, of the watched modules, those loaded after the import, then those
+# that the import itself loaded.
+_LOADED = (
+    "import sys\n"
+    "before = set(sys.modules)\n"
+    "import monoval.cli\n"
+    "watched = {'dataclasses', 'inspect'}\n"
+    "print(' '.join(sorted(watched & set(sys.modules))))\n"
+    "print(' '.join(sorted(watched & (set(sys.modules) - before))))\n"
+)
+
+
+@pytest.mark.parametrize("flags", [["-S"], []], ids=["no-site", "site"])
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect(flags):
+    """In a fresh interpreter, with and without ``site``.
+
+    Without ``site`` nothing else runs first, so neither module may be
+    loaded at all.  With it, a ``.pth`` file of the installation may load
+    modules first; the import itself must load neither.
+    """
+    src = str(Path(monoval.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, *flags, "-c", _LOADED],
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert done.returncode == 0, done.stderr
+    loaded, by_the_import = done.stdout.split("\n")[:2]
+    assert by_the_import == ""
+    if flags == ["-S"]:
+        assert loaded == ""

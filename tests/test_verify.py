@@ -1,11 +1,10 @@
 """The single-pass sweep: one trace and one path per pair, checks still strict."""
 
 import json
-from dataclasses import replace
 
 import oracles
 from monoval import cli, resolution, valtree, verify
-from monoval.valtree import PositivePath
+from monoval.valtree import CorrespondenceReport, PositivePath
 from monoval.verify import Failure, coprime_pairs, run_verify
 
 
@@ -105,7 +104,7 @@ def test_sweep_reports_a_miscounted_digit_sum_with_both_counts(monkeypatch):
     def report_with_one_digit_too_many(a, b, path):
         corr = real_report(a, b, path)
         if (a, b) == (7, 5):
-            return replace(corr, cf_digits=corr.cf_digits + (1,))
+            return CorrespondenceReport(**{**corr._asdict(), "cf_digits": corr.cf_digits + (1,)})
         return corr
 
     monkeypatch.setattr(verify, "correspondence_report", report_with_one_digit_too_many)
