@@ -11,14 +11,18 @@ early), 2 verification failure.
 parses every later argv with it; a one-shot ``monoval`` process builds
 it once either way.  Importing this module builds none.  One guard,
 ``_printable_runs``, refuses a stream's path or a trace with an integer
-longer than ``str`` prints, run by run, before any output.  A pair's
-path needs none: it is Euclid's algorithm on (a, b), so no exponent
-exceeds max(a, b), which was read from argv under the same limit.  The
-same bound holds for a trace's chart bases and its powers s and t.
-Only the exceptional multiplicities grow past a and b, and only JSON
-and ``--trace`` text print them (DOT prints none, with ``--trace`` or
-without); a chart's own are below its children's, e = A + B + min(s, t),
-so those two formats check e of each blow-up.
+longer than ``str`` prints, run by run, before any output.  Per run it
+reads, with no call, the sum of four integers of the run's start: times
+the number of items the run prints, that bounds every integer they
+print, and only a run whose bound reaches the limit has its last
+printed item read exactly.  A pair's path needs none: it is Euclid's
+algorithm on (a, b), so no exponent exceeds max(a, b), which was read
+from argv under the same limit.  The same bound holds for a trace's
+chart bases and its powers s and t.  Only the exceptional
+multiplicities grow past a and b, and only JSON and ``--trace`` text
+print them (DOT prints none, with ``--trace`` or without); a chart's
+own are below its children's, e = A + B + min(s, t), so those two
+formats check e of each blow-up.
 """
 
 from __future__ import annotations
@@ -209,7 +213,7 @@ def _cmd_path(args) -> Output:
         stream = parse_stream_spec(args.stream)
         nu = MonomialValuation.from_stream(stream)
         max_steps = args.max_steps if args.max_steps is not None else 64
-        runs = _printable_runs(walk_runs(nu), max_steps, _base_at,
+        runs = _printable_runs(walk_runs(nu), max_steps, _VERTEX, _base_at,
                                lambda i: f"vertex {i} of the path has an exponent")
         path = take_runs(runs, max_steps)
     else:
@@ -263,29 +267,47 @@ def _first(n: int, test) -> int:
     return lo
 
 
-def _printable_runs(runs, count: int, printed, name):
+# What ``_printable_runs`` sums of a run's start.  Vertex j of a stream's
+# run from (fx, fy, gx, gy) has exponents fx, fy, gx - j*fx and gy - j*fy,
+# each at most (j + 1)(|fx| + |fy| + |gx| + |gy|).  Blow-up j of a trace's
+# run from a row (..., A, B, s, t, sign), all four nonnegative, has
+# children's multiplicity A + j(B + t) + B + min(s - j*t, t), at most
+# (j + 1)(A + B + s + t) (see ``resolution._row_at`` and ``_children``).
+_VERTEX = slice(0, 4)
+_EXCEPTIONAL = slice(4, 8)
+
+
+def _printable_runs(runs, count: int, bounded: slice, printed, name):
     """Runs, refusing the first of their first ``count`` items to print an integer ``str`` cannot.
 
     ``printed(start, j)`` is the integers of item j of the run (start, n)
     that may pass the limit: a stream's vertex exponents, or a blow-up's
-    children's multiplicity (see the module docstring).  ``name(i)`` is
-    the words that name item i of all runs, such as "vertex i of the path
-    has an exponent".  Those integers never shrink down a path or a
-    trace, so each run is checked at its last item among the first
-    ``count``, and the runs stop at the first that fails, before any
-    output; the item named is found by bisection inside that run.  The
-    print limit is read once, when the first run is read.  Each run is
-    finite, as a trace's and a stream walk's are.
+    children's multiplicity (see the module docstring).  ``start[bounded]``
+    is a slice of the run's start whose absolute values sum to S with
+    no integer of item j above (j + 1) * S.  ``name(i)`` is the words that
+    name item i of all runs, such as "vertex i of the path has an
+    exponent".  Of a run's m items among the first ``count``, the guard
+    reads m * S, with no call: below 10**limit, the run prints.  Only a
+    run that reaches it has its last of those items read with
+    ``printed``; the integers never shrink along a run, so when that item
+    fails the first that does is found by bisection inside the run.  The
+    runs stop at the first that fails, before any output, and an item
+    past ``count`` is never read.  The print limit is read once, when the
+    first run is read.  Each run is finite, as a trace's and a stream
+    walk's are.
     """
-    unprintable = _print_test()
-    i = 0  # items before the run
+    limit = sys.get_int_max_str_digits()
+    bound, unprintable = _power_of_ten(limit), _print_test()
+    left = count if limit else 0  # items still to check; none without a limit
     for start, n in runs:
-        m = min(n, count - i)  # items of the run to print
-        if m > 0 and unprintable(*printed(start, m - 1)):
-            j = _first(m, lambda j: unprintable(*printed(start, j)))
-            raise _too_long(name(i + j))
+        if left > 0:
+            m = n if n < left else left  # items of the run to print
+            a, b, c, d = start[bounded]
+            if m * (abs(a) + abs(b) + abs(c) + abs(d)) >= bound and unprintable(*printed(start, m - 1)):
+                j = _first(m, lambda j: unprintable(*printed(start, j)))
+                raise _too_long(name(count - left + j))
+            left -= n
         yield start, n
-        i += n
 
 
 def _cmd_ringgens(args) -> Output:
@@ -348,7 +370,7 @@ def _cmd_resolve(args) -> Output:
     trace = resolve(args.a, args.b)
     if args.format == "json" or args.trace and args.format == "text":  # see the module docstring
         for _ in _printable_runs(  # refuses before any output
-                trace.runs, trace.blow_up_count,
+                trace.runs, trace.blow_up_count, _EXCEPTIONAL,
                 lambda row, j: (_children(_row_at(row, j))[0][4],),
                 lambda i: f"blow-up {i + 1} of the resolution prints an integer"):
             pass

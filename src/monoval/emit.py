@@ -56,11 +56,14 @@ fill.  Monomial names and classifications hold no character that JSON
 escapes, so the JSON step quotes them as they are.  Each JSON array item
 carries its ``,\\n`` separator, which the first drops.
 
-The path emitters walk a path's runs too: a run's first generator is
-named once, and its vertices' second generators, g/f^j, by
-``laurent.run_monomial_name``, which prints no inverse, or for a run
-shorter than ``_SHORT_RUN`` a vertex at a time by
-``laurent.monomial_name``; no ``TreeVertex`` or ``Monomial`` is built.
+The path emitters walk a path's runs too, and name each generator
+once.  A run's first generator is named once for the run, and not at
+all when it is the f or the g of the vertex before: a walked path's run
+starts at the last g of the run before.  Its vertices' second
+generators, g/f^j, are named by ``laurent.run_monomial_name``, which
+prints no inverse, all but the last of a run of ``_SHORT_RUN`` or more,
+and the rest a vertex at a time by ``laurent.monomial_name``.  No
+``TreeVertex`` or ``Monomial`` is built.
 """
 
 from __future__ import annotations
@@ -172,16 +175,33 @@ def _blow_ups(trace: ResolutionTrace, number):
 
 
 def _path_names(path: PositivePath) -> Iterator[tuple[str, str]]:
-    """The names of the two generators of every vertex of a path, a run's first named once."""
+    """The names of the two generators of every vertex of a path, each generator named once.
+
+    A run's first generator f is named once for the run, and not at all
+    when its exponents are those of the vertex before's f or g: a walked
+    path's run starts at the last g of the run before, and a path of one
+    run per vertex keeps f down a branch.
+    """
+    px = py = qx = qy = None  # the exponents of the vertex before's f and g, named p and q
     for (fx, fy, gx, gy), n in path.runs:
-        f = monomial_name(fx, fy)
-        if n >= _SHORT_RUN:
-            yield from zip(repeat(f), run_monomial_name(fx, fy, gx, gy, 0, n))
-            continue
+        if fx == qx and fy == qy:
+            f = q
+        elif fx == px and fy == py:
+            f = p
+        else:
+            f = monomial_name(fx, fy)
+        if n >= _SHORT_RUN:  # all but the last vertex a stretch at a time
+            yield from zip(repeat(f), run_monomial_name(fx, fy, gx, gy, 0, n - 1))
+            gx -= (n - 1) * fx
+            gy -= (n - 1) * fy
+            n = 1
         for _ in range(n):
-            yield f, monomial_name(gx, gy)
+            q = monomial_name(gx, gy)
+            yield f, q
             gx -= fx
             gy -= fy
+        if n:
+            px, py, p, qx, qy = fx, fy, f, gx + fx, gy + fy
 
 
 def _vertex_json(v: ChartBasis) -> dict:

@@ -77,13 +77,15 @@ class CFExpansion:
     at least 2 unless the expansion is a single digit, which makes the
     expansion of a rational number unique.  ``digits`` is a tuple of
     ints, each read with ``_integer``: 2.0 is kept as 2, and 1.5 is
-    refused.  An expansion refuses assignment, and ``len`` is its number
-    of digits.
+    refused, as is a string of digits.  An expansion refuses assignment,
+    and ``len`` is its number of digits.
     """
 
     __slots__ = ("digits",)
 
     def __init__(self, digits: Iterable[int]):
+        if isinstance(digits, str):  # else read a character per digit
+            raise TypeError("digits must be an iterable of integers, not str")
         digits = tuple(_integer(d, f"digit {i}") for i, d in enumerate(digits))
         if not digits:
             raise ValueError("expansion needs at least one digit")
@@ -147,14 +149,17 @@ class CFStream:
 
     ``source`` must be a pure function of the index (no hidden mutable
     state), producing an integer ``d0`` at index 0 and positive digits
-    afterwards.  ``periodic`` is the pattern ``(preperiod, period)`` of a
-    stream made by ``from_periodic``, and None for any other.  Streams
-    never materialize their value; consumers work through digits and
-    convergents.
+    afterwards; ``digit`` checks each digit it reads.  ``periodic`` is the
+    pattern ``(preperiod, period)`` of a stream made by ``from_periodic``,
+    and None for any other.  ``from_periodic`` checks the pattern's
+    digits once, and ``digit`` reads such a stream's digits from it with
+    no further check.  Streams never materialize their value; consumers
+    work through digits and convergents.
     """
 
     def __init__(self, source: Callable[[int], int]):
         self._source = source
+        self._pattern = None  # (preperiod, its length, period, its length) of a checked pattern
         self.periodic = None
 
     @classmethod
@@ -172,13 +177,8 @@ class CFStream:
             raise ValueError("period must be nonempty")
         if any(d < 1 for d in pre[1:]) or any(d < 1 for d in per):
             raise ValueError("digits past the first must be >= 1")
-
-        def source(i: int, _pre=pre, _per=per) -> int:
-            if i < len(_pre):
-                return _pre[i]
-            return _per[(i - len(_pre)) % len(_per)]
-
-        stream = cls(source)
+        stream = cls(None)  # ``digit`` reads the pattern, and no source
+        stream._pattern = (pre, len(pre), per, len(per))
         stream.periodic = (pre, per)
         return stream
 
@@ -189,6 +189,9 @@ class CFStream:
     def digit(self, i: int) -> int:
         if i < 0:
             raise IndexError("digit index must be nonnegative")
+        if self._pattern is not None:
+            pre, cut, per, period = self._pattern
+            return pre[i] if i < cut else per[(i - cut) % period]
         d = _integer(self._source(i), "a stream digit")
         if i >= 1 and d < 1:
             raise ValueError(f"stream produced digit {d} at index {i}; must be >= 1")

@@ -52,7 +52,8 @@ class ExpandedRuns(Sequence):
     ``len`` is the sum of the lengths.  Iteration reads each run's items
     by ``at`` in order.  Indexing walks the runs, subtracting their
     lengths until the index falls inside one.  Equal to any tuple, list
-    or expanded runs with equal items in the same order.
+    or expanded runs with equal items in the same order.  Copies and
+    pickles rebuild it from its runs, at every pickle protocol.
     """
 
     __slots__ = ("_runs", "_count", "_at")
@@ -61,6 +62,9 @@ class ExpandedRuns(Sequence):
         self._runs = runs
         self._count = n
         self._at = at
+
+    def __reduce__(self):
+        return ExpandedRuns, (self._runs, self._count, self._at)
 
     def __len__(self) -> int:
         return self._count

@@ -32,6 +32,8 @@ ROOT = Path(__file__).resolve().parent.parent
 TIMEOUT_S = 300
 
 RESOLUTION = "tests/test_resolution.py::"
+CLI = "tests/test_cli.py::"
+EMIT = "tests/test_emit.py::"
 CRITERION_7 = "tests/test_acceptance.py::test_criterion_07_lemma_invariants_sweep_200"
 CF_LIMIT = "tests/test_cli.py::test_cf_past_the_int_str_limit_fails_before_output"
 RUN_NAMES = "tests/test_laurent.py::test_a_run_is_named_as_its_monomials_with_small_slopes"
@@ -203,10 +205,38 @@ MUTANTS = (
     ),
     Mutant(
         "guard-one-item-short", "cli.py",
-        "if m > 0 and unprintable(*printed(start, m - 1)):",
-        "if m > 1 and unprintable(*printed(start, m - 2)):",
+        "and unprintable(*printed(start, m - 1)):",
+        "and unprintable(*printed(start, m - 2)):",
         ("tests/test_cli.py",),
         "the print guard checks a run one item before its last printed item",
+    ),
+    Mutant(
+        "guard-one-item-late", "cli.py",
+        "and unprintable(*printed(start, m - 1)):",
+        "and unprintable(*printed(start, m)):",
+        (CLI + "test_path_does_not_refuse_the_vertex_after_the_last",),
+        "the print guard checks a run one item past its last printed item",
+    ),
+    Mutant(
+        "guard-past-count", "cli.py",
+        "m = n if n < left else left",
+        "m = n",
+        (CLI + "test_path_does_not_refuse_the_vertex_after_the_last",),
+        "the print guard reads the items of the last run past --max-steps, which are not printed",
+    ),
+    Mutant(
+        "guard-bound-leaves-the-last-item", "cli.py",
+        "if m * (abs(a)",
+        "if (m - 1) * (abs(a)",
+        (CLI + "test_a_stream_of_ones_is_refused_at_a_vertex_that_starts_its_own_run",),
+        "the per-run bound covers one item fewer than the run prints, so a run of one is never checked",
+    ),
+    Mutant(
+        "guard-bound-alone", "cli.py",
+        "and unprintable(*printed(start, m - 1)):",
+        ":",
+        (CLI + "test_a_run_whose_bound_reaches_the_limit_is_read_exactly",),
+        "a run whose bound reaches the limit is refused unread, though every item of it prints",
     ),
     Mutant(
         "guard-skips-trace-text", "cli.py",
@@ -238,10 +268,17 @@ MUTANTS = (
     ),
     Mutant(
         "stream-path-unguarded", "cli.py",
-        "runs = _printable_runs(walk_runs(nu), max_steps, _base_at,",
-        "runs = (lambda runs, *_: runs)(walk_runs(nu), max_steps, _base_at,",
+        "runs = _printable_runs(walk_runs(nu), max_steps, _VERTEX, _base_at,",
+        "runs = (lambda runs, *_: runs)(walk_runs(nu), max_steps, _VERTEX, _base_at,",
         ("tests/test_cli.py::test_path_past_the_int_str_limit_fails_before_output",),
         "a stream's path prints its vertices unchecked, and fails after its output began",
+    ),
+    Mutant(
+        "guard-trace-bounds-the-basis", "cli.py",
+        "_EXCEPTIONAL = slice(4, 8)",
+        "_EXCEPTIONAL = slice(0, 4)",
+        (CLI + "test_resolve_past_the_int_str_limit_fails_before_output",),
+        "a trace run's bound sums its chart's exponents, which stay below a and b, not its multiplicities",
     ),
     Mutant(
         "cf-exponent-digit-sign", "cli.py",
@@ -263,6 +300,20 @@ MUTANTS = (
         "if False:",
         (CF_LIMIT,),
         "0e99999999 is refused for a long digit instead of read as 0",
+    ),
+    Mutant(
+        "path-names-reuse-g-by-x", "emit.py",
+        "if fx == qx and fy == qy:",
+        "if fx == qx:",
+        (EMIT + "test_a_path_of_any_runs_names_each_vertex_as_str_does",),
+        "a run's first generator takes the name of the g before it when only their x exponents match",
+    ),
+    Mutant(
+        "path-names-reuse-f-by-x", "emit.py",
+        "elif fx == px and fy == py:",
+        "elif fx == px:",
+        (EMIT + "test_a_path_of_any_runs_names_each_vertex_as_str_does",),
+        "a run's first generator takes the name of the f before it when only their x exponents match",
     ),
     Mutant(
         "blocks-drop-last", "emit.py",
@@ -334,6 +385,13 @@ MUTANTS = (
         ("tests/test_laurent.py::test_pair_keyed_arithmetic_matches_the_monomial_keyed_oracle",
          "tests/test_laurent.py::test_integral_fractions_are_stored_as_int"),
         "a Fraction that reduces to an integer is stored as a Fraction, not as its int",
+    ),
+    Mutant(
+        "periodic-digit-skips-the-preperiod", "exactnum.py",
+        "per[(i - cut) % period]",
+        "per[i % period]",
+        ("tests/test_exactnum.py",),
+        "a periodic stream's digits past its preperiod are read from the wrong place in the period",
     ),
     Mutant(
         "stream-compare-tie", "exactnum.py",

@@ -344,6 +344,49 @@ def test_path_refuses_a_vertex_inside_a_run_only_when_it_is_printed(capsys):
                      " the interpreter's limit for printing an integer\n")
 
 
+def test_a_stream_of_ones_is_refused_at_a_vertex_that_starts_its_own_run(capsys):
+    # [1; 1, 1, ...]: past the root every run is one vertex long, so the
+    # guard reads each run's only vertex, which is also its first.
+    nu = MonomialValuation.from_stream(CFStream.from_periodic([1], [1]))
+    path = positive_path(nu, max_steps=4000)
+    first = next(
+        i
+        for i, v in enumerate(path)
+        if max(abs(v.f.ex), abs(v.f.ey), abs(v.g.ex), abs(v.g.ey)) >= 10**640
+    )
+    starts = [0, *accumulate(n for _, n in path.runs)]
+    assert first in starts and starts[starts.index(first) + 1] == first + 1
+    code, out, err = run_under_640_digits(
+        capsys, "path", "--stream", "1;1", "--max-steps", str(first), "--format", "json"
+    )
+    assert code == 0 and err == "" and len(json.loads(out)["vertices"]) == first
+    for fmt in ("json", "dot", "text"):
+        assert run_under_640_digits(
+            capsys, "path", "--stream", "1;1", "--max-steps", str(first + 1), "--format", fmt
+        ) == (1, "", f"error: vertex {first} of the path has an exponent longer than 640 digits,"
+                     " the interpreter's limit for printing an integer\n")
+
+
+def test_a_run_whose_bound_reaches_the_limit_is_read_exactly():
+    # The second run's bound, 2 * (5 * 10**639 + 2), reaches 10**640, but
+    # neither of its vertices does: they print.  The third run's exponent
+    # 2 - 10**640 - j first reaches it at j = 2, vertex 5 of the path.
+    def guard(count):
+        runs = [((1, 0, 0, 1), 1), ((1, 0, 5 * 10**639, 1), 2), ((1, 0, 2 - 10**640, 1), 3)]
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            taken = cli._printable_runs(iter(runs), count, cli._VERTEX, cli._base_at,
+                                        lambda i: f"vertex {i} has an exponent")
+            return list(taken) == runs
+        finally:
+            sys.set_int_max_str_digits(old)
+
+    assert guard(3) and guard(5)
+    with pytest.raises(ValueError, match="^vertex 5 has an exponent longer than 640 digits"):
+        guard(6)
+
+
 def test_path_does_not_refuse_the_vertex_after_the_last(capsys):
     # The walk is asked for one vertex past --max-steps to tell whether the
     # path is complete; that vertex is not printed, so it may be too long.

@@ -140,6 +140,16 @@ def test_stream_path_writes_equal_the_path_oracles():
                                          "path", "--stream", "sqrt2", "--max-steps", "3000")
 
 
+@pytest.mark.parametrize("spec, steps", [("1;1", 3000), ("1,1;2,1", 722), ("4,3;2,1,4", 1000)])
+def test_short_run_stream_paths_write_what_the_path_oracles_write(spec, steps):
+    # Small digits: runs of one to four vertices, each named from the run before.
+    nu = MonomialValuation.from_stream(parse_stream_spec(spec))
+    path = positive_path(nu, max_steps=steps)
+    assert max(n for _, n in path.runs) <= 4
+    assert_path_writes_equal_the_oracles(path, f"positive path for {nu.describe()}:",
+                                         "path", "--stream", spec, "--max-steps", str(steps))
+
+
 def stream_path_output(spec: str, steps: int, fmt: str) -> tuple[list[str], str]:
     """The CLI's writes of ``path --stream spec --max-steps steps`` in ``fmt``, and the path oracle's text."""
     nu = MonomialValuation.from_stream(parse_stream_spec(spec))

@@ -28,7 +28,9 @@ from monoval.valtree import (
     cf_correspondence_check,
     children,
     lex_valuation_from_tail,
+    positive_child,
     positive_path,
+    take_path,
 )
 from monoval.valuation import MonomialValuation
 from monoval.verify import run_verify
@@ -283,6 +285,49 @@ def test_templates_match_references_on_a_path_cut_inside_a_run():
     path = positive_path(MonomialValuation.from_stream(stream), max_steps=20)
     assert [n for _, n in path.runs] == [1, 1, 18]
     assert_path_matches_references(path)
+
+
+def test_a_path_of_positive_children_emits_as_the_walked_path():
+    # Stepped one vertex at a time, a path keeps one run per vertex: down a
+    # branch each shares f with the vertex before, and a branch starts at
+    # the g of the vertex before.
+    for pattern in (([1], [1]), ([1, 1], [2, 1]), ([4, 3], [2, 1, 4]), ([1], [40, 7])):
+        nu = MonomialValuation.from_stream(CFStream.from_periodic(*pattern))
+        vertices = [ROOT]
+        while len(vertices) <= 120:
+            vertices.append(positive_child(nu, vertices[-1]))
+        stepped, walked = take_path(iter(vertices), 120), positive_path(nu, max_steps=120)
+        assert len(stepped.runs) == 120 >= len(walked.runs) and stepped == walked
+        for emitter in (emit_json, emit_dot, lambda path: format_path_text(path, "heading:")):
+            assert_same_text(emitter(stepped), emitter(walked))
+        assert_path_matches_references(stepped)
+
+
+def unimodular(steps) -> tuple[int, int, int, int]:
+    """(fx, fy, gx, gy) after the steps from (x, y): 0 divides g by f, 1 multiplies, 2 swaps them."""
+    fx, fy, gx, gy = 1, 0, 0, 1
+    for step in steps:
+        if step == 2:
+            fx, fy, gx, gy = gx, gy, fx, fy
+        else:
+            gx, gy = gx + (2 * step - 1) * fx, gy + (2 * step - 1) * fy
+    return fx, fy, gx, gy
+
+
+unimodular_starts = st.lists(st.integers(0, 2), max_size=6).map(unimodular)
+
+
+# The first generator of the second run shares only its x exponent with the
+# g, or with the f, of the vertex before.
+@example([((1, 0, 2, 1), 1), ((2, 3, 1, 1), 1)])
+@example([((1, 0, 2, 1), 1), ((1, 2, 0, 1), 1)])
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(unimodular_starts, st.integers(1, 3)), max_size=8))
+def test_a_path_of_any_runs_names_each_vertex_as_str_does(runs):
+    # A path need not be walked, so a run may start anywhere: at the f or g
+    # of the vertex before, at a generator sharing one exponent with them,
+    # or elsewhere.
+    assert_path_matches_references(PositivePath.from_runs(runs, complete=True))
 
 
 def test_a_differing_line_is_named_without_a_diff():

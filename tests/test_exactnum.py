@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -189,11 +190,38 @@ def test_stream_validation():
 
 def test_a_stream_refuses_a_negative_index_and_names_only_a_known_pattern():
     ones = CFStream(lambda i: 1)
-    with pytest.raises(IndexError, match="nonnegative"):
-        ones.digit(-1)
+    for stream in (ones, CFStream.from_periodic((1, 1), (2, 1))):
+        with pytest.raises(IndexError, match="nonnegative"):
+            stream.digit(-1)
     assert ones.periodic is None
     assert str(ones) == "<digit stream>"
     assert str(CFStream.from_periodic((1,), (1, 2))) == "[1; (1, 2)...]"
+
+
+def test_every_digit_of_a_stream_is_read_through_its_digit_method(monkeypatch):
+    # A tracer counts the digits a request reads by wrapping CFStream.digit.
+    read = []
+    digit = CFStream.digit
+
+    def counted(self, i):
+        read.append(i)
+        return digit(self, i)
+
+    monkeypatch.setattr(CFStream, "digit", counted)
+    for rho in (CFStream.from_periodic((1, 1), (2, 1)), CFStream(lambda i: 1 + i % 2)):
+        read.clear()
+        assert len(list(islice(rho.digits(), 7))) == 7 and read == list(range(7))
+        read.clear()
+        path = positive_path(MonomialValuation.from_stream(rho), 40)
+        # the walk's digits come through it too: the root, then a run per digit read
+        assert set(range(len(path.runs) - 1)) <= set(read)
+
+
+@pytest.mark.parametrize("digits", ["32", "-3", "", "3"])
+def test_an_expansion_refuses_a_string_of_digits(digits):
+    with pytest.raises(TypeError) as info:
+        CFExpansion(digits)
+    assert str(info.value) == "digits must be an iterable of integers, not str"
 
 
 @settings(max_examples=200, deadline=None)

@@ -26,7 +26,7 @@ from monoval.resolution import (
     resolve,
 )
 from monoval.valring import RingPresentation
-from monoval.valtree import Branch, CorrespondenceReport, _pair_path
+from monoval.valtree import Branch, CorrespondenceReport, ExpandedRuns, _pair_path
 from monoval.valuation import Value
 from monoval.verify import CheckCounts, Failure, VerifyReport, run_verify
 
@@ -196,6 +196,15 @@ def test_a_value_pickles_at_every_protocol_and_deep_copies(cls, kwargs, text):
     ]
     for twin in copies:
         assert type(twin) is cls and twin == value and repr(twin) == text
+
+
+@pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+def test_the_expanded_runs_of_a_trace_and_a_path_pickle_at_every_protocol(protocol):
+    trace = resolve(24, 7)
+    for items in (trace.rows, trace.steps, _pair_path(24, 7).vertices):
+        for twin in (pickle.loads(pickle.dumps(items, protocol)), copy.copy(items), copy.deepcopy(items)):
+            assert type(twin) is ExpandedRuns and len(twin) == len(items)
+            assert twin == items and list(twin) == list(items) and twin[-1] == items[-1]
 
 
 def test_cached_properties_survive_copies_and_stay_frozen():
