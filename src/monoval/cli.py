@@ -49,7 +49,7 @@ from .exactnum import CFStream, _clipped, _quoted, cf_expand, sqrt2_stream
 from .expr import LongIntegerError, WorkBudgetError, initial_value, parse_expression
 from .resolution import _children, _row_at, resolve
 from .valring import ring_generators
-from .valtree import _base_at, _pair_path, positive_path, take_runs, walk_runs
+from .valtree import _base_at, positive_path, take_runs, walk_runs
 from .valuation import MonomialValuation
 from .verify import run_verify
 
@@ -221,7 +221,7 @@ def _cmd_path(args) -> Output:
             raise ValueError("need both a and b (or --stream)")
         nu = MonomialValuation.rational(args.a, args.b)
         # No print guard: see the module docstring.
-        path = _pair_path(args.a, args.b) if args.max_steps is None else positive_path(nu, args.max_steps)
+        path = positive_path(nu, args.a + args.b if args.max_steps is None else args.max_steps)
     if args.format == "json":
         return json_chunks(path), 0
     if args.format == "dot":

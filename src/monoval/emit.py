@@ -24,14 +24,13 @@ per item cost more than filling the item.  ``emit_json``, ``emit_dot``,
 ``format_trace_text`` and ``format_path_text`` join those chunks; there is
 no second code path.  Two sections come out in another order than the
 rows are read in, and take a second pass: DOT prints every node before
-every edge, and keeps only which children of each blow-up are resolved
-for the edges, which it writes a stretch of blow-ups with equal bits at
-a time (``_dot_edges``); ``--trace`` text prints every bad chart before
-every step, and walks the runs again for the steps.
+every edge, and writes the edges from the trace's runs (``_dot_edges``);
+``--trace`` text prints every bad chart before every step.
 
-The trace emitters (JSON, DOT, text and ``--trace`` text) share one
-kernel, ``_blow_ups``, over a trace's runs (see ``resolution``).  It
-builds no ``ResolutionStep`` and no ``Monomial``.
+Only the trace emitters that print children, JSON, the DOT nodes and the
+``--trace`` steps, read the per-blow-up kernel ``_blow_ups`` over a
+trace's runs (see ``resolution``), each once.  It builds no
+``ResolutionStep`` and no ``Monomial``.
 Inside a run every row blows up into a first child that is the next row
 and a second child that misses its origin, and every row has the run's
 first classification; so each row's integers come by addition from the
@@ -47,14 +46,20 @@ length.  Inside a run, g/f^j has exponents affine in j, so a run of
 ``_SHORT_RUN`` rows or more is named by ``laurent.run_monomial_names``
 a stretch of one printed shape at a time; a shorter run is named a row
 at a time by ``laurent.monomial_names``, as a stretch costs more to set
-up than it saves there.  Plain text prints
-only the bad charts, and names the same two new generators as the
-others: they cost no more ``str`` of an int than the bad one alone.  The
-per-blow-up JSON step and the DOT nodes are filled by f-strings, which
-fill faster than a ``%`` template: that parses its format again on every
-fill.  Monomial names and classifications hold no character that JSON
-escapes, so the JSON step quotes them as they are.  Each JSON array item
-carries its ``,\\n`` separator, which the first drops.
+up than it saves there.  The per-blow-up JSON step and the DOT nodes
+are filled by f-strings, which fill faster than a ``%`` template: that
+parses its format again on every fill.  Monomial names and
+classifications hold no character that JSON escapes, so the JSON step
+quotes them as they are.  Each JSON array item carries its ``,\\n``
+separator, which the first drops.
+
+The bad charts are the vertices of the positive path of nu(x) = a,
+nu(y) = b (``resolution.bad_vertex_path``), so plain text names them as
+the path emitters do, each with its run's first classification.  DOT's
+edges need only which children of each blow-up are resolved: inside a
+run the second; at a run's end the child the next run does not start
+at, or both when no run follows.  So neither builds anything per
+blow-up.
 
 The path emitters walk a path's runs too, and name each generator
 once.  A run's first generator is named once for the run, and not at
@@ -69,7 +74,6 @@ and the rest a vertex at a time by ``laurent.monomial_name``.  No
 from __future__ import annotations
 
 import json
-import re
 from collections.abc import Iterator
 from itertools import chain, repeat, starmap
 from fractions import Fraction
@@ -92,6 +96,7 @@ from .resolution import (
     _children,
     _kind,
     _row_at,
+    bad_vertex_path,
 )
 from .valring import RingPresentation
 from .valtree import CorrespondenceReport, PositivePath
@@ -114,6 +119,10 @@ def _row_names(fx: int, fy: int, gx: int, gy: int, n: int) -> Iterator[tuple[str
 
 def _blow_ups(trace: ResolutionTrace, number):
     """Per blow-up of a trace, read from its runs: its chart and children as printed.
+
+    The emitters that print children draw it once each: JSON, the DOT
+    nodes and the ``--trace`` steps.  Plain text and the DOT edges read
+    the runs themselves (see the module docstring).
 
     Yields the chart's fields (f, g, exc_f, exc_g, s, t), the monomials
     named and the integers as ``number`` prints them; each child's fields
@@ -471,53 +480,49 @@ def _dot_node(name: str, f: str, g: str, kind: str) -> str:
     return f'  {name} [label="k[{f}, {g}]\\n({kind})"{bold}];\n'
 
 
-def _dot_nodes(trace: ResolutionTrace, bits: bytearray) -> Iterator[str]:
-    """A trace's DOT nodes, one blow-up's children at a time; appends to ``bits`` which are resolved."""
+def _dot_nodes(trace: ResolutionTrace) -> Iterator[str]:
+    """A trace's DOT nodes, one blow-up's children at a time."""
     for i, (chart, c1, c2, _, _, _, kind, k1, k2) in enumerate(_blow_ups(trace, int)):
         if i == 0:  # a chart blown up is never resolved, so bold
             yield _dot_node("b0", chart[0], chart[1], kind)
-        bits.append((k1 == _RESOLVED) | (k2 == _RESOLVED) << 1)
-        n1, n2 = _dot_children(i, bits[i])
+        n1, n2 = _dot_children(i, (k1 == _RESOLVED) | (k2 == _RESOLVED) << 1)
         yield _dot_node(n1, c1[0], c1[1], k1) + _dot_node(n2, c2[0], c2[1], k2)
 
 
-# A stretch of blow-ups with equal bits, compiled on its first use.  Not
-# (.)\1*: a repeated backreference makes the matcher keep state for every
-# byte it repeats.
-_EQUAL_BITS = b"\x00+|\x01+|\x02+|\x03+"
+def _dot_edges(trace: ResolutionTrace) -> Iterator[str]:
+    """A trace's DOT edges, as ``_dot_children`` names them, read from its runs.
+
+    Inside a run the first child is blown up next and the second is
+    resolved (bits 2), so all but a run's last blow-up are written a
+    stretch at a time.  The last has bits 2 when the next run keeps the
+    run's f, as the first child (f, g/f) does; 1 when the next run starts
+    at the second child, whose f is g; and 3 when no run follows.
+    """
+    runs, i = trace.runs, 0
+    for (row, n), (after, _) in zip(runs, chain(runs[1:], ((None, 0),))):
+        last = i + n - 1
+        for i0 in range(i, last, _STRETCH):
+            yield from _dot_edge_stretch(i0, min(i0 + _STRETCH, last))
+        resolved = 3 if after is None else 2 if after[:2] == row[:2] else 1
+        first, second = _dot_children(last, resolved)
+        yield f"  b{last} -> {first};\n  b{last} -> {second};\n"
+        i = last + 1
 
 
-def _dot_edges(bits: bytearray) -> Iterator[list[str]]:
-    """A trace's DOT edges, as ``_dot_children`` names them, a stretch of equal ``bits`` at a time.
+def _dot_edge_stretch(i0: int, i1: int) -> list[str]:
+    """The DOT edges of blow-ups i0 to i1 - 1 inside a run: each blows up its first child next.
 
     Each number is printed once, for a blow-up i and for the next bold
     node b(i + 1).
     """
-    for stretch in re.finditer(_EQUAL_BITS, bits):
-        start, stop = stretch.span()
-        resolved = bits[start]
-        for i0 in range(start, stop, _STRETCH):
-            yield _dot_edge_stretch(i0, min(i0 + _STRETCH, stop), resolved)
-
-
-def _dot_edge_stretch(i0: int, i1: int, resolved: int) -> list[str]:
-    """The DOT edges of blow-ups i0 to i1 - 1, all of whose children are ``resolved`` as ``bits`` says."""
     numbers = list(map(str, range(i0, i1 + 1)))
-    pairs = zip(numbers, numbers[1:])
-    if resolved == 2:  # inside a run: the first child is blown up next
-        return [f"  b{i} -> b{j};\n  b{i} -> s{i}_0;\n" for i, j in pairs]
-    if resolved == 1:
-        return [f"  b{i} -> s{i}_0;\n  b{i} -> b{j};\n" for i, j in pairs]
-    if resolved == 3:
-        return [f"  b{i} -> s{i}_0;\n  b{i} -> s{i}_1;\n" for i, j in pairs]
-    return [f"  b{i} -> b{j};\n  b{i} -> b{j};\n" for i, j in pairs]
+    return [f"  b{i} -> b{j};\n  b{i} -> s{i}_0;\n" for i, j in zip(numbers, numbers[1:])]
 
 
 def _dot_trace(trace: ResolutionTrace) -> Iterator[str]:
     yield _dot_head("resolution_trace")
-    bits = bytearray()  # per blow-up, which children are resolved: all the edges need
-    yield from _blocks(_dot_nodes(trace, bits))
-    yield from _blocks(chain.from_iterable(_dot_edges(bits)))
+    yield from _blocks(_dot_nodes(trace))
+    yield from _blocks(_dot_edges(trace))
     yield "}\n"
 
 
@@ -593,13 +598,15 @@ def _step_text(i: int, chart, first, second, through1, through2, sign, kind, k1,
 def trace_text_chunks(trace: ResolutionTrace, show_steps: bool = False) -> Iterator[str]:
     """``format_trace_text(trace, show_steps)`` in pieces: each heading, then its section in blocks.
 
-    The bad charts come before the steps, so ``show_steps`` reads the
-    rows twice, and names their monomials again: memory stays bounded.
+    The bad charts are the positive path of the trace's pair
+    (``bad_vertex_path``), each row with its run's classification; only
+    the steps print children, so only ``show_steps`` reads ``_blow_ups``.
     """
     yield (f"resolution of x^{trace.b} = y^{trace.a}: {trace.blow_up_count} blow-ups\n"
            "bad charts:\n")
-    yield from _blocks(f"  {i}: k[{chart[0]}, {chart[1]}] ({kind})\n"
-                       for i, (chart, _, _, _, _, _, kind, _, _) in enumerate(_blow_ups(trace, int)))
+    kinds = chain.from_iterable(repeat(_KIND[_kind(row)], n) for row, n in trace.runs)
+    yield from _blocks(f"  {i}: k[{f}, {g}] ({kind})\n"
+                       for i, ((f, g), kind) in enumerate(zip(_path_names(bad_vertex_path(trace)), kinds)))
     if not show_steps:
         return
     yield "steps:\n"

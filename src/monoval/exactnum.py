@@ -169,6 +169,9 @@ class CFStream:
         ``preperiod`` holds at least the integer digit d0; ``period``
         repeats forever after it.
         """
+        for name, digits in (("preperiod", preperiod), ("period", period)):
+            if isinstance(digits, str):  # else read a character per digit
+                raise TypeError(f"{name} must be an iterable of integers, not str")
         pre = tuple(_integer(d, "a digit") for d in preperiod)
         per = tuple(_integer(d, "a digit") for d in period)
         if not pre:

@@ -38,6 +38,7 @@ CRITERION_7 = "tests/test_acceptance.py::test_criterion_07_lemma_invariants_swee
 CF_LIMIT = "tests/test_cli.py::test_cf_past_the_int_str_limit_fails_before_output"
 RUN_NAMES = "tests/test_laurent.py::test_a_run_is_named_as_its_monomials_with_small_slopes"
 THIN_EMIT = "tests/test_emit.py::test_a_thin_pair_is_emitted_as_the_oracles_emit_it"
+DOT_EDGES = "tests/test_emit.py::test_dot_edges_are_written_from_the_runs_as_one_blow_up_at_a_time"
 CERTIFICATE = (
     RESOLUTION + "test_the_run_certificate_agrees_with_blowing_up_every_row_up_to_10_40",
     RESOLUTION + "test_the_run_certificate_agrees_with_blowing_up_every_row_on_long_branches",
@@ -366,10 +367,38 @@ MUTANTS = (
     ),
     Mutant(
         "dot-edge-stretch-late", "emit.py",
-        "yield _dot_edge_stretch(i0, min(i0 + _STRETCH, stop), resolved)",
-        "yield _dot_edge_stretch(i0, min(i0 + _STRETCH, stop + 1), resolved)",
-        (THIN_EMIT, "tests/test_emit.py::test_dot_edges_are_written_a_stretch_of_equal_bits_at_a_time"),
-        "each stretch of equal DOT edges ends one blow-up late, repeating the next stretch's first edge",
+        "yield from _dot_edge_stretch(i0, min(i0 + _STRETCH, last))",
+        "yield from _dot_edge_stretch(i0, min(i0 + _STRETCH + 1, last))",
+        (THIN_EMIT, DOT_EDGES),
+        "each stretch of a run's DOT edges but its last ends one blow-up late, repeating the next stretch's first edge",
+    ),
+    Mutant(
+        "dot-run-interior-covers-its-last", "emit.py",
+        "min(i0 + _STRETCH, last))",
+        "min(i0 + _STRETCH, last + 1))",
+        (THIN_EMIT, DOT_EDGES),
+        "a run's interior stretch covers its last blow-up, whose edges are then written twice",
+    ),
+    Mutant(
+        "dot-next-run-reads-g", "emit.py",
+        "after[:2] == row[:2]",
+        "after[2:4] == row[2:4]",
+        (DOT_EDGES,),
+        "a run's last blow-up is never followed by its first child, so the next bold node hangs off a side node",
+    ),
+    Mutant(
+        "dot-last-run-not-resolved", "emit.py",
+        "resolved = 3 if after is None",
+        "resolved = 2 if after is None",
+        (DOT_EDGES,),
+        "the last blow-up's first child is written as a bold node b(n) that no node line names",
+    ),
+    Mutant(
+        "text-kinds-shifted-a-run", "emit.py",
+        "repeat(_KIND[_kind(row)], n) for row, n in trace.runs)",
+        "repeat(_KIND[_kind(row)], n) for (_, n), (row, _) in zip(trace.runs, trace.runs[1:] + trace.runs[:1]))",
+        (THIN_EMIT, "tests/test_emit.py::test_trace_emitters_match_the_view_oracle_up_to_10_40"),
+        "plain text gives each run's bad charts the classification of the next run",
     ),
     Mutant(
         "normal-keeps-zeros", "laurent.py",

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 
 import monoval
-from monoval import cli
+from monoval import cli, emit
 from monoval.cli import parse_stream_spec
 from monoval.emit import _BLOCK, emit_dot, emit_json, format_path_text, format_trace_text, to_jsonable
 from monoval.exactnum import sqrt2_stream
@@ -97,6 +97,27 @@ def test_resolve_json_is_never_held_whole():
         tracemalloc.stop()
     assert code == 0 and writer.length > 4_000_000
     assert peak < writer.length // 4, (peak, writer.length)
+
+
+@pytest.mark.parametrize("args, draws", [
+    (("--format", "json"), 1),
+    (("--format", "dot"), 1),
+    ((), 0),
+    (("--trace",), 1),
+])
+def test_a_resolve_draws_the_blow_up_kernel_only_to_print_children_and_once(monkeypatch, args, draws):
+    # Plain text prints the bad-vertex path; JSON, the DOT nodes and the
+    # --trace steps print children, each from one pass of ``_blow_ups``.
+    drawn = []
+    blow_ups = emit._blow_ups
+
+    def counted(trace, number):
+        drawn.append(trace)
+        return blow_ups(trace, number)
+
+    monkeypatch.setattr(emit, "_blow_ups", counted)
+    assert run_into(Writer(keep=False), "resolve", "6001", "2000", *args) == (0, "")
+    assert len(drawn) == draws
 
 
 def cli_writes(*argv) -> list[str]:

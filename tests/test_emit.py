@@ -490,20 +490,27 @@ def test_runs_on_each_side_of_the_short_run_cut_are_emitted_as_the_oracles_emit_
     assert_pair_path_matches_the_path_oracles(a, 2)
 
 
-def dot_edges_one_at_a_time(bits) -> list[str]:
+def dot_edges_one_at_a_time(trace) -> list[str]:
+    """The edges of every blow-up of ``trace.steps``, named by its children's classifications."""
     edges = []
-    for i, resolved in enumerate(bits):
+    for i, step in enumerate(trace.steps):
+        (_, kind1), (_, kind2) = step.children
+        resolved = (kind1 is Classification.RESOLVED) | (kind2 is Classification.RESOLVED) << 1
         first, second = emit._dot_children(i, resolved)
         edges.append(f"  b{i} -> {first};\n  b{i} -> {second};\n")
     return edges
 
 
-@example([(2, 2 * emit._STRETCH + 1), (3, 1)])
-@example([(0, 3), (1, 2), (2, 3), (1, 1), (3, 1)])
-@given(st.lists(st.tuples(st.integers(0, 3), st.integers(1, 40)), max_size=8))
-def test_dot_edges_are_written_a_stretch_of_equal_bits_at_a_time(stretches):
-    bits = bytearray(b"".join(bytes([resolved]) * n for resolved, n in stretches))
-    assert [edge for stretch in emit._dot_edges(bits) for edge in stretch] == dot_edges_one_at_a_time(bits)
+@example((377, 233))  # every run one blow-up long
+@example(THIN_PAIR)  # a run past _STRETCH
+@example((2 * emit._SHORT_RUN - 1, 2))  # (a, 2): a run of (a - 3) / 2 on each side of _SHORT_RUN
+@example((2 * emit._SHORT_RUN + 1, 2))
+@example((2 * emit._SHORT_RUN + 3, 2))
+@settings(max_examples=60, deadline=None)
+@given(coprime_pairs(10**6))
+def test_dot_edges_are_written_from_the_runs_as_one_blow_up_at_a_time(pair):
+    trace = resolve(*pair)
+    assert list(emit._dot_edges(trace)) == dot_edges_one_at_a_time(trace)
 
 
 @given(st.integers(-(10**400), 10**400), st.integers(-(10**400), 10**400))

@@ -224,6 +224,18 @@ def test_an_expansion_refuses_a_string_of_digits(digits):
     assert str(info.value) == "digits must be an iterable of integers, not str"
 
 
+@pytest.mark.parametrize("preperiod, period, name", [
+    ("12", (3,), "preperiod"),
+    ((1, 2), "3", "period"),
+    ("12", "3", "preperiod"),
+    ("", (3,), "preperiod"),
+])
+def test_a_periodic_stream_refuses_a_string_of_digits(preperiod, period, name):
+    with pytest.raises(TypeError) as info:
+        CFStream.from_periodic(preperiod, period)
+    assert str(info.value) == f"{name} must be an iterable of integers, not str"
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     st.integers(-10**20, 10**20),
