@@ -58,38 +58,24 @@ class UsageError(Exception):
     pass
 
 
-# The message argparse gives for an argument to a flag that takes none; compiled on its first use.
-_IGNORED_ARGUMENT = r"argument \S+: ignored explicit argument "
-_AMBIGUOUS = "ambiguous option: "
-
-
 class _Parser(argparse.ArgumentParser):
     # argparse exits with code 2 on bad usage; this CLI reserves 2 for
     # verification failures, so route usage errors through an exception.
-    # argparse also quotes whole an argument given to a flag, and an option
-    # that abbreviates several; these reach only here, and are clipped here.
     def error(self, message):
-        explicit = re.match(_IGNORED_ARGUMENT, message)
-        if explicit:
-            message = explicit.group() + _clipped(message[explicit.end():])
-        elif message.startswith(_AMBIGUOUS):  # then the option, " could match " and this parser's options
-            option, sep, matches = message[len(_AMBIGUOUS):].rpartition(" could match ")
-            message = f"{_AMBIGUOUS}{_clipped(option)}{sep}{matches}"
         raise UsageError(message)
 
-    # argparse quotes an invalid choice and lists unrecognized arguments
-    # whole; these quote at most 64 characters, as the CLI's own refusals do.
-    def _check_value(self, action, value):
-        try:
-            super()._check_value(action, value)
-        except argparse.ArgumentError as exc:
-            message = exc.message.replace(repr(value), _quoted(value), 1)
-            raise argparse.ArgumentError(action, message) from None
-
+    # argparse quotes an argument whole in some refusals, such as an invalid
+    # choice or an argument given to a flag, and lists unrecognized arguments
+    # whole; every refusal is clipped here, as the CLI's own refusals are
+    # (see ``_clip_argv``).  A subcommand's parser raises through this one.
     def parse_args(self, args=None, namespace=None):
-        args, extra = self.parse_known_args(args, namespace)
-        if extra:
-            self.error(f"unrecognized arguments: {_clipped(' '.join(extra))}")
+        argv = sys.argv[1:] if args is None else list(args)
+        try:
+            args, extra = self.parse_known_args(argv, namespace)
+            if extra:  # many short arguments make a long line too
+                self.error(f"unrecognized arguments: {_clipped(' '.join(extra))}")
+        except UsageError as exc:
+            raise UsageError(_clip_argv(str(exc), argv)) from None
         return args
 
     # argparse knows '-7' and '-1.5' as negative numbers but reads any
@@ -102,6 +88,20 @@ class _Parser(argparse.ArgumentParser):
                 and arg_string.split("=", 1)[0] not in self._option_string_actions):
             return None
         return super()._parse_optional(arg_string)
+
+
+def _clip_argv(message: str, argv) -> str:
+    """``message``, each argv string longer than 64 characters in it clipped, and such an option's value after '='.
+
+    One quoted with ``repr`` becomes ``_quoted(text)``, and one held bare
+    ``_clipped(text)``.  The longest go first, so that an option and its
+    value clip to the option's start.  A caller's argv may hold other
+    values than strings after '--'; those are left alone.
+    """
+    long = {text for arg in argv if isinstance(arg, str) for text in (arg, arg.partition("=")[2]) if len(text) > 64}
+    for text in sorted(long, key=len, reverse=True):
+        message = message.replace(repr(text), _quoted(text)).replace(text, _clipped(text))
+    return message
 
 
 def parse_stream_spec(spec: str) -> CFStream:

@@ -91,7 +91,7 @@ class CFExpansion:
             raise ValueError("expansion needs at least one digit")
         for i, d in enumerate(digits):
             if i >= 1 and d < 1:
-                raise ValueError(f"digit {i} is {d}; digits past the first must be >= 1")
+                raise ValueError(f"digit {i} is {_quoted(d)}; digits past the first must be >= 1")
         _set_digits(self, digits)
 
     __setattr__ = __delattr__ = _frozen
@@ -197,7 +197,7 @@ class CFStream:
             return pre[i] if i < cut else per[(i - cut) % period]
         d = _integer(self._source(i), "a stream digit")
         if i >= 1 and d < 1:
-            raise ValueError(f"stream produced digit {d} at index {i}; must be >= 1")
+            raise ValueError(f"stream produced digit {_quoted(d)} at index {_quoted(i)}; must be >= 1")
         return d
 
     def __str__(self) -> str:
@@ -215,7 +215,11 @@ def sqrt2_stream() -> CFStream:
 
 
 def _integer(x, what: str) -> int:
-    """``int(x)`` for a string or an integral value; for any other x, a ValueError naming ``what``."""
+    """``int(x)`` for a string or an integral value; for any other x, a ValueError naming ``what``.
+
+    A bool is an integral value, as ``operator.index`` reads it: True is 1
+    and False is 0.
+    """
     try:
         n = int(x)
     except OverflowError:  # an infinite float
@@ -226,8 +230,15 @@ def _integer(x, what: str) -> int:
 
 
 def _quoted(x) -> str:
-    """``repr(x)``, clipped by ``_clipped``: a message quoting x stays short."""
-    return _clipped(repr(x))
+    """``repr(x)``, clipped by ``_clipped``: a message quoting x stays short.
+
+    Where ``repr`` refuses with a ValueError, as it refuses an int longer
+    than the interpreter prints, this says so in a few words instead.
+    """
+    try:
+        return _clipped(repr(x))
+    except ValueError:
+        return f"<{type(x).__name__} too long to print>"
 
 
 def _clipped(text: str) -> str:
@@ -238,7 +249,7 @@ def _clipped(text: str) -> str:
 def _require_coprime(a: int, b: int) -> None:
     """ValueError unless gcd(a, b) = 1."""
     if gcd(a, b) != 1:
-        raise ValueError(f"({a}, {b}) are not coprime")
+        raise ValueError(f"({_quoted(a)}, {_quoted(b)}) are not coprime")
 
 
 # Miller-Rabin on the first 13 primes decides primality exactly below this
@@ -365,7 +376,7 @@ def cf_convergents(cf: Union[CFExpansion, CFStream], count: int) -> tuple[Fracti
     if isinstance(cf, CFExpansion):
         if count > len(cf.digits):
             raise ValueError(
-                f"asked for {count} convergents but only {len(cf.digits)} digits exist"
+                f"asked for {_quoted(count)} convergents but only {len(cf.digits)} digits exist"
             )
         digits = cf.digits
     elif isinstance(cf, CFStream):

@@ -19,7 +19,7 @@ import sys
 from itertools import islice
 from typing import NamedTuple, Optional
 
-from .exactnum import _coprime_pair, _integer, _record, _require_coprime
+from .exactnum import _coprime_pair, _integer, _quoted, _record, _require_coprime
 from .laurent import (
     ChartBasis,
     Monomial,
@@ -55,7 +55,7 @@ class RingPresentation(_Presentation):
     def __new__(cls, u: Monomial, v: Monomial, p: int, q: int, a: int, b: int):
         _require_coprime(a, b)
         if p * a - q * b != 1:
-            raise ValueError(f"p*a - q*b = {p * a - q * b}, expected 1")
+            raise ValueError(f"p*a - q*b = {_quoted(p * a - q * b)}, expected 1")
         if u != Monomial(-b, a) or v != Monomial(p, -q):
             raise ValueError("generators do not match the exponent data")
         # det(u, v) = q*b - p*a = -1, so (u, v) is automatically unimodular

@@ -36,6 +36,8 @@ CLI = "tests/test_cli.py::"
 EMIT = "tests/test_emit.py::"
 CRITERION_7 = "tests/test_acceptance.py::test_criterion_07_lemma_invariants_sweep_200"
 CF_LIMIT = "tests/test_cli.py::test_cf_past_the_int_str_limit_fails_before_output"
+ARGV_CLIP = CLI + "test_refusals_that_quote_the_input_are_one_short_line"
+ANY_WORDING = CLI + "test_a_refusal_of_any_wording_clips_the_argv_strings_it_holds"
 RUN_NAMES = "tests/test_laurent.py::test_a_run_is_named_as_its_monomials_with_small_slopes"
 THIN_EMIT = "tests/test_emit.py::test_a_thin_pair_is_emitted_as_the_oracles_emit_it"
 DOT_EDGES = "tests/test_emit.py::test_dot_edges_are_written_from_the_runs_as_one_blow_up_at_a_time"
@@ -301,6 +303,27 @@ MUTANTS = (
         "if False:",
         (CF_LIMIT,),
         "0e99999999 is refused for a long digit instead of read as 0",
+    ),
+    Mutant(
+        "argv-clip-keeps-the-quotes", "cli.py",
+        "message.replace(repr(text), _quoted(text)).replace(",
+        "message.replace(",
+        (ARGV_CLIP, ANY_WORDING),
+        "an argument quoted with repr is clipped inside its quotes, keeping the closing one",
+    ),
+    Mutant(
+        "argv-clip-skips-the-value", "cli.py",
+        "for text in (arg, arg.partition(\"=\")[2])",
+        "for text in (arg,)",
+        (ARGV_CLIP, ANY_WORDING),
+        "an option's long value after '=' is quoted whole, as in --trace=<300 characters>",
+    ),
+    Mutant(
+        "argv-clip-shortest-first", "cli.py",
+        "sorted(long, key=len, reverse=True)",
+        "sorted(long, key=len)",
+        (ARGV_CLIP, ANY_WORDING),
+        "an option's value is clipped before the option, which is then left at 64 characters of its value",
     ),
     Mutant(
         "path-names-reuse-g-by-x", "emit.py",

@@ -704,6 +704,11 @@ def test_refusals_that_quote_the_input_are_one_short_line(capsys):
         (("cf", "1/" + "0" * 4000), f"error: cannot read '1/{'0' * 61}...: the denominator is zero"),
         (("member", "x " + "1" * 4000, "--a", "1", "--b", "2"),
          f"error: unexpected '{'1' * 63}... (at position 2)"),
+        # two integers of 4,000 digits that share a factor
+        (("resolve", "6" + "0" * 3999, "4" + "0" * 3999),
+         f"error: ({'6' + '0' * 63}..., {'4' + '0' * 63}...) are not coprime"),
+        (("ringgens", "6" + "0" * 3999, "4" + "0" * 3999),
+         f"error: ({'6' + '0' * 63}..., {'4' + '0' * 63}...) are not coprime"),
     )
     for argv, message in cases:
         code, out, err = run(capsys, *argv)
@@ -744,6 +749,24 @@ def test_refusals_that_quote_the_input_are_one_short_line(capsys):
     assert run(capsys, "frob")[2].startswith("usage error: argument command: invalid choice: 'frob' (")
     assert run(capsys, "resolve", "7", "2.5")[2] == "usage error: argument b: invalid int value: '2.5'\n"
     assert run(capsys, "cf", "2/0")[2] == "error: cannot read '2/0': the denominator is zero\n"
+
+
+def test_a_refusal_of_any_wording_clips_the_argv_strings_it_holds(capsys, monkeypatch):
+    # A message form no argparse gives today, quoting one long argument and an option's long value
+    # with repr and holding them bare too: the rule reads the argv, not the wording.
+    def parse_known_args(self, args=None, namespace=None):
+        option, long = args[-2:]
+        self.error(f"argument {option[:5]}: new {option.partition('=')[2]!r} and {long!r}; bare {option} {long}")
+
+    monkeypatch.setattr(cli._Parser, "parse_known_args", parse_known_args)
+    code, out, err = run(capsys, "resolve", "--zap=" + "y" * 300, "z " * 100)
+    assert (code, out) == (1, "")
+    assert err == (f"usage error: argument --zap: new '{'y' * 63}... and '{('z ' * 32)[:63]}...;"
+                   f" bare --zap={'y' * 58}... {'z ' * 32}...\n")
+    # strings of at most 64 characters are left whole, each in the form the message gave it
+    code, out, err = run(capsys, "resolve", "--zap=" + "y" * 58, "z" * 64)
+    assert err == (f"usage error: argument --zap: new '{'y' * 58}' and '{'z' * 64}';"
+                   f" bare --zap={'y' * 58} {'z' * 64}\n")
 
 
 def test_member_reads_decimal_digits_only(capsys):

@@ -10,6 +10,7 @@ from monoval.exactnum import (
     CFStream,
     GREATER,
     LESS,
+    _integer,
     _is_prime,
     cf_alternate,
     cf_canonicalize,
@@ -22,7 +23,7 @@ from monoval.exactnum import (
 
 from monoval.laurent import Monomial
 from monoval.resolution import check_theorem, resolve
-from monoval.valring import bezout, membership_union, ring_generators
+from monoval.valring import RingPresentation, bezout, membership_union, ring_generators
 from monoval.valtree import positive_path, take_path, take_runs, walk, walk_runs
 from monoval.valuation import MonomialValuation
 from monoval.verify import run_verify
@@ -354,6 +355,44 @@ def test_an_integer_argument_with_a_fractional_part_is_refused(call, message):
     with pytest.raises(ValueError) as info:
         call()
     assert str(info.value) == message
+
+
+_HUGE = 10**5000  # past the interpreter's default limit of 4,300 digits for printing an int
+
+
+# Each entry point that quotes an input integer in its refusal, given one too long to print.
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: resolve(6 * _HUGE, 4 * _HUGE),
+         "(<int too long to print>, <int too long to print>) are not coprime"),
+        (lambda: ring_generators(6 * _HUGE, 4 * _HUGE),
+         "(<int too long to print>, <int too long to print>) are not coprime"),
+        (lambda: _integer(Fraction(_HUGE + 1, 2), "a"), "a must be an integer, not <Fraction too long to print>"),
+        (lambda: resolve(Fraction(_HUGE + 1, 2), 3), "a must be an integer, not <Fraction too long to print>"),
+        (lambda: CFExpansion((1, -_HUGE)),
+         "digit 1 is <int too long to print>; digits past the first must be >= 1"),
+        (lambda: CFStream(lambda i: -_HUGE).digit(1),
+         "stream produced digit <int too long to print> at index 1; must be >= 1"),
+        (lambda: cf_convergents(cf_expand(Fraction(7, 3)), _HUGE),
+         "asked for <int too long to print> convergents but only 2 digits exist"),
+        (lambda: RingPresentation(Monomial(-2, 3), Monomial(1, -1), _HUGE, 0, 3, 2),
+         "p*a - q*b = <int too long to print>, expected 1"),
+    ],
+)
+def test_a_refusal_quoting_an_integer_too_long_to_print_is_its_own(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
+
+
+def test_a_bool_is_an_integer():
+    assert _integer(True, "a") == 1 and type(_integer(True, "a")) is int
+    assert _integer(False, "a") == 0
+    # x/y first lies in the ring of vertex 1, which a budget of True (one vertex) does not reach
+    assert membership_union(Monomial(1, -1), _NU, True) is None
+    assert membership_union(Monomial(1, -1), _NU, 2) == 1
+    assert membership_union(Monomial(0, 1), _NU, True) == 0
 
 
 def test_an_integer_argument_may_be_any_integral_value_or_a_string():
