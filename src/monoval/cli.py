@@ -508,7 +508,7 @@ def main(argv=None) -> int:
             try:
                 _write_file(args.out, chunks)
             except OSError as exc:
-                print(f"error: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
+                print(f"error: cannot write {_clipped(args.out)}: {exc.strerror or exc}", file=sys.stderr)
                 return 1
         else:
             write = sys.stdout.write

@@ -18,35 +18,44 @@ a ``LongIntegerError``.
 nu(y) = b without expanding f.  It carries each node's initial form, the
 terms of least weight a*i + b*j of a numerator over those of a
 denominator, with its weight: in(fg) = in(f) in(g), in(f/g) = in(f)/in(g),
-in(f^n) = in(f)^n, and a sum takes the operand of lower weight.  At equal
-weights it adds the two initial forms.  When they cancel, that sum alone
-is computed exactly, by ``lower``'s arithmetic, and its initial form is
-read off the exact value.  Along a chain the exact value of the prefix is
-kept, so each operand is lowered at most once however often the chain
-cancels.  Zero stays exact: a node is zero exactly when ``lower`` makes
-it zero, and both raise the same errors at the same positions.
+in(f^n) = in(f)^n, and a sum takes the operand of lower weight.  Weights
+and zeros are found at once, but a form is kept pending, as the steps
+that would build it, until a sum of equal weights or the answer reads
+it; so the form of the operand a sum drops is never built.  At equal
+weights the sum builds and adds the two initial forms.  When they cancel,
+that sum alone is computed exactly, by ``lower``'s arithmetic, and its
+initial form is read off the exact value.  Along a chain the exact value
+of the prefix is kept, so each operand is lowered at most once however
+often the chain cancels.  Zero stays exact: a node is zero exactly when
+``lower`` makes it zero, and both raise the same errors at the same
+positions.
 
 ``initial_value`` charges every product, quotient, sum and power of
-initial forms against a budget of ``WORK_BUDGET`` units before it is
-made, and those of its exact fallback against a second budget of the
-same size, so the fallback's exact work is not counted twice.  A unit is
-one product of two terms whose coefficients fit in ``BLOCK_BITS`` bits;
-a term product of longer coefficients counts the product of their
-numbers of started blocks.  A power p^n is charged up front for every
-product ``LaurentPolynomial.__pow__`` makes, from bounds on each p^k: at
-most (k*rx + 1)(k*ry + 1) terms for p's exponent ranges rx and ry, and
-at most C(k + t - 1, t - 1) for p's t terms; coefficients at most the
-k-th power of the sum of p's, over their common denominator.  A call
-that would pass a budget raises ``WorkBudgetError``; it never returns a
+initial forms that it builds against a budget of ``WORK_BUDGET`` units
+before it is made, and those of its exact fallback against a second
+budget of the same size, so the fallback's exact work is not counted
+twice.  A form that is never built is never charged, so an operand that
+a sum drops cannot exhaust the budget.  A unit is one product of two
+terms whose coefficients fit in ``BLOCK_BITS`` bits; a term product of
+longer coefficients counts the product of their numbers of started
+blocks.  A power p^n is charged up front for every product
+``LaurentPolynomial.__pow__`` makes, from bounds on each p^k: at most
+(k*rx + 1)(k*ry + 1) terms for p's exponent ranges rx and ry, and at
+most C(k + t - 1, t - 1) for p's t terms; coefficients at most the k-th
+power of the sum of p's, over their common denominator.  A call that
+would pass a budget raises ``WorkBudgetError``; it never returns a
 truncated value.  The budget admits (x + y)^700 - (x + y)^700 + x with
 a = b = 1 (about 590,000 units in each budget) and refuses the exact
-(x + y)^20000 before any work.  ``lower`` has no budget.
+(x + y)^20000 before any work.  With a = b = 1 it also refuses
+(x + y)^20000 alone, but admits x + (x + y)^20000, which drops that
+power unbuilt.  ``lower`` has no budget.
 
 Parentheses and unary minus signs may nest at most ``MAX_NESTING`` deep;
 a deeper expression is an ``ExpressionError``.  The parser, ``lower``
-and ``initial_value`` recurse only along that nesting (a long chain such
-as ``x + x + ... + x`` is walked in a loop), so the limit keeps them far
-from the interpreter's recursion limit.
+and ``initial_value``, building a pending form too, recurse only along
+that nesting (a long chain such as ``x + x + ... + x`` is walked in a
+loop), so the limit keeps them far from the interpreter's recursion
+limit.
 """
 
 from __future__ import annotations
@@ -54,6 +63,7 @@ from __future__ import annotations
 import math
 import sys
 from fractions import Fraction
+from itertools import islice
 from typing import NamedTuple, Optional, Union
 
 from .exactnum import _quoted, _record
@@ -415,8 +425,13 @@ def parse_rational_function(text: str) -> RationalFunction:
     return lower(parse_expression(text))
 
 
-# An initial form and its weight, or None for zero.
-_Initial = Optional[tuple[RationalFunction, int]]
+# An initial form and its weight, or None for zero.  The form is pending:
+# a list whose head is a form, or the Literal or Variable that makes one,
+# followed by the steps that build the form from it, in order.  A step is
+# (op, right) for a Product or Quotient op by the pending form right, or
+# (op, None) for a Negation or Power op.
+_Initial = Optional[tuple[list, int]]
+_ONE = Literal(Fraction(1))  # makes the form of any base to the power 0
 
 
 def initial_value(node: Node, a: int, b: int) -> Optional[Value]:
@@ -430,18 +445,20 @@ def initial_value(node: Node, a: int, b: int) -> Optional[Value]:
     """
     if a <= 0 or b <= 0:
         raise ValueError("nu(x) and nu(y) must both be positive")
-    initial = _initial(node, a, b, _Work(), _Work())
+    work = _Work()
+    initial = _initial(node, a, b, work, _Work())
     if initial is None:
         return None
-    form = initial[0]
+    form = _force(initial[0], work)
     (top, _), (bottom, _) = form.numerator.terms()[0], form.denominator.terms()[0]
     return Value(top.ex - bottom.ex, top.ey - bottom.ey)
 
 
 def _initial(node: Node, a: int, b: int, work: _Work, exact_work: _Work) -> _Initial:
-    """The initial form of ``lower(node)`` for the weights a, b, and its weight.
+    """The pending initial form of ``lower(node)`` for the weights a, b, and its weight.
 
-    The initial forms are charged to ``work``, the exact fallback to ``exact_work``.
+    The forms a sum of equal weights builds are charged to ``work``, the
+    exact fallback to ``exact_work``.
     """
     spine = []
     while isinstance(node, (Sum, Product, Quotient)):
@@ -450,22 +467,22 @@ def _initial(node: Node, a: int, b: int, work: _Work, exact_work: _Work) -> _Ini
     spine.reverse()
     leaf = node
     if isinstance(node, Literal):
-        value = (RationalFunction.constant(node.value), 0) if node.value else None
+        value = ([node], 0) if node.value else None
     elif isinstance(node, Variable):
-        is_x = node.name == "x"
-        value = (RationalFunction.from_monomial(X if is_x else Y), a if is_x else b)
+        value = ([node], a if node.name == "x" else b)
     elif isinstance(node, Negation):
         value = _initial(node.operand, a, b, work, exact_work)
         if value is not None:
-            value = (-value[0], value[1])
+            value[0].append((node, None))
     elif isinstance(node, Power):
         value = _initial(node.base, a, b, work, exact_work)
-        if value is not None:
-            value = (_power(value[0], node.exponent, node.position, work), value[1] * node.exponent)
+        if node.exponent == 0:
+            value = ([_ONE], 0)
+        elif value is not None:
+            value[0].append((node, None))
+            value = (value[0], value[1] * node.exponent)
         elif node.exponent < 0:
             raise ExpressionError("negative power of zero", node.position)
-        elif node.exponent == 0:
-            value = (RationalFunction.constant(1), 0)
     else:
         raise TypeError(f"unknown node {type(node).__name__}")
     exact, done = None, 0  # once a sum cancels: the leaf and the first `done` operations, exactly
@@ -479,17 +496,13 @@ def _initial(node: Node, a: int, b: int, work: _Work, exact_work: _Work) -> _Ini
         elif value is None:
             if isinstance(op, Sum):
                 value = right
-        elif isinstance(op, Sum) and value[1] != right[1]:
-            value = value if value[1] < right[1] else right
-        else:
-            form = _apply(op, value[0], right[0], work)
-            if isinstance(op, Sum):
-                weight = value[1]
-            elif isinstance(op, Product):
-                weight = value[1] + right[1]
-            else:
-                weight = value[1] - right[1]
-            value = (form, weight)
+        elif not isinstance(op, Sum):
+            value[0].append((op, right[0]))
+            value = (value[0], value[1] + right[1] if isinstance(op, Product) else value[1] - right[1])
+        elif value[1] > right[1]:
+            value = right
+        elif value[1] == right[1]:
+            form = _apply(op, _force(value[0], work), _force(right[0], work), work)
             if form.is_zero:  # two initial forms of one weight cancel: this sum, exactly
                 if exact is None:
                     exact = _lower(leaf, exact_work)
@@ -497,7 +510,31 @@ def _initial(node: Node, a: int, b: int, work: _Work, exact_work: _Work) -> _Ini
                     exact = _apply(prior, exact, _lower(prior.right, exact_work), exact_work)
                 done = k + 1
                 value = _initial_of(exact, a, b)
+            else:
+                value = ([form], value[1])
     return value
+
+
+def _force(pending: list, work: _Work) -> RationalFunction:
+    """Build a pending form, charging ``work`` for each product, quotient and power.
+
+    The steps are applied in a loop.  Only the right operand of a product
+    or quotient is forced by recursion, and its steps reach deeper only
+    inside parentheses and unary minus signs.
+    """
+    form = pending[0]
+    if isinstance(form, Literal):
+        form = RationalFunction.constant(form.value)
+    elif isinstance(form, Variable):
+        form = RationalFunction.from_monomial(X if form.name == "x" else Y)
+    for op, right in islice(pending, 1, None):
+        if right is not None:
+            form = _apply(op, form, _force(right, work), work)
+        elif isinstance(op, Power):
+            form = _power(form, op.exponent, op.position, work)
+        else:
+            form = -form
+    return form
 
 
 def _initial_of(value: RationalFunction, a: int, b: int) -> _Initial:
@@ -506,7 +543,7 @@ def _initial_of(value: RationalFunction, a: int, b: int) -> _Initial:
         return None
     num, top = _lowest_terms(value.numerator, a, b)
     den, bottom = _lowest_terms(value.denominator, a, b)
-    return RationalFunction(num, den), top - bottom
+    return [RationalFunction(num, den)], top - bottom
 
 
 def _lowest_terms(p: LaurentPolynomial, a: int, b: int) -> tuple[LaurentPolynomial, int]:

@@ -41,6 +41,8 @@ ANY_WORDING = CLI + "test_a_refusal_of_any_wording_clips_the_argv_strings_it_hol
 RUN_NAMES = "tests/test_laurent.py::test_a_run_is_named_as_its_monomials_with_small_slopes"
 THIN_EMIT = "tests/test_emit.py::test_a_thin_pair_is_emitted_as_the_oracles_emit_it"
 DOT_EDGES = "tests/test_emit.py::test_dot_edges_are_written_from_the_runs_as_one_blow_up_at_a_time"
+INITIAL_FORMS = "tests/test_expr.py::test_initial_forms_explicit_cases"
+HEAVIER_OPERAND = "tests/test_expr.py::test_a_sum_never_builds_or_charges_its_heavier_operand"
 CERTIFICATE = (
     RESOLUTION + "test_the_run_certificate_agrees_with_blowing_up_every_row_up_to_10_40",
     RESOLUTION + "test_the_run_certificate_agrees_with_blowing_up_every_row_on_long_branches",
@@ -422,6 +424,27 @@ MUTANTS = (
         "repeat(_KIND[_kind(row)], n) for (_, n), (row, _) in zip(trace.runs, trace.runs[1:] + trace.runs[:1]))",
         (THIN_EMIT, "tests/test_emit.py::test_trace_emitters_match_the_view_oracle_up_to_10_40"),
         "plain text gives each run's bad charts the classification of the next run",
+    ),
+    Mutant(
+        "sum-keeps-the-heavier", "expr.py",
+        "elif value[1] > right[1]:",
+        "elif value[1] < right[1]:",
+        (INITIAL_FORMS, HEAVIER_OPERAND),
+        "a sum of two weights keeps the initial form of the heavier operand",
+    ),
+    Mutant(
+        "product-weight-subtracts", "expr.py",
+        "value[1] + right[1] if isinstance(op, Product)",
+        "value[1] - right[1] if isinstance(op, Product)",
+        (INITIAL_FORMS,),
+        "the weight of a product is its left operand's less its right operand's",
+    ),
+    Mutant(
+        "equal-weights-unforced", "expr.py",
+        "elif value[1] == right[1]:",
+        "elif False:",
+        (INITIAL_FORMS,),
+        "a sum of equal weights keeps its left operand's form unbuilt, so a cancellation is missed",
     ),
     Mutant(
         "normal-keeps-zeros", "laurent.py",

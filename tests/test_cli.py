@@ -12,7 +12,7 @@ import pytest
 
 from monoval import cli
 from monoval.emit import to_jsonable
-from monoval.exactnum import CFStream, cf_expand, sqrt2_stream
+from monoval.exactnum import CFStream, _clipped, cf_expand, sqrt2_stream
 from monoval.resolution import ThroughOrigin, resolve
 from monoval.valtree import positive_path
 from monoval.valuation import MonomialValuation
@@ -163,6 +163,18 @@ def test_member_refuses_work_past_its_budget(capsys):
     assert code == 0 and out.endswith("(value 40000)\n")
 
 
+def test_member_charges_nothing_for_the_operand_a_sum_drops(capsys):
+    # With a = b = 1 the initial form of (x+y)^20000 is the whole power,
+    # past the budget; as the heavier operand of a sum it is never built.
+    code, out, err = run(capsys, "member", "(x+y)^20000*3^3000000", "--a", "1", "--b", "1")
+    assert (code, out) == (1, "") and err.startswith(
+        "error: the power would take the evaluation past its work budget")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "member", "x + (x+y)^20000*3^3000000", "--a", "1", "--b", "1")
+    assert (code, err) == (0, "") and out.endswith("(value 1)\n")
+    assert time.perf_counter() - start < 0.5
+
+
 def test_resolve(capsys):
     code, out, _ = run(capsys, "resolve", "3", "2")
     assert code == 0 and "3 blow-ups" in out
@@ -239,7 +251,7 @@ def test_out_unwritable_path(capsys, tmp_path):
     for target in (tmp_path / "missing" / "f.json", tmp_path):
         code, out, err = run(capsys, "cf", "24/7", "--out", str(target))
         assert code == 1 and out == ""
-        assert err.startswith(f"error: cannot write {target}: ")
+        assert err.startswith(f"error: cannot write {_clipped(str(target))}: ")
         assert err.count("\n") == 1 and "Traceback" not in err
 
 
@@ -709,6 +721,8 @@ def test_refusals_that_quote_the_input_are_one_short_line(capsys):
          f"error: ({'6' + '0' * 63}..., {'4' + '0' * 63}...) are not coprime"),
         (("ringgens", "6" + "0" * 3999, "4" + "0" * 3999),
          f"error: ({'6' + '0' * 63}..., {'4' + '0' * 63}...) are not coprime"),
+        (("cf", "1/2", "--out", "/nonexistent/" + "x" * 300),
+         f"error: cannot write /nonexistent/{'x' * 51}...: No such file or directory"),
     )
     for argv, message in cases:
         code, out, err = run(capsys, *argv)

@@ -16,6 +16,7 @@ from monoval.expr import (
     Sum,
     Variable,
     WorkBudgetError,
+    _Work,
     _power_units,
     _size,
     initial_value,
@@ -330,12 +331,16 @@ def test_the_exact_fallback_has_a_budget_of_its_own():
 
 @contextmanager
 def counting_products():
-    """Sum ``_size(p) * _size(q)`` over the products p * q made inside, in ``units[0]``."""
-    units = [0]
+    """Sum ``_size(p) * _size(q)`` over the products p * q made inside, in ``units[0]``.
+
+    ``units[1]`` counts those products.
+    """
+    units = [0, 0]
     multiply = LaurentPolynomial.__mul__
 
     def counted(p, q):
         units[0] += _size(p) * _size(q)
+        units[1] += 1
         return multiply(p, q)
 
     with pytest.MonkeyPatch.context() as patch:
@@ -374,6 +379,67 @@ def test_power_units_bound_the_units_that_pow_uses(terms, n):
     with counting_products() as units:
         p ** n
     assert units[0] <= bound
+
+
+@contextmanager
+def counting_charges():
+    """Sum the units charged to any ``_Work`` inside, in ``units[0]``."""
+    units = [0]
+    charge = _Work.charge
+
+    def counted(work, n, what, position):
+        units[0] += n
+        return charge(work, n, what, position)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_Work, "charge", counted)
+        yield units
+
+
+# A form that would pass the budget if it were built, with no sum in it:
+# at a = b the sum x + y is built at once, since its two weights tie.
+HEAVY = "3^3000000*(x*y)^20000"
+
+
+@settings(max_examples=200, deadline=None)
+@given(EXPRESSIONS, WEIGHTS, WEIGHTS)
+def test_a_sum_never_builds_or_charges_its_heavier_operand(text, a, b):
+    def charged(text):
+        with counting_charges() as units:
+            result = outcome(initial_value, parse_expression(text), a, b)
+        return result, units[0]
+
+    alone = charged(text)
+    value = alone[0]
+    assume(value is not None)
+    assume(not isinstance(value, Value) or value.m * a + value.n * b < 20000 * (a + b))
+    assert charged(f"{text} + {HEAVY}") == alone, text
+
+
+def test_only_the_initial_forms_the_value_reads_are_multiplied_out():
+    # The initial form of each 9-term polynomial is its constant term, so
+    # the other 16 terms are never built: c1^4 is three products for the
+    # numerator and three for the denominator 1, and the quotient two.
+    p1 = "3 - 2*x + 5*y + x^2*y - 7*x*y^2 + 4*x^3 - y^3 + 2*x^4 + 9*y^4"
+    p2 = "-2 + x - 3*y^2 + 6*x*y + 8*x^2 - x^3*y + 5*x*y^3 - x^4 + y^4"
+    node = parse_expression(f"({p1})^4/({p2})")
+    with counting_products() as units:
+        assert initial_value(node, 3, 2) == Value(0, 0)
+    assert units[1] == 8
+
+
+def test_long_chains_and_deep_nests_take_initial_values_without_deep_recursion():
+    n = 3000
+    assert initial_value(parse_expression("*".join(["x"] * n)), 3, 2) == Value(n, 0)
+    assert initial_value(parse_expression("+".join(["x*y"] * n)), 3, 2) == Value(1, 1)
+    inverted = "x"
+    for _ in range(MAX_NESTING // 2):  # a unary minus and a parenthesis a level
+        inverted = f"-({inverted})^-1"
+    assert initial_value(parse_expression(inverted), 3, 2) == Value(1, 0)
+    nested = "y"
+    for _ in range(MAX_NESTING):
+        nested = f"x^2*({nested})^1"
+    assert initial_value(parse_expression(nested), 3, 2) == Value(2 * MAX_NESTING, 1)
 
 
 def test_lower_has_no_budget():
