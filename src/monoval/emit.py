@@ -35,19 +35,32 @@ Inside a run every row blows up into a first child that is the next row
 and a second child that misses its origin, and every row has the run's
 first classification; so each row's integers come by addition from the
 last, and only the run's last row is read with ``resolution._children``
-and ``_kind``, the rules ``resolve`` runs.  The chart blown up next is a
-child of the last, so each blow-up brings only two new monomials, g/f
-and f/g, and two new numbers, the children's multiplicity and |s - t|;
-the kernel prints those and carries every other name and number down
-the bad-chart path.  f/g is the inverse of g/f, and both are named
-from one printing of each exponent: exponents of a wide pair run to
-hundreds of digits, and ``str`` of an int takes time quadratic in its
-length.  Inside a run, g/f^j has exponents affine in j, so a run of
-``_SHORT_RUN`` rows or more is named by ``laurent.run_monomial_names``
-a stretch of one printed shape at a time; a shorter run is named a row
-at a time by ``laurent.monomial_names``, as a stretch costs more to set
-up than it saves there.  The per-blow-up JSON step and the DOT nodes
-are filled by f-strings, which fill faster than a ``%`` template: that
+and ``_kind``, the rules ``resolve`` runs.  The kernel yields the other
+rows of a run in stretches of at most ``_STRETCH`` rows, as columns.
+The run's constants, f, exc_g, t, the sign and the classification, are
+printed once, and each row brings only two new monomials, g/f and f/g,
+and two new numbers, the children's multiplicity e and |s - t|; a row's
+own g, exc_f and s are the row before's g/f, e and |s - t|.  f/g is the
+inverse of g/f, and both are named from one printing of each exponent:
+exponents of a wide pair run to hundreds of digits, and ``str`` of an
+int takes time quadratic in its length.  Inside a run, g/f^j has
+exponents affine in j, so a run of ``_SHORT_RUN`` rows or more is named
+by ``laurent``'s stretches, each of one printed shape; a shorter run is
+named a row at a time (``_row_names``), as a stretch costs more to set
+up than it saves there.  e and |s - t| are arithmetic progressions down
+a run, and e grows along the trace, to hundreds of digits on a wide
+pair; ``_progression`` prints a column of wide values as exact
+decimals, whose ``str`` takes time linear in the digits.
+
+Each emitter fills a stretch's rows from one f-string per row, around
+text joined once per stretch from the run's constants, so only the
+values that vary fill each row.  JSON and DOT take that text from the
+fillers of a single row, ``_json_step`` and ``_dot_node``, filled once
+with a marker for each value that varies, so both lay out a row in one
+place.  ``--trace`` decides once per run which powers print and
+parenthesises each name once (``_step_stretch``).  A run's last row is
+filled from its tuple by ``_json_step``, ``_dot_node`` and
+``_step_text``.  f-strings fill faster than a ``%`` template: that
 parses its format again on every fill.  Monomial names and
 classifications hold no character that JSON escapes, so the JSON step
 quotes them as they are.  Each JSON array item carries its ``,\\n``
@@ -74,8 +87,10 @@ and the rest a vertex at a time by ``laurent.monomial_name``.  No
 from __future__ import annotations
 
 import json
+import sys
 from collections.abc import Iterator
-from itertools import chain, repeat, starmap
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, Rounded
+from itertools import accumulate, chain, count, islice, repeat, starmap
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
@@ -83,10 +98,10 @@ from .exactnum import CFExpansion
 from .laurent import (
     _STRETCH,
     ChartBasis,
+    _stretch_names,
     monomial_name,
     monomial_names,
     run_monomial_name,
-    run_monomial_names,
 )
 from .resolution import (
     ChartState,
@@ -109,45 +124,105 @@ from .verify import VerifyReport
 _SHORT_RUN = 32
 
 
-def _row_names(fx: int, fy: int, gx: int, gy: int, n: int) -> Iterator[tuple[str, str]]:
-    """``monomial_names(gx - j*fx, gy - j*fy)`` for j = 1..n-1, a row at a time."""
+def _row_names(fx: int, fy: int, gx: int, gy: int, n: int) -> tuple[list[str], list[str]]:
+    """``monomial_names(gx - j*fx, gy - j*fy)`` for j = 1..n-1, named a row at a time, as a list of each."""
+    names, inverses = [], []
     for _ in range(n - 1):
         gx -= fx
         gy -= fy
-        yield monomial_names(gx, gy)
+        name, inverse = monomial_names(gx, gy)
+        names.append(name)
+        inverses.append(inverse)
+    return names, inverses
 
 
-def _blow_ups(trace: ResolutionTrace, number):
+# Values of this many bits or more print as exact decimals (see ``_progression``).
+_DECIMAL_BITS = 700
+_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact, Rounded])
+
+
+def _progression(start: int, step: int, m: int) -> list[str]:
+    """``[str(start + k*step) for k in range(m)]``, in time linear in the digits.
+
+    ``str`` of an int takes time quadratic in its length, and ``str`` of a
+    decimal integer linear.  So a column of three values or more, one of
+    ``_DECIMAL_BITS`` bits or more, is summed as exact decimals: start and
+    step are converted once, each conversion costing about one ``str``,
+    and the m - 1 sums are printed.  ``_EXACT`` holds every digit and
+    traps any rounding, so none can be lost.  A value that may pass the
+    interpreter's limit for printing an int is printed by ``str``, so it
+    raises that limit's ValueError as ``str`` does.
+    """
+    bits = max(abs(start), abs(start + (m - 1) * step)).bit_length()
+    limit = sys.get_int_max_str_digits()
+    # 33219/10000 < log2(10): a value under 2**bits then has at most `limit` digits
+    if m < 3 or bits < _DECIMAL_BITS or (limit and bits * 10000 > limit * 33219):
+        return list(map(str, islice(count(start, step), m)))
+    return list(map(str, accumulate(repeat(Decimal(step), m - 1), _EXACT.add, initial=Decimal(start))))
+
+
+class _Stretch(tuple):
+    """Rows of a run's interior, as ``_blow_ups`` yields them.
+
+    The tuple is (f, exc_g, t, sign, kind, g, exc_f, s, names, inverses,
+    es, ds).  f, exc_g, t, the sign and the classification are the
+    run's; g, exc_f and s are the chart's at the stretch's first row.  The
+    four columns hold, for each row, g/f and f/g, and its children's
+    multiplicity e and |s - t|.  So row k is the chart (f, names[k - 1],
+    es[k - 1], exc_g, ds[k - 1], t), its fields at k = 0 being g, exc_f
+    and s; its first child is the next row, (f, names[k], es[k], exc_g,
+    ds[k], t), through its origin, and its second (names[k - 1],
+    inverses[k], es[k], es[k - 1], ds[k], ds[k - 1]), with the sign
+    negated, resolved.  A plain tuple but for its type, which tells it
+    from a run's last row.
+    """
+
+    __slots__ = ()
+
+
+def _unprinted(_: int) -> None:
+    """No number: what ``_blow_ups`` holds in place of an integer it is not asked to print."""
+    return None
+
+
+def _blow_ups(trace: ResolutionTrace, printed: bool):
     """Per blow-up of a trace, read from its runs: its chart and children as printed.
 
     The emitters that print children draw it once each: JSON, the DOT
     nodes and the ``--trace`` steps.  Plain text and the DOT edges read
     the runs themselves (see the module docstring).
 
-    Yields the chart's fields (f, g, exc_f, exc_g, s, t), the monomials
-    named and the integers as ``number`` prints them; each child's fields
-    in the same order, the power of its proper transform's first
-    coordinate being |s - t|; whether each child's curve passes through
-    its origin; the chart's sign, which the second child negates; and the
+    Yields, run by run, the run's rows but the last as ``_Stretch``
+    columns of at most ``_STRETCH`` rows each, then the last row as a
+    tuple: the chart's fields (f, g, exc_f, exc_g, s, t), the monomials
+    named and the integers printed; each child's fields in the same
+    order, the power of its proper transform's first coordinate being
+    |s - t|; whether each child's curve passes through its origin; the
+    chart's sign, which the second child negates; and the
     classifications of the chart and its children, by value.  The first
     child of (f, g, exc_f, exc_g, s, t) is (f, g/f, e, exc_g, |s - t|, t)
     and the second (g, f/g, e, exc_f, |s - t|, s), where e is the
     children's multiplicity (see ``resolution._children``).
 
-    Inside a run the rows step by addition, and the first child, through
-    its origin, is the next row; the second child is resolved.  Every row
-    of a run has s >= 2 and the run's t, with t >= 2 or exc_g >= 1, so
-    all of them share the first row's classification: a cusp, or a
-    tangential crossing when t = 1.  ``_children`` and ``_kind`` read
-    each run's last row, so the blow-up and classification rules are
-    ``resolve``'s.  The next chart is a child, so it keeps that child's
-    fields and classification, and each blow-up prints only g/f and f/g,
-    named together (see the module docstring), the children's
-    multiplicity e and |s - t|.  An emitter that prints no numbers passes
-    ``int``, which leaves them as they are: ``str`` of one may pass the
-    interpreter's limit for printing an integer.
+    Row j of a run starting at (f, g, A, B, s, t) is (f, g/f^j,
+    A + j(B + t), B, s - jt, t), and its first child, through its
+    origin, is row j + 1; its second child is resolved.  Every row of a
+    run has s >= 2 and the run's t, with t >= 2 or exc_g >= 1, so all of
+    them share the first row's classification: a cusp, or a tangential
+    crossing when t = 1.  So a stretch holds the run's constants, printed
+    once, and four columns for the rows' children: the names of g/f and
+    f/g, and e and |s - t|, printed by ``_progression``.  Every e and
+    |s - t| there is at least 2, and so is every row's s; only a run's
+    first row has an exc_f, the run's A, that may be 0 or 1.
+    ``_children`` and ``_kind`` read each run's last row, so the blow-up
+    and classification rules are ``resolve``'s.  The next chart is a
+    child, so it keeps that child's fields and classification.  An
+    emitter that prints no numbers, DOT, passes ``printed`` false and
+    gets None for each: ``str`` of one may pass the interpreter's limit
+    for printing an integer.
     """
     kinds, resolved = _KIND, _RESOLVED
+    number = str if printed else _unprinted
     row = trace.runs[0][0]
     fx, fy, gx, gy, a, b, s, t, _ = row
     f, g = monomial_name(fx, fy), monomial_name(gx, gy)
@@ -158,17 +233,21 @@ def _blow_ups(trace: ResolutionTrace, number):
             fx, fy, gx, gy, a, b, s, t, sign = row
             step = b + t
             f, g, exc_f, exc_g, s_, t_ = chart
+            j = 1  # the first row of each stretch blows up into row j
             if n < _SHORT_RUN:
-                names = _row_names(fx, fy, gx, gy, n)
+                stretches = (_row_names(fx, fy, gx, gy, n),)
             else:
-                names = run_monomial_names(fx, fy, gx, gy, 1, n)
-            for g_over_f, f_over_g in names:
-                a += step
-                s -= t
-                e, d = number(a), number(s)
-                c1 = (f, g_over_f, e, exc_g, d, t_)
-                yield chart, c1, (g, f_over_g, e, exc_f, d, s_), True, False, sign, kind, kind, resolved
-                chart, g, exc_f, s_ = c1, g_over_f, e, d
+                stretches = _stretch_names(fx, fy, gx, gy, 1, n, True)
+            for names, inverses in stretches:
+                m = len(names)
+                if printed:
+                    es, ds = _progression(a + j * step, step, m), _progression(s - j * t, -t, m)
+                else:
+                    es = ds = [None] * m
+                yield _Stretch((f, exc_g, t_, sign, kind, g, exc_f, s_, names, inverses, es, ds))
+                g, exc_f, s_, j = names[-1], es[-1], ds[-1], j + m
+                del names, inverses, es, ds  # before the next stretch is named
+            chart = (f, g, exc_f, exc_g, s_, t_)
             row = _row_at(row, n - 1)
         first, second = _children(row)
         k1, k2 = kinds[_kind(first)], kinds[_kind(second)]
@@ -181,6 +260,24 @@ def _blow_ups(trace: ResolutionTrace, number):
             chart, kind = c1, k1
         else:
             chart, kind = c2, k2
+
+
+def _filled(trace: ResolutionTrace, printed: bool, fill_stretch, fill_row) -> Iterator[str]:
+    """The items of ``_blow_ups(trace, printed)`` filled in order.
+
+    A stretch's rows come from ``fill_stretch(i, stretch)`` and a run's
+    last row from ``fill_row(i, *row)``, i being the index of the first
+    blow-up each fills.
+    """
+    i = 0
+    for item in _blow_ups(trace, printed):
+        if type(item) is _Stretch:
+            yield from fill_stretch(i, item)
+            i += len(item[8])
+        else:
+            yield fill_row(i, *item)
+            i += 1
+        del item  # before the next stretch is made
 
 
 def _path_names(path: PositivePath) -> Iterator[tuple[str, str]]:
@@ -332,11 +429,11 @@ def _json_items(items: Iterator[str]) -> Iterator[str]:
         yield from _blocks(chain((first[1:],), items))
 
 
-def _json_step(chart, first, second, through1, through2, sign, kind, k1, k2) -> str:
-    """One blow-up of ``_blow_ups`` as a JSON array item at depth 4, after its ``,\\n``.
+def _json_step(_: int, chart, first, second, through1, through2, sign, kind, k1, k2) -> str:
+    """A run's last blow-up of ``_blow_ups`` as a JSON array item at depth 4, after its ``,\\n``.
 
     Monomial names and classifications hold no character that JSON
-    escapes, so they are quoted as they are.
+    escapes, so they are quoted as they are.  JSON prints no index.
     """
     f, g, exc_f, exc_g, s, t = chart
     f1, g1, exc_f1, exc_g1, s1, t1 = first
@@ -405,6 +502,29 @@ def _json_step(chart, first, second, through1, through2, sign, kind, k1, k2) -> 
     }}"""
 
 
+_MARK = "\0"  # a marker for a value in a row's layout; no name or number holds it
+
+
+def _json_stretch(_: int, stretch: _Stretch) -> Iterator[str]:
+    """A stretch's rows as JSON array items, laid out by ``_json_step``.
+
+    ``_json_step`` is filled once per stretch with the run's constants and
+    ``_MARK`` for each of the 12 values that vary down a run; each row
+    then fills those 12 between the 13 pieces of text around them.
+    """
+    f, exc_g, t, sign, kind, g, exc_f, s, names, inverses, es, ds = stretch
+    v = _MARK
+    p0, p1, p2, p3, p4, p5, p6, p7, p8, p9, p10, p11, p12 = _json_step(
+        0, (f, v, v, exc_g, v, t), (f, v, v, exc_g, v, t), (v, v, v, v, v, v),
+        True, False, sign, kind, kind, _RESOLVED,
+    ).split(v)
+    return (
+        f"{p0}{g}{p1}{a}{p2}{s}{p3}{g1}{p4}{e}{p5}{d}{p6}{g}{p7}{fg}{p8}{e}{p9}{a}{p10}{d}{p11}{s}{p12}"
+        for g, g1, fg, a, e, s, d in zip(chain((g,), names), names, inverses,
+                                         chain((exc_f,), es), es, chain((s,), ds), ds)
+    )
+
+
 def _json_vertex(f: str, g: str) -> str:
     """A path's vertex as a JSON array item at depth 4, after its ``,\\n``."""
     return f',\n    {{\n      "f": "{f}",\n      "g": "{g}"\n    }}'
@@ -417,7 +537,7 @@ _RESOLVED = _KIND[Classification.RESOLVED]
 
 def _trace_json(trace: ResolutionTrace) -> Iterator[str]:
     yield f'{{\n  "a": {trace.a},\n  "b": {trace.b},\n  "blow_ups": ['
-    yield from _json_items(starmap(_json_step, _blow_ups(trace, str)))
+    yield from _json_items(_filled(trace, True, _json_stretch, _json_step))
     yield f'\n  ],\n  "count": {trace.blow_up_count}\n}}'
 
 
@@ -480,13 +600,34 @@ def _dot_node(name: str, f: str, g: str, kind: str) -> str:
     return f'  {name} [label="k[{f}, {g}]\\n({kind})"{bold}];\n'
 
 
+def _dot_row(i: int, chart, c1, c2, through1, through2, sign, kind, k1, k2) -> str:
+    """The DOT nodes of the children of blow-up i, a run's last."""
+    n1, n2 = _dot_children(i, (k1 == _RESOLVED) | (k2 == _RESOLVED) << 1)
+    return _dot_node(n1, c1[0], c1[1], k1) + _dot_node(n2, c2[0], c2[1], k2)
+
+
+def _dot_stretch(i: int, stretch: _Stretch) -> Iterator[str]:
+    """The DOT nodes of the children of a stretch's rows, laid out by ``_dot_node``.
+
+    The first child of blow-up k is the next bold node, b(k + 1), and its
+    second the resolved side node s(k)_0; the stretch starts at blow-up
+    i.  The two nodes are filled once per stretch with ``_MARK`` for the
+    values that vary, and each number is printed once, for a blow-up k
+    and for b(k + 1).
+    """
+    f, _, _, _, kind, g, _, _, names, inverses, _, _ = stretch
+    v = _MARK
+    p0, p1, p2, p3, p4, p5 = (_dot_node(f"b{v}", f, v, kind) + _dot_node(f"s{v}_0", v, v, _RESOLVED)).split(v)
+    numbers = list(map(str, range(i, i + len(names) + 1)))
+    return (f"{p0}{j}{p1}{g1}{p2}{k}{p3}{g}{p4}{fg}{p5}"
+            for k, j, g, g1, fg in zip(numbers, islice(numbers, 1, None), chain((g,), names), names, inverses))
+
+
 def _dot_nodes(trace: ResolutionTrace) -> Iterator[str]:
-    """A trace's DOT nodes, one blow-up's children at a time."""
-    for i, (chart, c1, c2, _, _, _, kind, k1, k2) in enumerate(_blow_ups(trace, int)):
-        if i == 0:  # a chart blown up is never resolved, so bold
-            yield _dot_node("b0", chart[0], chart[1], kind)
-        n1, n2 = _dot_children(i, (k1 == _RESOLVED) | (k2 == _RESOLVED) << 1)
-        yield _dot_node(n1, c1[0], c1[1], k1) + _dot_node(n2, c2[0], c2[1], k2)
+    """A trace's DOT nodes: the first chart, blown up so bold, then each blow-up's children."""
+    row = trace.runs[0][0]
+    yield _dot_node("b0", monomial_name(row[0], row[1]), monomial_name(row[2], row[3]), _KIND[_kind(row)])
+    yield from _filled(trace, False, _dot_stretch, _dot_row)
 
 
 def _dot_edges(trace: ResolutionTrace) -> Iterator[str]:
@@ -555,12 +696,16 @@ def format_path_text(path: PositivePath, heading: str) -> str:
     return "".join(path_text_chunks(path, heading))
 
 
+def _grouped(name: str) -> str:
+    """``name`` parenthesised to take an exponent, when it is a product, quotient or power."""
+    return f"({name})" if "*" in name or "/" in name or "^" in name else name
+
+
 def _pow_str(name: str, e: str) -> str:
     """``name`` raised to the power written ``e``."""
     if e == "0":
         return "1"
-    if "*" in name or "/" in name or "^" in name:
-        name = f"({name})"
+    name = _grouped(name)
     return name if e == "1" else f"{name}^{e}"
 
 
@@ -595,6 +740,47 @@ def _step_text(i: int, chart, first, second, through1, through2, sign, kind, k1,
             f"    k[{second[0]}, {second[1]}]: {text2} [{k2}]\n")
 
 
+def _step_stretch(i: int, stretch: _Stretch) -> Iterator[str]:
+    """A stretch's rows as ``--trace`` steps, as ``_step_text`` writes them.
+
+    Down a run, every value that varies prints as an exponent of at least
+    2 (see ``_blow_ups``), but the exc_f of its first row, which goes
+    through ``_step_text`` when it is 0 or 1.  So which powers print, and
+    each child's sign, are decided once from the run's constants, and
+    each name is parenthesised once.
+    """
+    f, exc_g, t, sign, kind, g, exc_f, s, names, inverses, es, ds = stretch
+    if exc_f in ("0", "1"):
+        yield _step_text(i, (f, g, exc_f, exc_g, s, t), (f, names[0], es[0], exc_g, ds[0], t),
+                         (g, inverses[0], es[0], exc_f, ds[0], s), True, False, sign, kind, kind, _RESOLVED)
+        g, exc_f, s, i = names[0], es[0], ds[0], i + 1
+        names, inverses, es, ds = names[1:], inverses[1:], es[1:], ds[1:]
+    grouped, pf = list(map(_grouped, names)), _grouped(f)
+    # The first child's exceptional part is f^e g^exc_g and its proper transform f^d - g^t:
+    # a power to the 0 is left out, and one to the 1 printed without its exponent.
+    times, exc_names = (" * ", grouped) if exc_g != "0" else ("", repeat(""))
+    exc_power = "" if exc_g in ("0", "1") else f"^{exc_g}"
+    t_power = "" if t == "1" else f"^{t}"
+    open1, close1 = ("", "") if sign == 1 else ("-(", ")")
+    open2, close2 = ("", "") if sign == -1 else ("-(", ")")
+    at = f" at the origin of k[{f}, "
+    to_first = f"]:\n    k[{f}, "
+    to_exc = f"]: V({pf}^"
+    to_proper = f"{exc_power}) + V({open1}{pf}^"
+    to_second = f"{t_power}{close1}) [{kind}]\n    k["
+    to_second_proper = f") + V({open2}1 - "
+    end = f"{close2}) [{_RESOLVED}]\n"
+    yield from (
+        f"  blow-up {n}{at}{g}{to_first}{g1}{to_exc}{e}{times}{x}{to_proper}{d} - {pg1}{to_second}{g}, {fg}]: "
+        f"V({pg}^{e} * {pfg}^{a}{to_second_proper}{pg}^{d} * {pfg}^{s}{end}"
+        for n, g, g1, fg, pg, pg1, pfg, x, a, e, s, d in zip(
+            map(str, range(i + 1, i + 1 + len(names))), chain((g,), names), names, inverses,
+            chain((_grouped(g),), grouped), grouped, map(_grouped, inverses), exc_names,
+            chain((exc_f,), es), es, chain((s,), ds), ds,
+        )
+    )
+
+
 def trace_text_chunks(trace: ResolutionTrace, show_steps: bool = False) -> Iterator[str]:
     """``format_trace_text(trace, show_steps)`` in pieces: each heading, then its section in blocks.
 
@@ -610,7 +796,7 @@ def trace_text_chunks(trace: ResolutionTrace, show_steps: bool = False) -> Itera
     if not show_steps:
         return
     yield "steps:\n"
-    yield from _blocks(_step_text(i, *blow_up) for i, blow_up in enumerate(_blow_ups(trace, str)))
+    yield from _blocks(_filled(trace, True, _step_stretch, _step_text))
 
 
 def format_trace_text(trace: ResolutionTrace, show_steps: bool = False) -> str:

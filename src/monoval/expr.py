@@ -21,8 +21,11 @@ denominator, with its weight: in(fg) = in(f) in(g), in(f/g) = in(f)/in(g),
 in(f^n) = in(f)^n, and a sum takes the operand of lower weight.  Weights
 and zeros are found at once, but a form is kept pending, as the steps
 that would build it, until a sum of equal weights or the answer reads
-it; so the form of the operand a sum drops is never built.  At equal
-weights the sum builds and adds the two initial forms.  When they cancel,
+it; so the form of the operand a sum drops is never built.  A sum of
+equal weights is left unforced too: its two forms may cancel, which
+only raises its weight or makes it zero, so an enclosing sum whose
+other operand is strictly lighter drops it unbuilt.  Any other use
+forces it: it builds and adds the two initial forms.  When they cancel,
 that sum alone is computed exactly, by ``lower``'s arithmetic, and its
 initial form is read off the exact value.  Along a chain the exact value
 of the prefix is kept, so each operand is lowered at most once however
@@ -44,11 +47,12 @@ blocks.  A power p^n is charged up front for every product
 most C(k + t - 1, t - 1) for p's t terms; coefficients at most the k-th
 power of the sum of p's, over their common denominator.  A call that
 would pass a budget raises ``WorkBudgetError``; it never returns a
-truncated value.  The budget admits (x + y)^700 - (x + y)^700 + x with
-a = b = 1 (about 590,000 units in each budget) and refuses the exact
-(x + y)^20000 before any work.  With a = b = 1 it also refuses
+truncated value.  The budget admits (x + y)^700 - (x + y)^700 + x^701
+with a = b = 1 (about 590,000 units in each budget) and refuses the
+exact (x + y)^20000 before any work.  With a = b = 1 it also refuses
 (x + y)^20000 alone, but admits x + (x + y)^20000, which drops that
-power unbuilt.  ``lower`` has no budget.
+power unbuilt, and x + ((x + y)^1300 + (x + y)^1300), which drops
+that sum of equal weights unbuilt.  ``lower`` has no budget.
 
 Parentheses and unary minus signs may nest at most ``MAX_NESTING`` deep;
 a deeper expression is an ``ExpressionError``.  The parser, ``lower``
@@ -63,6 +67,7 @@ from __future__ import annotations
 import math
 import sys
 from fractions import Fraction
+from functools import partial
 from itertools import islice
 from typing import NamedTuple, Optional, Union
 
@@ -446,7 +451,7 @@ def initial_value(node: Node, a: int, b: int) -> Optional[Value]:
     if a <= 0 or b <= 0:
         raise ValueError("nu(x) and nu(y) must both be positive")
     work = _Work()
-    initial = _initial(node, a, b, work, _Work())
+    initial = _forced(_initial(node, a, b, work, _Work()))
     if initial is None:
         return None
     form = _force(initial[0], work)
@@ -454,11 +459,14 @@ def initial_value(node: Node, a: int, b: int) -> Optional[Value]:
     return Value(top.ex - bottom.ex, top.ey - bottom.ey)
 
 
-def _initial(node: Node, a: int, b: int, work: _Work, exact_work: _Work) -> _Initial:
+def _initial(node: Node, a: int, b: int, work: _Work, exact_work: _Work):
     """The pending initial form of ``lower(node)`` for the weights a, b, and its weight.
 
     The forms a sum of equal weights builds are charged to ``work``, the
-    exact fallback to ``exact_work``.
+    exact fallback to ``exact_work``.  That sum is left ``_Unforced``:
+    its forms may cancel, which only raises its weight or makes it zero,
+    so a sum whose other operand is forced and strictly lighter drops it
+    unbuilt.  Every other use forces it first.
     """
     spine = []
     while isinstance(node, (Sum, Product, Quotient)):
@@ -471,23 +479,30 @@ def _initial(node: Node, a: int, b: int, work: _Work, exact_work: _Work) -> _Ini
     elif isinstance(node, Variable):
         value = ([node], a if node.name == "x" else b)
     elif isinstance(node, Negation):
-        value = _initial(node.operand, a, b, work, exact_work)
+        value = _forced(_initial(node.operand, a, b, work, exact_work))
         if value is not None:
             value[0].append((node, None))
     elif isinstance(node, Power):
         value = _initial(node.base, a, b, work, exact_work)
         if node.exponent == 0:
             value = ([_ONE], 0)
-        elif value is not None:
+        elif (value := _forced(value)) is not None:
             value[0].append((node, None))
             value = (value[0], value[1] * node.exponent)
         elif node.exponent < 0:
             raise ExpressionError("negative power of zero", node.position)
     else:
         raise TypeError(f"unknown node {type(node).__name__}")
-    exact, done = None, 0  # once a sum cancels: the leaf and the first `done` operations, exactly
+    chain = None  # made at the first sum of two equal weights
     for k, op in enumerate(spine):
         right = _initial(op.right, a, b, work, exact_work)
+        if type(value) is _Unforced or type(right) is _Unforced:
+            if not isinstance(op, Sum):
+                right = _forced(right)
+                if right is not None:
+                    value = _forced(value)
+            elif value is not None and right is not None:
+                value, right = _summands(value, right)
         if right is None:
             if isinstance(op, Quotient):
                 raise ExpressionError("division by zero", op.position)
@@ -502,17 +517,76 @@ def _initial(node: Node, a: int, b: int, work: _Work, exact_work: _Work) -> _Ini
         elif value[1] > right[1]:
             value = right
         elif value[1] == right[1]:
-            form = _apply(op, _force(value[0], work), _force(right[0], work), work)
-            if form.is_zero:  # two initial forms of one weight cancel: this sum, exactly
-                if exact is None:
-                    exact = _lower(leaf, exact_work)
-                for prior in spine[done:k + 1]:
-                    exact = _apply(prior, exact, _lower(prior.right, exact_work), exact_work)
-                done = k + 1
-                value = _initial_of(exact, a, b)
-            else:
-                value = ([form], value[1])
+            if chain is None:
+                chain = _Chain(spine, leaf, a, b, work, exact_work)
+            value = _Unforced((partial(chain.settle, k, value[0], right[0], value[1]), value[1]))
     return value
+
+
+class _Chain:
+    """A spine of ``_initial`` over its leaf, and its exact prefix once a sum on it cancels.
+
+    ``exact`` is the exact value of the leaf and the first ``done``
+    operations, so each operand is lowered at most once however often
+    the chain cancels.
+    """
+
+    __slots__ = ("spine", "leaf", "a", "b", "work", "exact_work", "exact", "done")
+
+    def __init__(self, spine: list, leaf: Node, a: int, b: int, work: _Work, exact_work: _Work):
+        self.spine, self.leaf, self.a, self.b = spine, leaf, a, b
+        self.work, self.exact_work = work, exact_work
+        self.exact, self.done = None, 0
+
+    def settle(self, k: int, left: list, right: list, weight: int) -> _Initial:
+        """The sum spine[k] of two pending forms of one weight, built; exactly when they cancel."""
+        form = _apply(self.spine[k], _force(left, self.work), _force(right, self.work), self.work)
+        if not form.is_zero:
+            return [form], weight
+        exact = self.exact
+        if exact is None:
+            exact = _lower(self.leaf, self.exact_work)
+        for prior in self.spine[self.done:k + 1]:
+            exact = _apply(prior, exact, _lower(prior.right, self.exact_work), self.exact_work)
+        self.exact, self.done = exact, k + 1
+        return _initial_of(exact, self.a, self.b)
+
+
+class _Unforced(tuple):
+    """A sum of two pending initial forms of one weight, not built yet: (build, weight).
+
+    ``force()`` calls ``build``, which builds it to what ``_initial``
+    returns.  Its forms may cancel, so ``weight`` is a lower bound on its
+    weight, unless it is zero.  A plain tuple but for its type, which
+    tells it from an ``_Initial``.
+    """
+
+    __slots__ = ()
+
+    def force(self) -> _Initial:
+        return self[0]()
+
+
+def _summands(left, right):
+    """The two operands of a sum, each forced unless the other is forced and strictly lighter.
+
+    Of two unforced operands, the one of lower bound is forced first.
+    """
+    if type(left) is _Unforced and type(right) is _Unforced:
+        if right[1] < left[1]:
+            right = right.force()
+        else:
+            left = left.force()
+    if type(right) is _Unforced and left is not None and not left[1] < right[1]:
+        right = right.force()
+    if type(left) is _Unforced and right is not None and not right[1] < left[1]:
+        left = left.force()
+    return left, right
+
+
+def _forced(value):
+    """``value``, an ``_Initial`` or ``_Unforced``, as an ``_Initial``."""
+    return value.force() if type(value) is _Unforced else value
 
 
 def _force(pending: list, work: _Work) -> RationalFunction:

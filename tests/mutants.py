@@ -41,6 +41,9 @@ ANY_WORDING = CLI + "test_a_refusal_of_any_wording_clips_the_argv_strings_it_hol
 RUN_NAMES = "tests/test_laurent.py::test_a_run_is_named_as_its_monomials_with_small_slopes"
 THIN_EMIT = "tests/test_emit.py::test_a_thin_pair_is_emitted_as_the_oracles_emit_it"
 DOT_EDGES = "tests/test_emit.py::test_dot_edges_are_written_from_the_runs_as_one_blow_up_at_a_time"
+EMIT_10_40 = "tests/test_emit.py::test_trace_emitters_match_the_view_oracle_up_to_10_40"
+RUN_CONSTANTS = "tests/test_emit.py::test_a_run_of_any_constants_is_emitted_as_the_oracles_emit_it"
+PROGRESSION = "tests/test_emit.py::test_a_progression_prints_each_value_as_str_does"
 INITIAL_FORMS = "tests/test_expr.py::test_initial_forms_explicit_cases"
 HEAVIER_OPERAND = "tests/test_expr.py::test_a_sum_never_builds_or_charges_its_heavier_operand"
 CERTIFICATE = (
@@ -426,6 +429,41 @@ MUTANTS = (
         "plain text gives each run's bad charts the classification of the next run",
     ),
     Mutant(
+        "json-stretch-exc-f-unshifted", "emit.py",
+        "chain((exc_f,), es), es, chain((s,), ds), ds)",
+        "es, es, chain((s,), ds), ds)",
+        (THIN_EMIT, EMIT_10_40),
+        "each JSON row of a stretch prints its first child's e as its own exc_f, not the row before's",
+    ),
+    Mutant(
+        "name-stretch-ends-late", "laurent.py",
+        "min(hi - j0, _STRETCH)",
+        "min(hi - j0, _STRETCH + 1)",
+        (THIN_EMIT,),
+        "every stretch of a long run's names but its last ends one row late, repeating the next stretch's first row",
+    ),
+    Mutant(
+        "stretch-fills-the-last-row", "emit.py",
+        "_stretch_names(fx, fy, gx, gy, 1, n, True)",
+        "_stretch_names(fx, fy, gx, gy, 1, n + 1, True)",
+        (THIN_EMIT, RUN_CONSTANTS),
+        "a long run's stretches run through its last row, which is filled as an interior row before it is read again",
+    ),
+    Mutant(
+        "progression-decimal-one-step-on", "emit.py",
+        "initial=Decimal(start))",
+        "initial=Decimal(start + step))",
+        (PROGRESSION,),
+        "a column summed as decimals starts one step on",
+    ),
+    Mutant(
+        "step-stretch-first-row-exc-f-1", "emit.py",
+        'if exc_f in ("0", "1"):',
+        'if exc_f == "0":',
+        (RUN_CONSTANTS,),
+        "a run whose first row has exc_f = 1 prints that power with its exponent in --trace",
+    ),
+    Mutant(
         "sum-keeps-the-heavier", "expr.py",
         "elif value[1] > right[1]:",
         "elif value[1] < right[1]:",
@@ -445,6 +483,13 @@ MUTANTS = (
         "elif False:",
         (INITIAL_FORMS,),
         "a sum of equal weights keeps its left operand's form unbuilt, so a cancellation is missed",
+    ),
+    Mutant(
+        "unforced-sum-dropped-at-equal-weight", "expr.py",
+        "and not left[1] < right[1]:",
+        "and not left[1] <= right[1]:",
+        (INITIAL_FORMS,),
+        "an operand of the same weight drops an unforced sum, though the sum may cancel it",
     ),
     Mutant(
         "normal-keeps-zeros", "laurent.py",

@@ -156,7 +156,9 @@ def test_member_reports_bad_weights_at_once_behind_a_large_expression(capsys):
 
 
 def test_member_refuses_work_past_its_budget(capsys):
-    code, out, err = run(capsys, "member", "(x+y)^20000 - (x+y)^20000 + x", "--a", "3", "--b", "2")
+    # The two powers cancel and y^20001 is heavier, so the difference is
+    # computed exactly, past the budget.
+    code, out, err = run(capsys, "member", "(x+y)^20000 - (x+y)^20000 + y^20001", "--a", "3", "--b", "2")
     assert (code, out) == (1, "") and err.count("\n") == 1
     assert err.startswith("error: the power would take the evaluation past its work budget")
     code, out, _ = run(capsys, "member", "(x+y)^20000", "--a", "3", "--b", "2")
@@ -173,6 +175,17 @@ def test_member_charges_nothing_for_the_operand_a_sum_drops(capsys):
     code, out, err = run(capsys, "member", "x + (x+y)^20000*3^3000000", "--a", "1", "--b", "1")
     assert (code, err) == (0, "") and out.endswith("(value 1)\n")
     assert time.perf_counter() - start < 0.5
+
+
+def test_member_drops_a_sum_of_equal_weights_unbuilt_when_a_lighter_operand_outweighs_it(capsys):
+    # With a = b = 1 the two powers tie, and building their sum would pass
+    # the budget; x is strictly lighter than that sum, cancel as it may.
+    for expression, value in (("x + ((x+y)^1300 + (x+y)^1300)", 1),
+                              ("x*(x + ((x+y)^1300 + (x+y)^1300))", 2)):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "member", expression, "--a", "1", "--b", "1")
+        assert (code, err) == (0, "") and out.endswith(f"(value {value})\n")
+        assert time.perf_counter() - start < 0.5
 
 
 def test_resolve(capsys):

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import re
+import sys
 from fractions import Fraction
 from itertools import zip_longest
 from json.encoder import encode_basestring_ascii
@@ -19,7 +20,7 @@ from monoval.emit import (
 )
 from monoval.exactnum import CFStream, cf_expand, sqrt2_stream
 from monoval.laurent import X, Y, ChartBasis, Monomial, monomial_names
-from monoval.resolution import Classification, _children, check_theorem, resolve
+from monoval.resolution import Classification, ResolutionTrace, _children, check_theorem, resolve
 from monoval.valring import ring_generators
 from monoval.valtree import (
     ROOT,
@@ -475,8 +476,11 @@ THIN_PAIR = (6001, 2000)
 
 
 def test_a_thin_pair_is_emitted_as_the_oracles_emit_it():
+    # Its long run, like those of the benchmark's thin pairs, has t = 1, so
+    # each --trace step prints the first child's g/f unraised in f^d - g/f.
     trace = resolve(*THIN_PAIR)
-    assert max(n for _, n in trace.runs) == 1998 > emit._STRETCH
+    row, n = max(trace.runs, key=lambda run: run[1])
+    assert n == 1998 > emit._STRETCH and row[7] == 1
     assert_trace_matches_the_view_oracle(*THIN_PAIR)
     assert_pair_path_matches_the_path_oracles(*THIN_PAIR)
 
@@ -488,6 +492,29 @@ def test_runs_on_each_side_of_the_short_run_cut_are_emitted_as_the_oracles_emit_
     assert max(n for _, n in _pair_path(a, 2).runs) == (a - 1) // 2
     assert_trace_matches_the_view_oracle(a, 2)
     assert_pair_path_matches_the_path_oracles(a, 2)
+
+
+@pytest.mark.parametrize("basis", [(1, 0, 0, 1), (2, 1, 1, 1)], ids=["x,y", "x^2*y,x*y"])
+@pytest.mark.parametrize("n", [5, 2 * emit._SHORT_RUN])
+@pytest.mark.parametrize("A, B, t", [(A, B, t) for A in (0, 1, 5) for B in (0, 1, 3) for t in (1, 2)
+                                     if t >= 2 or B >= 1])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_a_run_of_any_constants_is_emitted_as_the_oracles_emit_it(basis, n, A, B, t, sign):
+    # One run of n rows, (f, g/f^j, A + j(B + t), B, s - jt, t) with s - (n - 1)t = 2,
+    # its constants at and past 0 and 1, and A, its first row's exc_f, too.
+    # Every run that ``resolve`` makes has A >= 2 and B = 0 or B >= 2, and
+    # the generators x and y need no parentheses to take an exponent.  With
+    # t = 1 the last row's first child is not resolved, so no resolution
+    # ends there, and its DOT edges are not those of a resolution: only
+    # the nodes are compared.
+    trace = ResolutionTrace(7, 5, (((*basis, A, B, 2 + (n - 1) * t, t, sign), n),))
+    assert_same_text(emit_json(trace), oracles.trace_json(trace))
+
+    def nodes(dot: str) -> str:
+        return "\n".join(line for line in dot.split("\n") if "->" not in line)
+
+    assert_same_text(nodes(emit_dot(trace)), nodes(oracles.trace_dot(trace)))
+    assert_same_text(format_trace_text(trace, show_steps=True), oracles.trace_text(trace, show_steps=True))
 
 
 def dot_edges_one_at_a_time(trace) -> list[str]:
@@ -511,6 +538,66 @@ def dot_edges_one_at_a_time(trace) -> list[str]:
 def test_dot_edges_are_written_from_the_runs_as_one_blow_up_at_a_time(pair):
     trace = resolve(*pair)
     assert list(emit._dot_edges(trace)) == dot_edges_one_at_a_time(trace)
+
+
+def progression_oracle(start: int, step: int, m: int) -> list[str]:
+    return [str(start + k * step) for k in range(m)]
+
+
+WIDE = 2**emit._DECIMAL_BITS  # the least value _progression may sum as decimals
+
+
+@example(WIDE - 1, 1, 3)  # all below the cut
+@example(WIDE - 2, 1, 3)  # the last at the cut
+@example(WIDE, -1, 3)  # the first at the cut
+@example(WIDE, 1, 2)  # at the cut, but too short
+@example(-WIDE, -(10**2999), emit._STRETCH + 1)
+@example(10**2999, -(2 * 10**2999) // emit._STRETCH, emit._STRETCH + 1)  # passes 0
+@example(-(10**3000), 10**3000, 2)  # ends at 0
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 3000).flatmap(lambda d: st.integers(-(10**d), 10**d)),
+       st.integers(0, 3000).flatmap(lambda d: st.integers(-(10**d), 10**d)),
+       st.integers(1, emit._STRETCH + 1))
+def test_a_progression_prints_each_value_as_str_does(start, step, m):
+    assert emit._progression(start, step, m) == progression_oracle(start, step, m)
+
+
+def test_a_progression_past_the_int_str_limit_raises_as_str_does():
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        assert emit._progression(10**640 - 5, 1, 5) == progression_oracle(10**640 - 5, 1, 5)
+        for start, step in ((10**640 - 4, 1), (-(10**640), 10**630)):
+            with pytest.raises(ValueError, match="Exceeds the limit"):
+                emit._progression(start, step, 5)
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+def fibonacci_pair(digits: int) -> tuple[int, int]:
+    """The first pair of consecutive Fibonacci numbers, larger first, whose larger has ``digits`` digits."""
+    a, b = 1, 1
+    while len(str(a)) < digits:
+        a, b = a + b, a
+    return a, b
+
+
+@pytest.mark.parametrize("pair", [fibonacci_pair(400), convergent([10] * 400)], ids=["Fibonacci", "runs of 10"])
+def test_a_trace_past_the_int_str_limit_raises_as_str_does(pair):
+    # The CLI refuses such a trace before any output (see ``cli``); the
+    # emitters raise the interpreter's ValueError, from runs of one row
+    # (Fibonacci) as from runs of ten.  Both pairs have about 400 digits,
+    # and their largest multiplicities about 800.
+    trace = resolve(*pair)
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        for chunks in (emit.json_chunks(trace), emit.trace_text_chunks(trace, show_steps=True)):
+            with pytest.raises(ValueError, match="Exceeds the limit"):
+                "".join(chunks)
+        assert emit_dot(trace) and format_trace_text(trace)
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 @given(st.integers(-(10**400), 10**400), st.integers(-(10**400), 10**400))

@@ -247,6 +247,14 @@ def test_initial_forms_value_an_expression_as_lowering_does(text, a, b):
     ("(y - y)^0", 3, 2, 0),
     ("(y - y)^2 + 0/x", 3, 2, "zero"),
     ("1/2*x - x/2", 3, 2, "zero"),
+    # A sum of equal weights stays unforced until a use needs it built.
+    ("x + ((x+y)^3 - (x+y)^3)", 1, 1, 1),           # dropped unbuilt: x is strictly lighter
+    ("((x+y)^2 - (x+y)^2) + x^3", 1, 1, 3),         # x^3 is heavier: built, it cancels to zero
+    ("((x+y)^2 - (x+y)^2 + y^5) + x^3", 1, 1, 3),   # cancels, leaving a weight past the bound
+    ("-x + ((x + y) - y)", 1, 1, "zero"),           # of the bound's weight: built, and it cancels
+    ("((x + y) - y)*((x + y) - x)", 1, 1, 2),       # a product builds both
+    ("-((x + y) - y)", 1, 1, 1),                    # so does a negation
+    ("((x + y) - x)^3 + x", 1, 1, 1),               # and a power
 ])
 def test_initial_forms_explicit_cases(text, a, b, expected):
     node = parse_expression(text)
@@ -255,6 +263,7 @@ def test_initial_forms_explicit_cases(text, a, b, expected):
 
 @pytest.mark.parametrize("text, position", [
     ("1/(y-y)", 1), ("(y - y)^-1", 7), ("x/0", 1), ("(x - x)/(y - y)", 7), ("1/0/0", 1),
+    ("x/((x+y) - x - y)", 1), ("((x+y) - x - y)^-1", 15),
 ])
 def test_initial_forms_raise_lowering_errors_at_the_same_positions(text, position):
     node = parse_expression(text)
@@ -313,7 +322,7 @@ def test_the_work_budget_refuses_before_expanding():
             initial_value(parse_expression(text), 1, 1)
         assert time.perf_counter() - start < 0.5
         assert err.value.position == position and "work budget of 1,500,000" in str(err.value)
-    cancelling = parse_expression("(x+y)^20000 - (x+y)^20000 + x")
+    cancelling = parse_expression("(x+y)^20000 - (x+y)^20000 + y^20001")
     with pytest.raises(WorkBudgetError) as err:
         initial_value(cancelling, 3, 2)
     assert err.value.position == 5
@@ -323,10 +332,11 @@ def test_the_exact_fallback_has_a_budget_of_its_own():
     # Each 3^300000 is charged about 500,000 units, once as initial forms
     # and once exactly after they cancel: 2 million in all, but neither
     # pass alone reaches the budget.  (x+y)^700, charged about 290,000
-    # units a power, is the README's example.
-    for text in ("3^300000 - 3^300000 + x", "(x+y)^700 - (x+y)^700 + x"):
+    # units a power, is the README's example; x^701 is heavier than it,
+    # so the cancelling difference is built.
+    for text, expected in (("3^300000 - 3^300000 + x", 1), ("(x+y)^700 - (x+y)^700 + x^701", 701)):
         node = parse_expression(text)
-        assert by_initial_forms(node, 1, 1) == by_lowering(node, 1, 1) == 1
+        assert by_initial_forms(node, 1, 1) == by_lowering(node, 1, 1) == expected
 
 
 @contextmanager
