@@ -54,17 +54,18 @@ decimals, whose ``str`` takes time linear in the digits.
 
 Each emitter fills a stretch's rows from one f-string per row, around
 text joined once per stretch from the run's constants, so only the
-values that vary fill each row.  JSON and DOT take that text from the
-fillers of a single row, ``_json_step`` and ``_dot_node``, filled once
-with a marker for each value that varies, so both lay out a row in one
-place.  ``--trace`` decides once per run which powers print and
-parenthesises each name once (``_step_stretch``).  A run's last row is
-filled from its tuple by ``_json_step``, ``_dot_node`` and
-``_step_text``.  f-strings fill faster than a ``%`` template: that
-parses its format again on every fill.  Monomial names and
-classifications hold no character that JSON escapes, so the JSON step
-quotes them as they are.  Each JSON array item carries its ``,\\n``
-separator, which the first drops.
+values that vary fill each row.  All three take that text from the
+fillers of a single row, ``_json_step``, ``_dot_node`` and
+``_step_text``, filled once per stretch with a marker for each value
+that varies and split there, so each lays out a row in one place; a
+run's last row is filled from its tuple through the same three.  So
+``_chart_text`` and ``_pow_str`` are the only place the decomposition
+rules are written: which powers print, how the sign wraps, and which
+names take parentheses (``_grouped``).  f-strings fill faster than a
+``%`` template or ``str.format``: those parse their format again on
+every fill.  Monomial names and classifications hold no character that
+JSON escapes, so the JSON step quotes them as they are.  Each JSON array
+item carries its ``,\\n`` separator, which the first drops.
 
 The bad charts are the vertices of the positive path of nu(x) = a,
 nu(y) = b (``resolution.bad_vertex_path``), so plain text names them as
@@ -262,14 +263,13 @@ def _blow_ups(trace: ResolutionTrace, printed: bool):
             chart, kind = c2, k2
 
 
-def _filled(trace: ResolutionTrace, printed: bool, fill_stretch, fill_row) -> Iterator[str]:
+def _filled(trace: ResolutionTrace, printed: bool, fill_stretch, fill_row, i: int = 0) -> Iterator[str]:
     """The items of ``_blow_ups(trace, printed)`` filled in order.
 
     A stretch's rows come from ``fill_stretch(i, stretch)`` and a run's
     last row from ``fill_row(i, *row)``, i being the index of the first
-    blow-up each fills.
+    blow-up each fills, counted from the i given.
     """
-    i = 0
     for item in _blow_ups(trace, printed):
         if type(item) is _Stretch:
             yield from fill_stretch(i, item)
@@ -731,54 +731,50 @@ def format_chart_text(c: ChartState) -> str:
                        str(c.exc_g), str(abs(c.p)), str(c.q), c.p > 0, c.sign)
 
 
-def _step_text(i: int, chart, first, second, through1, through2, sign, kind, k1, k2) -> str:
-    """Blow-up i + 1 of ``_blow_ups`` as ``--trace`` text: its chart and each child's decomposition."""
+def _step_text(n, chart, first, second, through1, through2, sign, kind, k1, k2) -> str:
+    """Blow-up n of ``_blow_ups`` as ``--trace`` text: its chart and each child's decomposition."""
     text1 = _chart_text(*first, through1, sign)
     text2 = _chart_text(*second, through2, -sign)
-    return (f"  blow-up {i + 1} at the origin of k[{chart[0]}, {chart[1]}]:\n"
+    return (f"  blow-up {n} at the origin of k[{chart[0]}, {chart[1]}]:\n"
             f"    k[{first[0]}, {first[1]}]: {text1} [{k1}]\n"
             f"    k[{second[0]}, {second[1]}]: {text2} [{k2}]\n")
 
 
-def _step_stretch(i: int, stretch: _Stretch) -> Iterator[str]:
-    """A stretch's rows as ``--trace`` steps, as ``_step_text`` writes them.
+def _step_stretch(n: int, stretch: _Stretch) -> Iterator[str]:
+    """A stretch's rows as ``--trace`` steps, laid out by ``_step_text``.
 
-    Down a run, every value that varies prints as an exponent of at least
-    2 (see ``_blow_ups``), but the exc_f of its first row, which goes
-    through ``_step_text`` when it is 0 or 1.  So which powers print, and
-    each child's sign, are decided once from the run's constants, and
-    each name is parenthesised once.
+    ``_step_text`` is filled once per stretch with the run's constants and
+    ``_MARK`` for each of the 17 values that vary down a run; each row then
+    fills those 17 between the 18 pieces of text around them.  A name is
+    marked bare in k[f, g] and, ``_grouped``, where ``_chart_text`` raises
+    it to a power.  Each varying power is at least 2 (see ``_blow_ups``),
+    so ``_pow_str`` prints it as it prints the marker.
     """
     f, exc_g, t, sign, kind, g, exc_f, s, names, inverses, es, ds = stretch
-    if exc_f in ("0", "1"):
-        yield _step_text(i, (f, g, exc_f, exc_g, s, t), (f, names[0], es[0], exc_g, ds[0], t),
-                         (g, inverses[0], es[0], exc_f, ds[0], s), True, False, sign, kind, kind, _RESOLVED)
-        g, exc_f, s, i = names[0], es[0], ds[0], i + 1
-        names, inverses, es, ds = names[1:], inverses[1:], es[1:], ds[1:]
-    grouped, pf = list(map(_grouped, names)), _grouped(f)
-    # The first child's exceptional part is f^e g^exc_g and its proper transform f^d - g^t:
-    # a power to the 0 is left out, and one to the 1 printed without its exponent.
-    times, exc_names = (" * ", grouped) if exc_g != "0" else ("", repeat(""))
-    exc_power = "" if exc_g in ("0", "1") else f"^{exc_g}"
-    t_power = "" if t == "1" else f"^{t}"
-    open1, close1 = ("", "") if sign == 1 else ("-(", ")")
-    open2, close2 = ("", "") if sign == -1 else ("-(", ")")
-    at = f" at the origin of k[{f}, "
-    to_first = f"]:\n    k[{f}, "
-    to_exc = f"]: V({pf}^"
-    to_proper = f"{exc_power}) + V({open1}{pf}^"
-    to_second = f"{t_power}{close1}) [{kind}]\n    k["
-    to_second_proper = f") + V({open2}1 - "
-    end = f"{close2}) [{_RESOLVED}]\n"
-    yield from (
-        f"  blow-up {n}{at}{g}{to_first}{g1}{to_exc}{e}{times}{x}{to_proper}{d} - {pg1}{to_second}{g}, {fg}]: "
-        f"V({pg}^{e} * {pfg}^{a}{to_second_proper}{pg}^{d} * {pfg}^{s}{end}"
-        for n, g, g1, fg, pg, pg1, pfg, x, a, e, s, d in zip(
-            map(str, range(i + 1, i + 1 + len(names))), chain((g,), names), names, inverses,
-            chain((_grouped(g),), grouped), grouped, map(_grouped, inverses), exc_names,
-            chain((exc_f,), es), es, chain((s,), ds), ds,
-        )
-    )
+    v = _MARK
+    first = (f, v, v, exc_g, v, t)
+    pieces = _step_text(v, first, first, (v,) * 6, True, False, sign, kind, kind, _RESOLVED).split(v)
+    grouped = list(map(_grouped, names))
+    excs = grouped
+    if exc_g == "0":  # _chart_text leaves the first child's g^0 out: an empty place stands for it
+        pieces.insert(4, "")
+        excs = repeat("")
+    rows = zip(map(str, count(n)), chain((g,), names), names, inverses, chain((exc_f,), es), es,
+               chain((s,), ds), ds, chain((_grouped(g),), grouped), grouped, map(_grouped, inverses), excs)
+
+    def text(k, g, g1, fg, a, e, s, d, *_) -> str:
+        return _step_text(k, (f, g), (f, g1, e, exc_g, d, t), (g, fg, e, a, d, s),
+                          True, False, sign, kind, kind, _RESOLVED)
+
+    if len(pieces) < 18:  # a t of 0 leaves out the first child's g^t too; no run that resolve makes has one
+        yield from starmap(text, rows)
+        return
+    if exc_f in ("0", "1"):  # a run's first row may have a power of 0 or 1, which the layout cannot print
+        yield text(*next(rows))
+    p0, p1, p2, p3, p4, p5, p6, p7, p8, p9, p10, p11, p12, p13, p14, p15, p16, p17 = pieces
+    for k, g, g1, fg, a, e, s, d, pg, pg1, pfg, x in rows:
+        yield (f"{p0}{k}{p1}{g}{p2}{g1}{p3}{e}{p4}{x}{p5}{d}{p6}{pg1}{p7}{g}{p8}{fg}"
+               f"{p9}{pg}{p10}{e}{p11}{pfg}{p12}{a}{p13}{pg}{p14}{d}{p15}{pfg}{p16}{s}{p17}")
 
 
 def trace_text_chunks(trace: ResolutionTrace, show_steps: bool = False) -> Iterator[str]:
@@ -796,7 +792,7 @@ def trace_text_chunks(trace: ResolutionTrace, show_steps: bool = False) -> Itera
     if not show_steps:
         return
     yield "steps:\n"
-    yield from _blocks(_filled(trace, True, _step_stretch, _step_text))
+    yield from _blocks(_filled(trace, True, _step_stretch, _step_text, 1))
 
 
 def format_trace_text(trace: ResolutionTrace, show_steps: bool = False) -> str:

@@ -464,6 +464,34 @@ MUTANTS = (
         "a run whose first row has exc_f = 1 prints that power with its exponent in --trace",
     ),
     Mutant(
+        "step-stretch-exc-g-0-keeps-g", "emit.py",
+        '        excs = repeat("")\n',
+        "        excs = grouped\n",
+        (RUN_CONSTANTS,),
+        "a run with exc_g = 0 prints the first child's g in its exceptional part on every --trace step but its last",
+    ),
+    Mutant(
+        "step-stretch-t-0-filled", "emit.py",
+        "if len(pieces) < 18:",
+        "if len(pieces) < 17:",
+        (RUN_CONSTANTS,),
+        "a run with t = 0 and exc_g >= 1 is filled from a layout one place short, and --trace raises ValueError",
+    ),
+    Mutant(
+        "pow-str-one-ungrouped", "emit.py",
+        '    name = _grouped(name)\n    return name if e == "1" else f"{name}^{e}"\n',
+        '    return name if e == "1" else f"{_grouped(name)}^{e}"\n',
+        (THIN_EMIT, EMIT_10_40),
+        "a product, quotient or power raised to the 1 prints without its parentheses, as (y^3/x^2) does as y^3/x^2",
+    ),
+    Mutant(
+        "grouped-misses-quotients", "emit.py",
+        '"*" in name or "/" in name or "^" in name',
+        '"*" in name or "^" in name',
+        (THIN_EMIT, EMIT_10_40),
+        "a quotient such as y/x takes an exponent without parentheses, in every --trace step alike",
+    ),
+    Mutant(
         "sum-keeps-the-heavier", "expr.py",
         "elif value[1] > right[1]:",
         "elif value[1] < right[1]:",

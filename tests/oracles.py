@@ -13,7 +13,9 @@ integer rows and one-pass expansion; ``resolve_rows`` drives the
 package's rules one row at a time, as the cross-check for its runs.
 A trace is written here in JSON, DOT and text from ``BlowUp`` views of
 its rows, naming every monomial with ``str`` and filling ``str.format``
-templates, as the cross-check for the package's emitters over the runs;
+templates, as the cross-check for the package's emitters over the runs:
+a chart's decomposition is written from its generators' exponents and
+its integer powers, and DOT's head and node names from templates here;
 a path is written here in DOT and text from its vertices, with ``str``
 of each generator, as the cross-check for the package's emitters over a
 path's runs.
@@ -46,7 +48,6 @@ from monoval.laurent import (
     Y,
     lattice_solve,
 )
-from monoval.emit import _chart_text, _dot_children, _dot_head
 from monoval.exactnum import cf_expand
 from monoval.resolution import (
     ChartState,
@@ -619,6 +620,7 @@ def trace_json(trace: ResolutionTrace) -> str:
             + f'\n  ],\n  "count": {trace.blow_up_count}\n}}')
 
 
+_DOT_HEAD = 'digraph {} {{\n  rankdir=LR;\n  node [shape=box, fontname="monospace"];\n'
 _DOT_NODE = {
     k: '  {} [label="k[{}, {}]\\n(' + k.value + ')"'
     + ("" if k is Classification.RESOLVED else ", style=bold") + "];\n"
@@ -626,21 +628,54 @@ _DOT_NODE = {
 }
 
 
+def dot_children(i: int, resolved) -> list[str]:
+    """DOT node names of blow-up i's children, ``resolved`` saying which are.
+
+    A child left to blow up is the next bold node, b(i + 1); the resolved
+    ones are side nodes s(i)_0, s(i)_1, numbered in order.
+    """
+    names, side = [], 0
+    for done in resolved:
+        names.append(f"s{i}_{side}" if done else f"b{i + 1}")
+        side += done
+    return names
+
+
 def trace_dot(trace: ResolutionTrace) -> str:
     """``emit_dot(trace)``: every node, then every edge, from the views."""
-    out = [_dot_head("resolution_trace")]
+    out = [_DOT_HEAD.format("resolution_trace")]
     resolved = Classification.RESOLVED
-    bits = []
+    children = []
     for i, (chart, (c1, c2), _, _, kind, (k1, k2)) in enumerate(blow_up_names(trace, str, int)):
         if i == 0:
             out.append(_DOT_NODE[kind].format("b0", chart[0], chart[1]))
-        bits.append((k1 is resolved) | (k2 is resolved) << 1)
-        n1, n2 = _dot_children(i, bits[i])
+        n1, n2 = dot_children(i, (k1 is resolved, k2 is resolved))
+        children.append((n1, n2))
         out.append(_DOT_NODE[k1].format(n1, c1[0], c1[1]) + _DOT_NODE[k2].format(n2, c2[0], c2[1]))
-    for i, resolved_children in enumerate(bits):
-        n1, n2 = _dot_children(i, resolved_children)
+    for i, (n1, n2) in enumerate(children):
         out.append(f"  b{i} -> {n1};\n  b{i} -> {n2};\n")
     return "".join(out) + "}\n"
+
+
+def _raised(mono: Monomial, e: int) -> str:
+    """``mono`` to the power e as a step writes it: x and y alone take no parentheses."""
+    base = str(mono) if (mono.ex, mono.ey) in ((1, 0), (0, 1)) else f"({mono})"
+    return "1" if e == 0 else base if e == 1 else f"{base}^{e}"
+
+
+def chart_text(f: Monomial, g: Monomial, exc_f: int, exc_g: int, p: int, q: int,
+               through: bool, sign: int) -> str:
+    """The ``V(exceptional) + V(proper)`` decomposition of the chart on f, g, powers as integers.
+
+    The proper transform is f^p - g^q when ``through``, else 1 - f^p g^q;
+    a power to the 0 is left out of a product, and a product of none is 1.
+    """
+    exc = " * ".join(_raised(m, e) for m, e in ((f, exc_f), (g, exc_g)) if e) or "1"
+    if through:
+        proper = f"{_raised(f, p)} - {_raised(g, q)}"
+    else:
+        proper = "1 - " + " * ".join(_raised(m, e) for m, e in ((f, p), (g, q)) if e)
+    return f"V({exc}) + V({proper})" if sign == 1 else f"V({exc}) + V(-({proper}))"
 
 
 def trace_text(trace: ResolutionTrace, show_steps: bool = False) -> str:
@@ -652,18 +687,18 @@ def trace_text(trace: ResolutionTrace, show_steps: bool = False) -> str:
     if show_steps:
         out.append("steps:\n")
         for i, (chart, children, through, sign, _, kinds) in enumerate(
-            blow_up_names(trace, str, str)
+            blow_up_names(trace, lambda mono: mono, int)
         ):
             out.append(f"  blow-up {i + 1} at the origin of k[{chart[0]}, {chart[1]}]:\n")
             for child, through_, sign_, k in zip(children, through, (sign, -sign), kinds):
-                out.append(f"    k[{child[0]}, {child[1]}]: {_chart_text(*child, through_, sign_)}"
+                out.append(f"    k[{child[0]}, {child[1]}]: {chart_text(*child, through_, sign_)}"
                            f" [{k.value}]\n")
     return "".join(out)
 
 
 def path_dot(path: PositivePath) -> str:
     """``emit_dot(path)``: every vertex, then every edge, from ``str`` of each vertex's generators."""
-    out = ['digraph positive_path {\n  rankdir=LR;\n  node [shape=box, fontname="monospace"];\n']
+    out = [_DOT_HEAD.format("positive_path")]
     out += [f'  v{i} [label="k[{v.f}, {v.g}]", style=bold];\n' for i, v in enumerate(path.vertices)]
     if not path.complete:
         out.append('  trunc [label="(truncated)", shape=plaintext];\n')

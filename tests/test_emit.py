@@ -20,7 +20,14 @@ from monoval.emit import (
 )
 from monoval.exactnum import CFStream, cf_expand, sqrt2_stream
 from monoval.laurent import X, Y, ChartBasis, Monomial, monomial_names
-from monoval.resolution import Classification, ResolutionTrace, _children, check_theorem, resolve
+from monoval.resolution import (
+    ChartState,
+    Classification,
+    ResolutionTrace,
+    _children,
+    check_theorem,
+    resolve,
+)
 from monoval.valring import ring_generators
 from monoval.valtree import (
     ROOT,
@@ -140,6 +147,19 @@ def test_format_chart_text_reference_charts():
     assert "V(x^2) + V(1 - x * (y/x)^3)" in texts
     assert "V(y^2) + V(-(y - (x/y)^2))" in texts
     assert "V((x/y)^6 * (y^3/x^2)^2) + V(1 - (y^3/x^2))" in texts
+
+
+EXPONENTS = st.one_of(st.integers(-6, 6), st.integers(-(10**30), 10**30))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.tuples(EXPONENTS, EXPONENTS).filter(any), st.tuples(EXPONENTS, EXPONENTS).filter(any),
+       st.integers(0, 3), st.integers(0, 3), st.integers(-3, 3), st.integers(0, 3), st.sampled_from((1, -1)))
+def test_a_chart_is_written_as_the_oracle_writes_its_decomposition(f, g, exc_f, exc_g, p, q, sign):
+    # A generator is never the unit, which prints as 1 and which the oracle would parenthesise.
+    chart = ChartState._make((*f, *g, exc_f, exc_g, p, q, sign))
+    expected = oracles.chart_text(Monomial(*f), Monomial(*g), exc_f, exc_g, abs(p), q, p > 0, sign)
+    assert format_chart_text(chart) == expected
 
 
 def test_fraction_and_container_jsonable():
@@ -496,17 +516,17 @@ def test_runs_on_each_side_of_the_short_run_cut_are_emitted_as_the_oracles_emit_
 
 @pytest.mark.parametrize("basis", [(1, 0, 0, 1), (2, 1, 1, 1)], ids=["x,y", "x^2*y,x*y"])
 @pytest.mark.parametrize("n", [5, 2 * emit._SHORT_RUN])
-@pytest.mark.parametrize("A, B, t", [(A, B, t) for A in (0, 1, 5) for B in (0, 1, 3) for t in (1, 2)
+@pytest.mark.parametrize("A, B, t", [(A, B, t) for A in (0, 1, 5) for B in (0, 1, 3) for t in (0, 1, 2)
                                      if t >= 2 or B >= 1])
 @pytest.mark.parametrize("sign", [1, -1])
 def test_a_run_of_any_constants_is_emitted_as_the_oracles_emit_it(basis, n, A, B, t, sign):
     # One run of n rows, (f, g/f^j, A + j(B + t), B, s - jt, t) with s - (n - 1)t = 2,
     # its constants at and past 0 and 1, and A, its first row's exc_f, too.
-    # Every run that ``resolve`` makes has A >= 2 and B = 0 or B >= 2, and
-    # the generators x and y need no parentheses to take an exponent.  With
-    # t = 1 the last row's first child is not resolved, so no resolution
-    # ends there, and its DOT edges are not those of a resolution: only
-    # the nodes are compared.
+    # Every run that ``resolve`` makes has A >= 2, B = 0 or B >= 2, and
+    # t >= 1, and the generators x and y need no parentheses to take an
+    # exponent.  With t <= 1 the last row's first child is not resolved, so
+    # no resolution ends there, and its DOT edges are not those of a
+    # resolution: only the nodes are compared.
     trace = ResolutionTrace(7, 5, (((*basis, A, B, 2 + (n - 1) * t, t, sign), n),))
     assert_same_text(emit_json(trace), oracles.trace_json(trace))
 

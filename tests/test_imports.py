@@ -95,3 +95,25 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect(flags):
     assert by_the_import == ""
     if flags == ["-S"]:
         assert loaded == ""
+
+
+def private_emit_imports(source: str) -> list[str]:
+    """Names starting with ``_`` that ``source`` imports from ``monoval.emit``, at any depth of its code."""
+    return sorted(
+        alias.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module == "monoval.emit"
+        for alias in node.names
+        if alias.name.startswith("_")
+    )
+
+
+def test_the_oracles_import_no_private_name_of_emit():
+    # The oracles check the emitters, so they share none of their rules.
+    oracles = Path(__file__).with_name("oracles.py")
+    assert private_emit_imports(oracles.read_text(encoding="utf-8")) == []
+
+
+def test_the_check_sees_a_private_emit_import():
+    source = "from monoval.emit import emit_json, _pow_str\ndef f():\n    from monoval.emit import _MARK as m\n"
+    assert private_emit_imports(source) == ["_MARK", "_pow_str"]
