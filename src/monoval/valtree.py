@@ -27,12 +27,11 @@ against.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from fractions import Fraction
 from itertools import count
 from operator import eq
 from typing import Callable, Iterator, NamedTuple, Optional
 
-from .exactnum import _coprime_pair, _integer, _record, cf_expand
+from .exactnum import _coprime_pair, _integer, _record, euclid_digits
 from .laurent import IDENTITY_BASIS, ChartBasis, Monomial, X, Y, lattice_solve, monomial_name
 from .valuation import UNBOUNDED, MonomialValuation, Value
 
@@ -423,12 +422,14 @@ def correspondence_report(a: int, b: int, path: PositivePath) -> CorrespondenceR
     ``path`` should be the positive path of nu(x) = a, nu(y) = b, for
     coprime a > b >= 1.  The expected lengths are the canonical digits
     with the last one decremented (equivalently, the longer expansion
-    ending in 1, dropped).
+    ending in 1, dropped).  The digits are Euclid's quotients of (a, b),
+    read as ints: those ``cf_expand`` gives for a/b, since the quotients
+    do not change when a and b are scaled.
     """
     lengths = tuple(n for _, _, n in _branches(path))
-    cf = cf_expand(Fraction(a, b))
-    expected = cf.digits[:-1] + (cf.digits[-1] - 1,)
-    return CorrespondenceReport(a, b, lengths, cf.digits, expected, lengths == expected)
+    digits = tuple(euclid_digits(a, b))
+    expected = digits[:-1] + (digits[-1] - 1,)
+    return CorrespondenceReport(a, b, lengths, digits, expected, lengths == expected)
 
 
 def cf_correspondence_check(a: int, b: int) -> CorrespondenceReport:

@@ -24,10 +24,12 @@ from typing import Iterator, NamedTuple, Optional
 
 from .exactnum import CFStream, _integer, _record, euclid_digits, stream_compare
 from .laurent import (
+    Coefficient,
     LaurentPolynomial,
     Monomial,
     RationalFunction,
     ZeroPolynomialError,
+    _exact,
 )
 
 
@@ -62,14 +64,18 @@ def _int_sign(x) -> int:
 class RationalRatioGroup:
     """Both ``nu(x)`` and ``nu(y)`` are exact positive rationals, ``vx`` and ``vy``.
 
-    Either may be the larger.  Comparison is exact, never approximate:
+    Either may be the larger.  Each weight is held in the normal form of
+    a polynomial coefficient (``laurent._exact``): an ``int`` when it is
+    integral, however it was given, else a ``Fraction``; ``realize``
+    returns the same form.  Comparison is exact, never approximate:
     multiplying both values by den(nu(x)) * den(nu(y)) > 0 gives the
     integer weights ``px``, ``py``, so ``m*nu(x) + n*nu(y)`` has the sign
-    of ``m*px + n*py``.
+    of ``m*px + n*py``.  For integer weights ``px``, ``py`` are the
+    weights themselves, and no ``Fraction`` is built.
     """
 
     def __init__(self, vx, vy):
-        vx, vy = Fraction(vx), Fraction(vy)
+        vx, vy = _exact(vx), _exact(vy)
         if vx <= 0 or vy <= 0:
             raise ValueError("nu(x) and nu(y) must both be positive")
         self.vx = vx
@@ -77,8 +83,8 @@ class RationalRatioGroup:
         self.px = vx.numerator * vy.denominator
         self.py = vy.numerator * vx.denominator
 
-    def realize(self, v: Value) -> Fraction:
-        return v.m * self.vx + v.n * self.vy
+    def realize(self, v: Value) -> Coefficient:
+        return _exact(v.m * self.vx + v.n * self.vy)
 
     def compare(self, v1: Value, v2: Value) -> int:
         return _int_sign((v1.m - v2.m) * self.px + (v1.n - v2.n) * self.py)

@@ -4,16 +4,17 @@ For every coprime pair 1 < b < a <= max_a this runs four independent
 checks: the bad-chart path of the resolution equals the valuation's
 positive path, branch lengths match continued-fraction digits, the
 blow-up count equals the digit sum, and every chart of every trace
-expands back to x^b - y^a exactly.  The paths are compared by walking
-their runs side by side, one step per run, and each chart as the
-exponent pairs and sign of its two terms, as ints.  The charts are
-proved a run of the trace at a time, from the closed form of the run's
-rows and of their blow-ups: both children of a row expand to the row's
-polynomial, and a run's rows share their exponent pairs while they pass
-through the origin, so a run whose ends both do is blown up at its last
-row alone (see ``resolution.verify_reconstruction``).  Failures are
-report content, never exceptions; the first counterexample is kept
-verbatim.
+expands back to x^b - y^a exactly.  A pair is checked on ints: its
+weights and continued-fraction digits are never held as a ``Fraction``.
+The paths are compared by walking their runs side by side, one step per
+run, and each chart as the exponent pairs and sign of its two terms, as
+ints.  The charts are proved a run of the trace at a time, from the
+closed form of the run's rows and of their blow-ups: both children of a
+row expand to the row's polynomial, and a run's rows share their
+exponent pairs while they pass through the origin, so a run whose ends
+both do is blown up at its last row alone (see
+``resolution.verify_reconstruction``).  Failures are report content,
+never exceptions; the first counterexample is kept verbatim.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from math import gcd
 from typing import Iterator, NamedTuple, Optional
 
 from .exactnum import _integer, _record
-from .resolution import resolve, theorem_report, verify_reconstruction
-from .valtree import _pair_path, correspondence_report
+from .resolution import ResolutionTrace, resolve, theorem_report, verify_reconstruction
+from .valtree import CorrespondenceReport, _pair_path, correspondence_report
 
 CHECK_NAMES = (
     "path-equality",
@@ -112,43 +113,52 @@ def run_verify(max_a: int) -> VerifyReport:
     processed in sorted order; the checks are independent per pair, so the
     outcome does not depend on ordering.  Each pair is resolved once and
     its positive path walked once; all four checks read those two results.
-    A failure's detail is a template, formatted only for the first failure
-    kept.
+    A pair whose checks all pass adds one to each count; a failure's detail
+    is formatted only for the first failure kept.
     """
     max_a = _integer(max_a, "max_a")
     if max_a < 1:
         raise ValueError("max_a must be positive")
     report = VerifyReport(max_a=max_a)
-
-    def record(a: int, b: int, name: str, ok: bool, detail: str, *args) -> None:
-        report.checks[name].record(ok)
-        if not ok and report.first_failure is None:
-            report.first_failure = Failure(a, b, name, detail.format(*args))
+    counts = tuple(report.checks[name] for name in CHECK_NAMES)
+    path_counts, cf_counts, blow_up_counts, chart_counts = counts
 
     for a, b in coprime_pairs(max_a):
         report.pairs += 1
 
         trace = resolve(a, b)
         path = _pair_path(a, b)
-
-        thm = theorem_report(trace, path)
-        record(a, b, "path-equality", thm.equal, "bad-chart path differs from positive path")
-
+        equal = theorem_report(trace, path).equal
         corr = correspondence_report(a, b, path)
-        record(
-            a, b, "cf-correspondence", corr.match,
-            "branch lengths {} vs digits {}", corr.branch_lengths, corr.cf_digits,
+        oks = (
+            equal,
+            corr.match,
+            trace.blow_up_count == sum(corr.cf_digits),
+            verify_reconstruction(trace),
         )
-
-        digit_sum = sum(corr.cf_digits)
-        record(
-            a, b, "blow-up-count", trace.blow_up_count == digit_sum,
-            "{} blow-ups vs digit sum {}", trace.blow_up_count, digit_sum,
-        )
-
-        record(
-            a, b, "reconstruction", verify_reconstruction(trace),
-            "some chart does not expand back to the curve",
-        )
+        if oks[0] and oks[1] and oks[2] and oks[3]:
+            path_counts.passed += 1
+            cf_counts.passed += 1
+            blow_up_counts.passed += 1
+            chart_counts.passed += 1
+            continue
+        for check, ok in zip(counts, oks):
+            check.record(ok)
+        if report.first_failure is None:
+            report.first_failure = _failure(a, b, trace, corr, oks)
 
     return report
+
+
+def _failure(
+    a: int, b: int, trace: ResolutionTrace, corr: CorrespondenceReport, oks: tuple[bool, ...]
+) -> Failure:
+    """The ``Failure`` of the first check in ``oks``, in ``CHECK_NAMES`` order, that failed."""
+    i = next(i for i, ok in enumerate(oks) if not ok)
+    detail = (
+        "bad-chart path differs from positive path",
+        f"branch lengths {corr.branch_lengths} vs digits {corr.cf_digits}",
+        f"{trace.blow_up_count} blow-ups vs digit sum {sum(corr.cf_digits)}",
+        "some chart does not expand back to the curve",
+    )[i]
+    return Failure(a, b, CHECK_NAMES[i], detail)

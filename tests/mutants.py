@@ -212,6 +212,28 @@ MUTANTS = (
         "vertex 3 of every run gets a wrong second generator",
     ),
     Mutant(
+        "correspondence-last-digit-kept", "valtree.py",
+        "expected = digits[:-1] + (digits[-1] - 1,)",
+        "expected = digits",
+        (
+            "tests/test_valtree.py::test_correspondence_report_equals_the_record_built_from_the_expansion",
+            "tests/test_valtree.py::test_cf_correspondence_known",
+        ),
+        "the branch lengths are compared against the digits with the last one not decremented",
+    ),
+    Mutant(
+        "rational-weights-swapped", "valuation.py",
+        "        self.px = vx.numerator * vy.denominator\n"
+        "        self.py = vy.numerator * vx.denominator\n",
+        "        self.px = vy.numerator * vx.denominator\n"
+        "        self.py = vx.numerator * vy.denominator\n",
+        (
+            "tests/test_valuation.py::test_rational_group_keeps_the_given_values_in_either_order",
+            "tests/test_verify.py::test_each_pair_is_resolved_and_walked_once",
+        ),
+        "nu(x) and nu(y) trade integer weights, so values are compared as under nu(x) = b, nu(y) = a",
+    ),
+    Mutant(
         "guard-one-item-short", "cli.py",
         "and unprintable(*printed(start, m - 1)):",
         "and unprintable(*printed(start, m - 2)):",

@@ -57,8 +57,6 @@ from monoval.resolution import (
     ResolutionStep,
     ResolutionTrace,
     ThroughOrigin,
-    _chart_pairs,
-    _charts,
     _children,
     _kind,
     initial_chart,
@@ -247,6 +245,10 @@ def resolve_rows(a: int, b: int):
 
     This is the stepwise driver that ``resolve`` replaced by runs: each
     row's children from ``_children``, each child classified by ``_kind``.
+    It shares those two rules with ``resolve`` on purpose: what it checks
+    is the runs, that the closed form of a run's rows and its length
+    equal those rules applied one row at a time.  The rules themselves
+    are checked against ``chart_blow_up`` and ``chart_classify``.
     """
     row = tuple(initial_chart(a, b))
     resolved = Classification.RESOLVED
@@ -276,17 +278,32 @@ def trace_from_rows(a: int, b: int, rows) -> ResolutionTrace:
     return ResolutionTrace(a, b, tuple((tuple(row), 1) for row in rows))
 
 
+def chart_terms(c: ChartState) -> tuple[Monomial, Monomial]:
+    """The monomials m1, m2 of a chart's curve sign * (m1 - m2), from its nine ints.
+
+    The curve is sign * f^exc_f g^exc_g times the proper transform: f^p - g^q
+    where it passes through the origin (p > 0), else 1 - f^(-p) g^q.
+    """
+    f, g = Monomial(c.fx, c.fy), Monomial(c.gx, c.gy)
+    content = f ** c.exc_f * g ** c.exc_g
+    if c.p > 0:
+        return content * f ** c.p, content * g ** c.q
+    return content, content * f ** -c.p * g ** c.q
+
+
 def reconstruction_by_rows(trace: ResolutionTrace) -> bool:
     """The reconstruction verdict with every row blown up by the public ``blow_up``.
 
-    The root chart and both children of every row are compared, as
-    exponent pairs and sign, with those of x^b - y^a.  This is the check
-    ``verify_reconstruction`` certifies from the last row of each run.
-    Unlike it, this raises ``ValueError`` on a row that misses the
-    origin, where ``verify_reconstruction`` returns False.
+    The root chart and both children of every row, as ``all_charts``
+    gives them, are compared by their two terms and sign with those of
+    x^b - y^a.  This is the check ``verify_reconstruction`` certifies
+    from the last row of each run.  Unlike it, this raises ``ValueError``
+    on a row that misses the origin, where ``verify_reconstruction``
+    returns False.
     """
-    pairs = {1: (trace.b, 0, 0, trace.a), -1: (0, trace.a, trace.b, 0)}  # by sign
-    return all(_chart_pairs(c) == pairs.get(c[8]) for c in _charts(trace))
+    x_b, y_a = X ** trace.b, Y ** trace.a
+    curve = {1: (x_b, y_a), -1: (y_a, x_b)}  # the terms, by sign
+    return all(chart_terms(c) == curve.get(c.sign) for c in trace.all_charts())
 
 
 def expand_chart(c: ChartState) -> LaurentPolynomial:

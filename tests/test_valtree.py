@@ -5,7 +5,7 @@ from math import gcd
 import pytest
 
 import monoval
-from monoval.exactnum import cf_expand, sqrt2_stream
+from monoval.exactnum import cf_expand, euclid_digits, sqrt2_stream
 from monoval.laurent import (
     IDENTITY_BASIS,
     ChartBasis,
@@ -19,9 +19,11 @@ from monoval.laurent import (
 )
 from monoval.valtree import (
     Branch,
+    CorrespondenceReport,
     PositivePath,
     ROOT,
     TreeVertex,
+    _pair_path,
     branch_decomposition,
     cf_correspondence_check,
     children,
@@ -33,6 +35,8 @@ from monoval.valtree import (
     walk,
 )
 from monoval.valuation import MonomialValuation, Value
+
+import oracles
 
 
 def vert(fx, fy, gx, gy):
@@ -171,6 +175,26 @@ def test_cf_correspondence_sweep_to_100():
         for b in range(1, a):
             if gcd(a, b) == 1:
                 assert cf_correspondence_check(a, b).match, (a, b)
+
+
+def test_euclid_quotients_are_the_digits_of_the_fraction_at_any_scale():
+    for a in range(2, 61):
+        for b in range(1, a):
+            digits = cf_expand(Fraction(a, b)).digits
+            for k in range(1, 6):
+                assert tuple(euclid_digits(k * a, k * b)) == digits, (k, a, b)
+
+
+def test_correspondence_report_equals_the_record_built_from_the_expansion():
+    for a in range(2, 61):
+        for b in range(1, a):
+            if gcd(a, b) == 1:
+                path = _pair_path(a, b)
+                lengths = tuple(br.length for br in oracles.branch_decomposition(path))
+                digits = cf_expand(Fraction(a, b)).digits
+                expected = digits[:-1] + (digits[-1] - 1,)
+                report = CorrespondenceReport(a, b, lengths, digits, expected, lengths == expected)
+                assert correspondence_report(a, b, path) == report, (a, b)
 
 
 def test_branches_do_not_depend_on_the_order_of_a_vertex_s_generators():

@@ -112,6 +112,37 @@ def test_rational_group_keeps_the_given_values_in_either_order():
         RationalRatioGroup(3, -2)
 
 
+@pytest.mark.parametrize(
+    "weight, held, printed",
+    [
+        (3, 3, "3"),
+        (True, 1, "1"),
+        ("4", 4, "4"),
+        (Fraction(6, 2), 3, "3"),
+        ("3/2", Fraction(3, 2), "3/2"),
+        (Fraction(3, 2), Fraction(3, 2), "3/2"),
+        (1.5, Fraction(3, 2), "3/2"),
+    ],
+)
+def test_rational_group_holds_a_weight_as_an_int_when_integral(weight, held, printed):
+    for g, kept in ((RationalRatioGroup(weight, 5), "vx"), (RationalRatioGroup(5, weight), "vy")):
+        value = getattr(g, kept)
+        assert type(value) is type(held) and value == held
+        for v in (Value(1, 0), Value(0, 1), Value(2, 0), Value(2, 1)):
+            realized = g.realize(v)
+            integral = realized == int(realized)
+            assert type(realized) is (int if integral else Fraction)
+    assert RationalRatioGroup(weight, 5).describe() == f"nu(x) = {printed}, nu(y) = 5"
+    assert RationalRatioGroup(5, weight).describe() == f"nu(x) = 5, nu(y) = {printed}"
+
+
+@pytest.mark.parametrize("weight", [0, -1, "0"])
+def test_rational_group_refuses_a_weight_that_is_not_positive(weight):
+    for vx, vy in ((weight, 1), (1, weight)):
+        with pytest.raises(ValueError, match=r"^nu\(x\) and nu\(y\) must both be positive$"):
+            RationalRatioGroup(vx, vy)
+
+
 def test_equivalent_valuations_order_isomorphic():
     rng = random.Random(17)
     g1 = RationalRatioGroup(Fraction(7, 3), Fraction(4, 3))

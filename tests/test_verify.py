@@ -1,9 +1,11 @@
 """The single-pass sweep: one trace and one path per pair, checks still strict."""
 
+import fractions
 import json
+import sys
 
 import oracles
-from monoval import cli, resolution, valtree, verify
+from monoval import cli, exactnum, resolution, valtree, verify
 from monoval.valtree import CorrespondenceReport, PositivePath
 from monoval.verify import Failure, coprime_pairs, run_verify
 
@@ -136,3 +138,36 @@ def test_each_pair_is_resolved_and_walked_once(monkeypatch):
     assert calls["resolve"] == pairs
     assert len(calls["positive_path"]) == len(pairs)
     assert [(nu.group.vx, nu.group.vy) for nu, *_ in calls["positive_path"]] == pairs
+
+
+
+def fraction_and_expansion_calls(fn) -> tuple[int, int]:
+    """Calls that enter ``fractions.py``, and calls of ``cf_expand``, while ``fn()`` runs.
+
+    A profile hook counts calls rather than timing them, so the counts
+    repeat exactly; a hook on the file also sees the constructors that
+    skip ``Fraction.__new__``, such as 3.12's ``Fraction._from_coprime_ints``.
+    """
+    counts = [0, 0]
+
+    def count(frame, event, arg):
+        if event == "call":
+            code = frame.f_code
+            if code.co_filename == fractions.__file__:
+                counts[0] += 1
+            elif code is exactnum.cf_expand.__code__:
+                counts[1] += 1
+
+    sys.setprofile(count)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return counts[0], counts[1]
+
+
+def test_the_sweep_builds_no_fraction_and_no_expansion():
+    assert fraction_and_expansion_calls(lambda: run_verify(40)) == (0, 0)
+    # The hook sees both where they are made.
+    made, expanded = fraction_and_expansion_calls(lambda: exactnum.cf_expand(7))
+    assert made > 0 and expanded == 1
