@@ -57,7 +57,6 @@ from .valtree import (
     lex_valuation_from_tail,
     positive_child,
     positive_path,
-    take_path,
     take_runs,
     walk,
     walk_runs,

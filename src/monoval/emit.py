@@ -44,13 +44,14 @@ own g, exc_f and s are the row before's g/f, e and |s - t|.  f/g is the
 inverse of g/f, and both are named from one printing of each exponent:
 exponents of a wide pair run to hundreds of digits, and ``str`` of an
 int takes time quadratic in its length.  Inside a run, g/f^j has
-exponents affine in j, so a run of ``_SHORT_RUN`` rows or more is named
-by ``laurent``'s stretches, each of one printed shape; a shorter run is
-named a row at a time (``_row_names``), as a stretch costs more to set
-up than it saves there.  e and |s - t| are arithmetic progressions down
-a run, and e grows along the trace, to hundreds of digits on a wide
-pair; ``_progression`` prints a column of wide values as exact
-decimals, whose ``str`` takes time linear in the digits.
+exponents affine in j, so a run's names come from ``laurent``'s
+``_stretch_names``, each stretch of one printed shape.  The rule for a
+short run is ``laurent``'s too: ``_SHORT_RUN`` lives there, and
+``_stretch_names`` names a run or piece shorter than it a row at a
+time.  e and |s - t| are arithmetic progressions down a run, and e
+grows along the trace, to hundreds of digits on a wide pair;
+``_progression`` prints a column of wide values as exact decimals, whose
+``str`` takes time linear in the digits.
 
 Each emitter fills a stretch's rows from one f-string per row, around
 text joined once per stretch from the run's constants, so only the
@@ -80,9 +81,11 @@ once.  A run's first generator is named once for the run, and not at
 all when it is the f or the g of the vertex before: a walked path's run
 starts at the last g of the run before.  Its vertices' second
 generators, g/f^j, are named by ``laurent.run_monomial_name``, which
-prints no inverse, all but the last of a run of ``_SHORT_RUN`` or more,
-and the rest a vertex at a time by ``laurent.monomial_name``.  No
-``TreeVertex`` or ``Monomial`` is built.
+prints no inverse, all but the last of a run of ``laurent._SHORT_RUN``
+or more.  ``_path_names`` names the rest itself, a vertex at a time by
+``laurent.monomial_name``: a path has many short runs, and each would
+cost a call into ``laurent`` more.  No ``TreeVertex`` or ``Monomial`` is
+built.
 """
 
 from __future__ import annotations
@@ -97,6 +100,7 @@ from json.encoder import encode_basestring_ascii
 
 from .exactnum import CFExpansion
 from .laurent import (
+    _SHORT_RUN,
     _STRETCH,
     ChartBasis,
     _stretch_names,
@@ -116,25 +120,7 @@ from .resolution import (
 )
 from .valring import RingPresentation
 from .valtree import CorrespondenceReport, PositivePath
-from .verify import VerifyReport
-
-
-# Runs shorter than this are named a row at a time.  A stretch costs a few
-# microseconds to set up and saves a fraction of one per name, so it
-# pays from about 32 rows on, for small and 300-digit exponents alike.
-_SHORT_RUN = 32
-
-
-def _row_names(fx: int, fy: int, gx: int, gy: int, n: int) -> tuple[list[str], list[str]]:
-    """``monomial_names(gx - j*fx, gy - j*fy)`` for j = 1..n-1, named a row at a time, as a list of each."""
-    names, inverses = [], []
-    for _ in range(n - 1):
-        gx -= fx
-        gy -= fy
-        name, inverse = monomial_names(gx, gy)
-        names.append(name)
-        inverses.append(inverse)
-    return names, inverses
+from .verify import Failure, VerifyReport
 
 
 # Values of this many bits or more print as exact decimals (see ``_progression``).
@@ -235,11 +221,7 @@ def _blow_ups(trace: ResolutionTrace, printed: bool):
             step = b + t
             f, g, exc_f, exc_g, s_, t_ = chart
             j = 1  # the first row of each stretch blows up into row j
-            if n < _SHORT_RUN:
-                stretches = (_row_names(fx, fy, gx, gy, n),)
-            else:
-                stretches = _stretch_names(fx, fy, gx, gy, 1, n, True)
-            for names, inverses in stretches:
+            for names, inverses in _stretch_names(fx, fy, gx, gy, 1, n, True):
                 m = len(names)
                 if printed:
                     es, ds = _progression(a + j * step, step, m), _progression(s - j * t, -t, m)
@@ -360,15 +342,8 @@ def to_jsonable(obj):
             "resolution_path": to_jsonable(obj.resolution_path),
             "valuation_path": to_jsonable(obj.valuation_path),
         }
-    if isinstance(obj, CorrespondenceReport):
-        return {
-            "a": obj.a,
-            "b": obj.b,
-            "branch_lengths": list(obj.branch_lengths),
-            "cf_digits": list(obj.cf_digits),
-            "expected_lengths": list(obj.expected_lengths),
-            "match": obj.match,
-        }
+    if isinstance(obj, (CorrespondenceReport, Failure)):  # tuples, but JSON objects
+        return to_jsonable(obj._asdict())
     if isinstance(obj, VerifyReport):
         return {
             "max_a": obj.max_a,
@@ -378,14 +353,7 @@ def to_jsonable(obj):
                 name: {"passed": c.passed, "failed": c.failed}
                 for name, c in obj.checks.items()
             },
-            "first_failure": None
-            if obj.first_failure is None
-            else {
-                "a": obj.first_failure.a,
-                "b": obj.first_failure.b,
-                "check": obj.first_failure.check,
-                "detail": obj.first_failure.detail,
-            },
+            "first_failure": to_jsonable(obj.first_failure),
         }
     if isinstance(obj, ChartState):  # a tuple, but not a JSON list
         return _chart_json(obj)

@@ -57,10 +57,8 @@ def _record(cls: type) -> type:
     A plain named tuple equals any tuple of the same items, so ``Sum`` and
     ``Product`` nodes of one layout would compare equal, and ``<`` would
     order ``Value``s as pairs of ints, not as group elements.  Its
-    ``hash`` stays the tuple's.  Assignment is refused even where a
-    subclass has a ``__dict__`` for a ``cached_property``, which writes
-    to that dict directly.  Copies and pickles rebuild a record from its
-    fields through its constructor, so they carry no cached value.
+    ``hash`` stays the tuple's.  Assignment is refused.  Copies and
+    pickles rebuild a record from its fields through its constructor.
     """
     cls.__eq__, cls.__ne__ = _record_eq, _record_ne
     cls.__lt__ = cls.__le__ = cls.__gt__ = cls.__ge__ = _unordered

@@ -597,10 +597,8 @@ def _force(pending: list, work: _Work) -> RationalFunction:
     inside parentheses and unary minus signs.
     """
     form = pending[0]
-    if isinstance(form, Literal):
-        form = RationalFunction.constant(form.value)
-    elif isinstance(form, Variable):
-        form = RationalFunction.from_monomial(X if form.name == "x" else Y)
+    if isinstance(form, (Literal, Variable)):
+        form = _lower(form, work)
     for op, right in islice(pending, 1, None):
         if right is not None:
             form = _apply(op, form, _force(right, work), work)

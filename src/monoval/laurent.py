@@ -28,25 +28,29 @@ which ``Monomial.__str__`` calls, and ``monomial_names``, which names a
 monomial and its inverse from one printing of each exponent, both
 assemble the form with ``_fraction_form``.
 
-``run_monomial_names`` and ``run_monomial_name`` name g/f^j for a range
-of j, the second generators along a run of blow-ups or of a path, with
-and without the inverses.  The exponents of g/f^j are affine in j, so
-the range splits into stretches over which each keeps one sign and an
-absolute value of at least 2, or stays constant; such a stretch prints
-in one shape.  The j where an exponent is -1, 0 or 1 stand alone and
-are named by ``monomial_names`` or ``monomial_name``.  Every other
-stretch is filled from two lists of powers, each exponent printed
-once, and one f-string comprehension per shape: ``_shapes`` writes
-``_fraction_form``'s shapes out over lists, the one other place they
-are written, and the tests compare the two at every j.  A stretch
-holds at most ``_STRETCH`` names, so memory stays flat on a long run.
+``run_monomial_name`` names g/f^j for a range of j, the second
+generators along a path's run, and ``_stretch_names`` names them with
+or without the inverses, as the trace emitters name a run of blow-ups.
+The exponents of g/f^j are affine in j, so the range splits into
+stretches over which each keeps one sign and an absolute value of at
+least 2, or stays constant; such a stretch prints in one shape.  The j
+where an exponent is -1, 0 or 1 stand alone.  A stretch of
+``_SHORT_RUN`` names or more is filled from two lists of powers, each
+exponent printed once, and one f-string comprehension per shape:
+``_shapes`` writes ``_fraction_form``'s shapes out over lists, the one
+other place they are written, and the tests compare the two at every j.
+A shorter piece, and the whole of a range shorter than ``_SHORT_RUN``,
+which is then not cut at all, is named a row at a time by
+``monomial_names`` or ``monomial_name``: a stretch costs more to set up
+than it saves there.  A stretch holds at most ``_STRETCH`` names, so
+memory stays flat on a long run.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Mapping
 from fractions import Fraction
-from itertools import chain, count, islice, starmap
+from itertools import chain, count, islice
 from typing import Tuple, Union
 
 
@@ -157,6 +161,11 @@ def monomial_names(ex: int, ey: int) -> tuple[str, str]:
 # Names a stretch holds at most, so the memory of a run's names stays flat.
 _STRETCH = 1024
 
+# Ranges and pieces shorter than this are named a row at a time.  A stretch
+# costs a few microseconds to set up and saves a fraction of one per name,
+# so it pays from about 32 rows on, for small and 300-digit exponents alike.
+_SHORT_RUN = 32
+
 
 def _cuts(f: int, g: int, start: int, stop: int) -> range:
     """The j in (start, stop) at which a stretch of x^(g - j*f) must start.
@@ -206,29 +215,24 @@ def _stretch_names(fx: int, fy: int, gx: int, gy: int, start: int, stop: int, in
 
     A stretch holds at most ``_STRETCH`` values of j, over which both
     exponents of g/f^j keep their shape; a j at which one is -1, 0 or 1
-    stands alone.
+    stands alone.  A range shorter than ``_SHORT_RUN`` is not cut, and a
+    piece shorter than it is named a row at a time.
     """
-    cuts = sorted({start, stop, *_cuts(fx, gx, start, stop), *_cuts(fy, gy, start, stop)})
+    cuts = ((start, stop) if stop - start < _SHORT_RUN
+            else sorted({start, stop, *_cuts(fx, gx, start, stop), *_cuts(fy, gy, start, stop)}))
     for lo, hi in zip(cuts, cuts[1:]):
         for j0 in range(lo, hi, _STRETCH):
             ex, ey, m = gx - j0 * fx, gy - j0 * fy, min(hi - j0, _STRETCH)
-            if m == 1:
-                if inverses:
-                    name, inverse = monomial_names(ex, ey)
-                    yield [name], [inverse]
-                else:
-                    yield [monomial_name(ex, ey)]
+            if m < _SHORT_RUN:  # a row at a time
+                rows = list(map(monomial_names if inverses else monomial_name,
+                                islice(count(ex, -fx), m), count(ey, -fy)))
+                yield tuple(map(list, zip(*rows))) if inverses else rows
                 continue
             xs, ys = _powers("x", fx, ex, m), _powers("y", fy, ey, m)
             if inverses:
                 yield _shapes(xs, ys, ex, ey), _shapes(xs, ys, -ex, -ey)
             else:
                 yield _shapes(xs, ys, ex, ey)
-
-
-def run_monomial_names(fx: int, fy: int, gx: int, gy: int, start: int, stop: int) -> Iterator[tuple[str, str]]:
-    """``monomial_names(gx - j*fx, gy - j*fy)`` for j in range(start, stop), filled a stretch at a time."""
-    return chain.from_iterable(starmap(zip, _stretch_names(fx, fy, gx, gy, start, stop, True)))
 
 
 def run_monomial_name(fx: int, fy: int, gx: int, gy: int, start: int, stop: int) -> Iterator[str]:

@@ -51,7 +51,7 @@ valuation with nu(x) = a, nu(y) = b; a chart basis is a tree vertex.
 from __future__ import annotations
 
 import enum
-from functools import cached_property, partial
+from functools import partial
 from typing import Iterator, NamedTuple, Union
 
 from .exactnum import _PRIME_TEST_BOUND, _coprime_pair, _is_prime, _record, _require_coprime
@@ -196,8 +196,6 @@ class _Trace(NamedTuple):
     runs: tuple[RowRun, ...]
 
 
-# No __slots__ here or in TheoremReport: cached_property keeps its values
-# in the instance __dict__.
 @_record
 class ResolutionTrace(_Trace):
     """The charts blown up along a resolution, in order, kept as runs.
@@ -209,16 +207,18 @@ class ResolutionTrace(_Trace):
     follow ``_row_at``.  ``rows`` and ``steps`` expand the runs when read.
     """
 
+    __slots__ = ()
+
     def __new__(cls, a: int, b: int, runs: tuple[RowRun, ...]):
         if not runs:
             raise ValueError("a resolution trace needs at least one run")
         return tuple.__new__(cls, (a, b, runs))
 
-    @cached_property
+    @property
     def blow_up_count(self) -> int:
         return sum(n for _, n in self.runs)
 
-    @cached_property
+    @property
     def rows(self) -> ExpandedRuns:
         """Every row, a tuple of nine ints, each built when it is read."""
         return ExpandedRuns(self.runs, self.blow_up_count, _row_at)
@@ -233,21 +233,17 @@ class ResolutionTrace(_Trace):
         return list(_charts(self))
 
 
-class _Theorem(NamedTuple):
-    """The three fields of a ``TheoremReport``."""
+@_record
+class TheoremReport(NamedTuple):
+    """Bad-chart path of the resolution against the valuation's positive path.
+
+    ``equal`` is decided on the trace's rows; ``resolution_path``, a chart
+    basis per row, is built when read (``run_verify`` never reads it).
+    """
 
     trace: ResolutionTrace
     valuation_path: PositivePath
     equal: bool
-
-
-@_record
-class TheoremReport(_Theorem):
-    """Bad-chart path of the resolution against the valuation's positive path.
-
-    ``equal`` is decided on the trace's rows; ``resolution_path``, a chart
-    basis per row, is built when first read (``run_verify`` never reads it).
-    """
 
     @property
     def a(self) -> int:
@@ -257,7 +253,7 @@ class TheoremReport(_Theorem):
     def b(self) -> int:
         return self.trace.b
 
-    @cached_property
+    @property
     def resolution_path(self) -> PositivePath:
         return bad_vertex_path(self.trace)
 

@@ -309,15 +309,6 @@ def walk(nu: MonomialValuation) -> Iterator[TreeVertex]:
     return run_items(walk_runs(nu), _vertex_at)
 
 
-def take_path(vertices: Iterable[TreeVertex], max_steps: int) -> PositivePath:
-    """The first ``max_steps`` vertices of a walk, as a path of one run per vertex.
-
-    The path is complete when the walk ends within them; the walk is
-    asked for one vertex more to tell.
-    """
-    return take_runs(_vertex_runs(vertices), max_steps)
-
-
 def take_runs(runs: Iterator[Run], max_steps: int) -> PositivePath:
     """The first ``max_steps`` vertices of nonempty runs, as a path.
 

@@ -39,6 +39,8 @@ CF_LIMIT = "tests/test_cli.py::test_cf_past_the_int_str_limit_fails_before_outpu
 ARGV_CLIP = CLI + "test_refusals_that_quote_the_input_are_one_short_line"
 ANY_WORDING = CLI + "test_a_refusal_of_any_wording_clips_the_argv_strings_it_holds"
 RUN_NAMES = "tests/test_laurent.py::test_a_run_is_named_as_its_monomials_with_small_slopes"
+CAP_NAMES = "tests/test_laurent.py::test_a_run_is_named_as_its_monomials_past_the_stretch_cap_and_the_short_run_cut"
+SHORT_NAMES = "tests/test_laurent.py::test_a_run_shorter_than_the_short_run_cut_is_named_a_row_at_a_time_in_one_list"
 THIN_EMIT = "tests/test_emit.py::test_a_thin_pair_is_emitted_as_the_oracles_emit_it"
 DOT_EDGES = "tests/test_emit.py::test_dot_edges_are_written_from_the_runs_as_one_blow_up_at_a_time"
 EMIT_10_40 = "tests/test_emit.py::test_trace_emitters_match_the_view_oracle_up_to_10_40"
@@ -463,6 +465,27 @@ MUTANTS = (
         "min(hi - j0, _STRETCH + 1)",
         (THIN_EMIT,),
         "every stretch of a long run's names but its last ends one row late, repeating the next stretch's first row",
+    ),
+    Mutant(
+        "short-piece-names-next-row", "laurent.py",
+        "islice(count(ex, -fx), m), count(ey, -fy))",
+        "islice(count(ex - fx, -fx), m), count(ey - fy, -fy))",
+        (RUN_NAMES, SHORT_NAMES),
+        "a piece named a row at a time names row j + 1 in place of row j",
+    ),
+    Mutant(
+        "short-piece-swaps-inverses", "laurent.py",
+        "yield tuple(map(list, zip(*rows))) if inverses",
+        "yield tuple(map(list, zip(*rows)))[::-1] if inverses",
+        (RUN_NAMES, RUN_CONSTANTS),
+        "a piece named a row at a time gives the inverses as the names and the names as the inverses",
+    ),
+    Mutant(
+        "short-run-cut-at-the-cap", "laurent.py",
+        "(start, stop) if stop - start < _SHORT_RUN",
+        "(start, stop) if stop - start < _STRETCH",
+        (CAP_NAMES,),
+        "a range shorter than _STRETCH is never cut, so a stretch where an exponent is -1, 0 or 1 prints ^1 or ^0",
     ),
     Mutant(
         "stretch-fills-the-last-row", "emit.py",

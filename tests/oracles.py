@@ -6,11 +6,13 @@ expansion routine, top-down nested fractions instead of the convergent
 recurrence, and interval bisection on t^2 - 2 instead of convergent
 brackets for sqrt(2) sign decisions.  The positive path is walked here
 by one value comparison per vertex, as the cross-check for the package's
-walk from continued-fraction digits.  The resolution is driven here on
-``ChartState`` objects, blow-up by blow-up, and charts are expanded by
-monomial powers and a shift, as the cross-check for the package's
-integer rows and one-pass expansion; ``resolve_rows`` drives the
-package's rules one row at a time, as the cross-check for its runs.
+walk from continued-fraction digits, and a walk's vertices are taken
+here as a path of one run per vertex (``take_path``).  The resolution
+is driven here on ``ChartState`` objects, blow-up by blow-up, and
+charts are expanded by monomial powers and a shift, as the cross-check
+for the package's integer rows and one-pass expansion; ``resolve_rows``
+drives the package's rules one row at a time, as the cross-check for
+its runs.
 A trace is written here in JSON, DOT and text from ``BlowUp`` views of
 its rows, naming every monomial with ``str`` and filling ``str.format``
 templates, as the cross-check for the package's emitters over the runs:
@@ -61,7 +63,7 @@ from monoval.resolution import (
     _kind,
     initial_chart,
 )
-from monoval.valtree import ROOT, Branch, CorrespondenceReport, PositivePath, TreeVertex
+from monoval.valtree import ROOT, Branch, CorrespondenceReport, PositivePath, TreeVertex, take_runs
 
 
 def euclid_quotients(a: int, b: int) -> list[int]:
@@ -129,6 +131,16 @@ def bracket_walk(nu, max_steps: int) -> tuple[list[TreeVertex], bool]:
             vf, vg = vf, vg - vf
         vertices.append(vertex)
     return vertices[:max_steps], False
+
+
+def take_path(vertices, max_steps: int) -> PositivePath:
+    """The first ``max_steps`` vertices of a walk, as a path of one run per vertex.
+
+    The path is complete when the walk ends within them; the walk is
+    asked for one vertex more to tell.  The budget is read by the
+    package's ``take_runs``.
+    """
+    return take_runs((((v.f.ex, v.f.ey, v.g.ex, v.g.ey), 1) for v in vertices), max_steps)
 
 
 def random_coprime_pair(rng: random.Random, max_a: int, min_b: int = 1) -> tuple[int, int]:

@@ -38,7 +38,6 @@ from monoval.valtree import (
     lex_valuation_from_tail,
     positive_child,
     positive_path,
-    take_path,
 )
 from monoval.valuation import MonomialValuation
 from monoval.verify import run_verify
@@ -317,7 +316,7 @@ def test_a_path_of_positive_children_emits_as_the_walked_path():
         vertices = [ROOT]
         while len(vertices) <= 120:
             vertices.append(positive_child(nu, vertices[-1]))
-        stepped, walked = take_path(iter(vertices), 120), positive_path(nu, max_steps=120)
+        stepped, walked = oracles.take_path(iter(vertices), 120), positive_path(nu, max_steps=120)
         assert len(stepped.runs) == 120 >= len(walked.runs) and stepped == walked
         for emitter in (emit_json, emit_dot, lambda path: format_path_text(path, "heading:")):
             assert_same_text(emitter(stepped), emitter(walked))

@@ -24,10 +24,10 @@ from monoval.exactnum import (
 from monoval.laurent import Monomial
 from monoval.resolution import check_theorem, resolve
 from monoval.valring import RingPresentation, bezout, membership_union, ring_generators
-from monoval.valtree import positive_path, take_path, take_runs, walk, walk_runs
+from monoval.valtree import positive_path, take_runs, walk, walk_runs
 from monoval.valuation import MonomialValuation
 from monoval.verify import run_verify
-from oracles import euclid_quotients, nested_cf_value
+from oracles import euclid_quotients, nested_cf_value, take_path
 
 rationals = st.fractions(min_value=-200, max_value=200, max_denominator=500)
 

@@ -23,9 +23,8 @@ from monoval.laurent import (
     monomial_names,
     rewrite_in_chart,
     run_monomial_name,
-    run_monomial_names,
 )
-from monoval import emit, laurent
+from monoval import laurent
 from monoval.resolution import resolve
 from monoval.valtree import positive_path
 from monoval.valuation import MonomialValuation, Value
@@ -92,10 +91,25 @@ def test_monomial_names_are_str_of_the_monomial_and_its_inverse(ex, ey):
 # -- a run's names, a stretch at a time --------------------------------------
 
 
+def stretch_names(fx, fy, gx, gy, start, stop, inverses: bool) -> list:
+    """``_stretch_names``' lists joined in order: the names, or (name, inverse) pairs when ``inverses``."""
+    out = []
+    for stretch in laurent._stretch_names(fx, fy, gx, gy, start, stop, inverses):
+        if inverses:
+            names, inverses_ = stretch
+            assert type(names) is type(inverses_) is list and len(names) == len(inverses_) > 0
+            out.extend(zip(names, inverses_))
+        else:
+            assert type(stretch) is list and stretch
+            out.extend(stretch)
+    return out
+
+
 def assert_run_named_as_each_monomial(fx, fy, gx, gy, start, stop):
     """The stretch kernel names g/f^j as ``monomial_names`` and ``monomial_name`` do, at every j."""
     exponents = [(gx - j * fx, gy - j * fy) for j in range(start, stop)]
-    assert list(run_monomial_names(fx, fy, gx, gy, start, stop)) == [monomial_names(*e) for e in exponents]
+    assert stretch_names(fx, fy, gx, gy, start, stop, True) == [monomial_names(*e) for e in exponents]
+    assert stretch_names(fx, fy, gx, gy, start, stop, False) == [monomial_name(*e) for e in exponents]
     assert list(run_monomial_name(fx, fy, gx, gy, start, stop)) == [monomial_name(*e) for e in exponents]
 
 
@@ -106,6 +120,9 @@ slopes = st.integers(-4, 4)
 @example(1, 0, 5, 1, 0, 12)  # x^5*y, ..., x*y, y, y/x, ...: crosses 1, 0 and -1; y constant at 1
 @example(2, -1, 5, -3, 0, 8)  # x^5, x^3, x, 1/x: skips 0; y's exponent crosses 0
 @example(5, 3, 12, -7, 0, 6)  # x's exponent 12, 7, 2, -3: changes sign and skips -1, 0 and 1
+@example(1, 0, 5, 1, 0, 40)  # the same three, as runs long enough to be cut
+@example(2, -1, 5, -3, 0, 40)
+@example(5, 3, 12, -7, 0, 40)
 @example(0, 1, -1, 4, 0, 9)  # x's exponent constant at -1
 @example(0, 0, 2, -1, 3, 7)  # no slope: one name throughout
 @given(slopes, slopes, st.integers(-40, 40), st.integers(-40, 40), st.integers(-3, 3), st.integers(0, 40))
@@ -128,13 +145,14 @@ def test_a_run_is_named_as_its_monomials_near_10_300(fx, fy, gx, gy, length):
 
 
 CAP = laurent._STRETCH
-SHORT_RUN = emit._SHORT_RUN  # shorter runs are named a row at a time there
+SHORT_RUN = laurent._SHORT_RUN  # shorter runs and pieces are named a row at a time
 
 
-@pytest.mark.parametrize("length", (SHORT_RUN - 1, SHORT_RUN, SHORT_RUN + 1, CAP - 1, CAP, CAP + 1, 2 * CAP + 3))
+@pytest.mark.parametrize("length", (1, SHORT_RUN - 1, SHORT_RUN, SHORT_RUN + 1, CAP - 1, CAP, CAP + 1, 2 * CAP + 3))
 @pytest.mark.parametrize("fx, fy, gx, gy", [
     (1, -1, -1, 2),  # the run of a thin pair, y^(j + 2)/x^(j + 1)
     (0, 1, 1, -1),  # x/y^(j + 1): x's exponent constant at 1
+    (1, 0, 3, 1),  # x's exponent crosses 1, 0 and -1 at j = 2 to 4, inside a short run
     (1, 0, CAP, 1),  # x's exponent crosses 0 at j = CAP, where the first stretch would end
     (-1, 1, -CAP - 1, CAP + 2),  # both cross 0 past the first stretch
     (3, -2, 2 * CAP, -5),
@@ -147,10 +165,21 @@ def test_a_run_is_named_as_its_monomials_past_the_stretch_cap_and_the_short_run_
 def test_a_stretch_holds_at_most_the_cap():
     lengths = [len(names) for names, _ in laurent._stretch_names(1, -1, -1, 2, 1, 3 * CAP + 2, True)]
     assert lengths == [CAP, CAP, CAP, 1]
-    # 1/x^j from j = -2: x^2, x, 1, 1/x, then 1/x^2 to 1/x^9 in one shape
-    stretches = list(laurent._stretch_names(1, 0, 0, 0, -2, 10, False))
+    # 1/x^j from j = -2: x^2, x, 1, 1/x, then 1/x^2 to 1/x^39 in one shape
+    stretches = list(laurent._stretch_names(1, 0, 0, 0, -2, 40, False))
     assert stretches[:4] == [["x^2"], ["x"], ["1"], ["1/x"]]
-    assert stretches[4:] == [[f"1/x^{e}" for e in range(2, 10)]]
+    assert stretches[4:] == [[f"1/x^{e}" for e in range(2, 40)]]
+
+
+@pytest.mark.parametrize("inverses", [True, False])
+def test_a_run_shorter_than_the_short_run_cut_is_named_a_row_at_a_time_in_one_list(inverses):
+    # 1/x^j from j = -2 to SHORT_RUN - 4, SHORT_RUN - 1 of them: the cuts at j = -1, 0, 1 and 2 are not made
+    js = range(-2, SHORT_RUN - 3)
+    names, inverses_ = [monomial_name(-j, 0) for j in js], [monomial_name(j, 0) for j in js]
+    stretches = list(laurent._stretch_names(1, 0, 0, 0, -2, SHORT_RUN - 3, inverses))
+    assert stretches == ([(names, inverses_)] if inverses else [names])
+    # one more j, and the run is cut there
+    assert len(list(laurent._stretch_names(1, 0, 0, 0, -2, SHORT_RUN - 2, inverses))) == 5
 
 
 # -- polynomials -------------------------------------------------------------

@@ -31,7 +31,6 @@ from monoval.valtree import (
     lex_valuation_from_tail,
     positive_child,
     positive_path,
-    take_path,
     walk,
 )
 from monoval.valuation import MonomialValuation, Value
@@ -122,11 +121,11 @@ def test_positive_path_budget_edge_cases():
 def test_take_path_asks_for_one_vertex_past_the_budget():
     vertices = tuple(walk(MonomialValuation.rational(24, 7)))
     assert len(vertices) == 8
-    assert take_path(iter(vertices), 8) == PositivePath(vertices, complete=True)
-    assert take_path(iter(vertices), 7) == PositivePath(vertices[:7], complete=False)
-    assert take_path(iter(vertices), 2**70) == PositivePath(vertices, complete=True)
+    assert oracles.take_path(iter(vertices), 8) == PositivePath(vertices, complete=True)
+    assert oracles.take_path(iter(vertices), 7) == PositivePath(vertices[:7], complete=False)
+    assert oracles.take_path(iter(vertices), 2**70) == PositivePath(vertices, complete=True)
     with pytest.raises(ValueError, match="max_steps"):
-        take_path(iter(vertices), 0)
+        oracles.take_path(iter(vertices), 0)
 
 
 def test_walk_refuses_valuations_without_a_path():

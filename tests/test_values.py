@@ -207,7 +207,18 @@ def test_the_expanded_runs_of_a_trace_and_a_path_pickle_at_every_protocol(protoc
             assert twin == items and list(twin) == list(items) and twin[-1] == items[-1]
 
 
-def test_cached_properties_survive_copies_and_stay_frozen():
+@pytest.mark.parametrize("cls, kwargs, text", VALUES, ids=IDS)
+def test_a_frozen_value_has_no_instance_dict(cls, kwargs, text):
+    # a derived field is computed when read, never cached on the instance
+    value = cls(**kwargs)
+    assert hasattr(value, "__dict__") == (cls in MUTABLE)
+    for name in dir(cls):
+        if isinstance(getattr(cls, name, None), property):
+            getattr(value, name)
+    assert hasattr(value, "__dict__") == (cls in MUTABLE)
+
+
+def test_derived_properties_survive_copies_and_stay_frozen():
     trace = resolve(24, 7)
     assert trace.blow_up_count == 8 and len(trace.rows) == 8
     for twin in (copy.deepcopy(trace), pickle.loads(pickle.dumps(trace, 0))):
