@@ -216,11 +216,14 @@ def _integer(x, what: str) -> int:
     """``int(x)`` for a string or an integral value; for any other x, a ValueError naming ``what``.
 
     A bool is an integral value, as ``operator.index`` reads it: True is 1
-    and False is 0.
+    and False is 0.  An infinite or NaN float is refused as 1.5 is; a
+    string that ``int`` refuses keeps ``int``'s own message.
     """
     try:
         n = int(x)
-    except OverflowError:  # an infinite float
+    except (OverflowError, ValueError):  # an infinite or NaN float, or a string
+        if isinstance(x, str):
+            raise
         n = None
     if n != x and not isinstance(x, str):
         raise ValueError(f"{what} must be an integer, not {_quoted(x)}")

@@ -19,17 +19,22 @@ nu(y) = b without expanding f.  It carries each node's initial form, the
 terms of least weight a*i + b*j of a numerator over those of a
 denominator, with its weight: in(fg) = in(f) in(g), in(f/g) = in(f)/in(g),
 in(f^n) = in(f)^n, and a sum takes the operand of lower weight.  Weights
-and zeros are found at once, but a form is kept pending, as the steps
-that would build it, until a sum of equal weights or the answer reads
-it; so the form of the operand a sum drops is never built.  A sum of
+and zeros are found at once, but a form is kept pending, as the
+expression node that ``_lower`` builds it from, until a sum of equal
+weights or the answer reads it; so the form of the operand a sum drops
+is never built.  A subexpression with no sum in it is its own pending
+form, the parsed node itself (a zeroth power's form is the constant 1).
+A product, quotient, power or negation over an operand whose form
+changed is a new node of that type at the same position.  A sum of
 equal weights is left unforced too: its two forms may cancel, which
 only raises its weight or makes it zero, so an enclosing sum whose
 other operand is strictly lighter drops it unbuilt.  Any other use
 forces it: it builds and adds the two initial forms.  When they cancel,
 that sum alone is computed exactly, by ``lower``'s arithmetic, and its
-initial form is read off the exact value.  Along a chain the exact value
-of the prefix is kept, so each operand is lowered at most once however
-often the chain cancels.  Zero stays exact: a node is zero exactly when
+initial form is read off the exact value.  A form already built is a
+leaf of the nodes that use it.  Along a chain the exact value of the
+prefix is kept, so each operand is lowered at most once however often
+the chain cancels.  Zero stays exact: a node is zero exactly when
 ``lower`` makes it zero, and both raise the same errors at the same
 positions.
 
@@ -68,10 +73,9 @@ import math
 import sys
 from fractions import Fraction
 from functools import partial
-from itertools import islice
 from typing import NamedTuple, Optional, Union
 
-from .exactnum import _quoted, _record
+from .exactnum import _integer, _quoted, _record
 from .laurent import LaurentPolynomial, RationalFunction, X, Y
 from .valuation import Value
 
@@ -153,15 +157,23 @@ class Power(NamedTuple):
 
 Node = Union[Literal, Variable, Negation, Sum, Product, Quotient, Power]
 
-_PUNCT = set("+-*/^()")
+
+class _Built(NamedTuple):
+    """A leaf of a pending initial form that is already built: ``_lower`` reads it as its value."""
+
+    value: RationalFunction
+
+
+# The characters that are tokens by themselves.
+_SYMBOLS = frozenset("xy+-*/^()")
 
 # Each level costs the parser up to four stack frames; the interpreter's
 # default recursion limit of 1000 would be reached near 245 levels.
 MAX_NESTING = 128
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    """Tokens as (kind, text, position); kinds: int, name, punct, end."""
+def _tokenize(text: str) -> list[tuple[str, int]]:
+    """Tokens as (text, position): a run of decimal digits, one of ``_SYMBOLS``, or "" at the end."""
     tokens = []
     i = 0
     n = len(text)
@@ -174,17 +186,14 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
             j = i
             while j < n and text[j].isdecimal():
                 j += 1
-            tokens.append(("int", text[i:j], i))
+            tokens.append((text[i:j], i))
             i = j
-        elif ch in ("x", "y"):
-            tokens.append(("name", ch, i))
-            i += 1
-        elif ch in _PUNCT:
-            tokens.append(("punct", ch, i))
+        elif ch in _SYMBOLS:
+            tokens.append((ch, i))
             i += 1
         else:
             raise ExpressionError(f"unexpected character {ch!r}", i)
-    tokens.append(("end", "", n))
+    tokens.append(("", n))
     return tokens
 
 
@@ -202,32 +211,32 @@ class _Parser:
                 position,
             )
 
-    def peek(self) -> tuple[str, str, int]:
+    def peek(self) -> tuple[str, int]:
         return self.tokens[self.pos]
 
-    def advance(self) -> tuple[str, str, int]:
+    def advance(self) -> tuple[str, int]:
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
 
-    def expect_punct(self, ch: str) -> tuple[str, str, int]:
-        kind, text, position = self.peek()
-        if kind != "punct" or text != ch:
+    def expect_punct(self, ch: str) -> tuple[str, int]:
+        text, position = self.peek()
+        if text != ch:
             raise ExpressionError(f"expected {ch!r}", position)
         return self.advance()
 
     def parse(self) -> Node:
         node = self.expr()
-        kind, text, position = self.peek()
-        if kind != "end":
+        text, position = self.peek()
+        if text:
             raise ExpressionError(f"unexpected {_quoted(text)}", position)
         return node
 
     def expr(self) -> Node:
         node = self.term()
         while True:
-            kind, text, position = self.peek()
-            if kind == "punct" and text in "+-":
+            text, position = self.peek()
+            if text == "+" or text == "-":
                 self.advance()
                 right = self.term()
                 node = Sum(node, right if text == "+" else Negation(right), position)
@@ -237,8 +246,8 @@ class _Parser:
     def term(self) -> Node:
         node = self.factor()
         while True:
-            kind, text, position = self.peek()
-            if kind == "punct" and text in "*/":
+            text, position = self.peek()
+            if text == "*" or text == "/":
                 self.advance()
                 right = self.factor()
                 node = (Product if text == "*" else Quotient)(node, right, position)
@@ -247,42 +256,39 @@ class _Parser:
 
     def factor(self) -> Node:
         node = self.base()
-        kind, text, position = self.peek()
-        if kind == "punct" and text == "^":
+        text, position = self.peek()
+        if text == "^":
             self.advance()
             sign = 1
-            kind, text, _ = self.peek()
-            if kind == "punct" and text == "-":
+            if self.peek()[0] == "-":
                 self.advance()
                 sign = -1
-            kind, text, pos2 = self.peek()
-            if kind != "int":
+            text, pos2 = self.peek()
+            if not text.isdecimal():
                 raise ExpressionError("expected an integer exponent", pos2)
             self.advance()
             node = Power(node, sign * _read_int(text, pos2, "exponent"), position)
         return node
 
     def base(self) -> Node:
-        kind, text, position = self.advance()
-        if kind == "int":
+        text, position = self.advance()
+        if text.isdecimal():
             return Literal(Fraction(_read_int(text, position, "integer")))
-        if kind == "name":
+        if text == "x" or text == "y":
             return Variable(text)
-        if kind == "punct" and text == "(":
+        if text == "(":
             self.enter(position)
             inner = self.expr()
             self.expect_punct(")")
             self.depth -= 1
             return inner
-        if kind == "punct" and text == "-":
+        if text == "-":
             self.enter(position)
             operand = self.factor()
             self.depth -= 1
             return Negation(operand)
         raise ExpressionError(
-            "expected a number, variable, '(' or '-'"
-            if kind != "end"
-            else "unexpected end of input",
+            "expected a number, variable, '(' or '-'" if text else "unexpected end of input",
             position,
         )
 
@@ -418,6 +424,8 @@ def _lower(node: Node, work: _Work) -> RationalFunction:
         if node.exponent < 0 and base.is_zero:
             raise ExpressionError("negative power of zero", node.position)
         value = _power(base, node.exponent, node.position, work)
+    elif isinstance(node, _Built):
+        value = node.value
     else:
         raise TypeError(f"unknown node {type(node).__name__}")
     for op in reversed(spine):
@@ -431,12 +439,13 @@ def parse_rational_function(text: str) -> RationalFunction:
 
 
 # An initial form and its weight, or None for zero.  The form is pending:
-# a list whose head is a form, or the Literal or Variable that makes one,
-# followed by the steps that build the form from it, in order.  A step is
-# (op, right) for a Product or Quotient op by the pending form right, or
-# (op, None) for a Negation or Power op.
-_Initial = Optional[tuple[list, int]]
-_ONE = Literal(Fraction(1))  # makes the form of any base to the power 0
+# it is the node that ``_lower`` builds it from.  A nonzero subexpression
+# with no sum and no zeroth power in it is its own pending form.  A
+# product, quotient, power or negation over an operand whose form changed
+# is a new node of its type at the same position, and a form already
+# built is a ``_Built`` leaf.
+_Initial = Optional[tuple[Union[Node, _Built], int]]
+_ONE = Literal(Fraction(1))  # the form of any base to the power 0
 
 
 def initial_value(node: Node, a: int, b: int) -> Optional[Value]:
@@ -444,17 +453,19 @@ def initial_value(node: Node, a: int, b: int) -> Optional[Value]:
 
     ``f`` is ``lower(node)``, which is never built unless two initial
     forms cancel, and the errors raised are those of ``lower``.  ``a`` and
-    ``b`` are positive integers.  The value read is that of a term of the
-    initial form, so it may be another (m, n) of the same weight than
-    ``nu(lower(node))`` gives; realized, the two are equal.
+    ``b`` are positive integers, read as ``exactnum._integer`` reads
+    them.  The value read is that of a term of the initial form, so it
+    may be another (m, n) of the same weight than ``nu(lower(node))``
+    gives; realized, the two are equal.
     """
+    a, b = _integer(a, "nu(x)"), _integer(b, "nu(y)")
     if a <= 0 or b <= 0:
         raise ValueError("nu(x) and nu(y) must both be positive")
     work = _Work()
     initial = _forced(_initial(node, a, b, work, _Work()))
     if initial is None:
         return None
-    form = _force(initial[0], work)
+    form = _lower(initial[0], work)
     (top, _), (bottom, _) = form.numerator.terms()[0], form.denominator.terms()[0]
     return Value(top.ex - bottom.ex, top.ey - bottom.ey)
 
@@ -475,20 +486,22 @@ def _initial(node: Node, a: int, b: int, work: _Work, exact_work: _Work):
     spine.reverse()
     leaf = node
     if isinstance(node, Literal):
-        value = ([node], 0) if node.value else None
+        value = (node, 0) if node.value else None
     elif isinstance(node, Variable):
-        value = ([node], a if node.name == "x" else b)
+        value = (node, a if node.name == "x" else b)
     elif isinstance(node, Negation):
         value = _forced(_initial(node.operand, a, b, work, exact_work))
         if value is not None:
-            value[0].append((node, None))
+            form = value[0]
+            value = (node if form is node.operand else Negation(form), value[1])
     elif isinstance(node, Power):
         value = _initial(node.base, a, b, work, exact_work)
         if node.exponent == 0:
-            value = ([_ONE], 0)
+            value = (_ONE, 0)
         elif (value := _forced(value)) is not None:
-            value[0].append((node, None))
-            value = (value[0], value[1] * node.exponent)
+            form = value[0]
+            form = node if form is node.base else Power(form, node.exponent, node.position)
+            value = (form, value[1] * node.exponent)
         elif node.exponent < 0:
             raise ExpressionError("negative power of zero", node.position)
     else:
@@ -512,8 +525,8 @@ def _initial(node: Node, a: int, b: int, work: _Work, exact_work: _Work):
             if isinstance(op, Sum):
                 value = right
         elif not isinstance(op, Sum):
-            value[0].append((op, right[0]))
-            value = (value[0], value[1] + right[1] if isinstance(op, Product) else value[1] - right[1])
+            form = op if value[0] is op.left and right[0] is op.right else type(op)(value[0], right[0], op.position)
+            value = (form, value[1] + right[1] if isinstance(op, Product) else value[1] - right[1])
         elif value[1] > right[1]:
             value = right
         elif value[1] == right[1]:
@@ -524,32 +537,31 @@ def _initial(node: Node, a: int, b: int, work: _Work, exact_work: _Work):
 
 
 class _Chain:
-    """A spine of ``_initial`` over its leaf, and its exact prefix once a sum on it cancels.
+    """A spine of ``_initial``, and the exact value of a prefix of it once a sum on it cancels.
 
-    ``exact`` is the exact value of the leaf and the first ``done``
-    operations, so each operand is lowered at most once however often
-    the chain cancels.
+    ``exact`` is the spine's leaf, or once a sum has cancelled, the
+    ``_Built`` exact value of the leaf and the first ``done`` operations,
+    so each operand is lowered at most once however often the chain
+    cancels.
     """
 
-    __slots__ = ("spine", "leaf", "a", "b", "work", "exact_work", "exact", "done")
+    __slots__ = ("spine", "a", "b", "work", "exact_work", "exact", "done")
 
     def __init__(self, spine: list, leaf: Node, a: int, b: int, work: _Work, exact_work: _Work):
-        self.spine, self.leaf, self.a, self.b = spine, leaf, a, b
+        self.spine, self.a, self.b = spine, a, b
         self.work, self.exact_work = work, exact_work
-        self.exact, self.done = None, 0
+        self.exact, self.done = leaf, 0
 
-    def settle(self, k: int, left: list, right: list, weight: int) -> _Initial:
+    def settle(self, k: int, left, right, weight: int) -> _Initial:
         """The sum spine[k] of two pending forms of one weight, built; exactly when they cancel."""
-        form = _apply(self.spine[k], _force(left, self.work), _force(right, self.work), self.work)
+        form = _lower(Sum(left, right, self.spine[k].position), self.work)
         if not form.is_zero:
-            return [form], weight
+            return _Built(form), weight
         exact = self.exact
-        if exact is None:
-            exact = _lower(self.leaf, self.exact_work)
         for prior in self.spine[self.done:k + 1]:
-            exact = _apply(prior, exact, _lower(prior.right, self.exact_work), self.exact_work)
-        self.exact, self.done = exact, k + 1
-        return _initial_of(exact, self.a, self.b)
+            exact = type(prior)(exact, prior.right, prior.position)
+        self.exact, self.done = _Built(_lower(exact, self.exact_work)), k + 1
+        return _initial_of(self.exact.value, self.a, self.b)
 
 
 class _Unforced(tuple):
@@ -589,33 +601,13 @@ def _forced(value):
     return value.force() if type(value) is _Unforced else value
 
 
-def _force(pending: list, work: _Work) -> RationalFunction:
-    """Build a pending form, charging ``work`` for each product, quotient and power.
-
-    The steps are applied in a loop.  Only the right operand of a product
-    or quotient is forced by recursion, and its steps reach deeper only
-    inside parentheses and unary minus signs.
-    """
-    form = pending[0]
-    if isinstance(form, (Literal, Variable)):
-        form = _lower(form, work)
-    for op, right in islice(pending, 1, None):
-        if right is not None:
-            form = _apply(op, form, _force(right, work), work)
-        elif isinstance(op, Power):
-            form = _power(form, op.exponent, op.position, work)
-        else:
-            form = -form
-    return form
-
-
 def _initial_of(value: RationalFunction, a: int, b: int) -> _Initial:
     """The initial form of an exact rational function, and its weight."""
     if value.is_zero:
         return None
     num, top = _lowest_terms(value.numerator, a, b)
     den, bottom = _lowest_terms(value.denominator, a, b)
-    return [RationalFunction(num, den)], top - bottom
+    return _Built(RationalFunction(num, den)), top - bottom
 
 
 def _lowest_terms(p: LaurentPolynomial, a: int, b: int) -> tuple[LaurentPolynomial, int]:

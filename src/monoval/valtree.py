@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from itertools import count
-from operator import eq
+from operator import eq, index
 from typing import Callable, Iterator, NamedTuple, Optional
 
 from .exactnum import _coprime_pair, _integer, _record, euclid_digits
@@ -49,9 +49,10 @@ class ExpandedRuns(Sequence):
     """The items of runs, ``at(start, j)`` for j < n of each run (start, n), built when read.
 
     ``len`` is the sum of the lengths.  Iteration reads each run's items
-    by ``at`` in order.  Indexing walks the runs, subtracting their
-    lengths until the index falls inside one.  Equal to any tuple, list
-    or expanded runs with equal items in the same order.  Copies and
+    by ``at`` in order.  Indexing reads a non-slice index with
+    ``operator.index``, as a tuple does, and walks the runs, subtracting
+    their lengths until the index falls inside one.  Equal to any tuple,
+    list or expanded runs with equal items in the same order.  Copies and
     pickles rebuild it from its runs, at every pickle protocol.
     """
 
@@ -75,6 +76,7 @@ class ExpandedRuns(Sequence):
         n = self._count
         if isinstance(i, slice):
             return tuple(map(self.__getitem__, range(*i.indices(n))))
+        i = index(i)
         if i < 0:
             i += n
         if not 0 <= i < n:

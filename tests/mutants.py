@@ -48,6 +48,9 @@ RUN_CONSTANTS = "tests/test_emit.py::test_a_run_of_any_constants_is_emitted_as_t
 PROGRESSION = "tests/test_emit.py::test_a_progression_prints_each_value_as_str_does"
 INITIAL_FORMS = "tests/test_expr.py::test_initial_forms_explicit_cases"
 HEAVIER_OPERAND = "tests/test_expr.py::test_a_sum_never_builds_or_charges_its_heavier_operand"
+DROPPED_OPERAND = "tests/test_expr.py::test_an_operation_over_a_sum_never_builds_or_charges_the_operand_it_drops"
+NEW_PRODUCT = "tests/test_expr.py::test_a_product_over_a_sum_that_dropped_an_operand_is_a_new_node"
+OWN_FORM = "tests/test_expr.py::test_a_subexpression_with_no_sum_in_it_is_its_own_pending_form"
 CERTIFICATE = (
     RESOLUTION + "test_the_run_certificate_agrees_with_blowing_up_every_row_up_to_10_40",
     RESOLUTION + "test_the_run_certificate_agrees_with_blowing_up_every_row_on_long_branches",
@@ -563,6 +566,42 @@ MUTANTS = (
         "and not left[1] <= right[1]:",
         (INITIAL_FORMS,),
         "an operand of the same weight drops an unforced sum, though the sum may cancel it",
+    ),
+    Mutant(
+        "product-reuse-needs-one-operand", "expr.py",
+        "value[0] is op.left and right[0] is op.right",
+        "value[0] is op.left or right[0] is op.right",
+        (NEW_PRODUCT, DROPPED_OPERAND),
+        "a product or quotient keeps its parsed node when only one operand's form is unchanged,"
+        " so an operand a sum dropped is built",
+    ),
+    Mutant(
+        "product-never-reused", "expr.py",
+        "form = op if value[0] is op.left",
+        "form = op if False and value[0] is op.left",
+        (OWN_FORM,),
+        "a product or quotient over unchanged operands is a new node, though its value is the same",
+    ),
+    Mutant(
+        "negation-keeps-its-node", "expr.py",
+        "node if form is node.operand else Negation(form)",
+        "node",
+        (DROPPED_OPERAND,),
+        "a negation keeps its parsed node though its operand's form changed, so a dropped operand is built",
+    ),
+    Mutant(
+        "power-keeps-its-node", "expr.py",
+        "node if form is node.base else Power(form, node.exponent, node.position)",
+        "node",
+        (DROPPED_OPERAND,),
+        "a power keeps its parsed node though its base's form changed, so a dropped operand is built",
+    ),
+    Mutant(
+        "end-token-read-as-an-integer", "expr.py",
+        "        if text.isdecimal():\n            return Literal(",
+        "        if text.isdecimal() or not text:\n            return Literal(",
+        ("tests/test_expr.py::test_syntax_errors_carry_positions",),
+        "the end of the input reads as an integer literal where a base is expected",
     ),
     Mutant(
         "normal-keeps-zeros", "laurent.py",

@@ -25,7 +25,7 @@ from monoval.laurent import Monomial
 from monoval.resolution import check_theorem, resolve
 from monoval.valring import RingPresentation, bezout, membership_union, ring_generators
 from monoval.valtree import positive_path, take_runs, walk, walk_runs
-from monoval.valuation import MonomialValuation
+from monoval.valuation import LexZ2Group, MonomialValuation
 from monoval.verify import run_verify
 from oracles import euclid_quotients, nested_cf_value, take_path
 
@@ -355,6 +355,31 @@ def test_an_integer_argument_with_a_fractional_part_is_refused(call, message):
     with pytest.raises(ValueError) as info:
         call()
     assert str(info.value) == message
+
+
+# Each of these entry points names its argument for an infinite float and a NaN alike.
+@pytest.mark.parametrize("x", [float("inf"), float("nan")], ids=["inf", "nan"])
+@pytest.mark.parametrize(
+    "call, what",
+    [
+        (lambda x: positive_path(_NU, x), "max_steps"),
+        (lambda x: run_verify(x), "max_a"),
+        (lambda x: cf_convergents(cf_expand(Fraction(7, 3)), x), "count"),
+        (lambda x: CFExpansion([1, x]), "digit 1"),
+        (lambda x: membership_union(Monomial(1, -1), _NU, x), "max_steps"),
+        (lambda x: LexZ2Group((x, 0), (0, 1)), "nu(x)[0]"),
+    ],
+)
+def test_an_infinite_or_nan_integer_argument_is_refused_by_name(call, what, x):
+    with pytest.raises(ValueError) as info:
+        call(x)
+    assert str(info.value) == f"{what} must be an integer, not {x!r}"
+
+
+def test_a_string_int_refuses_keeps_the_message_of_int():
+    with pytest.raises(ValueError) as info:
+        _integer("1.5", "a")
+    assert str(info.value) == "invalid literal for int() with base 10: '1.5'"
 
 
 _HUGE = 10**5000  # past the interpreter's default limit of 4,300 digits for printing an int

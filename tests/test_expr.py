@@ -1,3 +1,4 @@
+import math
 import random
 import time
 from contextlib import contextmanager
@@ -12,11 +13,13 @@ from monoval.expr import (
     Literal,
     Negation,
     Power,
+    Product,
     Quotient,
     Sum,
     Variable,
     WorkBudgetError,
     _Work,
+    _initial,
     _power_units,
     _size,
     initial_value,
@@ -278,6 +281,33 @@ def test_initial_forms_need_positive_weights():
             initial_value(parse_expression("x"), a, b)
 
 
+TIED = "x^26*y^12 + x^19*y^13"  # weights 11.0 and 11.0 in floats at 0.1, 0.7
+
+
+@pytest.mark.parametrize("a, b, expected", [
+    (2.0, 3, Value(19, 13)),
+    (True, 1, Value(19, 13)),
+    (2, 3.0, Value(19, 13)),
+    (0.1, 0.7, "nu(x) must be an integer, not 0.1"),
+    (1.5, 2, "nu(x) must be an integer, not 1.5"),
+    (math.nan, 2, "nu(x) must be an integer, not nan"),
+    (math.inf, 2, "nu(x) must be an integer, not inf"),
+    (2, 0.7, "nu(y) must be an integer, not 0.7"),
+    (2, math.nan, "nu(y) must be an integer, not nan"),
+    (0, 2, "nu(x) and nu(y) must both be positive"),
+    (3, -1, "nu(x) and nu(y) must both be positive"),
+    (False, 2.0, "nu(x) and nu(y) must both be positive"),
+])
+def test_initial_value_reads_its_weights_as_integers(a, b, expected):
+    node = parse_expression(TIED)
+    if isinstance(expected, Value):
+        assert initial_value(node, a, b) == expected
+    else:
+        with pytest.raises(ValueError) as err:
+            initial_value(node, a, b)
+        assert str(err.value) == expected
+
+
 def test_cancelling_chain_is_linear():
     # Each cancellation extends the exact prefix kept so far: no operand is
     # lowered twice, so the chain costs about what lowering it costs.
@@ -426,6 +456,22 @@ def test_a_sum_never_builds_or_charges_its_heavier_operand(text, a, b):
     assert charged(f"{text} + {HEAVY}") == alone, text
 
 
+@pytest.mark.parametrize("text, alone", [
+    (f"-(x + {HEAVY})", "-x"),
+    (f"(x + {HEAVY})^3", "x^3"),
+    (f"(x + {HEAVY})*y", "x*y"),
+    (f"y/(x + {HEAVY})", "y/x"),
+    (f"-(x + {HEAVY})^-2/y", "-x^-2/y"),
+])
+def test_an_operation_over_a_sum_never_builds_or_charges_the_operand_it_drops(text, alone):
+    def charged(text):
+        with counting_charges() as units:
+            result = initial_value(parse_expression(text), 1, 1)
+        return result, units[0]
+
+    assert charged(text) == charged(alone)
+
+
 def test_only_the_initial_forms_the_value_reads_are_multiplied_out():
     # The initial form of each 9-term polynomial is its constant term, so
     # the other 16 terms are never built: c1^4 is three products for the
@@ -466,8 +512,27 @@ def test_the_work_budget_admits_a_two_term_initial_form_to_the_500th():
         assert by_initial_forms(node, a, b) == 500 * min(2 * a, 3 * b)
 
 
+@pytest.mark.parametrize("text", [
+    "x", "3", "2*x^3*y/5", "x/y", "(x*y^2)^-3", "-x", "-(x/y)", "((x*(y)))*((2))", "x^2*(y*(x/y)^2)^3",
+])
+def test_a_subexpression_with_no_sum_in_it_is_its_own_pending_form(text):
+    node = parse_expression(text)
+    assert _initial(node, 3, 2, _Work(), _Work())[0] is node
+
+
+def test_a_product_over_a_sum_that_dropped_an_operand_is_a_new_node():
+    # At a = b = 1 the sum keeps x and drops y^2, whose form is never built.
+    node = parse_expression("(x + y^2)*x")
+    form, weight = _initial(node, 1, 1, _Work(), _Work())
+    assert form is not node and weight == 2
+    assert form == Product(Variable("x"), Variable("x"), 9)
+    assert form.left is node.left.left and form.right is node.right
+
+
 def test_lowering_and_initial_values_refuse_a_node_of_no_known_kind():
-    for call in (lambda: lower(object()), lambda: initial_value(object(), 3, 2)):
+    rf = parse_rational_function("x + y")
+    for call, name in ((lambda: lower(object()), "object"), (lambda: initial_value(object(), 3, 2), "object"),
+                       (lambda: lower(rf), "RationalFunction"), (lambda: initial_value(rf, 3, 2), "RationalFunction")):
         with pytest.raises(TypeError) as err:
             call()
-        assert str(err.value) == "unknown node object"
+        assert str(err.value) == f"unknown node {name}"

@@ -102,6 +102,20 @@ def test_indexing_the_rows_walks_to_the_row_iteration_gives(pair, rng):
             trace.rows[i]
 
 
+def test_expanded_runs_read_an_index_as_a_tuple_does():
+    trace = resolve(7, 3)
+    path = positive_path(MonomialValuation.rational(7, 3))
+    for items in (trace.rows, trace.steps, path.vertices):
+        as_tuple = tuple(items)
+        assert items[True] == as_tuple[True] == as_tuple[1]
+        for index in (1.0, "1", None, (1,)):
+            with pytest.raises(TypeError) as expanded:
+                items[index]
+            with pytest.raises(TypeError) as plain:
+                as_tuple[index]
+            assert type(expanded.value) is type(plain.value)
+
+
 def test_long_branches_take_a_few_runs_and_no_time():
     start = time.perf_counter()
     trace = resolve(10**6 + 1, 10**6)
