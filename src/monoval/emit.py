@@ -9,11 +9,13 @@ is also what the expression parser reads back.
 ``to_jsonable`` is the plain dict/list view of every emittable object,
 and ``emit_json(obj)`` is ``json.dumps(to_jsonable(obj), sort_keys=True,
 indent=2)`` byte for byte.  Resolution traces and positive paths, the
-outputs that run to tens of megabytes, are written through f-strings
-laid out as that call lays them out, and a continued fraction, the most
-frequent small request, through one fixed template: ``json.dumps`` with
-an indent runs its pure-Python encoder, several times slower than one
-``join``.  Every other object goes through ``json.dumps``.
+outputs that run to tens of megabytes, and continued fractions, the most
+frequent small request, fill layouts that ``json.dumps`` lays out once,
+at import: ``_cut`` dumps a document of the chart, vertex and blow-up
+shapes that ``to_jsonable`` builds, with slots for the values, and cuts
+it at the slots.  ``json.dumps`` with an indent runs its pure-Python
+encoder, several times slower than filling an f-string.  Every other
+object goes through ``json.dumps`` itself.
 
 Traces and paths are streamed: ``json_chunks``, ``dot_chunks``,
 ``trace_text_chunks`` and ``path_text_chunks`` yield each heading alone,
@@ -65,8 +67,9 @@ rules are written: which powers print, how the sign wraps, and which
 names take parentheses (``_grouped``).  f-strings fill faster than a
 ``%`` template or ``str.format``: those parse their format again on
 every fill.  Monomial names and classifications hold no character that
-JSON escapes, so the JSON step quotes them as they are.  Each JSON array
-item carries its ``,\\n`` separator, which the first drops.
+JSON escapes, so they fill the JSON layout's string slots as they are.
+Each JSON array item carries the ``,\\n`` separator that ``_cut`` cuts
+with it, and the first drops the comma.
 
 The bad charts are the vertices of the positive path of nu(x) = a,
 nu(y) = b (``resolution.bad_vertex_path``), so plain text names them as
@@ -96,13 +99,12 @@ from collections.abc import Iterator
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, Rounded
 from itertools import accumulate, chain, count, islice, repeat, starmap
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii
+from os.path import commonprefix
 
 from .exactnum import CFExpansion
 from .laurent import (
     _SHORT_RUN,
     _STRETCH,
-    ChartBasis,
     _stretch_names,
     monomial_name,
     monomial_names,
@@ -292,17 +294,29 @@ def _path_names(path: PositivePath) -> Iterator[tuple[str, str]]:
             px, py, p, qx, qy = fx, fy, f, gx + fx, gy + fy
 
 
-def _vertex_json(v: ChartBasis) -> dict:
-    return {"f": str(v.f), "g": str(v.g)}
+_PROPER = ("misses-origin", "through-origin")  # a proper transform's kind, by whether it passes through the origin
 
 
-def _chart_json(c: ChartState) -> dict:
-    kind = "through-origin" if c.p > 0 else "misses-origin"
+def _vertex_json(f, g) -> dict:
+    return {"f": f, "g": g}
+
+
+def _chart_json(f, g, exc_f, exc_g, p, q, proper, sign) -> dict:
+    """A chart on generators f, g: proper transform f^p - g^q when ``proper`` is through-origin, else 1 - f^p g^q."""
     return {
-        "basis": {"f": monomial_name(c.fx, c.fy), "g": monomial_name(c.gx, c.gy)},
-        "exceptional": {"f": c.exc_f, "g": c.exc_g},
-        "proper": {"kind": kind, "f_power": abs(c.p), "g_power": c.q},
-        "sign": c.sign,
+        "basis": _vertex_json(f, g),
+        "exceptional": {"f": exc_f, "g": exc_g},
+        "proper": {"kind": proper, "f_power": p, "g_power": q},
+        "sign": sign,
+    }
+
+
+def _blow_up_json(chart, kind, children) -> dict:
+    """A blow-up of ``chart`` of classification ``kind`` into ``children``, (chart, classification) pairs."""
+    return {
+        "chart": chart,
+        "classification": kind,
+        "children": [{"chart": child, "classification": k} for child, k in children],
     }
 
 
@@ -313,7 +327,7 @@ def to_jsonable(obj):
     if isinstance(obj, PositivePath):
         return {
             "status": obj.status,
-            "vertices": [_vertex_json(v) for v in obj.vertices],
+            "vertices": [_vertex_json(str(v.f), str(v.g)) for v in obj.vertices],
         }
     if isinstance(obj, RingPresentation):
         return {"u": str(obj.u), "v": str(obj.v), "p": obj.p, "q": obj.q}
@@ -323,14 +337,8 @@ def to_jsonable(obj):
             "b": obj.b,
             "count": obj.blow_up_count,
             "blow_ups": [
-                {
-                    "chart": _chart_json(step.chart),
-                    "classification": step.classification.value,
-                    "children": [
-                        {"chart": _chart_json(child), "classification": kind.value}
-                        for child, kind in step.children
-                    ],
-                }
+                _blow_up_json(to_jsonable(step.chart), step.classification.value,
+                              [(to_jsonable(child), kind.value) for child, kind in step.children])
                 for step in obj.steps
             ],
         }
@@ -356,7 +364,8 @@ def to_jsonable(obj):
             "first_failure": to_jsonable(obj.first_failure),
         }
     if isinstance(obj, ChartState):  # a tuple, but not a JSON list
-        return _chart_json(obj)
+        return _chart_json(monomial_name(obj.fx, obj.fy), monomial_name(obj.gx, obj.gy), obj.exc_f, obj.exc_g,
+                           abs(obj.p), obj.q, _PROPER[obj.p > 0], obj.sign)
     if isinstance(obj, Fraction):
         return str(obj)
     if isinstance(obj, dict):
@@ -366,6 +375,36 @@ def to_jsonable(obj):
     if isinstance(obj, (str, int, bool)) or obj is None:
         return obj
     raise TypeError(f"cannot emit {type(obj).__name__} as JSON")
+
+
+_TEXT, _NUMBER = "@", "#"  # slots in a dumped layout: no key or fixed value holds either, and JSON escapes neither
+
+
+def _cut(doc: dict, key: str, item) -> list[list[str]]:
+    """``json.dumps(doc, sort_keys=True, indent=2)`` with list ``doc[key]`` of ``item``s, cut at its slots.
+
+    A ``_TEXT`` slot is a string's place inside its quotes; a ``_NUMBER``
+    slot's quotes are dropped, so a number fills it.  The document is
+    dumped with the list empty, of one item and of two, and cut into the
+    head up to the list's ``[``, an item with the ``,\\n`` before it (what
+    a second item adds), the tail after a list of items and the tail
+    after an empty list.  Each is split at its slots.
+    """
+    none, one, two = (json.dumps({**doc, key: [item] * n}, sort_keys=True, indent=2)
+                      .replace(json.dumps(_NUMBER), _TEXT) for n in range(3))
+    head = commonprefix((none, one))
+    k = len(commonprefix((one, two)))  # the first item's end
+    return [text.split(_TEXT) for text in (head, two[k:k + len(two) - len(one)], one[k:], none[len(head):])]
+
+
+_TRACE_HEAD, _STEP, _TRACE_TAIL, _ = _cut(
+    {"a": _NUMBER, "b": _NUMBER, "count": _NUMBER}, "blow_ups",
+    _blow_up_json(_chart_json(_TEXT, _TEXT, _NUMBER, _NUMBER, _NUMBER, _NUMBER, _PROPER[True], _NUMBER), _TEXT,
+                  [(_chart_json(_TEXT, _TEXT, _NUMBER, _NUMBER, _NUMBER, _NUMBER, _TEXT, _NUMBER), _TEXT)] * 2))
+_PATH_HEAD, _VERTEX, (_PATH_TAIL,), (_PATH_EMPTY_TAIL,) = _cut(
+    {"status": _TEXT}, "vertices", _vertex_json(_TEXT, _TEXT))
+(_CF_HEAD,), (_CF_DIGIT, _), (_CF_TAIL,), _ = _cut({}, "digits", _NUMBER)
+_CF_HEAD += _CF_DIGIT[1:]  # an expansion has at least one digit, and the first drops the separator's comma
 
 
 _BLOCK = 1 << 16  # characters per write, about; the emitters write ASCII, so bytes
@@ -398,83 +437,30 @@ def _json_items(items: Iterator[str]) -> Iterator[str]:
 
 
 def _json_step(_: int, chart, first, second, through1, through2, sign, kind, k1, k2) -> str:
-    """A run's last blow-up of ``_blow_ups`` as a JSON array item at depth 4, after its ``,\\n``.
+    """A run's last blow-up of ``_blow_ups`` as a JSON array item, its ``,\\n`` first.
 
+    The item is ``_STEP``, the blow-up's layout cut from ``json.dumps``
+    output at import, filled with the row's values in one f-string.
     Monomial names and classifications hold no character that JSON
-    escapes, so they are quoted as they are.  JSON prints no index.
+    escapes, so they fill the string slots as they are.  JSON prints no
+    index.
     """
     f, g, exc_f, exc_g, s, t = chart
     f1, g1, exc_f1, exc_g1, s1, t1 = first
     f2, g2, exc_f2, exc_g2, s2, t2 = second
-    proper1 = "through-origin" if through1 else "misses-origin"
-    proper2 = "through-origin" if through2 else "misses-origin"
-    return f""",
-    {{
-      "chart": {{
-        "basis": {{
-          "f": "{f}",
-          "g": "{g}"
-        }},
-        "exceptional": {{
-          "f": {exc_f},
-          "g": {exc_g}
-        }},
-        "proper": {{
-          "f_power": {s},
-          "g_power": {t},
-          "kind": "through-origin"
-        }},
-        "sign": {sign}
-      }},
-      "children": [
-        {{
-          "chart": {{
-            "basis": {{
-              "f": "{f1}",
-              "g": "{g1}"
-            }},
-            "exceptional": {{
-              "f": {exc_f1},
-              "g": {exc_g1}
-            }},
-            "proper": {{
-              "f_power": {s1},
-              "g_power": {t1},
-              "kind": "{proper1}"
-            }},
-            "sign": {sign}
-          }},
-          "classification": "{k1}"
-        }},
-        {{
-          "chart": {{
-            "basis": {{
-              "f": "{f2}",
-              "g": "{g2}"
-            }},
-            "exceptional": {{
-              "f": {exc_f2},
-              "g": {exc_g2}
-            }},
-            "proper": {{
-              "f_power": {s2},
-              "g_power": {t2},
-              "kind": "{proper2}"
-            }},
-            "sign": {-sign}
-          }},
-          "classification": "{k2}"
-        }}
-      ],
-      "classification": "{kind}"
-    }}"""
+    (p0, p1, p2, p3, p4, p5, p6, p7, p8, p9, p10, p11, p12, p13, p14, p15, p16, p17, p18, p19, p20, p21, p22, p23,
+     p24, p25, p26) = _STEP
+    return (f"{p0}{f}{p1}{g}{p2}{exc_f}{p3}{exc_g}{p4}{s}{p5}{t}{p6}{sign}"
+            f"{p7}{f1}{p8}{g1}{p9}{exc_f1}{p10}{exc_g1}{p11}{s1}{p12}{t1}{p13}{_PROPER[through1]}{p14}{sign}"
+            f"{p15}{k1}{p16}{f2}{p17}{g2}{p18}{exc_f2}{p19}{exc_g2}{p20}{s2}{p21}{t2}{p22}{_PROPER[through2]}"
+            f"{p23}{-sign}{p24}{k2}{p25}{kind}{p26}")
 
 
 _MARK = "\0"  # a marker for a value in a row's layout; no name or number holds it
 
 
 def _json_stretch(_: int, stretch: _Stretch) -> Iterator[str]:
-    """A stretch's rows as JSON array items, laid out by ``_json_step``.
+    """A stretch's rows as JSON array items, laid out by ``_json_step`` in the layout cut from ``json.dumps``.
 
     ``_json_step`` is filled once per stretch with the run's constants and
     ``_MARK`` for each of the 12 values that vary down a run; each row
@@ -493,26 +479,22 @@ def _json_stretch(_: int, stretch: _Stretch) -> Iterator[str]:
     )
 
 
-def _json_vertex(f: str, g: str) -> str:
-    """A path's vertex as a JSON array item at depth 4, after its ``,\\n``."""
-    return f',\n    {{\n      "f": "{f}",\n      "g": "{g}"\n    }}'
-
-
-_CF = '{\n  "digits": [\n    %s\n  ]\n}'  # an expansion has at least one digit
 _KIND = {k: k.value for k in Classification}  # faster than the enum's .value
 _RESOLVED = _KIND[Classification.RESOLVED]
 
 
 def _trace_json(trace: ResolutionTrace) -> Iterator[str]:
-    yield f'{{\n  "a": {trace.a},\n  "b": {trace.b},\n  "blow_ups": ['
+    (h0, h1, h2), (t0, t1) = _TRACE_HEAD, _TRACE_TAIL
+    yield f"{h0}{trace.a}{h1}{trace.b}{h2}"
     yield from _json_items(_filled(trace, True, _json_stretch, _json_step))
-    yield f'\n  ],\n  "count": {trace.blow_up_count}\n}}'
+    yield f"{t0}{trace.blow_up_count}{t1}"
 
 
 def _path_json(path: PositivePath) -> Iterator[str]:
-    yield f'{{\n  "status": {encode_basestring_ascii(path.status)},\n  "vertices": ['
-    yield from _json_items(starmap(_json_vertex, _path_names(path)))
-    yield "\n  ]\n}" if path.count else "]\n}"
+    (h0, h1), (v0, v1, v2) = _PATH_HEAD, _VERTEX
+    yield f"{h0}{path.status}{h1}"
+    yield from _json_items(f"{v0}{f}{v1}{g}{v2}" for f, g in _path_names(path))
+    yield _PATH_TAIL if path.count else _PATH_EMPTY_TAIL
 
 
 def json_chunks(obj) -> Iterator[str]:
@@ -526,7 +508,7 @@ def json_chunks(obj) -> Iterator[str]:
     if isinstance(obj, PositivePath):
         return _path_json(obj)
     if isinstance(obj, CFExpansion):
-        return iter((_CF % ",\n    ".join(map(str, obj.digits)),))
+        return iter((f"{_CF_HEAD}{_CF_DIGIT.join(map(str, obj.digits))}{_CF_TAIL}",))
     return iter((json.dumps(to_jsonable(obj), sort_keys=True, indent=2),))
 
 

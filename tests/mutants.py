@@ -387,10 +387,31 @@ MUTANTS = (
     ),
     Mutant(
         "json-step-second-sign", "emit.py",
-        '"sign": {-sign}',
-        '"sign": {sign}',
+        "{p23}{-sign}",
+        "{p23}{sign}",
         ("tests/test_emit.py::test_trace_emitters_match_the_view_oracle_up_to_10_40",),
         "the JSON step prints the second child with its parent's sign",
+    ),
+    Mutant(
+        "json-number-slot-quoted", "emit.py",
+        ".replace(json.dumps(_NUMBER), _TEXT)",
+        ".replace(_NUMBER, _TEXT)",
+        (EMIT_10_40,),
+        "every number of a JSON layout is filled inside the quotes of its slot, as a string",
+    ),
+    Mutant(
+        "json-item-cut-late", "emit.py",
+        "two[k:k + len(two) - len(one)]",
+        "two[k + 1:k + 1 + len(two) - len(one)]",
+        (EMIT_10_40,),
+        "a JSON array item is cut one character late, without its comma and with the newline after it",
+    ),
+    Mutant(
+        "json-empty-path-tail-from-one-item", "emit.py",
+        "none[len(head):]",
+        "one[k:]",
+        (EMIT + "test_path_json_is_written_as_the_path_json_oracle_writes_it",),
+        "an empty path's JSON ends with the tail that follows a list of vertices, not the one after []",
     ),
     Mutant(
         "dot-node-bold-inverted", "emit.py",

@@ -18,9 +18,9 @@ its rows, naming every monomial with ``str`` and filling ``str.format``
 templates, as the cross-check for the package's emitters over the runs:
 a chart's decomposition is written from its generators' exponents and
 its integer powers, and DOT's head and node names from templates here;
-a path is written here in DOT and text from its vertices, with ``str``
-of each generator, as the cross-check for the package's emitters over a
-path's runs.
+a path is written here in JSON, DOT and text from its vertices, with
+``str`` of each generator, as the cross-check for the package's emitters
+over a path's runs.
 Branches are split here vertex by vertex, as the cross-check for the
 package's decomposition over a path's runs.  Runs that continue each
 other are merged here into maximal runs, the form in which the
@@ -723,6 +723,16 @@ def trace_text(trace: ResolutionTrace, show_steps: bool = False) -> str:
                 out.append(f"    k[{child[0]}, {child[1]}]: {chart_text(*child, through_, sign_)}"
                            f" [{k.value}]\n")
     return "".join(out)
+
+
+_JSON_VERTEX = '    {{\n      "f": {},\n      "g": {}\n    }}'
+
+
+def path_json(path: PositivePath) -> str:
+    """``emit_json(path)``, from ``str`` of each vertex's generators and ``str.format`` templates."""
+    vertices = ",\n".join(_JSON_VERTEX.format(_json_name(v.f), _json_name(v.g)) for v in path.vertices)
+    return '{{\n  "status": {},\n  "vertices": {}\n}}'.format(
+        encode_basestring_ascii(path.status), f"[\n{vertices}\n  ]" if vertices else "[]")
 
 
 def path_dot(path: PositivePath) -> str:

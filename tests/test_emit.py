@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 import re
 import sys
 from fractions import Fraction
@@ -47,6 +48,8 @@ from oracles import coprime_pairs
 
 def test_cf_json():
     assert json.loads(emit_json(cf_expand(Fraction(24, 7)))) == {"digits": [3, 2, 3]}
+    for x in (Fraction(24, 7), 5, Fraction(-7, 3)):  # several digits, one, a negative first
+        assert emit_json(cf_expand(x)) == dumps(cf_expand(x))
 
 
 def test_ringgens_json():
@@ -181,7 +184,9 @@ def test_a_chart_is_emitted_as_in_a_trace_not_as_its_tuple():
 # references are the plain views they replaced: JSON from ``to_jsonable``
 # through ``json.dumps``, a trace's DOT and text below from
 # ``str(vertex)`` and ``format_chart_text``, and a path's DOT and text
-# from ``oracles.path_dot`` and ``oracles.path_text``.
+# from ``oracles.path_dot`` and ``oracles.path_text``.  The JSON layouts
+# are cut from ``json.dumps`` output of ``to_jsonable``'s own shapes, so
+# a path's JSON is also checked against ``oracles.path_json`` (below).
 
 
 def dumps(obj) -> str:
@@ -266,11 +271,12 @@ def with_fixed_pairs(test):
 
     Hypothesis never shrinks an explicit example, so a broken emitter
     fails on these in seconds; shrinking a drawn pair, each step of which
-    builds and compares four outputs, takes minutes.  (101, 100) and
+    builds and compares four outputs, takes minutes.  (3, 2) is one run
+    of one blow-up before the resolved last one.  (101, 100) and
     (1001, 3) are traces with runs of about 100 and 330 rows, a
     tangential crossing and a cusp at each row inside.
     """
-    for pair in ((24, 7), (377, 233), WIDE_PAIR, (101, 100), (1001, 3)):
+    for pair in ((3, 2), (24, 7), (377, 233), WIDE_PAIR, (101, 100), (1001, 3)):
         test = example(pair)(test)
     return test
 
@@ -383,9 +389,10 @@ def test_templates_keep_generator_order():
 
 
 def test_templates_match_references_on_an_empty_path():
-    path = PositivePath((), complete=False)
-    assert_path_matches_references(path)
-    assert '"vertices": []' in emit_json(path)
+    for complete in (True, False):
+        path = PositivePath((), complete=complete)
+        assert_path_matches_references(path)
+        assert '"vertices": []' in emit_json(path)
 
 
 def convergent(digits) -> tuple[int, int]:
@@ -502,6 +509,31 @@ def test_a_thin_pair_is_emitted_as_the_oracles_emit_it():
     assert n == 1998 > emit._STRETCH and row[7] == 1
     assert_trace_matches_the_view_oracle(*THIN_PAIR)
     assert_pair_path_matches_the_path_oracles(*THIN_PAIR)
+
+
+# The 361-digit pair of CI's wide steps: 300 digits spread evenly over 1..40, shuffled.
+WIDE_DIGITS = [1 + 40 * i // 300 for i in range(300)]
+random.Random(1).shuffle(WIDE_DIGITS)
+
+PATHS = {
+    "361 digits": lambda: _pair_path(*convergent(WIDE_DIGITS)),
+    "thin": lambda: _pair_path(*THIN_PAIR),
+    "21 digits": lambda: _pair_path(*WIDE_PAIR),
+    "stream of ones": lambda: positive_path(MonomialValuation.from_stream(CFStream.from_periodic([1], [1])),
+                                            max_steps=3000),
+    "truncated in a run": lambda: positive_path(MonomialValuation.from_stream(CFStream.from_periodic([1], [40, 7])),
+                                                max_steps=20),
+    "empty, complete": lambda: PositivePath((), complete=True),
+    "empty, truncated": lambda: PositivePath((), complete=False),
+}
+
+
+@pytest.mark.parametrize("make", PATHS.values(), ids=PATHS.keys())
+def test_path_json_is_written_as_the_path_json_oracle_writes_it(make):
+    # ``to_jsonable`` and the streamed emitter share their shapes; the
+    # oracle writes a path's JSON from its own templates.
+    path = make()
+    assert_same_text(emit_json(path), oracles.path_json(path))
 
 
 @pytest.mark.parametrize("a", (2 * emit._SHORT_RUN + k for k in (-1, 1, 3)))

@@ -9,7 +9,10 @@ stream path were recorded before resolve and path output were written
 from fixed templates.  The two plain-text resolve digests, of 24, 7 and
 of A, B, were recorded before the trace emitters read the integer rows
 through one kernel.  The digests of A, B and of the text stream path
-are the only goldens with big exponents.  Any change to vertex order,
+are the only goldens with big exponents.  The three cf JSON digests
+(several digits, a negative first digit, one digit) and that of the
+one-vertex truncated stream path were recorded before the JSON layouts
+were cut from ``json.dumps`` output.  Any change to vertex order,
 generator order, chart data or formatting shows up here.
 """
 
@@ -56,6 +59,14 @@ GOLDEN = [
      "5ef4902dee79dc6a5e46c414811ea235cc8d533d35faa2d23ba616c6bd8e770d"),
     (("resolve", A, B),
      "e6241fa8f294a872f6e916d058ccbb8dd161cf8b75979ba6a38cd1f34d130531"),
+    (("cf", "24/7", "--format", "json"),
+     "d2d82c903e92bdc48caeca1ef9c7f2917516d470b7b004348a03eab8be851dac"),
+    (("cf", "-7/3", "--format", "json"),
+     "08df2ad2df6cae4b8fdb0eb9e674a524c801e6e61b2ea3594af49c396a7b7525"),
+    (("cf", "5", "--format", "json"),
+     "3637eddfb97da4887e35b0d7a8a1fdc6f9325bdc111e9766ab929c4536005b5b"),
+    (("path", "--stream", "sqrt2", "--max-steps", "1", "--format", "json"),
+     "0b98ea40edec1c6eddedc95e7803d2bab74f8e2b068d34468f95ff0e45245d98"),
 ]
 
 
