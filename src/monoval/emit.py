@@ -736,7 +736,8 @@ def trace_text_chunks(trace: ResolutionTrace, show_steps: bool = False) -> Itera
     """
     yield (f"resolution of x^{trace.b} = y^{trace.a}: {trace.blow_up_count} blow-ups\n"
            "bad charts:\n")
-    kinds = chain.from_iterable(repeat(_KIND[_kind(row)], n) for row, n in trace.runs)
+    # range, not repeat: a run may be longer than a C integer
+    kinds = (kind for row, n in trace.runs for kind in [_KIND[_kind(row)]] for _ in range(n))
     yield from _blocks(f"  {i}: k[{f}, {g}] ({kind})\n"
                        for i, ((f, g), kind) in enumerate(zip(_path_names(bad_vertex_path(trace)), kinds)))
     if not show_steps:

@@ -17,33 +17,37 @@ a ``LongIntegerError``.
 ``initial_value`` finds nu(f) for the monomial valuation nu(x) = a,
 nu(y) = b without expanding f.  It carries each node's initial form, the
 terms of least weight a*i + b*j of a numerator over those of a
-denominator, with its weight: in(fg) = in(f) in(g), in(f/g) = in(f)/in(g),
-in(f^n) = in(f)^n, and a sum takes the operand of lower weight.  Weights
-and zeros are found at once, but a form is kept pending, as the
-expression node that ``_lower`` builds it from, until a sum of equal
-weights or the answer reads it; so the form of the operand a sum drops
-is never built.  A subexpression with no sum in it is its own pending
-form, the parsed node itself (a zeroth power's form is the constant 1).
-A product, quotient, power or negation over an operand whose form
-changed is a new node of that type at the same position.  A sum of
-equal weights is left unforced too: its two forms may cancel, which
-only raises its weight or makes it zero, so an enclosing sum whose
-other operand is strictly lighter drops it unbuilt.  Any other use
-forces it: it builds and adds the two initial forms.  When they cancel,
-that sum alone is computed exactly, by ``lower``'s arithmetic, and its
-initial form is read off the exact value.  A form already built is a
-leaf of the nodes that use it.  Along a chain the exact value of the
-prefix is kept, so each operand is lowered at most once however often
-the chain cancels.  Zero stays exact: a node is zero exactly when
-``lower`` makes it zero, and both raise the same errors at the same
-positions.
+denominator, with its value (m, n): in(fg) = in(f) in(g), in(f/g) =
+in(f)/in(g), in(f^n) = in(f)^n, and a sum takes the operand of lower
+weight a*m + b*n.  The value is that of the lex-least term of the
+numerator's initial form less the denominator's, which a product, a
+quotient and a power carry as its sum, difference and multiple, so it is
+exactly ``MonomialValuation.rational(a, b)(lower(node))``.  Values and
+zeros are found at once, but a form is kept pending, as the expression
+node that ``_lower`` builds it from, until a sum of equal weights reads
+it; so neither the answer nor the operand a sum drops builds a form.  A
+subexpression with no sum in it is its own pending form, the parsed node
+itself (a zeroth power's form is the constant 1).  A product, quotient,
+power or negation over an operand whose form changed is a new node of
+that type at the same position.  A sum of equal weights is left
+unforced too: its two forms may cancel, which only raises its weight or
+makes it zero, so an enclosing sum whose other operand is strictly
+lighter drops it unbuilt.  Any other sum or the answer forces it: it
+builds and adds the two initial forms, and reads its value off the
+built form.  When they cancel, that sum alone is computed exactly, by
+``lower``'s arithmetic, and its initial form is read off the exact
+value.  A form already built is a leaf of the nodes that use it.  Along
+a chain the exact value of the prefix is kept, so each operand is
+lowered at most once however often the chain cancels.  Zero stays
+exact: a node is zero exactly when ``lower`` makes it zero, and both
+raise the same errors at the same positions.
 
 ``initial_value`` charges every product, quotient, sum and power of
 initial forms that it builds against a budget of ``WORK_BUDGET`` units
 before it is made, and those of its exact fallback against a second
 budget of the same size, so the fallback's exact work is not counted
-twice.  A form that is never built is never charged, so an operand that
-a sum drops cannot exhaust the budget.  A unit is one product of two
+twice.  A form that is never built is never charged, so only a sum of
+equal weights can exhaust the budget.  A unit is one product of two
 terms whose coefficients fit in ``BLOCK_BITS`` bits; a term product of
 longer coefficients counts the product of their numbers of started
 blocks.  A power p^n is charged up front for every product
@@ -53,11 +57,12 @@ most C(k + t - 1, t - 1) for p's t terms; coefficients at most the k-th
 power of the sum of p's, over their common denominator.  A call that
 would pass a budget raises ``WorkBudgetError``; it never returns a
 truncated value.  The budget admits (x + y)^700 - (x + y)^700 + x^701
-with a = b = 1 (about 590,000 units in each budget) and refuses the
-exact (x + y)^20000 before any work.  With a = b = 1 it also refuses
-(x + y)^20000 alone, but admits x + (x + y)^20000, which drops that
-power unbuilt, and x + ((x + y)^1300 + (x + y)^1300), which drops
-that sum of equal weights unbuilt.  ``lower`` has no budget.
+with a = b = 1 (about 590,000 units in each budget), and refuses
+(x + y)^1200 - (x + y)^1200 + x^1201, whose two powers it would build,
+and the exact (x + y)^20000 before any work.  With a = b = 1 it admits
+(x + y)^20000 alone, whose form no sum reads, and
+x + ((x + y)^1300 + (x + y)^1300), which drops that sum of equal
+weights unbuilt.  ``lower`` has no budget.
 
 Parentheses and unary minus signs may nest at most ``MAX_NESTING`` deep;
 a deeper expression is an ``ExpressionError``.  The parser, ``lower``
@@ -77,7 +82,7 @@ from typing import NamedTuple, Optional, Union
 
 from .exactnum import _integer, _quoted, _record
 from .laurent import LaurentPolynomial, RationalFunction, X, Y
-from .valuation import Value
+from .valuation import ZERO, Value
 
 # Work units each budget of one ``initial_value`` call holds (see above).
 WORK_BUDGET = 1_500_000
@@ -438,13 +443,13 @@ def parse_rational_function(text: str) -> RationalFunction:
     return lower(parse_expression(text))
 
 
-# An initial form and its weight, or None for zero.  The form is pending:
+# An initial form and its value, or None for zero.  The form is pending:
 # it is the node that ``_lower`` builds it from.  A nonzero subexpression
 # with no sum and no zeroth power in it is its own pending form.  A
 # product, quotient, power or negation over an operand whose form changed
 # is a new node of its type at the same position, and a form already
 # built is a ``_Built`` leaf.
-_Initial = Optional[tuple[Union[Node, _Built], int]]
+_Initial = Optional[tuple[Union[Node, _Built], Value]]
 _ONE = Literal(Fraction(1))  # the form of any base to the power 0
 
 
@@ -454,24 +459,19 @@ def initial_value(node: Node, a: int, b: int) -> Optional[Value]:
     ``f`` is ``lower(node)``, which is never built unless two initial
     forms cancel, and the errors raised are those of ``lower``.  ``a`` and
     ``b`` are positive integers, read as ``exactnum._integer`` reads
-    them.  The value read is that of a term of the initial form, so it
-    may be another (m, n) of the same weight than ``nu(lower(node))``
-    gives; realized, the two are equal.
+    them.  The value is exactly ``MonomialValuation.rational(a, b)(f)``:
+    of the terms of least weight, the exponent pair of the lex-least one
+    of the numerator, less that of the denominator.
     """
     a, b = _integer(a, "nu(x)"), _integer(b, "nu(y)")
     if a <= 0 or b <= 0:
         raise ValueError("nu(x) and nu(y) must both be positive")
-    work = _Work()
-    initial = _forced(_initial(node, a, b, work, _Work()))
-    if initial is None:
-        return None
-    form = _lower(initial[0], work)
-    (top, _), (bottom, _) = form.numerator.terms()[0], form.denominator.terms()[0]
-    return Value(top.ex - bottom.ex, top.ey - bottom.ey)
+    initial = _forced(_initial(node, a, b, _Work(), _Work()))
+    return None if initial is None else initial[1]
 
 
 def _initial(node: Node, a: int, b: int, work: _Work, exact_work: _Work):
-    """The pending initial form of ``lower(node)`` for the weights a, b, and its weight.
+    """The pending initial form of ``lower(node)`` for the weights a, b, and its value.
 
     The forms a sum of equal weights builds are charged to ``work``, the
     exact fallback to ``exact_work``.  That sum is left ``_Unforced``:
@@ -486,9 +486,9 @@ def _initial(node: Node, a: int, b: int, work: _Work, exact_work: _Work):
     spine.reverse()
     leaf = node
     if isinstance(node, Literal):
-        value = (node, 0) if node.value else None
+        value = (node, ZERO) if node.value else None
     elif isinstance(node, Variable):
-        value = (node, a if node.name == "x" else b)
+        value = (node, Value(1, 0) if node.name == "x" else Value(0, 1))
     elif isinstance(node, Negation):
         value = _forced(_initial(node.operand, a, b, work, exact_work))
         if value is not None:
@@ -497,11 +497,11 @@ def _initial(node: Node, a: int, b: int, work: _Work, exact_work: _Work):
     elif isinstance(node, Power):
         value = _initial(node.base, a, b, work, exact_work)
         if node.exponent == 0:
-            value = (_ONE, 0)
+            value = (_ONE, ZERO)
         elif (value := _forced(value)) is not None:
-            form = value[0]
+            form, (m, n) = value
             form = node if form is node.base else Power(form, node.exponent, node.position)
-            value = (form, value[1] * node.exponent)
+            value = (form, Value(m * node.exponent, n * node.exponent))
         elif node.exponent < 0:
             raise ExpressionError("negative power of zero", node.position)
     else:
@@ -515,7 +515,7 @@ def _initial(node: Node, a: int, b: int, work: _Work, exact_work: _Work):
                 if right is not None:
                     value = _forced(value)
             elif value is not None and right is not None:
-                value, right = _summands(value, right)
+                value, right = _summands(value, right, a, b)
         if right is None:
             if isinstance(op, Quotient):
                 raise ExpressionError("division by zero", op.position)
@@ -527,12 +527,12 @@ def _initial(node: Node, a: int, b: int, work: _Work, exact_work: _Work):
         elif not isinstance(op, Sum):
             form = op if value[0] is op.left and right[0] is op.right else type(op)(value[0], right[0], op.position)
             value = (form, value[1] + right[1] if isinstance(op, Product) else value[1] - right[1])
-        elif value[1] > right[1]:
+        elif (order := _weight(value, a, b) - _weight(right, a, b)) > 0:
             value = right
-        elif value[1] == right[1]:
+        elif order == 0:
             if chain is None:
                 chain = _Chain(spine, leaf, a, b, work, exact_work)
-            value = _Unforced((partial(chain.settle, k, value[0], right[0], value[1]), value[1]))
+            value = _Unforced((partial(chain.settle, k, value[0], right[0]), value[1]))
     return value
 
 
@@ -552,11 +552,11 @@ class _Chain:
         self.work, self.exact_work = work, exact_work
         self.exact, self.done = leaf, 0
 
-    def settle(self, k: int, left, right, weight: int) -> _Initial:
+    def settle(self, k: int, left, right) -> _Initial:
         """The sum spine[k] of two pending forms of one weight, built; exactly when they cancel."""
         form = _lower(Sum(left, right, self.spine[k].position), self.work)
         if not form.is_zero:
-            return _Built(form), weight
+            return _Built(form), _least_value(form)
         exact = self.exact
         for prior in self.spine[self.done:k + 1]:
             exact = type(prior)(exact, prior.right, prior.position)
@@ -565,12 +565,13 @@ class _Chain:
 
 
 class _Unforced(tuple):
-    """A sum of two pending initial forms of one weight, not built yet: (build, weight).
+    """A sum of two pending initial forms of one weight, not built yet: (build, value).
 
     ``force()`` calls ``build``, which builds it to what ``_initial``
-    returns.  Its forms may cancel, so ``weight`` is a lower bound on its
-    weight, unless it is zero.  A plain tuple but for its type, which
-    tells it from an ``_Initial``.
+    returns.  ``value`` is its left operand's.  The forms may cancel, so
+    the weight of ``value`` is a lower bound on the sum's weight, unless
+    it is zero.  A plain tuple but for its type, which tells it from an
+    ``_Initial``.
     """
 
     __slots__ = ()
@@ -579,21 +580,27 @@ class _Unforced(tuple):
         return self[0]()
 
 
-def _summands(left, right):
+def _summands(left, right, a: int, b: int):
     """The two operands of a sum, each forced unless the other is forced and strictly lighter.
 
     Of two unforced operands, the one of lower bound is forced first.
     """
     if type(left) is _Unforced and type(right) is _Unforced:
-        if right[1] < left[1]:
+        if _weight(right, a, b) < _weight(left, a, b):
             right = right.force()
         else:
             left = left.force()
-    if type(right) is _Unforced and left is not None and not left[1] < right[1]:
+    if type(right) is _Unforced and left is not None and not _weight(left, a, b) < _weight(right, a, b):
         right = right.force()
-    if type(left) is _Unforced and right is not None and not right[1] < left[1]:
+    if type(left) is _Unforced and right is not None and not _weight(right, a, b) < _weight(left, a, b):
         left = left.force()
     return left, right
+
+
+def _weight(initial, a: int, b: int) -> int:
+    """The weight a*m + b*n of the value (m, n) of an ``_Initial`` or ``_Unforced``."""
+    m, n = initial[1]
+    return a * m + b * n
 
 
 def _forced(value):
@@ -602,16 +609,21 @@ def _forced(value):
 
 
 def _initial_of(value: RationalFunction, a: int, b: int) -> _Initial:
-    """The initial form of an exact rational function, and its weight."""
+    """The initial form of an exact rational function, and its value."""
     if value.is_zero:
         return None
-    num, top = _lowest_terms(value.numerator, a, b)
-    den, bottom = _lowest_terms(value.denominator, a, b)
-    return _Built(RationalFunction(num, den)), top - bottom
+    form = RationalFunction(_lowest_terms(value.numerator, a, b), _lowest_terms(value.denominator, a, b))
+    return _Built(form), _least_value(form)
 
 
-def _lowest_terms(p: LaurentPolynomial, a: int, b: int) -> tuple[LaurentPolynomial, int]:
-    """The terms of least weight of a nonzero polynomial, and that weight."""
+def _lowest_terms(p: LaurentPolynomial, a: int, b: int) -> LaurentPolynomial:
+    """The terms of least weight of a nonzero polynomial."""
     weighted = [(m.ex * a + m.ey * b, m, c) for m, c in p.terms()]
     least = min(w for w, _, _ in weighted)
-    return LaurentPolynomial([(m, c) for w, m, c in weighted if w == least]), least
+    return LaurentPolynomial([(m, c) for w, m, c in weighted if w == least])
+
+
+def _least_value(form: RationalFunction) -> Value:
+    """The exponent pair of the lex-least term of a nonzero form's numerator, less its denominator's."""
+    (tx, ty), (bx, by) = min(form.numerator._terms), min(form.denominator._terms)
+    return Value(tx - bx, ty - by)

@@ -220,7 +220,12 @@ class ResolutionTrace(_Trace):
 
     @property
     def rows(self) -> ExpandedRuns:
-        """Every row, a tuple of nine ints, each built when it is read."""
+        """Every row, a tuple of nine ints, each built when it is read.
+
+        ``blow_up_count`` holds their number.  Past ``sys.maxsize`` rows,
+        ``len`` raises ``OverflowError``, as Python's ``len`` does for any
+        length that does not fit a C integer.
+        """
         return ExpandedRuns(self.runs, self.blow_up_count, _row_at)
 
     @property

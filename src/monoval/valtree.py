@@ -168,11 +168,13 @@ class PositivePath:
     k[f, g/f^j] for j = 0..n-1; a path from ``walk_runs`` has one run per
     digit, and a path made from vertices one run per vertex.
     ``vertices`` is a lazy sequence of ``TreeVertex``; ``count`` is the
-    number of vertices, which ``len`` also gives while it fits a C
-    integer.  ``complete`` is False when the walk stopped at the step
-    budget with more path remaining; truncation is always explicit,
-    never silent.  Equality compares the vertices, generators in either
-    order, and ``complete``.
+    number of vertices.  ``len`` of the path or of ``vertices`` gives it
+    up to ``sys.maxsize``, and past that raises ``OverflowError``, as
+    Python's ``len`` does for any length that does not fit a C integer.
+    ``complete`` is False when the walk stopped at the step budget with
+    more path remaining; truncation is always explicit, never silent.
+    Equality compares the vertices, generators in either order, and
+    ``complete``.
     """
 
     __slots__ = ("runs", "complete", "count")

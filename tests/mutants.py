@@ -47,6 +47,7 @@ EMIT_10_40 = "tests/test_emit.py::test_trace_emitters_match_the_view_oracle_up_t
 RUN_CONSTANTS = "tests/test_emit.py::test_a_run_of_any_constants_is_emitted_as_the_oracles_emit_it"
 PROGRESSION = "tests/test_emit.py::test_a_progression_prints_each_value_as_str_does"
 INITIAL_FORMS = "tests/test_expr.py::test_initial_forms_explicit_cases"
+PAIRS = "tests/test_expr.py::test_initial_forms_value_an_expression_as_lowering_does"
 HEAVIER_OPERAND = "tests/test_expr.py::test_a_sum_never_builds_or_charges_its_heavier_operand"
 DROPPED_OPERAND = "tests/test_expr.py::test_an_operation_over_a_sum_never_builds_or_charges_the_operand_it_drops"
 NEW_PRODUCT = "tests/test_expr.py::test_a_product_over_a_sum_that_dropped_an_operand_is_a_new_node"
@@ -471,8 +472,8 @@ MUTANTS = (
     ),
     Mutant(
         "text-kinds-shifted-a-run", "emit.py",
-        "repeat(_KIND[_kind(row)], n) for row, n in trace.runs)",
-        "repeat(_KIND[_kind(row)], n) for (_, n), (row, _) in zip(trace.runs, trace.runs[1:] + trace.runs[:1]))",
+        "kind for row, n in trace.runs for kind",
+        "kind for (_, n), (row, _) in zip(trace.runs, trace.runs[1:] + trace.runs[:1]) for kind",
         (THIN_EMIT, "tests/test_emit.py::test_trace_emitters_match_the_view_oracle_up_to_10_40"),
         "plain text gives each run's bad charts the classification of the next run",
     ),
@@ -562,8 +563,8 @@ MUTANTS = (
     ),
     Mutant(
         "sum-keeps-the-heavier", "expr.py",
-        "elif value[1] > right[1]:",
-        "elif value[1] < right[1]:",
+        "_weight(right, a, b)) > 0:",
+        "_weight(right, a, b)) < 0:",
         (INITIAL_FORMS, HEAVIER_OPERAND),
         "a sum of two weights keeps the initial form of the heavier operand",
     ),
@@ -572,19 +573,40 @@ MUTANTS = (
         "value[1] + right[1] if isinstance(op, Product)",
         "value[1] - right[1] if isinstance(op, Product)",
         (INITIAL_FORMS,),
-        "the weight of a product is its left operand's less its right operand's",
+        "the value of a product is its left operand's less its right operand's",
+    ),
+    Mutant(
+        "quotient-value-adds", "expr.py",
+        "else value[1] - right[1])",
+        "else value[1] + right[1])",
+        (INITIAL_FORMS,),
+        "the value of a quotient is its numerator's plus its denominator's",
+    ),
+    Mutant(
+        "power-value-multiplies-only-m", "expr.py",
+        "Value(m * node.exponent, n * node.exponent)",
+        "Value(m * node.exponent, n)",
+        (INITIAL_FORMS,),
+        "the value of a power multiplies its base's exponent of x alone, so y^3 is valued as y",
+    ),
+    Mutant(
+        "built-form-value-reads-the-lex-greatest-term", "expr.py",
+        "min(form.numerator._terms)",
+        "max(form.numerator._terms)",
+        (INITIAL_FORMS, PAIRS),
+        "a built form of several terms is valued by its lex-greatest term, another (m, n) of the same weight",
     ),
     Mutant(
         "equal-weights-unforced", "expr.py",
-        "elif value[1] == right[1]:",
+        "elif order == 0:",
         "elif False:",
         (INITIAL_FORMS,),
         "a sum of equal weights keeps its left operand's form unbuilt, so a cancellation is missed",
     ),
     Mutant(
         "unforced-sum-dropped-at-equal-weight", "expr.py",
-        "and not left[1] < right[1]:",
-        "and not left[1] <= right[1]:",
+        "and not _weight(left, a, b) < _weight(right, a, b):",
+        "and not _weight(left, a, b) <= _weight(right, a, b):",
         (INITIAL_FORMS,),
         "an operand of the same weight drops an unforced sum, though the sum may cancel it",
     ),

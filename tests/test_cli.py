@@ -147,8 +147,10 @@ def test_member_reports_an_expression_error_before_bad_weights(capsys):
 
 def test_member_reports_bad_weights_at_once_behind_a_large_expression(capsys):
     # Looking for an expression error expands nothing large, and work past
-    # the budget is no expression error.
-    for expression in ("(x+y)^2000", "(x+y)^20000 - (x+y)^20000 + x", "(x - y)^900 * (x + y)^900"):
+    # the budget is no expression error: the last two powers tie and cancel,
+    # and x^20001 is heavier, so the search meets the budget.
+    for expression in ("(x+y)^2000", "(x+y)^20000 - (x+y)^20000 + x", "(x - y)^900 * (x + y)^900",
+                       "(x+y)^20000 - (x+y)^20000 + x^20001"):
         start = time.perf_counter()
         code, out, err = run(capsys, "member", expression, "--a", "0", "--b", "2")
         assert (code, out, err) == (1, "", "error: nu(x) and nu(y) must both be positive\n")
@@ -167,8 +169,13 @@ def test_member_refuses_work_past_its_budget(capsys):
 
 def test_member_charges_nothing_for_the_operand_a_sum_drops(capsys):
     # With a = b = 1 the initial form of (x+y)^20000 is the whole power,
-    # past the budget; as the heavier operand of a sum it is never built.
+    # past the budget: alone it is never built, and a sum of equal weights
+    # builds it.  As the heavier operand of a sum it is never built.
+    start = time.perf_counter()
     code, out, err = run(capsys, "member", "(x+y)^20000*3^3000000", "--a", "1", "--b", "1")
+    assert (code, err) == (0, "") and out.endswith("(value 20000)\n")
+    assert time.perf_counter() - start < 0.5
+    code, out, err = run(capsys, "member", "x^20000 + (x+y)^20000*3^3000000", "--a", "1", "--b", "1")
     assert (code, out) == (1, "") and err.startswith(
         "error: the power would take the evaluation past its work budget")
     start = time.perf_counter()

@@ -262,6 +262,32 @@ def test_a_reader_that_closes_early_gets_no_traceback(program):
     assert err == "error: stdout was closed before all output was written\n"
 
 
+# Pairs whose longest run is sys.maxsize and sys.maxsize + 1 blow-ups or
+# vertices long: every format streams such a run, with no count past what
+# a C integer holds, until the reader stops.
+PAST_MAXSIZE = [(sys.maxsize + 3, sys.maxsize + 2), (sys.maxsize + 4, sys.maxsize + 3)]
+EVERY_FORMAT = [("resolve", "--format", f) for f in ("text", "json", "dot")] + [("resolve", "--trace")] + [
+    ("path", "--format", f) for f in ("text", "json", "dot")]
+
+
+@pytest.mark.parametrize("a, b", PAST_MAXSIZE)
+def test_a_run_past_sys_maxsize_streams_until_the_reader_stops(a, b):
+    src = str(Path(monoval.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    for command, *options in EVERY_FORMAT:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "monoval", command, str(a), str(b), *options],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        try:
+            assert len(proc.stdout.read(_BLOCK)) == _BLOCK
+        finally:
+            proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert (proc.wait(timeout=120), err) == (1, "error: stdout was closed before all output was written\n"), options
+
+
 def failing_after_the_first_chunk(exc):
     def chunks(obj):
         yield "{"

@@ -207,18 +207,28 @@ EXPRESSIONS = st.recursive(ATOMS, _extend, max_leaves=12)
 WEIGHTS = st.integers(1, 30)
 
 
-def by_lowering(node, a, b):
-    """The oracle: "zero", or nu of the exact rational function, realized."""
+def pair_by_lowering(node, a, b):
+    """The oracle: "zero", or nu of the exact rational function, as a ``Value`` pair."""
     rf = lower(node)
-    if rf.is_zero:
-        return "zero"
-    nu = MonomialValuation.rational(a, b)
-    return nu.group.realize(nu(rf))
+    return "zero" if rf.is_zero else MonomialValuation.rational(a, b)(rf)
+
+
+def pair_by_initial_forms(node, a, b):
+    value = initial_value(node, a, b)
+    return "zero" if value is None else value
+
+
+def realized(pair, a, b):
+    return pair if pair == "zero" else MonomialValuation.rational(a, b).group.realize(pair)
+
+
+def by_lowering(node, a, b):
+    """The oracle, realized."""
+    return realized(pair_by_lowering(node, a, b), a, b)
 
 
 def by_initial_forms(node, a, b):
-    value = initial_value(node, a, b)
-    return "zero" if value is None else MonomialValuation.rational(a, b).group.realize(value)
+    return realized(pair_by_initial_forms(node, a, b), a, b)
 
 
 def outcome(evaluate, node, a, b):
@@ -231,11 +241,11 @@ def outcome(evaluate, node, a, b):
 @settings(max_examples=400, deadline=None)
 @given(EXPRESSIONS, WEIGHTS, WEIGHTS)
 def test_initial_forms_value_an_expression_as_lowering_does(text, a, b):
-    # Realized values, not Value pairs: a multi-term initial form may carry
-    # another (m, n) of the same weight than nu(lower(node)) picks.
+    # Value pairs, not realized values: of the terms of least weight, both
+    # read the lex-least one.
     node = parse_expression(text)
-    expected = outcome(by_lowering, node, a, b)
-    assert outcome(by_initial_forms, node, a, b) == expected, text
+    expected = outcome(pair_by_lowering, node, a, b)
+    assert outcome(pair_by_initial_forms, node, a, b) == expected, text
 
 
 @pytest.mark.parametrize("text, a, b, expected", [
@@ -258,10 +268,12 @@ def test_initial_forms_value_an_expression_as_lowering_does(text, a, b):
     ("((x + y) - y)*((x + y) - x)", 1, 1, 2),       # a product builds both
     ("-((x + y) - y)", 1, 1, 1),                    # so does a negation
     ("((x + y) - x)^3 + x", 1, 1, 1),               # and a power
+    ("(x + y) + (x + y)", 1, 1, 1),                 # of two unforced operands, the left is forced first
 ])
 def test_initial_forms_explicit_cases(text, a, b, expected):
     node = parse_expression(text)
     assert by_initial_forms(node, a, b) == by_lowering(node, a, b) == expected
+    assert pair_by_initial_forms(node, a, b) == pair_by_lowering(node, a, b)
 
 
 @pytest.mark.parametrize("text, position", [
@@ -345,8 +357,15 @@ def test_a_power_whose_initial_form_is_a_monomial_is_not_expanded():
 def test_the_work_budget_refuses_before_expanding():
     # With a = b every term of x + y is initial, so (x+y)^1200 is charged
     # about 1.7 million units; 3^3000000 is one term whose coefficient
-    # outgrows the budget.  Both would take seconds to expand.
-    for text, position in (("(x+y)^1200", 5), ("(x+y)^20000", 5), ("3^3000000", 1)):
+    # outgrows the budget.  Both would take seconds to expand.  Alone their
+    # forms are never built; a sum of equal weights builds them, and a
+    # heavier operand forces that sum.
+    for text, value in (("(x+y)^1200", Value(0, 1200)), ("(x+y)^20000", Value(0, 20000)),
+                        ("3^3000000", Value(0, 0))):
+        start = time.perf_counter()
+        assert initial_value(parse_expression(text), 1, 1) == value
+        assert time.perf_counter() - start < 0.5
+    for text, position in (("(x+y)^1200 - (x+y)^1200 + x^1201", 5), ("3^3000000 - 3^3000000 + x", 1)):
         start = time.perf_counter()
         with pytest.raises(WorkBudgetError) as err:
             initial_value(parse_expression(text), 1, 1)
@@ -470,18 +489,20 @@ def test_an_operation_over_a_sum_never_builds_or_charges_the_operand_it_drops(te
         return result, units[0]
 
     assert charged(text) == charged(alone)
+    # A sum of equal weights, which the answer builds, reads the form.
+    assert charged(f"({text}) + ({alone})") == charged(f"({alone}) + ({alone})")
 
 
 def test_only_the_initial_forms_the_value_reads_are_multiplied_out():
     # The initial form of each 9-term polynomial is its constant term, so
-    # the other 16 terms are never built: c1^4 is three products for the
-    # numerator and three for the denominator 1, and the quotient two.
+    # the other 16 terms are never built; and no sum of equal weights reads
+    # c1^4/c2, so it is never built either.
     p1 = "3 - 2*x + 5*y + x^2*y - 7*x*y^2 + 4*x^3 - y^3 + 2*x^4 + 9*y^4"
     p2 = "-2 + x - 3*y^2 + 6*x*y + 8*x^2 - x^3*y + 5*x*y^3 - x^4 + y^4"
     node = parse_expression(f"({p1})^4/({p2})")
     with counting_products() as units:
         assert initial_value(node, 3, 2) == Value(0, 0)
-    assert units[1] == 8
+    assert units[1] == 0
 
 
 def test_long_chains_and_deep_nests_take_initial_values_without_deep_recursion():
@@ -499,10 +520,13 @@ def test_long_chains_and_deep_nests_take_initial_values_without_deep_recursion()
 
 
 def test_lower_has_no_budget():
-    node = parse_expression("2^2000000")
-    with pytest.raises(WorkBudgetError):
+    # The two powers tie, and x forces their sum, which builds them both.
+    node = parse_expression("2^2000000 - 2^2000000 + x")
+    with pytest.raises(WorkBudgetError) as err:
         initial_value(node, 3, 2)
-    assert lower(node).numerator == LaurentPolynomial.constant(2**2000000)
+    assert err.value.position == 1
+    assert lower(node.left.left).numerator == LaurentPolynomial.constant(2**2000000)
+    assert lower(node) == RationalFunction.from_monomial(X)
 
 
 def test_the_work_budget_admits_a_two_term_initial_form_to_the_500th():
@@ -523,8 +547,8 @@ def test_a_subexpression_with_no_sum_in_it_is_its_own_pending_form(text):
 def test_a_product_over_a_sum_that_dropped_an_operand_is_a_new_node():
     # At a = b = 1 the sum keeps x and drops y^2, whose form is never built.
     node = parse_expression("(x + y^2)*x")
-    form, weight = _initial(node, 1, 1, _Work(), _Work())
-    assert form is not node and weight == 2
+    form, value = _initial(node, 1, 1, _Work(), _Work())
+    assert form is not node and value == Value(2, 0)
     assert form == Product(Variable("x"), Variable("x"), 9)
     assert form.left is node.left.left and form.right is node.right
 

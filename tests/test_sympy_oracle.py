@@ -1,8 +1,10 @@
-"""Continued fractions against sympy, an implementation written independently.
+"""Continued fractions and ``member`` against sympy, an implementation written independently.
 
 The whole module is skipped when sympy is not installed.
 """
 
+import json
+import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
@@ -11,6 +13,7 @@ from math import isqrt
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from monoval import cli
 from monoval.exactnum import (
     CFStream,
     cf_convergents,
@@ -19,6 +22,7 @@ from monoval.exactnum import (
 )
 
 sympy = pytest.importorskip("sympy")
+from sympy.parsing.sympy_parser import convert_xor, parse_expr, standard_transformations  # noqa: E402
 
 BIG = 10**30
 big_rationals = st.builds(Fraction, st.integers(-BIG, BIG), st.integers(1, BIG))
@@ -105,3 +109,77 @@ def test_stream_compare_equals_the_exact_sign_of_a_quadratic_irrational(pqd, dat
         | st.sampled_from([fraction(c) for c in near])
     )
     assert stream_compare(periodic_stream(p, q, d), t) == exact_sign(p, q, d, t)
+
+
+def sympy_weight(text: str, a: int, b: int):
+    """nu(f) for nu(x) = a, nu(y) = b by sympy, or None when f is zero.
+
+    The text is read by sympy's own parser; the least a*i + b*j over the
+    terms of the expanded numerator of f over one denominator, less that
+    of its denominator.  Each is expanded in sympy's sparse polynomial
+    ring over QQ, which builds (x + y)^1139 a hundred times faster than
+    ``Poly`` does.
+    """
+    x, y = sympy.symbols("x y")
+    f = parse_expr(text, local_dict={"x": x, "y": y},
+                   transformations=standard_transformations + (convert_xor,))
+    num, den = sympy.fraction(sympy.together(f))
+    if num == 0:
+        return None
+    ring = sympy.ring([x, y], sympy.QQ)[0]
+
+    def least(p) -> int:
+        return min(a * i + b * j for i, j in ring.from_expr(p).monoms())
+
+    return least(num) - least(den)
+
+
+def member_weight(capsys, text: str, a: int, b: int):
+    """The value that ``member`` prints as JSON, as an int, or None for infinity."""
+    code = cli.main(["member", text, "--a", str(a), "--b", str(b), "--format", "json"])
+    out, err = capsys.readouterr()
+    assert (code, err) == (0, ""), err
+    value = json.loads(out)["value"]
+    return None if value == "infinity" else int(value)
+
+
+def _polynomial_text(rng: random.Random) -> str:
+    """9 distinct monomials of total degree at most 4, with nonzero coefficients."""
+    monomials = rng.sample([(i, j) for i in range(5) for j in range(5 - i)], 9)
+    return " + ".join(f"{rng.choice([c for c in range(-9, 10) if c])}*x^{i}*y^{j}" for i, j in monomials)
+
+
+def _quotients_of_powers(count: int) -> list:
+    """``(P1)^k1/(P2)^k2`` at weights in 1..30, as the benchmark's member requests are built.
+
+    Here a polynomial need not hold the constant term, so its initial
+    form is seldom a constant; and a = b ties every term of one degree.
+    """
+    rng = random.Random(41)
+    powers = ((1, 4), (4, 1), (2, 3), (3, 2), (2, 2))
+    cases = []
+    for k in range(count):
+        k1, k2 = powers[k % len(powers)]
+        a = rng.randint(1, 30)
+        b = a if k % 4 == 0 else rng.randint(1, 30)
+        cases.append((f"({_polynomial_text(rng)})^{k1}/({_polynomial_text(rng)})^{k2}", a, b))
+    return cases
+
+
+CANCELLING_SUMS = [
+    ("(x^2 + y^3) - (x^2 - y^3) + x^3", 3, 2),
+    ("(x + y)^2 - x^2 - 2*x*y", 1, 1),
+    ("x - x + y - y + x^2", 3, 2),
+    ("(x + y^2 + x*y) - x", 3, 2),
+    ("(x + y)^7 - (x - y)^7 + x*y^9", 1, 1),
+    ("(x^3 - y^2)^3/(x + y) - (x^3 - y^2)^3/(x + y)", 2, 3),
+    ("((x + y)^3 - x^3)/(y*(x - y)^2) + 1/2", 1, 1),
+]
+
+# Every term of x + y is initial at a = b, and no sum reads the power's form.
+MEMBER_CASES = _quotients_of_powers(20) + CANCELLING_SUMS + [("(x + y)^1139", 1, 1)]
+
+
+@pytest.mark.parametrize("text, a, b", MEMBER_CASES, ids=map(str, range(len(MEMBER_CASES))))
+def test_member_values_as_sympy_does(capsys, text, a, b):
+    assert member_weight(capsys, text, a, b) == sympy_weight(text, a, b)
