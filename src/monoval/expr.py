@@ -34,9 +34,9 @@ unforced too: its two forms may cancel, which only raises its weight or
 makes it zero, so an enclosing sum whose other operand is strictly
 lighter drops it unbuilt.  Any other sum or the answer forces it: it
 builds and adds the two initial forms, and reads its value off the
-built form.  When they cancel, that sum alone is computed exactly, by
-``lower``'s arithmetic, and its initial form is read off the exact
-value.  A form already built is a leaf of the nodes that use it.  Along
+built form with ``MonomialValuation.rational(a, b)``.  When they
+cancel, that sum alone is computed exactly, by ``lower``'s arithmetic,
+and its initial form is read off the exact value.  A form already built is a leaf of the nodes that use it.  Along
 a chain the exact value of the prefix is kept, so each operand is
 lowered at most once however often the chain cancels.  Zero stays
 exact: a node is zero exactly when ``lower`` makes it zero, and both
@@ -82,7 +82,7 @@ from typing import NamedTuple, Optional, Union
 
 from .exactnum import _integer, _quoted, _record
 from .laurent import LaurentPolynomial, RationalFunction, X, Y
-from .valuation import ZERO, Value
+from .valuation import ZERO, MonomialValuation, Value
 
 # Work units each budget of one ``initial_value`` call holds (see above).
 WORK_BUDGET = 1_500_000
@@ -556,7 +556,7 @@ class _Chain:
         """The sum spine[k] of two pending forms of one weight, built; exactly when they cancel."""
         form = _lower(Sum(left, right, self.spine[k].position), self.work)
         if not form.is_zero:
-            return _Built(form), _least_value(form)
+            return _Built(form), MonomialValuation.rational(self.a, self.b)(form)
         exact = self.exact
         for prior in self.spine[self.done:k + 1]:
             exact = type(prior)(exact, prior.right, prior.position)
@@ -613,7 +613,7 @@ def _initial_of(value: RationalFunction, a: int, b: int) -> _Initial:
     if value.is_zero:
         return None
     form = RationalFunction(_lowest_terms(value.numerator, a, b), _lowest_terms(value.denominator, a, b))
-    return _Built(form), _least_value(form)
+    return _Built(form), MonomialValuation.rational(a, b)(form)
 
 
 def _lowest_terms(p: LaurentPolynomial, a: int, b: int) -> LaurentPolynomial:
@@ -622,8 +622,3 @@ def _lowest_terms(p: LaurentPolynomial, a: int, b: int) -> LaurentPolynomial:
     least = min(w for w, _, _ in weighted)
     return LaurentPolynomial([(m, c) for w, m, c in weighted if w == least])
 
-
-def _least_value(form: RationalFunction) -> Value:
-    """The exponent pair of the lex-least term of a nonzero form's numerator, less its denominator's."""
-    (tx, ty), (bx, by) = min(form.numerator._terms), min(form.denominator._terms)
-    return Value(tx - bx, ty - by)

@@ -52,6 +52,7 @@ HEAVIER_OPERAND = "tests/test_expr.py::test_a_sum_never_builds_or_charges_its_he
 DROPPED_OPERAND = "tests/test_expr.py::test_an_operation_over_a_sum_never_builds_or_charges_the_operand_it_drops"
 NEW_PRODUCT = "tests/test_expr.py::test_a_product_over_a_sum_that_dropped_an_operand_is_a_new_node"
 OWN_FORM = "tests/test_expr.py::test_a_subexpression_with_no_sum_in_it_is_its_own_pending_form"
+SYMPY_MEMBER = "tests/test_sympy_oracle.py::test_member_values_as_sympy_does"
 CERTIFICATE = (
     RESOLUTION + "test_the_run_certificate_agrees_with_blowing_up_every_row_up_to_10_40",
     RESOLUTION + "test_the_run_certificate_agrees_with_blowing_up_every_row_on_long_branches",
@@ -590,11 +591,12 @@ MUTANTS = (
         "the value of a power multiplies its base's exponent of x alone, so y^3 is valued as y",
     ),
     Mutant(
-        "built-form-value-reads-the-lex-greatest-term", "expr.py",
-        "min(form.numerator._terms)",
-        "max(form.numerator._terms)",
-        (INITIAL_FORMS, PAIRS),
-        "a built form of several terms is valued by its lex-greatest term, another (m, n) of the same weight",
+        "built-form-value-reads-the-lex-greatest-term", "valuation.py",
+        "if best is None or self.group.compare(v, best) < 0:",
+        "if best is None or self.group.compare(v, best) <= 0:",
+        (SYMPY_MEMBER,),
+        "a polynomial is valued by the lex-greatest of its terms of least weight, so a built form"
+        " of several terms gets another (m, n) of the same weight",
     ),
     Mutant(
         "equal-weights-unforced", "expr.py",

@@ -242,50 +242,34 @@ def test_a_closed_stdout_exits_1_with_one_line(fail_at):
 # The console script; and a caller that goes on writing to stdout after
 # main returns, which finds it pointed at the null device.
 AFTER_MAIN = "import sys; from monoval.cli import main; c = main(sys.argv[1:]); print('more'); sys.exit(c)"
-
-
-@pytest.mark.parametrize("program", [["-m", "monoval"], ["-c", AFTER_MAIN]])
-def test_a_reader_that_closes_early_gets_no_traceback(program):
-    src = str(Path(monoval.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    proc = subprocess.Popen(
-        [sys.executable, *program, "resolve", "20001", "20000", "--format", "json"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
-    )
-    try:
-        assert len(proc.stdout.read(100)) == 100
-    finally:
-        proc.stdout.close()
-    err = proc.stderr.read().decode()
-    proc.stderr.close()
-    assert proc.wait(timeout=120) == 1
-    assert err == "error: stdout was closed before all output was written\n"
-
-
+DEEP_JSON = ("resolve", "20001", "20000", "--format", "json")
 # Pairs whose longest run is sys.maxsize and sys.maxsize + 1 blow-ups or
 # vertices long: every format streams such a run, with no count past what
 # a C integer holds, until the reader stops.
 PAST_MAXSIZE = [(sys.maxsize + 3, sys.maxsize + 2), (sys.maxsize + 4, sys.maxsize + 3)]
 EVERY_FORMAT = [("resolve", "--format", f) for f in ("text", "json", "dot")] + [("resolve", "--trace")] + [
     ("path", "--format", f) for f in ("text", "json", "dot")]
+CLOSES_EARLY = [(["-m", "monoval"], DEEP_JSON, 100), (["-c", AFTER_MAIN], DEEP_JSON, 100)] + [
+    (["-m", "monoval"], (command, str(a), str(b), *options), _BLOCK)
+    for a, b in PAST_MAXSIZE for command, *options in EVERY_FORMAT]
 
 
-@pytest.mark.parametrize("a, b", PAST_MAXSIZE)
-def test_a_run_past_sys_maxsize_streams_until_the_reader_stops(a, b):
+@pytest.mark.parametrize("program, argv, size", CLOSES_EARLY)
+def test_a_reader_that_closes_early_gets_no_traceback(program, argv, size):
     src = str(Path(monoval.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    for command, *options in EVERY_FORMAT:
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "monoval", command, str(a), str(b), *options],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
-        )
-        try:
-            assert len(proc.stdout.read(_BLOCK)) == _BLOCK
-        finally:
-            proc.stdout.close()
-        err = proc.stderr.read().decode()
-        proc.stderr.close()
-        assert (proc.wait(timeout=120), err) == (1, "error: stdout was closed before all output was written\n"), options
+    proc = subprocess.Popen(
+        [sys.executable, *program, *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    try:
+        assert len(proc.stdout.read(size)) == size
+    finally:
+        proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 1
+    assert err == "error: stdout was closed before all output was written\n"
 
 
 def failing_after_the_first_chunk(exc):

@@ -20,6 +20,8 @@ from monoval.exactnum import (
     cf_expand,
     stream_compare,
 )
+from monoval.expr import initial_value, parse_expression
+from monoval.valuation import Value
 
 sympy = pytest.importorskip("sympy")
 from sympy.parsing.sympy_parser import convert_xor, parse_expr, standard_transformations  # noqa: E402
@@ -111,14 +113,15 @@ def test_stream_compare_equals_the_exact_sign_of_a_quadratic_irrational(pqd, dat
     assert stream_compare(periodic_stream(p, q, d), t) == exact_sign(p, q, d, t)
 
 
-def sympy_weight(text: str, a: int, b: int):
-    """nu(f) for nu(x) = a, nu(y) = b by sympy, or None when f is zero.
+def sympy_value(text: str, a: int, b: int):
+    """nu(f) as the ``Value`` (m, n) for nu(x) = a, nu(y) = b by sympy, or None when f is zero.
 
-    The text is read by sympy's own parser; the least a*i + b*j over the
-    terms of the expanded numerator of f over one denominator, less that
-    of its denominator.  Each is expanded in sympy's sparse polynomial
-    ring over QQ, which builds (x + y)^1139 a hundred times faster than
-    ``Poly`` does.
+    The text is read by sympy's own parser and put over one denominator.
+    Of the least (a*i + b*j, i, j) over the terms of the expanded
+    numerator, the pair (i, j), less the same for the denominator: the
+    lex-least term of least weight.  Each side is expanded in sympy's
+    sparse polynomial ring over QQ, which builds (x + y)^1139 a hundred
+    times faster than ``Poly`` does.
     """
     x, y = sympy.symbols("x y")
     f = parse_expr(text, local_dict={"x": x, "y": y},
@@ -128,10 +131,11 @@ def sympy_weight(text: str, a: int, b: int):
         return None
     ring = sympy.ring([x, y], sympy.QQ)[0]
 
-    def least(p) -> int:
-        return min(a * i + b * j for i, j in ring.from_expr(p).monoms())
+    def least(p) -> tuple[int, int]:
+        return min((a * i + b * j, i, j) for i, j in ring.from_expr(p).monoms())[1:]
 
-    return least(num) - least(den)
+    (i1, j1), (i2, j2) = least(num), least(den)
+    return Value(i1 - i2, j1 - j2)
 
 
 def member_weight(capsys, text: str, a: int, b: int):
@@ -182,4 +186,6 @@ MEMBER_CASES = _quotients_of_powers(20) + CANCELLING_SUMS + [("(x + y)^1139", 1,
 
 @pytest.mark.parametrize("text, a, b", MEMBER_CASES, ids=map(str, range(len(MEMBER_CASES))))
 def test_member_values_as_sympy_does(capsys, text, a, b):
-    assert member_weight(capsys, text, a, b) == sympy_weight(text, a, b)
+    expected = sympy_value(text, a, b)
+    assert initial_value(parse_expression(text), a, b) == expected
+    assert member_weight(capsys, text, a, b) == (None if expected is None else a * expected.m + b * expected.n)
