@@ -129,15 +129,21 @@ def membership_union(
     ring).  Examines at most ``max_steps`` vertices and returns None when
     none of them works, which for a finite (rational-ratio) path may
     simply mean the monomial needs the localization of the terminal
-    presentation instead.  Raises ValueError, as the walk does, when
-    nu(x) or nu(y) is not positive or the two are equal, and when
-    ``max_steps`` is negative or not an integer.
+    presentation instead.  A monomial of negative value is in no vertex
+    ring, so it gets None at the root, with no vertex examined.  Raises
+    ValueError, as the walk does, when nu(x) or nu(y) is not positive or
+    the two are equal, and when ``max_steps`` is negative or not an
+    integer.
     """
     max_steps = _integer(max_steps, "max_steps")
     if max_steps < 0:
         raise ValueError("max_steps must not be negative")
     # islice takes no count past sys.maxsize, and no walk gets that far
     for index, vertex in enumerate(islice(walk(nu), min(max_steps, sys.maxsize))):
+        # Past the walk's checks: each vertex ring's two generators have
+        # positive values, so no monomial of negative value lies in one.
+        if index == 0 and nu.sign(nu(mono)) < 0:
+            return None
         alpha, beta = lattice_solve(mono, vertex)
         if alpha >= 0 and beta >= 0:
             return index

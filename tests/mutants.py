@@ -52,6 +52,10 @@ HEAVIER_OPERAND = "tests/test_expr.py::test_a_sum_never_builds_or_charges_its_he
 DROPPED_OPERAND = "tests/test_expr.py::test_an_operation_over_a_sum_never_builds_or_charges_the_operand_it_drops"
 NEW_PRODUCT = "tests/test_expr.py::test_a_product_over_a_sum_that_dropped_an_operand_is_a_new_node"
 OWN_FORM = "tests/test_expr.py::test_a_subexpression_with_no_sum_in_it_is_its_own_pending_form"
+SYNTAX_ERRORS = "tests/test_expr.py::test_syntax_errors_carry_positions"
+PARSE_VALUES = "tests/test_expr.py::test_parse_values"
+AST_SHAPES = "tests/test_expr.py::test_ast_shapes"
+NESTING = "tests/test_expr.py::test_nesting_limit"
 SYMPY_MEMBER = "tests/test_sympy_oracle.py::test_member_values_as_sympy_does"
 CERTIFICATE = (
     RESOLUTION + "test_the_run_certificate_agrees_with_blowing_up_every_row_up_to_10_40",
@@ -643,10 +647,50 @@ MUTANTS = (
     ),
     Mutant(
         "end-token-read-as-an-integer", "expr.py",
-        "        if text.isdecimal():\n            return Literal(",
-        "        if text.isdecimal() or not text:\n            return Literal(",
-        ("tests/test_expr.py::test_syntax_errors_carry_positions",),
-        "the end of the input reads as an integer literal where a base is expected",
+        "        if text.isdecimal():\n            node = Literal(",
+        "        if text.isdecimal() or not text:\n            node = Literal(",
+        (SYNTAX_ERRORS,),
+        "the end of the input reads as an integer literal where a factor is expected",
+    ),
+    Mutant(
+        "sign-read-at-the-product-level", "expr.py",
+        '            if text == "*" or text == "/":\n                self.pos += 1\n'
+        '                node = (Product if text == "*" else Quotient)(node, self.factor(), position)',
+        '            if text in ("*", "/", "+", "-"):\n                self.pos += 1\n'
+        '                right = self.factor()\n'
+        '                op = {"*": Product, "/": Quotient}.get(text, Sum)\n'
+        '                node = op(node, Negation(right) if text == "-" else right, position)',
+        (PARSE_VALUES,),
+        "a sign continues the open term as '*' and '/' do, so x + y*x^2 is (x + y)*x^2",
+    ),
+    Mutant(
+        "plus-term-negated", "expr.py",
+        'node if sign[0] == "+" else Negation(node)',
+        "Negation(node)",
+        (PARSE_VALUES,),
+        "a term after '+' is negated as one after '-' is",
+    ),
+    Mutant(
+        "sum-at-the-token-after-its-term", "expr.py",
+        "Negation(node), sign[1])",
+        "Negation(node), position)",
+        (AST_SHAPES,),
+        "a Sum takes the position of the token that closes its right term, not of its sign",
+    ),
+    Mutant(
+        "parenthesis-keeps-its-level", "expr.py",
+        "            self.depth -= 1\n",
+        '            self.depth -= text != ")"\n',
+        (NESTING,),
+        "a closed parenthesis still counts as a level, so side-by-side parentheses meet the nesting limit",
+    ),
+    Mutant(
+        "unary-minus-takes-no-exponent", "expr.py",
+        '            if text == "-":\n                node = Negation(self.factor())\n',
+        '            if text == "-":\n                node = Negation(self.factor())\n'
+        "                self.depth -= 1\n                return node\n",
+        (AST_SHAPES, SYNTAX_ERRORS),
+        "no exponent is read after a unary minus's operand, so -x^2^3 is an error at the second '^'",
     ),
     Mutant(
         "normal-keeps-zeros", "laurent.py",

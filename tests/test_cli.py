@@ -547,6 +547,12 @@ def test_help_prints_the_docstring_but_its_note_on_the_code(capsys):
     assert "2 verification failure." in out and "once per process" not in out
 
 
+def subprocess_env():
+    """The environment, with this package's ``src`` first on PYTHONPATH, for a fresh interpreter."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+
+
 def test_importing_the_cli_builds_no_parser():
     program = """if True:
         import argparse
@@ -566,10 +572,8 @@ def test_importing_the_cli_builds_no_parser():
         cli.main(["cf", "2/3"])
         print(len(built), file=sys.stderr)
     """
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    counts = subprocess.run([sys.executable, "-c", program], env=env, capture_output=True, text=True,
-                            check=True).stderr
+    counts = subprocess.run([sys.executable, "-c", program], env=subprocess_env(), capture_output=True,
+                            text=True, check=True).stderr
     # None at import; the parser and its subparsers on the first call, none on the second.
     at_import, first, second = map(int, counts.split())
     assert at_import == 0 and first > 0 and second == first, counts
@@ -603,10 +607,8 @@ def run_in_a_subprocess(limit, argvs):
                 results.append((cli.main(argv), out.getvalue(), err.getvalue()))
         print(json.dumps(results))
     """
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    done = subprocess.run([sys.executable, "-c", program], input=json.dumps([limit, argvs]), env=env,
-                          capture_output=True, text=True, timeout=60, check=True)
+    done = subprocess.run([sys.executable, "-c", program], input=json.dumps([limit, argvs]),
+                          env=subprocess_env(), capture_output=True, text=True, timeout=60, check=True)
     return [tuple(result) for result in json.loads(done.stdout)]
 
 
@@ -676,6 +678,23 @@ def test_cf_of_an_integer_past_the_int_str_limit_fails_before_output(capsys):
     for rational, position in (("1/" + "3" * 700, 2), ("2.5e" + "1_1" * 350, 4)):
         code, out, err = run_under_640_digits(capsys, "cf", rational, "--format", "json")
         assert (code, out, err) == (1, "", message(position, 640))
+
+
+def test_cf_with_no_int_str_limit_prints_a_rational_of_any_length(capsys):
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        rational = Fraction(int("7" * 5000), 3)
+        code, out, err = run(capsys, "cf", str(rational))
+        assert (code, out, err) == (0, f"{rational} = {cf_expand(rational)}\n", "")
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+def test_the_cli_module_runs_as_a_script():
+    done = subprocess.run([sys.executable, "-m", "monoval.cli", "cf", "24/7"], env=subprocess_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "24/7 = [3; 2, 3]\n", "")
 
 
 def test_member_integer_past_the_int_str_limit_fails_before_output(capsys):

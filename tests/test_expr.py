@@ -87,6 +87,21 @@ def test_ast_shapes():
     assert isinstance(neg.operand.base, Quotient)
     assert node.right == Literal(Fraction(3))
     assert parse_expression("x") == Variable("x")
+    x, y, two = Variable("x"), Variable("y"), Literal(Fraction(2))
+    # A unary minus reads one more exponent; see the "x^2^3" error below.
+    assert parse_expression("-x^2^3") == Power(Negation(Power(x, 2, 2)), 3, 4)
+    assert parse_expression("2*-x") == Product(two, Negation(x), 1)
+    assert parse_expression("x--y") == Sum(x, Negation(Negation(y)), 1)
+    # Each node is at its sign; the term after '-' is closed before the sum takes it.
+    assert parse_expression("x - y*x/2^3") == Sum(
+        x, Negation(Quotient(Product(y, x, 5), Power(two, 3, 9), 7)), 2
+    )
+    for text, message in (("(x", "expected ')' (at position 2)"),
+                          ("x^-", "expected an integer exponent (at position 3)"),
+                          ("x^2^3", "unexpected '^' (at position 3)")):
+        with pytest.raises(ExpressionError) as err:
+            parse_expression(text)
+        assert str(err.value) == message
 
 
 @pytest.mark.parametrize(
@@ -99,6 +114,10 @@ def test_ast_shapes():
         ("x y", 2),
         ("", 0),
         (")x", 0),
+        ("x^2^3", 3),
+        ("(x", 2),
+        ("x^-", 3),
+        ("-x^2^3^4", 6),
     ],
 )
 def test_syntax_errors_carry_positions(text, position):
@@ -136,6 +155,9 @@ def test_nesting_limit():
     deep = "(" * MAX_NESTING + "x" + ")" * MAX_NESTING
     assert parse_rational_function(deep) == RationalFunction.from_monomial(X)
     assert parse_rational_function("-" * MAX_NESTING + "y") == RationalFunction.from_monomial(Y)
+    # Only nesting counts: each parenthesis and unary minus gives its level back.
+    side_by_side = "+".join(["(-x)"] * (MAX_NESTING + 1))
+    assert parse_rational_function(side_by_side) == rf_of({(1, 0): -(MAX_NESTING + 1)})
     for text in (
         "(" * (MAX_NESTING + 1) + "x" + ")" * (MAX_NESTING + 1),
         "(" * 3000 + "x" + ")" * 3000,

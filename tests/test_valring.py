@@ -13,6 +13,7 @@ from monoval.laurent import (
     Y,
     ZeroPolynomialError,
 )
+from monoval import valring
 from monoval.valring import (
     RingPresentation,
     bezout,
@@ -189,6 +190,19 @@ def test_membership_union_rational_cross_check():
     nu = MonomialValuation.rational(5, 3)
     assert membership_by_value(rf(pres.u), nu)
     assert membership_union(pres.u, nu, max_steps=64) is None
+
+
+@pytest.mark.parametrize("nu", [
+    MonomialValuation.from_stream(sqrt2_stream()),
+    MonomialValuation.rational(5, 3),
+    MonomialValuation.lex((1, 0), (0, 1)),
+], ids=["sqrt2", "rational", "lex"])
+def test_membership_union_refuses_a_negative_value_at_the_root(nu, monkeypatch):
+    # No vertex ring holds a monomial of negative value, so no budget is walked.
+    calls = []
+    monkeypatch.setattr(valring, "lattice_solve", lambda *args: calls.append(args))
+    assert membership_union(Monomial(-1, 0), nu, max_steps=10**9) is None
+    assert calls == []
 
 
 def test_membership_union_budget_past_maxsize_and_negative():
