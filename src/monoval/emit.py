@@ -9,13 +9,16 @@ is also what the expression parser reads back.
 ``to_jsonable`` is the plain dict/list view of every emittable object,
 and ``emit_json(obj)`` is ``json.dumps(to_jsonable(obj), sort_keys=True,
 indent=2)`` byte for byte.  Resolution traces and positive paths, the
-outputs that run to tens of megabytes, and continued fractions, the most
-frequent small request, fill layouts that ``json.dumps`` lays out once,
-at import: ``_cut`` dumps a document of the chart, vertex and blow-up
-shapes that ``to_jsonable`` builds, with slots for the values, and cuts
-it at the slots.  ``json.dumps`` with an indent runs its pure-Python
-encoder, several times slower than filling an f-string.  Every other
-object goes through ``json.dumps`` itself.
+outputs that run to tens of megabytes, and continued fractions and ring
+presentations, the most frequent small requests, fill layouts that
+``json.dumps`` lays out once, at import: ``_dumped`` dumps a document of
+the chart, vertex, blow-up and presentation shapes that ``to_jsonable``
+builds, with slots for the values, and ``_cut`` cuts a document with a
+list at its slots.  ``json.dumps`` with an indent runs its pure-Python
+encoder, several times slower than filling an f-string.  A continued
+fraction's digits print by ``exactnum._digit_strings``, the rule its
+text prints by.  Every other object, a verify report, a theorem report,
+a correspondence report or a chart, goes through ``json.dumps`` itself.
 
 Traces and paths are streamed: ``json_chunks``, ``dot_chunks``,
 ``trace_text_chunks`` and ``path_text_chunks`` yield each heading alone,
@@ -101,7 +104,7 @@ from itertools import accumulate, chain, count, islice, repeat, starmap
 from fractions import Fraction
 from os.path import commonprefix
 
-from .exactnum import CFExpansion
+from .exactnum import CFExpansion, _digit_strings
 from .laurent import (
     _SHORT_RUN,
     _STRETCH,
@@ -320,6 +323,11 @@ def _blow_up_json(chart, kind, children) -> dict:
     }
 
 
+def _ring_json(u, v, p, q) -> dict:
+    """A ring presentation: generators u and v, and the exponents p and q of v."""
+    return {"u": u, "v": v, "p": p, "q": q}
+
+
 def to_jsonable(obj):
     """Plain dict/list view of any emittable object."""
     if isinstance(obj, CFExpansion):
@@ -330,7 +338,7 @@ def to_jsonable(obj):
             "vertices": [_vertex_json(str(v.f), str(v.g)) for v in obj.vertices],
         }
     if isinstance(obj, RingPresentation):
-        return {"u": str(obj.u), "v": str(obj.v), "p": obj.p, "q": obj.q}
+        return _ring_json(str(obj.u), str(obj.v), obj.p, obj.q)
     if isinstance(obj, ResolutionTrace):
         return {
             "a": obj.a,
@@ -380,6 +388,11 @@ def to_jsonable(obj):
 _TEXT, _NUMBER = "@", "#"  # slots in a dumped layout: no key or fixed value holds either, and JSON escapes neither
 
 
+def _dumped(doc: dict) -> str:
+    """``json.dumps(doc, sort_keys=True, indent=2)`` with each ``_NUMBER`` slot's quotes dropped."""
+    return json.dumps(doc, sort_keys=True, indent=2).replace(json.dumps(_NUMBER), _TEXT)
+
+
 def _cut(doc: dict, key: str, item) -> list[list[str]]:
     """``json.dumps(doc, sort_keys=True, indent=2)`` with list ``doc[key]`` of ``item``s, cut at its slots.
 
@@ -390,8 +403,7 @@ def _cut(doc: dict, key: str, item) -> list[list[str]]:
     a second item adds), the tail after a list of items and the tail
     after an empty list.  Each is split at its slots.
     """
-    none, one, two = (json.dumps({**doc, key: [item] * n}, sort_keys=True, indent=2)
-                      .replace(json.dumps(_NUMBER), _TEXT) for n in range(3))
+    none, one, two = (_dumped({**doc, key: [item] * n}) for n in range(3))
     head = commonprefix((none, one))
     k = len(commonprefix((one, two)))  # the first item's end
     return [text.split(_TEXT) for text in (head, two[k:k + len(two) - len(one)], one[k:], none[len(head):])]
@@ -405,6 +417,8 @@ _PATH_HEAD, _VERTEX, (_PATH_TAIL,), (_PATH_EMPTY_TAIL,) = _cut(
     {"status": _TEXT}, "vertices", _vertex_json(_TEXT, _TEXT))
 (_CF_HEAD,), (_CF_DIGIT, _), (_CF_TAIL,), _ = _cut({}, "digits", _NUMBER)
 _CF_HEAD += _CF_DIGIT[1:]  # an expansion has at least one digit, and the first drops the separator's comma
+# A presentation's slots, in the sorted order of their keys: p, q, u, v.
+_RING = _dumped(_ring_json(_TEXT, _TEXT, _NUMBER, _NUMBER)).split(_TEXT)
 
 
 _BLOCK = 1 << 16  # characters per write, about; the emitters write ASCII, so bytes
@@ -508,7 +522,10 @@ def json_chunks(obj) -> Iterator[str]:
     if isinstance(obj, PositivePath):
         return _path_json(obj)
     if isinstance(obj, CFExpansion):
-        return iter((f"{_CF_HEAD}{_CF_DIGIT.join(map(str, obj.digits))}{_CF_TAIL}",))
+        return iter((f"{_CF_HEAD}{_CF_DIGIT.join(_digit_strings(obj.digits))}{_CF_TAIL}",))
+    if isinstance(obj, RingPresentation):
+        r0, r1, r2, r3, r4 = _RING
+        return iter((f"{r0}{obj.p}{r1}{obj.q}{r2}{obj.u}{r3}{obj.v}{r4}",))
     return iter((json.dumps(to_jsonable(obj), sort_keys=True, indent=2),))
 
 

@@ -8,7 +8,10 @@ numbers, and the two digit recurrences everything else builds on: Euclid
 quotients (``euclid_digits``) and convergents (``iter_convergents``, the
 only place the h/k recurrence is written).  The sign of
 ``stream - rational`` is read off the first digit where the two
-expansions differ, without ever touching floating point.  The module
+expansions differ, without ever touching floating point.  Every digit
+of an expansion or a periodic stream prints by one rule,
+``_digit_strings``: a small digit's decimal string is read from a table
+built at import, and any other digit is printed by ``str``.  The module
 also holds what the other modules' values share: ``_integer``, which
 reads an integer argument, and ``_record``, which gives a named tuple a
 frozen dataclass's equality.
@@ -67,6 +70,23 @@ def _record(cls: type) -> type:
     return cls
 
 
+# The decimal strings of the digits 0 to 255, read by ``_digit_strings``.
+# Almost every continued-fraction digit is small: by Gauss-Kuzmin, a digit
+# of a typical real is 256 or more with probability log2(257/256), about
+# 0.56%.  Reading a string from a tuple costs a fraction of a ``str`` call.
+_DIGIT_STRINGS = tuple(map(str, range(256)))
+_TABLED = len(_DIGIT_STRINGS)
+
+
+def _digit_strings(digits: Iterable[int]) -> list[str]:
+    """``[str(d) for d in digits]``, each digit from 0 to 255 read from ``_DIGIT_STRINGS``.
+
+    A negative leading digit, or one past the table, is printed by
+    ``str``, so one too long to print raises ``str``'s ValueError.
+    """
+    return [_DIGIT_STRINGS[d] if 0 <= d < _TABLED else str(d) for d in digits]
+
+
 class CFExpansion:
     """A finite continued fraction ``[d0; d1, ..., dk]``.
 
@@ -119,10 +139,10 @@ class CFExpansion:
         return len(self.digits)
 
     def __str__(self) -> str:
-        head, *tail = self.digits
+        head, *tail = _digit_strings(self.digits)
         if not tail:
             return f"[{head}]"
-        return f"[{head}; {', '.join(str(d) for d in tail)}]"
+        return f"[{head}; {', '.join(tail)}]"
 
 
 _set_digits = CFExpansion.digits.__set__
@@ -201,8 +221,8 @@ class CFStream:
     def __str__(self) -> str:
         if self.periodic is not None:
             pre, per = self.periodic
-            head = ", ".join(str(d) for d in pre)
-            body = ", ".join(str(d) for d in per)
+            head = ", ".join(_digit_strings(pre))
+            body = ", ".join(_digit_strings(per))
             return f"[{head}; ({body})...]"
         return "<digit stream>"
 

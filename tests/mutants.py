@@ -57,6 +57,12 @@ PARSE_VALUES = "tests/test_expr.py::test_parse_values"
 AST_SHAPES = "tests/test_expr.py::test_ast_shapes"
 NESTING = "tests/test_expr.py::test_nesting_limit"
 SYMPY_MEMBER = "tests/test_sympy_oracle.py::test_member_values_as_sympy_does"
+CF_DIGITS = (
+    EMIT + "test_cf_json",
+    CLI + "test_cf_json_is_json_dumps_of_to_jsonable",
+    "tests/test_exactnum.py::test_a_stream_refuses_a_negative_index_and_names_only_a_known_pattern",
+)
+RING_JSON = (EMIT + "test_ringgens_json", EMIT + "test_ringgens_json_is_json_dumps_of_to_jsonable")
 CERTIFICATE = (
     RESOLUTION + "test_the_run_certificate_agrees_with_blowing_up_every_row_up_to_10_40",
     RESOLUTION + "test_the_run_certificate_agrees_with_blowing_up_every_row_on_long_branches",
@@ -420,6 +426,27 @@ MUTANTS = (
         "an empty path's JSON ends with the tail that follows a list of vertices, not the one after []",
     ),
     Mutant(
+        "ring-json-p-q-swapped", "emit.py",
+        "{r0}{obj.p}{r1}{obj.q}",
+        "{r0}{obj.q}{r1}{obj.p}",
+        RING_JSON,
+        "a presentation's JSON fills p's slot with q and q's with p",
+    ),
+    Mutant(
+        "ring-json-u-v-swapped", "emit.py",
+        "{r2}{obj.u}{r3}{obj.v}",
+        "{r2}{obj.v}{r3}{obj.u}",
+        RING_JSON,
+        "a presentation's JSON fills u's slot with v and v's with u",
+    ),
+    Mutant(
+        "ring-layout-numbers-quoted", "emit.py",
+        "_ring_json(_TEXT, _TEXT, _NUMBER, _NUMBER)",
+        "_ring_json(_NUMBER, _NUMBER, _TEXT, _TEXT)",
+        RING_JSON,
+        "a presentation's layout quotes p and q and leaves u and v unquoted",
+    ),
+    Mutant(
         "dot-node-bold-inverted", "emit.py",
         'bold = "" if kind == _RESOLVED else ", style=bold"',
         'bold = ", style=bold" if kind == _RESOLVED else ""',
@@ -706,6 +733,27 @@ MUTANTS = (
         ("tests/test_laurent.py::test_pair_keyed_arithmetic_matches_the_monomial_keyed_oracle",
          "tests/test_laurent.py::test_integral_fractions_are_stored_as_int"),
         "a Fraction that reduces to an integer is stored as a Fraction, not as its int",
+    ),
+    Mutant(
+        "digit-table-bound-inclusive", "exactnum.py",
+        "0 <= d < _TABLED",
+        "0 <= d <= _TABLED",
+        CF_DIGITS,
+        "the first digit past the table of digit strings is read from it, past its end",
+    ),
+    Mutant(
+        "digit-table-lower-bound-off-by-one", "exactnum.py",
+        "0 <= d < _TABLED",
+        "-1 <= d < _TABLED",
+        CF_DIGITS,
+        "a leading digit of -1 is read from the table of digit strings, from its end, as 255",
+    ),
+    Mutant(
+        "digit-table-sign-test-dropped", "exactnum.py",
+        "0 <= d < _TABLED",
+        "d < _TABLED",
+        CF_DIGITS,
+        "a negative leading digit is read from the table of digit strings, counted from its end",
     ),
     Mutant(
         "periodic-digit-skips-the-preperiod", "exactnum.py",

@@ -12,7 +12,7 @@ import pytest
 
 from monoval import cli
 from monoval.emit import to_jsonable
-from monoval.exactnum import CFStream, _clipped, cf_expand, sqrt2_stream
+from monoval.exactnum import CFExpansion, CFStream, _clipped, cf_expand, cf_value, sqrt2_stream
 from monoval.resolution import ThroughOrigin, resolve
 from monoval.valtree import positive_path
 from monoval.valuation import MonomialValuation
@@ -580,13 +580,19 @@ def test_importing_the_cli_builds_no_parser():
 
 
 @pytest.mark.parametrize(
-    "rational", ["-7/3", "5", "-9", "0", f"{7**355}/{3**400}"],
-    ids=["negative", "integral", "negative integral", "zero", "300 digits"],
+    "rational", ["-7/3", "5", "-9", "0", f"{7**355}/{3**400}", "255", "256",
+                 str(cf_value(CFExpansion((-1, 255, 256, 10**300, 2))))],
+    ids=["negative", "integral", "negative integral", "zero", "300 digits",
+         "the last tabled digit", "the first untabled digit", "digits straddling the table"],
 )
 def test_cf_json_is_json_dumps_of_to_jsonable(capsys, rational):
     code, out, err = run(capsys, "cf", rational, "--format", "json")
     expected = json.dumps(to_jsonable(cf_expand(Fraction(rational))), sort_keys=True, indent=2)
     assert (code, out, err) == (0, expected, "")
+    # The text answer prints every digit as str does.
+    head, *tail = cf_expand(Fraction(rational)).digits
+    text = f"[{head}; {', '.join(map(str, tail))}]" if tail else f"[{head}]"
+    assert run(capsys, "cf", rational) == (0, f"{Fraction(rational)} = {text}\n", "")
 
 
 def run_in_a_subprocess(limit, argvs):

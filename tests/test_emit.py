@@ -6,6 +6,7 @@ import sys
 from fractions import Fraction
 from itertools import zip_longest
 from json.encoder import encode_basestring_ascii
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -19,7 +20,7 @@ from monoval.emit import (
     format_trace_text,
     to_jsonable,
 )
-from monoval.exactnum import CFStream, cf_expand, sqrt2_stream
+from monoval.exactnum import CFExpansion, CFStream, cf_expand, sqrt2_stream
 from monoval.laurent import X, Y, ChartBasis, Monomial, monomial_names
 from monoval.resolution import (
     ChartState,
@@ -50,11 +51,34 @@ def test_cf_json():
     assert json.loads(emit_json(cf_expand(Fraction(24, 7)))) == {"digits": [3, 2, 3]}
     for x in (Fraction(24, 7), 5, Fraction(-7, 3)):  # several digits, one, a negative first
         assert emit_json(cf_expand(x)) == dumps(cf_expand(x))
+    # Digits on both sides of the table of digit strings: 0 and 255 in it, 256 and 10**300 past it,
+    # negative leading digits before it.
+    for digits in ((0,), (255,), (256,), (-1, 255, 256, 10**300, 2), (-256, 254, 257), (10**300, 1, 255)):
+        cf = CFExpansion(digits)
+        assert emit_json(cf) == dumps(cf), digits
+        head, *tail = map(str, digits)
+        assert str(cf) == (f"[{head}; {', '.join(tail)}]" if tail else f"[{head}]"), digits
 
 
 def test_ringgens_json():
     got = json.loads(emit_json(ring_generators(24, 7)))
     assert got == {"u": "y^24/x^7", "v": "x^5/y^17", "p": 5, "q": 17}
+
+
+@st.composite
+def _coprime_up_to_300_digits(draw):
+    a = draw(st.integers(2, 10**300 - 1))
+    b = draw(st.integers(1, a - 1).filter(lambda b: gcd(a, b) == 1))
+    return a, b
+
+
+@given(_coprime_up_to_300_digits())
+@example((2, 1))
+@example((10**300 - 1, 1))
+@example((10**300 - 1, 2**996))
+def test_ringgens_json_is_json_dumps_of_to_jsonable(pair):
+    pres = ring_generators(*pair)
+    assert emit_json(pres) == json.dumps(to_jsonable(pres), sort_keys=True, indent=2)
 
 
 def test_path_json():

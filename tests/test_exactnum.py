@@ -197,6 +197,9 @@ def test_a_stream_refuses_a_negative_index_and_names_only_a_known_pattern():
     assert ones.periodic is None
     assert str(ones) == "<digit stream>"
     assert str(CFStream.from_periodic((1,), (1, 2))) == "[1; (1, 2)...]"
+    # Digits on both sides of the table of digit strings print as str prints them.
+    assert str(CFStream.from_periodic((-1, 255), (256, 10**300, 1))) == f"[-1, 255; (256, {10**300}, 1)...]"
+    assert str(CFStream.from_periodic((-256,), (255,))) == "[-256; (255)...]"
 
 
 def test_every_digit_of_a_stream_is_read_through_its_digit_method(monkeypatch):
