@@ -58,7 +58,6 @@ from .valtree import (
     positive_child,
     positive_path,
     take_runs,
-    walk,
     walk_runs,
 )
 from .valring import (

@@ -10,13 +10,14 @@ where (p, q) is the minimal positive solution of p*a - q*b = 1.  This
 module computes that presentation and decides membership three ways:
 structurally by factoring out v-powers after a chart rewrite, directly
 by the sign of the value, and for monomials under irrational ratios by
-searching the positive path for a vertex ring that contains them.
+searching the positive path for a vertex ring that contains them.  The
+search reads the path a run at a time (``valtree.walk_runs``): inside a
+run the first vertex that holds a monomial is a closed form, so it costs
+one step per continued-fraction digit, not one per vertex.
 """
 
 from __future__ import annotations
 
-import sys
-from itertools import islice
 from typing import NamedTuple, Optional
 
 from .exactnum import _coprime_pair, _integer, _quoted, _record, _require_coprime
@@ -29,7 +30,7 @@ from .laurent import (
     rewrite_in_chart,
 )
 from .valuation import MonomialValuation
-from .valtree import walk
+from .valtree import _vertex_at, walk_runs
 
 
 class _Presentation(NamedTuple):
@@ -76,19 +77,25 @@ def bezout(a: int, b: int) -> tuple[int, int]:
     Any other solution differs by a multiple of (b, a) and presents the
     same localized ring; minimality makes outputs canonical.
     """
-    a, b = _coprime_pair(a, b)
-    if b == 1:
-        return 1, a - 1
-    p = pow(a, -1, b)  # smallest positive inverse of a modulo b
-    q = (p * a - 1) // b
-    return p, q
+    return _bezout(*_coprime_pair(a, b))
+
+
+def _bezout(a: int, b: int) -> tuple[int, int]:
+    """``bezout`` for ints a > b >= 1 already known to be coprime."""
+    # the smallest positive inverse of a modulo b; modulo 1 that is 0, and p = 1
+    p = pow(a, -1, b) or 1
+    return p, (p * a - 1) // b
 
 
 def ring_generators(a: int, b: int) -> RingPresentation:
-    """The presentation u = y^a/x^b, v = x^p/y^q with (p, q) from bezout."""
+    """The presentation u = y^a/x^b, v = x^p/y^q with (p, q) from bezout.
+
+    (a, b) is read and checked once; the presentation is built from what
+    that derives, without the constructor's checks of it.
+    """
     a, b = _coprime_pair(a, b)
-    p, q = bezout(a, b)
-    return RingPresentation(u=Monomial(-b, a), v=Monomial(p, -q), p=p, q=q, a=a, b=b)
+    p, q = _bezout(a, b)
+    return tuple.__new__(RingPresentation, (Monomial(-b, a), Monomial(p, -q), p, q, a, b))
 
 
 def membership_structural(r: RationalFunction, pres: RingPresentation) -> StructuralMembership:
@@ -129,22 +136,31 @@ def membership_union(
     ring).  Examines at most ``max_steps`` vertices and returns None when
     none of them works, which for a finite (rational-ratio) path may
     simply mean the monomial needs the localization of the terminal
-    presentation instead.  A monomial of negative value is in no vertex
-    ring, so it gets None at the root, with no vertex examined.  Raises
-    ValueError, as the walk does, when nu(x) or nu(y) is not positive or
-    the two are equal, and when ``max_steps`` is negative or not an
-    integer.
+    presentation instead.  The path is read a run at a time, one step
+    per run within the ``max_steps`` vertices: in the run ((f, g), n),
+    where mono = f^alpha g^beta, vertex j = k[f, g/f^j] has the chart
+    exponents (alpha + j*beta, beta), so the first vertex of the run
+    that holds it is a closed form.  A monomial of negative value is in
+    no vertex ring, so it gets None at the root, with no vertex
+    examined.  Raises ValueError, as the walk does, when nu(x) or nu(y)
+    is not positive or the two are equal, and when ``max_steps`` is
+    negative or not an integer.  A budget of 0 starts no walk.
     """
     max_steps = _integer(max_steps, "max_steps")
     if max_steps < 0:
         raise ValueError("max_steps must not be negative")
-    # islice takes no count past sys.maxsize, and no walk gets that far
-    for index, vertex in enumerate(islice(walk(nu), min(max_steps, sys.maxsize))):
+    index = 0  # of the run's first vertex
+    for start, n in walk_runs(nu) if max_steps else ():
         # Past the walk's checks: each vertex ring's two generators have
         # positive values, so no monomial of negative value lies in one.
         if index == 0 and nu.sign(nu(mono)) < 0:
             return None
-        alpha, beta = lattice_solve(mono, vertex)
-        if alpha >= 0 and beta >= 0:
-            return index
+        alpha, beta = lattice_solve(mono, _vertex_at(start, 0))
+        if beta >= 0 and (alpha >= 0 or beta > 0):
+            j = 0 if alpha >= 0 else -(alpha // beta)  # the least j with alpha + j*beta >= 0
+            if (n is None or j < n) and index + j < max_steps:
+                return index + j
+        if n is None or index + n >= max_steps:
+            return None
+        index += n
     return None

@@ -17,11 +17,12 @@ bracket; only the up-front checks compare values.  ``walk_runs`` yields
 one run per digit, ((fx, fy, gx, gy), n): the n vertices k[f, g/f^j],
 j = 0..n-1, of f = x^fx y^fy and g = x^gx y^gy.  A ``PositivePath``
 keeps those runs, so it takes memory in the number of digits, not of
-vertices, and builds a ``TreeVertex`` only when one is read; ``walk`` is
-the same path a vertex at a time.  ``branch_decomposition`` reads the
-runs, splitting vertices only where two runs meet.  ``positive_child``
-keeps the one-step comparison, as the definition the walk is tested
-against.
+vertices, and builds a ``TreeVertex`` only when one is read.
+``branch_decomposition`` reads the runs, splitting vertices only where
+two runs meet, and ``valring.membership_union`` reads them to find the
+first vertex ring that holds a monomial.  ``positive_child`` keeps the
+one-step comparison, a vertex at a time, as the definition the walk is
+tested against.
 """
 
 from __future__ import annotations
@@ -306,11 +307,6 @@ def walk_runs(nu: MonomialValuation) -> Iterator[Run]:
             return
         bx, by, sx, sy = sx, sy, bx - d * sx, by - d * sy
         d = following
-
-
-def walk(nu: MonomialValuation) -> Iterator[TreeVertex]:
-    """Yield the positive path from the root a vertex at a time (see ``walk_runs``)."""
-    return run_items(walk_runs(nu), _vertex_at)
 
 
 def take_runs(runs: Iterator[Run], max_steps: int) -> PositivePath:

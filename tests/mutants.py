@@ -63,6 +63,9 @@ CF_DIGITS = (
     "tests/test_exactnum.py::test_a_stream_refuses_a_negative_index_and_names_only_a_known_pattern",
 )
 RING_JSON = (EMIT + "test_ringgens_json", EMIT + "test_ringgens_json_is_json_dumps_of_to_jsonable")
+UNION_ORACLE = "tests/test_valring.py::test_membership_union_equals_a_walk_a_vertex_at_a_time"
+UNION_BUDGET = "tests/test_valring.py::test_membership_union_reads_no_run_past_its_budget"
+BEZOUT = ("tests/test_valring.py::test_bezout_known", "tests/test_valring.py::test_ring_generators_known")
 CERTIFICATE = (
     RESOLUTION + "test_the_run_certificate_agrees_with_blowing_up_every_row_up_to_10_40",
     RESOLUTION + "test_the_run_certificate_agrees_with_blowing_up_every_row_on_long_branches",
@@ -237,6 +240,62 @@ MUTANTS = (
             "tests/test_valtree.py::test_cf_correspondence_known",
         ),
         "the branch lengths are compared against the digits with the last one not decremented",
+    ),
+    Mutant(
+        "union-floor-for-ceiling", "valring.py",
+        "-(alpha // beta)",
+        "-alpha // beta",
+        (UNION_ORACLE,),
+        "the first vertex of a run that holds a monomial is read one short when beta does not divide alpha",
+    ),
+    Mutant(
+        "union-one-past-the-run", "valring.py",
+        "(n is None or j < n)",
+        "(n is None or j <= n)",
+        (UNION_ORACLE,),
+        "a run answers with the first vertex of the next run, which need not hold the monomial",
+    ),
+    Mutant(
+        "union-one-past-the-budget", "valring.py",
+        "index + j < max_steps",
+        "index + j <= max_steps",
+        (UNION_ORACLE,),
+        "the vertex just past the budget is examined",
+    ),
+    Mutant(
+        "union-beta-zero-refused", "valring.py",
+        "if beta >= 0 and",
+        "if beta > 0 and",
+        (UNION_ORACLE,),
+        "a monomial that is a power of f alone, such as 1 at the root, is held by no vertex of the run",
+    ),
+    Mutant(
+        "union-budget-end-one-run-late", "valring.py",
+        "index + n >= max_steps",
+        "index + n > max_steps",
+        (UNION_BUDGET,),
+        "a budget that ends with a run reads one run more (no answer changes)",
+    ),
+    Mutant(
+        "union-budget-zero-starts-the-walk", "valring.py",
+        "walk_runs(nu) if max_steps else ()",
+        "walk_runs(nu)",
+        ("tests/test_valring.py::test_membership_union_refuses_a_valuation_without_a_path", UNION_BUDGET),
+        "a budget of 0 starts the walk, so a valuation without a path is refused",
+    ),
+    Mutant(
+        "bezout-b-one-case-dropped", "valring.py",
+        "pow(a, -1, b) or 1",
+        "pow(a, -1, b)",
+        BEZOUT,
+        "for b = 1, p is the inverse 0 modulo 1, not the least positive p = 1",
+    ),
+    Mutant(
+        "bezout-q-off-by-the-one", "valring.py",
+        "(p * a - 1) // b",
+        "(p * a + 1) // b",
+        BEZOUT,
+        "q is (p*a + 1) // b, one too large for b <= 2",
     ),
     Mutant(
         "rational-weights-swapped", "valuation.py",

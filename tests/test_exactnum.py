@@ -24,10 +24,10 @@ from monoval.exactnum import (
 from monoval.laurent import Monomial
 from monoval.resolution import check_theorem, resolve
 from monoval.valring import RingPresentation, bezout, membership_union, ring_generators
-from monoval.valtree import positive_path, take_runs, walk, walk_runs
+from monoval.valtree import positive_path, take_runs, walk_runs
 from monoval.valuation import LexZ2Group, MonomialValuation
 from monoval.verify import run_verify
-from oracles import euclid_quotients, nested_cf_value, take_path
+from oracles import bracket_walk, euclid_quotients, nested_cf_value, take_path
 
 rationals = st.fractions(min_value=-200, max_value=200, max_denominator=500)
 
@@ -322,6 +322,7 @@ def test_stream_compare_randomized_against_square_oracle():
 # ------------------------------------------- integers read by entry points
 
 _NU = MonomialValuation.rational(5, 3)
+_NU_WALK = tuple(bracket_walk(_NU, 64)[0])  # its whole path, a vertex at a time
 
 
 # Each entry point that reads an integer, given a value int() would truncate.
@@ -342,7 +343,7 @@ _NU = MonomialValuation.rational(5, 3)
         (lambda: CFStream.from_periodic((1,), (2, 2.5)), "a digit must be an integer, not 2.5"),
         (lambda: CFStream(lambda i: 2.5).digit(1), "a stream digit must be an integer, not 2.5"),
         (lambda: positive_path(_NU, 2.5), "max_steps must be an integer, not 2.5"),
-        (lambda: take_path(walk(_NU), 2.5), "max_steps must be an integer, not 2.5"),
+        (lambda: take_path(_NU_WALK, 2.5), "max_steps must be an integer, not 2.5"),
         (lambda: take_runs(walk_runs(_NU), 2.5), "max_steps must be an integer, not 2.5"),
         (lambda: membership_union(Monomial(1, -1), _NU, 2.5),
          "max_steps must be an integer, not 2.5"),
@@ -434,7 +435,7 @@ def test_an_integer_argument_may_be_any_integral_value_or_a_string():
     assert CFStream.from_periodic((1.0,), ("2",)).periodic == ((1,), (2,))
     assert CFStream(lambda i: 2.0).digit(1) == 2
     assert positive_path(_NU, 3.0) == positive_path(_NU, 3)
-    assert take_path(walk(_NU), 3.0) == positive_path(_NU, 3)
+    assert take_path(_NU_WALK, 3.0) == positive_path(_NU, 3)
     assert membership_union(Monomial(1, -1), _NU, 64.0) == 1
     assert cf_convergents(sqrt2_stream(), 2.0) == cf_convergents(sqrt2_stream(), 2)
     assert cf_convergents(sqrt2_stream(), "3") == cf_convergents(sqrt2_stream(), 3)
@@ -464,7 +465,7 @@ def test_a_step_budget_below_its_least_value_keeps_its_message():
         with pytest.raises(ValueError, match="^max_steps must be positive$"):
             positive_path(_NU, steps)
         with pytest.raises(ValueError, match="^max_steps must be positive$"):
-            take_path(walk(_NU), steps)
+            take_path(_NU_WALK, steps)
     with pytest.raises(ValueError, match="^max_steps must not be negative$"):
         membership_union(Monomial(1, -1), _NU, -1.0)
 

@@ -1,9 +1,13 @@
+import os
 import random
+import subprocess
+import sys
 from math import gcd
+from pathlib import Path
 
 import pytest
 
-from monoval.exactnum import sqrt2_stream
+from monoval.exactnum import CFStream, sqrt2_stream
 from monoval.laurent import (
     LaurentPolynomial,
     Monomial,
@@ -12,6 +16,7 @@ from monoval.laurent import (
     X,
     Y,
     ZeroPolynomialError,
+    lattice_solve,
 )
 from monoval import valring
 from monoval.valring import (
@@ -22,10 +27,10 @@ from monoval.valring import (
     membership_union,
     ring_generators,
 )
-from monoval.valtree import TreeVertex, children, positive_path
+from monoval.valtree import TreeVertex, children, positive_path, walk_runs
 from monoval.valuation import MonomialValuation
 
-from oracles import random_polynomial, random_coprime_pair
+from oracles import bracket_walk, random_polynomial, random_coprime_pair
 
 
 def rf(num_mono, den_mono=UNIT):
@@ -91,6 +96,8 @@ def test_ring_generator_values_and_identities():
             if gcd(a, b) != 1:
                 continue
             pres = ring_generators(a, b)
+            # built unchecked from a checked pair, it passes the constructor's checks
+            assert RingPresentation(*pres) == pres
             nu = MonomialValuation.rational(a, b)
             assert nu.group.realize(nu(pres.u)) == 0
             assert nu.group.realize(nu(pres.v)) == 1
@@ -203,6 +210,111 @@ def test_membership_union_refuses_a_negative_value_at_the_root(nu, monkeypatch):
     monkeypatch.setattr(valring, "lattice_solve", lambda *args: calls.append(args))
     assert membership_union(Monomial(-1, 0), nu, max_steps=10**9) is None
     assert calls == []
+
+
+def test_membership_union_takes_one_step_per_run():
+    # x^-b y^a has value 0 under nu = (a, b), so no vertex of the path of
+    # 10^30 + 1 vertices holds it; the path has three runs.  In a fresh
+    # interpreter, so that a walk a vertex at a time fails here, not hangs.
+    program = (
+        "from monoval import Monomial, MonomialValuation, membership_union, sqrt2_stream\n"
+        "a, b = 10**30 + 1, 10**30\n"
+        "print(membership_union(Monomial(-b, a), MonomialValuation.rational(a, b), 10**40))\n"
+        "nu = MonomialValuation.from_stream(sqrt2_stream())\n"
+        "print(membership_union(Monomial(-1000000, 1414214), nu, max_steps=10**9))\n"
+    )
+    src = str(Path(valring.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", program], capture_output=True, text=True,
+                          timeout=10, env=env)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "None\n18\n"
+
+
+def test_membership_union_reads_no_run_past_its_budget(monkeypatch):
+    # sqrt(2) = [1; 2, 2, ...]: runs of 1, 1, 2, 2, ... vertices, so some
+    # budgets end a run and others end inside one.
+    nu = MonomialValuation.from_stream(sqrt2_stream())
+    mono = Monomial(-1000000, 1414214)  # first held at vertex 18
+    steps = 0
+
+    def runs(nu):
+        taken = 0
+        for start, n in walk_runs(nu):
+            assert taken < steps, f"a run read past a budget of {steps}"
+            taken += n
+            yield start, n
+
+    monkeypatch.setattr(valring, "walk_runs", runs)
+    for steps in range(30):
+        assert membership_union(mono, nu, steps) == (18 if steps > 18 else None)
+
+
+def first_held(vertices, mono):
+    """Index of the first of ``vertices`` whose ring holds ``mono``, or None."""
+    return next((i for i, v in enumerate(vertices) if min(lattice_solve(mono, v)) >= 0), None)
+
+
+UNION_BUDGETS = (0, 1, 2, 3, 5, 10, 64, 200)
+
+
+@pytest.mark.parametrize("nu", [
+    MonomialValuation.rational(24, 7),
+    MonomialValuation.rational(7, 24),
+    MonomialValuation.rational(89, 55),
+    MonomialValuation.rational(10, 4),
+    MonomialValuation.rational(41, 1),
+    MonomialValuation.from_stream(sqrt2_stream()),
+    MonomialValuation.from_stream(CFStream.from_periodic((1, 3), (1, 1, 4))),
+    MonomialValuation.lex((1, 0), (0, 1)),
+    MonomialValuation.lex((5, 0), (2, 1)),
+    MonomialValuation.lex((0, 1), (3, 2)),
+    MonomialValuation.lex((4, 2), (2, 1)),
+], ids=["24/7", "7/24", "89/55", "10/4", "41", "sqrt2", "periodic", "lex-unbounded",
+        "lex-digits-then-unbounded", "lex-y-first", "lex-finite"])
+def test_membership_union_equals_a_walk_a_vertex_at_a_time(nu):
+    rng = random.Random(repr(nu.describe()))
+    monos = [Monomial(rng.randint(-40, 40), rng.randint(-40, 40)) for _ in range(300)]
+    monos += [UNIT, X, Y, Monomial(1, -1), Monomial(-1, 1), Monomial(-40, 1), Monomial(1, -40)]
+    vertices = bracket_walk(nu, max(UNION_BUDGETS))[0]
+    for mono in monos:
+        first = first_held(vertices, mono)
+        for m in UNION_BUDGETS:
+            # bracket_walk(nu, m) walks the first m of these vertices
+            expected = first if first is not None and first < m else None
+            assert membership_union(mono, nu, m) == expected, (mono, m)
+
+
+@pytest.mark.parametrize("nu, message", [
+    (MonomialValuation.rational(5, 5), "nu(x) = nu(y) is degenerate for path construction"),
+    (MonomialValuation.lex((2, 1), (2, 1)), "nu(x) = nu(y) is degenerate for path construction"),
+    (MonomialValuation.lex((-1, 0), (1, 0)),
+     "k[x, y] is not positive: nu(x) and nu(y) must be positive"),
+    (MonomialValuation.lex((0, 1), (0, -1)),
+     "k[x, y] is not positive: nu(x) and nu(y) must be positive"),
+], ids=["rational-equal", "lex-equal", "lex-x-negative", "lex-y-negative"])
+def test_membership_union_refuses_a_valuation_without_a_path(nu, message):
+    for mono in (UNIT, Monomial(-1, 0), Monomial(3, -2)):
+        for m in (1, 2, 64, 10**40):
+            with pytest.raises(ValueError) as info:
+                membership_union(mono, nu, m)
+            assert str(info.value) == message
+        # a budget of 0 examines no vertex, so it starts no walk to refuse
+        assert membership_union(mono, nu, 0) is None
+
+
+@pytest.mark.parametrize("steps, message", [
+    (-1, "max_steps must not be negative"),
+    (-10**40, "max_steps must not be negative"),
+    (2.5, "max_steps must be an integer, not 2.5"),
+    ("2.5", "invalid literal for int() with base 10: '2.5'"),
+])
+def test_membership_union_refuses_a_bad_budget(steps, message):
+    # checked before the walk's own refusal of a valuation without a path
+    for nu in (MonomialValuation.rational(5, 3), MonomialValuation.rational(5, 5)):
+        with pytest.raises(ValueError) as info:
+            membership_union(UNIT, nu, steps)
+        assert str(info.value) == message
 
 
 def test_membership_union_budget_past_maxsize_and_negative():

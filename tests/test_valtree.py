@@ -31,7 +31,7 @@ from monoval.valtree import (
     lex_valuation_from_tail,
     positive_child,
     positive_path,
-    walk,
+    walk_runs,
 )
 from monoval.valuation import MonomialValuation, Value
 
@@ -119,8 +119,9 @@ def test_positive_path_budget_edge_cases():
 
 
 def test_take_path_asks_for_one_vertex_past_the_budget():
-    vertices = tuple(walk(MonomialValuation.rational(24, 7)))
-    assert len(vertices) == 8
+    vertices, complete = oracles.bracket_walk(MonomialValuation.rational(24, 7), 64)
+    vertices = tuple(vertices)
+    assert complete and len(vertices) == 8
     assert oracles.take_path(iter(vertices), 8) == PositivePath(vertices, complete=True)
     assert oracles.take_path(iter(vertices), 7) == PositivePath(vertices[:7], complete=False)
     assert oracles.take_path(iter(vertices), 2**70) == PositivePath(vertices, complete=True)
@@ -130,9 +131,9 @@ def test_take_path_asks_for_one_vertex_past_the_budget():
 
 def test_walk_refuses_valuations_without_a_path():
     with pytest.raises(ValueError, match="degenerate"):
-        next(walk(MonomialValuation.rational(5, 5)))
+        next(walk_runs(MonomialValuation.rational(5, 5)))
     with pytest.raises(ValueError, match="not positive"):
-        next(walk(MonomialValuation.lex((-1, 0), (1, 0))))
+        next(walk_runs(MonomialValuation.lex((-1, 0), (1, 0))))
 
 
 def test_branch_decomposition_known():
