@@ -51,10 +51,9 @@ exponents of a wide pair run to hundreds of digits, and ``str`` of an
 int takes time quadratic in its length.  Inside a run, g/f^j has
 exponents affine in j, so a run's names come from ``laurent``'s
 ``_stretch_names``, each stretch of one printed shape.  The rule for a
-short run is ``laurent``'s too: ``_SHORT_RUN`` lives there, and
-``_stretch_names`` names a run or piece shorter than it a row at a
-time.  e and |s - t| are arithmetic progressions down a run, and e
-grows along the trace, to hundreds of digits on a wide pair;
+short run is ``laurent``'s too: ``_stretch_names`` names a short run or
+piece a row at a time.  e and |s - t| are arithmetic progressions down
+a run, and e grows along the trace, to hundreds of digits on a wide pair;
 ``_progression`` prints a column of wide values as exact decimals, whose
 ``str`` takes time linear in the digits.
 
@@ -75,23 +74,17 @@ Each JSON array item carries the ``,\\n`` separator that ``_cut`` cuts
 with it, and the first drops the comma.
 
 The bad charts are the vertices of the positive path of nu(x) = a,
-nu(y) = b (``resolution.bad_vertex_path``), so plain text names them as
-the path emitters do, each with its run's first classification.  DOT's
-edges need only which children of each blow-up are resolved: inside a
-run the second; at a run's end the child the next run does not start
-at, or both when no run follows.  So neither builds anything per
-blow-up.
+nu(y) = b, and each row of a trace's runs begins with its chart's
+generators, so plain text names them from the trace's runs by
+``laurent.path_names``, as the path emitters name a path's, each with
+its run's first classification.  DOT's edges need only which children
+of each blow-up are resolved: inside a run the second; at a run's end
+the child the next run does not start at, or both when no run follows.
+So neither builds anything per blow-up.
 
-The path emitters walk a path's runs too, and name each generator
-once.  A run's first generator is named once for the run, and not at
-all when it is the f or the g of the vertex before: a walked path's run
-starts at the last g of the run before.  Its vertices' second
-generators, g/f^j, are named by ``laurent.run_monomial_name``, which
-prints no inverse, all but the last of a run of ``laurent._SHORT_RUN``
-or more.  ``_path_names`` names the rest itself, a vertex at a time by
-``laurent.monomial_name``: a path has many short runs, and each would
-cost a call into ``laurent`` more.  No ``TreeVertex`` or ``Monomial`` is
-built.
+A path's vertices are named in one place, ``laurent.path_names``, a run
+at a time and each generator once; the path emitters fill its names into
+their layouts, and build no ``TreeVertex`` or ``Monomial``.
 """
 
 from __future__ import annotations
@@ -105,14 +98,7 @@ from fractions import Fraction
 from os.path import commonprefix
 
 from .exactnum import CFExpansion, _digit_strings
-from .laurent import (
-    _SHORT_RUN,
-    _STRETCH,
-    _stretch_names,
-    monomial_name,
-    monomial_names,
-    run_monomial_name,
-)
+from .laurent import _STRETCH, _stretch_names, monomial_name, monomial_names, path_names
 from .resolution import (
     ChartState,
     Classification,
@@ -121,7 +107,6 @@ from .resolution import (
     _children,
     _kind,
     _row_at,
-    bad_vertex_path,
 )
 from .valring import RingPresentation
 from .valtree import CorrespondenceReport, PositivePath
@@ -265,36 +250,6 @@ def _filled(trace: ResolutionTrace, printed: bool, fill_stretch, fill_row, i: in
             yield fill_row(i, *item)
             i += 1
         del item  # before the next stretch is made
-
-
-def _path_names(path: PositivePath) -> Iterator[tuple[str, str]]:
-    """The names of the two generators of every vertex of a path, each generator named once.
-
-    A run's first generator f is named once for the run, and not at all
-    when its exponents are those of the vertex before's f or g: a walked
-    path's run starts at the last g of the run before, and a path of one
-    run per vertex keeps f down a branch.
-    """
-    px = py = qx = qy = None  # the exponents of the vertex before's f and g, named p and q
-    for (fx, fy, gx, gy), n in path.runs:
-        if fx == qx and fy == qy:
-            f = q
-        elif fx == px and fy == py:
-            f = p
-        else:
-            f = monomial_name(fx, fy)
-        if n >= _SHORT_RUN:  # all but the last vertex a stretch at a time
-            yield from zip(repeat(f), run_monomial_name(fx, fy, gx, gy, 0, n - 1))
-            gx -= (n - 1) * fx
-            gy -= (n - 1) * fy
-            n = 1
-        for _ in range(n):
-            q = monomial_name(gx, gy)
-            yield f, q
-            gx -= fx
-            gy -= fy
-        if n:
-            px, py, p, qx, qy = fx, fy, f, gx + fx, gy + fy
 
 
 _PROPER = ("misses-origin", "through-origin")  # a proper transform's kind, by whether it passes through the origin
@@ -507,7 +462,7 @@ def _trace_json(trace: ResolutionTrace) -> Iterator[str]:
 def _path_json(path: PositivePath) -> Iterator[str]:
     (h0, h1), (v0, v1, v2) = _PATH_HEAD, _VERTEX
     yield f"{h0}{path.status}{h1}"
-    yield from _json_items(f"{v0}{f}{v1}{g}{v2}" for f, g in _path_names(path))
+    yield from _json_items(f"{v0}{f}{v1}{g}{v2}" for f, g in path_names(path.runs))
     yield _PATH_TAIL if path.count else _PATH_EMPTY_TAIL
 
 
@@ -541,7 +496,7 @@ def _dot_head(name: str) -> str:
 def _dot_path(path: PositivePath) -> Iterator[str]:
     yield _dot_head("positive_path")
     yield from _blocks(f'  v{i} [label="k[{f}, {g}]", style=bold];\n'
-                       for i, (f, g) in enumerate(_path_names(path)))
+                       for i, (f, g) in enumerate(path_names(path.runs)))
     if not path.complete:
         yield '  trunc [label="(truncated)", shape=plaintext];\n'
     yield from _blocks(f"  v{i} -> v{i + 1};\n" for i in range(path.count - 1))
@@ -655,7 +610,7 @@ def emit_dot(obj) -> str:
 def path_text_chunks(path: PositivePath, heading: str) -> Iterator[str]:
     """``format_path_text(path, heading)`` in pieces: the heading, blocks of vertices, the status."""
     yield heading + "\n"
-    yield from _blocks(f"  {i}: k[{f}, {g}]\n" for i, (f, g) in enumerate(_path_names(path)))
+    yield from _blocks(f"  {i}: k[{f}, {g}]\n" for i, (f, g) in enumerate(path_names(path.runs)))
     yield f"status: {path.status} ({path.count} vertices)\n"
 
 
@@ -747,16 +702,16 @@ def _step_stretch(n: int, stretch: _Stretch) -> Iterator[str]:
 def trace_text_chunks(trace: ResolutionTrace, show_steps: bool = False) -> Iterator[str]:
     """``format_trace_text(trace, show_steps)`` in pieces: each heading, then its section in blocks.
 
-    The bad charts are the positive path of the trace's pair
-    (``bad_vertex_path``), each row with its run's classification; only
-    the steps print children, so only ``show_steps`` reads ``_blow_ups``.
+    The bad charts are named from the trace's runs by ``path_names``,
+    each row with its run's classification; only the steps print
+    children, so only ``show_steps`` reads ``_blow_ups``.
     """
     yield (f"resolution of x^{trace.b} = y^{trace.a}: {trace.blow_up_count} blow-ups\n"
            "bad charts:\n")
     # range, not repeat: a run may be longer than a C integer
     kinds = (kind for row, n in trace.runs for kind in [_KIND[_kind(row)]] for _ in range(n))
     yield from _blocks(f"  {i}: k[{f}, {g}] ({kind})\n"
-                       for i, ((f, g), kind) in enumerate(zip(_path_names(bad_vertex_path(trace)), kinds)))
+                       for i, ((f, g), kind) in enumerate(zip(path_names(trace.runs), kinds)))
     if not show_steps:
         return
     yield "steps:\n"

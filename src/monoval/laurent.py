@@ -28,13 +28,15 @@ which ``Monomial.__str__`` calls, and ``monomial_names``, which names a
 monomial and its inverse from one printing of each exponent, both
 assemble the form with ``_fraction_form``.
 
-``run_monomial_name`` names g/f^j for a range of j, the second
-generators along a path's run, and ``_stretch_names`` names them with
-or without the inverses, as the trace emitters name a run of blow-ups.
-The exponents of g/f^j are affine in j, so the range splits into
-stretches over which each keeps one sign and an absolute value of at
-least 2, or stays constant; such a stretch prints in one shape.  The j
-where an exponent is -1, 0 or 1 stand alone.  A stretch of
+``path_names`` is the one place a path's vertices are named: it names
+the two generators of every vertex of a path's runs, or of a trace's,
+whose bad charts are a path's vertices.  ``_stretch_names`` names g/f^j
+for a range of j, the second generators along a run, without the
+inverses for ``path_names`` and with them as the trace emitters name a
+run of blow-ups.  The exponents of g/f^j are affine in j, so the range
+splits into stretches over which each keeps one sign and an absolute
+value of at least 2, or stays constant; such a stretch prints in one
+shape.  The j where an exponent is -1, 0 or 1 stand alone.  A stretch of
 ``_SHORT_RUN`` names or more is filled from two lists of powers, each
 exponent printed once, and one f-string comprehension per shape:
 ``_shapes`` writes ``_fraction_form``'s shapes out over lists, the one
@@ -50,7 +52,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Mapping
 from fractions import Fraction
-from itertools import chain, count, islice
+from itertools import chain, count, islice, repeat
 from typing import Tuple, Union
 
 
@@ -235,9 +237,40 @@ def _stretch_names(fx: int, fy: int, gx: int, gy: int, start: int, stop: int, in
                 yield _shapes(xs, ys, ex, ey)
 
 
-def run_monomial_name(fx: int, fy: int, gx: int, gy: int, start: int, stop: int) -> Iterator[str]:
-    """``monomial_name(gx - j*fx, gy - j*fy)`` for j in range(start, stop), filled a stretch at a time."""
-    return chain.from_iterable(_stretch_names(fx, fy, gx, gy, start, stop, False))
+def path_names(runs: Iterable) -> Iterator[tuple[str, str]]:
+    """The names of the two generators of every vertex of runs ((fx, fy, gx, gy, ...), n), each named once.
+
+    Only the first four ints of a run's start are read, so a path's runs
+    and a trace's, whose rows start with the same four, are named alike.
+    A run's first generator f is named once for the run, and not at all
+    when its exponents are those of the vertex before's f or g: a walked
+    path's run starts at the last g of the run before, and a path of one
+    run per vertex keeps f down a branch.  All but the last vertex of a
+    run of ``_SHORT_RUN`` or more are named by ``_stretch_names``; the
+    rest a vertex at a time, as a path has many short runs and a call
+    into ``_stretch_names`` for each would cost more than its names.
+    """
+    px = py = qx = qy = None  # the exponents of the vertex before's f and g, named p and q
+    for start, n in runs:
+        fx, fy, gx, gy = start[:4]  # a slice, not a starred target: that builds a list per run
+        if fx == qx and fy == qy:
+            f = q
+        elif fx == px and fy == py:
+            f = p
+        else:
+            f = monomial_name(fx, fy)
+        if n >= _SHORT_RUN:  # all but the last vertex a stretch at a time
+            yield from zip(repeat(f), chain.from_iterable(_stretch_names(fx, fy, gx, gy, 0, n - 1, False)))
+            gx -= (n - 1) * fx
+            gy -= (n - 1) * fy
+            n = 1
+        for _ in range(n):
+            q = monomial_name(gx, gy)
+            yield f, q
+            gx -= fx
+            gy -= fy
+        if n:
+            px, py, p, qx, qy = fx, fy, f, gx + fx, gy + fy
 
 
 # Slot setters, so construction skips the __setattr__ guard.

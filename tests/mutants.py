@@ -34,6 +34,7 @@ TIMEOUT_S = 300
 RESOLUTION = "tests/test_resolution.py::"
 CLI = "tests/test_cli.py::"
 EMIT = "tests/test_emit.py::"
+LAURENT = "tests/test_laurent.py::"
 CRITERION_7 = "tests/test_acceptance.py::test_criterion_07_lemma_invariants_sweep_200"
 CF_LIMIT = "tests/test_cli.py::test_cf_past_the_int_str_limit_fails_before_output"
 ARGV_CLIP = CLI + "test_refusals_that_quote_the_input_are_one_short_line"
@@ -429,18 +430,25 @@ MUTANTS = (
         "an option's value is clipped before the option, which is then left at 64 characters of its value",
     ),
     Mutant(
-        "path-names-reuse-g-by-x", "emit.py",
+        "path-names-reuse-g-by-x", "laurent.py",
         "if fx == qx and fy == qy:",
         "if fx == qx:",
         (EMIT + "test_a_path_of_any_runs_names_each_vertex_as_str_does",),
         "a run's first generator takes the name of the g before it when only their x exponents match",
     ),
     Mutant(
-        "path-names-reuse-f-by-x", "emit.py",
+        "path-names-reuse-f-by-x", "laurent.py",
         "elif fx == px and fy == py:",
         "elif fx == px:",
         (EMIT + "test_a_path_of_any_runs_names_each_vertex_as_str_does",),
         "a run's first generator takes the name of the f before it when only their x exponents match",
+    ),
+    Mutant(
+        "path-names-long-run-drops-its-last", "laurent.py",
+        "            n = 1\n",
+        "            n = 0\n",
+        (LAURENT + "test_path_names_names_a_trace_s_runs_as_its_bad_vertex_path", THIN_EMIT),
+        "a run of _SHORT_RUN vertices or more loses its last vertex, named after its stretches",
     ),
     Mutant(
         "blocks-drop-last", "emit.py",

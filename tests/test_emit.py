@@ -11,7 +11,7 @@ from math import gcd
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from monoval import emit
+from monoval import emit, laurent
 from monoval.emit import (
     emit_dot,
     emit_json,
@@ -560,7 +560,7 @@ def test_path_json_is_written_as_the_path_json_oracle_writes_it(make):
     assert_same_text(emit_json(path), oracles.path_json(path))
 
 
-@pytest.mark.parametrize("a", (2 * emit._SHORT_RUN + k for k in (-1, 1, 3)))
+@pytest.mark.parametrize("a", (2 * laurent._SHORT_RUN + k for k in (-1, 1, 3)))
 def test_runs_on_each_side_of_the_short_run_cut_are_emitted_as_the_oracles_emit_them(a):
     # (a, 2) has a trace run of (a - 3) / 2 rows and a path run of (a - 1) / 2 vertices.
     assert max(n for _, n in resolve(a, 2).runs) == (a - 3) // 2
@@ -570,7 +570,7 @@ def test_runs_on_each_side_of_the_short_run_cut_are_emitted_as_the_oracles_emit_
 
 
 @pytest.mark.parametrize("basis", [(1, 0, 0, 1), (2, 1, 1, 1)], ids=["x,y", "x^2*y,x*y"])
-@pytest.mark.parametrize("n", [5, 2 * emit._SHORT_RUN])
+@pytest.mark.parametrize("n", [5, 2 * laurent._SHORT_RUN])
 @pytest.mark.parametrize("A, B, t", [(A, B, t) for A in (0, 1, 5) for B in (0, 1, 3) for t in (0, 1, 2)
                                      if t >= 2 or B >= 1])
 @pytest.mark.parametrize("sign", [1, -1])
@@ -605,9 +605,9 @@ def dot_edges_one_at_a_time(trace) -> list[str]:
 
 @example((377, 233))  # every run one blow-up long
 @example(THIN_PAIR)  # a run past _STRETCH
-@example((2 * emit._SHORT_RUN - 1, 2))  # (a, 2): a run of (a - 3) / 2 on each side of _SHORT_RUN
-@example((2 * emit._SHORT_RUN + 1, 2))
-@example((2 * emit._SHORT_RUN + 3, 2))
+@example((2 * laurent._SHORT_RUN - 1, 2))  # (a, 2): a run of (a - 3) / 2 on each side of _SHORT_RUN
+@example((2 * laurent._SHORT_RUN + 1, 2))
+@example((2 * laurent._SHORT_RUN + 3, 2))
 @settings(max_examples=60, deadline=None)
 @given(coprime_pairs(10**6))
 def test_dot_edges_are_written_from_the_runs_as_one_blow_up_at_a_time(pair):

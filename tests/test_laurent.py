@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from monoval.exactnum import cf_expand
+from monoval.exactnum import CFStream, cf_expand
 from monoval.laurent import (
     ChartBasis,
     IDENTITY_BASIS,
@@ -21,12 +21,12 @@ from monoval.laurent import (
     factor_monomial_content,
     lattice_solve,
     monomial_names,
+    path_names,
     rewrite_in_chart,
-    run_monomial_name,
 )
 from monoval import laurent
-from monoval.resolution import resolve
-from monoval.valtree import positive_path
+from monoval.resolution import bad_vertex_path, resolve
+from monoval.valtree import PositivePath, positive_path
 from monoval.valuation import MonomialValuation, Value
 
 import oracles
@@ -110,7 +110,6 @@ def assert_run_named_as_each_monomial(fx, fy, gx, gy, start, stop):
     exponents = [(gx - j * fx, gy - j * fy) for j in range(start, stop)]
     assert stretch_names(fx, fy, gx, gy, start, stop, True) == [monomial_names(*e) for e in exponents]
     assert stretch_names(fx, fy, gx, gy, start, stop, False) == [monomial_name(*e) for e in exponents]
-    assert list(run_monomial_name(fx, fy, gx, gy, start, stop)) == [monomial_name(*e) for e in exponents]
 
 
 # Slopes of a run's f, and g near where an exponent crosses -1, 0 and 1 inside it.
@@ -180,6 +179,32 @@ def test_a_run_shorter_than_the_short_run_cut_is_named_a_row_at_a_time_in_one_li
     assert stretches == ([(names, inverses_)] if inverses else [names])
     # one more j, and the run is cut there
     assert len(list(laurent._stretch_names(1, 0, 0, 0, -2, SHORT_RUN - 2, inverses))) == 5
+
+
+def vertex_names(path) -> list[tuple[str, str]]:
+    return [(str(v.f), str(v.g)) for v in path]
+
+
+# A thin pair (3b + 1, b) has one long run of b - 2 bad charts: here
+# _SHORT_RUN - 1, _SHORT_RUN, _SHORT_RUN + 1 and _STRETCH + 1 of them.
+# The wide pair's 35 runs are all shorter than _SHORT_RUN.
+@pytest.mark.parametrize("pair, longest", [
+    *(((3 * n + 7, n + 2), n) for n in (SHORT_RUN - 1, SHORT_RUN, SHORT_RUN + 1, CAP + 1)),
+    ((488032046811688643031, 127468235891474990090), 9),
+])
+def test_path_names_names_a_trace_s_runs_as_its_bad_vertex_path(pair, longest):
+    trace = resolve(*pair)
+    assert max(n for _, n in trace.runs) == longest
+    path = bad_vertex_path(trace)
+    assert list(path_names(trace.runs)) == vertex_names(path) == list(path_names(path.runs))
+
+
+def test_path_names_names_a_path_of_one_run_per_vertex_and_the_empty_path():
+    nu = MonomialValuation.from_stream(CFStream.from_periodic([1], [1]))
+    path = positive_path(nu, max_steps=200)
+    assert len(path.runs) == path.count == 200
+    assert list(path_names(path.runs)) == vertex_names(path)
+    assert list(path_names(PositivePath((), complete=True).runs)) == [] == list(path_names(()))
 
 
 # -- polynomials -------------------------------------------------------------
