@@ -8,8 +8,14 @@ directory, renamed onto the target at the end.  Exit codes: 0 success,
 early), 2 verification failure.
 
 ``main`` builds its parser once per process, on its first call, and
-parses every later argv with it; a one-shot ``monoval`` process builds
-it once either way.  Importing this module builds none.  One guard,
+keeps it; a one-shot ``monoval`` process builds it once either way.
+Importing this module builds none.  An argv whose first string names a
+command goes straight to that command's own parser, without the
+top-level one, which would only pick the parser and hand it the rest;
+any other argv, such as an empty one, ``-h``, an option or ``--``
+before the command, or a name that is no command, goes through the
+top-level parser.  Only that one sets ``command``, which no handler
+reads.  One guard,
 ``_printable_runs``, refuses a stream's path or a trace with an integer
 longer than ``str`` prints, run by run, before any output.  Per run it
 reads, with no call, the sum of four integers of the run's start: times
@@ -394,6 +400,7 @@ def build_parser() -> _Parser:
     # -h prints the module docstring but its last paragraph, which is about the code.
     parser = _Parser(prog="monoval", description=__doc__.rsplit("\n\n", 1)[0])
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices  # each command's name to its parser, filled below
 
     def add_common(p, formats=("text", "json")):
         p.add_argument("--format", choices=formats, default="text")
@@ -497,8 +504,12 @@ def _silence_stdout() -> None:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = _parser()
+    # A command named first gets the rest of argv, as the top-level parser would hand it on.
+    command = parser.commands.get(argv[0]) if argv else None
     try:
-        args = _parser().parse_args(argv)
+        args = command.parse_args(argv[1:]) if command else parser.parse_args(argv)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -573,7 +573,9 @@ class _Unforced(tuple):
 def _summands(left, right, a: int, b: int):
     """The two operands of a sum, each forced unless the other is forced and strictly lighter.
 
-    Of two unforced operands, the one of lower bound is forced first.
+    Neither is None (zero) when called.  Of two unforced operands, the
+    one of lower bound is forced first, and it may force to None, as
+    x - x does: the other is then left unforced.
     """
     if type(left) is _Unforced and type(right) is _Unforced:
         if _weight(right, a, b) < _weight(left, a, b):

@@ -238,7 +238,7 @@ def _stretch_names(fx: int, fy: int, gx: int, gy: int, start: int, stop: int, in
 
 
 def path_names(runs: Iterable) -> Iterator[tuple[str, str]]:
-    """The names of the two generators of every vertex of runs ((fx, fy, gx, gy, ...), n), each named once.
+    """The names of the two generators of every vertex of nonempty runs ((fx, fy, gx, gy, ...), n), each named once.
 
     Only the first four ints of a run's start are read, so a path's runs
     and a trace's, whose rows start with the same four, are named alike.
@@ -269,8 +269,7 @@ def path_names(runs: Iterable) -> Iterator[tuple[str, str]]:
             yield f, q
             gx -= fx
             gy -= fy
-        if n:
-            px, py, p, qx, qy = fx, fy, f, gx + fx, gy + fy
+        px, py, p, qx, qy = fx, fy, f, gx + fx, gy + fy
 
 
 # Slot setters, so construction skips the __setattr__ guard.

@@ -156,7 +156,7 @@ def membership_union(
         if index == 0 and nu.sign(nu(mono)) < 0:
             return None
         alpha, beta = lattice_solve(mono, _vertex_at(start, 0))
-        if beta >= 0 and (alpha >= 0 or beta > 0):
+        if beta >= 0:  # beta = 0 makes mono f^alpha, so alpha >= 0: its value is not negative
             j = 0 if alpha >= 0 else -(alpha // beta)  # the least j with alpha + j*beta >= 0
             if (n is None or j < n) and index + j < max_steps:
                 return index + j

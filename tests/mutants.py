@@ -39,6 +39,7 @@ CRITERION_7 = "tests/test_acceptance.py::test_criterion_07_lemma_invariants_swee
 CF_LIMIT = "tests/test_cli.py::test_cf_past_the_int_str_limit_fails_before_output"
 ARGV_CLIP = CLI + "test_refusals_that_quote_the_input_are_one_short_line"
 ANY_WORDING = CLI + "test_a_refusal_of_any_wording_clips_the_argv_strings_it_holds"
+DISPATCH = "tests/test_cli_fuzz.py::test_a_command_s_own_parser_answers_as_the_top_level_parser"
 RUN_NAMES = "tests/test_laurent.py::test_a_run_is_named_as_its_monomials_with_small_slopes"
 CAP_NAMES = "tests/test_laurent.py::test_a_run_is_named_as_its_monomials_past_the_stretch_cap_and_the_short_run_cut"
 SHORT_NAMES = "tests/test_laurent.py::test_a_run_shorter_than_the_short_run_cut_is_named_a_row_at_a_time_in_one_list"
@@ -265,8 +266,8 @@ MUTANTS = (
     ),
     Mutant(
         "union-beta-zero-refused", "valring.py",
-        "if beta >= 0 and",
-        "if beta > 0 and",
+        "if beta >= 0:",
+        "if beta > 0:",
         (UNION_ORACLE,),
         "a monomial that is a power of f alone, such as 1 at the root, is held by no vertex of the run",
     ),
@@ -309,6 +310,20 @@ MUTANTS = (
             "tests/test_verify.py::test_each_pair_is_resolved_and_walked_once",
         ),
         "nu(x) and nu(y) trade integer weights, so values are compared as under nu(x) = b, nu(y) = a",
+    ),
+    Mutant(
+        "dispatch-by-prefix", "cli.py",
+        "parser.commands.get(argv[0])",
+        "next((p for name, p in parser.commands.items() if name.startswith(argv[0])), None)",
+        (DISPATCH,),
+        "a prefix of a command, such as c, runs that command, where the top-level parser refuses it",
+    ),
+    Mutant(
+        "dispatch-drops-double-dash", "cli.py",
+        "command.parse_args(argv[1:])",
+        'command.parse_args([arg for arg in argv[1:] if arg != "--"])',
+        (DISPATCH,),
+        "a command's parser never sees --, so an argument after it may read as an option",
     ),
     Mutant(
         "guard-one-item-short", "cli.py",
@@ -659,6 +674,20 @@ MUTANTS = (
         '"*" in name or "^" in name',
         (THIN_EMIT, EMIT_10_40),
         "a quotient such as y/x takes an exponent without parentheses, in every --trace step alike",
+    ),
+    Mutant(
+        "summands-weighs-a-left-zero", "expr.py",
+        "if type(right) is _Unforced and left is not None and ",
+        "if type(right) is _Unforced and ",
+        (INITIAL_FORMS,),
+        "a sum whose left operand, forced first, is zero weighs None against its right",
+    ),
+    Mutant(
+        "summands-weighs-a-right-zero", "expr.py",
+        "if type(left) is _Unforced and right is not None and ",
+        "if type(left) is _Unforced and ",
+        (INITIAL_FORMS,),
+        "a sum whose lighter right operand, forced first, is zero weighs None against its left",
     ),
     Mutant(
         "sum-keeps-the-heavier", "expr.py",

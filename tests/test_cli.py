@@ -526,6 +526,17 @@ def test_a_usage_error_after_a_successful_call_is_one_line(capsys):
     assert run(capsys, "ringgens", "24", "7")[0] == 0
 
 
+def test_a_command_named_first_is_parsed_by_its_own_parser_alone(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the top-level parser parsed an argv that names its command first")
+
+    monkeypatch.setattr(cli._parser(), "parse_known_args", refuse)
+    assert run(capsys, "cf", "24/7") == (0, "24/7 = [3; 2, 3]\n", "")
+    assert run(capsys, "ringgens", "24") == (1, "", "usage error: the following arguments are required: b\n")
+    with pytest.raises(AssertionError, match="the top-level parser parsed"):
+        cli.main(["--format", "json", "cf", "24/7"])
+
+
 @pytest.mark.parametrize("argv", [["-h"], ["cf", "-h"], ["resolve", "--help"]])
 def test_help_is_the_text_of_a_fresh_parser(capsys, argv):
     with pytest.raises(SystemExit) as fresh:

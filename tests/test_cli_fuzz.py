@@ -13,6 +13,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from math import gcd
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from monoval import cli
@@ -143,3 +144,74 @@ def test_a_sequence_of_calls_answers_as_a_fresh_parser_per_call_does(cases):
     with tempfile.TemporaryDirectory() as tmp, mock.patch.object(cli, "_parser", cli.build_parser):
         fresh = run_sequence(cases, tmp)
     assert shared == fresh
+
+
+def top_level_parser():
+    """A new parser that names no command to ``main``, so every argv goes through the top-level parser."""
+    parser = cli.build_parser()
+    parser.commands = {}
+    return parser
+
+
+def answer(argv, out, tmp):
+    """stdout, stderr, exit code (or SystemExit code) and any --out file of ``main(argv)``."""
+    target = os.path.join(tmp, out) if out else None
+    if target:
+        argv = argv + ["--out", target]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with redirect_stdout(stdout), redirect_stderr(stderr):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = ("SystemExit", exc.code)
+    written = None
+    if target and os.path.isfile(target):
+        with open(target, encoding="utf-8") as fh:
+            written = fh.read()
+        os.unlink(target)
+    return stdout.getvalue(), stderr.getvalue().replace(tmp, "TMP"), code, written
+
+
+def assert_dispatch_answers_as_the_top_level_parser(argv, out=None):
+    with tempfile.TemporaryDirectory() as tmp:
+        dispatched = answer(argv, out, tmp)
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(cli, "_parser", top_level_parser):
+        reference = answer(argv, out, tmp)
+    assert dispatched == reference, argv
+
+
+COMMANDS = ["cf", "path", "ringgens", "member", "resolve", "verify"]
+LONG = "1" * 70 + "/7"
+DISPATCH_CORPUS = [
+    [], ["-h"], ["--help"], ["--"], ["--", "--"], ["-"],
+    *([command, flag] for command in COMMANDS for flag in ("-h", "--help", "--h", "--he")),
+    *([command] for command in COMMANDS),
+    ["--", "cf", "3/7"], ["cf", "--", "3/7"], ["cf", "3/7", "--"], ["cf", "--", "-7/3"], ["cf", "--", "--"],
+    ["cf", "--", "-h"], ["cf", "3/7", "--", "--format", "json"], ["ringgens", "3", "--", "2"],
+    ["member", "--", "-x^2", "--a", "1", "--b", "2"], ["path", "--stream", "sqrt2", "--", "3"],
+    ["junk"], ["junk", "3/7"], ["c", "3/7"], ["cfx", "3/7"], ["ring", "3", "2"], ["cf=3/7"], ["CF", "3/7"],
+    ["--format", "json", "cf", "3/7"], ["--out", "x", "cf", "3/7"], ["-h", "cf", "3/7"], ["--he", "cf"],
+    ["cf", "3/7", "--h"], ["cf", "3/7", "--he"], ["cf", "3/7", "--help=1"], ["cf", "3/7", "-hx"],
+    ["cf", "-7/3"], ["cf", "-7/3", "--format", "json"], ["member", "-x^2", "--a", "1", "--b", "2"],
+    ["member", "-x^2", "--a", "-3", "--b", "2"], ["path", "-7", "3"],
+    ["cf", "3/7", "--format", "json", "--format", "text"], ["ringgens", "3", "2", "--format", "json", "--format", "json"],
+    ["resolve", "3", "2", "--trace", "--trace"], ["member", "x", "--a", "1", "--a", "2", "--b", "3"],
+    ["ringgens", "3", "2", "extra", "--bogus"], ["cf", "3/7", "4/9"], ["verify", "--max", "3", "-q"],
+    ["resolve", "3", "2", "--trace=1"], ["path", "--max", "3", "--stream", "sqrt2"],
+    ["cf", "3/7", "--for", "json"], ["cf", "3/7", "--format=xml"], ["member", "x", "--a=1", "--b=2"],
+    ["verify"], ["path", "--stream"], ["member", "x", "--a", "1"],
+    ["cf", LONG], ["cf", "3/7", LONG], ["cf", "3/7", "--format", "x" * 70],
+    ["cf", "3/7", "--format=" + "x" * 70], ["ringgens", "3", "2", "--" + "z" * 70], [LONG, "cf"],
+    ["resolve", "a" * 65, "2"], ["member", "x" * 65, "--a", "1", "--b", "2"],
+]
+
+
+@pytest.mark.parametrize("argv", DISPATCH_CORPUS, ids=map(repr, DISPATCH_CORPUS))
+def test_a_command_s_own_parser_answers_as_the_top_level_parser(argv):
+    assert_dispatch_answers_as_the_top_level_parser(argv)
+
+
+@settings(max_examples=150, deadline=None)
+@given(argvs())
+def test_a_generated_argv_answers_as_through_the_top_level_parser(case):
+    assert_dispatch_answers_as_the_top_level_parser(*case)

@@ -291,6 +291,9 @@ def test_initial_forms_value_an_expression_as_lowering_does(text, a, b):
     ("-((x + y) - y)", 1, 1, 1),                    # so does a negation
     ("((x + y) - x)^3 + x", 1, 1, 1),               # and a power
     ("(x + y) + (x + y)", 1, 1, 1),                 # of two unforced operands, the left is forced first
+    ("(x - x) + (y - y)", 1, 1, "zero"),            # and it may force to zero, leaving the right unforced
+    ("(x - x) + ((x + y) - y)", 1, 1, 1),           # which is then the sum
+    ("(x^2 - x^2) + (y - y)", 1, 1, "zero"),        # the lighter is forced first, and may force to zero
 ])
 def test_initial_forms_explicit_cases(text, a, b, expected):
     node = parse_expression(text)
