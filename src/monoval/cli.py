@@ -214,7 +214,7 @@ def _cmd_cf(args) -> Output:
 
 def _cmd_path(args) -> Output:
     if args.stream is not None:
-        if args.a is not None or args.b is not None:
+        if args.a is not None:  # argparse fills b only after a
             raise ValueError("give either a stream or integer values, not both")
         stream = parse_stream_spec(args.stream)
         nu = MonomialValuation.from_stream(stream)

@@ -233,11 +233,12 @@ def sqrt2_stream() -> CFStream:
 
 
 def _integer(x, what: str) -> int:
-    """``int(x)`` for a string or an integral value; for any other x, a ValueError naming ``what``.
+    """``int(x)`` for a string or an integral value; for any other number x, a ValueError naming ``what``.
 
     A bool is an integral value, as ``operator.index`` reads it: True is 1
     and False is 0.  An infinite or NaN float is refused as 1.5 is; a
-    string that ``int`` refuses keeps ``int``'s own message.
+    string that ``int`` refuses keeps ``int``'s own message, and a value
+    it reads no number from, such as None, its TypeError.
     """
     try:
         n = int(x)

@@ -190,7 +190,7 @@ def _tokenize(text: str) -> list[tuple[str, int]]:
             i += 1
             continue
         if ch.isdecimal():
-            j = i
+            j = i + 1
             while j < n and text[j].isdecimal():
                 j += 1
             tokens.append((text[i:j], i))

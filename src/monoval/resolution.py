@@ -11,9 +11,9 @@ The blow-up rule (``blow_up``), the classification rule (``classify``)
 and the expansion (``expand_chart``) read any tuple in that layout.
 
 The charts blown up form one path, and it changes direction only once
-per continued-fraction digit of a/b: while s - t >= 2, and t >= 2 or
-exc_g >= 1, the first child of a chart with p = s, q = t is the next
-chart blown up, and it differs only by arithmetic progressions.  Row j
+per continued-fraction digit of a/b: while s - t >= 2, the first child
+of a chart with p = s, q = t is the next chart blown up, and it differs
+only by arithmetic progressions.  Row j
 of such a run from (f, g, A, B, s, t, sign) is
 (f, g/f^j, A + j(B + t), B, s - jt, t, sign).  So ``resolve`` keeps a
 trace as runs (first row, length): it jumps over a run with one
@@ -376,9 +376,12 @@ def classify(c: ChartState) -> Classification:
 def resolve(a: int, b: int) -> ResolutionTrace:
     """Blow up the unique bad chart until every chart is resolved, a run at a time.
 
-    A run starts at the chart blown up next.  While its s - t >= 2, and
-    t >= 2 or exc_g >= 1, its first child has p = s - t >= 2 and is a cusp
-    or a tangential crossing, and its second misses the origin; so with
+    A run starts at the chart blown up next.  While its s - t >= 2, its
+    first child has p = s - t >= 2 and is a cusp or a tangential crossing,
+    and its second misses the origin.  That holds at t = 1 too, since
+    exc_g >= 1 follows there: every run but the first starts at a child
+    that ``_kind`` found unresolved, and one with q = 1 and p >= 2 is
+    resolved unless exc_g >= 1; the first starts at s = b < a = t.  So with
     k = (s - 2) // t the run is k + 1 rows long, and it ends at row k,
     where s - kt is 2 to t + 1.  Otherwise it is one row.  The run's last row is blown up
     with ``_children`` and its children classified with ``_kind``, and
@@ -393,7 +396,7 @@ def resolve(a: int, b: int) -> ResolutionTrace:
     resolved = Classification.RESOLVED
     while True:
         s, t = row[6], row[7]
-        if s - t < 2 or (t < 2 and row[5] < 1):
+        if s - t < 2:
             runs.append((row, 1))
             last = row
         else:

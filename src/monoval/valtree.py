@@ -28,7 +28,6 @@ tested against.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from itertools import count
 from operator import eq, index
 from typing import Callable, Iterator, NamedTuple, Optional
 
@@ -41,8 +40,7 @@ TreeVertex = ChartBasis
 ROOT = IDENTITY_BASIS
 
 # ((fx, fy, gx, gy, ...), n): n items that start at the tuple and step by
-# one blow-up or one vertex each (see ``run_items``); n is None for a run
-# without end.
+# one blow-up or one vertex each; n is None for a run without end.
 Run = tuple[tuple[int, ...], Optional[int]]
 
 
@@ -71,7 +69,11 @@ class ExpandedRuns(Sequence):
         return self._count
 
     def __iter__(self) -> Iterator:
-        return run_items(self._runs, self._at)
+        at = self._at
+        for start, n in self._runs:
+            # range, not repeat: a length may exceed a C integer
+            for j in range(n):
+                yield at(start, j)
 
     def __getitem__(self, i):
         n = self._count
@@ -94,17 +96,6 @@ class ExpandedRuns(Sequence):
         return self._count == n and all(map(eq, self, other))
 
     __hash__ = None
-
-
-def run_items(runs: Iterable[Run], at: Callable[[tuple, int], object]) -> Iterator:
-    """``at(start, j)`` for every item j of every run (start, n), in order.
-
-    A run of length None never ends.
-    """
-    for start, n in runs:
-        # range, not repeat: a length may exceed a C integer
-        for j in count() if n is None else range(n):
-            yield at(start, j)
 
 
 def _same_vertices(runs: tuple[Run, ...], others: tuple[Run, ...]) -> bool:

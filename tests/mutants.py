@@ -170,6 +170,20 @@ MUTANTS = (
         "the fourth run of a trace is one row too long",
     ),
     Mutant(
+        "run-test-off-by-one", "resolution.py",
+        "if s - t < 2:",
+        "if s - t < 3:",
+        ("tests/test_runs.py::test_expanded_runs_equal_the_stepwise_rows",),
+        "a chart with s - t = 2 ends its run, which is then shorter than the rule allows",
+    ),
+    Mutant(
+        "run-length-off-by-one", "resolution.py",
+        "k = (s - 2) // t\n",
+        "k = (s - 1) // t\n",
+        ("tests/test_runs.py::test_expanded_runs_equal_the_stepwise_rows",),
+        "a run whose s - 1 is a multiple of t is one row too long, and ends at s - kt = 1",
+    ),
+    Mutant(
         "same-vertices-longest-stretch", "valtree.py",
         "k = min(m, n)",
         "k = max(m, n)",

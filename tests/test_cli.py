@@ -141,8 +141,9 @@ def test_member_errors(capsys):
 def test_member_reports_an_expression_error_before_bad_weights(capsys):
     code, out, err = run(capsys, "member", "1/(y-y)", "--a", "0", "--b", "2")
     assert (code, out, err) == (1, "", "error: division by zero (at position 1)\n")
-    code, out, err = run(capsys, "member", "x", "--a", "0", "--b", "2")
-    assert (code, out, err) == (1, "", "error: nu(x) and nu(y) must both be positive\n")
+    for a, b in (("0", "2"), ("1", "0")):
+        code, out, err = run(capsys, "member", "x", "--a", a, "--b", b)
+        assert (code, out, err) == (1, "", "error: nu(x) and nu(y) must both be positive\n")
 
 
 def test_member_reports_bad_weights_at_once_behind_a_large_expression(capsys):
@@ -267,12 +268,19 @@ def test_cf_zero_denominator(capsys):
     assert err == "error: cannot read '1/0': the denominator is zero\n"
 
 
-def test_out_unwritable_path(capsys, tmp_path):
+def test_out_unwritable_path(capsys, tmp_path, monkeypatch):
     for target in (tmp_path / "missing" / "f.json", tmp_path):
         code, out, err = run(capsys, "cf", "24/7", "--out", str(target))
         assert code == 1 and out == ""
         assert err.startswith(f"error: cannot write {_clipped(str(target))}: ")
         assert err.count("\n") == 1 and "Traceback" not in err
+
+    # an OSError with no strerror is quoted by its message
+    def refuse(path, chunks):
+        raise OSError("quota exceeded")
+
+    monkeypatch.setattr(cli, "_write_file", refuse)
+    assert run(capsys, "cf", "24/7", "--out", "f") == (1, "", "error: cannot write f: quota exceeded\n")
 
 
 def first_vertex_past_640_digits() -> int:
@@ -682,6 +690,13 @@ def test_cf_text_refuses_a_rational_too_long_to_print(capsys):
     assert (code, out) == (1, "")
     assert err == ("error: the denominator of the rational is longer than 640 digits,"
                    " the interpreter's limit for printing an integer\n")
+    # 600 digits on each side of the point: a numerator of 1,200, a denominator of 601
+    rational = str(3**1300)[:600] + "." + str(7**1400)[:600]
+    code, out, err = run_under_640_digits(capsys, "cf", rational, "--format", "json")
+    assert code == 0 and len(str(json.loads(out)["digits"][0])) == 600 and err == ""
+    assert run_under_640_digits(capsys, "cf", rational) == (
+        1, "", "error: the numerator of the rational is longer than 640 digits,"
+               " the interpreter's limit for printing an integer\n")
 
 
 def test_cf_of_an_integer_past_the_int_str_limit_fails_before_output(capsys):
@@ -704,8 +719,33 @@ def test_cf_with_no_int_str_limit_prints_a_rational_of_any_length(capsys):
         rational = Fraction(int("7" * 5000), 3)
         code, out, err = run(capsys, "cf", str(rational))
         assert (code, out, err) == (0, f"{rational} = {cf_expand(rational)}\n", "")
+        # and a literal that is no rational is refused as such, whatever its integers' lengths
+        assert run(capsys, "cf", "7/x") == (1, "", "error: Invalid literal for Fraction: '7/x'\n")
     finally:
         sys.set_int_max_str_digits(old)
+
+
+def test_with_no_int_str_limit_member_and_path_answer_as_under_it(capsys):
+    argvs = (("member", "x^2 + 3*y", "--a", "3", "--b", "2"), ("path", "--stream", "sqrt2", "--max-steps", "9"))
+    answers = [run(capsys, *argv) for argv in argvs]
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        assert [run(capsys, *argv) for argv in argvs] == answers
+    finally:
+        sys.set_int_max_str_digits(old)
+    assert [code for code, _, _ in answers] == [0, 0]
+
+
+def test_a_parser_given_no_argv_reads_sys_argv(monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["monoval", "cf", "24/7", "--format", "json"])
+    args = cli.build_parser().parse_args()
+    assert (args.command, args.rational, args.format) == ("cf", "24/7", "json")
+    # and clips a refusal by it
+    monkeypatch.setattr(sys, "argv", ["monoval", "cf", "24/7", "x" * 300])
+    with pytest.raises(cli.UsageError) as info:
+        cli.build_parser().parse_args()
+    assert str(info.value) == f"unrecognized arguments: {_clipped('x' * 300)}"
 
 
 def test_the_cli_module_runs_as_a_script():
@@ -833,6 +873,8 @@ def test_a_refusal_of_any_wording_clips_the_argv_strings_it_holds(capsys, monkey
     assert (code, out) == (1, "")
     assert err == (f"usage error: argument --zap: new '{'y' * 63}... and '{('z ' * 32)[:63]}...;"
                    f" bare --zap={'y' * 58}... {'z ' * 32}...\n")
+    # a value that is no string, as a caller may pass after '--', is left alone
+    assert cli._clip_argv(f"{'y' * 65} 7", ["y" * 65, 7]) == f"{_clipped('y' * 65)} 7"
     # strings of at most 64 characters are left whole, each in the form the message gave it
     code, out, err = run(capsys, "resolve", "--zap=" + "y" * 58, "z" * 64)
     assert err == (f"usage error: argument --zap: new '{'y' * 58}' and '{'z' * 64}';"

@@ -645,6 +645,10 @@ def test_a_progression_past_the_int_str_limit_raises_as_str_does():
         for start, step in ((10**640 - 4, 1), (-(10**640), 10**630)):
             with pytest.raises(ValueError, match="Exceeds the limit"):
                 emit._progression(start, step, 5)
+        # with no limit, str prints them, so the decimals are summed
+        sys.set_int_max_str_digits(0)
+        for start, step in ((10**640 - 4, 1), (-(10**640), 10**630)):
+            assert emit._progression(start, step, 5) == progression_oracle(start, step, 5)
     finally:
         sys.set_int_max_str_digits(old)
 

@@ -12,6 +12,7 @@ from monoval.exactnum import (
     LESS,
     _integer,
     _is_prime,
+    _quoted,
     cf_alternate,
     cf_canonicalize,
     cf_convergents,
@@ -384,6 +385,9 @@ def test_a_string_int_refuses_keeps_the_message_of_int():
     with pytest.raises(ValueError) as info:
         _integer("1.5", "a")
     assert str(info.value) == "invalid literal for int() with base 10: '1.5'"
+    # and a value int() reads no number from keeps int's TypeError
+    with pytest.raises(TypeError):
+        _integer(None, "a")
 
 
 _HUGE = 10**5000  # past the interpreter's default limit of 4,300 digits for printing an int
@@ -413,6 +417,15 @@ def test_a_refusal_quoting_an_integer_too_long_to_print_is_its_own(call, message
     with pytest.raises(ValueError) as info:
         call()
     assert str(info.value) == message
+
+
+def test_a_refusal_quoting_a_value_whose_repr_fails_otherwise_raises_that_error():
+    class Unprintable:
+        def __repr__(self):
+            raise RuntimeError("no repr")
+
+    with pytest.raises(RuntimeError, match="no repr"):
+        _quoted(Unprintable())
 
 
 def test_a_bool_is_an_integer():

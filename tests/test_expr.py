@@ -294,6 +294,7 @@ def test_initial_forms_value_an_expression_as_lowering_does(text, a, b):
     ("(x - x) + (y - y)", 1, 1, "zero"),            # and it may force to zero, leaving the right unforced
     ("(x - x) + ((x + y) - y)", 1, 1, 1),           # which is then the sum
     ("(x^2 - x^2) + (y - y)", 1, 1, "zero"),        # the lighter is forced first, and may force to zero
+    ("0 + (x + y)", 1, 1, 1),                       # a zero left leaves an unforced right as the sum
 ])
 def test_initial_forms_explicit_cases(text, a, b, expected):
     node = parse_expression(text)

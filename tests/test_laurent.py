@@ -155,6 +155,7 @@ SHORT_RUN = laurent._SHORT_RUN  # shorter runs and pieces are named a row at a t
     (1, 0, CAP, 1),  # x's exponent crosses 0 at j = CAP, where the first stretch would end
     (-1, 1, -CAP - 1, CAP + 2),  # both cross 0 past the first stretch
     (3, -2, 2 * CAP, -5),
+    (0, 0, 0, 0),  # both exponents constant at 0: the monomial 1
 ])
 def test_a_run_is_named_as_its_monomials_past_the_stretch_cap_and_the_short_run_cut(fx, fy, gx, gy, length):
     assert_run_named_as_each_monomial(fx, fy, gx, gy, 0, length)

@@ -23,6 +23,7 @@ from monoval.exactnum import CFStream, sqrt2_stream
 from monoval.laurent import ChartBasis, Monomial
 from monoval.resolution import resolve, theorem_report
 from monoval.valtree import (
+    ExpandedRuns,
     PositivePath,
     TreeVertex,
     _base_at,
@@ -31,7 +32,6 @@ from monoval.valtree import (
     children,
     correspondence_report,
     positive_path,
-    run_items,
 )
 from monoval.valuation import MonomialValuation
 
@@ -157,7 +157,7 @@ def test_path_runs_expand_to_the_per_vertex_walk(nu, max_steps):
     path = positive_path(nu, max_steps=max_steps)
     vertices, complete = oracles.bracket_walk(nu, max_steps)
     assert ordered(path) == ordered(vertices) == ordered(path.vertices)
-    assert list(run_items(path.runs, _base_at)) == [(v.f.ex, v.f.ey, v.g.ex, v.g.ey) for v in vertices]
+    assert list(ExpandedRuns(path.runs, path.count, _base_at)) == [(v.f.ex, v.f.ey, v.g.ex, v.g.ey) for v in vertices]
     assert path.complete == complete and path.count == len(path) == len(vertices)
     assert all(n >= 1 for _, n in path.runs)
     for i in (0, -1, len(vertices) // 2):

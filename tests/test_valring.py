@@ -224,7 +224,7 @@ def test_membership_union_takes_one_step_per_run():
         "print(membership_union(Monomial(-1000000, 1414214), nu, max_steps=10**9))\n"
     )
     src = str(Path(valring.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src}
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
     done = subprocess.run([sys.executable, "-c", program], capture_output=True, text=True,
                           timeout=10, env=env)
     assert done.returncode == 0, done.stderr

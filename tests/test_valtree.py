@@ -83,9 +83,10 @@ def test_positive_child_known():
     assert positive_child(nu, vert(1, -1, -1, 2)) is None  # values tie at 1
     nu24 = MonomialValuation.rational(24, 7)
     assert positive_child(nu24, vert(0, 1, 1, -3)) == vert(1, -3, -1, 4)
-    with pytest.raises(ValueError):
-        # k[y, x/y^2] is not positive under (3, 2): nu(x/y^2) = -1
-        positive_child(nu, vert(0, 1, 1, -2))
+    # k[y, x/y^2] and k[x/y^2, y] are not positive under (3, 2): nu(x/y^2) = -1
+    for v in (vert(0, 1, 1, -2), vert(1, -2, 0, 1)):
+        with pytest.raises(ValueError):
+            positive_child(nu, v)
 
 
 def test_positive_path_ground_truth():

@@ -205,6 +205,7 @@ def test_the_expanded_runs_of_a_trace_and_a_path_pickle_at_every_protocol(protoc
         for twin in (pickle.loads(pickle.dumps(items, protocol)), copy.copy(items), copy.deepcopy(items)):
             assert type(twin) is ExpandedRuns and len(twin) == len(items)
             assert twin == items and list(twin) == list(items) and twin[-1] == items[-1]
+            assert twin != list(items)[:-1] and twin != tuple(items) + (items[0],)
 
 
 @pytest.mark.parametrize("cls, kwargs, text", VALUES, ids=IDS)

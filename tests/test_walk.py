@@ -148,6 +148,9 @@ def test_lex_digits():
     assert lex_digits((0, 1), (1, 0)) == [0, UNBOUNDED]
     # (7, 3) = 2*(3, 1) + (1, 1); (3, 1) = 2*(1, 1) + (1, -1); ...
     assert lex_digits((7, 3), (3, 1)) == [2, 2, 1, UNBOUNDED]
+    for vx, vy in (((0, -1), (1, 0)), ((1, 0), (0, 0))):
+        with pytest.raises(ValueError, match="must both be positive"):
+            lex_digits(vx, vy)
     # a first coordinate divided exactly: the second one decides
     assert lex_digits((3, 1), (1, 1)) == [2, 1, UNBOUNDED]
     assert lex_digits((2, 3), (1, 2)) == [1, 1, UNBOUNDED]
